@@ -161,6 +161,13 @@ CONFIG_SCHEMA = {
 }
 
 
+# Built once: the error chosen is jsonschema.validate's (best_match over
+# iter_errors), without checking the schema itself on every config.
+_VALIDATOR_CLASS = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_VALIDATOR_CLASS.check_schema(CONFIG_SCHEMA)
+_VALIDATOR = _VALIDATOR_CLASS(CONFIG_SCHEMA)
+
+
 @dataclass
 class RunConfig:
     raw: dict
@@ -194,11 +201,10 @@ def parse_config(source):
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise SchemaError("/", f"invalid JSON: {e}") from e
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise SchemaError(pointer, e.message) from e
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        pointer = "/" + "/".join(str(p) for p in error.absolute_path)
+        raise SchemaError(pointer, error.message) from error
     try:
         field = nf.create_field(raw["min_poly"], raw.get("integral_basis"))
     except SadicLabError as e:

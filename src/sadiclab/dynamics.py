@@ -263,15 +263,19 @@ def _ray_scales(ray, lat, step):
     return arch_mults, fin_shifts
 
 
+def _ray_systoles(cloud, lat, ray):
+    """(min_content, ic, min_supnorm, isup) at every step of the ray."""
+    return cloud.systoles_under([_ray_scales(ray, lat, step) for step in ray.steps])
+
+
 def trajectory(x, ray, window, cloud=None):
     """Window systole of t.g.O^n at every step of the ray; no verdict."""
     lat = x.lattice
     if cloud is None:
         cloud = PointCloud(lat, window)
     rows = []
-    for i, step in enumerate(ray.steps):
-        arch_mults, fin_shifts = _ray_scales(ray, lat, step)
-        mc, ic, ms, isup = cloud.systole_under(arch_mults, fin_shifts)
+    for i, (step, (mc, ic, ms, isup)) in enumerate(
+            zip(ray.steps, _ray_systoles(cloud, lat, ray))):
         rows.append(StepRecord(
             index=i, params=step, min_content=mc, min_supnorm=ms,
             content_witness=cloud.format_point(ic),
@@ -467,25 +471,21 @@ def _heat_map(x, active, cloud, heat_s, heat_k, s_max):
     svals = list(heat_s) if heat_s is not None else \
         [round(-s_max + i * (2 * s_max) / 20, 10) for i in range(21)]
     kvals = list(heat_k) if heat_k is not None else list(range(-12, 13))
-    direction = _n2_direction(x.n)
-    rows = []
     s_list = svals if arch_active else [0.0]
     k_list = kvals if fin_active else [0]
-    for s in s_list:
-        for k in k_list:
-            step = []
-            for place in active:
-                step.append(k if place.kind == "finite" else s)
-            ray = RaySchedule(active, [direction] * len(active), [tuple(step)])
-            arch_mults, fin_shifts = _ray_scales(ray, lat, ray.steps[0])
-            mc, ic, ms, isup = cloud.systole_under(arch_mults, fin_shifts)
-            rows.append({
-                "s": s if arch_active else "",
-                "k": k if fin_active else "",
-                "min_content": mc,
-                "min_supnorm": ms,
-                "witness": cloud.format_point(ic),
-            })
+    cells = [(s, k) for s in s_list for k in k_list]
+    ray = RaySchedule(active, [_n2_direction(x.n)] * len(active),
+                      [tuple(k if place.kind == "finite" else s for place in active)
+                       for s, k in cells])
+    rows = []
+    for (s, k), (mc, ic, ms, isup) in zip(cells, _ray_systoles(cloud, lat, ray)):
+        rows.append({
+            "s": s if arch_active else "",
+            "k": k if fin_active else "",
+            "min_content": mc,
+            "min_supnorm": ms,
+            "witness": cloud.format_point(ic),
+        })
     return rows
 
 

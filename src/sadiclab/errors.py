@@ -43,6 +43,10 @@ class WindowTooLarge(SadicLabError):
     """Requested enumeration window exceeds the configured cap."""
 
 
+class NotUnimodular(SadicLabError, ValueError):
+    """A lattice matrix is singular or its determinant is not 1."""
+
+
 class NonExactRepresentative(SadicLabError):
     """A candidate lattice point has no exact preimage in the window."""
 

@@ -10,21 +10,37 @@ The hot path is vectorized: archimedean images live in float64 arrays
 (relative error ~1e-15, far below every stated tolerance), finite-place
 data are exact integer valuations.  Exact coordinates are materialized
 only for witnesses and for the generator API.
+
+Trajectories, surveys and heat maps query one cloud under a whole schedule
+of diagonal steps through `PointCloud.systoles_under`.  It selects each
+step's minimizers in log space -- one matmul per archimedean place and one
+min-plus reduction per finite place over blocks of steps -- then re-checks
+every point within a derived error bound of the block minimum with the
+exact per-point float formula, so reported values and first-index
+witnesses are those of a point-by-point evaluation.  Steps whose dynamic
+range could leave the normal float64 range are evaluated point by point.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ShapeMismatch, WindowTooLarge
+from .errors import NotUnimodular, ShapeMismatch, WindowTooLarge
 from .numberfield import FieldElement
 from .surd import QuadraticSurd
 
 _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
 
 _EXACT = (int, Fraction, FieldElement, QuadraticSurd)
+
+# Schedule kernel constants (see PointCloud.systoles_under).
+_BLOCK_ELEMENTS = 1 << 15    # steps x points per log-space block
+_UNIT_ROUNDOFF = 2.0 ** -53
+_LOG_ULPS = 4                # accuracy assumed of numpy's float64 log
+_LOG2_RANGE = 960            # |log2| budget that keeps every term normal
 
 
 class HeightWindow:
@@ -56,9 +72,13 @@ def _is_zero_scalar(x):
 
 
 def _det_exact(mat):
-    """Determinant by Gaussian elimination over any exact scalar ring."""
+    """Determinant by Gaussian elimination over any exact scalar ring.
+
+    Integer entries are promoted to Fraction so that the elimination
+    quotients stay exact.
+    """
     n = len(mat)
-    m = [list(row) for row in mat]
+    m = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in mat]
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if not _is_zero_scalar(m[r][col])), None)
@@ -132,16 +152,16 @@ class SLattice:
             if exact:
                 det = _det_exact(mat)
                 if _is_zero_scalar(det):
-                    raise ValueError(f"singular matrix at {place.name}")
+                    raise NotUnimodular(f"singular matrix at {place.name}")
                 if self.unimodular and not _scalar_is_one(det):
-                    raise ValueError(f"det at {place.name} is {det!r}, not 1")
+                    raise NotUnimodular(f"det at {place.name} is {det}, not 1")
             else:
                 gf = np.array([[_embed_float(place, c) for c in row] for row in mat])
                 det = np.linalg.det(gf)
                 if abs(det) < 1e-12:
-                    raise ValueError(f"singular matrix at {place.name}")
+                    raise NotUnimodular(f"singular matrix at {place.name}")
                 if self.unimodular and abs(det - 1) > 1e-10:
-                    raise ValueError(f"det at {place.name} is {det}, not 1")
+                    raise NotUnimodular(f"det at {place.name} is {det}, not 1")
 
     @property
     def finite_places(self):
@@ -222,6 +242,16 @@ class PointCloud:
     valuations (|w|_v = p^(-val)).  Diagonal torus steps act by per-place
     coordinate multipliers / valuation shifts, so a whole trajectory
     reuses one enumeration.
+
+    Whole schedules of steps go through one kernel, `systoles_under`; a
+    single step (`systole_under`) is its one-step case.  For it the cloud
+    keeps, in point-major layout (n x count, contiguous), the squared
+    moduli |W_vj|^2 at each archimedean place and the finite valuations as
+    floats (+inf for a zero coordinate), with their per-coordinate ranges.
+    The kernel ranks points in log space, re-checks every near-tie with
+    the exact per-point formula (`norms_under`), and evaluates point by
+    point any step whose range could underflow or overflow float64.
+    Witness strings are memoised per index.
     """
 
     def __init__(self, lat, window):
@@ -255,8 +285,10 @@ class PointCloud:
             self.numerators = self.numerators[keep]
             self.eexp = self.eexp[keep]
         self.count = len(self.numerators)
+        self._formatted = {}
         self._build_arch()
         self._build_finite()
+        self._build_schedule_data()
 
     # -- construction helpers ------------------------------------------------
 
@@ -325,6 +357,34 @@ class PointCloud:
                             else _ZERO_VAL
             self.fin.append((place, vals, p, f))
 
+    def _build_schedule_data(self):
+        """Point-major copies and per-coordinate log2 ranges for the kernel.
+
+        Coordinates that vanish on every point are left out of the ranges;
+        every point has a nonzero image at every place, because g is
+        invertible and the enumerated points are nonzero.  The ranges of
+        |W_vj|^2 are taken from |W_vj|, so a square that under- or
+        overflows in the cached copy still shows in them.
+        """
+        self._arch_sq = []
+        for place, W in self.arch:
+            mod = np.abs(W)
+            nonzero = mod > 0
+            used = nonzero.any(axis=0)
+            with np.errstate(divide="ignore"):
+                lo = 2 * np.log2(np.where(nonzero, mod, np.inf).min(axis=0))[used]
+                hi = 2 * np.log2(mod.max(axis=0))[used]
+            sq = W.real ** 2 + W.imag ** 2 if place.kind == "complex" else W * W
+            self._arch_sq.append((np.ascontiguousarray(sq.T), used, lo, hi))
+        self._fin_vals = []
+        for _, vals, _, _ in self.fin:
+            real = vals < _ZERO_VAL
+            used = real.any(axis=0)
+            lo = np.where(real, vals, _ZERO_VAL).min(axis=0)[used]
+            hi = np.where(real, vals, -_ZERO_VAL).max(axis=0)[used]
+            fvals = np.where(real, vals.astype(np.float64), np.inf)
+            self._fin_vals.append((np.ascontiguousarray(fvals.T), used, lo, hi))
+
     # -- exact points ----------------------------------------------------------
 
     def point(self, idx):
@@ -342,24 +402,35 @@ class PointCloud:
         return tuple(out)
 
     def format_point(self, idx):
-        z = self.point(idx)
-        parts = []
-        for elem in z:
-            if elem.is_rational():
-                parts.append(str(elem.coords[0]))
-            else:
-                parts.append("(" + ",".join(str(c) for c in elem.coords) + ")")
-        return "(" + ", ".join(parts) + ")"
+        """Witness string of one point, built once per index."""
+        text = self._formatted.get(idx)
+        if text is None:
+            parts = []
+            for elem in self.point(idx):
+                if elem.is_rational():
+                    parts.append(str(elem.coords[0]))
+                else:
+                    parts.append("(" + ",".join(str(c) for c in elem.coords) + ")")
+            text = self._formatted[idx] = "(" + ", ".join(parts) + ")"
+        return text
 
     # -- norms under diagonal scaling -------------------------------------------
 
-    def norms_under(self, arch_mults=None, fin_shifts=None):
-        """(content, supnorm) arrays under per-place diagonal scaling."""
-        content = np.ones(self.count)
-        supnorm = np.zeros(self.count)
+    def _norms(self, rows, arch_mults, fin_shifts):
+        """The exact per-point float formula for content and sup-norm.
+
+        rows selects points (None: the whole cloud).  A multiplier or shift
+        is either one length-n row for all points or one row per selected
+        point; either way each point sees the same float operations.
+        """
+        size = self.count if rows is None else len(rows)
+        content = np.ones(size)
+        supnorm = np.zeros(size)
         for k, (place, W) in enumerate(self.arch):
+            if rows is not None:
+                W = W[rows]
             mult = None if arch_mults is None else arch_mults[k]
-            scaled = W if mult is None else W * np.asarray(mult)[None, :]
+            scaled = W if mult is None else W * np.asarray(mult)
             if place.kind == "real":
                 norm = np.sqrt((scaled * scaled).sum(axis=1))
             else:
@@ -367,20 +438,161 @@ class PointCloud:
             content *= norm
             supnorm = np.maximum(supnorm, norm)
         for k, (place, vals, p, f) in enumerate(self.fin):
+            if rows is not None:
+                vals = vals[rows]
             shift = None if fin_shifts is None else fin_shifts[k]
             shifted = vals if shift is None else np.where(
-                vals >= _ZERO_VAL, vals, vals + np.asarray(shift, dtype=np.int64)[None, :])
+                vals >= _ZERO_VAL, vals, vals + np.asarray(shift, dtype=np.int64))
             minval = shifted.min(axis=1)
             norm = np.power(float(p), -minval.astype(np.float64))
             content *= norm
             supnorm = np.maximum(supnorm, norm)
         return content, supnorm
 
+    def norms_under(self, arch_mults=None, fin_shifts=None):
+        """(content, supnorm) arrays under per-place diagonal scaling.
+
+        The point-by-point evaluation that `systoles_under` reproduces.
+        """
+        return self._norms(None, arch_mults, fin_shifts)
+
     def systole_under(self, arch_mults=None, fin_shifts=None):
-        content, supnorm = self.norms_under(arch_mults, fin_shifts)
-        ic = int(np.argmin(content))
-        isup = int(np.argmin(supnorm))
-        return (float(content[ic]), ic, float(supnorm[isup]), isup)
+        """(min_content, ic, min_supnorm, isup) under one diagonal step."""
+        return self.systoles_under([(arch_mults, fin_shifts)])[0]
+
+    def systoles_under(self, steps):
+        """Window systoles under every step of a schedule.
+
+        steps is a list of (arch_mults, fin_shifts) pairs, one multiplier
+        row per archimedean place and one valuation-shift row per finite
+        place (None: unscaled).  Returns one (min_content, ic, min_supnorm,
+        isup) tuple per step: the floats of the per-point formula
+        (`norms_under`) and the first index attaining each minimum.
+        Steps run in blocks of about _BLOCK_ELEMENTS steps x points, so
+        the working memory does not grow with the schedule.
+        """
+        n = self.n
+        arch = [np.array([np.ones(n) if a is None or a[k] is None else a[k]
+                          for a, _ in steps], dtype=np.float64).reshape(-1, n)
+                for k in range(len(self.arch))]
+        fin = [np.array([np.zeros(n) if f is None or f[k] is None else f[k]
+                         for _, f in steps], dtype=np.int64).reshape(-1, n)
+               for k in range(len(self.fin))]
+        # budget bounds, per step, the |log2| of every nonzero term, norm
+        # and partial product of both formulas below.
+        budget = np.zeros(len(steps))
+        with np.errstate(all="ignore"):
+            for (_, used, lo, hi), mult in zip(self._arch_sq, arch):
+                lm = np.log2(mult[:, used] ** 2)
+                budget += np.maximum(np.abs((lo + lm).min(axis=1)),
+                                     np.abs((hi + lm).max(axis=1) + math.log2(n)))
+            for (_, _, p, _), (_, used, lo, hi), shift in zip(
+                    self.fin, self._fin_vals, fin):
+                budget += math.log2(p) * np.maximum(
+                    np.abs((lo + shift[:, used]).min(axis=1)),
+                    np.abs((hi + shift[:, used]).max(axis=1)))
+        # A step is safe when budget <= _LOG2_RANGE: then every nonzero
+        # term, partial sum and partial product of both formulas lies in
+        # [2^-960, 2^960], so each operation rounds with relative error at
+        # most u = 2^-53 (a real or imaginary square that underflows moves
+        # its sum by at most 2^-115 relative), and the |ln| of the place
+        # norms of any point sum to at most lam = budget * ln 2.  With
+        # g(k) = k u / (1 - k u) and P places:
+        #   exact formula: a place norm takes at most n + 3 roundings
+        #     (scale, square, n - 1 additions, sqrt or modulus; pow, within
+        #     one ulp, counts as 2) and the content product one more, so
+        #     |ln F - ln T| <= eF = g(K) / (1 - g(K)), K = P (n + 4);
+        #   log space: |W|^2 (2 roundings), m^2 (1) and the matmul's
+        #     product and n - 1 additions, in any order, put each matmul
+        #     entry within g(n + 3) relatively, i.e. gA = g(n+3)/(1-g(n+3))
+        #     in ln; log adds _LOG_ULPS ulp, 2 _LOG_ULPS u relative to |ln|;
+        #     -v ln p, the P - 1 additions and the threshold sum add P + 2:
+        #     |L - ln T| <= beta = P gA + g(2 _LOG_ULPS + P + 2) lam.
+        # So F_i <= F_j implies L_i <= L_j + delta, delta = 2 (beta + eF):
+        # every point whose exact value ties or beats the log-space
+        # minimizer's is a candidate, and the candidates' exact values,
+        # scanned in index order, give today's minimum and first witness.
+        # Sup-norms are maxima of the same place terms, with smaller errors.
+        places = len(self.arch) + len(self.fin)
+        safe = budget <= _LOG2_RANGE
+        delta = 2 * (places * _log_gamma(n + 3) + _log_gamma(places * (n + 4))
+                     + _gamma(2 * _LOG_ULPS + places + 2) * budget * math.log(2))
+        block = max(1, _BLOCK_ELEMENTS // self.count)
+        out = []
+        for start in range(0, len(steps), block):
+            part = slice(start, start + block)
+            out.extend(self._block_systoles(
+                [m[part] for m in arch], [s[part] for s in fin],
+                delta[part], safe[part]))
+        return out
+
+    def _log_norms(self, arch, fin):
+        """Per place, the (steps x points) array of ln |.|_v of the images."""
+        for (place, _), (sq, _, _, _), mult in zip(self.arch, self._arch_sq, arch):
+            ell = np.log((mult * mult) @ sq)
+            if place.kind == "real":
+                ell *= 0.5
+            yield ell
+        for (_, _, p, _), (fvals, _, _, _), shift in zip(self.fin, self._fin_vals, fin):
+            fshift = shift.astype(np.float64)
+            ell = fvals[0] + fshift[:, :1]
+            for j in range(1, self.n):
+                np.minimum(ell, fvals[j] + fshift[:, j:j + 1], out=ell)
+            ell *= -math.log(p)
+            yield ell
+
+    def _block_systoles(self, arch, fin, delta, safe):
+        """systoles_under on one block of stacked multipliers and shifts."""
+        # Log space: per step and point, total = ln content and top =
+        # ln supnorm, up to the rounding bounded by delta.
+        total = top = None
+        with np.errstate(all="ignore"):
+            for ell in self._log_norms(arch, fin):
+                if total is None:
+                    total, top = ell.copy(), ell
+                else:
+                    total += ell
+                    top = np.maximum(top, ell)
+            cand = total <= (total.min(axis=1) + delta)[:, None]
+            cand |= top <= (top.min(axis=1) + delta)[:, None]
+        if not safe.all():
+            cand &= safe[:, None]
+        at, rows = np.divmod(np.flatnonzero(cand), self.count)
+        content, supnorm = self._norms(rows, [m[at] for m in arch],
+                                       [s[at] for s in fin])
+        out = [None] * len(delta)
+        for s, ic, mc, isup, ms in zip(*_first_minima(at, rows, content),
+                                       *_first_minima(at, rows, supnorm)[1:]):
+            out[s] = (float(mc), int(ic), float(ms), int(isup))
+        # Out-of-range steps (underflow, overflow, zero multipliers) are
+        # evaluated point by point.
+        for s in np.flatnonzero(~safe):
+            content, supnorm = self._norms(None, [m[s] for m in arch],
+                                           [sh[s] for sh in fin])
+            ic = int(np.argmin(content))
+            isup = int(np.argmin(supnorm))
+            out[s] = (float(content[ic]), ic, float(supnorm[isup]), isup)
+        return out
+
+
+def _gamma(k):
+    """Higham's gamma_k: the relative error bound of k roundings."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _log_gamma(k):
+    """Bound on |ln(1 + t)| for |t| <= gamma_k."""
+    return _gamma(k) / (1 - _gamma(k))
+
+
+def _first_minima(steps, rows, values):
+    """Per step, ascending: (step, first row attaining the least value, value)."""
+    order = np.lexsort((rows, values, steps))
+    s = steps[order]
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    order = order[first]
+    return steps[order], rows[order], values[order]
 
 
 def _matvec_exact(mat, z, field):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,32 @@ class TestRun:
                          "--out", str(tmp_path), "field-info"])
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_non_unimodular_matrix_is_an_error_line(self, tmp_path, capsys):
+        config = dict(Q_WITH_2, systole={"matrices": [[[2, 0], [0, 1]],
+                                                      [[1, 0], [0, 1]]]})
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "systole"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: det at r0 is 2, not 1\n"
+
+    @pytest.mark.parametrize("H, E, heatmap_sha256", [
+        (24, 4, "0be9c353e89dccb0834043136ceb0e03b1c238164db6fa34bc13fa60d4315347"),
+        (32, 6, "1823859c84f64ff6086c09cd6bab359d1238641a7a827aed6d8a4c0aaf1b473d"),
+    ])
+    def test_orbit_survey_golden_artifacts(self, tmp_path, H, E, heatmap_sha256):
+        # Digests of the artifacts written by the point-by-point evaluation
+        # that the schedule kernel replaced.
+        config = dict(Q_WITH_2, window={"H": H, "E": E},
+                      orbit_survey={"point": "identity", "steps": 20})
+        assert cli.run("orbit-survey", config, str(tmp_path)) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("heatmap.csv", "orbit-survey.json")}
+        assert digests == {
+            "heatmap.csv": heatmap_sha256,
+            "orbit-survey.json":
+                "fe78e6e0867c99e75f40c133e2503e46d5ebb76791dbd4f00fc5f87b6b1fdcef",
+        }
 
     def test_orbit_survey_field_and_places_flags(self, tmp_path):
         code = cli.main([

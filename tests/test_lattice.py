@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
-from sadiclab.errors import WindowTooLarge
+from sadiclab.errors import NotUnimodular, WindowTooLarge
 from sadiclab.surd import QuadraticSurd
 
 
@@ -54,6 +55,29 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             lt.SLattice(rationals, q_inf2, 2,
                         [[[2, 0], [0, 1]], eye(2)])       # det 2
+
+    def test_integer_sl2z_matrices_accepted(self, rationals, q_inf2):
+        rng = random.Random(20260517)
+        for _ in range(200):
+            while True:
+                a, c = rng.randint(-40, 40), rng.randint(-40, 40)
+                if math.gcd(a, c) == 1:
+                    break
+            # a*x + c*y == 1 by the extended Euclidean algorithm
+            r0, r1, x0, x1, y0, y1 = a, c, 1, 0, 0, 1
+            while r1:
+                q = r0 // r1
+                r0, r1 = r1, r0 - q * r1
+                x0, x1 = x1, x0 - q * x1
+                y0, y1 = y1, y0 - q * y1
+            x, y = r0 * x0, r0 * y0
+            mat = [[a, -y], [c, x]]
+            assert max(abs(e) for row in mat for e in row) <= 40
+            lt.SLattice(rationals, q_inf2, 2, [mat, mat])
+
+    def test_determinant_two_rejected(self, rationals, q_inf2):
+        with pytest.raises(NotUnimodular, match=r"det at r0 is 2, not 1"):
+            lt.SLattice(rationals, q_inf2, 2, [[[2, 0], [0, 1]], eye(2)])
 
     def test_finite_place_entries_must_be_exact(self, rationals, q_inf2):
         with pytest.raises(TypeError):

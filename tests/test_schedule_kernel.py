@@ -1,0 +1,157 @@
+"""Differential tests of the schedule kernel against point-by-point evaluation.
+
+`PointCloud.systoles_under` picks minimizers in log space and re-checks the
+near-ties exactly; the reference below evaluates every point at every step
+with the per-point float formula and takes the first index of each minimum.
+Values and witness indices must agree exactly.
+"""
+
+import functools
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
+
+from sadiclab import lattice as lt
+from sadiclab import numberfield as nf
+
+LN2 = math.log(2)
+
+DIRECTIONS = {2: [(1, -1), (-1, 1)], 3: [(1, 0, -1), (2, -1, -1), (0, 1, -1)]}
+
+
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _cloud(name):
+    q = nf.create_field([0, 1])
+    q2 = nf.archimedean_places(q) + nf.finite_places(q, 2)
+    gauss = nf.create_field([1, 0, 1])
+    g5 = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)
+    if name == "q-identity":
+        lat, window = lt.SLattice(q, q2, 2, [_eye(2)] * 2), lt.HeightWindow(12, 3)
+    elif name == "q-rational":
+        g = [[2, 3], [1, 2]]
+        lat, window = lt.SLattice(q, q2, 2, [g, g]), lt.HeightWindow(6, 2)
+    elif name == "q-float-shear":
+        lat = lt.SLattice(q, q2, 2, [[[1.0, 0.37], [0.0, 1.0]], _eye(2)])
+        window = lt.HeightWindow(6, 2)
+    elif name == "q-tiny-shear":
+        # |W|^2 of the sheared coordinate underflows for points with x = 0
+        lat = lt.SLattice(q, q2, 2, [[[1.0, 1e-170], [0.0, 1.0]], _eye(2)])
+        window = lt.HeightWindow(4, 1)
+    elif name == "q-identity-n3":
+        lat, window = lt.SLattice(q, q2, 3, [_eye(3)] * 2), lt.HeightWindow(2, 1)
+    elif name == "gauss-identity":
+        lat, window = lt.SLattice(gauss, g5, 2, [_eye(2)] * 3), lt.HeightWindow(2, 1)
+    else:
+        g = [[2, 1], [1, 1]]
+        lat, window = lt.SLattice(gauss, g5, 2, [g] * 3), lt.HeightWindow(1, 1)
+    return lt.PointCloud(lat, window)
+
+
+CLOUDS = ["q-identity", "q-rational", "q-float-shear", "q-tiny-shear",
+          "q-identity-n3", "gauss-identity", "gauss-sl2z"]
+
+
+def reference_systole(cloud, arch_mults, fin_shifts):
+    """Every point evaluated with the per-point formula; first-index argmin."""
+    content = np.ones(cloud.count)
+    supnorm = np.zeros(cloud.count)
+    for k, (place, W) in enumerate(cloud.arch):
+        mult = arch_mults[k]
+        scaled = W if mult is None else W * np.asarray(mult)[None, :]
+        if place.kind == "real":
+            norm = np.sqrt((scaled * scaled).sum(axis=1))
+        else:
+            norm = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=1)
+        content *= norm
+        supnorm = np.maximum(supnorm, norm)
+    for k, (place, vals, p, f) in enumerate(cloud.fin):
+        shift = fin_shifts[k]
+        shifted = vals if shift is None else np.where(
+            vals >= lt._ZERO_VAL, vals, vals + np.asarray(shift)[None, :])
+        norm = np.power(float(p), -shifted.min(axis=1).astype(np.float64))
+        content *= norm
+        supnorm = np.maximum(supnorm, norm)
+    ic = int(np.argmin(content))
+    isup = int(np.argmin(supnorm))
+    return (float(content[ic]), ic, float(supnorm[isup]), isup)
+
+
+# Archimedean ray parameters: moderate, long (content under- and overflow),
+# and multiples of ln 2 that balance a 2-adic shift into near-ties.
+_PARAMS = st.one_of(st.none(), st.floats(-12, 12), st.floats(-340, 340),
+                    st.integers(-40, 40).map(lambda k: k * LN2))
+_SHIFTS = st.one_of(st.none(), st.integers(-15, 15), st.integers(-1100, 1100))
+
+
+@st.composite
+def steps(draw, cloud):
+    dirs = DIRECTIONS[cloud.n]
+    if draw(st.booleans()):
+        # matched step: the same k at every place, as on a balanced ray
+        k, d = draw(st.integers(-40, 40)), draw(st.sampled_from(dirs))
+        arch = [np.array([math.exp(k * LN2 * c) for c in d]) for _ in cloud.arch]
+        fin = [np.array([f * k * c for c in d], dtype=np.int64)
+               for _, _, _, f in cloud.fin]
+        return arch, fin
+    arch = []
+    for _ in cloud.arch:
+        par, d = draw(_PARAMS), draw(st.sampled_from(dirs))
+        arch.append(None if par is None else
+                    np.array([math.exp(par * c) for c in d]))
+    fin = []
+    for _, _, _, f in cloud.fin:
+        k, d = draw(_SHIFTS), draw(st.sampled_from(dirs))
+        fin.append(None if k is None else
+                   np.array([f * k * c for c in d], dtype=np.int64))
+    return arch, fin
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_schedule_kernel_matches_point_by_point(data):
+    cloud = _cloud(data.draw(st.sampled_from(CLOUDS)))
+    schedule = data.draw(st.lists(steps(cloud), min_size=1, max_size=80))
+    with np.errstate(all="ignore"):
+        got = cloud.systoles_under(schedule)
+        want = [reference_systole(cloud, *step) for step in schedule]
+    assert [repr(t) for t in got] == [repr(t) for t in want]
+
+
+def test_blocks_cover_long_schedules():
+    cloud = _cloud("q-identity")
+    block = lt._BLOCK_ELEMENTS // cloud.count
+    schedule = [([np.array([math.exp(0.1 * i), math.exp(-0.1 * i)])],
+                 [np.array([i % 7, -(i % 7)], dtype=np.int64)])
+                for i in range(3 * block + 1)]
+    got = cloud.systoles_under(schedule)
+    assert got == [reference_systole(cloud, *step) for step in schedule]
+    assert cloud.systole_under(*schedule[-1]) == got[-1]
+
+
+def test_out_of_range_steps_alone_and_mixed():
+    cloud = _cloud("gauss-identity")
+    underflow = ([None], [None, np.array([410, -410], dtype=np.int64)])
+    plain = ([None], [None, None])
+    for schedule in ([underflow], [underflow, plain, underflow]):
+        with np.errstate(all="ignore"):
+            got = cloud.systoles_under(schedule)
+            want = [reference_systole(cloud, *step) for step in schedule]
+        assert [repr(t) for t in got] == [repr(t) for t in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(2.0 ** -960, 2.0 ** 960), min_size=1, max_size=64))
+def test_numpy_log_within_assumed_ulps(values):
+    # The kernel's error bound assumes numpy's float64 log (here on its
+    # vectorized array path) is within _LOG_ULPS ulp of the true logarithm.
+    got = np.log(np.array(values))
+    with mp.workdps(40):
+        for x, y in zip(values, got):
+            exact = mp.log(mpf(x))
+            assert abs(mpf(float(y)) - exact) <= lt._LOG_ULPS * math.ulp(float(exact))
