@@ -8,8 +8,11 @@ conclusive, a clean window is only clean at this scale.
 
 The hot path is vectorized: archimedean images live in float64 arrays
 (relative error ~1e-15, far below every stated tolerance), finite-place
-data are exact integer valuations.  Exact coordinates are materialized
-only for witnesses and for the generator API.
+data are exact integer valuations.  At an unramified place they are read
+off the residues of the image coordinates mod the Hensel-lifted factor,
+one int64 matmul per place; only coordinates whose residues vanish mod the
+kernel's precision are valued exactly, one by one.  Exact coordinates are
+materialized only for witnesses, those fallbacks and the generator API.
 
 Trajectories, surveys and heat maps query one cloud under a whole schedule
 of diagonal steps through `PointCloud.systoles_under`.  It selects each
@@ -28,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import polyarith as pa
 from .errors import NotUnimodular, ShapeMismatch, WindowTooLarge
 from .numberfield import FieldElement
 from .surd import QuadraticSurd
@@ -208,38 +212,14 @@ def _numerator_grid(ncoords, H):
     return Y[order]
 
 
-def _vp_int_array(a, p):
-    a = np.abs(a.astype(np.int64))
-    v = np.zeros(a.shape, dtype=np.int64)
-    zero = a == 0
-    v[zero] = _ZERO_VAL
-    mask = (~zero) & (a % p == 0)
-    while mask.any():
-        a[mask] //= p
-        v[mask] += 1
-        mask = (~zero) & (a % p == 0)
-    return v
-
-
-def _vp_fraction(x, p):
-    if x == 0:
-        return _ZERO_VAL
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 class PointCloud:
     """Enumerated window of g * O^n with vectorized per-place data.
 
     arch images are float arrays; finite data are exact normalized
-    valuations (|w|_v = p^(-val)).  Diagonal torus steps act by per-place
+    valuations (|w|_v = p^(-val)), computed for all points at once from
+    residues mod the lifted factor of each place (`_finite_valuations`);
+    `valuation_fallbacks` counts the coordinates that needed the exact
+    per-coordinate path.  Diagonal torus steps act by per-place
     coordinate multipliers / valuation shifts, so a whole trajectory
     reuses one enumeration.
 
@@ -319,43 +299,67 @@ class PointCloud:
 
     def _build_finite(self):
         self.fin = []
+        self._valuation_fallbacks = 0
         for place, mat in zip(self.lat.places, self.lat.g):
-            if place.kind != "finite":
-                continue
-            p, f = place.p, place.residue_degree
-            t = self.primes.index(p)
-            eshift = f * self.eexp[:, t]
-            identity = all(
-                _scalar_is_one(c) if i == j else _is_zero_scalar(c)
-                for i, row in enumerate(mat) for j, c in enumerate(row))
-            if identity and self.d == 1:
-                vals = np.empty((self.count, self.n), dtype=np.int64)
-                for j in range(self.n):
-                    vals[:, j] = f * _vp_int_array(self.numerators[:, j], p)
-                vals = np.where(vals >= _ZERO_VAL, _ZERO_VAL, vals - eshift[:, None])
-            elif self.d == 1 and all(isinstance(c, (int, Fraction))
-                                     for row in mat for c in row):
-                rows = [[Fraction(c) for c in row] for row in mat]
-                vals = np.empty((self.count, self.n), dtype=np.int64)
-                for i in range(self.count):
-                    y = self.numerators[i]
-                    for j in range(self.n):
-                        acc = Fraction(0)
-                        for k in range(self.n):
-                            if rows[j][k]:
-                                acc += rows[j][k] * int(y[k])
-                        vals[i, j] = f * _vp_fraction(acc, p) \
-                            if acc else _ZERO_VAL
-                vals = np.where(vals >= _ZERO_VAL, _ZERO_VAL, vals - eshift[:, None])
-            else:
-                vals = np.empty((self.count, self.n), dtype=np.int64)
-                for i in range(self.count):
-                    z = self.point(i)
-                    w = _matvec_exact(mat, z, self.field)
-                    for j in range(self.n):
-                        vals[i, j] = place.valuation(w[j]) if not w[j].is_zero() \
-                            else _ZERO_VAL
-            self.fin.append((place, vals, p, f))
+            if place.kind == "finite":
+                self.fin.append((place, self._finite_valuations(place, mat),
+                                 place.p, place.residue_degree))
+
+    def _finite_valuations(self, place, mat):
+        """Normalized valuations of every image coordinate at one finite place.
+
+        The place P | p comes with a Hensel-lifted factor h of degree f, and
+        the completion's integers are Z_p[x]/(h): unramified, uniformizer p.
+        So an integral a has v_P(a) = min_k v_p(c_k), c = a mod h.  Image
+        coordinate j of a point is (sum_{k,l} y_kl g_jk b_l) / p^e, and D_j,
+        the common denominator of the g_jk b_l, makes it integral; the
+        residues of D_j g_jk b_l mod (h, p^K) form the fixed matrix A_j, so
+        the residues of a whole cloud are one int64 matmul Y @ A_j, exact
+        because n d H p^K fits in int64 and K is at most the lift's
+        precision.  The normalized valuation is then
+        f (min_k v_p(C_k) - v_p(D_j)) - f e.  A residue that vanishes mod p^K
+        is either a zero coordinate (found exactly over the flagged rows) or
+        has valuation >= K; only the latter take the exact
+        `FinitePlace.valuation` path, and `valuation_fallbacks` counts them.
+        """
+        field, n, d = self.field, self.n, self.d
+        p, f = place.p, place.residue_degree
+        bound = n * d * int(np.abs(self.numerators).max())
+        K = 0
+        while K < place.precision and bound * p ** (K + 1) < 2 ** 63:
+            K += 1
+        modulus = p ** K
+        lifted = list(place.lifted_factor)
+        exact, resid, den_val = [], [], []
+        for row in mat:
+            prods = [_field_entry(c, field) * b
+                     for c in row for b in field.integral_basis]
+            D = math.lcm(*(c.denominator for e in prods for c in e.coords))
+            ints = [[int(c * D) for c in e.coords] for e in prods]
+            exact.append(ints)
+            resid.append([_residue(u, lifted, f, modulus) for u in ints])
+            v = 0
+            while D % p == 0:
+                D //= p
+                v += 1
+            den_val.append(v)
+        A = np.concatenate([np.array(r, dtype=np.int64) for r in resid], axis=1)
+        C = (self.numerators @ A) % modulus
+        G = np.gcd.reduce(C.reshape(self.count, n, f), axis=2)
+        shift = np.array(den_val)[None, :] + \
+            self.eexp[:, self.primes.index(p)][:, None]
+        vals = np.full(G.shape, _ZERO_VAL, dtype=np.int64)
+        live = G != 0
+        vals[live] = f * (_vp_array(G[live], p) - shift[live])
+        if not live.all():
+            rows = np.flatnonzero(~live.all(axis=1))
+            M = np.concatenate([np.array(e, dtype=object) for e in exact], axis=1)
+            img = (self.numerators[rows].astype(object) @ M).reshape(len(rows), n, d)
+            for r, j in zip(*np.nonzero(~live[rows] & (img != 0).any(axis=2))):
+                elem = field.element(list(img[r, j]))
+                vals[rows[r], j] = place.valuation(elem) - f * shift[rows[r], j]
+                self._valuation_fallbacks += 1
+        return vals
 
     def _build_schedule_data(self):
         """Point-major copies and per-coordinate log2 ranges for the kernel.
@@ -431,10 +435,20 @@ class PointCloud:
                 W = W[rows]
             mult = None if arch_mults is None else arch_mults[k]
             scaled = W if mult is None else W * np.asarray(mult)
-            if place.kind == "real":
-                norm = np.sqrt((scaled * scaled).sum(axis=1))
-            else:
+            if place.kind == "complex":
+                # the norm is the sum of the squares: it leaves the float64
+                # range together with them
                 norm = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=1)
+            else:
+                # Each row is scaled by the power of two 2^-e that brings
+                # its largest entry into [1/2, 1) before squaring, and the
+                # norm back by 2^e: on long rays the squares no longer
+                # under- or overflow while the norm is in range, and where
+                # no square left the normal range every step scales
+                # exactly, so no bit changes.
+                _, e = np.frexp(np.abs(scaled).max(axis=1))
+                unit = np.ldexp(scaled, -e[:, None])
+                norm = np.ldexp(np.sqrt((unit * unit).sum(axis=1)), e)
             content *= norm
             supnorm = np.maximum(supnorm, norm)
         for k, (place, vals, p, f) in enumerate(self.fin):
@@ -448,6 +462,11 @@ class PointCloud:
             content *= norm
             supnorm = np.maximum(supnorm, norm)
         return content, supnorm
+
+    @property
+    def valuation_fallbacks(self):
+        """Nonzero finite-place coordinates valued by the exact fallback."""
+        return self._valuation_fallbacks
 
     def norms_under(self, arch_mults=None, fin_shifts=None):
         """(content, supnorm) arrays under per-place diagonal scaling.
@@ -593,6 +612,34 @@ def _first_minima(steps, rows, values):
     first[1:] = s[1:] != s[:-1]
     order = order[first]
     return steps[order], rows[order], values[order]
+
+
+def _field_entry(c, field):
+    """An exact matrix entry as an element of the field."""
+    if isinstance(c, FieldElement):
+        return c
+    if isinstance(c, QuadraticSurd) and c.b == 0:
+        return field.element([c.a])
+    return field.element([c])
+
+
+def _residue(u, h, f, modulus):
+    """Coefficients of the integer polynomial u mod the monic h, mod modulus."""
+    r = [int(c) % modulus for c in pa.poly_mod(u, h)]
+    return r + [0] * (f - len(r))
+
+
+def _vp_array(a, p):
+    """p-adic valuations of a 1-d int64 array with no zero entry."""
+    v = np.zeros(a.shape, dtype=np.int64)
+    live = np.flatnonzero(a % p == 0)
+    a = a[live]
+    while live.size:
+        v[live] += 1
+        a //= p
+        keep = a % p == 0
+        live, a = live[keep], a[keep]
+    return v
 
 
 def _matvec_exact(mat, z, field):
@@ -964,14 +1011,11 @@ def nilpotent_span_check(lat, radius, window):
     window.check(ncoords, len(primes) if E else 0)
 
     # per-place prepared data
-    def to_field(c):
-        return c if isinstance(c, FieldElement) else field.element([Fraction(c)])
-
     arch_data = []
     fin_data = []
     for place, mat in zip(lat.places, lat.g):
         if place.kind == "finite":
-            gK = [[to_field(c) for c in row] for row in mat]
+            gK = [[_field_entry(c, field) for c in row] for row in mat]
             giK = _inv_exact_field(gK, field)
             fin_data.append((place, gK, giK))
         else:

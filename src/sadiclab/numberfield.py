@@ -9,7 +9,8 @@ finite place, so that the product over all places of |u|_v is 1 for units.
 Finite places are only constructed over primes where the defining
 polynomial stays squarefree mod p; that restriction keeps every finite
 valuation computable as the exact p-adic valuation of a resultant against
-a Hensel-lifted local factor.
+a Hensel-lifted local factor (or, equivalently, from the residue mod that
+factor, which is how `lattice.PointCloud` values whole clouds).
 """
 
 from fractions import Fraction
@@ -427,6 +428,7 @@ class FinitePlace(Place):
         self.index = index
         self.name = f"p{p}_{index}"
         self._lifted = tuple(lifted) if lifted is not None else None
+        self._refined = {}
 
     @property
     def lifted_factor(self):
@@ -436,9 +438,14 @@ class FinitePlace(Place):
         return self._lifted
 
     def refined(self, precision=None):
+        """The same place at a higher Hensel precision, built once per precision."""
         n = precision or 2 * self.precision
-        return FinitePlace(self.field, self.p, self.factor_mod_p,
-                           self.residue_degree, n, index=self.index)
+        place = self._refined.get(n)
+        if place is None:
+            place = self._refined[n] = FinitePlace(
+                self.field, self.p, self.factor_mod_p, self.residue_degree, n,
+                index=self.index)
+        return place
 
     def valuation(self, elem):
         """Exact valuation v_p(N_local(elem)); |elem|_v = p**(-valuation)."""

@@ -1,5 +1,8 @@
+import csv
 import hashlib
 import json
+import math
+import warnings
 
 import pytest
 
@@ -177,6 +180,21 @@ class TestRun:
             "orbit-survey.json":
                 "fe78e6e0867c99e75f40c133e2503e46d5ebb76791dbd4f00fc5f87b6b1fdcef",
         }
+
+    def test_orbit_survey_long_ray_keeps_small_contents(self, tmp_path):
+        # at s = +-400 the squares of the scaled coordinates leave the
+        # float64 range, while the content e^-400 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([
+                "--config", json.dumps(dict(MINIMAL, window={"H": 6})),
+                "--out", str(tmp_path), "orbit-survey", "--grid=-400:400:3"])
+        assert code == 0
+        with open(tmp_path / "heatmap.csv", newline="") as fh:
+            rows = {row["s"]: row for row in csv.DictReader(fh)}
+        for s in ("-400", "400"):
+            assert float(rows[s]["min_content"]) == pytest.approx(
+                math.exp(-400), rel=1e-12, abs=0)
 
     def test_orbit_survey_field_and_places_flags(self, tmp_path):
         code = cli.main([

@@ -127,6 +127,22 @@ class TestLocalAbs:
         vals = sorted(pl.valuation(e) for pl in place)
         assert vals == [15, 16]
 
+    def test_escalations_lift_once_per_precision(self, gauss, monkeypatch):
+        lifts = []
+        lift = nf._lift_place_factor
+
+        def counting_lift(field, p, factor, precision):
+            lifts.append(precision)
+            return lift(field, p, factor, precision)
+
+        monkeypatch.setattr(nf, "_lift_place_factor", counting_lift)
+        place = nf.finite_places(gauss, 5)[0]
+        deep, deeper = gauss.element([5 ** 40]), gauss.element([5 ** 100])
+        for _ in range(2):
+            assert place.valuation(deep) == 40
+            assert place.valuation(deeper) == 100
+        assert lifts == [60, 120]
+
     def test_multiplicativity_random(self, gauss):
         random.seed(3)
         places = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)

@@ -2,8 +2,9 @@
 
 `PointCloud.systoles_under` picks minimizers in log space and re-checks the
 near-ties exactly; the reference below evaluates every point at every step
-with the per-point float formula and takes the first index of each minimum.
-Values and witness indices must agree exactly.
+with the per-point float formula of `PointCloud._norms` and takes the first
+index of each minimum (real-place rows rescaled by a power of two before
+squaring).  Values and witness indices must agree exactly.
 """
 
 import functools
@@ -65,7 +66,9 @@ def reference_systole(cloud, arch_mults, fin_shifts):
         mult = arch_mults[k]
         scaled = W if mult is None else W * np.asarray(mult)[None, :]
         if place.kind == "real":
-            norm = np.sqrt((scaled * scaled).sum(axis=1))
+            _, e = np.frexp(np.abs(scaled).max(axis=1))
+            unit = np.ldexp(scaled, -e[:, None])
+            norm = np.ldexp(np.sqrt((unit * unit).sum(axis=1)), e)
         else:
             norm = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=1)
         content *= norm
@@ -143,6 +146,21 @@ def test_out_of_range_steps_alone_and_mixed():
             got = cloud.systoles_under(schedule)
             want = [reference_systole(cloud, *step) for step in schedule]
         assert [repr(t) for t in got] == [repr(t) for t in want]
+
+
+def test_long_ray_step_keeps_underflowing_squares():
+    # (e^-400, e^200, e^200): the square of the first coordinate of (1, 0, 0)
+    # underflows, but its norm e^-400 is a normal float
+    cloud = _cloud("q-identity-n3")
+    step = ([np.array([math.exp(-400.0), math.exp(200.0), math.exp(200.0)])],
+            [None])
+    with np.errstate(all="ignore"):
+        got = cloud.systoles_under([step])
+        want = [reference_systole(cloud, *step)]
+    assert [repr(t) for t in got] == [repr(t) for t in want]
+    content, idx = got[0][:2]
+    assert math.isclose(content, math.exp(-400.0), rel_tol=1e-12)
+    assert cloud.format_point(idx) == "(1, 0, 0)"
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,157 @@
+"""Differential tests of the finite-place valuation kernel of `PointCloud`.
+
+The cloud values every image coordinate at a finite place from its residues
+mod the Hensel-lifted factor, one int64 matmul per place.  The reference
+below is the exact per-point formula that kernel replaced: the exact
+mat-vec of the enumerated point, then `FinitePlace.valuation` (a resultant)
+per nonzero coordinate.  Valuations must agree exactly.
+"""
+
+import functools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from sadiclab import lattice as lt
+from sadiclab import numberfield as nf
+from sadiclab.errors import NotUnimodular
+
+# (min_poly, integral basis or None, prime): split (f = 1) and inert (f = 2)
+# places in quadratic and cubic fields, and Q.
+CASES = {
+    "Q at 2": ([0, 1], None, 2),
+    "Q at 3": ([0, 1], None, 3),
+    "Q(i) at 5": ([1, 0, 1], None, 5),
+    "Q(i) at 3": ([1, 0, 1], None, 3),
+    "Q(sqrt2) at 7": ([-2, 0, 1], None, 7),
+    "Q(sqrt2) at 3": ([-2, 0, 1], None, 3),
+    "Q(sqrt5), basis (1, (1+sqrt5)/2), at 11": (
+        [-5, 0, 1], [[1, 0], [Fraction(1, 2), Fraction(1, 2)]], 11),
+    "x^2+x+1 at 2": ([1, 1, 1], None, 2),
+    "x^3-2 at 5": ([-2, 0, 0, 1], None, 5),
+    "x^3-x-1 at 7": ([-1, -1, 0, 1], None, 7),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_and_places(name):
+    min_poly, basis, p = CASES[name]
+    field = nf.create_field(min_poly, basis)
+    return field, nf.finite_places(field, p)
+
+
+def matvec_exact(mat, z, field):
+    """The exact image of one point, as the per-point path computed it."""
+    out = []
+    for row in mat:
+        acc = field.zero()
+        for c, zj in zip(row, z):
+            if isinstance(c, nf.FieldElement):
+                acc = acc + c * zj
+            elif c != 0:
+                acc = acc + zj * Fraction(c)
+        out.append(acc)
+    return out
+
+
+def reference_valuations(cloud, place, mat):
+    vals = np.empty((cloud.count, cloud.n), dtype=np.int64)
+    for i in range(cloud.count):
+        w = matvec_exact(mat, cloud.point(i), cloud.field)
+        for j in range(cloud.n):
+            vals[i, j] = lt._ZERO_VAL if w[j].is_zero() else place.valuation(w[j])
+    return vals
+
+
+def assert_matches_reference(cloud):
+    assert len(cloud.fin) == len(cloud.lat.finite_places)
+    for (place, vals, p, f), mat in zip(
+            cloud.fin, [m for pl, m in zip(cloud.lat.places, cloud.lat.g)
+                        if pl.kind == "finite"]):
+        assert (p, f) == (place.p, place.residue_degree)
+        np.testing.assert_array_equal(vals, reference_valuations(cloud, place, mat))
+
+
+def _p_power(p):
+    return st.integers(-3, 3).map(lambda k: Fraction(p) ** k)
+
+
+@st.composite
+def entries(draw, field, p):
+    """int, Fraction and FieldElement entries with p in numerators and denominators.
+
+    Entries p^(+-40) give valuations beyond the kernel's int64 residues.
+    """
+    small = st.integers(-4, 4)
+    kind = draw(st.sampled_from(["zero", "int", "fraction", "element", "huge"]))
+    if kind == "zero":
+        return 0
+    if kind == "huge":
+        return Fraction(p) ** draw(st.sampled_from([-40, 40]))
+    if kind == "int":
+        return draw(small) * int(draw(_p_power(p).filter(lambda q: q >= 1)))
+    if kind == "fraction":
+        num = draw(small.filter(bool))
+        den = draw(st.integers(1, 4))
+        return Fraction(num, den) * draw(_p_power(p))
+    coords = [Fraction(draw(small), draw(st.integers(1, 3))) * draw(_p_power(p))
+              for _ in range(field.degree)]
+    return field.element(coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_matches_exact_path(data):
+    name = data.draw(st.sampled_from(sorted(CASES)), label="case")
+    field, places = _field_and_places(name)
+    d, p = field.degree, places[0].p
+    n = data.draw(st.sampled_from([2, 3] if d == 1 else [2]), label="n")
+    H = data.draw(st.integers(1, {1: 4 if n == 2 else 2, 2: 2, 3: 1}[d]), label="H")
+    E = data.draw(st.integers(0, 2), label="E")
+    mats = [data.draw(st.lists(st.lists(entries(field, p), min_size=n, max_size=n),
+                               min_size=n, max_size=n), label=place.name)
+            for place in places]
+    try:
+        lat = lt.SLattice(field, places, n, mats, unimodular=False)
+    except NotUnimodular:
+        assume(False)
+    assert_matches_reference(lt.PointCloud(lat, lt.HeightWindow(H, E)))
+
+
+def _gauss_cloud(matrix, E):
+    field, places = _field_and_places("Q(i) at 5")
+    arch = nf.archimedean_places(field)
+    n = len(matrix)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    lat = lt.SLattice(field, arch + places, n, [eye, matrix, matrix])
+    return lt.PointCloud(lat, lt.HeightWindow(2, E))
+
+
+@pytest.mark.parametrize("E", [0, 1, 2])
+def test_high_valuations_take_the_counted_fallback(E):
+    # 5^40 z_0 has valuation >= 40 at both places over 5, beyond what the
+    # int64 residues resolve, so every nonzero first coordinate falls back.
+    big = Fraction(5) ** 40
+    cloud = _gauss_cloud([[big, 0], [0, 1 / big]], E)
+    assert_matches_reference(cloud)
+    nonzero_first = sum(int((vals[:, 0] < lt._ZERO_VAL).sum())
+                        for _, vals, _, _ in cloud.fin)
+    assert cloud.valuation_fallbacks == nonzero_first > 0
+    assert all((vals[:, 0] < lt._ZERO_VAL).any() and (vals == lt._ZERO_VAL).any()
+               for _, vals, _, _ in cloud.fin)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 0], [0, 1]],
+    [[2, 1], [1, 1]],
+    [[40, 39], [41, 40]],
+    [[31, 27], [8, 7]],
+])
+def test_sl2z_window_needs_no_fallback(matrix):
+    # the shape of the benchmark's cloud ops: Q(i), S = {inf, both places
+    # over 5}, H = 2, E = 1, SL2(Z) entries up to 40
+    cloud = _gauss_cloud(matrix, 1)
+    assert cloud.valuation_fallbacks == 0
+    assert_matches_reference(cloud)
