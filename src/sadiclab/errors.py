@@ -47,6 +47,10 @@ class NotUnimodular(SadicLabError, ValueError):
     """A lattice matrix is singular or its determinant is not 1."""
 
 
+class NotInField(SadicLabError, TypeError):
+    """A finite-place entry is inexact or not an element of the field."""
+
+
 class NonExactRepresentative(SadicLabError):
     """A candidate lattice point has no exact preimage in the window."""
 

@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf, mpc
@@ -186,6 +187,30 @@ class DecomposableForm:
                         new[e2] = term
             poly = new
         return tuple(poly.get(e, Fraction(0)) for e in self.basis)
+
+    @cached_property
+    def _integer_expansions(self):
+        """Per place (P, Q, D, d): coefficient k is (P[k] + Q[k] sqrt(d)) / D.
+
+        P and Q are integer tuples, D > 0 their common denominator and d
+        the place's one radicand (1 when every coefficient is rational);
+        coefficients must be int, Fraction, QuadraticSurd or FieldElement
+        of a degree-1 field.  Radicands that differ within a place raise
+        ValueError, as mixing them in `QuadraticSurd` arithmetic does.
+        """
+        out = []
+        for exp in self.expansions:
+            surds = [c if isinstance(c, QuadraticSurd) else QuadraticSurd(
+                c.coords[0] if isinstance(c, FieldElement) else c) for c in exp]
+            radicands = sorted({s.d for s in surds if s.b})
+            if len(radicands) > 1:
+                raise ValueError(f"incompatible radicands {radicands[0]} "
+                                 f"and {radicands[1]}")
+            D = math.lcm(*(x.denominator for s in surds for x in (s.a, s.b)))
+            out.append((tuple(int(s.a * D) for s in surds),
+                        tuple(int(s.b * D) for s in surds), D,
+                        radicands[0] if radicands else 1))
+        return out
 
     def exact_at(self, k):
         return all(_is_exact(c) for c in self.expansions[k])
@@ -386,9 +411,16 @@ class ValueSpectrum:
     min_gap: float
     zero_count: int
     magnitude_cap: float = None
+    _candidates = 0                    # not a field: set by value_spectrum
 
     def magnitudes(self):
         return [e.magnitude for e in self.entries]
+
+    @property
+    def candidates(self):
+        """Points that reached the exact stage (the capped scan's prefilter
+        passed them); telemetry, written to no artifact."""
+        return self._candidates
 
 
 def _format_z(z):
@@ -419,9 +451,13 @@ def _spectrum_from_pairs(pairs, window, cap):
 def value_spectrum(form, window, magnitude_cap=None, dps=None):
     """Distinct nonzero value magnitudes of f on the window of O^n.
 
-    With a magnitude cap and a planar all-archimedean form, a vectorized
-    prefilter scans the full box and only candidate points are evaluated
-    exactly; without a cap the window must stay below the enumeration cap.
+    With a magnitude cap and a planar all-archimedean exact form, a float64
+    prefilter with an error bound derived from its own operations scans
+    the full box; of the points it keeps, exact integer arithmetic finds
+    the zeros and only the rest are evaluated exactly (see
+    `_value_spectrum_fast`), so the result is that of the exact scan.
+    Without a cap every point of the window is evaluated exactly, and the
+    window must stay below the enumeration cap.
     """
     dps = dps or DEFAULT_DPS
     if magnitude_cap is not None and _fast_scan_ok(form):
@@ -433,13 +469,14 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
     grid = _numerator_grid(form.n * d, window.H)
     ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
     pairs = []
-    zero_count = 0
+    zero_count = evaluated = 0
     with mp.workdps(dps + 5):
         for row in grid:
             for ecombo in ecombos:
                 if any(e > 0 and all(int(c) % p == 0 for c in row)
                        for p, e in zip(primes, ecombo)):
                     continue
+                evaluated += 1
                 denom = 1
                 for p, e in zip(primes, ecombo):
                     denom *= p ** e
@@ -453,6 +490,7 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
                 pairs.append((total, _format_z(z)))
     spec = _spectrum_from_pairs(pairs, window, magnitude_cap)
     spec.zero_count = zero_count
+    spec._candidates = evaluated
     return spec
 
 
@@ -469,32 +507,103 @@ def _fast_scan_ok(form):
             and all(form.exact_at(k) for k in range(len(form.places))))
 
 
+_BLOCK = 1 << 15                   # points per prefilter block / exact batch
+_U = 2.0 ** -53                    # unit roundoff of float64
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), for k roundings."""
+    return k * _U / (1 - k * _U)
+
+
 def _value_spectrum_fast(form, window, cap, dps):
-    """Two-stage scan for planar real forms: float64 prefilter, exact refine."""
-    H = window.H
-    float_coeffs = [[float(c) for c in exp] for exp in form.expansions]
-    basis = form.basis
-    candidates = []
-    ys = np.arange(-H, H + 1, dtype=np.float64)
-    for x in range(0, H + 1):
-        yvals = ys if x > 0 else np.arange(1, H + 1, dtype=np.float64)
-        total = np.ones(len(yvals))
-        for coeffs in float_coeffs:
-            acc = np.zeros(len(yvals))
-            for c, (e1, e2) in zip(coeffs, basis):
-                if c == 0.0:
-                    continue
-                acc += c * (float(x) ** e1) * yvals ** e2
-            total *= np.abs(acc)
-        mask = total <= cap * (1 + 1e-9) + 1e-6
-        for y in yvals[mask]:
-            candidates.append((x, int(y)))
+    """Capped spectrum of a planar real form: float prefilter, exact refine.
+
+    The prefilter scans the box x in [0, H], y in [-H, H] (x = 0 with
+    y > 0: one point per sign class) in blocks of about 2^15 points and
+    keeps every point whose float lower bound on |f| is <= cap.  Per place
+    f = sum_k c_k x^e1 y^e2, evaluated by Horner's rule in y with the
+    column coefficients c_k x^e1.  In the standard model of float64
+    arithmetic (no overflow or underflow; Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 3):
+
+    * float(c_k) rounds a and b of c_k = a + b sqrt(d), sqrt(d), one
+      product and one sum: |fl(c_k) - c_k| <= gamma_4 w_k with
+      w_k = |a| + |b| sqrt(d);
+    * x^e1 takes e1 - 1 roundings and its product with fl(c_k) one more;
+      Horner's rule adds 2 e2 + 1 on the term of degree e2 < m in y and 2m
+      on the leading one: at most 2m per term;
+    * so |acc - f| <= gamma_(2m+4) sum_k w_k x^e1 |y|^e2
+      <= gamma_(2m+4) S(x) with S(x) = sum_k w_k x^e1 H^e2, one bound per
+      row.  S is itself computed in float with relative error far below
+      1/2, so delta = 2 gamma_(2m+4) S(x) bounds |acc - f|.
+
+    Over the places the product of max(|acc| - delta, 0) is a lower bound
+    on |f| up to the subtraction and the product, 2P - 1 roundings for P
+    places, which the relative margin 4Pu on the cap covers.  A NaN from
+    inf - inf keeps its point.
+
+    The kept points are refined in batches of at most 2^15: with the
+    coefficients (P_k + Q_k sqrt(d)) / D of `_integer_expansions`, the
+    value at a place is (A + B sqrt(d)) / D with exact integers A and B, and
+    since d is 1 or not a square it is 0 exactly when A = B = 0.  Such
+    points only count in `zero_count`; the rest go through
+    `form.magnitudes`, so kept magnitudes, dedup and witnesses are those
+    of the exact evaluation.  `candidates` counts the kept points.
+    """
+    H, m = window.H, form.m
+    exps = form._integer_expansions
+    columns = []  # per place: (e1, e2, fl(c_k), w_k), c_k != 0
+    for P, Q, D, d in exps:
+        root = math.sqrt(d)
+        terms = []
+        for p, q, (e1, e2) in zip(P, Q, form.basis):
+            if p or q:
+                a, b = float(Fraction(p, D)), float(Fraction(q, D))
+                terms.append((e1, e2, a + b * root, abs(a) + abs(b) * root))
+        columns.append(terms)
+    grow = 2 * _gamma(2 * m + 4)
+    cap_hi = cap * (1 + 4 * len(exps) * _U)
+    yrow = np.arange(-H, H + 1, dtype=np.float64)
+    hpow = [float(H) ** e for e in range(m + 1)]
+    rows = max(1, _BLOCK // len(yrow))
+    xs_kept, ys_kept = [], []
+    for x0 in range(0, H + 1, rows):
+        xb = np.arange(x0, min(x0 + rows, H + 1), dtype=np.float64)
+        xpow = [np.ones_like(xb)]
+        for _ in range(m):
+            xpow.append(xpow[-1] * xb)
+        lo = 1.0
+        for terms in columns:
+            alpha = [np.zeros_like(xb) for _ in range(m + 1)]
+            size = np.zeros_like(xb)
+            for e1, e2, c, w in terms:
+                alpha[e2] = c * xpow[e1]
+                size += w * xpow[e1] * hpow[e2]
+            acc = np.zeros((len(xb), len(yrow)))
+            for e2 in range(m, -1, -1):
+                acc += alpha[e2][:, None]
+                if e2:
+                    acc *= yrow
+            np.abs(acc, out=acc)
+            acc -= (grow * size)[:, None]
+            lo = lo * np.maximum(acc, 0.0, out=acc)
+        keep = np.flatnonzero(~(lo > cap_hi))
+        if x0 == 0:
+            keep = keep[keep > H]
+        xs_kept.append(x0 + keep // len(yrow))
+        ys_kept.append(keep % len(yrow) - H)
+    xs, ys = np.concatenate(xs_kept), np.concatenate(ys_kept)
+    zero = np.zeros(len(xs), dtype=bool)
+    for s in range(0, len(xs), _BLOCK):
+        zero[s:s + _BLOCK] = _exact_zeros(form, xs[s:s + _BLOCK],
+                                          ys[s:s + _BLOCK])
     pairs = []
-    zero_count = 0
+    zero_count = int(zero.sum())
     with mp.workdps(dps + 5):
-        for x, y in candidates:
+        for x, y in zip(xs[~zero].tolist(), ys[~zero].tolist()):
             z = [Fraction(x), Fraction(y)]
-            mags, total = form.magnitudes(z, dps)
+            _, total = form.magnitudes(z, dps)
             if total == 0:
                 zero_count += 1
                 continue
@@ -503,7 +612,20 @@ def _value_spectrum_fast(form, window, cap, dps):
             pairs.append((total, _format_z(z)))
     spec = _spectrum_from_pairs(pairs, window, cap)
     spec.zero_count = zero_count
+    spec._candidates = len(xs)
     return spec
+
+
+def _exact_zeros(form, xs, ys):
+    """Mask of the integer points (xs, ys) where f is exactly 0 at a place."""
+    xo, yo = xs.astype(object), ys.astype(object)
+    monos = [xo ** e1 * yo ** e2 for e1, e2 in form.basis]
+    zero = np.zeros(len(xs), dtype=bool)
+    for P, Q, _, _ in form._integer_expansions:
+        A = sum(p * mono for p, mono in zip(P, monos) if p)
+        B = sum(q * mono for q, mono in zip(Q, monos) if q)
+        zero |= (A == 0) & (B == 0)
+    return zero
 
 
 # ---------------------------------------------------------------------------

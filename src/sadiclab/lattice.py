@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import polyarith as pa
-from .errors import NotUnimodular, ShapeMismatch, WindowTooLarge
+from .errors import NotInField, NotUnimodular, ShapeMismatch, WindowTooLarge
 from .numberfield import FieldElement
 from .surd import QuadraticSurd
 
@@ -143,9 +143,12 @@ class SLattice:
             if place.kind == "finite":
                 for row in rows:
                     for c in row:
-                        if not isinstance(c, _EXACT):
-                            raise TypeError(
-                                f"finite-place entry {c!r} must be exact")
+                        if not isinstance(c, _EXACT) or (
+                                isinstance(c, QuadraticSurd)
+                                and not c.is_rational()):
+                            raise NotInField(
+                                f"finite-place entry {c!r} at {place.name} "
+                                "is not an exact element of K")
             mats.append(tuple(rows))
         self.g = tuple(mats)
         self._check_determinants()

@@ -13,7 +13,12 @@ from mpmath import mp, mpf
 
 
 class QuadraticSurd:
-    """a + b*sqrt(d) with exact rational a, b and a nonsquare integer d > 0."""
+    """a + b*sqrt(d) with exact rational a, b and a nonsquare integer d > 0.
+
+    A square radicand d = r^2 (d = 1 included) is folded on construction,
+    a + b*sqrt(d) -> (a + b*r) + 0*sqrt(1), so b != 0 implies that d is not
+    a square, and a + b*sqrt(d) = 0 exactly when a = b = 0.
+    """
 
     __slots__ = ("a", "b", "d")
 
@@ -23,14 +28,16 @@ class QuadraticSurd:
         self.d = int(d)
         if self.d <= 0:
             raise ValueError("radicand must be positive")
+        if self.b != 0:
+            root = math.isqrt(self.d)
+            if root * root == self.d:
+                self.a += self.b * root
+                self.b = Fraction(0)
         if self.b == 0:
             self.d = 1
 
     @staticmethod
     def sqrt(d):
-        root = math.isqrt(d)
-        if root * root == d:
-            return QuadraticSurd(root)
         return QuadraticSurd(0, 1, d)
 
     def _coerce(self, other):

@@ -163,6 +163,34 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == "error: det at r0 is 2, not 1\n"
 
+    def test_irrational_finite_place_entry_is_an_error_line(self, tmp_path,
+                                                            capsys):
+        config = {"min_poly": [0, 1], "places": {"finite_primes": [7]},
+                  "window": {"H": 2},
+                  "systole": {"n": 2, "matrices": [
+                      [[1, 0], [0, 1]],
+                      [[{"a": 0, "b": 1, "d": 2}, 0],
+                       [0, {"a": 0, "b": 0.5, "d": 2}]]]}}
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "systole"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: finite-place entry QuadraticSurd(0 + 1*sqrt(2)) at p7_0 "
+            "is not an exact element of K\n")
+
+    def test_form_spectrum_square_radicand_spellings_agree(self, tmp_path):
+        # {"b": 1} is 1*sqrt(1) = 1: both spellings are x (x + sqrt2 y)
+        outputs = []
+        for second in ([{"b": 1}, {"b": 1, "d": 2}], [1, {"b": 1, "d": 2}]):
+            out = tmp_path / str(len(outputs))
+            config = {"min_poly": [0, 1], "form": {"factors": [[1, 0], second]},
+                      "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
+            assert cli.run("form-spectrum", config, str(out)) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("spectrum.csv", "form-spectrum.json")})
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["form-spectrum.json"])["distinct"] > 0
+
     @pytest.mark.parametrize("H, E, heatmap_sha256", [
         (24, 4, "0be9c353e89dccb0834043136ceb0e03b1c238164db6fa34bc13fa60d4315347"),
         (32, 6, "1823859c84f64ff6086c09cd6bab359d1238641a7a827aed6d8a4c0aaf1b473d"),

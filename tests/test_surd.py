@@ -60,3 +60,25 @@ def test_golden_ratio_identity():
 def test_high_precision_value():
     s = QuadraticSurd.sqrt(2).to_mpf(50)
     assert abs(s * s - 2) < 1e-48
+
+
+@pytest.mark.parametrize("a, b, d, want", [
+    (0, 1, 1, 1),
+    (Fraction(1, 2), -3, 1, Fraction(-5, 2)),
+    (-2, 1, 4, 0),
+    (1, Fraction(1, 3), 36, 3),
+])
+def test_square_radicand_folds(a, b, d, want):
+    s = QuadraticSurd(a, b, d)
+    assert (s.a, s.b, s.d) == (Fraction(want), 0, 1)
+    assert s.is_rational()
+    assert s.is_zero() == (want == 0)
+    assert hash(s) == hash(QuadraticSurd(want))
+
+
+def test_folded_radicand_mixes_with_any_other():
+    root2 = QuadraticSurd(0, 1, 2)
+    assert QuadraticSurd(0, 1, 1) * root2 == root2
+    product = QuadraticSurd(0, 1, 4) * root2
+    assert (product.a, product.b, product.d) == (0, 2, 2)
+    assert QuadraticSurd(0, 1, 8).d == 8      # not a square: left as is
