@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf, mpc
-from sympy import Poly, Symbol, symbols, resultant
 
 from .errors import (
     DegenerateBasis,
@@ -661,7 +660,7 @@ def discreteness_report(form, heights, E=0, nu=3, dps=None):
     if len(heights) < 3:
         raise TooFewWindows("need at least three growing windows")
     heights = sorted(heights)
-    first = value_spectrum(form, HeightWindow(heights[0], E))
+    first = value_spectrum(form, HeightWindow(heights[0], E), dps=dps)
     if first.entries:
         cap = 2.5 * first.min_nonzero
     else:
@@ -743,6 +742,8 @@ def norm_form(field, basis_elems=None):
     (surds at real embeddings of quadratic fields, 50-digit complex numbers
     otherwise).  Lives over the rationals at the single real place.
     """
+    from sympy import Poly, Symbol, resultant, symbols
+
     from .numberfield import create_field
 
     n = field.degree

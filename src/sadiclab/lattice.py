@@ -234,7 +234,8 @@ class PointCloud:
     The kernel ranks points in log space, re-checks every near-tie with
     the exact per-point formula (`norms_under`), and evaluates point by
     point any step whose range could underflow or overflow float64.
-    Witness strings are memoised per index.
+    The kernel's block arrays are allocated once per cloud and reused by
+    every block.  Witness strings are memoised per index.
     """
 
     def __init__(self, lat, window):
@@ -391,6 +392,8 @@ class PointCloud:
             hi = np.where(real, vals, -_ZERO_VAL).max(axis=0)[used]
             fvals = np.where(real, vals.astype(np.float64), np.inf)
             self._fin_vals.append((np.ascontiguousarray(fvals.T), used, lo, hi))
+        self._block = max(1, _BLOCK_ELEMENTS // self.count)
+        self._buffers = None
 
     # -- exact points ----------------------------------------------------------
 
@@ -539,27 +542,42 @@ class PointCloud:
         safe = budget <= _LOG2_RANGE
         delta = 2 * (places * _log_gamma(n + 3) + _log_gamma(places * (n + 4))
                      + _gamma(2 * _LOG_ULPS + places + 2) * budget * math.log(2))
-        block = max(1, _BLOCK_ELEMENTS // self.count)
         out = []
-        for start in range(0, len(steps), block):
-            part = slice(start, start + block)
+        for start in range(0, len(steps), self._block):
+            part = slice(start, start + self._block)
             out.extend(self._block_systoles(
                 [m[part] for m in arch], [s[part] for s in fin],
                 delta[part], safe[part]))
         return out
 
-    def _log_norms(self, arch, fin):
-        """Per place, the (steps x points) array of ln |.|_v of the images."""
+    def _block_buffers(self, steps):
+        """The kernel's work arrays, cut to the first `steps` rows.
+
+        ln content, ln supnorm, one place's ln norms, a scratch array and
+        the two candidate masks, allocated once per cloud at the block
+        shape: every block writes into the same pages instead of faulting
+        in fresh ones.
+        """
+        if self._buffers is None:
+            shape = (self._block, self.count)
+            self._buffers = ([np.empty(shape) for _ in range(4)]
+                             + [np.empty(shape, dtype=bool) for _ in range(2)])
+        return [a[:steps] for a in self._buffers]
+
+    def _log_norms(self, arch, fin, ell, scratch):
+        """Per place, ln |.|_v of the images, written into ell (steps x points)."""
         for (place, _), (sq, _, _, _), mult in zip(self.arch, self._arch_sq, arch):
-            ell = np.log((mult * mult) @ sq)
+            np.matmul(mult * mult, sq, out=ell)
+            np.log(ell, out=ell)
             if place.kind == "real":
                 ell *= 0.5
             yield ell
         for (_, _, p, _), (fvals, _, _, _), shift in zip(self.fin, self._fin_vals, fin):
             fshift = shift.astype(np.float64)
-            ell = fvals[0] + fshift[:, :1]
+            np.add(fvals[0], fshift[:, :1], out=ell)
             for j in range(1, self.n):
-                np.minimum(ell, fvals[j] + fshift[:, j:j + 1], out=ell)
+                np.minimum(ell, np.add(fvals[j], fshift[:, j:j + 1], out=scratch),
+                           out=ell)
             ell *= -math.log(p)
             yield ell
 
@@ -567,16 +585,17 @@ class PointCloud:
         """systoles_under on one block of stacked multipliers and shifts."""
         # Log space: per step and point, total = ln content and top =
         # ln supnorm, up to the rounding bounded by delta.
-        total = top = None
+        total, top, ell, scratch, cand, near = self._block_buffers(len(delta))
         with np.errstate(all="ignore"):
-            for ell in self._log_norms(arch, fin):
-                if total is None:
-                    total, top = ell.copy(), ell
+            for k, logs in enumerate(self._log_norms(arch, fin, ell, scratch)):
+                if k == 0:
+                    np.copyto(total, logs)
+                    np.copyto(top, logs)
                 else:
-                    total += ell
-                    top = np.maximum(top, ell)
-            cand = total <= (total.min(axis=1) + delta)[:, None]
-            cand |= top <= (top.min(axis=1) + delta)[:, None]
+                    np.add(total, logs, out=total)
+                    np.maximum(top, logs, out=top)
+            np.less_equal(total, (total.min(axis=1) + delta)[:, None], out=cand)
+            cand |= np.less_equal(top, (top.min(axis=1) + delta)[:, None], out=near)
         if not safe.all():
             cand &= safe[:, None]
         at, rows = np.divmod(np.flatnonzero(cand), self.count)

@@ -17,9 +17,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from mpmath import mp, mpf, mpc
-from sympy import Poly, Symbol
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
 
 from . import polyarith as pa
 from .errors import (
@@ -34,8 +31,6 @@ from .errors import (
 DEFAULT_DPS = 50
 HENSEL_DEFAULT_N = 30
 HENSEL_CAP_N = 480
-
-_X = Symbol("x")
 
 
 class NumberField:
@@ -52,10 +47,9 @@ class NumberField:
             raise NotMonic("coefficients must be integers")
         self.min_poly = tuple(coeffs)
         self.degree = len(coeffs) - 1
-        poly = Poly(list(reversed(coeffs)), _X)
-        if self.degree > 1 and not poly.is_irreducible:
-            raise Reducible(f"{poly.as_expr()} factors over Q")
-        self.discriminant = int(poly.discriminant()) if self.degree > 1 else 1
+        if not pa.is_irreducible(coeffs):
+            raise Reducible(f"{_poly_text(coeffs)} factors over Q")
+        self.discriminant = pa.discriminant(coeffs)
         # theta^k for k = d .. 2d-2, reduced to degree < d.
         self._red = self._reduction_rows()
         if integral_basis is None:
@@ -495,10 +489,22 @@ def _horner_mp(coeffs, x):
     return acc
 
 
+def _poly_text(coeffs):
+    """An integer polynomial written out, highest power first: x**2 - 1."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            mono = "x" if k == 1 else f"x**{k}"
+            body = str(abs(c)) if k == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            terms.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(terms)
+    return text[2:] if text.startswith("+") else "-" + text[2:]
+
+
 def _lift_place_factor(field, p, factor, precision):
     m = list(field.min_poly)
-    lc, facs = gf_factor([int(c) % p for c in reversed(m)], p, ZZ)
-    parts = [list(reversed([int(c) for c in f])) for f, mult in facs]
+    parts = pa.gf_factor(m, p)
     lifted = pa.hensel_lift_factors(m, parts, p, precision)
     target = tuple(int(c) % p for c in factor)
     for orig, lift in zip(parts, lifted):
@@ -568,13 +574,10 @@ def finite_places(field, p, precision=HENSEL_DEFAULT_N):
     p = int(p)
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
-    m_desc = [c % p for c in reversed(field.min_poly)]
-    lc, facs = gf_factor(m_desc, p, ZZ)
-    if any(mult > 1 for _, mult in facs):
+    parts = pa.gf_factor(field.min_poly, p)
+    if parts is None:
         raise RamifiedOrBadPrime(
             f"x-minimal polynomial has a repeated factor mod {p}")
-    parts = [list(reversed([int(c) for c in f])) for f, mult in facs]
-    parts.sort(key=lambda f: (len(f), f))
     lifted = pa.hensel_lift_factors(list(field.min_poly), parts, p, precision)
     places = []
     for i, (fac, lift) in enumerate(zip(parts, lifted)):

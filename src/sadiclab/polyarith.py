@@ -6,11 +6,16 @@ Fractions or ints; everything here is exact.  The mod-p^N routines work on
 plain int lists reduced into [0, p^N).
 
 Only what the number-field layer needs lives here: ring ops, division,
-Sturm sequences for real root isolation, an integer resultant, and
-multifactor Hensel lifting of a squarefree factorization mod p.
+Sturm sequences for real root isolation, an integer resultant and the
+discriminant, multifactor Hensel lifting of a squarefree factorization
+mod p, factorization over F_p (distinct-degree, then equal-degree
+splitting) and an exact irreducibility test over Q (Zassenhaus: factor
+mod a good prime, Hensel-lift past the Mignotte bound, recombine).
 """
 
 from fractions import Fraction
+from itertools import combinations, count, islice
+from math import comb, isqrt
 
 
 def trim(p):
@@ -334,3 +339,153 @@ def hensel_lift_factors(f, factors, p, N):
         h = _mul_mod(h, fac, p)
     gl, hl = _lift_pair(f, g, h, p, N)
     return hensel_lift_factors(gl, left, p, N) + hensel_lift_factors(hl, right, p, N)
+
+
+# ---------------------------------------------------------------------------
+# Factorization over F_p and irreducibility over Q (Cohen, GTM 138, 3.4-3.5)
+
+def _rem_mod(p, q, m):
+    return _divmod_monic_mod(p, q, m)[1]
+
+
+def _pow_mod(b, e, g, p):
+    """b^e mod (g, p) by repeated squaring; g monic of degree >= 1."""
+    out = [1]
+    b = _rem_mod(b, g, p)
+    while e:
+        if e & 1:
+            out = _rem_mod(_mul_mod(out, b, p), g, p)
+        e >>= 1
+        if e:
+            b = _rem_mod(_mul_mod(b, b, p), g, p)
+    return out
+
+
+def _distinct_degree(f, p):
+    """(g, i) pairs: g the product of the degree-i irreducible factors of f.
+
+    f monic and squarefree mod p.
+    """
+    out = []
+    x = [0, 1]
+    h = x
+    i = 0
+    while 2 * (i + 1) <= degree(f):
+        i += 1
+        h = _pow_mod(h, p, f, p)                     # x^(p^i) mod f
+        g = gf_gcdex_poly(f, _sub_mod(h, x, p), p)[2]
+        if g != [1]:
+            out.append((g, i))
+            f = _divmod_monic_mod(f, g, p)[0]
+            h = _rem_mod(h, f, p)
+    if degree(f) > 0:
+        out.append((f, degree(f)))
+    return out
+
+
+def _equal_degree(g, i, p):
+    """Split g, a product of distinct monic irreducibles of degree i mod p.
+
+    Trial elements a run through the nonconstant polynomials of degree
+    < deg g in a fixed order (coefficients = base-p digits of k), so the
+    splitting is deterministic; some a separates any two factors.  For odd
+    p, gcd(g, a^((p^i - 1)/2) - 1) splits off the factors where a is a
+    nonzero square; for p = 2 the trace a + a^2 + ... + a^(2^(i-1)) is 0 or
+    1 on each factor and its gcd with g splits off the zeros.
+    """
+    n = degree(g)
+    if n == i:
+        return [g]
+    for k in range(p, p ** n):
+        a = []
+        while k:
+            k, c = divmod(k, p)
+            a.append(c)
+        if p == 2:
+            t = b = a
+            for _ in range(i - 1):
+                b = _rem_mod(_mul_mod(b, b, p), g, p)
+                t = _mod_poly(add(t, b), p)
+        else:
+            t = _sub_mod(_pow_mod(a, (p ** i - 1) // 2, g, p), [1], p)
+        h = gf_gcdex_poly(g, t, p)[2]
+        if 0 < degree(h) < n:
+            return (_equal_degree(h, i, p)
+                    + _equal_degree(_divmod_monic_mod(g, h, p)[0], i, p))
+    raise ArithmeticError(f"no split of {g} into degree-{i} factors mod {p}")
+
+
+def gf_factor(f, p):
+    """Monic irreducible factors of a monic f mod p, or None if not squarefree.
+
+    Factors come as ascending coefficient lists in [0, p), sorted by
+    (degree, coefficients).
+    """
+    f = _mod_poly(f, p)
+    if not f or f[-1] != 1:
+        raise ValueError("gf_factor needs a monic polynomial")
+    if degree(f) == 0:
+        return []
+    if gf_gcdex_poly(f, _mod_poly(derivative(f), p), p)[2] != [1]:
+        return None
+    factors = [h for g, i in _distinct_degree(f, p) for h in _equal_degree(g, i, p)]
+    return sorted(factors, key=lambda h: (len(h), h))
+
+
+def discriminant(f):
+    """Discriminant of a monic integer polynomial: (-1)^(d(d-1)/2) Res(f, f')."""
+    d = degree(f)
+    return (-1) ** (d * (d - 1) // 2) * int_resultant(f, derivative(f))
+
+
+_IRREDUCIBILITY_PRIMES = 3
+
+
+def is_irreducible(f):
+    """Whether a monic integer polynomial is irreducible over Q, exactly.
+
+    A zero discriminant means a repeated factor.  Otherwise f is factored
+    mod the first few primes not dividing the discriminant (f stays
+    squarefree there); one factor proves irreducibility.  Else the
+    factorization with the fewest factors is Hensel-lifted mod p^N past
+    twice the Mignotte bound C(k, k // 2) ||f||_2, k = d // 2, on the
+    coefficients of any monic factor of degree <= k.  A reducible f has
+    such a factor, congruent mod p^N to the product of some subset of the
+    lifted factors, so testing every subset (of any size) with degree
+    sum <= k by exact division decides.
+    """
+    f = trim([int(c) for c in f])
+    d = degree(f)
+    if d < 2:
+        return d == 1
+    disc = discriminant(f)
+    if disc == 0:
+        return False
+    good = (p for p in count(2)
+            if disc % p and all(p % q for q in range(2, isqrt(p) + 1)))
+    best = None
+    for p in islice(good, _IRREDUCIBILITY_PRIMES):
+        factors = gf_factor(f, p)
+        if len(factors) == 1:
+            return True
+        if best is None or len(factors) < len(best[1]):
+            best = (p, factors)
+    p, factors = best
+    half = d // 2
+    bound = 2 * comb(half, half // 2) * (isqrt(sum(c * c for c in f)) + 1)
+    N = 1
+    while p ** N <= bound:
+        N += 1
+    m = p ** N
+    lifted = hensel_lift_factors(f, factors, p, N)
+    for size in range(1, len(lifted)):
+        for subset in combinations(lifted, size):
+            if sum(degree(h) for h in subset) > half:
+                continue
+            g = [1]
+            for h in subset:
+                g = _mul_mod(g, h, m)
+            g = [c - m if 2 * c > m else c for c in g]
+            if not divmod_exact(f, g)[1]:
+                return False
+    return True

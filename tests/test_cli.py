@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 from sadiclab import cli
+from sadiclab import forms as fm
 from sadiclab.errors import SchemaError
 
 
@@ -16,6 +20,31 @@ Q_WITH_2 = {"min_poly": [0, 1],
 
 
 class TestParseConfig:
+    def test_config_schema_is_valid(self):
+        # the schema is a constant, so it is checked here once, not on import
+        cli._VALIDATOR_CLASS.check_schema(cli.CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("config", [
+        dict(Q_WITH_2, window={"H": 24, "E": 4},
+             orbit_survey={"point": "identity", "steps": 20}),
+        {"min_poly": [1, 0, 1],
+         "places": {"archimedean": "all", "finite_primes": [5]},
+         "window": {"H": 2, "E": 1},
+         "systole": {"n": 2, "matrices": [[[3, 2], [4, 3]]] * 3}},
+        {"min_poly": [0, 1],
+         "form": {"factors": [[1, 0], [{"b": 1, "d": 2}, -1]]},
+         "spectrum": {"heights": [10, 100, 1000], "cap": 0.9}},
+    ])
+    def test_start_up_does_not_import_sympy(self, config):
+        # field set-up (irreducibility, discriminant, factors mod p) runs
+        # on polyarith; only norm-form expansion loads sympy
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys; import sadiclab.cli as cli; "
+                f"cli.parse_config({json.dumps(config)!r}); "
+                "assert 'sympy' not in sys.modules, 'sympy imported'")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
     def test_minimal_defaults(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
         assert cfg.precision == 50
@@ -190,6 +219,24 @@ class TestRun:
                             for name in ("spectrum.csv", "form-spectrum.json")})
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0]["form-spectrum.json"])["distinct"] > 0
+
+    def test_form_spectrum_precision_reaches_every_window(self, tmp_path,
+                                                           monkeypatch):
+        seen = []
+        spectrum = fm.value_spectrum
+
+        def recording(form, window, magnitude_cap=None, dps=None):
+            seen.append(dps)
+            return spectrum(form, window, magnitude_cap, dps)
+
+        monkeypatch.setattr(fm, "value_spectrum", recording)
+        config = {"min_poly": [0, 1],
+                  "form": {"factors": [[1, 0], [{"b": 1, "d": 2}, -1]]},
+                  "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
+        assert cli.main(["--config", json.dumps(config), "--precision", "80",
+                         "--out", str(tmp_path), "form-spectrum"]) == 0
+        # the CLI's scan, the report's first window and its three windows
+        assert seen == [80] * 5
 
     @pytest.mark.parametrize("H, E, heatmap_sha256", [
         (24, 4, "0be9c353e89dccb0834043136ceb0e03b1c238164db6fa34bc13fa60d4315347"),

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from sympy import Poly, Symbol
 
 from sadiclab import numberfield as nf
@@ -268,3 +269,16 @@ class TestSUnitGroup:
                     else:
                         arch *= float(a)
                 assert abs(arch * float(fin) - 1) < 1e-10
+
+
+def test_reducible_message_names_the_polynomial():
+    with pytest.raises(Reducible, match=r"^x\*\*4 - 10\*x\*\*2 \+ 9 factors over Q$"):
+        nf.create_field([9, 0, -10, 0, 1])
+    with pytest.raises(Reducible, match=r"^x\*\*2 - 1 factors over Q$"):
+        nf.create_field([-1, 0, 1])
+
+
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=7))
+def test_poly_text_reads_like_sympy(low):
+    coeffs = low + [1]
+    assert nf._poly_text(coeffs) == str(Poly(list(reversed(coeffs)), x).as_expr())

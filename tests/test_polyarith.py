@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor as sympy_gf_factor
 
 from sadiclab import polyarith as pa
 
@@ -86,3 +89,62 @@ def test_hensel_lift_three_factors():
 def test_hensel_rejects_non_coprime():
     with pytest.raises(ValueError):
         pa.hensel_lift_factors([1, 2, 1], [[1, 1], [1, 1]], 2, 8)
+
+
+# ---------------------------------------------------------------------------
+# Factorization over F_p, discriminant and irreducibility against sympy
+
+def _coeffs(n):
+    return st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+
+
+@st.composite
+def _monic(draw, lo, hi):
+    """Monic integer polynomials of degree lo..hi, about 40% built as products."""
+    d = draw(st.integers(lo, hi))
+    if d >= 2 and draw(st.integers(0, 9)) < 4:
+        k = draw(st.integers(1, d - 1))
+        return pa.mul(draw(_coeffs(k)) + [1], draw(_coeffs(d - k)) + [1])
+    return draw(_coeffs(d)) + [1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_monic(1, 8), p=st.sampled_from([2, 3, 5, 7, 101]))
+def test_gf_factor_matches_sympy(f, p):
+    _, facs = sympy_gf_factor([c % p for c in reversed(f)], p, ZZ)
+    if any(mult > 1 for _, mult in facs):
+        want = None
+    else:
+        want = sorted((list(reversed([int(c) for c in g])) for g, _ in facs),
+                      key=lambda h: (len(h), h))
+    assert pa.gf_factor(f, p) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_monic(2, 8))
+def test_irreducible_and_discriminant_match_sympy(f):
+    poly = Poly(list(reversed(f)), x)
+    assert pa.discriminant(f) == int(poly.discriminant())
+    assert pa.is_irreducible(f) == poly.is_irreducible
+
+
+@pytest.mark.parametrize("f, irreducible", [
+    ([1, 0, 0, 0, 1], True),                      # x^4 + 1: splits mod every p
+    ([1, 0, 0, 0, 0, 0, 0, 0, 1], True),          # x^8 + 1
+    ([1, 0, -10, 0, 1], True),                    # minimal polynomial of sqrt2 + sqrt3
+    ([9, 0, -10, 0, 1], False),                   # (x^2 - 1)(x^2 - 9)
+    # (x^2 - 5)(x^4 - 2x^3 - 3x^2 - 5x + 2): the quadratic factor is the
+    # product of two of the three factors mod 11, more than half of them
+    ([-10, 25, 17, 5, -8, -2, 1], False),
+    ([0, 0, 1], False),                           # x^2: zero discriminant
+    ([1, 0, 2, 0, 1], False),                     # (x^2 + 1)^2
+    ([5, 1], True),
+])
+def test_is_irreducible_pinned(f, irreducible):
+    assert pa.is_irreducible(f) is irreducible
+    assert pa.is_irreducible(f) == Poly(list(reversed(f)), x).is_irreducible
+
+
+def test_gf_factor_rejects_repeated_factors():
+    assert pa.gf_factor([1, 0, 1], 2) is None      # x^2 + 1 = (x + 1)^2 mod 2
+    assert pa.gf_factor([1, 0, 1], 5) == [[2, 1], [3, 1]]

@@ -173,3 +173,25 @@ def test_numpy_log_within_assumed_ulps(values):
         for x, y in zip(values, got):
             exact = mp.log(mpf(x))
             assert abs(mpf(float(y)) - exact) <= lt._LOG_ULPS * math.ulp(float(exact))
+
+
+def test_block_buffers_reused_across_short_last_blocks():
+    # Schedules whose lengths are not multiples of the block end on a short
+    # block that writes into leading rows of the cloud's block arrays; a
+    # later, longer schedule reuses the same arrays over stale contents.
+    cloud = _cloud("gauss-identity")
+    block = cloud._block
+    assert 1 < block < 100
+    schedule = [([np.array([math.exp(0.05 * i), math.exp(-0.05 * i)])],
+                 [np.array([i % 5, -(i % 5)], dtype=np.int64),
+                  np.array([-(i % 3), i % 3], dtype=np.int64)])
+                for i in range(2 * block + 3)]
+    buffers = None
+    for length in (len(schedule), block // 2, len(schedule)):
+        part = schedule[:length]
+        assert length % block
+        assert cloud.systoles_under(part) == [
+            reference_systole(cloud, *step) for step in part]
+        assert buffers is None or all(
+            a is b for a, b in zip(buffers, cloud._buffers))
+        buffers = cloud._buffers
