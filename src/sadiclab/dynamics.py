@@ -26,7 +26,6 @@ from .lattice import (
     PointCloud,
     SLattice,
     _EXACT,
-    _is_zero_scalar,
 )
 from .numberfield import FieldElement
 from .surd import QuadraticSurd
@@ -148,7 +147,7 @@ def act(t, x):
 
 
 def _scale_entry(factor, entry, place):
-    if _is_zero_scalar(entry):
+    if entry == 0:
         return entry
     if isinstance(factor, _EXACT) and isinstance(entry, _EXACT):
         if isinstance(factor, FieldElement) or isinstance(entry, FieldElement):

@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from mpmath import mp, mpf, mpc
 
+from . import linalg
 from .errors import (
     DegenerateBasis,
     DependentFactors,
@@ -174,7 +175,7 @@ class DecomposableForm:
             new = {}
             for expo, coeff in poly.items():
                 for i, c in enumerate(row):
-                    if _is_exact(c) and _is_zero(c):
+                    if _is_exact(c) and c == 0:
                         continue
                     e2 = list(expo)
                     e2[i] += 1
@@ -221,7 +222,7 @@ class DecomposableForm:
             coeffs = self.expansions[k]
             acc = None
             for coeff, expo in zip(coeffs, self.basis):
-                if _is_exact(coeff) and _is_zero(coeff):
+                if _is_exact(coeff) and coeff == 0:
                     continue
                 term = coeff
                 for zi, e in zip(z, expo):
@@ -297,56 +298,14 @@ def _sum_scalars(terms):
     return acc if acc is not None else Fraction(0)
 
 
-def _is_zero(c):
-    if isinstance(c, (FieldElement, QuadraticSurd)):
-        return c.is_zero()
-    return c == 0
-
-
-def _rank_at_place(rows, place, n, dps=DEFAULT_DPS):
+def _rank_at_place(rows, place, dps=DEFAULT_DPS):
     """Rank of the coefficient matrix, exact when possible."""
-    exact = all(_is_exact(c) for row in rows for c in row)
-    if exact:
-        mat = [list(row) for row in rows]
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, len(mat))
-                        if not _is_zero(mat[r][col])), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            lead = mat[rank][col]
-            mat[rank] = [_div_scalar(a, lead) for a in mat[rank]]
-            for r in range(len(mat)):
-                if r != rank and not _is_zero(mat[r][col]):
-                    f = mat[r][col]
-                    mat[r] = [_add_scalar(a, _mul_scalar(-1, _mul_scalar(f, b)))
-                              for a, b in zip(mat[r], mat[rank])]
-            rank += 1
-        return rank
+    if all(_is_exact(c) for row in rows for c in row):
+        return linalg.rank(rows)
     with mp.workdps(dps + 10):
-        mat = [[_numeric(_scalar_at_place(c, place, dps), dps) for c in row]
-               for row in rows]
-        rank = 0
-        tol = mpf(10) ** (-20)
-        for col in range(n):
-            piv = None
-            best = tol
-            for r in range(rank, len(mat)):
-                if abs(mat[r][col]) > best:
-                    best = abs(mat[r][col])
-                    piv = r
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            lead = mat[rank][col]
-            mat[rank] = [a / lead for a in mat[rank]]
-            for r in range(len(mat)):
-                if r != rank and abs(mat[r][col]) > 0:
-                    f = mat[r][col]
-                    mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-            rank += 1
-        return rank
+        return linalg.float_rank(
+            [[_numeric(_scalar_at_place(c, place, dps), dps) for c in row]
+             for row in rows], mpf(10) ** (-20))
 
 
 def _div_scalar(a, b):
@@ -379,7 +338,7 @@ def make_form(field, places, factors_per_place, label=""):
         raise DependentFactors(f"m={m} factors in n={n} variables")
     form = DecomposableForm(field, places, n, factors_per_place, label=label)
     for k, (place, rows) in enumerate(zip(form.places, form.factors)):
-        if _rank_at_place(rows, place, n) < form.m:
+        if _rank_at_place(rows, place) < form.m:
             raise DependentFactors(
                 f"factors at {place.name} have rank below {form.m}")
     return form
@@ -755,8 +714,7 @@ def norm_form(field, basis_elems=None):
     if len(mus) != n:
         raise DegenerateBasis(f"need {n} basis elements")
     rows = [[mu.coords[k] for k in range(n)] for mu in mus]
-    from .numberfield import _rank_fractions
-    if _rank_fractions(rows) != n:
+    if linalg.rank(rows) != n:
         raise DegenerateBasis("basis elements do not generate the field")
     t = Symbol("t")
     xs = symbols(f"x0:{n}")

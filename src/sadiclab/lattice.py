@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from . import polyarith as pa
 from .errors import NotInField, NotUnimodular, ShapeMismatch, WindowTooLarge
 from .numberfield import FieldElement
@@ -67,38 +68,6 @@ class HeightWindow:
 
     def __repr__(self):
         return f"HeightWindow(H={self.H}, E={self.E})"
-
-
-def _is_zero_scalar(x):
-    if isinstance(x, (FieldElement, QuadraticSurd)):
-        return x.is_zero()
-    return x == 0
-
-
-def _det_exact(mat):
-    """Determinant by Gaussian elimination over any exact scalar ring.
-
-    Integer entries are promoted to Fraction so that the elimination
-    quotients stay exact.
-    """
-    n = len(mat)
-    m = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in mat]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not _is_zero_scalar(m[r][col])), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv_lead = m[col][col]
-        for r in range(col + 1, n):
-            if _is_zero_scalar(m[r][col]):
-                continue
-            factor = m[r][col] / inv_lead
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def _embed_float(place, value):
@@ -157,10 +126,10 @@ class SLattice:
         for place, mat in zip(self.places, self.g):
             exact = all(isinstance(c, _EXACT) for row in mat for c in row)
             if exact:
-                det = _det_exact(mat)
-                if _is_zero_scalar(det):
+                det = linalg.det(mat)
+                if det == 0:
                     raise NotUnimodular(f"singular matrix at {place.name}")
-                if self.unimodular and not _scalar_is_one(det):
+                if self.unimodular and det != 1:
                     raise NotUnimodular(f"det at {place.name} is {det}, not 1")
             else:
                 gf = np.array([[_embed_float(place, c) for c in row] for row in mat])
@@ -177,14 +146,6 @@ class SLattice:
     @property
     def arch_places(self):
         return [p for p in self.places if p.kind != "finite"]
-
-
-def _scalar_is_one(x):
-    if isinstance(x, FieldElement):
-        return x == 1
-    if isinstance(x, QuadraticSurd):
-        return x == QuadraticSurd(1)
-    return x == 1
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +630,7 @@ def _matvec_exact(mat, z, field):
     for row in mat:
         acc = field.zero()
         for c, zj in zip(row, z):
-            if _is_zero_scalar(c):
+            if c == 0:
                 continue
             if isinstance(c, FieldElement):
                 acc = acc + c * zj
@@ -833,28 +794,12 @@ def _sl_basis(n):
     return basis
 
 
-def _flatten_to_q(mat, field):
+def _flatten_to_q(mat):
     out = []
     for row in mat:
         for c in row:
             out.extend(c.coords)
     return out
-
-
-def _rref_insert(rows, vec):
-    """Insert vec into a reduced row set; True if the rank grew."""
-    v = list(vec)
-    for lead, row in rows:
-        if v[lead] != 0:
-            f = v[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    piv = next((i for i, a in enumerate(v) if a != 0), None)
-    if piv is None:
-        return False
-    inv = Fraction(1) / v[piv]
-    v = [a * inv for a in v]
-    rows.append((piv, v))
-    return True
 
 
 def _bracket(a, b, field):
@@ -869,43 +814,6 @@ def _bracket(a, b, field):
     return out
 
 
-def _kernel_basis(mats, field, n):
-    """Common kernel of a list of exact matrices acting on K^n."""
-    rows = []
-    for m in mats:
-        rows.extend([list(r) for r in m])
-    if not rows:
-        return [[field.one() if i == j else field.zero() for j in range(n)]
-                for i in range(n)]
-    # Gaussian elimination over K on the stacked system.
-    mat = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(mat))
-                    if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [a / lead for a in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [field.zero()] * n
-        vec[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        kernel.append(vec)
-    return kernel
-
-
 def _all_nilpotent(basis_mats, field, n):
     """Engel-style check: every element of the spanned algebra is nilpotent."""
     mats = basis_mats
@@ -913,20 +821,19 @@ def _all_nilpotent(basis_mats, field, n):
     while dim > 0:
         if not mats:
             return True
-        kernel = _kernel_basis(mats, field, dim)
+        kernel = linalg.kernel([row for m in mats for row in m], dim)
         if not kernel:
             return False
-        # complete the kernel to a basis of K^dim with standard vectors
-        cols = [list(v) for v in kernel]
-        for j in range(dim):
-            if len(cols) == dim:
-                break
-            cand = [field.zero()] * dim
-            cand[j] = field.one()
-            if _k_rank(cols + [cand], field, dim) > len(cols):
-                cols.append(cand)
+        # complete the kernel to a basis of K^dim with the standard vectors
+        # at the non-pivot columns of its echelon form
+        echelon = []
+        for v in kernel:
+            linalg.insert(echelon, v)
+        leads = {lead for lead, _ in echelon}
+        cols = kernel + [[field.one() if i == j else field.zero() for i in range(dim)]
+                         for j in range(dim) if j not in leads]
         Pmat = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-        Pinv = _inv_exact_field(Pmat, field)
+        Pinv = linalg.inverse(Pmat)
         w = len(kernel)
         new_mats = []
         for m in mats:
@@ -936,25 +843,6 @@ def _all_nilpotent(basis_mats, field, n):
         mats = [m for m in new_mats if any(not c.is_zero() for row in m for c in row)]
         dim -= w
     return True
-
-
-def _k_rank(vectors, field, n):
-    mat = [list(v) for v in vectors]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(mat))
-                    if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [a / lead for a in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def _matmul_field(a, b, field):
@@ -967,24 +855,6 @@ def _matmul_field(a, b, field):
             for j in range(len(b[0])):
                 out[i][j] = out[i][j] + a[i][k] * b[k][j]
     return out
-
-
-def _inv_exact_field(mat, field):
-    n = len(mat)
-    m = [list(row) + [field.one() if i == j else field.zero() for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix over K")
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [a / lead for a in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 @dataclass
@@ -1038,7 +908,7 @@ def nilpotent_span_check(lat, radius, window):
     for place, mat in zip(lat.places, lat.g):
         if place.kind == "finite":
             gK = [[_field_entry(c, field) for c in row] for row in mat]
-            giK = _inv_exact_field(gK, field)
+            giK = linalg.inverse(gK)
             fin_data.append((place, gK, giK))
         else:
             gf = np.array([[_embed_float(place, c) for c in row] for row in mat],
@@ -1098,14 +968,14 @@ def nilpotent_span_check(lat, radius, window):
     span_mats = []
     for pt in kept:
         mat = [list(rowX) for rowX in pt.matrix]
-        if _rref_insert(span_rows, _flatten_to_q(mat, field)):
+        if linalg.insert(span_rows, _flatten_to_q(mat)):
             span_mats.append(mat)
     changed = True
     while changed:
         changed = False
         for a, b in itertools.combinations(list(span_mats), 2):
             br = _bracket(a, b, field)
-            if _rref_insert(span_rows, _flatten_to_q(br, field)):
+            if linalg.insert(span_rows, _flatten_to_q(br)):
                 span_mats.append(br)
                 changed = True
     ok = _all_nilpotent(span_mats, field, n)

@@ -18,6 +18,7 @@ from math import gcd, isqrt
 
 from mpmath import mp, mpf, mpc
 
+from . import linalg
 from . import polyarith as pa
 from .errors import (
     GeneratorInvariantViolated,
@@ -61,7 +62,7 @@ class NumberField:
             rows = [[Fraction(c) for c in row] for row in integral_basis]
             if len(rows) != self.degree or any(len(r) != self.degree for r in rows):
                 raise ValueError("integral basis must be d vectors of length d")
-            if _rank_fractions(rows) != self.degree:
+            if linalg.rank(rows) != self.degree:
                 raise ValueError("integral basis matrix is singular")
             self.integral_basis = tuple(FieldElement(self, r) for r in rows)
         self._arch_places = None
@@ -228,6 +229,8 @@ class FieldElement:
         return acc
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coords[0] == other and not any(self.coords[1:])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -253,25 +256,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({[str(c) for c in self.coords]})"
-
-
-def _rank_fractions(rows):
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +728,10 @@ def _finite_generators(field, finite):
                 continue
             candidates.append((max(abs(a), abs(b)), (a, b), z))
     candidates.sort(key=lambda t: (t[0], t[1]))
-    chosen, vecs = [], []
+    chosen, echelon = [], []
     for _, _, z in candidates:
-        vec = [Fraction(v.valuation(z)) for v in finite]
-        if _rank_fractions(vecs + [vec]) > len(chosen):
+        if linalg.insert(echelon, [v.valuation(z) for v in finite]):
             chosen.append(z)
-            vecs.append(vec)
             if len(chosen) == len(finite):
                 break
     if len(chosen) < len(finite):

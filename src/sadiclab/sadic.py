@@ -20,6 +20,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import ZeroComponent
+from .linalg import float_rank
 from .numberfield import DEFAULT_DPS, FieldElement
 
 _EXACT_TYPES = (int, Fraction, FieldElement)
@@ -241,34 +242,10 @@ def balancing_constant(units, places=None, dps=None):
     rank_needed = m - 1
     if rank_needed == 0:
         return 1.0
-    if _float_rank(vecs) < rank_needed:
+    if float_rank(vecs, 1e-9) < rank_needed:
         return math.inf
     halfsum = 0.5 * sum(max(abs(c) for c in v) for v in vecs)
     return math.exp(halfsum)
-
-
-def _float_rank(rows, tol=1e-9):
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        best = tol
-        for r in range(rank, len(mat)):
-            if abs(mat[r][col]) > best:
-                best = abs(mat[r][col])
-                piv = r
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [v / lead for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and abs(mat[r][col]) > 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def unit_balance(x, target, units, exponent_bound=20, dps=None):

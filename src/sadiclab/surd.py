@@ -131,10 +131,14 @@ class QuadraticSurd:
         return -1 if lhs > rhs else 1
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).is_zero()
+        # canonical form: b != 0 only with a nonsquare radicand, which
+        # _coerce has checked is shared
+        return self.a == other.a and self.b == other.b
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))

@@ -256,6 +256,26 @@ class TestRun:
                 "fe78e6e0867c99e75f40c133e2503e46d5ebb76791dbd4f00fc5f87b6b1fdcef",
         }
 
+    @pytest.mark.parametrize("window, check, golden", [
+        ({"H": 2, "E": 1},
+         {"radius": 0.5, "matrices": [[[4, 0], [0, "1/4"]], [["1/4", 0], [0, 4]]]},
+         b'{"is_nilpotent_span":true,"kept":3,"radius":0.5,"witnesses":['
+         b'{"coords":[["0"],["1"],["0"]],"sup_norm":0.0625},'
+         b'{"coords":[["0"],["1/2"],["0"]],"sup_norm":0.125},'
+         b'{"coords":[["0"],["2"],["0"]],"sup_norm":0.125}]}\n'),
+        ({"H": 1, "E": 1}, {"radius": 3.0},
+         "9a1663f050bd5cc2b24b8b1a3c899f9781d6469fb7a48bc3abb41ee2bac39c04"),
+    ])
+    def test_nilpotent_check_golden_artifact(self, tmp_path, window, check, golden):
+        # pinned from the implementation that preceded sadiclab.linalg
+        config = dict(Q_WITH_2, window=window, nilpotent_check=check)
+        assert cli.run("nilpotent-check", config, str(tmp_path)) == 0
+        data = (tmp_path / "nilpotent-check.json").read_bytes()
+        if isinstance(golden, bytes):
+            assert data == golden
+        else:
+            assert hashlib.sha256(data).hexdigest() == golden
+
     def test_orbit_survey_long_ray_keeps_small_contents(self, tmp_path):
         # at s = +-400 the squares of the scaled coordinates leave the
         # float64 range, while the content e^-400 does not

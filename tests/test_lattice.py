@@ -79,6 +79,10 @@ class TestEnumeration:
         with pytest.raises(NotUnimodular, match=r"det at r0 is 2, not 1"):
             lt.SLattice(rationals, q_inf2, 2, [[[2, 0], [0, 1]], eye(2)])
 
+    def test_singular_exact_matrix_rejected(self, rationals, q_inf2):
+        with pytest.raises(NotUnimodular, match=r"^singular matrix at p2_0$"):
+            lt.SLattice(rationals, q_inf2, 2, [eye(2), [[1, 2], [2, 4]]])
+
     def test_finite_place_entries_must_be_exact(self, rationals, q_inf2):
         with pytest.raises(TypeError):
             lt.SLattice(rationals, q_inf2, 2, [eye(2),
@@ -201,6 +205,45 @@ class TestNilpotentSpan:
         lat = lt.SLattice(rationals, q_inf, 2, [eye(2)])
         rep = lt.nilpotent_span_check(lat, 3.0, lt.HeightWindow(2))
         assert not rep.is_nilpotent_span
+
+    # Values pinned from the implementation that preceded sadiclab.linalg.
+    # Only these cases have a finite place, where g^-1 is inverted over K;
+    # the Q(i) case runs the span closure over a field of degree 2.
+    @pytest.mark.parametrize("case, nilpotent, kept, sup_norms", [
+        ("contracted", True, ["0 1 0", "0 1/2 0", "0 2 0"],
+         [0.0625, 0.125, 0.125]),
+        ("identity", False,
+         ["1 -1 -1", "1/2 -1/2 -1/2", "1 0 -1", "1/2 0 -1/2", "0 1 -1",
+          "0 1/2 -1/2", "1 1 -1", "1/2 1/2 -1/2", "1 -1 0", "1/2 -1/2 0",
+          "1 0 0", "1/2 0 0", "0 1 0", "0 1/2 0", "1 1 0", "1/2 1/2 0",
+          "1 -1 1", "1/2 -1/2 1/2", "0 0 1", "0 0 1/2", "1 0 1", "1/2 0 1/2",
+          "0 1 1", "0 1/2 1/2", "1 1 1", "1/2 1/2 1/2"],
+         [2.0, 2.0, 3 ** 0.5, 2.0, 3 ** 0.5, 2.0, 2.0, 2.0, 2 ** 0.5, 2.0,
+          1.0, 2.0, 1.0, 2.0, 2 ** 0.5, 2.0, 2.0, 2.0, 2 ** 0.5, 2.0,
+          3 ** 0.5, 2.0, 3 ** 0.5, 2.0, 2.0, 2.0]),
+        ("gauss", False, ["1,0 0,0 0,0", "0,1 0,0 0,0", "0,0 1,0 0,0",
+                          "0,0 0,1 0,0"], [1.0] * 4),
+    ])
+    def test_pinned_cases_with_finite_places(self, rationals, q_inf2, gauss,
+                                             case, nilpotent, kept, sup_norms):
+        F = Fraction
+        if case == "contracted":
+            lat = lt.SLattice(rationals, q_inf2, 2, [[[4, 0], [0, F(1, 4)]],
+                                                     [[F(1, 4), 0], [0, 4]]])
+            rep = lt.nilpotent_span_check(lat, 0.5, lt.HeightWindow(2, 1))
+        elif case == "identity":
+            lat = lt.SLattice(rationals, q_inf2, 2, [eye(2), eye(2)])
+            rep = lt.nilpotent_span_check(lat, 3.0, lt.HeightWindow(1, 1))
+        else:
+            places = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)
+            assert [p.name for p in places] == ["c0", "p5_0", "p5_1"]
+            lat = lt.SLattice(gauss, places, 2, [eye(2)] * 3)
+            rep = lt.nilpotent_span_check(lat, 1.5, lt.HeightWindow(1, 1))
+        assert rep.is_nilpotent_span is nilpotent
+        assert rep.kept == len(kept)
+        assert [" ".join(",".join(map(str, co)) for co in pt.coords)
+                for pt in rep.witness_basis] == kept
+        assert [pt.sup_norm for pt in rep.witness_basis] == sup_norms
 
     def test_dimension_cap(self, rationals, q_inf):
         lat = lt.SLattice(rationals, q_inf, 5, [eye(5)])

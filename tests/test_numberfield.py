@@ -43,6 +43,10 @@ class TestCreateField:
         with pytest.raises(Reducible):
             nf.create_field([-1, 0, 1])        # x^2 - 1
 
+    def test_singular_integral_basis_rejected(self):
+        with pytest.raises(ValueError, match=r"^integral basis matrix is singular$"):
+            nf.create_field([1, 0, 1], integral_basis=[[1, 2], [Fraction(1, 2), 1]])
+
     def test_non_monic_rejected(self):
         with pytest.raises(NotMonic):
             nf.create_field([1, 0, 2])
@@ -100,6 +104,14 @@ class TestFinitePlaces:
         places = nf.finite_places(field, p)
         assert sum(pl.ramification_index * pl.residue_degree
                    for pl in places) == field.degree
+
+
+@pytest.mark.parametrize("coords", [[0, 0], [3, 0], [0, 1], [3, 1], ["1/2", 0]])
+@pytest.mark.parametrize("q", [0, 3, Fraction(1, 2), Fraction(3)])
+def test_equality_with_rationals(gauss, coords, q):
+    # the rational shortcut in FieldElement.__eq__ agrees with a zero difference
+    x = gauss.element(coords)
+    assert (x == q) == (x - q).is_zero() == (q == x)
 
 
 class TestLocalAbs:

@@ -41,6 +41,16 @@ def test_sign_matches_float(a):
         assert (a.sign() == 0) == a.is_zero()
 
 
+@settings(max_examples=80, deadline=None)
+@given(surds(2), surds(2), fractions)
+def test_equality_is_zero_difference(a, b, q):
+    # __eq__ compares canonical coordinates; the rational case takes a shortcut
+    assert (a == b) == (a - b).is_zero()
+    assert (a == q) == (a - q).is_zero() == (q == a)
+    assert (a == int(q)) == (a - int(q)).is_zero()
+    assert (QuadraticSurd(q) == q) and (a == a.a) == (a.b == 0)
+
+
 def test_sqrt_of_square_is_rational():
     assert QuadraticSurd.sqrt(9) == QuadraticSurd(3)
     assert not QuadraticSurd.sqrt(2).is_rational()
