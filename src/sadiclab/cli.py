@@ -24,7 +24,7 @@ from . import lattice as lt
 from . import numberfield as nf
 from . import sadic as sd
 from .errors import SadicLabError, SchemaError
-from .surd import QuadraticSurd
+from .scalars import parse_real, to_mpf
 
 DEFAULT_PRECISION = 50
 DEFAULT_H = 50
@@ -303,9 +303,7 @@ def _parse_scalar(c):
     if isinstance(c, str):
         return Fraction(c)
     if isinstance(c, dict):
-        return QuadraticSurd(Fraction(str(c.get("a", 0))),
-                             Fraction(str(c.get("b", 0))),
-                             int(c.get("d", 1)))
+        return parse_real(c)
     raise SchemaError("/form", f"cannot parse coefficient {c!r}")
 
 
@@ -611,22 +609,12 @@ def _cmd_form_reconstruct(cfg, outdir, fmt, args):
         out["g"] = list(rep.g)
         out["monomials"] = ["".join(f"x{i+1}^{e}" for i, e in enumerate(mono) if e)
                             for mono in form.basis]
-        out["alpha"] = [float(fm._abs_numeric(a, p, cfg.precision)) *
-                        (1 if _scalar_sign(a) >= 0 else -1)
-                        for a, p in zip(rep.alpha, form.places)]
+        alpha = [to_mpf(a, p, cfg.precision)
+                 for a, p in zip(rep.alpha, form.places)]
+        out["alpha"] = [float(abs(v)) * (-1 if v.real < 0 else 1)
+                        for v in alpha]
     _write(outdir, "form-reconstruct.json", emit_report(out))
     return 0
-
-
-def _scalar_sign(a):
-    if isinstance(a, QuadraticSurd):
-        return a.sign()
-    if isinstance(a, Fraction):
-        return -1 if a < 0 else 1
-    try:
-        return -1 if float(a) < 0 else 1
-    except (TypeError, ValueError):
-        return 1
 
 
 def _cmd_norm_form(cfg, outdir, fmt, args):
@@ -651,8 +639,7 @@ def _cmd_norm_form(cfg, outdir, fmt, args):
 
 def _cmd_littlewood(cfg, outdir, fmt, args):
     block = cfg.block("littlewood")
-    res = fm.littlewood_scan(_littlewood_spec(block["alpha"]),
-                             _littlewood_spec(block["beta"]), block["N"])
+    res = fm.littlewood_scan(block["alpha"], block["beta"], block["N"])
     if fmt != "json":
         _write(outdir, "records.csv", emit_report(
             (("n", "value"), [(n, v) for n, v in res.records]), "csv"))
@@ -661,16 +648,6 @@ def _cmd_littlewood(cfg, outdir, fmt, args):
     if fmt != "csv":
         _write(outdir, "littlewood.json", emit_report(out))
     return 0
-
-
-def _littlewood_spec(spec):
-    if isinstance(spec, dict):
-        return QuadraticSurd(Fraction(str(spec.get("a", 0))),
-                             Fraction(str(spec.get("b", 0))),
-                             int(spec.get("d", 1)))
-    if isinstance(spec, (int, float)):
-        return Fraction(spec)
-    return Fraction(str(spec))
 
 
 _COMMANDS = {

@@ -21,13 +21,8 @@ from .errors import (
     ShapeMismatch,
     TooFewSteps,
 )
-from .lattice import (
-    HeightWindow,
-    PointCloud,
-    SLattice,
-    _EXACT,
-)
-from .numberfield import FieldElement
+from .lattice import HeightWindow, PointCloud, SLattice
+from .scalars import is_exact, mul, to_field, to_float
 from .surd import QuadraticSurd
 
 
@@ -46,15 +41,15 @@ class TorusElement:
             if len(diag) != self.n:
                 raise ShapeMismatch("diagonal length must equal n")
             if place.kind == "finite":
-                if not all(isinstance(c, _EXACT) for c in diag):
-                    raise TypeError("finite-place diagonal must be exact")
+                for c in diag:
+                    to_field(c, field, place.name)
                 det = _diag_product(diag)
-                if not _exactly_one(det):
+                if det != 1:
                     raise ValueError(f"det at {place.name} is {det!r}, not 1")
             else:
-                if all(isinstance(c, _EXACT) for c in diag):
+                if all(map(is_exact, diag)):
                     det = _diag_product(diag)
-                    if not _exactly_one(det):
+                    if det != 1:
                         raise ValueError(f"det at {place.name} is {det!r}, not 1")
                 else:
                     det = 1.0
@@ -64,7 +59,7 @@ class TorusElement:
                         raise ValueError(f"det at {place.name} is {det}, not 1")
             rows.append(diag)
         self.entries = tuple(rows)
-        self.exact = all(isinstance(c, _EXACT) for diag in rows for c in diag)
+        self.exact = all(is_exact(c) for diag in rows for c in diag)
 
     @classmethod
     def identity(cls, field, places, n):
@@ -76,14 +71,6 @@ def _diag_product(diag):
     for c in diag:
         acc = c if acc is None else acc * c
     return acc
-
-
-def _exactly_one(x):
-    if isinstance(x, FieldElement):
-        return x == 1
-    if isinstance(x, QuadraticSurd):
-        return x == QuadraticSurd(1)
-    return Fraction(x) == 1
 
 
 class OrbitPoint:
@@ -101,7 +88,7 @@ class OrbitPoint:
         self.g = self.lattice.g
         self.provenance = provenance
         self.unimodular = unimodular
-        self.exact = all(isinstance(c, _EXACT) for mat in self.g
+        self.exact = all(is_exact(c) for mat in self.g
                          for row in mat for c in row)
 
     @classmethod
@@ -138,40 +125,15 @@ def act(t, x):
         if diag is None:
             new_g.append(mat)
             continue
+        # exact pairs multiply exactly, the rest in float64 at the place
         new_g.append(tuple(
-            tuple(_scale_entry(diag[i], c, place) for c in row)
-            for i, row in enumerate(mat)))
+            tuple(c if c == 0 else
+                  mul(t_i, c) if is_exact(t_i) and is_exact(c) else
+                  to_float(t_i, place) * to_float(c, place) for c in row)
+            for t_i, row in zip(diag, mat)))
     provenance = x.provenance if (t.exact and x.exact) else "explicit"
     return OrbitPoint(x.field, x.places, x.n, new_g, provenance=provenance,
                       unimodular=x.unimodular)
-
-
-def _scale_entry(factor, entry, place):
-    if entry == 0:
-        return entry
-    if isinstance(factor, _EXACT) and isinstance(entry, _EXACT):
-        if isinstance(factor, FieldElement) or isinstance(entry, FieldElement):
-            f = factor if isinstance(factor, FieldElement) else None
-            if f is None:
-                return entry * Fraction(factor) if not isinstance(entry, QuadraticSurd) \
-                    else entry * factor
-            return f * entry if isinstance(entry, FieldElement) else f * Fraction(entry)
-        if isinstance(factor, QuadraticSurd) or isinstance(entry, QuadraticSurd):
-            a = factor if isinstance(factor, QuadraticSurd) else QuadraticSurd(factor)
-            b = entry if isinstance(entry, QuadraticSurd) else QuadraticSurd(entry)
-            return a * b
-        return Fraction(factor) * Fraction(entry)
-    if place.kind == "complex":
-        return complex(_to_float(factor)) * complex(_to_float(entry))
-    return _to_float(factor) * _to_float(entry)
-
-
-def _to_float(x):
-    if isinstance(x, (QuadraticSurd, Fraction)):
-        return float(x)
-    if isinstance(x, FieldElement):
-        raise TypeError("cannot coerce a field element without a place")
-    return float(x)
 
 
 # ---------------------------------------------------------------------------

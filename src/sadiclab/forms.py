@@ -21,20 +21,20 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf
 
 from . import linalg
 from .errors import (
     DegenerateBasis,
     DependentFactors,
+    NotInField,
     PrecisionBudgetExceeded,
     TooFewWindows,
 )
 from .lattice import HeightWindow, _numerator_grid
 from .numberfield import DEFAULT_DPS, FieldElement, archimedean_places
+from .scalars import add, div, is_exact, mul, parse_real, to_field, to_mpf
 from .surd import QuadraticSurd
-
-_EXACT_REAL = (int, Fraction, QuadraticSurd)
 
 
 def monomial_basis(n, m):
@@ -44,73 +44,12 @@ def monomial_basis(n, m):
     return out
 
 
-def _is_exact(c):
-    return isinstance(c, (int, Fraction, QuadraticSurd, FieldElement))
-
-
-def _mul_scalar(a, b):
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        if isinstance(a, FieldElement) and isinstance(b, FieldElement):
-            return a * b
-        f, s = (a, b) if isinstance(a, FieldElement) else (b, a)
-        if isinstance(s, (int, Fraction)):
-            return f * Fraction(s)
-        raise TypeError("cannot mix field elements with floats in one factor")
-    if isinstance(a, QuadraticSurd) or isinstance(b, QuadraticSurd):
-        if isinstance(a, _EXACT_REAL) and isinstance(b, _EXACT_REAL):
-            sa = a if isinstance(a, QuadraticSurd) else QuadraticSurd(a)
-            sb = b if isinstance(b, QuadraticSurd) else QuadraticSurd(b)
-            return sa * sb
-        return float(a if not isinstance(a, QuadraticSurd) else float(a)) * \
-            float(b if not isinstance(b, QuadraticSurd) else float(b))
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) * Fraction(b)
-    return _numeric(a) * _numeric(b)
-
-
-def _add_scalar(a, b):
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        f, s = (a, b) if isinstance(a, FieldElement) else (b, a)
-        if isinstance(s, FieldElement):
-            return f + s
-        if isinstance(s, (int, Fraction)):
-            return f + Fraction(s)
-        raise TypeError("cannot mix field elements with floats")
-    if isinstance(a, QuadraticSurd) or isinstance(b, QuadraticSurd):
-        if isinstance(a, _EXACT_REAL) and isinstance(b, _EXACT_REAL):
-            sa = a if isinstance(a, QuadraticSurd) else QuadraticSurd(a)
-            sb = b if isinstance(b, QuadraticSurd) else QuadraticSurd(b)
-            return sa + sb
-        return _numeric(a) + _numeric(b)
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) + Fraction(b)
-    return _numeric(a) + _numeric(b)
-
-
 def _canonical_scalar(c):
     """Keep exact scalars; materialize anything numeric at 50 digits."""
-    if _is_exact(c):
+    if is_exact(c):
         return c
     with mp.workdps(DEFAULT_DPS):
-        return +_numeric(c, DEFAULT_DPS)
-
-
-def _numeric(x, dps=DEFAULT_DPS):
-    if isinstance(x, QuadraticSurd):
-        return x.to_mpf(dps)
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    if isinstance(x, int):
-        return mpf(x)
-    if isinstance(x, complex):
-        return mpc(x.real, x.imag)
-    return x
-
-
-def _scalar_at_place(c, place, dps):
-    if isinstance(c, FieldElement):
-        return place.evaluate(c, dps)
-    return _numeric(c, dps)
+        return +to_mpf(c)
 
 
 class DecomposableForm:
@@ -140,7 +79,7 @@ class DecomposableForm:
                 if place.kind == "finite":
                     for row in per_place:
                         for c in row:
-                            _require_finite_scalar(c, place)
+                            to_field(c, field, place.name)
         else:
             self.m = int(m)
         if self.factors is not None:
@@ -157,7 +96,7 @@ class DecomposableForm:
         for place, exp in zip(self.places, self.expansions):
             if place.kind == "finite":
                 for c in exp:
-                    _require_finite_scalar(c, place)
+                    to_field(c, field, place.name)
 
     @classmethod
     def from_expansion(cls, field, places, n, m, coeffs_per_place, label=""):
@@ -175,14 +114,14 @@ class DecomposableForm:
             new = {}
             for expo, coeff in poly.items():
                 for i, c in enumerate(row):
-                    if _is_exact(c) and c == 0:
+                    if is_exact(c) and c == 0:
                         continue
                     e2 = list(expo)
                     e2[i] += 1
                     e2 = tuple(e2)
-                    term = _mul_scalar(coeff, c)
+                    term = mul(coeff, c)
                     if e2 in new:
-                        new[e2] = _add_scalar(new[e2], term)
+                        new[e2] = add(new[e2], term)
                     else:
                         new[e2] = term
             poly = new
@@ -200,8 +139,7 @@ class DecomposableForm:
         """
         out = []
         for exp in self.expansions:
-            surds = [c if isinstance(c, QuadraticSurd) else QuadraticSurd(
-                c.coords[0] if isinstance(c, FieldElement) else c) for c in exp]
+            surds = [parse_real(c) for c in exp]
             radicands = sorted({s.d for s in surds if s.b})
             if len(radicands) > 1:
                 raise ValueError(f"incompatible radicands {radicands[0]} "
@@ -213,7 +151,7 @@ class DecomposableForm:
         return out
 
     def exact_at(self, k):
-        return all(_is_exact(c) for c in self.expansions[k])
+        return all(map(is_exact, self.expansions[k]))
 
     def evaluate(self, z):
         """Per-place values at an exact point, via the cached expansion."""
@@ -222,13 +160,13 @@ class DecomposableForm:
             coeffs = self.expansions[k]
             acc = None
             for coeff, expo in zip(coeffs, self.basis):
-                if _is_exact(coeff) and coeff == 0:
+                if is_exact(coeff) and coeff == 0:
                     continue
                 term = coeff
                 for zi, e in zip(z, expo):
                     for _ in range(e):
-                        term = _mul_scalar(term, zi)
-                acc = term if acc is None else _add_scalar(acc, term)
+                        term = mul(term, zi)
+                acc = term if acc is None else add(acc, term)
             out.append(acc if acc is not None else Fraction(0))
         return out
 
@@ -241,20 +179,13 @@ class DecomposableForm:
             total = mpf(1)
             for place, v in zip(self.places, vals):
                 if place.kind == "finite":
-                    if isinstance(v, QuadraticSurd):
-                        v = v.as_fraction()
-                    elem = v if isinstance(v, FieldElement) else \
-                        self.field.element([Fraction(v)])
-                    a = place.abs_value(elem)
-                    m_v = mpf(a.numerator) / a.denominator
+                    m_v = to_mpf(place.abs_value(
+                        to_field(v, self.field, place.name)))
                 elif place.kind == "complex":
-                    num = _scalar_at_place(v, place, dps)
-                    num = _numeric(num, dps)
-                    m_v = (num.real ** 2 + num.imag ** 2) if isinstance(num, mpc) \
-                        else num * num
+                    num = to_mpf(v, place, dps)
+                    m_v = num.real ** 2 + num.imag ** 2
                 else:
-                    num = _scalar_at_place(v, place, dps)
-                    m_v = abs(_numeric(num, dps))
+                    m_v = abs(to_mpf(v, place, dps))
                 mags.append(m_v)
                 total *= m_v
             return mags, +total
@@ -269,7 +200,7 @@ class DecomposableForm:
             rows = []
             for row in per_place:
                 rows.append(tuple(
-                    _sum_scalars([_mul_scalar(row[i], mat[i][j])
+                    _sum_scalars([mul(row[i], mat[i][j])
                                   for i in range(self.n)])
                     for j in range(self.n)))
             new_factors.append(rows)
@@ -281,47 +212,21 @@ class DecomposableForm:
                 f"places={[p.name for p in self.places]})")
 
 
-def _require_finite_scalar(c, place):
-    """Finite-place coefficients must live in the field itself."""
-    if isinstance(c, QuadraticSurd) and not c.is_rational():
-        raise TypeError(
-            f"coefficient {c!r} has no meaning at the finite place {place.name}")
-    if not _is_exact(c):
-        raise TypeError(
-            f"finite-place coefficients at {place.name} must be exact")
-
-
 def _sum_scalars(terms):
     acc = None
     for t in terms:
-        acc = t if acc is None else _add_scalar(acc, t)
+        acc = t if acc is None else add(acc, t)
     return acc if acc is not None else Fraction(0)
 
 
 def _rank_at_place(rows, place, dps=DEFAULT_DPS):
     """Rank of the coefficient matrix, exact when possible."""
-    if all(_is_exact(c) for row in rows for c in row):
+    if all(is_exact(c) for row in rows for c in row):
         return linalg.rank(rows)
     with mp.workdps(dps + 10):
         return linalg.float_rank(
-            [[_numeric(_scalar_at_place(c, place, dps), dps) for c in row]
-             for row in rows], mpf(10) ** (-20))
-
-
-def _div_scalar(a, b):
-    if isinstance(b, FieldElement):
-        return (a if isinstance(a, FieldElement) else
-                b.field.element([Fraction(a)])) * b.inverse()
-    if isinstance(a, FieldElement):
-        return a * (Fraction(1) / Fraction(b))
-    if (isinstance(a, QuadraticSurd) or isinstance(b, QuadraticSurd)) and \
-            isinstance(a, _EXACT_REAL) and isinstance(b, _EXACT_REAL):
-        sa = a if isinstance(a, QuadraticSurd) else QuadraticSurd(a)
-        sb = b if isinstance(b, QuadraticSurd) else QuadraticSurd(b)
-        return sa / sb
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
-    return _numeric(a) / _numeric(b)
+            [[to_mpf(c, place, dps) for c in row] for row in rows],
+            mpf(10) ** (-20))
 
 
 def make_form(field, places, factors_per_place, label=""):
@@ -825,7 +730,7 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
     with mp.workdps(precision):
         for k, place in enumerate(form.places):
             coeffs = form.expansions[k]
-            numeric = [_abs_numeric(c, place, precision) for c in coeffs]
+            numeric = [abs(to_mpf(c, place, precision)) for c in coeffs]
             piv = max(range(len(coeffs)), key=lambda i: (numeric[i], -i))
             pivots.append((piv, coeffs[piv]))
             ratios = []
@@ -864,36 +769,24 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
         for k, place in enumerate(form.places):
             piv_val = pivots[k][1]
             gp = ints[pivots[k][0]]           # nonzero: it is the pivot ratio
-            alphas.append(_div_scalar(piv_val, gp))
+            alphas.append(div(piv_val, gp))
         return ReconstructionResult(
             status="reconstructed", g=tuple(ints), alpha=alphas)
 
 
-def _abs_numeric(c, place, dps):
-    v = _scalar_at_place(c, place, dps)
-    v = _numeric(v, dps)
-    return abs(v)
-
-
 def _ratio_rational(c, pivot, place, dps):
-    if _is_exact(c) and _is_exact(pivot):
-        r = _div_scalar(c, pivot)
-        if isinstance(r, Fraction):
-            return r
-        if isinstance(r, QuadraticSurd):
+    if is_exact(c) and is_exact(pivot):
+        try:
+            r = to_field(div(c, pivot), place.field)
+        except NotInField:
+            pass        # an irrational surd: the numeric path rejects it
+        else:
             if r.is_rational():
-                return r.as_fraction()
-            # fall through to the numeric rejection path
-        if isinstance(r, FieldElement) and r.is_rational():
-            return r.coords[0]
-    x = _numeric(_scalar_at_place(c, place, dps), dps) / \
-        _numeric(_scalar_at_place(pivot, place, dps), dps)
-    if isinstance(x, mpc) or isinstance(x, complex):
-        xr = x.real if not isinstance(x, complex) else mpf(x.real)
-        xi = x.imag if not isinstance(x, complex) else mpf(x.imag)
-        if abs(xi) > mpf(10) ** (-(dps - 10)):
-            return None
-        x = xr
+                return r.coords[0]
+    x = to_mpf(c, place, dps) / to_mpf(pivot, place, dps)
+    if abs(x.imag) > mpf(10) ** (-(dps - 10)):
+        return None
+    x = x.real
     if _is_zero_numeric(x, dps):
         return Fraction(0)
     return _cf_recognize(x)
@@ -905,22 +798,6 @@ def _is_zero_numeric(x, dps):
 
 # ---------------------------------------------------------------------------
 # Littlewood scanner
-
-
-def _parse_real_spec(spec):
-    """Accepts Fraction/int/str decimals/QuadraticSurd/{'a','b','d'} dicts."""
-    if isinstance(spec, QuadraticSurd):
-        return spec
-    if isinstance(spec, dict):
-        return QuadraticSurd(Fraction(str(spec["a"])), Fraction(str(spec["b"])),
-                             int(spec["d"]))
-    if isinstance(spec, (int, Fraction)):
-        return QuadraticSurd(Fraction(spec))
-    if isinstance(spec, str):
-        return QuadraticSurd(Fraction(spec))
-    if isinstance(spec, float):
-        return QuadraticSurd(Fraction(spec))
-    raise TypeError(f"cannot parse real spec {spec!r}")
 
 
 def _dist_to_int_exact(x, dps):
@@ -944,8 +821,8 @@ def littlewood_scan(alpha, beta, N, dps=None, chunk=1 << 20):
     reach an exact zero.  Ties go to the smallest k.
     """
     dps = dps or (DEFAULT_DPS + max(0, int(math.log10(max(N, 10))) ))
-    a = _parse_real_spec(alpha)
-    b = _parse_real_spec(beta)
+    a = parse_real(alpha)
+    b = parse_real(beta)
     if N < 1:
         raise ValueError("N must be positive")
     with mp.workdps(dps):

@@ -34,12 +34,9 @@ import numpy as np
 from . import linalg
 from . import polyarith as pa
 from .errors import NotInField, NotUnimodular, ShapeMismatch, WindowTooLarge
-from .numberfield import FieldElement
-from .surd import QuadraticSurd
+from .scalars import is_exact, to_field, to_float
 
 _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
-
-_EXACT = (int, Fraction, FieldElement, QuadraticSurd)
 
 # Schedule kernel constants (see PointCloud.systoles_under).
 _BLOCK_ELEMENTS = 1 << 15    # steps x points per log-space block
@@ -70,23 +67,6 @@ class HeightWindow:
         return f"HeightWindow(H={self.H}, E={self.E})"
 
 
-def _embed_float(place, value):
-    """Embed an entry into float64 (or complex128 at a complex place)."""
-    if isinstance(value, FieldElement):
-        root = place.root_float()
-        acc = 0.0 if place.kind == "real" else 0j
-        for c in reversed(value.coords):
-            acc = acc * root + float(c)
-        return acc
-    if isinstance(value, QuadraticSurd):
-        return float(value)
-    if isinstance(value, Fraction):
-        return float(value)
-    if place.kind == "complex":
-        return complex(value)
-    return float(value)
-
-
 class SLattice:
     """The orbit lattice g * O^n: one n x n matrix per place of S.
 
@@ -112,27 +92,21 @@ class SLattice:
             if place.kind == "finite":
                 for row in rows:
                     for c in row:
-                        if not isinstance(c, _EXACT) or (
-                                isinstance(c, QuadraticSurd)
-                                and not c.is_rational()):
-                            raise NotInField(
-                                f"finite-place entry {c!r} at {place.name} "
-                                "is not an exact element of K")
+                        to_field(c, field, place.name)
             mats.append(tuple(rows))
         self.g = tuple(mats)
         self._check_determinants()
 
     def _check_determinants(self):
         for place, mat in zip(self.places, self.g):
-            exact = all(isinstance(c, _EXACT) for row in mat for c in row)
-            if exact:
+            if all(is_exact(c) for row in mat for c in row):
                 det = linalg.det(mat)
                 if det == 0:
                     raise NotUnimodular(f"singular matrix at {place.name}")
                 if self.unimodular and det != 1:
                     raise NotUnimodular(f"det at {place.name} is {det}, not 1")
             else:
-                gf = np.array([[_embed_float(place, c) for c in row] for row in mat])
+                gf = np.array([[to_float(c, place) for c in row] for row in mat])
                 det = np.linalg.det(gf)
                 if abs(det) < 1e-12:
                     raise NotUnimodular(f"singular matrix at {place.name}")
@@ -241,7 +215,7 @@ class PointCloud:
         """Embedded coordinates of the raw points at one archimedean place."""
         n, d = self.n, self.d
         dtype = np.complex128 if place.kind == "complex" else np.float64
-        basis_vals = np.array([_embed_float(place, b)
+        basis_vals = np.array([to_float(b, place)
                                for b in self.field.integral_basis], dtype=dtype)
         Z = np.zeros((self.count, n), dtype=dtype)
         for j in range(n):
@@ -258,7 +232,7 @@ class PointCloud:
             if place.kind == "finite":
                 continue
             Z = self._z_float(place)
-            G = np.array([[_embed_float(place, c) for c in row] for row in mat],
+            G = np.array([[to_float(c, place) for c in row] for row in mat],
                          dtype=Z.dtype)
             self.arch.append((place, Z @ G.T))
 
@@ -297,7 +271,7 @@ class PointCloud:
         lifted = list(place.lifted_factor)
         exact, resid, den_val = [], [], []
         for row in mat:
-            prods = [_field_entry(c, field) * b
+            prods = [to_field(c, field, place.name) * b
                      for c in row for b in field.integral_basis]
             D = math.lcm(*(c.denominator for e in prods for c in e.coords))
             ints = [[int(c * D) for c in e.coords] for e in prods]
@@ -597,15 +571,6 @@ def _first_minima(steps, rows, values):
     return steps[order], rows[order], values[order]
 
 
-def _field_entry(c, field):
-    """An exact matrix entry as an element of the field."""
-    if isinstance(c, FieldElement):
-        return c
-    if isinstance(c, QuadraticSurd) and c.b == 0:
-        return field.element([c.a])
-    return field.element([c])
-
-
 def _residue(u, h, f, modulus):
     """Coefficients of the integer polynomial u mod the monic h, mod modulus."""
     r = [int(c) % modulus for c in pa.poly_mod(u, h)]
@@ -625,21 +590,6 @@ def _vp_array(a, p):
     return v
 
 
-def _matvec_exact(mat, z, field):
-    out = []
-    for row in mat:
-        acc = field.zero()
-        for c, zj in zip(row, z):
-            if c == 0:
-                continue
-            if isinstance(c, FieldElement):
-                acc = acc + c * zj
-            else:
-                acc = acc + zj * Fraction(c)
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 
@@ -653,6 +603,8 @@ def enumerate_points(lat, window):
     from .sadic import SAdicVector
 
     cloud = PointCloud(lat, window)
+    # a matrix over K acts exactly, any other one in floats at its place
+    in_field = [_field_matrix(mat, lat.field) for mat in lat.g]
     seen = set()
     for i in range(cloud.count):
         z = cloud.point(i)
@@ -661,19 +613,24 @@ def enumerate_points(lat, window):
             raise AssertionError(f"enumeration collision at {key}")
         seen.add(key)
         comps = []
-        for place, mat in zip(lat.places, lat.g):
-            exact = all(isinstance(c, _EXACT) for row in mat for c in row)
-            if exact:
-                comps.append(tuple(_matvec_exact(mat, z, lat.field)))
+        for place, mat, gK in zip(lat.places, lat.g, in_field):
+            if gK is not None:
+                comps.append(tuple(sum((c * zj for c, zj in zip(row, z)),
+                                       lat.field.zero()) for row in gK))
             else:
-                row_vals = []
-                for row in mat:
-                    acc = 0.0 if place.kind == "real" else 0j
-                    for c, zj in zip(row, z):
-                        acc += _embed_float(place, c) * _embed_float(place, zj)
-                    row_vals.append(acc)
-                comps.append(tuple(row_vals))
+                zf = [to_float(zj, place) for zj in z]
+                comps.append(tuple(
+                    sum((to_float(c, place) * w for c, w in zip(row, zf)),
+                        0.0 if place.kind == "real" else 0j) for row in mat))
         yield z, SAdicVector(lat.places, comps, lat.n)
+
+
+def _field_matrix(mat, field):
+    """The matrix with entries in K, or None if an entry is not in K."""
+    try:
+        return [[to_field(c, field) for c in row] for row in mat]
+    except NotInField:
+        return None
 
 
 @dataclass
@@ -907,11 +864,11 @@ def nilpotent_span_check(lat, radius, window):
     fin_data = []
     for place, mat in zip(lat.places, lat.g):
         if place.kind == "finite":
-            gK = [[_field_entry(c, field) for c in row] for row in mat]
+            gK = [[to_field(c, field, place.name) for c in row] for row in mat]
             giK = linalg.inverse(gK)
             fin_data.append((place, gK, giK))
         else:
-            gf = np.array([[_embed_float(place, c) for c in row] for row in mat],
+            gf = np.array([[to_float(c, place) for c in row] for row in mat],
                           dtype=np.complex128 if place.kind == "complex" else np.float64)
             arch_data.append((place, gf, np.linalg.inv(gf)))
 
@@ -940,7 +897,7 @@ def nilpotent_span_check(lat, radius, window):
                             X[i][j] = X[i][j] + c * b[i][j]
             sup = 0.0
             for place, gf, gfi in arch_data:
-                Xf = np.array([[_embed_float(place, c) for c in rowX] for rowX in X],
+                Xf = np.array([[to_float(c, place) for c in rowX] for rowX in X],
                               dtype=gf.dtype)
                 W = gf @ Xf @ gfi
                 assert abs(np.trace(W)) < 1e-9

@@ -21,17 +21,15 @@ from mpmath import mp, mpf
 
 from .errors import ZeroComponent
 from .linalg import float_rank
-from .numberfield import DEFAULT_DPS, FieldElement
-
-_EXACT_TYPES = (int, Fraction, FieldElement)
+from .numberfield import DEFAULT_DPS
+from .scalars import is_exact, mul, to_field, to_mpf
 
 
 class SAdicVector:
     """One length-n local vector per place; immutable after construction.
 
-    Archimedean coordinates may be exact (int/Fraction/FieldElement) or
-    floating; finite-place coordinates must be exact so that valuations
-    stay exact.
+    Archimedean coordinates may be exact or floating; finite-place
+    coordinates must be elements of K so that valuations stay exact.
     """
 
     def __init__(self, places, components, n=None):
@@ -41,9 +39,7 @@ class SAdicVector:
             comp = tuple(comp)
             if place.kind == "finite":
                 for c in comp:
-                    if not isinstance(c, _EXACT_TYPES):
-                        raise TypeError(
-                            f"finite-place coordinate {c!r} must be exact")
+                    to_field(c, place.field, place.name)
             comps.append(comp)
         if len(comps) != len(self.places):
             raise ValueError("one component per place required")
@@ -58,21 +54,12 @@ class SAdicVector:
 
     def scaled(self, xi):
         """The vector xi * x, scaling every local coordinate."""
+        # a rational unit keeps rational coordinates Fractions
+        unit = xi.coords[0] if xi.is_rational() else xi
         out = []
         for place, comp in zip(self.places, self.components):
-            row = []
-            for c in comp:
-                if isinstance(c, FieldElement):
-                    row.append(xi * c)
-                elif isinstance(c, _EXACT_TYPES):
-                    if xi.is_rational():
-                        row.append(Fraction(c) * xi.coords[0])
-                    else:
-                        row.append(xi * xi.field.element([c]))
-                else:
-                    # floating archimedean coordinate: scale by |xi| numerically
-                    row.append(c * place.evaluate(xi))
-            out.append(tuple(row))
+            out.append(tuple(mul(c, unit) if is_exact(c) else
+                             mul(c, to_mpf(xi, place)) for c in comp))
         return SAdicVector(self.places, out, self.n)
 
     def to_jsonable(self, digits=12):
@@ -91,10 +78,11 @@ class SAdicVector:
 
 
 def _finite_scalar_json(c, place, digits):
-    if isinstance(c, FieldElement) and not c.is_rational():
-        return {"coords": [str(x) for x in c.coords],
-                "val": place.valuation(c)}
-    frac = Fraction(c) if not isinstance(c, FieldElement) else c.coords[0]
+    elem = to_field(c, place.field, place.name)
+    if not elem.is_rational():
+        return {"coords": [str(x) for x in elem.coords],
+                "val": place.valuation(elem)}
+    frac = elem.coords[0]
     if frac == 0:
         return {"val": None, "unit_digits": []}
     p = place.p
@@ -119,7 +107,7 @@ def _local_norm(place, comp, dps):
     if place.kind == "finite":
         best = Fraction(0)
         for c in comp:
-            elem = c if isinstance(c, FieldElement) else place.field.element([c])
+            elem = to_field(c, place.field, place.name)
             if elem.is_zero():
                 continue
             a = place.abs_value(elem)
@@ -130,24 +118,14 @@ def _local_norm(place, comp, dps):
         if place.kind == "real":
             acc = mpf(0)
             for c in comp:
-                v = _arch_scalar(place, c, dps)
+                v = to_mpf(c, place, dps)
                 acc += v * v
             return +mp.sqrt(acc)
         acc = mpf(0)
         for c in comp:
-            v = _arch_scalar(place, c, dps)
-            acc += (v.real * v.real + v.imag * v.imag) if hasattr(v, "real") else v * v
+            v = to_mpf(c, place, dps)
+            acc += v.real * v.real + v.imag * v.imag
         return +acc        # squared standard norm: the normalized complex convention
-
-
-def _arch_scalar(place, c, dps):
-    if isinstance(c, FieldElement):
-        return place.evaluate(c, dps)
-    if isinstance(c, Fraction):
-        return mpf(c.numerator) / c.denominator
-    if isinstance(c, int):
-        return mpf(c)
-    return c if not isinstance(c, float) else mpf(c)
 
 
 def sup_norm(x, dps=None):
@@ -155,8 +133,7 @@ def sup_norm(x, dps=None):
     dps = dps or DEFAULT_DPS
     best = mpf(0)
     for place, comp in zip(x.places, x.components):
-        v = _local_norm(place, comp, dps)
-        v = mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v
+        v = to_mpf(_local_norm(place, comp, dps))
         if v > best:
             best = v
     return best
@@ -175,7 +152,7 @@ def content(x, dps=None):
         v = _local_norm(place, comp, dps)
         if v == 0:
             return mpf(0)
-        acc *= mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v
+        acc *= to_mpf(v)
     return acc
 
 
@@ -289,8 +266,7 @@ def unit_balance(x, target, units, exponent_bound=20, dps=None):
     with mp.workdps(dps):
         worst = mpf(0)
         for v, a in zip(snorms, target.targets):
-            vv = mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v
-            r = abs(mp.log(vv / mpf(a)))
+            r = abs(mp.log(to_mpf(v) / mpf(a)))
             if r > worst:
                 worst = r
         ratio = +mp.e ** worst

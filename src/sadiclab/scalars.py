@@ -1,0 +1,147 @@
+"""The package's scalar rules: combining, embedding and membership in K.
+
+Six kinds of scalar meet in the lab: exact elements of K (`FieldElement`),
+real quadratic irrationals (`QuadraticSurd`), int and `Fraction`, and
+float, mpf and mpc for generic points of a completion K_v.
+
+* Combining.  An exact pair lifts to the later of its two types along
+  int -> Fraction -> QuadraticSurd -> FieldElement, where two ints lift to
+  Fraction, so rational arithmetic always returns a `Fraction`.  A
+  rational surd lifts into K; an irrational one is not in K and raises
+  `NotInField`.  An inexact operand turns both into mpf/mpc and the
+  operation runs at the current mpmath precision, but at no fewer than
+  DEFAULT_DPS digits.  A `FieldElement` has no numeric value without a
+  place, so it never meets an inexact operand.
+* Embedding.  `to_float` gives float64 (complex128 at a complex place) for
+  the vectorized kernels; `to_mpf` gives mpf/mpc.
+* Membership.  `to_field` is the one test of what counts as an element of
+  K, e.g. at a finite place.
+* Parsing.  `parse_real` reads an exact real, including the config's
+  {"a", "b", "d"} spec of a + b sqrt(d).
+"""
+
+import operator
+from fractions import Fraction
+
+from mpmath import mp, mpc, mpf
+
+from .errors import NotInField
+from .numberfield import DEFAULT_DPS, FieldElement
+from .surd import QuadraticSurd
+
+# Position in the lift order: an exact pair lifts to the larger rank.
+_RANK = {int: 0, Fraction: 1, QuadraticSurd: 2, FieldElement: 3}
+EXACT = tuple(_RANK)
+
+
+def is_exact(c):
+    return isinstance(c, EXACT)
+
+
+def _rank(c):
+    r = _RANK.get(type(c))
+    if r is None and isinstance(c, int):       # bool
+        return 0
+    return r
+
+
+def _apply(op, a, b):
+    ra, rb = _rank(a), _rank(b)
+    if ra is None or rb is None:
+        with mp.workdps(max(mp.dps, DEFAULT_DPS)):
+            return op(to_mpf(a), to_mpf(b))
+    if ra + rb == 0:
+        a = Fraction(a)
+    elif ra + rb == 5:                          # a surd meets a field element
+        if ra == 2:
+            a = to_field(a, b.field)
+        else:
+            b = to_field(b, a.field)
+    return op(a, b)
+
+
+def mul(a, b):
+    return _apply(operator.mul, a, b)
+
+
+def add(a, b):
+    return _apply(operator.add, a, b)
+
+
+def div(a, b):
+    return _apply(operator.truediv, a, b)
+
+
+def to_mpf(c, place=None, dps=DEFAULT_DPS):
+    """c as an mpf, or an mpc for a complex value.
+
+    A `FieldElement` is evaluated at the archimedean `place` with `dps`
+    digits, a `QuadraticSurd` at `dps` digits; without a place a field
+    element raises TypeError.
+    """
+    t = type(c)
+    if t is mpf or t is mpc:
+        return c
+    if t is Fraction:
+        return mpf(c.numerator) / c.denominator
+    if t is QuadraticSurd:
+        return c.to_mpf(dps)
+    if t is FieldElement:
+        if place is None:
+            raise TypeError("cannot mix field elements with floats")
+        return place.evaluate(c, dps)
+    if isinstance(c, complex):
+        return mpc(c.real, c.imag)
+    return mpf(c)
+
+
+def to_float(c, place):
+    """c at an archimedean place: float64, or complex128 at a complex place."""
+    if type(c) is FieldElement:
+        root = place.root_float()
+        acc = 0.0 if place.kind == "real" else 0j
+        for x in reversed(c.coords):
+            acc = acc * root + float(x)
+        return acc
+    return float(c) if place.kind == "real" else complex(c)
+
+
+def to_field(c, field, where=None):
+    """c as an element of `field`.
+
+    Accepts int, `Fraction`, rational surds and elements of `field`;
+    anything else raises `NotInField`, naming the finite place `where`
+    when given.
+    """
+    t = type(c)
+    if t is FieldElement and c.field == field:
+        return c
+    if t is Fraction or isinstance(c, int):
+        return field.element([c])
+    if t is QuadraticSurd and c.is_rational():
+        return field.element([c.a])
+    if where is None:
+        raise NotInField(f"{c!r} is not an exact element of K")
+    raise NotInField(
+        f"finite-place entry {c!r} at {where} is not an exact element of K")
+
+
+def parse_real(spec):
+    """An exact real number as a `QuadraticSurd`.
+
+    Accepts a surd, an int, a `Fraction`, a rational `FieldElement`, a
+    decimal or fraction string, a float (its exact binary value) and the
+    spec {"a": a, "b": b, "d": d} of a + b sqrt(d), where a and b default
+    to 0 and d to 1.
+    """
+    if isinstance(spec, QuadraticSurd):
+        return spec
+    if isinstance(spec, dict):
+        return QuadraticSurd(Fraction(str(spec.get("a", 0))),
+                             Fraction(str(spec.get("b", 0))),
+                             int(spec.get("d", 1)))
+    if isinstance(spec, FieldElement) and spec.is_rational():
+        return QuadraticSurd(spec.coords[0])
+    if isinstance(spec, (int, Fraction, str, float)):
+        return QuadraticSurd(spec)
+    raise TypeError(f"cannot parse real spec {spec!r}")

@@ -64,6 +64,19 @@ class TestEvaluate:
         val = fm.evaluate_form(sqrt2_form, [5, 7])[0]
         assert float(val) == pytest.approx(0.3553390593273762, rel=1e-12)
 
+    def test_inexact_coefficients_keep_50_digits(self, rationals, q_inf):
+        # (sqrt2 x + y)(x/3 + y): a surd times an mpf is an mpf, not a float
+        third = mpf(1) / 3
+        form = fm.DecomposableForm(rationals, q_inf, 2,
+                                   [[(S2, 1), (third, 1)]])
+        x2, xy, y2 = form.expansions[0]
+        assert y2 == 1
+        with mp.workdps(60):
+            for got, want in [(x2, mp.sqrt(2) * third),
+                              (xy, mp.sqrt(2) + third)]:
+                assert type(got) is type(want)
+                assert abs(got - want) < mpf(10) ** -45
+
     def test_magnitudes_product(self, rationals, q_inf2, sqrt2_form):
         form = fm.make_form(rationals, q_inf2,
                             [[(1, 0), (0, 1)], [(1, 0), (0, 1)]])
@@ -308,6 +321,12 @@ class TestLittlewood:
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
         assert res.records[-1][0] == res.argmin
+
+    def test_spec_defaults_a_to_zero(self):
+        # {"b": 1, "d": 5} is 0 + 1*sqrt(5), as in a config
+        got = fm.littlewood_scan({"b": 1, "d": 5}, Fraction(1, 3), 500)
+        want = fm.littlewood_scan(QuadraticSurd.sqrt(5), Fraction(1, 3), 500)
+        assert got == want
 
     def test_decimal_string_spec(self):
         res = fm.littlewood_scan("0.5", "0.25", 8)

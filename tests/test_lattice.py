@@ -6,6 +6,7 @@ import pytest
 
 from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
+from sadiclab import sadic as sd
 from sadiclab.errors import NotUnimodular, WindowTooLarge
 from sadiclab.surd import QuadraticSurd
 
@@ -43,6 +44,19 @@ class TestEnumeration:
         lat = lt.SLattice(rationals, q_inf, 2, [eye(2)])
         count = sum(1 for _ in lt.enumerate_points(lat, lt.HeightWindow(2)))
         assert count == 12
+
+    def test_irrational_surd_matrix_takes_the_float_branch(self, rationals,
+                                                          q_inf):
+        # [[1, sqrt2], [0, 1]] is not over K = Q: its images are floats
+        s2 = QuadraticSurd.sqrt(2)
+        lat = lt.SLattice(rationals, q_inf, 2, [[[1, s2], [0, 1]]])
+        window = lt.HeightWindow(1)
+        images = [img for _, img in lt.enumerate_points(lat, window)]
+        identity = lt.SLattice(rationals, q_inf, 2, [eye(2)])
+        assert len(images) == sum(1 for _ in lt.enumerate_points(identity,
+                                                                 window))
+        least = min(float(sd.sup_norm(img)) for img in images)
+        assert least == lt.systole(lat, window).min_supnorm == 1.0
 
     def test_window_cap(self, rationals, q_inf):
         lat = lt.SLattice(rationals, q_inf, 2, [eye(2)])
