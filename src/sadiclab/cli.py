@@ -9,11 +9,11 @@ a mathematical surprise.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import jsonschema
@@ -168,7 +168,7 @@ _VALIDATOR_CLASS = jsonschema.validators.validator_for(CONFIG_SCHEMA)
 _VALIDATOR = _VALIDATOR_CLASS(CONFIG_SCHEMA)
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     raw: dict
     field: object
@@ -718,10 +718,7 @@ def main(argv=None):
             raw_source = override
         cfg = parse_config(raw_source)
         if args.precision:
-            cfg = RunConfig(raw=cfg.raw, field=cfg.field, places=cfg.places,
-                            precision=args.precision, window=cfg.window,
-                            hensel_precision=cfg.hensel_precision,
-                            s_units_supplied=cfg.s_units_supplied)
+            cfg = dataclasses.replace(cfg, precision=args.precision)
         if getattr(args, "active_places", None):
             args.active_places = args.active_places.split(",")
         return run(args.subcommand, cfg, args.out, args.format, args)

@@ -22,7 +22,7 @@ from .errors import (
     TooFewSteps,
 )
 from .lattice import HeightWindow, PointCloud, SLattice
-from .scalars import is_exact, mul, to_field, to_float
+from .scalars import is_exact, lift_exact, mul, to_field, to_float
 from .surd import QuadraticSurd
 
 
@@ -43,20 +43,20 @@ class TorusElement:
             if place.kind == "finite":
                 for c in diag:
                     to_field(c, field, place.name)
-                det = _diag_product(diag)
+            exact = lift_exact(diag)
+            if exact is not None:
+                det = _diag_product(exact)
                 if det != 1:
                     raise ValueError(f"det at {place.name} is {det!r}, not 1")
             else:
-                if all(map(is_exact, diag)):
-                    det = _diag_product(diag)
-                    if det != 1:
-                        raise ValueError(f"det at {place.name} is {det!r}, not 1")
-                else:
-                    det = 1.0
-                    for c in diag:
-                        det *= float(c)
-                    if abs(det - 1) > 1e-10:
-                        raise ValueError(f"det at {place.name} is {det}, not 1")
+                # an all-exact diagonal lands here when an irrational surd
+                # meets a field element; it is embedded at the place
+                embed = all(map(is_exact, diag))
+                det = 1.0
+                for c in diag:
+                    det *= to_float(c, place) if embed else float(c)
+                if abs(det - 1) > 1e-10:
+                    raise ValueError(f"det at {place.name} is {det}, not 1")
             rows.append(diag)
         self.entries = tuple(rows)
         self.exact = all(is_exact(c) for diag in rows for c in diag)

@@ -31,7 +31,7 @@ from .errors import (
     PrecisionBudgetExceeded,
     TooFewWindows,
 )
-from .lattice import HeightWindow, _numerator_grid
+from .lattice import HeightWindow, _window_rows
 from .numberfield import DEFAULT_DPS, FieldElement, archimedean_places
 from .scalars import add, div, is_exact, mul, parse_real, to_field, to_mpf
 from .surd import QuadraticSurd
@@ -327,40 +327,30 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
         return _value_spectrum_fast(form, window, magnitude_cap, dps)
     d = form.field.degree
     primes = sorted({p.p for p in form.places if p.kind == "finite"})
-    E = window.E if primes else 0
-    window.check(form.n * d, len(primes) if E else 0)
-    grid = _numerator_grid(form.n * d, window.H)
-    ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
+    numerators, eexp = _window_rows(form.n * d, primes, window)
     pairs = []
-    zero_count = evaluated = 0
+    zero_count = 0
     with mp.workdps(dps + 5):
-        for row in grid:
-            for ecombo in ecombos:
-                if any(e > 0 and all(int(c) % p == 0 for c in row)
-                       for p, e in zip(primes, ecombo)):
-                    continue
-                evaluated += 1
-                denom = 1
-                for p, e in zip(primes, ecombo):
-                    denom *= p ** e
-                z = _grid_point(form.field, row, denom, form.n, d)
-                mags, total = form.magnitudes(z, dps)
-                if total == 0:
-                    zero_count += 1
-                    continue
-                if magnitude_cap is not None and total > magnitude_cap:
-                    continue
-                pairs.append((total, _format_z(z)))
+        for row, exps in zip(numerators.tolist(), eexp.tolist()):
+            denom = math.prod(p ** e for p, e in zip(primes, exps))
+            z = _grid_point(form.field, row, denom, form.n, d)
+            mags, total = form.magnitudes(z, dps)
+            if total == 0:
+                zero_count += 1
+                continue
+            if magnitude_cap is not None and total > magnitude_cap:
+                continue
+            pairs.append((total, _format_z(z)))
     spec = _spectrum_from_pairs(pairs, window, magnitude_cap)
     spec.zero_count = zero_count
-    spec._candidates = evaluated
+    spec._candidates = len(numerators)
     return spec
 
 
 def _grid_point(field, row, denom, n, d):
     if d == 1:
-        return [Fraction(int(c), denom) for c in row]
-    return [field.from_integral_coords([int(c) for c in row[j * d:(j + 1) * d]])
+        return [Fraction(c, denom) for c in row]
+    return [field.from_integral_coords(row[j * d:(j + 1) * d])
             * Fraction(1, denom) for j in range(n)]
 
 

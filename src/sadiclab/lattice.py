@@ -14,6 +14,10 @@ one int64 matmul per place; only coordinates whose residues vanish mod the
 kernel's precision are valued exactly, one by one.  Exact coordinates are
 materialized only for witnesses, those fallbacks and the generator API.
 
+A cloud takes one n_out x n_in map per place, by default g itself;
+`nilpotent_span_check` makes the adjoint lattice one cloud of Ad(g).
+`_window_rows` is the package's one enumeration of the window.
+
 Trajectories, surveys and heat maps query one cloud under a whole schedule
 of diagonal steps through `PointCloud.systoles_under`.  It selects each
 step's minimizers in log space -- one matmul per archimedean place and one
@@ -34,7 +38,7 @@ import numpy as np
 from . import linalg
 from . import polyarith as pa
 from .errors import NotInField, NotUnimodular, ShapeMismatch, WindowTooLarge
-from .scalars import is_exact, to_field, to_float
+from .scalars import lift_exact, to_field, to_float
 
 _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
 
@@ -75,12 +79,10 @@ class SLattice:
     anisotropic fixtures); the content systole then carries that scale.
     """
 
-    def __init__(self, field, places, n, g, denominator_bound=None,
-                 unimodular=True):
+    def __init__(self, field, places, n, g, unimodular=True):
         self.field = field
         self.places = list(places)
         self.n = int(n)
-        self.denominator_bound = denominator_bound
         self.unimodular = unimodular
         if len(g) != len(self.places):
             raise ShapeMismatch("one matrix per place required")
@@ -98,9 +100,11 @@ class SLattice:
         self._check_determinants()
 
     def _check_determinants(self):
+        n = self.n
         for place, mat in zip(self.places, self.g):
-            if all(is_exact(c) for row in mat for c in row):
-                det = linalg.det(mat)
+            exact = lift_exact([c for row in mat for c in row])
+            if exact is not None:
+                det = linalg.det([exact[i * n:(i + 1) * n] for i in range(n)])
                 if det == 0:
                     raise NotUnimodular(f"singular matrix at {place.name}")
                 if self.unimodular and det != 1:
@@ -124,6 +128,32 @@ class SLattice:
 
 # ---------------------------------------------------------------------------
 # Enumeration
+
+
+def _window_rows(ncoords, primes, window):
+    """The window's points as (numerators, eexp): the package's one enumeration.
+
+    Each sign class y of `_numerator_grid` comes with every exponent tuple
+    e in [0, E]^len(primes), in `itertools.product` order, for the point
+    y / prod p^e; (y, e) is skipped when some e_t > 0 while p_t divides
+    every y_k, as that point comes with a smaller exponent.  Without
+    primes E is 0.  The window's size cap is checked first.
+    """
+    E = window.E if primes else 0
+    window.check(ncoords, len(primes) if E else 0)
+    Y = _numerator_grid(ncoords, window.H)
+    ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
+    reps = len(ecombos)
+    numerators = np.repeat(Y, reps, axis=0)
+    etab = np.array(ecombos, dtype=np.int64).reshape(reps, len(primes))
+    eexp = np.tile(etab, (len(Y), 1))
+    if E:
+        keep = np.ones(len(numerators), dtype=bool)
+        for t, p in enumerate(primes):
+            all_div = (Y % p == 0).all(axis=1)
+            keep &= ~(np.repeat(all_div, reps) & (eexp[:, t] > 0))
+        numerators, eexp = numerators[keep], eexp[keep]
+    return numerators, eexp
 
 
 def _numerator_grid(ncoords, H):
@@ -153,9 +183,12 @@ def _numerator_grid(ncoords, H):
 class PointCloud:
     """Enumerated window of g * O^n with vectorized per-place data.
 
-    arch images are float arrays; finite data are exact normalized
-    valuations (|w|_v = p^(-val)), computed for all points at once from
-    residues mod the lifted factor of each place (`_finite_valuations`);
+    `maps` (default `lat.g`) holds one n_out x n_in matrix per place of
+    `lat`, entries in K at finite places: the points are the window of
+    O^n_in and their images have n_out coordinates.  arch images are
+    float arrays; finite data are exact normalized valuations
+    (|w|_v = p^(-val)), computed for all points at once from residues mod
+    the lifted factor of each place (`_finite_valuations`);
     `valuation_fallbacks` counts the coordinates that needed the exact
     per-coordinate path.  Diagonal torus steps act by per-place
     coordinate multipliers / valuation shifts, so a whole trajectory
@@ -163,7 +196,7 @@ class PointCloud:
 
     Whole schedules of steps go through one kernel, `systoles_under`; a
     single step (`systole_under`) is its one-step case.  For it the cloud
-    keeps, in point-major layout (n x count, contiguous), the squared
+    keeps, in point-major layout (n_out x count, contiguous), the squared
     moduli |W_vj|^2 at each archimedean place and the finite valuations as
     floats (+inf for a zero coordinate), with their per-coordinate ranges.
     The kernel ranks points in log space, re-checks every near-tie with
@@ -173,36 +206,15 @@ class PointCloud:
     every block.  Witness strings are memoised per index.
     """
 
-    def __init__(self, lat, window):
-        field = lat.field
-        d = field.degree
-        n = lat.n
-        primes = sorted({p.p for p in lat.finite_places})
-        E = window.E
-        if lat.denominator_bound is not None:
-            E = min(E, lat.denominator_bound)
-        if not primes:
-            E = 0
-        window.check(n * d, len(primes) if E else 0)
+    def __init__(self, lat, window, maps=None):
         self.lat = lat
-        self.field = field
-        self.n = n
-        self.d = d
-        self.primes = primes
-
-        Y = _numerator_grid(n * d, window.H)
-        ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
-        reps = len(ecombos)
-        self.numerators = np.repeat(Y, reps, axis=0)
-        etab = np.array(ecombos, dtype=np.int64).reshape(reps, len(primes))
-        self.eexp = np.tile(etab, (len(Y), 1))
-        if E and primes:
-            keep = np.ones(len(self.numerators), dtype=bool)
-            for t, p in enumerate(primes):
-                all_div = (Y % p == 0).all(axis=1)
-                keep &= ~(np.repeat(all_div, reps) & (self.eexp[:, t] > 0))
-            self.numerators = self.numerators[keep]
-            self.eexp = self.eexp[keep]
+        self.maps = lat.g if maps is None else maps
+        self.field = lat.field
+        self.n = len(self.maps[0][0])
+        self.d = lat.field.degree
+        self.primes = sorted({p.p for p in lat.finite_places})
+        self.numerators, self.eexp = _window_rows(self.n * self.d, self.primes,
+                                                  window)
         self.count = len(self.numerators)
         self._formatted = {}
         self._build_arch()
@@ -228,7 +240,7 @@ class PointCloud:
 
     def _build_arch(self):
         self.arch = []
-        for place, mat in zip(self.lat.places, self.lat.g):
+        for place, mat in zip(self.lat.places, self.maps):
             if place.kind == "finite":
                 continue
             Z = self._z_float(place)
@@ -239,7 +251,7 @@ class PointCloud:
     def _build_finite(self):
         self.fin = []
         self._valuation_fallbacks = 0
-        for place, mat in zip(self.lat.places, self.lat.g):
+        for place, mat in zip(self.lat.places, self.maps):
             if place.kind == "finite":
                 self.fin.append((place, self._finite_valuations(place, mat),
                                  place.p, place.residue_degree))
@@ -250,12 +262,12 @@ class PointCloud:
         The place P | p comes with a Hensel-lifted factor h of degree f, and
         the completion's integers are Z_p[x]/(h): unramified, uniformizer p.
         So an integral a has v_P(a) = min_k v_p(c_k), c = a mod h.  Image
-        coordinate j of a point is (sum_{k,l} y_kl g_jk b_l) / p^e, and D_j,
-        the common denominator of the g_jk b_l, makes it integral; the
-        residues of D_j g_jk b_l mod (h, p^K) form the fixed matrix A_j, so
-        the residues of a whole cloud are one int64 matmul Y @ A_j, exact
-        because n d H p^K fits in int64 and K is at most the lift's
-        precision.  The normalized valuation is then
+        coordinate j of a point is (sum_{k,l} y_kl g_jk b_l) / p^e, g the
+        place's map, and D_j, the common denominator of the g_jk b_l, makes
+        it integral; the residues of D_j g_jk b_l mod (h, p^K) form the
+        fixed matrix A_j, so the residues of a whole cloud are one int64
+        matmul Y @ A_j, exact because n_in d H p^K fits in int64 and K is
+        at most the lift's precision.  The normalized valuation is then
         f (min_k v_p(C_k) - v_p(D_j)) - f e.  A residue that vanishes mod p^K
         is either a zero coordinate (found exactly over the flagged rows) or
         has valuation >= K; only the latter take the exact
@@ -284,7 +296,7 @@ class PointCloud:
             den_val.append(v)
         A = np.concatenate([np.array(r, dtype=np.int64) for r in resid], axis=1)
         C = (self.numerators @ A) % modulus
-        G = np.gcd.reduce(C.reshape(self.count, n, f), axis=2)
+        G = np.gcd.reduce(C.reshape(self.count, len(mat), f), axis=2)
         shift = np.array(den_val)[None, :] + \
             self.eexp[:, self.primes.index(p)][:, None]
         vals = np.full(G.shape, _ZERO_VAL, dtype=np.int64)
@@ -293,7 +305,8 @@ class PointCloud:
         if not live.all():
             rows = np.flatnonzero(~live.all(axis=1))
             M = np.concatenate([np.array(e, dtype=object) for e in exact], axis=1)
-            img = (self.numerators[rows].astype(object) @ M).reshape(len(rows), n, d)
+            img = (self.numerators[rows].astype(object) @ M).reshape(
+                len(rows), len(mat), d)
             for r, j in zip(*np.nonzero(~live[rows] & (img != 0).any(axis=2))):
                 elem = field.element(list(img[r, j]))
                 vals[rows[r], j] = place.valuation(elem) - f * shift[rows[r], j]
@@ -304,8 +317,8 @@ class PointCloud:
         """Point-major copies and per-coordinate log2 ranges for the kernel.
 
         Coordinates that vanish on every point are left out of the ranges;
-        every point has a nonzero image at every place, because g is
-        invertible and the enumerated points are nonzero.  The ranges of
+        every point has a nonzero image at every place, because each map is
+        injective and the enumerated points are nonzero.  The ranges of
         |W_vj|^2 are taken from |W_vj|, so a square that under- or
         overflows in the cached copy still shows in them.
         """
@@ -431,7 +444,7 @@ class PointCloud:
         Steps run in blocks of about _BLOCK_ELEMENTS steps x points, so
         the working memory does not grow with the schedule.
         """
-        n = self.n
+        n = len((self._arch_sq + self._fin_vals)[0][0])   # image coordinates
         arch = [np.array([np.ones(n) if a is None or a[k] is None else a[k]
                           for a, _ in steps], dtype=np.float64).reshape(-1, n)
                 for k in range(len(self.arch))]
@@ -510,7 +523,7 @@ class PointCloud:
         for (_, _, p, _), (fvals, _, _, _), shift in zip(self.fin, self._fin_vals, fin):
             fshift = shift.astype(np.float64)
             np.add(fvals[0], fshift[:, :1], out=ell)
-            for j in range(1, self.n):
+            for j in range(1, len(fvals)):
                 np.minimum(ell, np.add(fvals[j], fshift[:, j:j + 1], out=scratch),
                            out=ell)
             ell *= -math.log(p)
@@ -730,7 +743,7 @@ class AdjointLatticePoint:
     """Ad(g) X for an exact trace-zero X; per-place norms attached."""
 
     coords: tuple                 # coefficients over the sl basis
-    matrix: tuple                 # exact n x n FieldElement entries
+    matrix: tuple                 # exact n x n FieldElement entries of X
     sup_norm: float
 
 
@@ -749,6 +762,13 @@ def _sl_basis(n):
         m[i + 1][i + 1] = -1
         basis.append(m)
     return basis
+
+
+def _sl_matrix(coeffs, basis, field):
+    """The exact matrix sum_b c_b B_b."""
+    n = len(basis[0])
+    return tuple(tuple(sum((c * b[i][j] for c, b in zip(coeffs, basis) if b[i][j]),
+                           field.zero()) for j in range(n)) for i in range(n))
 
 
 def _flatten_to_q(mat):
@@ -842,82 +862,45 @@ def calibrate_nilpotent_radius(lat, window, candidates=None):
 def nilpotent_span_check(lat, radius, window):
     """Test whether the small adjoint-lattice points span a nilpotent algebra.
 
-    Enumerates exact trace-zero X over the S-integers in the window, keeps
-    those with sup norm of Ad(g) X below the radius, closes their exact
-    span under the Lie bracket, and checks (by iterated common kernels)
-    that every element of the resulting algebra is a nilpotent matrix.
-    An empty intersection is vacuously nilpotent.
+    The points are one `PointCloud` of Ad(g) on the trace-zero matrices:
+    at each place the n^2 x (n^2 - 1) map whose column b is
+    vec(g B_b g^-1) over the basis B_b of `_sl_basis`, exact over K at a
+    finite place and in floats at an archimedean one.  The window runs
+    over the coefficient vectors of X in O_S.  A point is kept when its
+    sup norm, by the cloud's `norms_under` formula, is below the radius;
+    only the kept X are built as exact matrices.  Their span is closed
+    under the Lie bracket and checked (by iterated common kernels) to
+    consist of nilpotent matrices.  An empty intersection is vacuously
+    nilpotent.
     """
     n = lat.n
     if n > 4:
         raise ValueError("adjoint enumeration is capped at n <= 4")
     field = lat.field
-    d = field.degree
     basis = _sl_basis(n)
-    ncoords = len(basis) * d
-    primes = sorted({p.p for p in lat.finite_places})
-    E = window.E if primes else 0
-    window.check(ncoords, len(primes) if E else 0)
-
-    # per-place prepared data
-    arch_data = []
-    fin_data = []
+    maps = []
     for place, mat in zip(lat.places, lat.g):
         if place.kind == "finite":
             gK = [[to_field(c, field, place.name) for c in row] for row in mat]
             giK = linalg.inverse(gK)
-            fin_data.append((place, gK, giK))
+            images = [_matmul_field(_matmul_field(gK, B, field), giK, field)
+                      for B in basis]
         else:
             gf = np.array([[to_float(c, place) for c in row] for row in mat],
                           dtype=np.complex128 if place.kind == "complex" else np.float64)
-            arch_data.append((place, gf, np.linalg.inv(gf)))
-
-    Y = _numerator_grid(ncoords, window.H)
-    ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
+            gfi = np.linalg.inv(gf)
+            images = [gf @ np.array(B, dtype=gf.dtype) @ gfi for B in basis]
+        maps.append([[W[i][j] for W in images] for i in range(n) for j in range(n)])
+    cloud = PointCloud(lat, window, maps)
+    sup = cloud.norms_under()[1]
     kept = []
-    for row in Y:
-        for ecombo in ecombos:
-            if any(e > 0 and all(int(c) % p == 0 for c in row)
-                   for p, e in zip(primes, ecombo)):
-                continue
-            denom = Fraction(1)
-            for p, e in zip(primes, ecombo):
-                denom *= Fraction(p) ** e
-            coeffs = []
-            for k in range(len(basis)):
-                coeffs.append(field.from_integral_coords(
-                    [int(c) for c in row[k * d:(k + 1) * d]]) * (1 / denom))
-            X = [[field.zero() for _ in range(n)] for _ in range(n)]
-            for c, b in zip(coeffs, basis):
-                if c.is_zero():
-                    continue
-                for i in range(n):
-                    for j in range(n):
-                        if b[i][j]:
-                            X[i][j] = X[i][j] + c * b[i][j]
-            sup = 0.0
-            for place, gf, gfi in arch_data:
-                Xf = np.array([[to_float(c, place) for c in rowX] for rowX in X],
-                              dtype=gf.dtype)
-                W = gf @ Xf @ gfi
-                assert abs(np.trace(W)) < 1e-9
-                if place.kind == "real":
-                    norm = float(np.sqrt((W * W).sum()))
-                else:
-                    norm = float((W.real ** 2 + W.imag ** 2).sum())
-                sup = max(sup, norm)
-            for place, gK, giK in fin_data:
-                W = _matmul_field(gK, _matmul_field(X, giK, field), field)
-                vals = [place.valuation(c) for rowW in W for c in rowW
-                        if not c.is_zero()]
-                norm = float(Fraction(place.p) ** (-min(vals))) if vals else 0.0
-                sup = max(sup, norm)
-            if sup < radius:
-                kept.append(AdjointLatticePoint(
-                    coords=tuple(tuple(c.coords) for c in coeffs),
-                    matrix=tuple(tuple(rowX) for rowX in X),
-                    sup_norm=sup,
-                ))
+    for idx in np.flatnonzero(sup < radius):
+        coeffs = cloud.point(idx)
+        kept.append(AdjointLatticePoint(
+            coords=tuple(tuple(c.coords) for c in coeffs),
+            matrix=_sl_matrix(coeffs, basis, field),
+            sup_norm=float(sup[idx]),
+        ))
     if not kept:
         return NilpotentSpanReport(True, [], 0)
     # close the exact span under the bracket

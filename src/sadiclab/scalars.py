@@ -15,7 +15,8 @@ float, mpf and mpc for generic points of a completion K_v.
 * Embedding.  `to_float` gives float64 (complex128 at a complex place) for
   the vectorized kernels; `to_mpf` gives mpf/mpc.
 * Membership.  `to_field` is the one test of what counts as an element of
-  K, e.g. at a finite place.
+  K, e.g. at a finite place; `lift_exact` lifts the surds of a matrix
+  with field-element entries into K, for the raw operators of `linalg`.
 * Parsing.  `parse_real` reads an exact real, including the config's
   {"a", "b", "d"} spec of a + b sqrt(d).
 """
@@ -70,6 +71,24 @@ def add(a, b):
 
 def div(a, b):
     return _apply(operator.truediv, a, b)
+
+
+def lift_exact(entries):
+    """Exact entries that the raw operators combine, or None (use floats).
+
+    Beside a `FieldElement` the surds are lifted into K; an irrational one,
+    like an inexact entry, gives None.  Other entries keep their type.
+    """
+    if not all(map(is_exact, entries)):
+        return None
+    field = next((c.field for c in entries if type(c) is FieldElement), None)
+    if field is None:
+        return list(entries)
+    try:
+        return [to_field(c, field) if type(c) is QuadraticSurd else c
+                for c in entries]
+    except NotInField:
+        return None
 
 
 def to_mpf(c, place=None, dps=DEFAULT_DPS):

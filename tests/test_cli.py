@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -220,6 +221,21 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0]["form-spectrum.json"])["distinct"] > 0
 
+    def test_precision_override_keeps_every_other_field(self, tmp_path,
+                                                        monkeypatch):
+        parsed = cli.parse_config(dict(Q_WITH_2, precision=30))
+        seen = []
+        monkeypatch.setattr(cli, "parse_config", lambda raw: parsed)
+        monkeypatch.setattr(cli, "run", lambda sub, cfg, out, fmt, args:
+                            seen.append(cfg) or 0)
+        assert cli.main(["--config", json.dumps(Q_WITH_2), "--precision", "80",
+                         "--out", str(tmp_path), "field-info"]) == 0
+        [cfg] = seen
+        assert cfg.precision == 80 and parsed.precision == 30
+        for field in dataclasses.fields(cli.RunConfig):
+            if field.name != "precision":
+                assert getattr(cfg, field.name) is getattr(parsed, field.name)
+
     def test_form_spectrum_precision_reaches_every_window(self, tmp_path,
                                                            monkeypatch):
         seen = []
@@ -275,6 +291,31 @@ class TestRun:
             assert data == golden
         else:
             assert hashlib.sha256(data).hexdigest() == golden
+
+    @pytest.mark.parametrize("config, sha256", [
+        # n = 3 over S = {inf, 2}: 39 kept, not nilpotent
+        (dict(Q_WITH_2, window={"H": 1, "E": 1},
+              nilpotent_check={"n": 3, "radius": 1.5}),
+         "13e99790c3894fcfea6c7ccf0f0b74c4bcafd1f3ddd4129d2e67edc7162a70bf"),
+        # Q(i) over its complex place and both places above 5: 4 kept
+        ({"min_poly": [1, 0, 1],
+          "places": {"archimedean": "all", "finite_primes": [5]},
+          "window": {"H": 1, "E": 1}, "nilpotent_check": {"radius": 1.5}},
+         "d8335d30f31dcd8dfca271cdd51dc53b87674e93b11874a52a75a9d4d44b7461"),
+        # a 2/3 shear over S = {inf, 3}: 1 kept
+        ({"min_poly": [0, 1],
+          "places": {"archimedean": "all", "finite_primes": [3]},
+          "window": {"H": 2, "E": 1},
+          "nilpotent_check": {"radius": 2.0,
+                              "matrices": [[[1, "2/3"], [0, 1]]] * 2}},
+         "8a3532c058f9afb04a8727ce93bf5d07461200584aa15f6c08f0e9a34c43295a"),
+    ])
+    def test_nilpotent_check_golden_artifact_per_point_loop(self, tmp_path, config,
+                                                             sha256):
+        # pinned from the per-point loop that the adjoint point cloud replaced
+        assert cli.run("nilpotent-check", config, str(tmp_path)) == 0
+        data = (tmp_path / "nilpotent-check.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
 
     def test_orbit_survey_long_ray_keeps_small_contents(self, tmp_path):
         # at s = +-400 the squares of the scaled coordinates leave the

@@ -7,6 +7,7 @@ import pytest
 from sadiclab import dynamics as dy
 from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
+from sadiclab.surd import QuadraticSurd
 from sadiclab.errors import (
     CyclicPositions,
     NeedTwoPlaces,
@@ -79,6 +80,31 @@ class TestAct:
         t_exact = dy.TorusElement(rationals, q_inf, 2,
                                   [[Fraction(2), Fraction(1, 2)]])
         assert dy.act(t_exact, x).provenance == "identity"
+
+
+class TestMixedScalars:
+    def test_rational_surd_beside_field_element(self, root2_field):
+        K = root2_field
+        places = nf.archimedean_places(K) + nf.finite_places(K, 7)
+        for place in places:
+            dy.TorusElement(K, [place], 2, [[K.element([2]),
+                                             QuadraticSurd(Fraction(1, 2))]])
+            with pytest.raises(ValueError, match=r"^det at \w+ is FieldElement"):
+                dy.TorusElement(K, [place], 2, [[K.element([2]), QuadraticSurd(1)]])
+
+    def test_irrational_surd_beside_field_element(self, root2_field):
+        K = root2_field
+        s2 = QuadraticSurd.sqrt(2)
+        r0, r1 = nf.archimedean_places(K)
+        dy.TorusElement(K, [r1], 2, [[K.element([0, 1]), 1 / s2]])
+        with pytest.raises(ValueError, match=r"^det at r0 is -1\.0\d*, not 1$"):
+            dy.TorusElement(K, [r0], 2, [[K.element([0, 1]), 1 / s2]])
+
+    def test_exact_dets_keep_their_type(self, rationals, q_inf):
+        with pytest.raises(ValueError, match=r"^det at r0 is Fraction\(2, 1\), not 1$"):
+            dy.TorusElement(rationals, q_inf, 2, [[Fraction(2), 1]])
+        with pytest.raises(ValueError, match=r"^det at r0 is 2\.0, not 1$"):
+            dy.TorusElement(rationals, q_inf, 2, [[2.0, 1.0]])
 
 
 class TestTrajectory:

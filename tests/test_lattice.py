@@ -1,13 +1,19 @@
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sadiclab import lattice as lt
+from sadiclab import linalg
 from sadiclab import numberfield as nf
 from sadiclab import sadic as sd
 from sadiclab.errors import NotUnimodular, WindowTooLarge
+from sadiclab.scalars import to_field, to_float
 from sadiclab.surd import QuadraticSurd
 
 
@@ -92,6 +98,42 @@ class TestEnumeration:
     def test_determinant_two_rejected(self, rationals, q_inf2):
         with pytest.raises(NotUnimodular, match=r"det at r0 is 2, not 1"):
             lt.SLattice(rationals, q_inf2, 2, [[[2, 0], [0, 1]], eye(2)])
+
+    def _root2_place(self, field, positive):
+        # r1 embeds sqrt2 as +1.414..., r0 as -1.414...
+        places = nf.archimedean_places(field)
+        return [p for p in places
+                if (to_float(field.element([0, 1]), p) > 0) == positive][0]
+
+    def test_rational_surd_beside_field_element_lifts_into_k(self, root2_field):
+        K = root2_field
+        for positive in (False, True):
+            place = self._root2_place(K, positive)
+            lt.SLattice(K, [place], 2, [[[K.element([1]), 0],
+                                         [0, QuadraticSurd(1)]]])
+            lt.SLattice(K, [place], 2, [[[K.element([2]), 0],
+                                         [0, QuadraticSurd(Fraction(1, 2))]]])
+        with pytest.raises(NotUnimodular,
+                           match=r"^det at r1 is FieldElement\(\['2', '0'\]\), not 1$"):
+            lt.SLattice(K, [self._root2_place(K, True)], 2,
+                        [[[K.element([2]), 0], [0, QuadraticSurd(1)]]])
+        # at a finite place too
+        places = nf.finite_places(K, 7)
+        lt.SLattice(K, places, 2, [[[K.element([1]), QuadraticSurd(3)],
+                                    [0, QuadraticSurd(1)]]] * len(places))
+
+    def test_irrational_surd_beside_field_element_takes_float_det(self,
+                                                                 root2_field):
+        K = root2_field
+        s2 = QuadraticSurd.sqrt(2)
+        plus = self._root2_place(K, True)
+        lat = lt.SLattice(K, [plus], 2, [[[K.element([0, 1]), 0], [0, 1 / s2]]])
+        assert lat.g[0][1][1] == 1 / s2
+        with pytest.raises(NotUnimodular, match=r"^det at r1 is 2\.0\d*, not 1$"):
+            lt.SLattice(K, [plus], 2, [[[K.element([0, 1]), 0], [0, s2]]])
+        with pytest.raises(NotUnimodular, match=r"^det at r0 is -1\.0\d*, not 1$"):
+            lt.SLattice(K, [self._root2_place(K, False)], 2,
+                        [[[K.element([0, 1]), 0], [0, 1 / s2]]])
 
     def test_singular_exact_matrix_rejected(self, rationals, q_inf2):
         with pytest.raises(NotUnimodular, match=r"^singular matrix at p2_0$"):
@@ -272,3 +314,270 @@ class TestNilpotentSpan:
         assert lt.nilpotent_span_check(lat, t, lt.HeightWindow(2)).is_nilpotent_span
         assert not lt.nilpotent_span_check(lat, 4.0,
                                            lt.HeightWindow(2)).is_nilpotent_span
+
+
+# ---------------------------------------------------------------------------
+# nilpotent_span_check against the per-point loop it replaced
+#
+# The check now values one `PointCloud` of Ad(g).  The reference below is
+# the loop it replaced: every window point built as an exact trace-zero X,
+# g X g^-1 formed at every place (floats at archimedean places, exact over
+# K at finite ones), each finite entry valued by `FinitePlace.valuation`.
+# Verdicts, kept coordinates and their order must agree.  The sup norms of
+# the two formulas are bit-equal where every float operation is exact
+# (dyadic g); otherwise they agree within `_arch_tolerance`/
+# `_finite_tolerance`, and radii are drawn farther than that from every
+# sup value.
+
+U = 2.0 ** -53
+
+
+def _gamma(k):
+    return k * U / (1 - k * U)
+
+
+def _arch_tolerance(place, gf, gfi, coeffs, basis, norm):
+    """Bound on |norm - norm'| for the cloud's norm' of the same point.
+
+    With X = sum_b x_b B_b, the loop computes fl(fl(gf fl(X)) gfi): within
+    gamma_(2n+1) |gf| |X| |gfi| of gf X gfi, entrywise.  The cloud computes
+    fl(sum_b fl(x_b) M_b), M_b = fl(fl(gf B_b) gfi) with gf B_b exact:
+    within gamma_(n^2+n) R, R = sum_b |x_b| |gf| |B_b| |gfi| >= |gf||X||gfi|.
+    A complex product errs by at most sqrt(2) gamma_2 < gamma_3 and a
+    complex sum by u, so a complex multiply-add counts as four roundings,
+    twice a real one: the counts double.  So the images differ by at most
+    e_F in the
+    Frobenius norm.  The place norm is sqrt(sum |W_ij|^2) (n^2 + 1
+    roundings) at a real place and sum |W_ij|^2 (2 n^2) at a complex one;
+    with a = ||W|| the bound below follows from | ||W|| - ||W'|| | <= e_F.
+    The factor 1.001 covers evaluating the bound itself in floats.
+    """
+    n = len(gf)
+    c = 2 if place.kind == "complex" else 1
+    R = sum(abs(to_float(x, place)) * (np.abs(gf) @ np.abs(B) @ np.abs(gfi))
+            for x, B in zip(coeffs, np.array(basis, dtype=np.float64)))
+    e_F = (_gamma(c * (2 * n + 1)) + _gamma(c * (n * n + n))) \
+        * float(np.sqrt((R * R).sum()))
+    if place.kind == "real":
+        g = _gamma(n * n + 1)
+        return 1.001 * (e_F * (1 + 2 * g) + 2 * g * norm / (1 - g))
+    g = _gamma(2 * n * n)
+    a = math.sqrt(norm / (1 - g))
+    return 1.001 * ((1 + g) * e_F * (2 * a + e_F) + g * (a * a + (a + e_F) ** 2))
+
+
+def _finite_tolerance(norm):
+    # float(Fraction(p) ** -v) is correctly rounded; the cloud's
+    # np.power(p, -v) is within one ulp, counted as two roundings
+    return _gamma(3) * norm / (1 - U)
+
+
+def reference_points(lat, window):
+    """Every window point of the replaced loop: (coeffs, X, sup_norm, tol).
+
+    A copy of that loop without its radius test (and without its trace
+    assertion); tol bounds the distance to the cloud's sup norm.
+    """
+    n = lat.n
+    field = lat.field
+    d = field.degree
+    basis = lt._sl_basis(n)
+    ncoords = len(basis) * d
+    primes = sorted({p.p for p in lat.finite_places})
+    E = window.E if primes else 0
+    window.check(ncoords, len(primes) if E else 0)
+    arch_data = []
+    fin_data = []
+    for place, mat in zip(lat.places, lat.g):
+        if place.kind == "finite":
+            gK = [[to_field(c, field, place.name) for c in row] for row in mat]
+            fin_data.append((place, gK, linalg.inverse(gK)))
+        else:
+            gf = np.array([[to_float(c, place) for c in row] for row in mat],
+                          dtype=np.complex128 if place.kind == "complex" else np.float64)
+            arch_data.append((place, gf, np.linalg.inv(gf)))
+    Y = lt._numerator_grid(ncoords, window.H)
+    ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
+    out = []
+    for row in Y:
+        for ecombo in ecombos:
+            if any(e > 0 and all(int(c) % p == 0 for c in row)
+                   for p, e in zip(primes, ecombo)):
+                continue
+            denom = Fraction(1)
+            for p, e in zip(primes, ecombo):
+                denom *= Fraction(p) ** e
+            coeffs = []
+            for k in range(len(basis)):
+                coeffs.append(field.from_integral_coords(
+                    [int(c) for c in row[k * d:(k + 1) * d]]) * (1 / denom))
+            X = [[field.zero() for _ in range(n)] for _ in range(n)]
+            for c, b in zip(coeffs, basis):
+                if c.is_zero():
+                    continue
+                for i in range(n):
+                    for j in range(n):
+                        if b[i][j]:
+                            X[i][j] = X[i][j] + c * b[i][j]
+            sup = tol = 0.0
+            for place, gf, gfi in arch_data:
+                Xf = np.array([[to_float(c, place) for c in rowX] for rowX in X],
+                              dtype=gf.dtype)
+                W = gf @ Xf @ gfi
+                if place.kind == "real":
+                    norm = float(np.sqrt((W * W).sum()))
+                else:
+                    norm = float((W.real ** 2 + W.imag ** 2).sum())
+                sup = max(sup, norm)
+                tol = max(tol, _arch_tolerance(place, gf, gfi, coeffs, basis, norm))
+            for place, gK, giK in fin_data:
+                W = lt._matmul_field(gK, lt._matmul_field(X, giK, field), field)
+                vals = [place.valuation(c) for rowW in W for c in rowW
+                        if not c.is_zero()]
+                norm = float(Fraction(place.p) ** (-min(vals))) if vals else 0.0
+                sup = max(sup, norm)
+                tol = max(tol, _finite_tolerance(norm))
+            out.append((tuple(tuple(c.coords) for c in coeffs), X, sup, tol))
+    return out
+
+
+def reference_verdict(kept, field, n):
+    """The replaced check's bracket closure over the kept matrices."""
+    if not kept:
+        return True
+    span_rows = []
+    span_mats = []
+    for X in kept:
+        mat = [list(row) for row in X]
+        if linalg.insert(span_rows, lt._flatten_to_q(mat)):
+            span_mats.append(mat)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(span_mats), 2):
+            br = lt._bracket(a, b, field)
+            if linalg.insert(span_rows, lt._flatten_to_q(br)):
+                span_mats.append(br)
+                changed = True
+    return lt._all_nilpotent(span_mats, field, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _setting(name):
+    if name == "gauss":
+        field = nf.create_field([1, 0, 1])
+        return field, nf.archimedean_places(field) + nf.finite_places(field, 5)
+    field = nf.create_field([0, 1])
+    p = {"q2": 2, "q3": 3}[name]
+    return field, nf.archimedean_places(field) + nf.finite_places(field, p)
+
+
+def _matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@st.composite
+def dyadic_matrix(draw, n):
+    """D U: U unit upper triangular with dyadic entries, D = diag(+-2^a_i).
+
+    Triangular with power-of-two pivots, so np.linalg.inv is exact and so
+    is every float operation of both formulas on small windows.
+    """
+    entry = st.builds(lambda k, e: Fraction(k, 2 ** e),
+                      st.integers(-4, 4), st.integers(0, 2))
+    U_ = [[Fraction(int(i == j)) if i >= j else draw(entry) for j in range(n)]
+          for i in range(n)]
+    exps = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n - 1, max_size=n - 1))
+    exps.append(-sum(exps))
+    signs.append(math.prod(signs))
+    D = [[Fraction(signs[i] * 2 ** exps[i]) if i == j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return _matmul(D, U_)
+
+
+@st.composite
+def rational_matrix(draw, n, dens):
+    """A product of unit lower and upper triangular rational matrices."""
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(dens))
+    L = [[Fraction(int(i == j)) if i <= j else draw(entry) for j in range(n)]
+         for i in range(n)]
+    U_ = [[Fraction(int(i == j)) if i >= j else draw(entry) for j in range(n)]
+          for i in range(n)]
+    return _matmul(L, U_)
+
+
+@st.composite
+def adjoint_case(draw, n):
+    """(lattice, window, exact): exact when every float operation is exact."""
+    kind = draw(st.sampled_from(["dyadic", "q2", "q3", "flow", "gauss"]
+                                if n == 2 else ["dyadic", "q2", "q3"]))
+    small = n == 2
+    if kind == "dyadic":
+        field, places = _setting("q2")
+        mats = [draw(dyadic_matrix(n)) for _ in places]
+        H, E = (draw(st.integers(1, 2)), draw(st.integers(0, 2))) if small else (1, 0)
+    elif kind in ("q2", "q3"):
+        field, places = _setting(kind)
+        dens = [1, 2, 4] if kind == "q2" else [1, 3]
+        mats = [draw(rational_matrix(n, dens)) for _ in places]
+        H, E = (draw(st.integers(1, 3)), draw(st.integers(0, 1))) if small else (1, 0)
+    elif kind == "flow":
+        field, places = _setting("q2")
+        t = draw(st.floats(-6, 6))
+        mats = [[[math.exp(t), 0.0], [0.0, math.exp(-t)]], draw(dyadic_matrix(2))]
+        H, E = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    else:
+        field, places = _setting("gauss")
+        i_ = field.element([0, 1])
+        g = draw(st.sampled_from([eye(2), [[1, i_], [0, 1]], [[2, 1], [1, 1]],
+                                  [[1, 0], [1 + i_, 1]]]))
+        mats = [g] * len(places)
+        H, E = 1, draw(st.integers(0, 1))
+    lat = lt.SLattice(field, places, n, mats)
+    return lat, lt.HeightWindow(H, E), kind == "dyadic"
+
+
+def _check_against_reference(data, lat, window, exact, radii):
+    points = reference_points(lat, window)
+    sups = np.array([s for _, _, s, _ in points])
+    tols = np.array([t for _, _, _, t in points])
+    distinct = np.unique(sups)
+    # radii clear of every sup value by more than its tolerance; when the
+    # sups are bit-equal, the first radius is exactly a sup value, which
+    # the strict test `sup < radius` must leave out
+    candidates = [r for r in np.concatenate([(distinct[:-1] + distinct[1:]) / 2,
+                                             [distinct[-1] * 2 + 1]])
+                  if (np.abs(r - sups) > tols).all()]
+    pools = [distinct if exact and k == 0 else candidates for k in range(radii)]
+    for pool in pools:
+        radius = float(data.draw(st.sampled_from(pool), label="radius"))
+        rep = lt.nilpotent_span_check(lat, radius, window)
+        kept = [pt for pt in points if pt[2] < radius]
+        assert rep.kept == len(kept)
+        assert [pt.coords for pt in rep.witness_basis] == [pt[0] for pt in kept]
+        assert [pt.matrix for pt in rep.witness_basis] == \
+            [tuple(tuple(row) for row in pt[1]) for pt in kept]
+        for pt, (_, _, sup, tol) in zip(rep.witness_basis, kept):
+            assert type(pt.sup_norm) is float
+            if exact:
+                assert pt.sup_norm == sup
+            else:
+                assert abs(pt.sup_norm - sup) <= tol
+        assert rep.is_nilpotent_span is reference_verdict(
+            [pt[1] for pt in kept], lat.field, lat.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_nilpotent_check_matches_per_point_loop(data):
+    lat, window, exact = data.draw(adjoint_case(2), label="case")
+    _check_against_reference(data, lat, window, exact, radii=3)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_nilpotent_check_matches_per_point_loop_sl3(data):
+    lat, window, exact = data.draw(adjoint_case(3), label="case")
+    _check_against_reference(data, lat, window, exact, radii=2)

@@ -393,6 +393,45 @@ def test_no_scalar_type_dispatch_outside_scalars():
     assert offences == []
 
 
+# The window of S-integer points is enumerated in one place:
+# `lattice._window_rows` alone calls `_numerator_grid` and sweeps the
+# denominator exponents (an `itertools.product` over range(E + 1) per prime).
+
+
+class _WindowSweeps(ast.NodeVisitor):
+    def __init__(self, module):
+        self.module = module
+        self.functions = []
+        self.found = set()
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_Call(self, node):
+        callee = _names(node.func)
+        where = (self.module, ".".join(self.functions))
+        if "_numerator_grid" in callee:
+            self.found.add(where + ("grid",))
+        mentioned = {n for arg in node.args + [k.value for k in node.keywords]
+                     for sub in ast.walk(arg) for n in _names(sub)}
+        if "product" in callee and mentioned & {"E", "primes"}:
+            self.found.add(where + ("denominator sweep",))
+        self.generic_visit(node)
+
+
+def test_window_enumerated_in_one_helper():
+    src = pathlib.Path(sc.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        visitor = _WindowSweeps(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    assert found == {("lattice", "_window_rows", "grid"),
+                     ("lattice", "_window_rows", "denominator sweep")}
+
+
 def test_parse_real_defaults():
     assert sc.parse_real({"b": 1, "d": 5}) == QuadraticSurd.sqrt(5)
     assert sc.parse_real({"a": "1/2"}) == Fraction(1, 2)
