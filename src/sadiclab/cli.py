@@ -307,6 +307,15 @@ def _parse_scalar(c):
     raise SchemaError("/form", f"cannot parse coefficient {c!r}")
 
 
+def _norm_form(nfld):
+    """The norm form of a config's `norm_field` block."""
+    target = nf.create_field(nfld["min_poly"])
+    basis = nfld.get("basis")
+    elems = None if basis is None else [
+        target.element([Fraction(str(c)) for c in row]) for row in basis]
+    return fm.norm_form(target, elems)
+
+
 def _build_form(cfg):
     block = cfg.block("form")
     if not block:
@@ -319,14 +328,7 @@ def _build_form(cfg):
                               f"unknown probe {name!r}; have {sorted(probes)}")
         return probes[name]
     if "norm_field" in block:
-        nfld = block["norm_field"]
-        target = nf.create_field(nfld["min_poly"])
-        basis = nfld.get("basis")
-        elems = None
-        if basis is not None:
-            elems = [target.element([Fraction(str(c)) for c in row])
-                     for row in basis]
-        return fm.norm_form(target, elems)
+        return _norm_form(block["norm_field"])
     names = block.get("places")
     places = [cfg.place_by_name(n) for n in names] if names else list(cfg.places)
     if "factors_per_place" in block:
@@ -621,11 +623,8 @@ def _cmd_norm_form(cfg, outdir, fmt, args):
     block = cfg.block("form")
     if "norm_field" not in block:
         block = {"norm_field": {"min_poly": list(cfg.field.min_poly)}}
-    target = nf.create_field(block["norm_field"]["min_poly"])
-    basis = block["norm_field"].get("basis")
-    elems = [target.element([Fraction(str(c)) for c in row]) for row in basis] \
-        if basis else None
-    form = fm.norm_form(target, elems)
+    form = _norm_form(block["norm_field"])
+    target = form.norm_field
     out = {
         "field_min_poly": list(target.min_poly),
         "degree": target.degree,

@@ -45,9 +45,9 @@ class TorusElement:
                     to_field(c, field, place.name)
             exact = lift_exact(diag)
             if exact is not None:
-                det = _diag_product(exact)
+                det = math.prod(exact)
                 if det != 1:
-                    raise ValueError(f"det at {place.name} is {det!r}, not 1")
+                    raise ValueError(f"det at {place.name} is {det}, not 1")
             else:
                 # an all-exact diagonal lands here when an irrational surd
                 # meets a field element; it is embedded at the place
@@ -64,13 +64,6 @@ class TorusElement:
     @classmethod
     def identity(cls, field, places, n):
         return cls(field, places, n, [[1] * n for _ in places])
-
-
-def _diag_product(diag):
-    acc = None
-    for c in diag:
-        acc = c if acc is None else acc * c
-    return acc
 
 
 class OrbitPoint:

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from mpmath import mp, mpf
@@ -31,8 +31,13 @@ from .errors import (
     PrecisionBudgetExceeded,
     TooFewWindows,
 )
-from .lattice import HeightWindow, _window_rows
-from .numberfield import DEFAULT_DPS, FieldElement, archimedean_places
+from .lattice import _UNIT_ROUNDOFF, HeightWindow, _gamma, _window_rows
+from .numberfield import (
+    DEFAULT_DPS,
+    FieldElement,
+    archimedean_places,
+    create_field,
+)
 from .scalars import add, div, is_exact, mul, parse_real, to_field, to_mpf
 from .surd import QuadraticSurd
 
@@ -50,6 +55,23 @@ def _canonical_scalar(c):
         return c
     with mp.workdps(DEFAULT_DPS):
         return +to_mpf(c)
+
+
+def _times_linear(poly, row, out=None):
+    """poly * (row[0] x1 + ... + row[n-1] xn), added into `out` if given.
+
+    Polynomials are dicts from exponent tuples to scalars; exact zero
+    coefficients of the linear form are skipped.
+    """
+    out = {} if out is None else out
+    for expo, coeff in poly.items():
+        for i, c in enumerate(row):
+            if is_exact(c) and c == 0:
+                continue
+            e2 = expo[:i] + (expo[i] + 1,) + expo[i + 1:]
+            term = mul(coeff, c)
+            out[e2] = add(out[e2], term) if e2 in out else term
+    return out
 
 
 class DecomposableForm:
@@ -109,22 +131,9 @@ class DecomposableForm:
         return cls(field, places, n, None, label=label, _expansions=exps, m=m)
 
     def _expand(self, factor_rows):
-        poly = {tuple([0] * self.n): Fraction(1)}
+        poly = {(0,) * self.n: Fraction(1)}
         for row in factor_rows:
-            new = {}
-            for expo, coeff in poly.items():
-                for i, c in enumerate(row):
-                    if is_exact(c) and c == 0:
-                        continue
-                    e2 = list(expo)
-                    e2[i] += 1
-                    e2 = tuple(e2)
-                    term = mul(coeff, c)
-                    if e2 in new:
-                        new[e2] = add(new[e2], term)
-                    else:
-                        new[e2] = term
-            poly = new
+            poly = _times_linear(poly, row)
         return tuple(poly.get(e, Fraction(0)) for e in self.basis)
 
     @cached_property
@@ -361,12 +370,6 @@ def _fast_scan_ok(form):
 
 
 _BLOCK = 1 << 15                   # points per prefilter block / exact batch
-_U = 2.0 ** -53                    # unit roundoff of float64
-
-
-def _gamma(k):
-    """Higham's gamma_k = k u / (1 - k u), for k roundings."""
-    return k * _U / (1 - k * _U)
 
 
 def _value_spectrum_fast(form, window, cap, dps):
@@ -416,7 +419,7 @@ def _value_spectrum_fast(form, window, cap, dps):
                 terms.append((e1, e2, a + b * root, abs(a) + abs(b) * root))
         columns.append(terms)
     grow = 2 * _gamma(2 * m + 4)
-    cap_hi = cap * (1 + 4 * len(exps) * _U)
+    cap_hi = cap * (1 + 4 * len(exps) * _UNIT_ROUNDOFF)
     yrow = np.arange(-H, H + 1, dtype=np.float64)
     hpow = [float(H) ** e for e in range(m + 1)]
     rows = max(1, _BLOCK // len(yrow))
@@ -591,19 +594,20 @@ def _group_by_gap(entries, rho):
 def norm_form(field, basis_elems=None):
     """The norm of x1*mu1 + ... + xn*mun as an exact integer-coefficient form.
 
-    Expansion by an exact resultant in the defining root; the per-embedding
-    linear factors are attached for display and independence checking
-    (surds at real embeddings of quadratic fields, 50-digit complex numbers
+    The norm of an element is the determinant of multiplication by it on
+    the power basis, so N(x1 mu1 + ... + xn mun) = det(x1 M1 + ... + xn Mn)
+    with Mk the matrix of multiplication by muk (Cohen, GTM 138, ch. 4).
+    Entry (i, j) is the linear form whose coefficient k is coordinate i of
+    muk theta^j; the determinant is a Laplace expansion along the rows over
+    memoised column subsets, with no division.  The per-embedding linear
+    factors are attached for display and independence checking (surds at
+    real embeddings of quadratic fields, 50-digit complex numbers
     otherwise).  Lives over the rationals at the single real place.
     """
-    from sympy import Poly, Symbol, resultant, symbols
-
-    from .numberfield import create_field
-
     n = field.degree
+    powers = [field.element([int(i == j) for j in range(n)]) for i in range(n)]
     if basis_elems is None:
-        basis_elems = [field.element([int(i == j) for j in range(n)])
-                       for i in range(n)]
+        basis_elems = powers
     mus = [field.element(b) if not isinstance(b, FieldElement) else b
            for b in basis_elems]
     if len(mus) != n:
@@ -611,23 +615,24 @@ def norm_form(field, basis_elems=None):
     rows = [[mu.coords[k] for k in range(n)] for mu in mus]
     if linalg.rank(rows) != n:
         raise DegenerateBasis("basis elements do not generate the field")
-    t = Symbol("t")
-    xs = symbols(f"x0:{n}")
-    mpoly = sum(int(c) * t ** k for k, c in enumerate(field.min_poly))
-    lin = 0
-    for x, mu in zip(xs, mus):
-        lin += x * sum(Fraction(c) * t ** k for k, c in enumerate(mu.coords))
-    res = resultant(Poly(mpoly, t), Poly(lin, t, domain=f"QQ[{','.join(map(str, xs))}]"))
-    poly = Poly(res.as_expr(), *xs)
-    base = monomial_basis(n, n)
-    coeffs = []
-    for expo in base:
-        c = poly.coeff_monomial(
-            math.prod([x ** e for x, e in zip(xs, expo)], start=1))
-        c = Fraction(int(c.p), int(c.q)) if c else Fraction(0)
-        if c.denominator != 1:
-            raise ArithmeticError("norm form expansion is not integral")
-        coeffs.append(c)
+    columns = [[(mu * tj).coords for mu in mus] for tj in powers]
+    lin = [[[c[i] for c in columns[j]] for j in range(n)] for i in range(n)]
+
+    @cache
+    def minor(cols):
+        # det of the last len(cols) rows of `lin` on the columns `cols`
+        if not cols:
+            return {(0,) * n: Fraction(1)}
+        i, out = n - len(cols), {}
+        for s, j in enumerate(cols):
+            row = lin[i][j] if s % 2 == 0 else [-c for c in lin[i][j]]
+            _times_linear(minor(cols[:s] + cols[s + 1:]), row, out)
+        return out
+
+    det = minor(tuple(range(n)))
+    coeffs = [det.get(expo, Fraction(0)) for expo in monomial_basis(n, n)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("norm form expansion is not integral")
     rational = create_field([0, 1])
     real_place = archimedean_places(rational)[0]
     factor_rows = _embedding_factors(field, mus)

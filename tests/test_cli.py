@@ -20,6 +20,16 @@ Q_WITH_2 = {"min_poly": [0, 1],
             "places": {"archimedean": "all", "finite_primes": [2]}}
 
 
+def _assert_no_sympy(statement):
+    """Run `statement` in a fresh interpreter and check sympy stays unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; import sadiclab.cli as cli; "
+            f"{statement}; "
+            "assert 'sympy' not in sys.modules, 'sympy imported'")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
 class TestParseConfig:
     def test_config_schema_is_valid(self):
         # the schema is a constant, so it is checked here once, not on import
@@ -38,13 +48,17 @@ class TestParseConfig:
     ])
     def test_start_up_does_not_import_sympy(self, config):
         # field set-up (irreducibility, discriminant, factors mod p) runs
-        # on polyarith; only norm-form expansion loads sympy
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = ("import sys; import sadiclab.cli as cli; "
-                f"cli.parse_config({json.dumps(config)!r}); "
-                "assert 'sympy' not in sys.modules, 'sympy imported'")
-        env = dict(os.environ, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+        # on polyarith, and norm forms are a division-free determinant
+        _assert_no_sympy(f"cli.parse_config({json.dumps(config)!r})")
+
+    @pytest.mark.parametrize("subcommand", ["norm-form", "form-spectrum"])
+    def test_norm_form_runs_do_not_import_sympy(self, subcommand, tmp_path):
+        config = {"min_poly": [0, 1],
+                  "form": {"norm_field": {"min_poly": [-1, -1, 1],
+                                          "basis": [[1, 0], [1, 1]]}},
+                  "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
+        _assert_no_sympy(f"assert cli.run({subcommand!r}, "
+                         f"{json.dumps(config)!r}, {str(tmp_path)!r}) == 0")
 
     def test_minimal_defaults(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))

@@ -101,7 +101,7 @@ class TestMixedScalars:
             dy.TorusElement(K, [r0], 2, [[K.element([0, 1]), 1 / s2]])
 
     def test_exact_dets_keep_their_type(self, rationals, q_inf):
-        with pytest.raises(ValueError, match=r"^det at r0 is Fraction\(2, 1\), not 1$"):
+        with pytest.raises(ValueError, match=r"^det at r0 is 2, not 1$"):
             dy.TorusElement(rationals, q_inf, 2, [[Fraction(2), 1]])
         with pytest.raises(ValueError, match=r"^det at r0 is 2\.0, not 1$"):
             dy.TorusElement(rationals, q_inf, 2, [[2.0, 1.0]])

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
+from sympy import Poly, Symbol, resultant, symbols
 
 from sadiclab import forms as fm
 from sadiclab import lattice as lt
+from sadiclab import linalg
 from sadiclab import numberfield as nf
+from sadiclab import polyarith as pa
 from sadiclab.errors import (
     DegenerateBasis,
     DependentFactors,
@@ -211,6 +215,67 @@ class TestNormForm:
             z = [random.randint(-10, 10) for _ in range(3)]
             val = fm.evaluate_form(form, z)[0]
             assert Fraction(val) == nf.field_norm(field.element(z))
+
+
+def _sympy_norm_terms(min_poly, basis):
+    """Nonzero terms of Res_t(min_poly, sum_k x_k mu_k(t)), by sympy.
+
+    For monic min_poly this resultant is the norm of sum_k x_k mu_k; the
+    basis rows are the integer power-basis coordinates of the mu_k.
+    """
+    t, xs = Symbol("t"), symbols(f"x0:{len(basis)}")
+    lin = sum(x * sum(c * t ** j for j, c in enumerate(row))
+              for x, row in zip(xs, basis))
+    res = resultant(Poly(list(reversed(min_poly)), t),
+                    Poly(lin, t, domain=f"ZZ[{','.join(map(str, xs))}]"))
+    return {e: Fraction(int(c)) for e, c in Poly(res.as_expr(), *xs).terms()}
+
+
+def _norm_terms(min_poly, basis):
+    field = nf.create_field(min_poly)
+    form = fm.norm_form(field, [field.element(row) for row in basis])
+    return {e: c for e, c in zip(form.basis, form.expansions[0]) if c}
+
+
+@st.composite
+def _field_and_basis(draw):
+    """A monic irreducible polynomial of degree 2..4 and a full-rank basis."""
+    d = draw(st.integers(2, 4))
+    min_poly = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d)) + [1]
+    assume(pa.is_irreducible(min_poly))
+    basis = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                          min_size=d, max_size=d))
+    assume(linalg.rank(basis) == d)
+    return min_poly, basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_and_basis())
+def test_norm_form_matches_sympy_resultant(case):
+    assert _norm_terms(*case) == _sympy_norm_terms(*case)
+
+
+@pytest.mark.parametrize("min_poly, basis", [
+    ([-3, 1, 0, 0, 0, 1], None),                           # x^5 + x - 3
+    ([-3, 1, 0, 0, 0, 1], [[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, 2, 1, 0, 0],
+                           [0, 0, -1, 1, 0], [1, 0, 0, 1, 1]]),
+    ([2, 0, 0, 0, 0, 0, 1], None),                         # x^6 + 2
+    ([2, 0, 0, 0, 0, 0, 1], [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                             [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                             [1, 0, 0, 0, 1, 0], [0, -1, 0, 0, 0, 1]]),
+])
+def test_high_degree_norm_forms_match_sympy(min_poly, basis):
+    d = len(min_poly) - 1
+    basis = basis or [[int(i == j) for j in range(d)] for i in range(d)]
+    assert _norm_terms(min_poly, basis) == _sympy_norm_terms(min_poly, basis)
+
+
+def test_non_integral_norm_form_rejected(root2_field):
+    # N(x1 (1 + sqrt2)/2 + x2 sqrt2) has the coefficient -1/4 on x1^2
+    basis = [root2_field.element([Fraction(1, 2), Fraction(1, 2)]),
+             root2_field.element([0, 1])]
+    with pytest.raises(ArithmeticError, match="not integral"):
+        fm.norm_form(root2_field, basis)
 
 
 class TestGLInvariance:
