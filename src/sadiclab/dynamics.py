@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     CyclicPositions,
     NeedTwoPlaces,
+    RayOverflow,
     ShapeMismatch,
     TooFewSteps,
 )
@@ -139,7 +140,9 @@ class RaySchedule:
     direction[i] is the exponent vector for the diagonal entries at the
     i-th active place (sum zero, the determinant-one condition).  Each
     step is one parameter per active place: real at archimedean places,
-    integer at finite places (their value group is discrete).
+    integer at finite places (their value group is discrete).  An
+    archimedean parameter whose diagonal entries exp(par * c) overflow
+    float64 raises `RayOverflow`.
     """
 
     def __init__(self, places, direction, steps):
@@ -157,13 +160,21 @@ class RaySchedule:
             if len(step) != len(self.places):
                 raise ShapeMismatch("one parameter per active place in each step")
             row = []
-            for place, par in zip(self.places, step):
+            for place, direc, par in zip(self.places, self.direction, step):
                 if place.kind == "finite":
                     if int(par) != par:
                         raise ValueError("finite-place ray parameters must be integers")
                     row.append(int(par))
                 else:
-                    row.append(float(par))
+                    par = float(par)
+                    try:
+                        for c in direc:
+                            math.exp(par * c)
+                    except OverflowError:
+                        raise RayOverflow(
+                            f"ray parameter {par!r} at {place.name} overflows "
+                            "float64 in its diagonal entries") from None
+                    row.append(par)
             norm_steps.append(tuple(row))
         self.steps = norm_steps
 

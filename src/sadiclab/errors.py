@@ -63,6 +63,10 @@ class TooFewSteps(SadicLabError):
     """Trajectory too short to classify."""
 
 
+class RayOverflow(SadicLabError, OverflowError):
+    """An archimedean ray parameter puts a diagonal entry beyond float64."""
+
+
 class NeedTwoPlaces(SadicLabError):
     """Construction requires at least two places in S."""
 
@@ -77,6 +81,10 @@ class DependentFactors(SadicLabError):
 
 class DegenerateBasis(SadicLabError):
     """Basis elements do not generate the field over the rationals."""
+
+
+class NormFormNotIntegral(SadicLabError, ArithmeticError):
+    """A basis gives a norm form with a non-integral coefficient."""
 
 
 class PrecisionBudgetExceeded(SadicLabError):

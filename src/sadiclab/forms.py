@@ -27,6 +27,7 @@ from . import linalg
 from .errors import (
     DegenerateBasis,
     DependentFactors,
+    NormFormNotIntegral,
     NotInField,
     PrecisionBudgetExceeded,
     TooFewWindows,
@@ -632,7 +633,7 @@ def norm_form(field, basis_elems=None):
     det = minor(tuple(range(n)))
     coeffs = [det.get(expo, Fraction(0)) for expo in monomial_basis(n, n)]
     if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError("norm form expansion is not integral")
+        raise NormFormNotIntegral("norm form expansion is not integral")
     rational = create_field([0, 1])
     real_place = archimedean_places(rational)[0]
     factor_rows = _embedding_factors(field, mus)

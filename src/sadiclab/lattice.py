@@ -19,15 +19,17 @@ A cloud takes one n_out x n_in map per place, by default g itself;
 `_window_rows` is the package's one enumeration of the window.
 
 Trajectories, surveys and heat maps query one cloud under a whole schedule
-of diagonal steps through `PointCloud.systoles_under`.  It selects each
-step's minimizers in log space -- one matmul per archimedean place and one
-min-plus reduction per finite place over blocks of steps -- then re-checks
-every point within a derived error bound of the block minimum with the
-exact per-point float formula, so reported values and first-index
-witnesses are those of a point-by-point evaluation.  Steps whose dynamic
-range could leave the normal float64 range are evaluated point by point.
+of diagonal steps through `PointCloud.systoles_under`.  A point that an
+earlier point matches or beats in every coordinate modulus (real and
+imaginary parts apart at a complex place) and valuation is never the first
+minimizer of a step in the normal float64 range, so such a step is
+evaluated with the per-point formula on the cloud's skyline alone, and its
+values and first-index witnesses are those of a point-by-point evaluation.
+Steps whose dynamic range could leave the normal float64 range, and a
+single step (`systole_under`), are evaluated on the whole cloud.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,10 +45,10 @@ from .scalars import lift_exact, to_field, to_float
 _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
 
 # Schedule kernel constants (see PointCloud.systoles_under).
-_BLOCK_ELEMENTS = 1 << 15    # steps x points per log-space block
+_BLOCK_ELEMENTS = 1 << 13    # steps x skyline points per block
+_SKYLINE_BLOCK = 64          # rows per block of the skyline's filter
 _UNIT_ROUNDOFF = 2.0 ** -53
-_LOG_ULPS = 4                # accuracy assumed of numpy's float64 log
-_LOG2_RANGE = 960            # |log2| budget that keeps every term normal
+_LOG2_RANGE = 510            # |log2| budget that keeps every term normal
 
 
 class HeightWindow:
@@ -194,16 +196,10 @@ class PointCloud:
     coordinate multipliers / valuation shifts, so a whole trajectory
     reuses one enumeration.
 
-    Whole schedules of steps go through one kernel, `systoles_under`; a
-    single step (`systole_under`) is its one-step case.  For it the cloud
-    keeps, in point-major layout (n_out x count, contiguous), the squared
-    moduli |W_vj|^2 at each archimedean place and the finite valuations as
-    floats (+inf for a zero coordinate), with their per-coordinate ranges.
-    The kernel ranks points in log space, re-checks every near-tie with
-    the exact per-point formula (`norms_under`), and evaluates point by
-    point any step whose range could underflow or overflow float64.
-    The kernel's block arrays are allocated once per cloud and reused by
-    every block.  Witness strings are memoised per index.
+    Every minimum is read off one per-point formula (`norms_under`), over
+    the whole cloud for one step (`systole_under`) and over the `skyline`
+    for the steps in range of a schedule (`systoles_under`).  Witness
+    strings are memoised per index.
     """
 
     def __init__(self, lat, window, maps=None):
@@ -219,7 +215,6 @@ class PointCloud:
         self._formatted = {}
         self._build_arch()
         self._build_finite()
-        self._build_schedule_data()
 
     # -- construction helpers ------------------------------------------------
 
@@ -313,36 +308,6 @@ class PointCloud:
                 self._valuation_fallbacks += 1
         return vals
 
-    def _build_schedule_data(self):
-        """Point-major copies and per-coordinate log2 ranges for the kernel.
-
-        Coordinates that vanish on every point are left out of the ranges;
-        every point has a nonzero image at every place, because each map is
-        injective and the enumerated points are nonzero.  The ranges of
-        |W_vj|^2 are taken from |W_vj|, so a square that under- or
-        overflows in the cached copy still shows in them.
-        """
-        self._arch_sq = []
-        for place, W in self.arch:
-            mod = np.abs(W)
-            nonzero = mod > 0
-            used = nonzero.any(axis=0)
-            with np.errstate(divide="ignore"):
-                lo = 2 * np.log2(np.where(nonzero, mod, np.inf).min(axis=0))[used]
-                hi = 2 * np.log2(mod.max(axis=0))[used]
-            sq = W.real ** 2 + W.imag ** 2 if place.kind == "complex" else W * W
-            self._arch_sq.append((np.ascontiguousarray(sq.T), used, lo, hi))
-        self._fin_vals = []
-        for _, vals, _, _ in self.fin:
-            real = vals < _ZERO_VAL
-            used = real.any(axis=0)
-            lo = np.where(real, vals, _ZERO_VAL).min(axis=0)[used]
-            hi = np.where(real, vals, -_ZERO_VAL).max(axis=0)[used]
-            fvals = np.where(real, vals.astype(np.float64), np.inf)
-            self._fin_vals.append((np.ascontiguousarray(fvals.T), used, lo, hi))
-        self._block = max(1, _BLOCK_ELEMENTS // self.count)
-        self._buffers = None
-
     # -- exact points ----------------------------------------------------------
 
     def point(self, idx):
@@ -363,36 +328,29 @@ class PointCloud:
         """Witness string of one point, built once per index."""
         text = self._formatted.get(idx)
         if text is None:
-            parts = []
-            for elem in self.point(idx):
-                if elem.is_rational():
-                    parts.append(str(elem.coords[0]))
-                else:
-                    parts.append("(" + ",".join(str(c) for c in elem.coords) + ")")
-            text = self._formatted[idx] = "(" + ", ".join(parts) + ")"
+            text = self._formatted[idx] = \
+                "(" + ", ".join(str(e) for e in self.point(idx)) + ")"
         return text
 
     # -- norms under diagonal scaling -------------------------------------------
 
-    def _norms(self, rows, arch_mults, fin_shifts):
+    def _norms(self, arch_mults, fin_shifts, rows=slice(None)):
         """The exact per-point float formula for content and sup-norm.
 
-        rows selects points (None: the whole cloud).  A multiplier or shift
-        is either one length-n row for all points or one row per selected
-        point; either way each point sees the same float operations.
+        rows selects points (default: the whole cloud).  A multiplier or
+        shift is either one length-n row for all points or a (steps, 1, n)
+        stack of rows, which gives (steps, points) results; either way each
+        point sees the same float operations.
         """
-        size = self.count if rows is None else len(rows)
-        content = np.ones(size)
-        supnorm = np.zeros(size)
+        content, supnorm = 1.0, 0.0
         for k, (place, W) in enumerate(self.arch):
-            if rows is not None:
-                W = W[rows]
+            W = W[rows]
             mult = None if arch_mults is None else arch_mults[k]
             scaled = W if mult is None else W * np.asarray(mult)
             if place.kind == "complex":
                 # the norm is the sum of the squares: it leaves the float64
                 # range together with them
-                norm = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=1)
+                norm = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=-1)
             else:
                 # Each row is scaled by the power of two 2^-e that brings
                 # its largest entry into [1/2, 1) before squaring, and the
@@ -400,20 +358,19 @@ class PointCloud:
                 # under- or overflow while the norm is in range, and where
                 # no square left the normal range every step scales
                 # exactly, so no bit changes.
-                _, e = np.frexp(np.abs(scaled).max(axis=1))
-                unit = np.ldexp(scaled, -e[:, None])
-                norm = np.ldexp(np.sqrt((unit * unit).sum(axis=1)), e)
-            content *= norm
+                _, e = np.frexp(np.abs(scaled).max(axis=-1))
+                unit = np.ldexp(scaled, -e[..., None])
+                norm = np.ldexp(np.sqrt((unit * unit).sum(axis=-1)), e)
+            content = content * norm
             supnorm = np.maximum(supnorm, norm)
         for k, (place, vals, p, f) in enumerate(self.fin):
-            if rows is not None:
-                vals = vals[rows]
+            vals = vals[rows]
             shift = None if fin_shifts is None else fin_shifts[k]
             shifted = vals if shift is None else np.where(
                 vals >= _ZERO_VAL, vals, vals + np.asarray(shift, dtype=np.int64))
-            minval = shifted.min(axis=1)
+            minval = shifted.min(axis=-1)
             norm = np.power(float(p), -minval.astype(np.float64))
-            content *= norm
+            content = content * norm
             supnorm = np.maximum(supnorm, norm)
         return content, supnorm
 
@@ -427,11 +384,16 @@ class PointCloud:
 
         The point-by-point evaluation that `systoles_under` reproduces.
         """
-        return self._norms(None, arch_mults, fin_shifts)
+        return self._norms(arch_mults, fin_shifts)
 
     def systole_under(self, arch_mults=None, fin_shifts=None):
-        """(min_content, ic, min_supnorm, isup) under one diagonal step."""
-        return self.systoles_under([(arch_mults, fin_shifts)])[0]
+        """(min_content, ic, min_supnorm, isup) under one diagonal step.
+
+        `norms_under` over the whole cloud, first index of each minimum.
+        """
+        content, supnorm = self._norms(arch_mults, fin_shifts)
+        ic, isup = int(np.argmin(content)), int(np.argmin(supnorm))
+        return float(content[ic]), ic, float(supnorm[isup]), isup
 
     def systoles_under(self, steps):
         """Window systoles under every step of a schedule.
@@ -439,12 +401,12 @@ class PointCloud:
         steps is a list of (arch_mults, fin_shifts) pairs, one multiplier
         row per archimedean place and one valuation-shift row per finite
         place (None: unscaled).  Returns one (min_content, ic, min_supnorm,
-        isup) tuple per step: the floats of the per-point formula
-        (`norms_under`) and the first index attaining each minimum.
-        Steps run in blocks of about _BLOCK_ELEMENTS steps x points, so
-        the working memory does not grow with the schedule.
+        isup) tuple per step, that of `systole_under`.  A step in range is
+        evaluated on the `skyline` alone, in blocks of about _BLOCK_ELEMENTS
+        steps x skyline points, so the working memory does not grow with
+        the schedule; a step out of range on the whole cloud.
         """
-        n = len((self._arch_sq + self._fin_vals)[0][0])   # image coordinates
+        n = len(self.maps[0])   # image coordinates
         arch = [np.array([np.ones(n) if a is None or a[k] is None else a[k]
                           for a, _ in steps], dtype=np.float64).reshape(-1, n)
                 for k in range(len(self.arch))]
@@ -452,136 +414,110 @@ class PointCloud:
                          for _, f in steps], dtype=np.int64).reshape(-1, n)
                for k in range(len(self.fin))]
         # budget bounds, per step, the |log2| of every nonzero term, norm
-        # and partial product of both formulas below.
+        # and partial product of the per-point formula.
         budget = np.zeros(len(steps))
+        ranges = self._log2_ranges
         with np.errstate(all="ignore"):
-            for (_, used, lo, hi), mult in zip(self._arch_sq, arch):
-                lm = np.log2(mult[:, used] ** 2)
+            for (lo, hi), mult in zip(ranges, arch):
+                lm = np.log2(mult ** 2)
                 budget += np.maximum(np.abs((lo + lm).min(axis=1)),
                                      np.abs((hi + lm).max(axis=1) + math.log2(n)))
-            for (_, _, p, _), (_, used, lo, hi), shift in zip(
-                    self.fin, self._fin_vals, fin):
-                budget += math.log2(p) * np.maximum(
-                    np.abs((lo + shift[:, used]).min(axis=1)),
-                    np.abs((hi + shift[:, used]).max(axis=1)))
-        # A step is safe when budget <= _LOG2_RANGE: then every nonzero
-        # term, partial sum and partial product of both formulas lies in
-        # [2^-960, 2^960], so each operation rounds with relative error at
-        # most u = 2^-53 (a real or imaginary square that underflows moves
-        # its sum by at most 2^-115 relative), and the |ln| of the place
-        # norms of any point sum to at most lam = budget * ln 2.  With
-        # g(k) = k u / (1 - k u) and P places:
-        #   exact formula: a place norm takes at most n + 3 roundings
-        #     (scale, square, n - 1 additions, sqrt or modulus; pow, within
-        #     one ulp, counts as 2) and the content product one more, so
-        #     |ln F - ln T| <= eF = g(K) / (1 - g(K)), K = P (n + 4);
-        #   log space: |W|^2 (2 roundings), m^2 (1) and the matmul's
-        #     product and n - 1 additions, in any order, put each matmul
-        #     entry within g(n + 3) relatively, i.e. gA = g(n+3)/(1-g(n+3))
-        #     in ln; log adds _LOG_ULPS ulp, 2 _LOG_ULPS u relative to |ln|;
-        #     -v ln p, the P - 1 additions and the threshold sum add P + 2:
-        #     |L - ln T| <= beta = P gA + g(2 _LOG_ULPS + P + 2) lam.
-        # So F_i <= F_j implies L_i <= L_j + delta, delta = 2 (beta + eF):
-        # every point whose exact value ties or beats the log-space
-        # minimizer's is a candidate, and the candidates' exact values,
-        # scanned in index order, give today's minimum and first witness.
-        # Sup-norms are maxima of the same place terms, with smaller errors.
-        places = len(self.arch) + len(self.fin)
+            for (_, _, p, _), (lo, hi), shift in zip(self.fin, ranges[len(arch):], fin):
+                budget += math.log2(p) * np.maximum(np.abs((lo + shift).min(axis=1)),
+                                                    np.abs((hi + shift).max(axis=1)))
+        # A step is in range when budget <= _LOG2_RANGE.  Then every place
+        # norm is a nonzero finite float, and at a real place the nonzero
+        # squares of all points lie within 2^(2 _LOG2_RANGE) = 2^1020 of
+        # each other: divided by 4^e for the e of any point's largest
+        # entry (2^e is at most twice that entry), each stays at least
+        # 2^-1022, a normal float, so a row's norm has the same bits at any
+        # such e.  Every operation of the formula is then a monotone
+        # rounding of a function nondecreasing in each skyline feature, so
+        # a point that an earlier point matches or beats in every feature
+        # never attains a minimum first, and the first minimizer over the
+        # skyline is that over the cloud.  Out of range, 0 * inf can give
+        # NaN, which np.argmin returns first.
         safe = budget <= _LOG2_RANGE
-        delta = 2 * (places * _log_gamma(n + 3) + _log_gamma(places * (n + 4))
-                     + _gamma(2 * _LOG_ULPS + places + 2) * budget * math.log(2))
-        out = []
-        for start in range(0, len(steps), self._block):
-            part = slice(start, start + self._block)
-            out.extend(self._block_systoles(
-                [m[part] for m in arch], [s[part] for s in fin],
-                delta[part], safe[part]))
+        out = [None if ok else
+               self.systole_under([m[s] for m in arch], [sh[s] for sh in fin])
+               for s, ok in enumerate(safe)]
+        todo = np.flatnonzero(safe)
+        if todo.size:
+            sky = self.skyline
+            block = max(1, _BLOCK_ELEMENTS // len(sky))
+            for start in range(0, len(todo), block):
+                part = todo[start:start + block]
+                content, supnorm = self._norms([m[part, None] for m in arch],
+                                               [sh[part, None] for sh in fin], sky)
+                for s, c, u in zip(part, content, supnorm):
+                    ic, iu = np.argmin(c), np.argmin(u)
+                    out[s] = (float(c[ic]), int(sky[ic]), float(u[iu]), int(sky[iu]))
         return out
 
-    def _block_buffers(self, steps):
-        """The kernel's work arrays, cut to the first `steps` rows.
+    @functools.cached_property
+    def skyline(self):
+        """Ascending indices of the points no earlier point matches or beats.
 
-        ln content, ln supnorm, one place's ln norms, a scratch array and
-        the two candidate masks, allocated once per cloud at the block
-        shape: every block writes into the same pages instead of faulting
-        in fresh ones.
+        The features are |W_vj| at a real place, |Re W_vj| and |Im W_vj|
+        at a complex place and -v_vj at a finite place (`_skyline`).
         """
-        if self._buffers is None:
-            shape = (self._block, self.count)
-            self._buffers = ([np.empty(shape) for _ in range(4)]
-                             + [np.empty(shape, dtype=bool) for _ in range(2)])
-        return [a[:steps] for a in self._buffers]
+        columns = []
+        for place, W in self.arch:
+            columns += [W.real, W.imag] if place.kind == "complex" else [W]
+        columns = [np.abs(c) for c in columns]
+        columns += [-vals.astype(np.float64) for _, vals, _, _ in self.fin]
+        return _skyline(np.concatenate(columns, axis=1))
 
-    def _log_norms(self, arch, fin, ell, scratch):
-        """Per place, ln |.|_v of the images, written into ell (steps x points)."""
-        for (place, _), (sq, _, _, _), mult in zip(self.arch, self._arch_sq, arch):
-            np.matmul(mult * mult, sq, out=ell)
-            np.log(ell, out=ell)
-            if place.kind == "real":
-                ell *= 0.5
-            yield ell
-        for (_, _, p, _), (fvals, _, _, _), shift in zip(self.fin, self._fin_vals, fin):
-            fshift = shift.astype(np.float64)
-            np.add(fvals[0], fshift[:, :1], out=ell)
-            for j in range(1, len(fvals)):
-                np.minimum(ell, np.add(fvals[j], fshift[:, j:j + 1], out=scratch),
-                           out=ell)
-            ell *= -math.log(p)
-            yield ell
+    @functools.cached_property
+    def _log2_ranges(self):
+        """Per place, (lo, hi) over the points of each image coordinate.
 
-    def _block_systoles(self, arch, fin, delta, safe):
-        """systoles_under on one block of stacked multipliers and shifts."""
-        # Log space: per step and point, total = ln content and top =
-        # ln supnorm, up to the rounding bounded by delta.
-        total, top, ell, scratch, cand, near = self._block_buffers(len(delta))
-        with np.errstate(all="ignore"):
-            for k, logs in enumerate(self._log_norms(arch, fin, ell, scratch)):
-                if k == 0:
-                    np.copyto(total, logs)
-                    np.copyto(top, logs)
-                else:
-                    np.add(total, logs, out=total)
-                    np.maximum(top, logs, out=top)
-            np.less_equal(total, (total.min(axis=1) + delta)[:, None], out=cand)
-            cand |= np.less_equal(top, (top.min(axis=1) + delta)[:, None], out=near)
-        if not safe.all():
-            cand &= safe[:, None]
-        at, rows = np.divmod(np.flatnonzero(cand), self.count)
-        content, supnorm = self._norms(rows, [m[at] for m in arch],
-                                       [s[at] for s in fin])
-        out = [None] * len(delta)
-        for s, ic, mc, isup, ms in zip(*_first_minima(at, rows, content),
-                                       *_first_minima(at, rows, supnorm)[1:]):
-            out[s] = (float(mc), int(ic), float(ms), int(isup))
-        # Out-of-range steps (underflow, overflow, zero multipliers) are
-        # evaluated point by point.
-        for s in np.flatnonzero(~safe):
-            content, supnorm = self._norms(None, [m[s] for m in arch],
-                                           [sh[s] for sh in fin])
-            ic = int(np.argmin(content))
-            isup = int(np.argmin(supnorm))
-            out[s] = (float(content[ic]), ic, float(supnorm[isup]), isup)
-        return out
+        Of log2 |W_vj|^2, from |W_vj| so that a square out of the float64
+        range still shows, or of the finite valuations; zeros are left out,
+        and an all-zero coordinate gets lo > hi, which no extremum picks.
+        """
+        ranges = []
+        for _, W in self.arch:
+            mod = np.abs(W)
+            with np.errstate(divide="ignore"):
+                ranges.append((2 * np.log2(np.where(mod > 0, mod, np.inf).min(axis=0)),
+                               2 * np.log2(mod.max(axis=0))))
+        for _, vals, _, _ in self.fin:
+            real = vals < _ZERO_VAL
+            ranges.append((np.where(real, vals, _ZERO_VAL).min(axis=0),
+                           np.where(real, vals, -_ZERO_VAL).max(axis=0)))
+        return ranges
+
+
+def _skyline(features):
+    """Ascending indices of the rows that no earlier row matches or beats.
+
+    Row i is left out when a row k < i has features[k] <= features[i] in
+    every column; then so has a kept row (follow such rows down from k).
+    So the rows are taken in index order, a block at a time: a block keeps
+    its rows that no row of the block matches or beats, and those drop
+    every later row they match or beat.
+    """
+    rest, kept = np.arange(len(features)), []
+    while rest.size:
+        block, rest = rest[:_SKYLINE_BLOCK], rest[_SKYLINE_BLOCK:]
+        block = block[~_dominated(features, block, block)]
+        kept.append(block)
+        rest = rest[~_dominated(features, block, rest)]
+    return np.concatenate(kept)
+
+
+def _dominated(features, by, rows):
+    """Mask over rows: a row of `by` with a smaller index is no worse anywhere."""
+    drop = by[:, None] < rows[None, :]
+    for column in features.T:
+        drop &= column[by, None] <= column[None, rows]
+    return drop.any(axis=0)
 
 
 def _gamma(k):
     """Higham's gamma_k: the relative error bound of k roundings."""
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
-
-
-def _log_gamma(k):
-    """Bound on |ln(1 + t)| for |t| <= gamma_k."""
-    return _gamma(k) / (1 - _gamma(k))
-
-
-def _first_minima(steps, rows, values):
-    """Per step, ascending: (step, first row attaining the least value, value)."""
-    order = np.lexsort((rows, values, steps))
-    s = steps[order]
-    first = np.ones(len(s), dtype=bool)
-    first[1:] = s[1:] != s[:-1]
-    order = order[first]
-    return steps[order], rows[order], values[order]
 
 
 def _residue(u, h, f, modulus):
@@ -660,8 +596,9 @@ class SystoleReport:
 def systole(lat, window):
     """Window-restricted minima of content and sup-norm with witnesses.
 
-    Lower bounds of the true systoles: conclusive when small, window-
-    limited when large.
+    Upper bounds of the true systoles, attained by the witnesses: a small
+    one is conclusive, a large one only says the window holds no shorter
+    vector.
     """
     cloud = PointCloud(lat, window)
     mc, ic, ms, isup = cloud.systole_under()

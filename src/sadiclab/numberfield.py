@@ -257,6 +257,12 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({[str(c) for c in self.coords]})"
 
+    def __str__(self):
+        """`2` for a rational element, `(c0,c1,...)` of its coordinates otherwise."""
+        if self.is_rational():
+            return str(self.coords[0])
+        return "(" + ",".join(str(c) for c in self.coords) + ")"
+
 
 # ---------------------------------------------------------------------------
 # Places
@@ -289,28 +295,14 @@ class RealPlace(Place):
         return RealPlace(self.field, lo, hi, self.index)
 
     def root(self, dps=None):
-        dps = dps or DEFAULT_DPS
-        if dps in self._roots:
-            return self._roots[dps]
-        m = list(map(Fraction, self.field.min_poly))
         if self.field.degree == 1:
-            val = mpf(-self.field.min_poly[0])
-            self._roots[dps] = val
-            return val
-        lo, hi = pa.refine_real_root(m, self.lo, self.hi, Fraction(1, 2 ** 30))
-        with mp.workdps(dps + 15):
-            x = (mpf(lo.numerator) / lo.denominator + mpf(hi.numerator) / hi.denominator) / 2
-            dm = pa.derivative(m)
-            for _ in range(dps + 20):
-                fx = _horner_mp(m, x)
-                dfx = _horner_mp(dm, x)
-                step = fx / dfx
-                x = x - step
-                if abs(step) < mpf(10) ** (-(dps + 10)):
-                    break
-            x = +x
-        self._roots[dps] = x
-        return x
+            return mpf(-self.field.min_poly[0])
+
+        def start(m):
+            lo, hi = pa.refine_real_root(m, self.lo, self.hi, Fraction(1, 2 ** 30))
+            return (mpf(lo.numerator) / lo.denominator
+                    + mpf(hi.numerator) / hi.denominator) / 2
+        return _newton_root(self._roots, self.field.min_poly, dps, start)
 
     def root_float(self):
         return float(self.root(17))
@@ -353,24 +345,10 @@ class ComplexPlace(Place):
         return ComplexPlace(self.field, re, im, self.radius / factor, self.index)
 
     def root(self, dps=None):
-        dps = dps or DEFAULT_DPS
-        if dps in self._roots:
-            return self._roots[dps]
-        m = list(map(Fraction, self.field.min_poly))
-        dm = pa.derivative(m)
-        with mp.workdps(dps + 15):
-            x = mpc(mpf(self.center[0].numerator) / self.center[0].denominator,
-                    mpf(self.center[1].numerator) / self.center[1].denominator)
-            for _ in range(dps + 20):
-                fx = _horner_mp(m, x)
-                dfx = _horner_mp(dm, x)
-                step = fx / dfx
-                x = x - step
-                if abs(step) < mpf(10) ** (-(dps + 10)):
-                    break
-            x = +x
-        self._roots[dps] = x
-        return x
+        re, im = self.center
+        return _newton_root(self._roots, self.field.min_poly, dps,
+                            lambda m: mpc(mpf(re.numerator) / re.denominator,
+                                          mpf(im.numerator) / im.denominator))
 
     def root_float(self):
         return complex(self.root(17))
@@ -461,6 +439,27 @@ class FinitePlace(Place):
 
     def __repr__(self):
         return f"FinitePlace(p={self.p}, f={self.residue_degree}, N={self.precision})"
+
+
+def _newton_root(roots, min_poly, dps, start):
+    """Newton's iteration for min_poly from start(m), memoised per dps in roots.
+
+    m is min_poly over Fraction; the iteration runs at dps + 15 digits
+    until a step is below 10^-(dps + 10).
+    """
+    dps = dps or DEFAULT_DPS
+    if dps not in roots:
+        m = list(map(Fraction, min_poly))
+        dm = pa.derivative(m)
+        with mp.workdps(dps + 15):
+            x = start(m)
+            for _ in range(dps + 20):
+                step = _horner_mp(m, x) / _horner_mp(dm, x)
+                x = x - step
+                if abs(step) < mpf(10) ** (-(dps + 10)):
+                    break
+            roots[dps] = +x
+    return roots[dps]
 
 
 def _horner_mp(coeffs, x):

@@ -222,6 +222,38 @@ class TestRun:
             "error: finite-place entry QuadraticSurd(0 + 1*sqrt(2)) at p7_0 "
             "is not an exact element of K\n")
 
+    def test_non_integral_norm_form_is_an_error_line(self, tmp_path, capsys):
+        config = {"min_poly": [0, 1],
+                  "form": {"norm_field": {"min_poly": [-2, 0, 1],
+                                          "basis": [["1/2", "1/2"], [0, 1]]}}}
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "norm-form"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: norm form expansion is not integral\n"
+
+    @pytest.mark.parametrize("grid", [[], ["--grid=-800:800:3,-2:2"]])
+    def test_overflowing_ray_parameter_is_an_error_line(self, tmp_path, capsys,
+                                                        grid):
+        # the staircase rays balance ln 401 at the real place: 12 * 10 *
+        # ln 401 is about 719, and e^719 overflows float64
+        config = {"min_poly": [0, 1],
+                  "places": {"archimedean": "all", "finite_primes": [401]},
+                  "window": {"H": 3, "E": 1}}
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "orbit-survey"] + grid)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ray parameter ") and " at r0 " in err
+        assert err.count("\n") == 1
+
+    def test_largest_ray_parameter_in_range_runs(self, tmp_path):
+        # 12 * 10 * ln 367 is about 708.6, below ln(max float64), about 709.8
+        config = {"min_poly": [0, 1],
+                  "places": {"archimedean": "all", "finite_primes": [367]},
+                  "window": {"H": 3, "E": 1}}
+        assert cli.run("orbit-survey", config, str(tmp_path)) == 0
+
     def test_form_spectrum_square_radicand_spellings_agree(self, tmp_path):
         # {"b": 1} is 1*sqrt(1) = 1: both spellings are x (x + sqrt2 y)
         outputs = []

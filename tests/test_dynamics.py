@@ -11,6 +11,7 @@ from sadiclab.surd import QuadraticSurd
 from sadiclab.errors import (
     CyclicPositions,
     NeedTwoPlaces,
+    RayOverflow,
     ShapeMismatch,
     TooFewSteps,
 )
@@ -89,7 +90,7 @@ class TestMixedScalars:
         for place in places:
             dy.TorusElement(K, [place], 2, [[K.element([2]),
                                              QuadraticSurd(Fraction(1, 2))]])
-            with pytest.raises(ValueError, match=r"^det at \w+ is FieldElement"):
+            with pytest.raises(ValueError, match=r"^det at \w+ is 2, not 1$"):
                 dy.TorusElement(K, [place], 2, [[K.element([2]), QuadraticSurd(1)]])
 
     def test_irrational_surd_beside_field_element(self, root2_field):
@@ -105,6 +106,16 @@ class TestMixedScalars:
             dy.TorusElement(rationals, q_inf, 2, [[Fraction(2), 1]])
         with pytest.raises(ValueError, match=r"^det at r0 is 2\.0, not 1$"):
             dy.TorusElement(rationals, q_inf, 2, [[2.0, 1.0]])
+
+
+class TestRaySchedule:
+    def test_overflowing_archimedean_parameter_rejected(self, q_inf2):
+        # e^709 is a float64 and e^710 is not; finite-place parameters stay exact
+        direction = [(1, -1), (1, -1)]
+        dy.RaySchedule(q_inf2, direction, [(709.0, 5000), (-709.0, -5000)])
+        for par in (710.0, -710.0):
+            with pytest.raises(RayOverflow, match=rf"^ray parameter {par} at r0 "):
+                dy.RaySchedule(q_inf2, direction, [(par, 0)])
 
 
 class TestTrajectory:

@@ -114,6 +114,13 @@ def test_equality_with_rationals(gauss, coords, q):
     assert (x == q) == (x - q).is_zero() == (q == x)
 
 
+@pytest.mark.parametrize("coords, text", [
+    ([0, 0], "0"), ([3, 0], "3"), (["-1/2", 0], "-1/2"),
+    ([0, 1], "(0,1)"), (["1/2", -3], "(1/2,-3)")])
+def test_str_spells_elements_as_witnesses_do(gauss, coords, text):
+    assert str(gauss.element(coords)) == text
+
+
 class TestLocalAbs:
     def test_two_plus_i_above_five(self, gauss):
         v1, v2 = nf.finite_places(gauss, 5)

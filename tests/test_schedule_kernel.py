@@ -1,18 +1,19 @@
 """Differential tests of the schedule kernel against point-by-point evaluation.
 
-`PointCloud.systoles_under` picks minimizers in log space and re-checks the
-near-ties exactly; the reference below evaluates every point at every step
-with the per-point float formula of `PointCloud._norms` and takes the first
+`PointCloud.systoles_under` evaluates each step in range on the cloud's
+skyline only; the reference below evaluates every point at every step with
+the per-point float formula of `PointCloud._norms` and takes the first
 index of each minimum (real-place rows rescaled by a power of two before
-squaring).  Values and witness indices must agree exactly.
+squaring).  Values and witness indices must agree exactly.  The skyline
+itself is checked against its definition by brute force.
 """
 
 import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
 
 from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
@@ -128,13 +129,27 @@ def test_schedule_kernel_matches_point_by_point(data):
 
 def test_blocks_cover_long_schedules():
     cloud = _cloud("q-identity")
-    block = lt._BLOCK_ELEMENTS // cloud.count
-    schedule = [([np.array([math.exp(0.1 * i), math.exp(-0.1 * i)])],
+    block = lt._BLOCK_ELEMENTS // len(cloud.skyline)
+    # periodic parameters keep every step in range, so the skyline path
+    # runs three full blocks and a last one of a single step
+    schedule = [([np.array([math.exp(0.1 * (i % 100)), math.exp(-0.1 * (i % 100))])],
                  [np.array([i % 7, -(i % 7)], dtype=np.int64)])
                 for i in range(3 * block + 1)]
     got = cloud.systoles_under(schedule)
     assert got == [reference_systole(cloud, *step) for step in schedule]
     assert cloud.systole_under(*schedule[-1]) == got[-1]
+
+
+def test_one_step_reads_the_whole_cloud_without_a_skyline():
+    q = nf.create_field([0, 1])
+    places = nf.archimedean_places(q) + nf.finite_places(q, 2)
+    cloud = lt.PointCloud(lt.SLattice(q, places, 2, [_eye(2)] * 2),
+                          lt.HeightWindow(6, 2))
+    step = ([np.array([2.0, 0.5])], [np.array([1, -1], dtype=np.int64)])
+    assert cloud.systole_under(*step) == reference_systole(cloud, *step)
+    assert "skyline" not in vars(cloud)
+    assert cloud.systoles_under([step]) == [cloud.systole_under(*step)]
+    assert "skyline" in vars(cloud)
 
 
 def test_out_of_range_steps_alone_and_mixed():
@@ -163,35 +178,39 @@ def test_long_ray_step_keeps_underflowing_squares():
     assert cloud.format_point(idx) == "(1, 0, 0)"
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(2.0 ** -960, 2.0 ** 960), min_size=1, max_size=64))
-def test_numpy_log_within_assumed_ulps(values):
-    # The kernel's error bound assumes numpy's float64 log (here on its
-    # vectorized array path) is within _LOG_ULPS ulp of the true logarithm.
-    got = np.log(np.array(values))
-    with mp.workdps(40):
-        for x, y in zip(values, got):
-            exact = mp.log(mpf(x))
-            assert abs(mpf(float(y)) - exact) <= lt._LOG_ULPS * math.ulp(float(exact))
+def brute_skyline(features):
+    """Rows that no row of smaller index matches or beats in every column."""
+    return [i for i in range(len(features))
+            if not any((features[k] <= features[i]).all() for k in range(i))]
 
 
-def test_block_buffers_reused_across_short_last_blocks():
-    # Schedules whose lengths are not multiples of the block end on a short
-    # block that writes into leading rows of the cloud's block arrays; a
-    # later, longer schedule reuses the same arrays over stale contents.
-    cloud = _cloud("gauss-identity")
-    block = cloud._block
-    assert 1 < block < 100
-    schedule = [([np.array([math.exp(0.05 * i), math.exp(-0.05 * i)])],
-                 [np.array([i % 5, -(i % 5)], dtype=np.int64),
-                  np.array([-(i % 3), i % 3], dtype=np.int64)])
-                for i in range(2 * block + 3)]
-    buffers = None
-    for length in (len(schedule), block // 2, len(schedule)):
-        part = schedule[:length]
-        assert length % block
-        assert cloud.systoles_under(part) == [
-            reference_systole(cloud, *step) for step in part]
-        assert buffers is None or all(
-            a is b for a, b in zip(buffers, cloud._buffers))
-        buffers = cloud._buffers
+@st.composite
+def feature_matrices(draw):
+    # few distinct values and rows drawn from a small pool: many exact ties
+    # and duplicate rows at different indices
+    cols = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                         min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=150))
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feature_matrices())
+def test_skyline_matches_definition(features):
+    assert lt._skyline(features).tolist() == brute_skyline(features)
+
+
+@pytest.mark.parametrize("name", CLOUDS)
+def test_cloud_skyline_matches_definition(name):
+    # features as documented on PointCloud.skyline: |W| at a real place,
+    # |Re W| and |Im W| at a complex place, minus the valuation at a finite one
+    cloud = _cloud(name)
+    columns = []
+    for place, W in cloud.arch:
+        columns += [np.abs(W.real), np.abs(W.imag)] if place.kind == "complex" \
+            else [np.abs(W)]
+    columns += [-vals.astype(np.float64) for _, vals, _, _ in cloud.fin]
+    features = np.concatenate(columns, axis=1)
+    assert cloud.skyline.tolist() == brute_skyline(features)
+    assert 0 < len(cloud.skyline) < cloud.count
