@@ -182,8 +182,10 @@ class DecomposableForm:
 
     def magnitudes(self, z, dps=None):
         """(per-place normalized magnitudes, their product)."""
-        dps = dps or DEFAULT_DPS
-        vals = self.evaluate(z)
+        return self._magnitudes_of(self.evaluate(z), dps or DEFAULT_DPS)
+
+    def _magnitudes_of(self, vals, dps):
+        """`magnitudes` of the per-place exact values `vals`."""
         mags = []
         with mp.workdps(dps + 5):
             total = mpf(1)
@@ -305,8 +307,9 @@ def _spectrum_from_pairs(pairs, window, cap):
     pairs.sort(key=lambda t: t[0])
     entries = []
     last = None
+    tol = mpf(10) ** (-30)
     for mag, wit in pairs:
-        if last is not None and abs(mag - last) < mpf(10) ** (-30):
+        if last is not None and abs(mag - last) < tol:
             entries[-1].count += 1
             continue
         entries.append(SpectrumEntry(float(mag), wit, True))
@@ -324,33 +327,41 @@ def _spectrum_from_pairs(pairs, window, cap):
 def value_spectrum(form, window, magnitude_cap=None, dps=None):
     """Distinct nonzero value magnitudes of f on the window of O^n.
 
-    With a magnitude cap and a planar all-archimedean exact form, a float64
-    prefilter with an error bound derived from its own operations scans
-    the full box; of the points it keeps, exact integer arithmetic finds
-    the zeros and only the rest are evaluated exactly (see
-    `_value_spectrum_fast`), so the result is that of the exact scan.
-    Without a cap every point of the window is evaluated exactly, and the
-    window must stay below the enumeration cap.
+    A form with real places only, over a degree-1 field and with exact
+    expansions, has the value (A + B sqrt(d)) / D at an integer point, with
+    exact integers A and B: `_integer_refine` finds its zeros in integers
+    and evaluates only the other points, bit-identically to `magnitudes`.
+    With a magnitude cap a planar such form goes through
+    `_value_spectrum_fast`, whose float64 prefilter, with an error bound
+    derived from its own operations, scans only the strips where a value
+    below the cap can lie (or the box) before the refine.  Without a cap
+    the window is scanned in `_window_rows`' height-shell order, which
+    picks the witnesses, and every other form is evaluated point by point.
+    Either way the result is that of the exact scan; the window must stay
+    below the enumeration cap.
     """
     dps = dps or DEFAULT_DPS
-    if magnitude_cap is not None and _fast_scan_ok(form):
+    if magnitude_cap is not None and form.n == 2 and _integer_ok(form):
         return _value_spectrum_fast(form, window, magnitude_cap, dps)
     d = form.field.degree
     primes = sorted({p.p for p in form.places if p.kind == "finite"})
     numerators, eexp = _window_rows(form.n * d, primes, window)
-    pairs = []
-    zero_count = 0
-    with mp.workdps(dps + 5):
-        for row, exps in zip(numerators.tolist(), eexp.tolist()):
-            denom = math.prod(p ** e for p, e in zip(primes, exps))
-            z = _grid_point(form.field, row, denom, form.n, d)
-            mags, total = form.magnitudes(z, dps)
-            if total == 0:
-                zero_count += 1
-                continue
-            if magnitude_cap is not None and total > magnitude_cap:
-                continue
-            pairs.append((total, _format_z(z)))
+    if _integer_ok(form):
+        pairs, zero_count = _integer_refine(form, numerators, dps,
+                                            magnitude_cap)
+    else:
+        pairs, zero_count = [], 0
+        with mp.workdps(dps + 5):
+            for row, exps in zip(numerators.tolist(), eexp.tolist()):
+                denom = math.prod(p ** e for p, e in zip(primes, exps))
+                z = _grid_point(form.field, row, denom, form.n, d)
+                mags, total = form.magnitudes(z, dps)
+                if total == 0:
+                    zero_count += 1
+                    continue
+                if magnitude_cap is not None and total > magnitude_cap:
+                    continue
+                pairs.append((total, _format_z(z)))
     spec = _spectrum_from_pairs(pairs, window, magnitude_cap)
     spec.zero_count = zero_count
     spec._candidates = len(numerators)
@@ -364,8 +375,10 @@ def _grid_point(field, row, denom, n, d):
             * Fraction(1, denom) for j in range(n)]
 
 
-def _fast_scan_ok(form):
-    return (form.n == 2 and form.field.degree == 1
+def _integer_ok(form):
+    """Real places over a degree-1 field and exact expansions: the forms
+    whose values `_integer_refine` computes in integers."""
+    return (form.field.degree == 1
             and all(p.kind == "real" for p in form.places)
             and all(form.exact_at(k) for k in range(len(form.places))))
 
@@ -373,16 +386,109 @@ def _fast_scan_ok(form):
 _BLOCK = 1 << 15                   # points per prefilter block / exact batch
 
 
+def _integer_values(form, points):
+    """Per place (A, B), object arrays with f(z) = (A + B sqrt(d)) / D.
+
+    (P, Q, D, d) are the place's `_integer_expansions`; z runs over the
+    rows of the integer array `points`, A = sum_k P_k z^e_k and
+    B = sum_k Q_k z^e_k in exact (object-dtype) integers.
+    """
+    cols = points.astype(object).T
+    monos = [math.prod(c ** e for c, e in zip(cols, expo) if e)
+             for expo in form.basis]
+    zero = np.zeros(len(points), dtype=object)
+    return [(sum((p * mono for p, mono in zip(P, monos) if p), zero),
+             sum((q * mono for q, mono in zip(Q, monos) if q), zero))
+            for P, Q, _, _ in form._integer_expansions]
+
+
+def _integer_refine(form, points, dps, cap=None):
+    """(pairs, zero_count) of an `_integer_ok` form over integer `points`.
+
+    The rows z of `points` are visited in order, in batches of at most
+    2^15.  With (A, B) from `_integer_values`, f is 0 at a place exactly
+    when A = B = 0, since d is 1 or not a square; such points only count
+    in `zero_count`.  Every other point is refined by `_refined_magnitude`
+    and dropped when its magnitude exceeds `cap`.  It takes the direct
+    formula (`roots` given) when no place has a field-element coefficient
+    and the a-priori bound (sum_k |P_k| + |Q_k|) max |z_i|^m on |A| and
+    |B| has at most prec bits.
+    """
+    exps = form._integer_expansions
+    top = int(np.abs(points).max(initial=0)) ** form.m
+    bound = max((sum(map(abs, P + Q)) * top for P, Q, _, _ in exps),
+                default=0)
+    pairs, zero_count = [], 0
+    with mp.workdps(dps + 5):
+        roots = None
+        if bound.bit_length() <= mp.prec and not any(
+                isinstance(c, FieldElement) for c in map(_value_zero,
+                                                        form.expansions)):
+            roots = [mp.sqrt(d) for _, _, _, d in exps]
+        for s in range(0, len(points), _BLOCK):
+            block = points[s:s + _BLOCK]
+            values = _integer_values(form, block)
+            zero = np.zeros(len(block), dtype=bool)
+            for A, B in values:
+                zero |= (A == 0) & (B == 0)
+            zero_count += int(zero.sum())
+            for i in np.flatnonzero(~zero).tolist():
+                total = _refined_magnitude(
+                    form, [(A[i], B[i]) for A, B in values], dps, roots)
+                if cap is not None and total > cap:
+                    continue
+                pairs.append((total, _format_z(block[i].tolist())))
+    return pairs, zero_count
+
+
+def _value_zero(exp):
+    """0 as the scalar type `evaluate` returns at a place with expansion
+    `exp`: the largest type of its nonzero coefficients."""
+    return _sum_scalars([mul(c, 0) for c in exp if c != 0])
+
+
+def _refined_magnitude(form, parts, dps, roots):
+    """The mpf `magnitudes` gives at a point where f = (A + B sqrt(d)) / D
+    at each place, (A, B) in `parts`; f is nonzero at every place.
+
+    The value at a place is the reduced surd a + b sqrt(d), a = A / D and
+    b = B / D, and `to_mpf` computes mpf(num(a)) / den(a) + mpf(num(b)) /
+    den(b) * sqrt(d) at dps + 5 digits (a `Fraction` value, b = 0, gives
+    the same bits).  While |A| and |B| stay below 2^prec, mpf(A) / D and
+    mpf(num(a)) / den(a) are both the correctly rounded quotient of one
+    rational, so the same formula on the unreduced A, B and D, with
+    `roots` the places' sqrt(d) at dps + 5 digits, gives the same bits.
+    With `roots` None (past that bound, or beside a `FieldElement`
+    coefficient, which is embedded with its own rounding) the value is
+    rebuilt as the scalar `evaluate` returns, the surd lifted by
+    `_value_zero`, and goes through `_magnitudes_of`, the tail of
+    `magnitudes`.  Runs at dps + 5 digits.
+    """
+    exps = form._integer_expansions
+    if roots is None:
+        return form._magnitudes_of(
+            [add(_value_zero(exp), QuadraticSurd(Fraction(A, D),
+                                                 Fraction(B, D), d))
+             for exp, (A, B), (_, _, D, d)
+             in zip(form.expansions, parts, exps)], dps)[1]
+    total = mpf(1)
+    for (A, B), (_, _, D, _), root in zip(parts, exps, roots):
+        total *= abs(mpf(A) / D + mpf(B) / D * root)
+    return +total
+
+
 def _value_spectrum_fast(form, window, cap, dps):
     """Capped spectrum of a planar real form: float prefilter, exact refine.
 
-    The prefilter scans the box x in [0, H], y in [-H, H] (x = 0 with
-    y > 0: one point per sign class) in blocks of about 2^15 points and
-    keeps every point whose float lower bound on |f| is <= cap.  Per place
-    f = sum_k c_k x^e1 y^e2, evaluated by Horner's rule in y with the
-    column coefficients c_k x^e1.  In the standard model of float64
-    arithmetic (no overflow or underflow; Higham, *Accuracy and Stability
-    of Numerical Algorithms*, ch. 3):
+    The scan visits the box x in [0, H], y in [-H, H] (x = 0 with y > 0:
+    one point per sign class), or only the part of it that `_strips`
+    returns, in blocks of about 2^15 points (`_scan_blocks`), and keeps
+    every point whose float lower bound on |f| is <= cap; the kept points
+    are deduplicated and put in scan order (x, then y), which picks the
+    witnesses.  Per place f = sum_k c_k x^e1 y^e2, evaluated by
+    Horner's rule in y with the column coefficients c_k x^e1.  In the
+    standard model of float64 arithmetic (no overflow or underflow;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
 
     * float(c_k) rounds a and b of c_k = a + b sqrt(d), sqrt(d), one
       product and one sum: |fl(c_k) - c_k| <= gamma_4 w_k with
@@ -392,7 +498,7 @@ def _value_spectrum_fast(form, window, cap, dps):
       on the leading one: at most 2m per term;
     * so |acc - f| <= gamma_(2m+4) sum_k w_k x^e1 |y|^e2
       <= gamma_(2m+4) S(x) with S(x) = sum_k w_k x^e1 H^e2, one bound per
-      row.  S is itself computed in float with relative error far below
+      point.  S is itself computed in float with relative error far below
       1/2, so delta = 2 gamma_(2m+4) S(x) bounds |acc - f|.
 
     Over the places the product of max(|acc| - delta, 0) is a lower bound
@@ -400,89 +506,152 @@ def _value_spectrum_fast(form, window, cap, dps):
     places, which the relative margin 4Pu on the cap covers.  A NaN from
     inf - inf keeps its point.
 
-    The kept points are refined in batches of at most 2^15: with the
-    coefficients (P_k + Q_k sqrt(d)) / D of `_integer_expansions`, the
-    value at a place is (A + B sqrt(d)) / D with exact integers A and B, and
-    since d is 1 or not a square it is 0 exactly when A = B = 0.  Such
-    points only count in `zero_count`; the rest go through
-    `form.magnitudes`, so kept magnitudes, dedup and witnesses are those
-    of the exact evaluation.  `candidates` counts the kept points.
+    Strips (`_strips`): when f is exactly the product of its M = P m
+    factors L, |f| <= cap needs some |L| <= r with r^M >= cap (checked in
+    `Fraction`s), so only the strips |L| <= r are scanned, each endpoint
+    widened by 2 gamma_6 (W_t H + r W_inv), twice the float error of
+    computing it.  Every point of the box that the exact scan keeps,
+    zeros included, lies on a strip, so the strips change only
+    `candidates`, the number of kept points.
+
+    The kept points go through `_integer_refine`: zeros are A = B = 0 in
+    exact integers, and each other magnitude is the mpf that `magnitudes`
+    returns, bit for bit, because mpf(A) / D and the surd's
+    mpf(num(A/D)) / den(A/D) are both the correctly rounded quotient of
+    one rational (`_refined_magnitude`).  So kept magnitudes, dedup and
+    witnesses are those of the exact evaluation.
     """
     H, m = window.H, form.m
     exps = form._integer_expansions
-    columns = []  # per place: (e1, e2, fl(c_k), w_k), c_k != 0
-    for P, Q, D, d in exps:
-        root = math.sqrt(d)
-        terms = []
-        for p, q, (e1, e2) in zip(P, Q, form.basis):
-            if p or q:
-                a, b = float(Fraction(p, D)), float(Fraction(q, D))
-                terms.append((e1, e2, a + b * root, abs(a) + abs(b) * root))
-        columns.append(terms)
+    # per place: (e1, e2, fl(c_k), w_k), c_k != 0
+    columns = [[(e1, e2, *_float_weight(
+        QuadraticSurd(Fraction(p, D), Fraction(q, D), d)))
+        for p, q, (e1, e2) in zip(P, Q, form.basis) if p or q]
+        for P, Q, D, d in exps]
     grow = 2 * _gamma(2 * m + 4)
     cap_hi = cap * (1 + 4 * len(exps) * _UNIT_ROUNDOFF)
-    yrow = np.arange(-H, H + 1, dtype=np.float64)
     hpow = [float(H) ** e for e in range(m + 1)]
-    rows = max(1, _BLOCK // len(yrow))
-    xs_kept, ys_kept = [], []
-    for x0 in range(0, H + 1, rows):
-        xb = np.arange(x0, min(x0 + rows, H + 1), dtype=np.float64)
-        xpow = [np.ones_like(xb)]
+    width = 2 * H + 1
+    kept = set()
+    for keys in _scan_blocks(_strips(form, H, cap) or [_box(H)], H):
+        xf = (keys // width).astype(np.float64)
+        yf = (keys % width - H).astype(np.float64)
+        xpow = [np.ones_like(xf)]
         for _ in range(m):
-            xpow.append(xpow[-1] * xb)
+            xpow.append(xpow[-1] * xf)
         lo = 1.0
         for terms in columns:
-            alpha = [np.zeros_like(xb) for _ in range(m + 1)]
-            size = np.zeros_like(xb)
+            alpha = [None] * (m + 1)
+            size = np.zeros_like(xf)
             for e1, e2, c, w in terms:
                 alpha[e2] = c * xpow[e1]
                 size += w * xpow[e1] * hpow[e2]
-            acc = np.zeros((len(xb), len(yrow)))
+            acc = np.zeros_like(xf)
             for e2 in range(m, -1, -1):
-                acc += alpha[e2][:, None]
+                if alpha[e2] is not None:
+                    acc += alpha[e2]
                 if e2:
-                    acc *= yrow
+                    acc *= yf
             np.abs(acc, out=acc)
-            acc -= (grow * size)[:, None]
+            acc -= grow * size
             lo = lo * np.maximum(acc, 0.0, out=acc)
-        keep = np.flatnonzero(~(lo > cap_hi))
-        if x0 == 0:
-            keep = keep[keep > H]
-        xs_kept.append(x0 + keep // len(yrow))
-        ys_kept.append(keep % len(yrow) - H)
-    xs, ys = np.concatenate(xs_kept), np.concatenate(ys_kept)
-    zero = np.zeros(len(xs), dtype=bool)
-    for s in range(0, len(xs), _BLOCK):
-        zero[s:s + _BLOCK] = _exact_zeros(form, xs[s:s + _BLOCK],
-                                          ys[s:s + _BLOCK])
-    pairs = []
-    zero_count = int(zero.sum())
-    with mp.workdps(dps + 5):
-        for x, y in zip(xs[~zero].tolist(), ys[~zero].tolist()):
-            z = [Fraction(x), Fraction(y)]
-            _, total = form.magnitudes(z, dps)
-            if total == 0:
-                zero_count += 1
-                continue
-            if total > cap:
-                continue
-            pairs.append((total, _format_z(z)))
+        kept.update(keys[~(lo > cap_hi)].tolist())
+    keys = np.array(sorted(kept), dtype=np.int64)
+    points = np.stack([keys // width, keys % width - H], axis=1)
+    pairs, zero_count = _integer_refine(form, points, dps, cap)
     spec = _spectrum_from_pairs(pairs, window, cap)
     spec.zero_count = zero_count
-    spec._candidates = len(xs)
+    spec._candidates = len(points)
     return spec
 
 
-def _exact_zeros(form, xs, ys):
-    """Mask of the integer points (xs, ys) where f is exactly 0 at a place."""
-    xo, yo = xs.astype(object), ys.astype(object)
-    monos = [xo ** e1 * yo ** e2 for e1, e2 in form.basis]
-    zero = np.zeros(len(xs), dtype=bool)
-    for P, Q, _, _ in form._integer_expansions:
-        A = sum(p * mono for p, mono in zip(P, monos) if p)
-        B = sum(q * mono for q, mono in zip(Q, monos) if q)
-        zero |= (A == 0) & (B == 0)
-    return zero
+def _box(H):
+    """The box's y-interval [lo, hi] per row x = 0..H (x = 0: y >= 1)."""
+    lo = np.full(H + 1, -H, dtype=np.int64)
+    lo[0] = 1
+    return lo, np.full(H + 1, H, dtype=np.int64)
+
+
+def _strips(form, H, cap):
+    """Per factor, the y-intervals of its strip per row x = 0..H; or None.
+
+    If f is exactly the product of its M = P m factors L = a x + b y and
+    |f| <= cap, some |L| <= r for any r with r^M >= cap: r is cap^(1/M)
+    rounded up until Fraction(r)^M >= cap holds exactly.  For b != 0 the
+    strip of L is y in [c - w, c + w], c = -t x with t = a / b and
+    w = r / |b|; t and 1 / |b| are exact surds p + q sqrt(d), each rounded
+    to float within gamma_4 (|p| + |q| sqrt(d)) as in the prefilter.  One
+    rounding for t x, one for r / |b| and one for the sum or difference
+    keep each computed endpoint within E = gamma_6 (W_t H + r W_inv) of the
+    true one, W the |p| + |q| sqrt(d) weights; widening by 2E covers E,
+    the rounding of the widened endpoint and of 2E itself.  A factor with
+    b = 0 is a strip of whole rows, x <= r / |a| widened alike.  None
+    (scan the box) unless every factor is exact and the factors' expansion
+    is the form's, 0 <= cap < inf, no factor is identically 0, every
+    widening is below one row step, and the strips hold fewer points than
+    the box.
+    """
+    if form.factors is None or not 0 <= cap < math.inf:
+        return None
+    rows = [row for per_place in form.factors for row in per_place]
+    if not all(is_exact(c) for row in rows for c in row) or any(
+            form._expand(per_place) != exp
+            for per_place, exp in zip(form.factors, form.expansions)):
+        return None
+    r = cap ** (1 / len(rows))
+    while Fraction(r) ** len(rows) < Fraction(cap):
+        r = math.nextafter(r, math.inf)
+    x = np.arange(H + 1, dtype=np.float64)
+    strips = []
+    for a, b in (map(parse_real, row) for row in rows):
+        if a == 0 and b == 0:
+            return None
+        t, w_t = _float_weight(a / b if b != 0 else QuadraticSurd(0))
+        inv, w_inv = _float_weight(abs(b if b != 0 else a).inverse())
+        slack = 2 * _gamma(6) * (w_t * H + r * w_inv)
+        if not slack < 1:                 # also NaN and inf
+            return None
+        if b == 0:
+            lo = np.where(x <= r * inv + slack, -H, H + 1)
+            hi = np.full(H + 1, H)
+        else:
+            c, w = -(t * x), r * inv
+            lo = np.clip(np.ceil(c - w - slack), -H, H + 1)
+            hi = np.clip(np.floor(c + w + slack), -H - 1, H)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        lo[0] = max(lo[0], 1)
+        strips.append((lo, hi))
+    size = sum(int(np.maximum(hi - lo + 1, 0).sum()) for lo, hi in strips)
+    return strips if size < H * (2 * H + 2) else None
+
+
+def _float_weight(s):
+    """(float(s), |a| + |b| sqrt(d)) of a surd s = a + b sqrt(d)."""
+    root = math.sqrt(s.d)
+    return (float(s.a) + float(s.b) * root,
+            abs(float(s.a)) + abs(float(s.b)) * root)
+
+
+def _scan_blocks(intervals, H):
+    """Blocks of about 2^15 scan indices x (2H + 1) + y + H of the points
+    with y in [lo, hi] at row x, for every interval (lo, hi) of per-row
+    arrays; a point in two intervals comes twice.
+
+    A row is never split; a block holds the rows whose points start
+    within one multiple of 2^15 of the running count.
+    """
+    counts = [np.maximum(hi - lo + 1, 0) for lo, hi in intervals]
+    per_row = sum(counts)
+    block_of = (np.cumsum(per_row) - per_row) // _BLOCK
+    width = 2 * H + 1
+    for rows in np.split(np.arange(H + 1),
+                         np.flatnonzero(np.diff(block_of)) + 1):
+        keys = []
+        for (lo, hi), count in zip(intervals, counts):
+            c = count[rows]
+            start = rows * width + lo[rows] + H - (np.cumsum(c) - c)
+            keys.append(np.repeat(start, c) + np.arange(c.sum()))
+        yield np.concatenate(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +981,19 @@ class LittlewoodResult:
 def littlewood_scan(alpha, beta, N, dps=None, chunk=1 << 20):
     """min over 1 <= k <= N of k * <k a> * <k b> with a record trace.
 
-    Fixed-point uint64 arithmetic prefilters the whole range; every
-    candidate record is re-evaluated at high precision, so rational inputs
-    reach an exact zero.  Ties go to the smallest k.
+    Fixed-point uint64 arithmetic prefilters the whole range in chunks:
+    A = nint(frac(a) 2^64) is within eta = 2^-65 + (|a| + 1) 10^(1 - dps)
+    of frac(a), so <k A / 2^64> is within k eta of <k a>, and the float
+    da = min(kA, -kA mod 2^64) / 2^64 adds one rounding, 2u da at most;
+    likewise db.  With da and db off by delta_a and delta_b, and two
+    roundings in est = k da db, the true value is within
+    eps = k (db delta_a + (da + delta_a) delta_b) + gamma_2 est of est;
+    the factor 2 taken on eps covers its own rounding and that of the
+    sums below.  A record k (value below every earlier value) therefore
+    has est_k - eps_k below the prefix minimum of est_j + eps_j over
+    j < k (`np.minimum.accumulate`, carried across chunks); every such k
+    is re-evaluated at high precision in order, so rational inputs reach
+    an exact zero, after which the scan stops.  Ties go to the smallest k.
     """
     dps = dps or (DEFAULT_DPS + max(0, int(math.log10(max(N, 10))) ))
     a = parse_real(alpha)
@@ -826,46 +1005,40 @@ def littlewood_scan(alpha, beta, N, dps=None, chunk=1 << 20):
         bfrac = b.to_mpf(dps) % 1
         A = int(mp.nint(afrac * 2 ** 64)) % (1 << 64)
         B = int(mp.nint(bfrac * 2 ** 64)) % (1 << 64)
-    Au = np.uint64(A)
-    Bu = np.uint64(B)
+    eta_a, eta_b = (2.0 ** -65 + (abs(float(x)) + 1) * 10.0 ** (1 - dps)
+                    for x in (a, b))
     two64 = float(2 ** 64)
-    candidates = []
-    running = math.inf
+    u2 = 2 * _UNIT_ROUNDOFF
+    records, best, best_n = [], None, None
+    running = math.inf          # min of est_j + eps_j over the earlier chunks
     start = 1
-    with np.errstate(over="ignore"):
-        while start <= N:
+    with np.errstate(over="ignore"), mp.workdps(dps):
+        while start <= N and best != 0:
             stop = min(N, start + chunk - 1)
             ks = np.arange(start, stop + 1, dtype=np.uint64)
-            fa = ks * Au
-            fb = ks * Bu
+            fa = ks * np.uint64(A)
+            fb = ks * np.uint64(B)
             da = np.minimum(fa, np.uint64(0) - fa).astype(np.float64) / two64
             db = np.minimum(fb, np.uint64(0) - fb).astype(np.float64) / two64
             kf = ks.astype(np.float64)
             est = kf * da * db
-            # slack covers the k-proportional fixed-point error of the filter
-            slack = running * (1 + 1e-6) + 1e-9 + kf * kf * 4e-20
-            idx = np.flatnonzero(est < slack)
-            if len(idx):
-                order = np.argsort(est[idx], kind="stable")
-                for j in idx[order][:4096]:
-                    candidates.append(int(ks[j]))
-                running = min(running, float(est.min()))
+            delta_a = kf * eta_a + u2 * da
+            delta_b = kf * eta_b + u2 * db
+            eps = 2 * (kf * (db * delta_a + (da + delta_a) * delta_b)
+                       + _gamma(2) * est)
+            upper = est + eps
+            before = np.minimum.accumulate(
+                np.concatenate(([running], upper[:-1])))
+            running = min(running, float(upper.min()))
+            for j in np.flatnonzero(est - eps < before).tolist():
+                k = start + j
+                val = k * _dist_frac(a, k, dps) * _dist_frac(b, k, dps)
+                if best is None or val < best:
+                    best, best_n = val, k
+                    records.append((k, float(val)))
+                    if val == 0:
+                        break
             start = stop + 1
-    candidates.sort()
-    records = []
-    best = None
-    best_n = None
-    with mp.workdps(dps):
-        for k in candidates:
-            da = _dist_frac(a, k, dps)
-            db = _dist_frac(b, k, dps)
-            val = k * da * db
-            if best is None or val < best:
-                best = val
-                best_n = k
-                records.append((k, float(val)))
-                if val == 0:
-                    break
     return LittlewoodResult(minimum=float(best), argmin=best_n, records=records)
 
 

@@ -300,6 +300,31 @@ class TestRun:
         # the CLI's scan, the report's first window and its three windows
         assert seen == [80] * 5
 
+    @pytest.mark.parametrize("config, csv_sha256, json_sha256", [
+        # x (sqrt2 x - y) without a cap: the H = 30 scan, in height-shell
+        # order, and the report, whose first window is uncapped too
+        ({"min_poly": [0, 1],
+          "form": {"factors": [[1, 0], [{"b": 1, "d": 2}, -1]]},
+          "spectrum": {"heights": [5, 10, 30]}},
+         "7c0cc4036e4aa39ec6f57de73e2eda9b7e5418ba0d112fda0eb5563e297ffcb8",
+         "4c0d11f7d64f429c2e6d266ea78fe9a8419e3fdba40a6962229455d2f1979345"),
+        # the norm form of Q(2^(1/3)), n = 3, without a cap
+        ({"min_poly": [0, 1],
+          "form": {"norm_field": {"min_poly": [-2, 0, 0, 1]}},
+          "spectrum": {"heights": [4]}},
+         "067c687519ce610464a0b4413476299d8902ff2c544dfeff81d2d3864c693f78",
+         "d435e76cda7a135eff89248dc166626002c0b3cf24d08e1256878a8b226b05f8"),
+    ])
+    def test_uncapped_form_spectrum_golden_artifacts(self, tmp_path, config,
+                                                     csv_sha256, json_sha256):
+        # pinned from the per-point evaluation that the integer refine
+        # replaced; the witnesses lock the height-shell scan order
+        assert cli.run("form-spectrum", config, str(tmp_path)) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("spectrum.csv", "form-spectrum.json")}
+        assert digests == {"spectrum.csv": csv_sha256,
+                           "form-spectrum.json": json_sha256}
+
     @pytest.mark.parametrize("H, E, heatmap_sha256", [
         (24, 4, "0be9c353e89dccb0834043136ceb0e03b1c238164db6fa34bc13fa60d4315347"),
         (32, 6, "1823859c84f64ff6086c09cd6bab359d1238641a7a827aed6d8a4c0aaf1b473d"),

@@ -397,3 +397,29 @@ class TestLittlewood:
         res = fm.littlewood_scan("0.5", "0.25", 8)
         assert res.minimum == 0.0
         assert res.argmin == 2
+
+    REALS = st.one_of(
+        st.fractions(-3, 3, max_denominator=12),
+        st.builds(QuadraticSurd, st.fractions(-3, 3, max_denominator=4),
+                  st.fractions(-2, 2, max_denominator=4).filter(bool),
+                  st.sampled_from([2, 3, 5, 7, 13])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(REALS, REALS, st.integers(1, 600), st.integers(1, 100))
+    def test_records_equal_exact_scan(self, alpha, beta, N, chunk):
+        # every k evaluated at the scan's precision; chunks of 1..100
+        # carry the prefix minimum across chunk boundaries
+        dps = fm.DEFAULT_DPS + max(0, int(math.log10(max(N, 10))))
+        a, b = fm.parse_real(alpha), fm.parse_real(beta)
+        records = []
+        with mp.workdps(dps):
+            for k in range(1, N + 1):
+                val = k * fm._dist_frac(a, k, dps) * fm._dist_frac(b, k, dps)
+                if not records or val < records[-1][1]:
+                    records.append((k, val))
+                    if val == 0:
+                        break
+        got = fm.littlewood_scan(alpha, beta, N, chunk=chunk)
+        assert got.records == [(k, float(v)) for k, v in records]
+        assert (got.argmin, got.minimum) == (records[-1][0],
+                                             float(records[-1][1]))

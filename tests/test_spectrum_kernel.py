@@ -1,14 +1,18 @@
-"""The capped planar value-spectrum scan against exact evaluation.
+"""The value-spectrum kernels against exact evaluation.
 
-`forms._value_spectrum_fast` keeps the points that a float64 prefilter
-with a derived error bound cannot rule out, counts the exact integer
-zeros among them and refines the rest with `DecomposableForm.magnitudes`.
-The reference here evaluates every point of the box exactly, in the
-scan's order (x = 0..H, then y = -H..H; x = 0 only with y > 0).
+`forms._value_spectrum_fast` keeps the points of the strips (or the box)
+that a float64 prefilter with a derived error bound cannot rule out, and
+`forms._integer_refine` counts the exact integer zeros among them and
+computes the other magnitudes from exact integers.  The references here
+evaluate every point with `DecomposableForm.magnitudes`: the capped scan
+in the box's order (x = 0..H, then y = -H..H; x = 0 only with y > 0), the
+uncapped one in `lattice._window_rows`' height-shell order.  Patching
+`_strips` to return None forces the box.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,8 +107,9 @@ def test_capped_scan_equals_exact_scan(form, H, data):
     assert (capped.min_nonzero, capped.min_gap) == (want.min_nonzero,
                                                     want.min_gap)
     assert capped.zero_count == len(zeros)
-    xs, ys = np.array(box(H), dtype=np.int64).T
-    kernel_zeros = fm._exact_zeros(form, xs, ys)
+    kernel_zeros = np.zeros(len(box(H)), dtype=bool)
+    for A, B in fm._integer_values(form, np.array(box(H), dtype=np.int64)):
+        kernel_zeros |= (A == 0) & (B == 0)
     assert [p for p, z in zip(box(H), kernel_zeros) if z] == zeros
     # the uncapped scan (height-shell order) restricted to the cap, judged
     # on the exact magnitude of each entry's witness
@@ -146,16 +151,176 @@ def test_cap_at_a_cancelling_value_keeps_its_witness():
     assert last.magnitude == pytest.approx(1638.592363517295, rel=1e-15)
 
 
-def test_candidates_are_zeros_plus_exact_refinements(monkeypatch):
+def test_candidates_are_zeros_plus_refined_points(monkeypatch):
     form = fm.make_form(Q, REAL, [[(1, 0), (QuadraticSurd.sqrt(2), -1)]])
     calls = []
-    magnitudes = form.magnitudes
-    monkeypatch.setattr(form, "magnitudes", lambda z, dps=None: (
-        calls.append(z) or magnitudes(z, dps)))
+    refined = fm._refined_magnitude
+    monkeypatch.setattr(fm, "_refined_magnitude", lambda *args: (
+        calls.append(args[1]) or refined(*args)))
     spec = fm.value_spectrum(form, lt.HeightWindow(100), magnitude_cap=0.9)
     assert spec.zero_count == 100                # the row x = 0
     assert spec.candidates == spec.zero_count + len(calls)
     assert 0 < len(calls) < 20
+
+
+@pytest.mark.parametrize("factors, cap", [
+    ([(1, 0), (QuadraticSurd.sqrt(2), -1)], 0.9),
+    ([(1, 0), (QuadraticSurd.sqrt(2), -1)], None),
+    ([(Q.element([1]), 0), (Fraction(1, 3), Q.element([Fraction(-1, 5)]))], 2.0),
+    ([(1, 0, 0), (0, 1, 1), (1, QuadraticSurd.sqrt(3), 0)], 3.0),
+    ([(1, 0, 0), (0, 1, 1), (1, QuadraticSurd.sqrt(3), 0)], None),
+])
+def test_integer_forms_make_no_magnitudes_call(monkeypatch, factors, cap):
+    form = fm.make_form(Q, REAL, [factors])
+    monkeypatch.setattr(fm.DecomposableForm, "magnitudes", None)
+    spec = fm.value_spectrum(form, lt.HeightWindow(6), magnitude_cap=cap)
+    assert spec.entries and spec.candidates > spec.zero_count
+
+
+def box_scan(form, H, cap):
+    with mock.patch.object(fm, "_strips", lambda *args: None):
+        return fm.value_spectrum(form, lt.HeightWindow(H), magnitude_cap=cap)
+
+
+def assert_same_spectrum(got, want):
+    assert entries(got) == entries(want)
+    assert (got.min_nonzero, got.min_gap, got.zero_count) == \
+        (want.min_nonzero, want.min_gap, want.zero_count)
+    assert got.candidates <= want.candidates
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(planar_forms(), st.integers(1, 60), st.data())
+def test_strips_equal_box(form, H, data):
+    full = fm.value_spectrum(form, lt.HeightWindow(H))
+    mags = [e.magnitude for e in full.entries]
+    cap = data.draw(st.one_of(
+        st.floats(0, 2 * mags[-1] if mags else 1.0),
+        st.sampled_from(mags or [0.0]).flatmap(lambda v: st.sampled_from(
+            [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)])),
+        st.just(4 * (mags[-1] if mags else 1.0) + 1e6)))   # the box is smaller
+    got = fm.value_spectrum(form, lt.HeightWindow(H), magnitude_cap=cap)
+    assert_same_spectrum(got, box_scan(form, H, cap))
+
+
+def test_strips_fall_back_to_the_box():
+    s2 = QuadraticSurd.sqrt(2)
+    form = fm.make_form(Q, REAL, [[(1, 0), (s2, -1)]])
+    assert fm._strips(form, 100, 0.9) is not None
+    for cap in (1e9, -1.0, math.inf, math.nan):
+        assert fm._strips(form, 100, cap) is None
+    # the factors' product is not the expansion: a probe, or a norm form
+    # whose factors are 50-digit floats
+    assert fm._strips(fm.builtin_probes()["dependent-factors"], 30, 5.0) is None
+    cubic = fm.norm_form(nf.create_field([-2, 0, 0, 1]))
+    assert cubic.factors is not None and fm._strips(cubic, 5, 2.0) is None
+
+
+def test_strips_of_a_real_quadratic_norm_form_equal_box():
+    # the norm form's factors are the two embeddings of the basis
+    form = fm.norm_form(nf.create_field([-1, -1, 1]))
+    strips = fm._strips(form, 200, 1.5)
+    assert sum(int(np.maximum(hi - lo + 1, 0).sum())
+               for lo, hi in strips) < 200 * 402 // 50
+    got = fm.value_spectrum(form, lt.HeightWindow(200), magnitude_cap=1.5)
+    assert_same_spectrum(got, box_scan(form, 200, 1.5))
+    assert [e.witness for e in got.entries] == ["(0, 1)"]   # the units
+
+
+def test_two_copies_of_the_real_place_strips_equal_box():
+    s2 = QuadraticSurd.sqrt(2)
+    form = fm.make_form(Q, REAL * 2, [[(1, 0), (s2, -1)],
+                                      [(1, 1), (1 - s2, 2)]])
+    for cap in (0.0, 0.5, 3.0, 40.0):
+        got = fm.value_spectrum(form, lt.HeightWindow(150), magnitude_cap=cap)
+        assert_same_spectrum(got, box_scan(form, 150, cap))
+
+
+def window_scan(form, H):
+    """(magnitude, witness) pairs and zero count of the per-point loop."""
+    rows, _ = lt._window_rows(form.n, [], lt.HeightWindow(H))
+    pairs, zeros = [], 0
+    for row in rows.tolist():
+        total = form.magnitudes([Fraction(c) for c in row])[1]
+        if total == 0:
+            zeros += 1
+        else:
+            pairs.append((total, fm._format_z(row)))
+    return pairs, zeros
+
+
+@st.composite
+def integer_forms(draw):
+    """Forms over Q with n = 2 or 3 at one or two copies of the real place,
+    with field-element and surd coefficients; some vanish on a line."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, n))
+    per_place = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.sampled_from([None, 2, 5]))
+
+        def coeff():
+            a = draw(SMALL)
+            if d is None:
+                return Q.element([a]) if draw(st.booleans()) else a
+            return QuadraticSurd(a, draw(SMALL), d)
+
+        rows = [[coeff() for _ in range(n)] for _ in range(m)]
+        if draw(st.booleans()):
+            rows[0] = [1] + [0] * (n - 1)     # f vanishes on x1 = 0
+        per_place.append(rows)
+    try:
+        return fm.make_form(Q, REAL * len(per_place), per_place)
+    except DependentFactors:
+        return draw(st.nothing())
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(integer_forms(), st.integers(1, 5))
+def test_uncapped_refine_equals_per_point_magnitudes(form, H):
+    pairs, zeros = window_scan(form, H)
+    rows, _ = lt._window_rows(form.n, [], lt.HeightWindow(H))
+    got, got_zeros = fm._integer_refine(form, rows, fm.DEFAULT_DPS)
+    assert got_zeros == zeros
+    assert [w for _, w in got] == [w for _, w in pairs]
+    assert all(a == b for (a, _), (b, _) in zip(got, pairs))   # mpf bits
+    spec = fm.value_spectrum(form, lt.HeightWindow(H))
+    want = fm._spectrum_from_pairs(pairs, lt.HeightWindow(H), None)
+    assert entries(spec) == entries(want) and spec.zero_count == zeros
+
+
+def test_refine_past_the_direct_bound_equals_per_point_magnitudes():
+    # f = K x + y / 3 with K of 200 bits: A = 3K at (1, 0) has more bits
+    # than the 55-digit mantissa, and mpf(3K) / 3 rounds twice where the
+    # reduced value K rounds once
+    K = 1117337328787321713974493634819752073672934530097637441045133
+    form = fm.make_form(Q, REAL, [[(K, Fraction(1, 3))]])
+    rows, _ = lt._window_rows(2, [], lt.HeightWindow(3))
+    got, zeros = fm._integer_refine(form, rows, fm.DEFAULT_DPS)
+    assert (got, zeros) == window_scan(form, 3)
+    with mp.workdps(fm.DEFAULT_DPS + 5):
+        direct = fm._refined_magnitude(form, [(3 * K, 0)], fm.DEFAULT_DPS,
+                                       [mp.mpf(1)])
+    assert direct != dict((w, m) for m, w in got)["(1, 0)"]
+
+
+def test_field_element_coefficients_keep_their_own_rounding():
+    # At 60 digits 865603/1048579 rounds onto a tie of the 55-digit grid,
+    # so a field element, embedded at 60 digits and rounded again, and the
+    # same rational, rounded once, differ in the last bit at (1, 0)
+    c = Fraction(865603, 1048579)
+    rows, _ = lt._window_rows(2, [], lt.HeightWindow(1))
+    got = []
+    for coeff in (Q.element([c]), c):
+        form = fm.make_form(Q, REAL, [[(coeff, 1)]])
+        pairs = fm._integer_refine(form, rows, fm.DEFAULT_DPS)[0]
+        assert pairs == window_scan(form, 1)[0]
+        got.append(dict((w, m) for m, w in pairs)["(1, 0)"])
+    assert got[0] != got[1]
 
 
 def test_mixed_radicands_raise_like_exact_evaluation():
