@@ -1,22 +1,24 @@
 """Command-line front door: config parsing, dispatch, deterministic reports.
 
-Configs are schema-validated JSON (unknown keys rejected, errors carry a
-JSON pointer); every artifact is emitted through one canonical writer
-(sorted keys, floats at 17 significant digits) so reruns are byte
-identical.  Exit codes: 0 success, 1 error, 2 for a verdict that
-contradicts the shipped theoretical predictions -- CI can tell a bug from
-a mathematical surprise.
+Configs are JSON checked against the constant `CONFIG_SCHEMA` by one walk
+over it, with JSON Schema's rules for the eleven keywords it uses: unknown
+keys are rejected, and the one error reported carries a JSON pointer and
+is the one the reference validator's `best_match` picks.  Every artifact
+is emitted through one canonical writer (sorted keys, floats at 17
+significant digits) so reruns are byte identical.  Exit codes: 0
+success, 1 error, 2 for a verdict that contradicts the shipped
+theoretical predictions -- CI can tell a bug from a mathematical
+surprise.
 """
 
 import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 from fractions import Fraction
-
-import jsonschema
 
 from . import dynamics as dy
 from . import forms as fm
@@ -114,7 +116,7 @@ _BLOCK_SCHEMAS = {
         "properties": {
             "heights": {"type": "array", "items": {"type": "integer"},
                         "minItems": 1},
-            "cap": {"type": "number"},
+            "cap": {"type": "number", "minimum": 0},
             "denominator_exponent": {"type": "integer", "minimum": 0},
         },
         "required": ["heights"],
@@ -161,11 +163,78 @@ CONFIG_SCHEMA = {
 }
 
 
-# Built once: the error chosen is jsonschema.validate's (best_match over
-# iter_errors).  The schema is a constant, so it is checked against its
-# metaschema by the test suite, not on every import.
-_VALIDATOR_CLASS = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-_VALIDATOR = _VALIDATOR_CLASS(CONFIG_SCHEMA)
+# JSON Schema's types: an integral float is an integer, and a bool is
+# neither an integer nor a number.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _violations(value, schema, path=()):
+    """Yield (path, message) for every way `value` breaks `schema`.
+
+    Keywords are checked in schema order, with the reference Python
+    validator's message texts.  As in JSON Schema, every keyword but `type`
+    and `const` passes a value of a type it does not apply to, so a node
+    of the wrong type (and no `const`) yields only its `type` error.  Only
+    the keywords CONFIG_SCHEMA uses are handled; tests/test_cli.py keeps it
+    that way and checks every error against the reference validator.
+    """
+    number = _TYPES["number"](value)
+    obj, array = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if key == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "const" and value != arg:  # every const here is a string
+            yield path, f"{arg!r} was expected"
+        elif key == "minimum" and number and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and number and value <= arg:
+            yield path, (f"{value!r} is less than or equal to "
+                         f"the minimum of {arg!r}")
+        elif key == "maximum" and number and value > arg:
+            yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "properties" and obj:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "additionalProperties" and obj and arg is False:
+            props = schema.get("properties", {})
+            extras = sorted((k for k in value if k not in props), key=str)
+            if extras:
+                names = ", ".join(repr(k) for k in extras)
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, ("Additional properties are not allowed "
+                             f"({names} {verb} unexpected)")
+        elif key == "required" and obj:
+            for name in arg:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "items" and array:
+            for i, item in enumerate(value):
+                yield from _violations(item, arg, path + (i,))
+        elif key == "minItems" and array and len(value) < arg:
+            yield path, f"{value!r} " + (
+                "should be non-empty" if arg == 1 else "is too short")
+        elif key == "maxItems" and array and len(value) > arg:
+            yield path, f"{value!r} is too long"
+
+
+def _best_violation(raw):
+    """The violation the reference validator's `best_match` reports, or None.
+
+    Its relevance key ranks the shortest path first, then the
+    lexicographically greatest; every violation at one path comes from one
+    schema node, so the rest of the key ties and `max` keeps the first in
+    schema order.
+    """
+    return max(_violations(raw, CONFIG_SCHEMA),
+               key=lambda v: (-len(v[0]), v[0]), default=None)
 
 
 @dataclasses.dataclass
@@ -201,10 +270,10 @@ def parse_config(source):
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise SchemaError("/", f"invalid JSON: {e}") from e
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    error = _best_violation(raw)
     if error is not None:
-        pointer = "/" + "/".join(str(p) for p in error.absolute_path)
-        raise SchemaError(pointer, error.message) from error
+        path, message = error
+        raise SchemaError("/" + "/".join(str(p) for p in path), message)
     try:
         field = nf.create_field(raw["min_poly"], raw.get("integral_basis"))
     except SadicLabError as e:

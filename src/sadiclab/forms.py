@@ -338,8 +338,10 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
     the window is scanned in `_window_rows`' height-shell order, which
     picks the witnesses, and every other form is evaluated point by point.
     Either way the result is that of the exact scan; the window must stay
-    below the enumeration cap.
+    below the enumeration cap, and a cap must not be negative.
     """
+    if magnitude_cap is not None and magnitude_cap < 0:
+        raise ValueError(f"magnitude cap must be >= 0, got {magnitude_cap}")
     dps = dps or DEFAULT_DPS
     if magnitude_cap is not None and form.n == 2 and _integer_ok(form):
         return _value_spectrum_fast(form, window, magnitude_cap, dps)

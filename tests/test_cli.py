@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -8,7 +9,9 @@ import subprocess
 import sys
 import warnings
 
+import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sadiclab import cli
 from sadiclab import forms as fm
@@ -20,20 +23,190 @@ Q_WITH_2 = {"min_poly": [0, 1],
             "places": {"archimedean": "all", "finite_primes": [2]}}
 
 
-def _assert_no_sympy(statement):
-    """Run `statement` in a fresh interpreter and check sympy stays unloaded."""
+def _assert_not_imported(statement, modules=("jsonschema", "sympy")):
+    """Run `statement` in a fresh interpreter; none of `modules` may load."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import sys; import sadiclab.cli as cli; "
             f"{statement}; "
-            "assert 'sympy' not in sys.modules, 'sympy imported'")
+            f"loaded = [m for m in {list(modules)!r} if m in sys.modules]; "
+            "assert not loaded, f'imported {loaded}'")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+# A config that passes the schema and uses every block and every key.
+FULL = {
+    "min_poly": [1, 0, 1], "integral_basis": [[1, 0], [0, 1]],
+    "places": {"archimedean": "all", "finite_primes": [5]},
+    "s_units": [], "precision": 30,
+    "window": {"H": 2, "E": 1, "cap": 1000}, "hensel_precision": 10,
+    "systole": {"n": 2, "diagonal_flow": {"values": [0.5, 1]},
+                "matrices": [[[1, 0], [0, 1]]]},
+    "mahler": {"n": 2, "radius": 0.5, "diagonal_flow": {"values": [0.0]},
+               "matrices_list": []},
+    "orbit_survey": {"point": "identity", "active_places": ["r0"],
+                     "steps": 20, "grid": "0:1:2", "expect": {}},
+    "nilpotent_check": {"n": 2, "radius": 1.5, "matrices": []},
+    "expanding": {"positions": [[0, 1]], "tau": 2, "place": "r0"},
+    "form": {"places": ["r0"], "factors": [], "factors_per_place": [],
+             "builtin": "x", "norm_field": {"min_poly": [-2, 0, 1],
+                                            "basis": []}},
+    "spectrum": {"heights": [10, 100], "cap": 0.9, "denominator_exponent": 0},
+    "littlewood": {"alpha": 1, "beta": "2", "N": 100},
+}
+
+# the keywords the walk in cli._violations implements
+WALKED_KEYWORDS = {"type", "properties", "additionalProperties", "required",
+                   "items", "minItems", "maxItems", "minimum",
+                   "exclusiveMinimum", "maximum", "const"}
+
+# values that hit each type rule: bools, integral and non-integral floats,
+# infinities, strings, empty and non-empty containers, null
+ODD_VALUES = [True, False, 0, -1, 1, 2, 10 ** 10, 0.0, 2.0, 0.5, -0.5,
+              math.inf, -math.inf, "all", "x", [], [0, 1, 2], [[0]], {},
+              {"a": 1}, None]
+
+
+REFERENCE = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)(
+    cli.CONFIG_SCHEMA)
+
+
+def _pointer(path):
+    return "/" + "/".join(str(p) for p in path)
+
+
+def _reference_errors(config):
+    """(pointer, message) of every error and of `best_match`, per jsonschema."""
+    errors = list(REFERENCE.iter_errors(config))
+    best = jsonschema.exceptions.best_match(errors)
+    return ([(_pointer(e.absolute_path), e.message) for e in errors],
+            None if best is None else (_pointer(best.absolute_path), best.message))
+
+
+def _walk_errors(config):
+    best = cli._best_violation(config)
+    return ([(_pointer(p), m) for p, m in cli._violations(config, cli.CONFIG_SCHEMA)],
+            None if best is None else (_pointer(best[0]), best[1]))
+
+
+def _nodes(node, path=()):
+    yield path, node
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """FULL with one to four faults: keys deleted or added, values replaced."""
+    config = {"root": copy.deepcopy(FULL)}
+    for _ in range(draw(st.integers(1, 4))):
+        path, node = draw(st.sampled_from(list(_nodes(config["root"]))))
+        path = ("root",) + path
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        action = draw(st.sampled_from(["delete", "add", "replace"]))
+        if action == "delete" and len(path) > 1:
+            del parent[path[-1]]
+        elif action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["aaa", "zzz", "H", "Min_poly", "1"]))] = value
+        elif action == "add" and isinstance(node, list):
+            node.append(value)
+        else:
+            parent[path[-1]] = value
+    return config["root"]
+
+
+class TestSchemaWalk:
+    def test_schema_uses_only_walked_keywords(self):
+        # a keyword outside this set would be checked by the reference
+        # validator but not by the walk
+        def subschemas(schema):
+            yield schema
+            for sub in schema.get("properties", {}).values():
+                yield from subschemas(sub)
+            if "items" in schema:
+                yield from subschemas(schema["items"])
+
+        for schema in subschemas(cli.CONFIG_SCHEMA):
+            assert set(schema) <= WALKED_KEYWORDS, set(schema) - WALKED_KEYWORDS
+            assert schema.get("additionalProperties", False) is False
+            assert isinstance(schema.get("const", ""), str)
+
+    def test_full_config_is_valid(self):
+        assert _walk_errors(FULL) == _reference_errors(FULL) == ([], None)
+
+    @settings(max_examples=600, deadline=None)
+    @given(mutated_configs())
+    def test_walk_matches_reference_validator(self, config):
+        assert _walk_errors(config) == _reference_errors(config)
+
+    @pytest.mark.parametrize("statement", [
+        "pass",
+        f"cli.parse_config({json.dumps(Q_WITH_2)!r})",
+        "from sadiclab.errors import SchemaError\n"
+        "try: cli.parse_config({'min_poly': [0, 1], 'window': {'H': 0}})\n"
+        "except SchemaError: pass\n"
+        "else: raise AssertionError('no SchemaError')",
+        "import tempfile\n"
+        "with tempfile.TemporaryDirectory() as out: assert cli.main(['--config', "
+        + repr(json.dumps(dict(Q_WITH_2, window={"H": 2, "E": 1},
+                               systole={"matrices": [[[1, 1], [0, 1]]] * 2})))
+        + ", '--out', out, 'systole']) == 0",
+    ], ids=["import", "valid", "invalid", "systole"])
+    def test_cli_runs_do_not_import_the_reference_validator(self, statement):
+        _assert_not_imported(statement)
+
+    @pytest.mark.parametrize("config, line", [
+        ({"min_poly": [0, 1], "bogus": 1},
+         "/: Additional properties are not allowed ('bogus' was unexpected)"),
+        ({"min_poly": [0, 1], "zzz": 1, "aaa": 2},
+         "/: Additional properties are not allowed ('aaa', 'zzz' were unexpected)"),
+        ({"window": {"H": 2}}, "/: 'min_poly' is a required property"),
+        ({"bogus": 1},
+         "/: Additional properties are not allowed ('bogus' was unexpected)"),
+        ({"min_poly": "x"}, "/min_poly: 'x' is not of type 'array'"),
+        ({"min_poly": [0, 1], "precision": True},
+         "/precision: True is not of type 'integer'"),
+        ({"min_poly": [0, 1], "window": {"H": 0}},
+         "/window/H: 0 is less than the minimum of 1"),
+        ({"min_poly": [0, 1], "mahler": {"radius": 0}},
+         "/mahler/radius: 0 is less than or equal to the minimum of 0"),
+        ({"min_poly": [0, 1], "places": {"archimedean": "some"}},
+         "/places/archimedean: 'all' was expected"),
+        ({"min_poly": [0, 1],
+          "expanding": {"positions": [[0, 1, 2]], "tau": 2, "place": "r0"}},
+         "/expanding/positions/0: [0, 1, 2] is too long"),
+        ({"min_poly": [0, 1], "window": {"E": -1, "cap": 0}},
+         "/window/cap: 0 is less than the minimum of 1"),
+        ({"min_poly": [0, "a", "b"]}, "/min_poly/2: 'b' is not of type 'integer'"),
+        ({"min_poly": [0, 1], "window": {"h": 1}},
+         "/window: Additional properties are not allowed ('h' was unexpected)"),
+    ])
+    def test_golden_error_lines(self, tmp_path, capsys, config, line):
+        # pinned from the jsonschema-based validation the walk replaced
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "systole"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_negative_cap_rejected(self):
+        config = {"min_poly": [0, 1], "spectrum": {"heights": [3], "cap": -1}}
+        with pytest.raises(SchemaError) as err:
+            cli.parse_config(config)
+        assert str(err.value) == "/spectrum/cap: -1 is less than the minimum of 0"
+        config["spectrum"]["cap"] = 0
+        cli.parse_config(config)
 
 
 class TestParseConfig:
     def test_config_schema_is_valid(self):
         # the schema is a constant, so it is checked here once, not on import
-        cli._VALIDATOR_CLASS.check_schema(cli.CONFIG_SCHEMA)
+        jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(
+            cli.CONFIG_SCHEMA)
 
     @pytest.mark.parametrize("config", [
         dict(Q_WITH_2, window={"H": 24, "E": 4},
@@ -49,7 +222,7 @@ class TestParseConfig:
     def test_start_up_does_not_import_sympy(self, config):
         # field set-up (irreducibility, discriminant, factors mod p) runs
         # on polyarith, and norm forms are a division-free determinant
-        _assert_no_sympy(f"cli.parse_config({json.dumps(config)!r})")
+        _assert_not_imported(f"cli.parse_config({json.dumps(config)!r})")
 
     @pytest.mark.parametrize("subcommand", ["norm-form", "form-spectrum"])
     def test_norm_form_runs_do_not_import_sympy(self, subcommand, tmp_path):
@@ -57,8 +230,8 @@ class TestParseConfig:
                   "form": {"norm_field": {"min_poly": [-1, -1, 1],
                                           "basis": [[1, 0], [1, 1]]}},
                   "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
-        _assert_no_sympy(f"assert cli.run({subcommand!r}, "
-                         f"{json.dumps(config)!r}, {str(tmp_path)!r}) == 0")
+        _assert_not_imported(f"assert cli.run({subcommand!r}, "
+                             f"{json.dumps(config)!r}, {str(tmp_path)!r}) == 0")
 
     def test_minimal_defaults(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))

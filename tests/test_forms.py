@@ -131,6 +131,19 @@ class TestValueSpectrum:
         assert len(want) == len(got)
         assert all(abs(a - b) < 1e-25 for a, b in zip(want, got))
 
+    @pytest.mark.parametrize("rows", [[(1, 0), (1, -1)],
+                                      [(1, 0, 0), (1, -1, 0), (0, 0, 1)]])
+    def test_negative_cap_rejected_on_every_path(self, rationals, q_inf, rows):
+        # the planar kernel's prefilter would keep no zero under a negative
+        # cap while the other paths count them all
+        form = fm.make_form(rationals, q_inf, [rows])
+        with pytest.raises(ValueError, match="magnitude cap must be >= 0"):
+            fm.value_spectrum(form, lt.HeightWindow(3), magnitude_cap=-1)
+        zeros = [fm.value_spectrum(form, lt.HeightWindow(3),
+                                   magnitude_cap=cap).zero_count
+                 for cap in (0, None)]
+        assert zeros[0] == zeros[1] > 0
+
     def test_scaled_integers_min_gap(self, rationals, q_inf):
         form = fm.make_form(rationals, q_inf, [[(3, 0), (0, 1)]])
         spec = fm.value_spectrum(form, lt.HeightWindow(10))
