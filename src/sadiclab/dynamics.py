@@ -142,7 +142,10 @@ class RaySchedule:
     step is one parameter per active place: real at archimedean places,
     integer at finite places (their value group is discrete).  An
     archimedean parameter whose diagonal entries exp(par * c) overflow
-    float64 raises `RayOverflow`.
+    float64 raises `RayOverflow`.  `scales` maps each active place's name
+    to its (steps, n) stack for the schedule kernel: the multipliers
+    exp(par * c) at an archimedean place, the valuation shifts f * par * c
+    at a finite one.
     """
 
     def __init__(self, places, direction, steps):
@@ -154,29 +157,36 @@ class RaySchedule:
             if abs(sum(c)) > 1e-12:
                 raise ValueError(f"exponent vector {c} does not sum to zero")
         norm_steps = []
+        scales = [[] for _ in self.places]
         for step in steps:
             if not isinstance(step, (tuple, list)):
                 step = (step,) * len(self.places)
             if len(step) != len(self.places):
                 raise ShapeMismatch("one parameter per active place in each step")
             row = []
-            for place, direc, par in zip(self.places, self.direction, step):
+            for place, direc, par, out in zip(self.places, self.direction, step, scales):
                 if place.kind == "finite":
                     if int(par) != par:
                         raise ValueError("finite-place ray parameters must be integers")
-                    row.append(int(par))
+                    par = int(par)
+                    for c in direc:
+                        out.append(place.residue_degree * par * int(c))
                 else:
                     par = float(par)
                     try:
                         for c in direc:
-                            math.exp(par * c)
+                            out.append(math.exp(par * c))
                     except OverflowError:
                         raise RayOverflow(
                             f"ray parameter {par!r} at {place.name} overflows "
                             "float64 in its diagonal entries") from None
-                    row.append(par)
+                row.append(par)
             norm_steps.append(tuple(row))
         self.steps = norm_steps
+        self.scales = {
+            place.name: np.array(out, dtype=np.float64 if place.kind != "finite"
+                                 else np.int64).reshape(len(norm_steps), len(direc))
+            for place, direc, out in zip(self.places, self.direction, scales)}
 
     def torus_element(self, field, n, step):
         entries = []
@@ -206,31 +216,24 @@ class TrajectoryReport:
     rows: list
 
 
-def _ray_scales(ray, lat, step):
-    """Per-place multipliers/shifts for one torus step along a ray."""
-    active = {p.name: (d, par) for p, d, par in
-              zip(ray.places, ray.direction, step)}
-    arch_mults = []
-    for place in lat.arch_places:
-        if place.name in active:
-            d, par = active[place.name]
-            arch_mults.append(np.array([math.exp(par * c) for c in d]))
-        else:
-            arch_mults.append(None)
-    fin_shifts = []
-    for place in lat.finite_places:
-        if place.name in active:
-            d, par = active[place.name]
-            f = place.residue_degree
-            fin_shifts.append(np.array([f * par * int(c) for c in d], dtype=np.int64))
-        else:
-            fin_shifts.append(None)
-    return arch_mults, fin_shifts
+def _ray_scales(ray, lat):
+    """Per-place multiplier and shift stacks of every step along a ray."""
+    shape = (len(ray.steps), lat.n)
+    return ([ray.scales.get(p.name, np.ones(shape)) for p in lat.arch_places],
+            [ray.scales.get(p.name, np.zeros(shape, dtype=np.int64))
+             for p in lat.finite_places])
 
 
-def _ray_systoles(cloud, lat, ray):
-    """(min_content, ic, min_supnorm, isup) at every step of the ray."""
-    return cloud.systoles_under([_ray_scales(ray, lat, step) for step in ray.steps])
+def _step_records(cloud, ray, systoles):
+    """One StepRecord per step of the ray from the kernel's tuples in systoles.
+
+    zip stops at the end of ray.steps before it draws from systoles, so a
+    survey passes one iterator over all its rays in turn.
+    """
+    return [StepRecord(index=i, params=step, min_content=mc, min_supnorm=ms,
+                       content_witness=cloud.format_point(ic),
+                       supnorm_witness=cloud.format_point(isup))
+            for i, (step, (mc, ic, ms, isup)) in enumerate(zip(ray.steps, systoles))]
 
 
 def trajectory(x, ray, window, cloud=None):
@@ -238,14 +241,9 @@ def trajectory(x, ray, window, cloud=None):
     lat = x.lattice
     if cloud is None:
         cloud = PointCloud(lat, window)
-    rows = []
-    for i, (step, (mc, ic, ms, isup)) in enumerate(
-            zip(ray.steps, _ray_systoles(cloud, lat, ray))):
-        rows.append(StepRecord(
-            index=i, params=step, min_content=mc, min_supnorm=ms,
-            content_witness=cloud.format_point(ic),
-            supnorm_witness=cloud.format_point(isup)))
-    return TrajectoryReport(point=x, ray=ray, window=window, rows=rows)
+    systoles = cloud.systoles_under(*_ray_scales(ray, lat))
+    return TrajectoryReport(point=x, ray=ray, window=window,
+                            rows=_step_records(cloud, ray, systoles))
 
 
 @dataclass
@@ -402,13 +400,22 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     lat = x.lattice
     cloud = PointCloud(lat, window)
     rays = default_ray_catalog(x, active, steps=steps, s_max=s_max)
+    cells, heat_ray = _heat_schedule(x, active, heat_s, heat_k, s_max)
+    # one kernel call for the steps of every ray and of the heat map
+    stacks = [_ray_scales(ray, lat) for _, _, ray in rays] + [_ray_scales(heat_ray, lat)]
+    systoles = iter(cloud.systoles_under(
+        [np.concatenate(m) for m in zip(*(arch for arch, _ in stacks))],
+        [np.concatenate(s) for s in zip(*(fin for _, fin in stacks))]))
     results = []
     for name, signs, ray in rays:
-        rep = trajectory(x, ray, window, cloud=cloud)
+        rep = TrajectoryReport(point=x, ray=ray, window=window,
+                               rows=_step_records(cloud, ray, systoles))
         results.append(RayResult(
             name=name, signs=signs,
             classification=classify_ray(rep, thresholds), report=rep))
-    heat = _heat_map(x, active, cloud, heat_s, heat_k, s_max)
+    heat = [{"s": s, "k": k, "min_content": mc, "min_supnorm": ms,
+             "witness": cloud.format_point(ic)}
+            for (s, k), (mc, ic, ms, _) in zip(cells, systoles)]
     prediction = ""
     anomalies = []
     rational = x.provenance in ("identity", "rational")
@@ -429,29 +436,19 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
                         prediction=prediction, anomalies=anomalies)
 
 
-def _heat_map(x, active, cloud, heat_s, heat_k, s_max):
-    lat = x.lattice
-    arch_active = [p for p in active if p.kind != "finite"]
-    fin_active = [p for p in active if p.kind == "finite"]
+def _heat_schedule(x, active, heat_s, heat_k, s_max):
+    """The heat map's (s, k) cells, as its CSV labels them, and their ray."""
+    arch_active = any(p.kind != "finite" for p in active)
+    fin_active = any(p.kind == "finite" for p in active)
     svals = list(heat_s) if heat_s is not None else \
         [round(-s_max + i * (2 * s_max) / 20, 10) for i in range(21)]
     kvals = list(heat_k) if heat_k is not None else list(range(-12, 13))
-    s_list = svals if arch_active else [0.0]
-    k_list = kvals if fin_active else [0]
-    cells = [(s, k) for s in s_list for k in k_list]
+    cells = [(s, k) for s in (svals if arch_active else [0.0])
+             for k in (kvals if fin_active else [0])]
     ray = RaySchedule(active, [_n2_direction(x.n)] * len(active),
                       [tuple(k if place.kind == "finite" else s for place in active)
                        for s, k in cells])
-    rows = []
-    for (s, k), (mc, ic, ms, isup) in zip(cells, _ray_systoles(cloud, lat, ray)):
-        rows.append({
-            "s": s if arch_active else "",
-            "k": k if fin_active else "",
-            "min_content": mc,
-            "min_supnorm": ms,
-            "witness": cloud.format_point(ic),
-        })
-    return rows
+    return [(s if arch_active else "", k if fin_active else "") for s, k in cells], ray
 
 
 # ---------------------------------------------------------------------------

@@ -373,8 +373,8 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
 def _grid_point(field, row, denom, n, d):
     if d == 1:
         return [Fraction(c, denom) for c in row]
-    return [field.from_integral_coords(row[j * d:(j + 1) * d])
-            * Fraction(1, denom) for j in range(n)]
+    return [field.from_integral_coords(row[j * d:(j + 1) * d], denom)
+            for j in range(n)]
 
 
 def _integer_ok(form):

@@ -19,14 +19,18 @@ A cloud takes one n_out x n_in map per place, by default g itself;
 `_window_rows` is the package's one enumeration of the window.
 
 Trajectories, surveys and heat maps query one cloud under a whole schedule
-of diagonal steps through `PointCloud.systoles_under`.  A point that an
+of diagonal steps through `PointCloud.systoles_under`, which takes one
+(steps, n) stack of multipliers or valuation shifts per place; a survey
+stacks every ray and its heat map into one such call.  A point that an
 earlier point matches or beats in every coordinate modulus (real and
 imaginary parts apart at a complex place) and valuation is never the first
 minimizer of a step in the normal float64 range, so such a step is
 evaluated with the per-point formula on the cloud's skyline alone, and its
 values and first-index witnesses are those of a point-by-point evaluation.
-Steps whose dynamic range could leave the normal float64 range, and a
-single step (`systole_under`), are evaluated on the whole cloud.
+Steps whose dynamic range could leave the normal float64 range are
+evaluated on the whole cloud, in blocks too, and so is a single step
+(`systole_under`).  The formula runs a coordinate column at a time, with
+numpy's own summation order, so its bits are those of the row formula.
 """
 
 import functools
@@ -45,7 +49,7 @@ from .scalars import lift_exact, to_field, to_float
 _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
 
 # Schedule kernel constants (see PointCloud.systoles_under).
-_BLOCK_ELEMENTS = 1 << 13    # steps x skyline points per block
+_BLOCK_ELEMENTS = 1 << 13    # steps x points per block
 _SKYLINE_BLOCK = 64          # rows per block of the skyline's filter
 _UNIT_ROUNDOFF = 2.0 ** -53
 _LOG2_RANGE = 510            # |log2| budget that keeps every term normal
@@ -197,9 +201,9 @@ class PointCloud:
     reuses one enumeration.
 
     Every minimum is read off one per-point formula (`norms_under`), over
-    the whole cloud for one step (`systole_under`) and over the `skyline`
-    for the steps in range of a schedule (`systoles_under`).  Witness
-    strings are memoised per index.
+    the whole cloud for one step (`systole_under`) and, for a schedule
+    (`systoles_under`), over the `skyline` at the steps in range and over
+    the whole cloud at the others.  Witness strings are memoised per index.
     """
 
     def __init__(self, lat, window, maps=None):
@@ -312,17 +316,11 @@ class PointCloud:
 
     def point(self, idx):
         """Exact O_S^n coordinates of one enumerated point."""
-        d, n = self.d, self.n
-        row = self.numerators[idx]
-        denom = Fraction(1)
-        for t, p in enumerate(self.primes):
-            denom *= Fraction(p) ** int(self.eexp[idx, t])
-        out = []
-        for j in range(n):
-            elem = self.field.from_integral_coords(
-                [int(c) for c in row[j * d:(j + 1) * d]])
-            out.append(elem * (Fraction(1) / denom))
-        return tuple(out)
+        d = self.d
+        row = self.numerators[idx].tolist()
+        denom = math.prod(p ** e for p, e in zip(self.primes, self.eexp[idx].tolist()))
+        return tuple(self.field.from_integral_coords(row[j:j + d], denom)
+                     for j in range(0, len(row), d))
 
     def format_point(self, idx):
         """Witness string of one point, built once per index."""
@@ -338,19 +336,25 @@ class PointCloud:
         """The exact per-point float formula for content and sup-norm.
 
         rows selects points (default: the whole cloud).  A multiplier or
-        shift is either one length-n row for all points or a (steps, 1, n)
+        shift is None, one length-n row for all points or a (steps, n)
         stack of rows, which gives (steps, points) results; either way each
-        point sees the same float operations.
+        point sees the same float operations.  They run a coordinate
+        column at a time, since numpy reduces a short last axis about ten
+        times slower than it works elementwise; max and min are exact in
+        any order, and sums take numpy's own last-axis order
+        (`_column_sum`), so the bits are those of the row formula.
         """
         content, supnorm = 1.0, 0.0
         for k, (place, W) in enumerate(self.arch):
-            W = W[rows]
             mult = None if arch_mults is None else arch_mults[k]
-            scaled = W if mult is None else W * np.asarray(mult)
+            cols = [W[rows, j] for j in range(W.shape[1])]
+            if mult is not None:
+                mult = np.asarray(mult)
+                cols = [c * mult[..., j, None] for j, c in enumerate(cols)]
             if place.kind == "complex":
                 # the norm is the sum of the squares: it leaves the float64
                 # range together with them
-                norm = (scaled.real ** 2 + scaled.imag ** 2).sum(axis=-1)
+                norm = _column_sum([c.real ** 2 + c.imag ** 2 for c in cols])
             else:
                 # Each row is scaled by the power of two 2^-e that brings
                 # its largest entry into [1/2, 1) before squaring, and the
@@ -358,17 +362,19 @@ class PointCloud:
                 # under- or overflow while the norm is in range, and where
                 # no square left the normal range every step scales
                 # exactly, so no bit changes.
-                _, e = np.frexp(np.abs(scaled).max(axis=-1))
-                unit = np.ldexp(scaled, -e[..., None])
-                norm = np.ldexp(np.sqrt((unit * unit).sum(axis=-1)), e)
+                _, e = np.frexp(functools.reduce(np.maximum, map(np.abs, cols)))
+                units = [np.ldexp(c, -e) for c in cols]
+                norm = np.ldexp(np.sqrt(_column_sum([u * u for u in units])), e)
             content = content * norm
             supnorm = np.maximum(supnorm, norm)
         for k, (place, vals, p, f) in enumerate(self.fin):
-            vals = vals[rows]
             shift = None if fin_shifts is None else fin_shifts[k]
-            shifted = vals if shift is None else np.where(
-                vals >= _ZERO_VAL, vals, vals + np.asarray(shift, dtype=np.int64))
-            minval = shifted.min(axis=-1)
+            cols = [vals[rows, j] for j in range(vals.shape[1])]
+            if shift is not None:
+                shift = np.asarray(shift, dtype=np.int64)
+                cols = [np.where(c >= _ZERO_VAL, c, c + shift[..., j, None])
+                        for j, c in enumerate(cols)]
+            minval = functools.reduce(np.minimum, cols)
             norm = np.power(float(p), -minval.astype(np.float64))
             content = content * norm
             supnorm = np.maximum(supnorm, norm)
@@ -395,27 +401,25 @@ class PointCloud:
         ic, isup = int(np.argmin(content)), int(np.argmin(supnorm))
         return float(content[ic]), ic, float(supnorm[isup]), isup
 
-    def systoles_under(self, steps):
+    def systoles_under(self, arch, fin):
         """Window systoles under every step of a schedule.
 
-        steps is a list of (arch_mults, fin_shifts) pairs, one multiplier
-        row per archimedean place and one valuation-shift row per finite
-        place (None: unscaled).  Returns one (min_content, ic, min_supnorm,
-        isup) tuple per step, that of `systole_under`.  A step in range is
-        evaluated on the `skyline` alone, in blocks of about _BLOCK_ELEMENTS
-        steps x skyline points, so the working memory does not grow with
-        the schedule; a step out of range on the whole cloud.
+        arch holds one (steps, n) float64 stack of coordinate multipliers
+        per archimedean place, fin one (steps, n) int64 stack of valuation
+        shifts per finite place, n the image coordinates.  Returns one
+        (min_content, ic, min_supnorm, isup) tuple per step, that of
+        `systole_under`.  Steps in range are evaluated on the `skyline`
+        alone, the others on the whole cloud, in blocks of about
+        _BLOCK_ELEMENTS steps x points, so the working memory does not grow
+        with the schedule.
         """
-        n = len(self.maps[0])   # image coordinates
-        arch = [np.array([np.ones(n) if a is None or a[k] is None else a[k]
-                          for a, _ in steps], dtype=np.float64).reshape(-1, n)
-                for k in range(len(self.arch))]
-        fin = [np.array([np.zeros(n) if f is None or f[k] is None else f[k]
-                         for _, f in steps], dtype=np.int64).reshape(-1, n)
-               for k in range(len(self.fin))]
+        n = len(self.maps[0])
+        arch = [np.asarray(m, dtype=np.float64).reshape(-1, n) for m in arch]
+        fin = [np.asarray(s, dtype=np.int64).reshape(-1, n) for s in fin]
+        steps = len((arch + fin)[0])
         # budget bounds, per step, the |log2| of every nonzero term, norm
         # and partial product of the per-point formula.
-        budget = np.zeros(len(steps))
+        budget = np.zeros(steps)
         ranges = self._log2_ranges
         with np.errstate(all="ignore"):
             for (lo, hi), mult in zip(ranges, arch):
@@ -436,23 +440,25 @@ class PointCloud:
         # a point that an earlier point matches or beats in every feature
         # never attains a minimum first, and the first minimizer over the
         # skyline is that over the cloud.  Out of range, 0 * inf can give
-        # NaN, which np.argmin returns first.
+        # NaN, which argmin returns first, as it does on one step.
         safe = budget <= _LOG2_RANGE
-        out = [None if ok else
-               self.systole_under([m[s] for m in arch], [sh[s] for sh in fin])
-               for s, ok in enumerate(safe)]
-        todo = np.flatnonzero(safe)
-        if todo.size:
-            sky = self.skyline
-            block = max(1, _BLOCK_ELEMENTS // len(sky))
+        mins = np.empty((2, steps))
+        where = np.empty((2, steps), dtype=np.int64)
+        for todo, on_skyline in ((np.flatnonzero(safe), True),
+                                 (np.flatnonzero(~safe), False)):
+            if not todo.size:
+                continue
+            rows = self.skyline if on_skyline else np.arange(self.count)
+            block = max(1, _BLOCK_ELEMENTS // len(rows))
             for start in range(0, len(todo), block):
                 part = todo[start:start + block]
-                content, supnorm = self._norms([m[part, None] for m in arch],
-                                               [sh[part, None] for sh in fin], sky)
-                for s, c, u in zip(part, content, supnorm):
-                    ic, iu = np.argmin(c), np.argmin(u)
-                    out[s] = (float(c[ic]), int(sky[ic]), float(u[iu]), int(sky[iu]))
-        return out
+                norms = np.stack(self._norms([m[part] for m in arch],
+                                             [sh[part] for sh in fin], rows))
+                first = norms.argmin(axis=2)
+                mins[:, part] = np.take_along_axis(norms, first[..., None], 2)[..., 0]
+                where[:, part] = rows[first]
+        return list(zip(mins[0].tolist(), where[0].tolist(),
+                        mins[1].tolist(), where[1].tolist()))
 
     @functools.cached_property
     def skyline(self):
@@ -513,6 +519,25 @@ def _dominated(features, by, rows):
     for column in features.T:
         drop &= column[by, None] <= column[None, rows]
     return drop.any(axis=0)
+
+
+def _column_sum(cols):
+    """Sum of equal-shape arrays in numpy's order for a last-axis `.sum`.
+
+    Below 8 columns that is left to right.  From 8 on it is numpy's
+    pairwise kernel: 8 partial sums seeded with columns 0-7 take the
+    following columns in groups of 8, are combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the columns
+    past the last full group are added left to right.
+    """
+    if len(cols) < 8:
+        return functools.reduce(np.add, cols)
+    tail = len(cols) % 8
+    r = cols[:8]
+    for i in range(8, len(cols) - tail, 8):
+        r = [a + b for a, b in zip(r, cols[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(np.add, cols[len(cols) - tail:], total)
 
 
 def _gamma(k):

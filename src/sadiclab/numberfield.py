@@ -13,8 +13,10 @@ a Hensel-lifted local factor (or, equivalently, from the residue mod that
 factor, which is how `lattice.PointCloud` values whole clouds).
 """
 
+import functools
+import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from mpmath import mp, mpf, mpc
 
@@ -109,11 +111,24 @@ class NumberField:
             raise ValueError("sqrt_disc is only defined for quadratic fields")
         return self.element([self.min_poly[1], 2])
 
-    def from_integral_coords(self, coords):
-        acc = self.zero()
-        for c, b in zip(coords, self.integral_basis):
-            acc = acc + b * Fraction(c)
-        return acc
+    def from_integral_coords(self, coords, denominator=1):
+        """sum_l c_l b_l / denominator for integers c_l over the integral basis.
+
+        Each power-basis coordinate is one integer sum over the basis rows
+        B_l = D b_l and one `Fraction` by D * denominator.
+        """
+        rows, den = self._integral_rows
+        den *= denominator
+        return FieldElement(self, [
+            Fraction(sum(operator.index(c) * row[k] for c, row in zip(coords, rows)), den)
+            for k in range(self.degree)])
+
+    @functools.cached_property
+    def _integral_rows(self):
+        """(integer rows B_l, D) with the integral basis b_l = B_l / D."""
+        coords = [b.coords for b in self.integral_basis]
+        den = lcm(*(c.denominator for row in coords for c in row))
+        return [[int(c * den) for c in row] for row in coords], den
 
     def __repr__(self):
         return f"NumberField({list(self.min_poly)})"

@@ -191,6 +191,38 @@ class TestSurveys:
         assert "bounded-below" in sv.classifications().values()
         assert sv.consistent
 
+    @pytest.mark.parametrize("case", ["q", "gauss"])
+    def test_one_kernel_call_gives_the_per_ray_rows(self, case, rationals, q_inf2,
+                                                    gauss, monkeypatch):
+        if case == "q":
+            places, window = q_inf2, lt.HeightWindow(6, 2)
+            x = dy.OrbitPoint.from_rational(rationals, places, 2, [[2, 3], [1, 2]])
+            # s = +-700 takes some heat-map steps out of the skyline's range
+            heat_s, heat_k = [-700.0, -3.0, 0.0, 3.0, 700.0], range(-3, 4)
+        else:
+            places = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)
+            x, window = dy.OrbitPoint.identity(gauss, places, 2), lt.HeightWindow(1, 1)
+            heat_s, heat_k = None, None
+        calls = []
+        kernel = lt.PointCloud.systoles_under
+        monkeypatch.setattr(lt.PointCloud, "systoles_under",
+                            lambda cloud, *a: calls.append(1) or kernel(cloud, *a))
+        sv = dy.divergence_survey(x, places, window, steps=12,
+                                  heat_s=heat_s, heat_k=heat_k)
+        assert len(calls) == 1
+        cloud = lt.PointCloud(x.lattice, window)
+        for result in sv.rays:
+            want = dy.trajectory(x, result.report.ray, window, cloud=cloud)
+            assert repr(result.report.rows) == repr(want.rows)
+        cells, heat_ray = dy._heat_schedule(x, places, heat_s, heat_k, 10.0)
+        want = dy.trajectory(x, heat_ray, window, cloud=cloud).rows
+        assert len(sv.heat) == len(want) == len(cells)
+        got = [(r["s"], r["k"], r["min_content"], r["min_supnorm"], r["witness"])
+               for r in sv.heat]
+        assert repr(got) == repr([(s, k, w.min_content, w.min_supnorm, w.content_witness)
+                                  for (s, k), w in zip(cells, want)])
+        assert len(calls) == 1 + len(sv.rays) + 1
+
     def test_locally_divergent_pair(self, rationals, q_inf2):
         x = dy.locally_divergent_example(rationals, q_inf2)
         assert x.provenance == "rational"
