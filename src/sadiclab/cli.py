@@ -25,7 +25,7 @@ from . import forms as fm
 from . import lattice as lt
 from . import numberfield as nf
 from . import sadic as sd
-from .errors import SadicLabError, SchemaError
+from .errors import RayOverflow, SadicLabError, SchemaError
 from .scalars import parse_real, to_mpf
 
 DEFAULT_PRECISION = 50
@@ -317,8 +317,6 @@ def _canon_json(obj):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
     return json.dumps(str(obj))
 
 
@@ -420,9 +418,12 @@ def _diag_flow_lattices(cfg, values, n):
         mats = []
         for place in cfg.places:
             if place is arch[0]:
-                diag = [math.exp(s) if i == 0 else
-                        (math.exp(-s) if i == n - 1 else 1.0)
-                        for i in range(n)]
+                try:
+                    diag = [math.exp(s) if i == 0 else
+                            (math.exp(-s) if i == n - 1 else 1.0)
+                            for i in range(n)]
+                except OverflowError:
+                    raise RayOverflow(float(s), place.name) from None
             else:
                 diag = [1] * n
             mats.append([[diag[i] if i == j else

@@ -9,6 +9,7 @@ compare against the theoretical dichotomy at exact rational points
 disagreement as an anomaly instead of accepting it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -177,9 +178,7 @@ class RaySchedule:
                         for c in direc:
                             out.append(math.exp(par * c))
                     except OverflowError:
-                        raise RayOverflow(
-                            f"ray parameter {par!r} at {place.name} overflows "
-                            "float64 in its diagonal entries") from None
+                        raise RayOverflow(par, place.name) from None
                 row.append(par)
             norm_steps.append(tuple(row))
         self.steps = norm_steps
@@ -318,18 +317,8 @@ def _n2_direction(n):
 
 def _sign_patterns(k):
     """All nonzero sign vectors in {-1,0,1}^k."""
-    pats = []
-
-    def rec(prefix):
-        if len(prefix) == k:
-            if any(prefix):
-                pats.append(tuple(prefix))
-            return
-        for s in (-1, 0, 1):
-            rec(prefix + [s])
-    rec([])
-    pats.sort(key=lambda t: (sum(1 for s in t if s), t), reverse=False)
-    return pats
+    return sorted((t for t in itertools.product((-1, 0, 1), repeat=k) if any(t)),
+                  key=lambda t: (sum(1 for s in t if s), t))
 
 
 def _ray_name(places, signs):
@@ -348,7 +337,6 @@ def default_ray_catalog(x, active, steps=20, s_max=10.0, stair_jump=12):
         params = []
         kvals = list(range(steps))
         finite_moving = [i for i in moving if active[i].kind == "finite"]
-        arch_moving = [i for i in moving if active[i].kind != "finite"]
         for j in range(steps):
             row = []
             for i, (place, s) in enumerate(zip(active, signs)):

@@ -51,10 +51,6 @@ class NotInField(SadicLabError, TypeError):
     """A finite-place entry is inexact or not an element of the field."""
 
 
-class NonExactRepresentative(SadicLabError):
-    """A candidate lattice point has no exact preimage in the window."""
-
-
 class ShapeMismatch(SadicLabError):
     """Dimensions, fields or place sets of two objects disagree."""
 
@@ -65,6 +61,10 @@ class TooFewSteps(SadicLabError):
 
 class RayOverflow(SadicLabError, OverflowError):
     """An archimedean ray parameter puts a diagonal entry beyond float64."""
+
+    def __init__(self, par, place):
+        super().__init__(f"ray parameter {par!r} at {place} overflows float64 "
+                         "in its diagonal entries")
 
 
 class NeedTwoPlaces(SadicLabError):

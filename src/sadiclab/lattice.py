@@ -15,7 +15,9 @@ kernel's precision are valued exactly, one by one.  Exact coordinates are
 materialized only for witnesses, those fallbacks and the generator API.
 
 A cloud takes one n_out x n_in map per place, by default g itself;
-`nilpotent_span_check` makes the adjoint lattice one cloud of Ad(g).
+`nilpotent_span_check` makes the adjoint lattice one cloud of Ad(g) and
+decides its verdict by Engel's theorem, as one test that every product
+of n kept matrices is 0.
 `_window_rows` is the package's one enumeration of the window.
 
 Trajectories, surveys and heat maps query one cloud under a whole schedule
@@ -734,54 +736,48 @@ def _sl_matrix(coeffs, basis, field):
 
 
 def _flatten_to_q(mat):
-    out = []
-    for row in mat:
-        for c in row:
-            out.extend(c.coords)
-    return out
+    return [q for row in mat for c in row for q in c.coords]
 
 
-def _bracket(a, b, field):
-    n = len(a)
-    out = [[field.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = field.zero()
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j] - b[i][k] * a[k][j]
-            out[i][j] = acc
-    return out
+def _nilpotent_span(mats, field, n):
+    """True when the Lie algebra that the n x n matrices generate is nilpotent.
 
+    V starts at B, an echelon basis of their Q-span, and is replaced
+    n - 1 times by an echelon basis of {a b : a in V, b in B}; the answer
+    is that V ends empty: every product of n elements of B is 0.  With L
+    the bracket closure of B and A the associative Q-algebra B generates:
 
-def _all_nilpotent(basis_mats, field, n):
-    """Engel-style check: every element of the spanned algebra is nilpotent."""
-    mats = basis_mats
-    dim = n
-    while dim > 0:
-        if not mats:
-            return True
-        kernel = linalg.kernel([row for m in mats for row in m], dim)
-        if not kernel:
+    1. If L consists of nilpotent matrices, Engel's theorem (Humphreys,
+       Introduction to Lie Algebras and Representation Theory, 3.3) on the
+       Q-space K^n makes them strictly upper triangular in some basis, and
+       so are the products that span A: A is nilpotent.
+    2. Conversely, A contains L, as [a, b] = ab - ba, and A^n = 0 makes
+       every element of A nilpotent.
+    3. Q-spans suffice, and so does n: K A is a nilpotent subalgebra of
+       M_n(K), so the K-subspaces (K A)^k K^n fall strictly until they are
+       0, within n steps; hence (K A)^n = 0, and with it A^n.
+    4. In a basis through that flag K A is strictly upper triangular, of
+       K-dimension at most n (n - 1) / 2.  So a V with more than
+       d n (n - 1) / 2 elements (d = [K:Q]) answers False, and `echelon`
+       stops there, forming no further product.
+    """
+    bound = field.degree * n * (n - 1) // 2
+
+    def echelon(matrices):
+        rows, out = [], []
+        for m in matrices:
+            if linalg.insert(rows, _flatten_to_q(m)):
+                out.append(m)
+                if len(out) > bound:
+                    break
+        return out
+
+    span = basis = echelon(mats)
+    for _ in range(n - 1):
+        if len(span) > bound:
             return False
-        # complete the kernel to a basis of K^dim with the standard vectors
-        # at the non-pivot columns of its echelon form
-        echelon = []
-        for v in kernel:
-            linalg.insert(echelon, v)
-        leads = {lead for lead, _ in echelon}
-        cols = kernel + [[field.one() if i == j else field.zero() for i in range(dim)]
-                         for j in range(dim) if j not in leads]
-        Pmat = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-        Pinv = linalg.inverse(Pmat)
-        w = len(kernel)
-        new_mats = []
-        for m in mats:
-            mm = _matmul_field(Pinv, _matmul_field(m, Pmat, field), field)
-            block = [[mm[r][c] for c in range(w, dim)] for r in range(w, dim)]
-            new_mats.append(block)
-        mats = [m for m in new_mats if any(not c.is_zero() for row in m for c in row)]
-        dim -= w
-    return True
+        span = echelon(_matmul_field(a, b, field) for a in span for b in basis)
+    return not span
 
 
 def _matmul_field(a, b, field):
@@ -830,9 +826,10 @@ def nilpotent_span_check(lat, radius, window):
     finite place and in floats at an archimedean one.  The window runs
     over the coefficient vectors of X in O_S.  A point is kept when its
     sup norm, by the cloud's `norms_under` formula, is below the radius;
-    only the kept X are built as exact matrices.  Their span is closed
-    under the Lie bracket and checked (by iterated common kernels) to
-    consist of nilpotent matrices.  An empty intersection is vacuously
+    only the kept X are built as exact matrices.  By Engel's theorem the
+    Lie algebra that they generate consists of nilpotent matrices exactly
+    when every product of n of them is 0, which `_nilpotent_span` tests
+    on echelon bases of Q-spans.  An empty intersection is vacuously
     nilpotent.
     """
     n = lat.n
@@ -863,22 +860,5 @@ def nilpotent_span_check(lat, radius, window):
             matrix=_sl_matrix(coeffs, basis, field),
             sup_norm=float(sup[idx]),
         ))
-    if not kept:
-        return NilpotentSpanReport(True, [], 0)
-    # close the exact span under the bracket
-    span_rows = []
-    span_mats = []
-    for pt in kept:
-        mat = [list(rowX) for rowX in pt.matrix]
-        if linalg.insert(span_rows, _flatten_to_q(mat)):
-            span_mats.append(mat)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(span_mats), 2):
-            br = _bracket(a, b, field)
-            if linalg.insert(span_rows, _flatten_to_q(br)):
-                span_mats.append(br)
-                changed = True
-    ok = _all_nilpotent(span_mats, field, n)
-    return NilpotentSpanReport(ok, kept, len(kept))
+    return NilpotentSpanReport(_nilpotent_span([pt.matrix for pt in kept], field, n),
+                               kept, len(kept))

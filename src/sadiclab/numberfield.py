@@ -67,7 +67,6 @@ class NumberField:
             if linalg.rank(rows) != self.degree:
                 raise ValueError("integral basis matrix is singular")
             self.integral_basis = tuple(FieldElement(self, r) for r in rows)
-        self._arch_places = None
 
     def _reduction_rows(self):
         d = self.degree
@@ -340,24 +339,18 @@ class ComplexPlace(Place):
     """One place per conjugate pair; the stored root has positive imaginary part.
 
     The normalized absolute value is the square of the modulus, which makes
-    the product formula hold without counting the pair twice.
+    the product formula hold without counting the pair twice.  `center`,
+    the root that mpmath's polyroots found, is the root's Newton start.
     """
 
     kind = "complex"
 
-    def __init__(self, field, center_re, center_im, radius, index):
+    def __init__(self, field, center_re, center_im, index):
         self.field = field
         self.center = (Fraction(center_re), Fraction(center_im))
-        self.radius = Fraction(radius)
         self.index = index
         self.name = f"c{index}"
         self._roots = {}
-
-    def refined(self, factor=2):
-        root = self.root(DEFAULT_DPS)
-        re = Fraction(str(root.real))
-        im = Fraction(str(root.imag))
-        return ComplexPlace(self.field, re, im, self.radius / factor, self.index)
 
     def root(self, dps=None):
         re, im = self.center
@@ -522,8 +515,6 @@ def create_field(min_poly_coeffs, integral_basis=None):
 
 def archimedean_places(field):
     """All real and complex places; complex conjugate pairs appear once."""
-    if field._arch_places is not None:
-        return list(field._arch_places)
     m = list(map(Fraction, field.min_poly))
     places = []
     if field.degree == 1:
@@ -537,7 +528,7 @@ def archimedean_places(field):
         r2 = (field.degree - r1) // 2
         if r2 > 0:
             places.extend(_complex_places(field, r2))
-    return list(places)
+    return places
 
 
 def _complex_places(field, r2):
@@ -548,18 +539,8 @@ def _complex_places(field, r2):
         upper.sort(key=lambda r: (mp.re(r), mp.im(r)))
         if len(upper) != r2:
             raise ArithmeticError("complex root pairing failed")
-        sep = None
-        for i, a in enumerate(roots):
-            for b in roots[i + 1:]:
-                d = abs(a - b)
-                if sep is None or d < sep:
-                    sep = d
-        radius = Fraction(str(sep / 3)) if sep else Fraction(1)
-        out = []
-        for i, r in enumerate(upper):
-            out.append(ComplexPlace(field, Fraction(str(mp.re(r))),
-                                    Fraction(str(mp.im(r))), radius, i))
-    return out
+        return [ComplexPlace(field, Fraction(str(mp.re(r))),
+                             Fraction(str(mp.im(r))), i) for i, r in enumerate(upper)]
 
 
 def finite_places(field, p, precision=HENSEL_DEFAULT_N):

@@ -97,18 +97,6 @@ def derivative(p):
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def content_primitive(p):
-    """gcd of integer coefficients and the corresponding primitive part."""
-    from math import gcd
-
-    g = 0
-    for c in p:
-        g = gcd(g, abs(int(c)))
-    if g == 0:
-        return 0, list(p)
-    return g, [int(c) // g for c in p]
-
-
 def sturm_chain(p):
     chain = [list(p), derivative(p)]
     while chain[-1]:

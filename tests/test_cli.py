@@ -420,6 +420,21 @@ class TestRun:
         assert err.startswith("error: ray parameter ") and " at r0 " in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, block, value", [
+        ("systole", "systole", 800), ("mahler", "mahler", -800)])
+    def test_overflowing_diagonal_flow_is_an_error_line(self, tmp_path, capsys,
+                                                        command, block, value):
+        config = {"min_poly": [0, 1], "window": {"H": 2, "E": 0},
+                  block: {"diagonal_flow": {"values": [value]}}}
+        if block == "mahler":
+            config[block]["radius"] = 0.5
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), command])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ray parameter {float(value)!r} at r0 overflows float64 "
+            "in its diagonal entries\n")
+
     def test_largest_ray_parameter_in_range_runs(self, tmp_path):
         # 12 * 10 * ln 367 is about 708.6, below ln(max float64), about 709.8
         config = {"min_poly": [0, 1],

@@ -264,7 +264,7 @@ class TestNilpotentSpan:
 
     # Values pinned from the implementation that preceded sadiclab.linalg.
     # Only these cases have a finite place, where g^-1 is inverted over K;
-    # the Q(i) case runs the span closure over a field of degree 2.
+    # the Q(i) case runs the span test over a field of degree 2.
     @pytest.mark.parametrize("case, nilpotent, kept, sup_norms", [
         ("contracted", True, ["0 1 0", "0 1/2 0", "0 2 0"],
          [0.0625, 0.125, 0.125]),
@@ -442,24 +442,53 @@ def reference_points(lat, window):
 
 
 def reference_verdict(kept, field, n):
-    """The replaced check's bracket closure over the kept matrices."""
-    if not kept:
-        return True
+    """The replaced check: bracket closure, then iterated common kernels.
+
+    The span of the kept matrices is closed under the Lie bracket; the
+    closure is nilpotent when K^n has a common kernel of it whose
+    quotient, in a completed basis, again has one, down to dimension 0.
+    """
+    def bracket(a, b):
+        return [[sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)),
+                     field.zero()) for j in range(n)] for i in range(n)]
+
     span_rows = []
-    span_mats = []
+    mats = []
     for X in kept:
         mat = [list(row) for row in X]
         if linalg.insert(span_rows, lt._flatten_to_q(mat)):
-            span_mats.append(mat)
+            mats.append(mat)
     changed = True
     while changed:
         changed = False
-        for a, b in itertools.combinations(list(span_mats), 2):
-            br = lt._bracket(a, b, field)
+        for a, b in itertools.combinations(list(mats), 2):
+            br = bracket(a, b)
             if linalg.insert(span_rows, lt._flatten_to_q(br)):
-                span_mats.append(br)
+                mats.append(br)
                 changed = True
-    return lt._all_nilpotent(span_mats, field, n)
+    dim = n
+    while dim > 0 and mats:
+        kernel = linalg.kernel([row for m in mats for row in m], dim)
+        if not kernel:
+            return False
+        # complete the kernel to a basis of K^dim with the standard vectors
+        # at the non-pivot columns of its echelon form
+        echelon = []
+        for v in kernel:
+            linalg.insert(echelon, v)
+        leads = {lead for lead, _ in echelon}
+        cols = kernel + [[field.one() if i == j else field.zero() for i in range(dim)]
+                         for j in range(dim) if j not in leads]
+        P = [[cols[c][r] for c in range(dim)] for r in range(dim)]
+        Pinv = linalg.inverse(P)
+        w = len(kernel)
+        blocks = []
+        for m in mats:
+            mm = lt._matmul_field(Pinv, lt._matmul_field(m, P, field), field)
+            blocks.append([[mm[r][c] for c in range(w, dim)] for r in range(w, dim)])
+        mats = [m for m in blocks if any(not c.is_zero() for row in m for c in row)]
+        dim -= w
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -581,3 +610,56 @@ def test_nilpotent_check_matches_per_point_loop(data):
 def test_nilpotent_check_matches_per_point_loop_sl3(data):
     lat, window, exact = data.draw(adjoint_case(3), label="case")
     _check_against_reference(data, lat, window, exact, radii=2)
+
+
+@st.composite
+def engel_case(draw):
+    """(field, n, mats, expected): a span built without a window.
+
+    "shared": strictly upper-triangular matrices conjugated by one
+    invertible P over the integers, nilpotent; "diagonal": the same with
+    one nonzero diagonal entry in one of them, not nilpotent; "separate"
+    (two matrices, n <= 3, where the oracle stays fast): each conjugated
+    by its own P, which the oracle alone decides (None).
+    """
+    field = _setting(draw(st.sampled_from(["q2", "gauss"])))[0]
+    n = draw(st.integers(2, 4))
+    one, zero = field.one(), field.zero()
+
+    def entry(bound):
+        return field.element(draw(st.lists(st.integers(-bound, bound),
+                                           min_size=field.degree,
+                                           max_size=field.degree)))
+
+    def conjugator():
+        L = [[entry(1) if i > j else one if i == j else zero for j in range(n)]
+             for i in range(n)]
+        U_ = [[entry(1) if i < j else one if i == j else zero for j in range(n)]
+              for i in range(n)]
+        P = lt._matmul_field(L, U_, field)
+        return P, linalg.inverse(P)
+
+    kind = draw(st.sampled_from(["shared", "diagonal", "separate"] if n < 4
+                                else ["shared", "diagonal"]))
+    tris = [[[entry(2) if i < j else zero for j in range(n)] for i in range(n)]
+            for _ in range(2 if kind == "separate" else draw(st.integers(1, 3)))]
+    if kind == "diagonal":
+        k = draw(st.integers(0, n - 1))
+        tris[0][k][k] = one * draw(st.sampled_from([-2, -1, 1, 2]))
+    shared = conjugator()
+    mats = []
+    for T in tris:
+        P, Pinv = conjugator() if kind == "separate" else shared
+        X = lt._matmul_field(P, lt._matmul_field(T, Pinv, field), field)
+        mats.append(tuple(tuple(row) for row in X))
+    return field, n, mats, {"shared": True, "diagonal": False, "separate": None}[kind]
+
+
+@settings(max_examples=20, deadline=None)
+@given(engel_case())
+def test_nilpotent_span_matches_bracket_closure(case):
+    field, n, mats, expected = case
+    verdict = lt._nilpotent_span(mats, field, n)
+    assert verdict is reference_verdict(mats, field, n)
+    if expected is not None:
+        assert verdict is expected

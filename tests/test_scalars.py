@@ -393,6 +393,50 @@ def test_no_scalar_type_dispatch_outside_scalars():
     assert offences == []
 
 
+# Every module-level function and class of the package is named somewhere
+# outside its own definition: in the package, the tests, the demos or the
+# benchmark harness (whose tracer names its targets in strings).
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _mentions(tree):
+    """(top-level definition or None, name) for every name the tree uses."""
+    out = set()
+    for top in tree.body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.add((owner, node.attr))
+            elif isinstance(node, ast.alias):
+                out.add((owner, node.name))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                out.add((owner, node.value))
+    return out
+
+
+def test_every_package_definition_is_named_elsewhere():
+    paths = [path for folder in ("src", "tests", "demos", "perfbench")
+             for path in sorted((_ROOT / folder).rglob("*.py"))]
+    mentions = {path: _mentions(ast.parse(path.read_text())) for path in paths}
+    package = _ROOT / "src" / "sadiclab"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):
+                continue
+            if not any(name == top.name and (where != path or owner != top.name)
+                       for where, found in mentions.items()
+                       for owner, name in found):
+                unused.append(f"{path.stem}.{top.name}")
+    assert unused == []
+
+
 # The window of S-integer points is enumerated in one place:
 # `lattice._window_rows` alone calls `_numerator_grid` and sweeps the
 # denominator exponents (an `itertools.product` over range(E + 1) per prime).
