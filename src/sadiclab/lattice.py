@@ -23,16 +23,15 @@ of n kept matrices is 0.
 Trajectories, surveys and heat maps query one cloud under a whole schedule
 of diagonal steps through `PointCloud.systoles_under`, which takes one
 (steps, n) stack of multipliers or valuation shifts per place; a survey
-stacks every ray and its heat map into one such call.  A point that an
-earlier point matches or beats in every coordinate modulus (real and
-imaginary parts apart at a complex place) and valuation is never the first
-minimizer of a step in the normal float64 range, so such a step is
-evaluated with the per-point formula on the cloud's skyline alone, and its
-values and first-index witnesses are those of a point-by-point evaluation.
-Steps whose dynamic range could leave the normal float64 range are
-evaluated on the whole cloud, in blocks too, and so is a single step
-(`systole_under`).  The formula runs a coordinate column at a time, with
-numpy's own summation order, so its bits are those of the row formula.
+stacks every ray and its heat map into one such call.  The per-point
+formula carries place norms, content and sup-norm as frexp pairs: float64
+with an unbounded exponent, rounded to a float only on return.  Where
+every term is a normal float its bits are those of the plain row formula,
+and everywhere it is monotone in each coordinate modulus (real and
+imaginary parts apart at a complex place) and valuation.  So a point that
+an earlier point matches or beats in all of them is never a first
+minimizer, and every step is evaluated on the cloud's skyline alone, with
+the values and first-index witnesses of a point-by-point evaluation.
 """
 
 import functools
@@ -54,7 +53,7 @@ _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
 _BLOCK_ELEMENTS = 1 << 13    # steps x points per block
 _SKYLINE_BLOCK = 64          # rows per block of the skyline's filter
 _UNIT_ROUNDOFF = 2.0 ** -53
-_LOG2_RANGE = 510            # |log2| budget that keeps every term normal
+_ZERO_EXP = -(1 << 24)       # int32 frexp exponent of 0; any below _ZERO_EXP / 2 is 0
 
 
 class HeightWindow:
@@ -203,9 +202,8 @@ class PointCloud:
     reuses one enumeration.
 
     Every minimum is read off one per-point formula (`norms_under`), over
-    the whole cloud for one step (`systole_under`) and, for a schedule
-    (`systoles_under`), over the `skyline` at the steps in range and over
-    the whole cloud at the others.  Witness strings are memoised per index.
+    the whole cloud for one step (`systole_under`) and over the `skyline`
+    for a schedule (`systoles_under`); witness strings are memoised.
     """
 
     def __init__(self, lat, window, maps=None):
@@ -334,53 +332,54 @@ class PointCloud:
 
     # -- norms under diagonal scaling -------------------------------------------
 
-    def _norms(self, arch_mults, fin_shifts, rows=slice(None)):
-        """The exact per-point float formula for content and sup-norm.
+    def _split(self, rows):
+        """The frexp pairs of the real and imaginary parts of the points rows'
+        archimedean coordinates, and their valuations, a column at a time."""
+        arch = []
+        for place, W in self.arch:
+            W = W[rows]
+            parts = [W.real, W.imag] if place.kind == "complex" else [W]
+            arch.append([[_normalize(a[:, j], np.int32(_ZERO_EXP) * (a[:, j] == 0))
+                          for a in parts] for j in range(W.shape[1])])
+        return arch, [[v[rows, j] for j in range(v.shape[1])] for _, v, _, _ in self.fin]
 
-        rows selects points (default: the whole cloud).  A multiplier or
-        shift is None, one length-n row for all points or a (steps, n)
-        stack of rows, which gives (steps, points) results; either way each
-        point sees the same float operations.  They run a coordinate
-        column at a time, since numpy reduces a short last axis about ten
-        times slower than it works elementwise; max and min are exact in
-        any order, and sums take numpy's own last-axis order
-        (`_column_sum`), so the bits are those of the row formula.
+    def _norms(self, arch_mults, fin_shifts, columns=None):
+        """The per-point formula for content and sup-norm, as frexp pairs.
+
+        columns are `_split`'s, by default of the whole cloud.  A
+        multiplier or shift is None, one length-n row for all points or a
+        (steps, n) stack of rows, which gives (steps, points) arrays in the
+        pairs (content, ce, supnorm, se): float64 arithmetic with an
+        unbounded exponent.  Multiplier exponents are folded in exactly,
+        and each row is scaled by 2^-t, t its entries' largest exponent,
+        before squaring.  Where every term is a normal float each operation
+        rounds the same mantissa as the plain row formula, whose sums take
+        numpy's last-axis order (`_column_sum`).  A square that underflows
+        changes no sum of up to 64 columns: the largest is at least 1/16,
+        and a partial sum it reaches has its unbounded value or stays below
+        2^(55 h - 1022) at height h.
         """
-        content, supnorm = 1.0, 0.0
-        for k, (place, W) in enumerate(self.arch):
-            mult = None if arch_mults is None else arch_mults[k]
-            cols = [W[rows, j] for j in range(W.shape[1])]
-            if mult is not None:
-                mult = np.asarray(mult)
-                cols = [c * mult[..., j, None] for j, c in enumerate(cols)]
-            if place.kind == "complex":
-                # the norm is the sum of the squares: it leaves the float64
-                # range together with them
-                norm = _column_sum([c.real ** 2 + c.imag ** 2 for c in cols])
-            else:
-                # Each row is scaled by the power of two 2^-e that brings
-                # its largest entry into [1/2, 1) before squaring, and the
-                # norm back by 2^e: on long rays the squares no longer
-                # under- or overflow while the norm is in range, and where
-                # no square left the normal range every step scales
-                # exactly, so no bit changes.
-                _, e = np.frexp(functools.reduce(np.maximum, map(np.abs, cols)))
-                units = [np.ldexp(c, -e) for c in cols]
-                norm = np.ldexp(np.sqrt(_column_sum([u * u for u in units])), e)
-            content = content * norm
-            supnorm = np.maximum(supnorm, norm)
-        for k, (place, vals, p, f) in enumerate(self.fin):
-            shift = None if fin_shifts is None else fin_shifts[k]
-            cols = [vals[rows, j] for j in range(vals.shape[1])]
-            if shift is not None:
-                shift = np.asarray(shift, dtype=np.int64)
+        arch_cols, fin_cols = self._split(slice(None)) if columns is None else columns
+        norms = []
+        for k, ((place, _), coords) in enumerate(zip(self.arch, arch_cols)):
+            if arch_mults is not None and arch_mults[k] is not None:
+                mm, me = np.frexp(np.asarray(arch_mults[k]))
+                coords = [[(m * mm[..., j, None], e + me[..., j, None]) for m, e in parts]
+                          for j, parts in enumerate(coords)]
+            top = functools.reduce(np.maximum, [e for parts in coords for _, e in parts])
+            squares = [[np.ldexp(m, e - top) ** 2 for m, e in parts] for parts in coords]
+            total = _column_sum([functools.reduce(np.add, sq) for sq in squares])
+            # the norm is the sum of the squares at a complex place
+            norms.append(_normalize(total, 2 * top) if place.kind == "complex"
+                         else _normalize(np.sqrt(total), top))
+        for k, ((_, _, p, _), cols) in enumerate(zip(self.fin, fin_cols)):
+            if fin_shifts is not None and fin_shifts[k] is not None:
+                shift = np.asarray(fin_shifts[k], dtype=np.int64)
                 cols = [np.where(c >= _ZERO_VAL, c, c + shift[..., j, None])
                         for j, c in enumerate(cols)]
-            minval = functools.reduce(np.minimum, cols)
-            norm = np.power(float(p), -minval.astype(np.float64))
-            content = content * norm
-            supnorm = np.maximum(supnorm, norm)
-        return content, supnorm
+            norms.append(_inverse_power(p, functools.reduce(np.minimum, cols)))
+        ms, es = zip(*norms)
+        return _normalize(math.prod(ms), sum(es)) + functools.reduce(_larger, norms)
 
     @property
     def valuation_fallbacks(self):
@@ -390,18 +389,19 @@ class PointCloud:
     def norms_under(self, arch_mults=None, fin_shifts=None):
         """(content, supnorm) arrays under per-place diagonal scaling.
 
-        The point-by-point evaluation that `systoles_under` reproduces.
+        The point-by-point evaluation that `systoles_under` reproduces,
+        rounded to float64: 0.0 or inf beyond its range.
         """
-        return self._norms(arch_mults, fin_shifts)
+        content, ce, supnorm, se = self._norms(arch_mults, fin_shifts)
+        return _to_float(content, ce), _to_float(supnorm, se)
 
     def systole_under(self, arch_mults=None, fin_shifts=None):
         """(min_content, ic, min_supnorm, isup) under one diagonal step.
 
-        `norms_under` over the whole cloud, first index of each minimum.
+        `norms_under` over the whole cloud, first index of each unrounded minimum.
         """
-        content, supnorm = self._norms(arch_mults, fin_shifts)
-        ic, isup = int(np.argmin(content)), int(np.argmin(supnorm))
-        return float(content[ic]), ic, float(supnorm[isup]), isup
+        pairs = self._norms(arch_mults, fin_shifts)
+        return next(_minima(np.arange(self.count), *(a[None] for a in pairs)))
 
     def systoles_under(self, arch, fin):
         """Window systoles under every step of a schedule.
@@ -410,57 +410,23 @@ class PointCloud:
         per archimedean place, fin one (steps, n) int64 stack of valuation
         shifts per finite place, n the image coordinates.  Returns one
         (min_content, ic, min_supnorm, isup) tuple per step, that of
-        `systole_under`.  Steps in range are evaluated on the `skyline`
-        alone, the others on the whole cloud, in blocks of about
-        _BLOCK_ELEMENTS steps x points, so the working memory does not grow
-        with the schedule.
+        `systole_under`.  Each operation of `_norms` is a monotone rounding
+        of a function nondecreasing in every feature of the `skyline`, so a
+        point that an earlier point matches or beats in all of them never
+        attains a minimum first: every step is evaluated on the skyline, in
+        blocks of about _BLOCK_ELEMENTS steps x points.
         """
-        n = len(self.maps[0])
-        arch = [np.asarray(m, dtype=np.float64).reshape(-1, n) for m in arch]
-        fin = [np.asarray(s, dtype=np.int64).reshape(-1, n) for s in fin]
-        steps = len((arch + fin)[0])
-        # budget bounds, per step, the |log2| of every nonzero term, norm
-        # and partial product of the per-point formula.
-        budget = np.zeros(steps)
-        ranges = self._log2_ranges
-        with np.errstate(all="ignore"):
-            for (lo, hi), mult in zip(ranges, arch):
-                lm = np.log2(mult ** 2)
-                budget += np.maximum(np.abs((lo + lm).min(axis=1)),
-                                     np.abs((hi + lm).max(axis=1) + math.log2(n)))
-            for (_, _, p, _), (lo, hi), shift in zip(self.fin, ranges[len(arch):], fin):
-                budget += math.log2(p) * np.maximum(np.abs((lo + shift).min(axis=1)),
-                                                    np.abs((hi + shift).max(axis=1)))
-        # A step is in range when budget <= _LOG2_RANGE.  Then every place
-        # norm is a nonzero finite float, and at a real place the nonzero
-        # squares of all points lie within 2^(2 _LOG2_RANGE) = 2^1020 of
-        # each other: divided by 4^e for the e of any point's largest
-        # entry (2^e is at most twice that entry), each stays at least
-        # 2^-1022, a normal float, so a row's norm has the same bits at any
-        # such e.  Every operation of the formula is then a monotone
-        # rounding of a function nondecreasing in each skyline feature, so
-        # a point that an earlier point matches or beats in every feature
-        # never attains a minimum first, and the first minimizer over the
-        # skyline is that over the cloud.  Out of range, 0 * inf can give
-        # NaN, which argmin returns first, as it does on one step.
-        safe = budget <= _LOG2_RANGE
-        mins = np.empty((2, steps))
-        where = np.empty((2, steps), dtype=np.int64)
-        for todo, on_skyline in ((np.flatnonzero(safe), True),
-                                 (np.flatnonzero(~safe), False)):
-            if not todo.size:
-                continue
-            rows = self.skyline if on_skyline else np.arange(self.count)
-            block = max(1, _BLOCK_ELEMENTS // len(rows))
-            for start in range(0, len(todo), block):
-                part = todo[start:start + block]
-                norms = np.stack(self._norms([m[part] for m in arch],
-                                             [sh[part] for sh in fin], rows))
-                first = norms.argmin(axis=2)
-                mins[:, part] = np.take_along_axis(norms, first[..., None], 2)[..., 0]
-                where[:, part] = rows[first]
-        return list(zip(mins[0].tolist(), where[0].tolist(),
-                        mins[1].tolist(), where[1].tolist()))
+        arch = [np.asarray(m, dtype=np.float64) for m in arch]
+        fin = [np.asarray(s, dtype=np.int64) for s in fin]
+        rows = self.skyline
+        columns = self._split(rows)
+        block = max(1, _BLOCK_ELEMENTS // len(rows))
+        out = []
+        for start in range(0, len((arch + fin)[0]), block):
+            part = slice(start, start + block)
+            out += _minima(rows, *self._norms([m[part] for m in arch],
+                                              [sh[part] for sh in fin], columns))
+        return out
 
     @functools.cached_property
     def skyline(self):
@@ -475,26 +441,6 @@ class PointCloud:
         columns = [np.abs(c) for c in columns]
         columns += [-vals.astype(np.float64) for _, vals, _, _ in self.fin]
         return _skyline(np.concatenate(columns, axis=1))
-
-    @functools.cached_property
-    def _log2_ranges(self):
-        """Per place, (lo, hi) over the points of each image coordinate.
-
-        Of log2 |W_vj|^2, from |W_vj| so that a square out of the float64
-        range still shows, or of the finite valuations; zeros are left out,
-        and an all-zero coordinate gets lo > hi, which no extremum picks.
-        """
-        ranges = []
-        for _, W in self.arch:
-            mod = np.abs(W)
-            with np.errstate(divide="ignore"):
-                ranges.append((2 * np.log2(np.where(mod > 0, mod, np.inf).min(axis=0)),
-                               2 * np.log2(mod.max(axis=0))))
-        for _, vals, _, _ in self.fin:
-            real = vals < _ZERO_VAL
-            ranges.append((np.where(real, vals, _ZERO_VAL).min(axis=0),
-                           np.where(real, vals, -_ZERO_VAL).max(axis=0)))
-        return ranges
 
 
 def _skyline(features):
@@ -540,6 +486,59 @@ def _column_sum(cols):
         r = [a + b for a, b in zip(r, cols[i:i + 8])]
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     return functools.reduce(np.add, cols[len(cols) - tail:], total)
+
+
+def _normalize(x, e):
+    """The frexp pair (m, e + d) of x * 2^e, m in [1/2, 1) or 0."""
+    m, d = np.frexp(x)
+    return m, e + d
+
+
+def _larger(a, b):
+    """The larger of two normalized frexp pairs of nonnegative arrays."""
+    above = (b[1] > a[1]) | ((b[1] == a[1]) & (b[0] > a[0]))
+    return np.where(above, b[0], a[0]), np.where(above, b[1], a[1])
+
+
+def _minima(rows, *pairs):
+    """(min_content, ic, min_supnorm, isup) of each row of `_norms`'s pairs,
+    the minima rounded to float64 and their first indices taken in rows."""
+    out = []
+    for m, e in zip(pairs[::2], pairs[1::2]):
+        low = e.min(axis=1, keepdims=True)
+        first = np.where(e <= np.maximum(low, _ZERO_EXP // 2), m, 1.0).argmin(axis=1)
+        out += [_to_float(m[np.arange(len(m)), first], low[:, 0]).tolist(),
+                rows[first].tolist()]
+    return zip(*out)
+
+
+def _to_float(m, e):
+    """m * 2^e rounded to float64: 0.0 or inf beyond its range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(m, e)
+
+
+def _inverse_power(p, v):
+    """The frexp pairs of p^-v: np.power's bits where they are a normal
+    float, as the plain formula takes them (np.power is not correctly
+    rounded at every v), and `_frexp_exact` beyond that."""
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.power(float(p), -v.astype(np.float64))
+    m, e = np.frexp(x)
+    odd = (x < np.finfo(x.dtype).tiny) | (x == np.inf)
+    if odd.any():
+        ks, back = np.unique(v[odd], return_inverse=True)
+        m[odd], e[odd] = np.array([_frexp_exact(p, k) for k in ks.tolist()])[back].T
+    return m, e
+
+
+def _frexp_exact(p, v):
+    """math.frexp of p^-v, correctly rounded and unbounded; 0 at _ZERO_VAL."""
+    if v >= _ZERO_VAL:
+        return 0.0, _ZERO_EXP
+    s = int(v * math.log2(p))          # p^-v 2^s lies near 1
+    m, d = math.frexp(Fraction(p) ** -v * Fraction(2) ** s)
+    return m, d - s
 
 
 def _gamma(k):

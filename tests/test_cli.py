@@ -8,13 +8,18 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
 from sadiclab import cli
+from sadiclab import dynamics as dy
 from sadiclab import forms as fm
+from sadiclab import lattice as lt
+from sadiclab import sadic as sd
 from sadiclab.errors import SchemaError
 
 
@@ -436,11 +441,50 @@ class TestRun:
             "in its diagonal entries\n")
 
     def test_largest_ray_parameter_in_range_runs(self, tmp_path):
-        # 12 * 10 * ln 367 is about 708.6, below ln(max float64), about 709.8
+        # 12 * 10 * ln 367 is about 708.6, below ln(max float64), about 709.8.
+        # From step 11 on two stair rays' contents lie below the float64
+        # range, and every stair witness still attains the window minimum.
         config = {"min_poly": [0, 1],
                   "places": {"archimedean": "all", "finite_primes": [367]},
                   "window": {"H": 3, "E": 1}}
-        assert cli.run("orbit-survey", config, str(tmp_path)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run("orbit-survey", config, str(tmp_path)) == 0
+            cfg = cli.parse_config(config)
+            x = dy.OrbitPoint.identity(cfg.field, cfg.places, 2)
+            survey = dy.divergence_survey(x, cfg.places, cfg.window, steps=20)
+        cloud = lt.PointCloud(x.lattice, cfg.window)
+        points = {cloud.format_point(i): cloud.point(i) for i in range(cloud.count)}
+
+        def exact_content(z, params):
+            # the identity point moved by diag(e^s, e^-s), diag(367^k, 367^-k)
+            (s, k), coords = params, [e.coords[0] for e in z]
+            arch = [mpf(c.numerator) / c.denominator * mp.exp(mpf(s) * d)
+                    for c, d in zip(coords, (1, -1))]
+            fin = [c * Fraction(367) ** (k * d) for c, d in zip(coords, (1, -1))]
+            return sd.content(sd.SAdicVector(cfg.places, [arch, fin]), 50)
+
+        stairs = [r for r in survey.rays if r.name.startswith("stair:")]
+        assert len(stairs) == 4
+        with mp.workdps(50):
+            for ray in stairs:
+                for row in ray.report.rows[11:]:
+                    contents = {text: exact_content(z, row.params)
+                                for text, z in points.items()}
+                    least = min(contents.values())
+                    assert contents[row.content_witness] <= least * (1 + mpf("1e-12"))
+
+    def test_heat_map_cell_beyond_float_range_of_a_factor(self, tmp_path):
+        # e^700 2^-1200 is a normal float, though 2^-1200 is not
+        code = cli.main(["--config", json.dumps(dict(Q_WITH_2, window={"H": 2, "E": 1})),
+                         "--out", str(tmp_path), "orbit-survey",
+                         "--grid=-700:700:3,-1200:-1200"])
+        assert code == 0
+        first = (tmp_path / "heatmap.csv").read_text().splitlines()[1]
+        content = math.ldexp(math.exp(700), -1200)
+        assert first.startswith(f"-700,-1200,{content:.17g},")
+        assert first.startswith("-700,-1200,5.8903694562812292e-58,")
+        assert first.endswith(',"(0, 1)"')
 
     def test_form_spectrum_square_radicand_spellings_agree(self, tmp_path):
         # {"b": 1} is 1*sqrt(1) = 1: both spellings are x (x + sqrt2 y)

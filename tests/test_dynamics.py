@@ -197,7 +197,7 @@ class TestSurveys:
         if case == "q":
             places, window = q_inf2, lt.HeightWindow(6, 2)
             x = dy.OrbitPoint.from_rational(rationals, places, 2, [[2, 3], [1, 2]])
-            # s = +-700 takes some heat-map steps out of the skyline's range
+            # s = +-700 takes some heat-map contents out of the float64 range
             heat_s, heat_k = [-700.0, -3.0, 0.0, 3.0, 700.0], range(-3, 4)
         else:
             places = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)

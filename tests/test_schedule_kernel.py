@@ -1,23 +1,28 @@
 """Differential tests of the schedule kernel against point-by-point evaluation.
 
 `PointCloud.systoles_under` takes one (steps, n) stack per place and
-evaluates each step in range on the cloud's skyline only, the others on the
-whole cloud, in blocks; the reference below evaluates every point at every
-step with the row formula that `PointCloud._norms` reproduces a column at a
-time (real-place rows rescaled by a power of two before squaring, sums
-along the last axis) and takes the first index of each minimum.  Values and
-witness indices must agree exactly.  The column-wise `_norms` is compared
-with the row formula bit for bit on maps with 1 to 16 image coordinates,
-and the skyline with its definition by brute force.
+evaluates every step on the cloud's skyline only, in blocks.  The reference
+evaluates every point with the row formula at mp.workprec(53), float64
+rounding with an unbounded exponent, its sums in `_column_sum` order, and
+takes the first index of each minimum; float log2 estimates only preselect
+the points it evaluates.  The plain float row formula is a second oracle,
+asserted bit for bit at each step where it leaves no float64 range
+(`np.errstate(all="raise")` raises nothing).  Values and witness indices
+must agree exactly.  `_norms`, `norms_under` and `systole_under` are
+compared with both on maps with 1 to 16 image coordinates, and the skyline
+with its definition by brute force.
 """
 
 import functools
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import libmp, mp, mpf
 
 from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
@@ -64,7 +69,7 @@ CLOUDS = ["q-identity", "q-rational", "q-float-shear", "q-tiny-shear",
 
 
 def reference_norms(cloud, arch_mults, fin_shifts, rows=slice(None)):
-    """The row formula: (content, supnorm) of the points `rows`.
+    """The plain float row formula: (content, supnorm) of the points `rows`.
 
     A multiplier or shift is None, one length-n row, or a (steps, n) stack,
     which gives (steps, points) results.
@@ -93,12 +98,120 @@ def reference_norms(cloud, arch_mults, fin_shifts, rows=slice(None)):
     return content, supnorm
 
 
+def plain_norms(cloud, arch_mults, fin_shifts, rows=slice(None)):
+    """`reference_norms`, or None where a term leaves the normal float64 range."""
+    try:
+        with np.errstate(all="raise"):
+            return reference_norms(cloud, arch_mults, fin_shifts, rows)
+    except FloatingPointError:
+        return None
+
+
+def inverse_power(p, v):
+    """p^-v as the row formula takes it, 0 for a zero coordinate.
+
+    np.power's float where that is normal, else the integer ratio rounded
+    to 53 bits.
+    """
+    if v >= lt._ZERO_VAL:
+        return mpf(0)
+    with np.errstate(all="ignore"):
+        x = float(np.power(float(p), np.array([-float(v)]))[0])
+    if sys.float_info.min <= x < math.inf:
+        return mpf(x)
+    num, den = (p ** -v, 1) if v < 0 else (1, p ** v)
+    return mpf(libmp.from_rational(num, den, 53, libmp.round_nearest))
+
+
+def mp_norms(cloud, arch_mults, fin_shifts, i):
+    """(content, supnorm) of point i under one step, as mpf values.
+
+    The row formula at mp.workprec(53): float64 rounding with an unbounded
+    exponent, the sums in `_column_sum` order.  A multiplier or shift is
+    None or one length-n row.
+    """
+    with mp.workprec(53):
+        norms = []
+        for (place, W), mult in zip(cloud.arch, arch_mults):
+            mult = np.ones(W.shape[1]) if mult is None else mult
+            squares = []
+            for w, m in zip(W[i].tolist(), np.asarray(mult).tolist()):
+                parts = [w.real, w.imag] if place.kind == "complex" else [w]
+                scaled = [mpf(x) * mpf(m) for x in parts]
+                squares.append(functools.reduce(operator.add, [c * c for c in scaled]))
+            total = lt._column_sum(squares)
+            norms.append(total if place.kind == "complex" else mp.sqrt(total))
+        for (_, vals, p, _), shift in zip(cloud.fin, fin_shifts):
+            v = vals[i] if shift is None else np.where(
+                vals[i] >= lt._ZERO_VAL, vals[i], vals[i] + np.asarray(shift))
+            norms.append(inverse_power(p, int(v.min())))
+        return functools.reduce(operator.mul, norms, mpf(1)), max(norms)
+
+
+def log2_estimates(cloud, arch_mults, fin_shifts):
+    """Float estimates of log2 content and log2 supnorm of every point.
+
+    Good to about 1e-11, -inf at a zero; they only preselect the points
+    that `reference_systole` evaluates in mpmath.
+    """
+    content, supnorm = 0.0, -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (place, W), mult in zip(cloud.arch, arch_mults):
+            mult = np.ones(W.shape[1]) if mult is None else np.asarray(mult)
+            logs = np.log2(np.abs(W)) + np.log2(mult)
+            top = logs.max(axis=1)
+            spread = np.where(np.isinf(top)[:, None], -np.inf, logs - top[:, None])
+            norm = top + np.log2((4.0 ** spread).sum(axis=1)) / 2
+            norm = 2 * norm if place.kind == "complex" else norm
+            content, supnorm = content + norm, np.maximum(supnorm, norm)
+        for (_, vals, p, _), shift in zip(cloud.fin, fin_shifts):
+            v = vals if shift is None else np.where(
+                vals >= lt._ZERO_VAL, vals, vals + np.asarray(shift))
+            low = v.min(axis=1)
+            norm = np.where(low >= lt._ZERO_VAL, -np.inf, -low * math.log2(p))
+            content, supnorm = content + norm, np.maximum(supnorm, norm)
+    return content, supnorm
+
+
 def reference_systole(cloud, arch_mults, fin_shifts):
-    """Every point evaluated with the row formula; first-index argmin."""
-    content, supnorm = reference_norms(cloud, arch_mults, fin_shifts)
-    ic = int(np.argmin(content))
-    isup = int(np.argmin(supnorm))
-    return (float(content[ic]), ic, float(supnorm[isup]), isup)
+    """First minimizers of `mp_norms` over every point, rounded to float64.
+
+    A point whose estimate exceeds the least one by more than 1e-6 is not
+    a minimizer, so only the others are evaluated in mpmath.
+    """
+    values = {}
+    out = []
+    for which, est in enumerate(log2_estimates(cloud, arch_mults, fin_shifts)):
+        best = None
+        for i in np.flatnonzero(est <= est.min() + 1e-6).tolist():
+            if i not in values:
+                values[i] = mp_norms(cloud, arch_mults, fin_shifts, i)
+            if best is None or values[i][which] < best[0]:
+                best = (values[i][which], i)
+        out += [float(best[0]), best[1]]
+    return tuple(out)
+
+
+def plain_systole(cloud, arch_mults, fin_shifts):
+    """First minimizers of `reference_norms`, or None out of range."""
+    norms = plain_norms(cloud, arch_mults, fin_shifts)
+    if norms is None:
+        return None
+    ic, isup = int(np.argmin(norms[0])), int(np.argmin(norms[1]))
+    return float(norms[0][ic]), ic, float(norms[1][isup]), isup
+
+
+def check_systoles(cloud, schedule, got):
+    """got matches both oracles at every step; returns the in-range count."""
+    assert len(got) == len(schedule)
+    in_range = 0
+    for step, systoles in zip(schedule, got):
+        assert repr(systoles) == repr(reference_systole(cloud, *step))
+        plain = plain_systole(cloud, *step)
+        if plain is not None:
+            assert repr(systoles) == repr(plain)
+            in_range += 1
+    return in_range
 
 
 def stacks(cloud, schedule):
@@ -150,22 +263,19 @@ def steps(draw, cloud):
 def test_schedule_kernel_matches_point_by_point(data):
     cloud = _cloud(data.draw(st.sampled_from(CLOUDS)))
     schedule = data.draw(st.lists(steps(cloud), min_size=1, max_size=80))
-    with np.errstate(all="ignore"):
-        got = cloud.systoles_under(*stacks(cloud, schedule))
-        want = [reference_systole(cloud, *step) for step in schedule]
-    assert [repr(t) for t in got] == [repr(t) for t in want]
+    check_systoles(cloud, schedule, cloud.systoles_under(*stacks(cloud, schedule)))
 
 
 def test_blocks_cover_long_schedules():
     cloud = _cloud("q-identity")
     block = lt._BLOCK_ELEMENTS // len(cloud.skyline)
-    # periodic parameters keep every step in range, so the skyline path
-    # runs three full blocks and a last one of a single step
+    # periodic parameters keep every step in range, so the skyline runs
+    # three full blocks and a last one of a single step
     schedule = [([np.array([math.exp(0.1 * (i % 100)), math.exp(-0.1 * (i % 100))])],
                  [np.array([i % 7, -(i % 7)], dtype=np.int64)])
                 for i in range(3 * block + 1)]
     got = cloud.systoles_under(*stacks(cloud, schedule))
-    assert got == [reference_systole(cloud, *step) for step in schedule]
+    assert check_systoles(cloud, schedule, got) == len(schedule)
     assert cloud.systole_under(*schedule[-1]) == got[-1]
 
 
@@ -175,21 +285,20 @@ def test_one_step_reads_the_whole_cloud_without_a_skyline():
     cloud = lt.PointCloud(lt.SLattice(q, places, 2, [_eye(2)] * 2),
                           lt.HeightWindow(6, 2))
     step = ([np.array([2.0, 0.5])], [np.array([1, -1], dtype=np.int64)])
-    assert cloud.systole_under(*step) == reference_systole(cloud, *step)
+    assert check_systoles(cloud, [step], [cloud.systole_under(*step)]) == 1
     assert "skyline" not in vars(cloud)
     assert cloud.systoles_under(*stacks(cloud, [step])) == [cloud.systole_under(*step)]
     assert "skyline" in vars(cloud)
 
 
 def test_out_of_range_steps_alone_and_mixed():
+    # 5^500 overflows float64, and the plain formula leaves its range
     cloud = _cloud("gauss-identity")
-    underflow = ([None], [None, np.array([410, -410], dtype=np.int64)])
+    beyond = ([None], [None, np.array([500, -500], dtype=np.int64)])
     plain = ([None], [None, None])
-    for schedule in ([underflow], [underflow, plain, underflow]):
-        with np.errstate(all="ignore"):
-            got = cloud.systoles_under(*stacks(cloud, schedule))
-            want = [reference_systole(cloud, *step) for step in schedule]
-        assert [repr(t) for t in got] == [repr(t) for t in want]
+    for schedule, in_range in (([beyond], 0), ([beyond, plain, beyond], 1)):
+        got = cloud.systoles_under(*stacks(cloud, schedule))
+        assert check_systoles(cloud, schedule, got) == in_range
 
 
 def test_long_ray_step_keeps_underflowing_squares():
@@ -198,27 +307,23 @@ def test_long_ray_step_keeps_underflowing_squares():
     cloud = _cloud("q-identity-n3")
     step = ([np.array([math.exp(-400.0), math.exp(200.0), math.exp(200.0)])],
             [None])
-    with np.errstate(all="ignore"):
-        got = cloud.systoles_under(*stacks(cloud, [step]))
-        want = [reference_systole(cloud, *step)]
-    assert [repr(t) for t in got] == [repr(t) for t in want]
+    got = cloud.systoles_under(*stacks(cloud, [step]))
+    check_systoles(cloud, [step], got)
     content, idx = got[0][:2]
     assert math.isclose(content, math.exp(-400.0), rel_tol=1e-12)
     assert cloud.format_point(idx) == "(1, 0, 0)"
 
 
 def test_out_of_range_blocks_cover_long_schedules():
-    # every step leaves the range, so the whole cloud runs three full
+    # every step leaves the float64 range, and the skyline runs three full
     # blocks and a last one of a single step
     cloud = _cloud("q-identity")
-    block = lt._BLOCK_ELEMENTS // cloud.count
+    block = lt._BLOCK_ELEMENTS // len(cloud.skyline)
     schedule = [([np.array([math.exp(0.5 * (i % 9)), math.exp(-0.5 * (i % 9))])],
-                 [np.array([400 + i, -400 - i], dtype=np.int64)])
+                 [np.array([1100 + i, -1100 - i], dtype=np.int64)])
                 for i in range(3 * block + 1)]
-    with np.errstate(all="ignore"):
-        got = cloud.systoles_under(*stacks(cloud, schedule))
-        want = [reference_systole(cloud, *step) for step in schedule]
-    assert [repr(t) for t in got] == [repr(t) for t in want]
+    got = cloud.systoles_under(*stacks(cloud, schedule))
+    assert check_systoles(cloud, schedule, got) == 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,16 +382,46 @@ def test_column_norms_match_row_formula(data):
     arch = [None if m is None else np.array(m).reshape(steps, n_out) for m in arch]
     fin = [None if s is None else np.array(s, dtype=np.int64).reshape(steps, n_out)
            for s in fin]
-    one_row = ([None if m is None else m[0] for m in arch],
-               [None if s is None else s[0] for s in fin])
-    unscaled = ([None] * len(arch), [None] * len(fin))
-    with np.errstate(all="ignore"):
-        for got, want in [
-                (cloud._norms(arch, fin, rows), reference_norms(cloud, arch, fin, rows)),
-                (cloud.norms_under(*one_row), reference_norms(cloud, *one_row)),
-                (cloud.norms_under(), reference_norms(cloud, *unscaled))]:
-            assert [repr(np.asarray(a).tolist()) for a in got] == \
-                [repr(np.asarray(a).tolist()) for a in want]
+    # the pairs of the stacks on the points rows, step by step
+    pairs = [np.broadcast_to(a, (steps, len(rows)))
+             for a in cloud._norms(arch, fin, cloud._split(rows))]
+    for s in range(steps):
+        step = ([None if m is None else m[s] for m in arch],
+                [None if x is None else x[s] for x in fin])
+        got = [(mp.ldexp(float(pairs[0][s, c]), int(pairs[1][s, c])),
+                mp.ldexp(float(pairs[2][s, c]), int(pairs[3][s, c])))
+               for c in range(len(rows))]
+        assert got == [mp_norms(cloud, *step, i) for i in rows.tolist()]
+        plain = plain_norms(cloud, *step, rows)
+        if plain is not None:
+            assert [repr(a.tolist()) for a in plain] == \
+                [repr(lt._to_float(pairs[k][s], pairs[k + 1][s]).tolist()) for k in (0, 2)]
+    # norms_under, with one row per place and unscaled, rounded to float64
+    for step in (([None if m is None else m[0] for m in arch],
+                  [None if x is None else x[0] for x in fin]),
+                 ([None] * len(arch), [None] * len(fin))):
+        got = [repr(a.tolist()) for a in cloud.norms_under(*step)]
+        want = list(zip(*(mp_norms(cloud, *step, i) for i in range(cloud.count))))
+        assert got == [repr([float(x) for x in values]) for values in want]
+        plain = plain_norms(cloud, *step)
+        if plain is not None:
+            assert got == [repr(a.tolist()) for a in plain]
+        assert repr(cloud.systole_under(*step)) == repr(reference_systole(cloud, *step))
+
+
+def test_zero_contents_take_the_first_index():
+    # the real place sends every multiple of (1, 1) to 0, while their
+    # valuations at 2 and 3 differ: the first of them is the witness
+    field, places = _places("q")
+    lat = lt.SLattice(field, places, 2, [_eye(2)] * len(places))
+    cloud = lt.PointCloud(lat, lt.HeightWindow(4, 2), [[[1, -1], [2, -2]]] + [_eye(2)] * 2)
+    schedule = [([None], [None, None]),
+                ([np.array([math.exp(3.0), math.exp(-3.0)])],
+                 [np.array([-2, 2]), np.array([1, -1])])]
+    got = cloud.systoles_under(*stacks(cloud, schedule))
+    check_systoles(cloud, schedule, got)
+    assert [cloud.systole_under(*step) for step in schedule] == got
+    assert [(c, cloud.format_point(i)) for c, i, _, _ in got] == [(0.0, "(1, 1)")] * 2
 
 
 @pytest.mark.parametrize("n_out", range(1, 20))
