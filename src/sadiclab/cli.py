@@ -25,7 +25,7 @@ from . import forms as fm
 from . import lattice as lt
 from . import numberfield as nf
 from . import sadic as sd
-from .errors import RayOverflow, SadicLabError, SchemaError
+from .errors import SadicLabError, SchemaError
 from .scalars import parse_real, to_mpf
 
 DEFAULT_PRECISION = 50
@@ -409,28 +409,22 @@ def _build_form(cfg):
     return fm.make_form(cfg.field, places, per_place)
 
 
-def _diag_flow_lattices(cfg, values, n):
+def _diagonal_flow(cfg, block, n, values):
+    """Window systoles of diag(e^s, 1, ..., 1, e^-s) O^n, one step per s.
+
+    The flow acts at the first archimedean place of S: one ray of the
+    schedule kernel on the identity point, so one cloud serves every value.
+    """
     arch = [p for p in cfg.places if p.kind != "finite"]
     if not arch:
         raise SchemaError("/places", "diagonal flow needs an archimedean place")
-    lats = []
-    for s in values:
-        mats = []
-        for place in cfg.places:
-            if place is arch[0]:
-                try:
-                    diag = [math.exp(s) if i == 0 else
-                            (math.exp(-s) if i == n - 1 else 1.0)
-                            for i in range(n)]
-                except OverflowError:
-                    raise RayOverflow(float(s), place.name) from None
-            else:
-                diag = [1] * n
-            mats.append([[diag[i] if i == j else
-                          (0 if place.kind == "finite" else 0.0)
-                          for j in range(n)] for i in range(n)])
-        lats.append(lt.SLattice(cfg.field, cfg.places, n, mats))
-    return lats
+    if n < 2:
+        raise SchemaError(f"/{block}/n", "a diagonal flow needs n >= 2")
+    if not values:
+        return []
+    ray = dy.RaySchedule(arch[:1], [dy._n2_direction(n)], values)
+    x = dy.OrbitPoint.identity(cfg.field, cfg.places, n)
+    return dy.trajectory(x, ray, cfg.window).rows
 
 
 def _parse_matrix(rows):
@@ -507,18 +501,15 @@ def _cmd_field_info(cfg, outdir, fmt, args):
 def _cmd_systole(cfg, outdir, fmt, args):
     block = cfg.block("systole")
     n = block.get("n", 2)
-    rows = []
     if "diagonal_flow" in block:
         values = block["diagonal_flow"]["values"]
-        lats = _diag_flow_lattices(cfg, values, n)
-        for s, lat in zip(values, lats):
-            rep = lt.systole(lat, cfg.window)
-            rows.append((s, rep.min_content, rep.min_supnorm, rep.content_witness))
+        rows = [(s, r.min_content, r.min_supnorm, r.content_witness)
+                for s, r in zip(values, _diagonal_flow(cfg, "systole", n, values))]
     elif "matrices" in block:
         mats = [_parse_matrix(m) for m in block["matrices"]]
         lat = lt.SLattice(cfg.field, cfg.places, n, mats)
         rep = lt.systole(lat, cfg.window)
-        rows.append((0.0, rep.min_content, rep.min_supnorm, rep.content_witness))
+        rows = [(0.0, rep.min_content, rep.min_supnorm, rep.content_witness)]
     else:
         raise SchemaError("/systole", "need diagonal_flow or matrices")
     if fmt != "json":
@@ -535,13 +526,20 @@ def _cmd_mahler(cfg, outdir, fmt, args):
     block = cfg.block("mahler")
     n = block.get("n", 2)
     if "diagonal_flow" in block:
-        lats = _diag_flow_lattices(cfg, block["diagonal_flow"]["values"], n)
+        values = block["diagonal_flow"]["values"]
+        if not values:
+            raise SchemaError("/mahler/diagonal_flow/values",
+                              "need at least one lattice")
+        report = lt.mahler_report(block["radius"],
+                                  _diagonal_flow(cfg, "mahler", n, values))
     elif "matrices_list" in block:
+        if not block["matrices_list"]:
+            raise SchemaError("/mahler/matrices_list", "need at least one lattice")
         lats = [lt.SLattice(cfg.field, cfg.places, n, [_parse_matrix(m) for m in mats])
                 for mats in block["matrices_list"]]
+        report = lt.mahler_test(lats, block["radius"], cfg.window)
     else:
         raise SchemaError("/mahler", "need diagonal_flow or matrices_list")
-    report = lt.mahler_test(lats, block["radius"], cfg.window)
     out = {
         "radius": report.radius,
         "family_precompact_at_scale": report.family_precompact_at_scale,

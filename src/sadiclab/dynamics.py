@@ -9,6 +9,7 @@ compare against the theoretical dichotomy at exact rational points
 disagreement as an anomaly instead of accepting it.
 """
 
+import graphlib
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -484,35 +485,20 @@ def expanding_element(root_positions, tau, place, n=None):
     for i, j in positions:
         if i == j or not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"bad position {(i, j)}")
-    # cycle detection on the directed graph
     adj = {i: set() for i in range(1, n + 1)}
     for i, j in positions:
         adj[i].add(j)
-    state = {}
-
-    def dfs(u):
-        state[u] = 1
-        for w in adj[u]:
-            if state.get(w) == 1:
-                raise CyclicPositions(f"positions contain a cycle through {u}->{w}")
-            if state.get(w, 0) == 0:
-                dfs(w)
-        state[u] = 2
-
-    for u in range(1, n + 1):
-        if state.get(u, 0) == 0:
-            dfs(u)
-    # longest path to a sink, doubled and centered
+    # level(u), the longest path from u to a sink; static_order yields
+    # each node after the nodes it maps to, here its successors
     levels = {}
-
-    def level(u):
-        if u in levels:
-            return levels[u]
-        levels[u] = 1 + max((level(w) for w in adj[u]), default=-1) \
-            if adj[u] else 0
-        return levels[u]
-
-    lv = [level(i) for i in range(1, n + 1)]
+    try:
+        for u in graphlib.TopologicalSorter(adj).static_order():
+            levels[u] = max((levels[w] + 1 for w in adj[u]), default=0)
+    except graphlib.CycleError as e:
+        cycle = " -> ".join(map(str, reversed(e.args[1])))
+        raise CyclicPositions(f"positions contain the cycle {cycle}") from None
+    lv = [levels[i] for i in range(1, n + 1)]
+    # doubled and centered
     exps = [2 * v - max(lv) for v in lv]
     if sum(exps) != 0:
         base = [n * (2 * v) - 2 * sum(lv) for v in lv]

@@ -20,10 +20,12 @@ decides its verdict by Engel's theorem, as one test that every product
 of n kept matrices is 0.
 `_window_rows` is the package's one enumeration of the window.
 
-Trajectories, surveys and heat maps query one cloud under a whole schedule
+Trajectories, surveys, heat maps and the CLI's diagonal flows (`systole`
+and `mahler`, one ray at one place) query one cloud under a whole schedule
 of diagonal steps through `PointCloud.systoles_under`, which takes one
 (steps, n) stack of multipliers or valuation shifts per place; a survey
-stacks every ray and its heat map into one such call.  The per-point
+stacks every ray and its heat map into one such call.  `mahler_report`
+reads verdicts off any family's systoles.  The per-point
 formula carries place norms, content and sup-norm as frexp pairs: float64
 with an unbounded exponent, rounded to a float only on return.  Where
 every term is a normal float its bits are those of the plain row formula,
@@ -660,10 +662,9 @@ class MahlerReport:
 def mahler_test(lats, r, window):
     """Window-restricted compactness test for a family of lattices.
 
-    A lattice passes when both its content systole (pseudoball form) and
-    its sup-norm systole (ball form) exceed r.  Failing is conclusive: a
-    vector inside the radius exists.  Passing is one-sided: tied to this
-    window.
+    The family must share field, S and dimension; each lattice's window
+    systole is taken over its own cloud (`systole`) and read by
+    `mahler_report`.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -674,26 +675,33 @@ def mahler_test(lats, r, window):
         if lat.field != base.field or lat.n != base.n or \
                 [p.name for p in lat.places] != [p.name for p in base.places]:
             raise ShapeMismatch("family must share field, S and dimension")
-    verdicts = []
-    first_failure = -1
-    for i, lat in enumerate(lats):
-        rep = systole(lat, window)
-        ok = rep.min_content > r and rep.min_supnorm > r
-        if not ok and first_failure < 0:
-            first_failure = i
-        verdicts.append(MahlerVerdict(
-            index=i,
-            content_systole=rep.min_content,
-            supnorm_systole=rep.min_supnorm,
-            content_witness=rep.content_witness,
-            supnorm_witness=rep.supnorm_witness,
-            passes=ok,
-        ))
+    return mahler_report(r, [systole(lat, window) for lat in lats])
+
+
+def mahler_report(r, systoles):
+    """Mahler verdicts of a family from its window systoles.
+
+    systoles holds one record per lattice with min_content, min_supnorm
+    and their witnesses: a `SystoleReport`, or a trajectory's step, whose
+    lattices are the steps of a diagonal flow.  A lattice passes when both
+    its content systole (pseudoball form) and its sup-norm systole (ball
+    form) exceed r > 0.  Failing is conclusive: a vector inside the radius
+    exists.  Passing is one-sided: tied to the window.
+    """
+    verdicts = [MahlerVerdict(
+        index=i,
+        content_systole=rep.min_content,
+        supnorm_systole=rep.min_supnorm,
+        content_witness=rep.content_witness,
+        supnorm_witness=rep.supnorm_witness,
+        passes=rep.min_content > r and rep.min_supnorm > r,
+    ) for i, rep in enumerate(systoles)]
+    failures = [v.index for v in verdicts if not v.passes]
     return MahlerReport(
         radius=r,
         verdicts=verdicts,
-        family_precompact_at_scale=all(v.passes for v in verdicts),
-        first_failure=first_failure,
+        family_precompact_at_scale=not failures,
+        first_failure=failures[0] if failures else -1,
     )
 
 

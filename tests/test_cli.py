@@ -11,6 +11,7 @@ import warnings
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -665,3 +666,171 @@ class TestRun:
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
             assert a == b, name
+
+
+# Diagonal-flow configs: (config without a block, n, values), with the
+# sha256 of systole.json, sweep.csv and mahler.json (radius 0.5) as the
+# float diagonal lattices of the CLI's former flow path wrote them.
+FLOWS = [
+    (dict(MINIMAL, window={"H": 10}), 2, [0, 1, 2],
+     ("7ef81e90ff0021cdbc9062bc250364b05184ebc40f563a8977ec60315ab92b17",
+      "eb8cb1cb50b9dc475dfbb720c5a27cd9dc8153c6390c3861a6c9a1414d0a0ebd",
+      "3f9b01a646db62ae80d70fd34e3aa8cde595047cd5ebb35774e2c83d63dc2255")),
+    (dict(Q_WITH_2, window={"H": 8, "E": 3}), 2, [-300, -1.5, 0, 0.25, 300, 700],
+     ("138731d7c749dbbc9deedad043d794041f3b555e065a91b1a7995c2d370243d4",
+      "93c80bfe582138cd95522b23dec7998acd4fce3f3b12ac0b9a8f2e7ecb9297d3",
+      "7c5bddd9578d9f1d34ed4bf763b09649085ca6452c5ee8c599cc7b41f67ad893")),
+    ({"min_poly": [1, 0, 1],
+      "places": {"archimedean": "all", "finite_primes": [5]},
+      "window": {"H": 2, "E": 1}}, 2, [-2, 0.5, 300, 700],
+     ("7a708786357d8203cb7d8cef09399c539d992665bce4a698fd89c937e1220076",
+      "a65b9e12c296e199c6d4cacda9980a14172add3bba3022a75e5735fb529faf69",
+      "78fabe7934540f30dcaba2a35351e0ec01ebb7efb6cd0879b772d6e65f439720")),
+    ({"min_poly": [-2, 0, 1],
+      "places": {"archimedean": "all", "finite_primes": [7]},
+      "window": {"H": 2, "E": 1}}, 2, [-300, -0.75, 3, 700],
+     ("bb4d2cf4f1cccd007d221277d1de5d6726b239f5ed9938137bb34bb6ac14159c",
+      "c3073a21f1838b8629d57eb351b6cd8de11f0c031eef12c58b2c8de7d4b7a7d1",
+      "40a4f93f1a2fa45fb6c1a69af1323859f80394c37f9cf2e0d66eaa3ae5647c01")),
+    (dict(Q_WITH_2, window={"H": 2, "E": 1}), 3, [-300, -1, 0.5, 300, 700],
+     ("9028f0c8fea4fd74d384409bd18084915ebcebd89322a6cf63c0a6e29a43a851",
+      "bc3b646c17e66df485e2862fd48e8ba44ffb1a1581b6402128db371a2bb85456",
+      "4e322149e06780701b4987628173bab238099e6570909a83fecebcf860bbe5b6")),
+]
+
+# Q, S = {inf, 2}, H = 1, E = 60: at s = 708 the image e^-708 / 2^54 of
+# (0, 1/2^54) is subnormal as a float, while its content and that of
+# (0, 1) are e^-708, a normal float
+FLOW_EDGE = dict(Q_WITH_2, window={"H": 1, "E": 60})
+
+
+def _float_flow_lattices(cfg, values, n):
+    """The flow as float lattices: diag(e^s, 1, ..., e^-s) at the first
+    archimedean place and the identity elsewhere, one SLattice per s."""
+    arch = next(p for p in cfg.places if p.kind != "finite")
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    lats = []
+    for s in values:
+        diag = [math.exp(s)] + [1.0] * (n - 2) + [math.exp(-s)]
+        mats = [[[diag[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+                if place is arch else eye for place in cfg.places]
+        lats.append(lt.SLattice(cfg.field, cfg.places, n, mats))
+    return lats
+
+
+def _normal_images(lat, window):
+    """Whether every nonzero archimedean image coordinate is a normal float."""
+    for _, W in lt.PointCloud(lat, window).arch:
+        parts = np.abs(np.concatenate([W.real, W.imag]))
+        if (parts[parts != 0] < np.finfo(np.float64).tiny).any():
+            return False
+    return True
+
+
+class TestDiagonalFlow:
+    @pytest.mark.parametrize("base, n, values, digests", FLOWS)
+    def test_flow_golden_artifacts(self, tmp_path, base, n, values, digests):
+        flow = {"n": n, "diagonal_flow": {"values": values}}
+        assert cli.run("systole", dict(base, systole=flow), str(tmp_path)) == 0
+        assert cli.run("mahler", dict(base, mahler=dict(flow, radius=0.5)),
+                       str(tmp_path)) == 0
+        names = ("systole.json", "sweep.csv", "mahler.json")
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in names)
+        assert got == digests
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(FLOWS),
+           values=st.lists(st.floats(-709, 709) | st.sampled_from(
+               [0, 1, -1, 0.5, 300, -300, 700, -700, 708, -708]),
+               min_size=1, max_size=4))
+    def test_flow_matches_float_lattices(self, case, values):
+        base, n = case[:2]
+        cfg = cli.parse_config(dict(base, window={"H": 2, "E": 1}))
+        rows = cli._diagonal_flow(cfg, "systole", n, values)
+        assert len(rows) == len(values)
+        for row, lat in zip(rows, _float_flow_lattices(cfg, values, n)):
+            if not _normal_images(lat, cfg.window):
+                continue
+            ref = lt.systole(lat, cfg.window)
+            assert (repr(row.min_content), repr(row.min_supnorm),
+                    row.content_witness, row.supnorm_witness) == \
+                (repr(ref.min_content), repr(ref.min_supnorm),
+                 ref.content_witness, ref.supnorm_witness)
+
+    @pytest.mark.parametrize("command", ["systole", "mahler"])
+    def test_flow_reads_one_cloud_with_one_kernel_call(self, tmp_path, monkeypatch,
+                                                      command):
+        calls, lattices = [], []
+
+        def counted(name):
+            method = getattr(lt.PointCloud, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls.append(name)
+                return method(self, *args, **kwargs)
+            monkeypatch.setattr(lt.PointCloud, name, wrapper)
+
+        for name in ("__init__", "systole_under", "systoles_under", "norms_under"):
+            counted(name)
+        init = lt.SLattice.__init__
+
+        def slattice(self, field, places, n, g, *args, **kwargs):
+            lattices.append(g)
+            init(self, field, places, n, g, *args, **kwargs)
+        monkeypatch.setattr(lt.SLattice, "__init__", slattice)
+        base, n, values = FLOWS[1][:3]
+        block = {"n": n, "diagonal_flow": {"values": values}}
+        if command == "mahler":
+            block["radius"] = 0.5
+        assert cli.run(command, dict(base, **{command: block}), str(tmp_path)) == 0
+        assert calls == ["__init__", "systoles_under"]
+        # one lattice, the identity, and no float entries anywhere
+        assert len(lattices) == 1
+        assert all(type(c) is int for mat in lattices[0] for row in mat for c in row)
+
+    def test_flow_content_at_the_float_edge(self, tmp_path):
+        config = dict(FLOW_EDGE, systole={"diagonal_flow": {"values": [708]}})
+        assert cli.run("systole", config, str(tmp_path)) == 0
+        rows = json.loads((tmp_path / "systole.json").read_text())["rows"]
+        assert math.exp(-708) == 3.3075530036384078e-308
+        assert rows == [{"param": 708, "min_content": 3.3075530036384078e-308,
+                         "min_supnorm": 1, "witness": "(0, 1)"}]
+
+    def test_mahler_passes_at_the_float_edge(self, tmp_path):
+        config = dict(FLOW_EDGE, mahler={"radius": 1e-310,
+                                         "diagonal_flow": {"values": [708]}})
+        assert cli.run("mahler", config, str(tmp_path)) == 0
+        report = json.loads((tmp_path / "mahler.json").read_text())
+        assert report["first_failure"] == -1
+        assert report["family_precompact_at_scale"] is True
+        assert report["verdicts"][0]["content_systole"] == math.exp(-708)
+        assert report["verdicts"][0]["content_witness"] == "(0, 1)"
+
+    @pytest.mark.parametrize("command, block, line", [
+        ("mahler", {"radius": 1, "diagonal_flow": {"values": []}},
+         "/mahler/diagonal_flow/values: need at least one lattice"),
+        ("mahler", {"radius": 1, "matrices_list": []},
+         "/mahler/matrices_list: need at least one lattice"),
+        ("systole", {"n": 1, "diagonal_flow": {"values": [0]}},
+         "/systole/n: a diagonal flow needs n >= 2"),
+        ("systole", {"n": 1, "diagonal_flow": {"values": [1]}},
+         "/systole/n: a diagonal flow needs n >= 2"),
+        ("mahler", {"n": 1, "radius": 0.5, "diagonal_flow": {"values": [0]}},
+         "/mahler/n: a diagonal flow needs n >= 2"),
+    ])
+    def test_flow_and_family_error_lines(self, tmp_path, capsys, command, block,
+                                         line):
+        code = cli.main(["--config", json.dumps(dict(MINIMAL, **{command: block})),
+                         "--out", str(tmp_path), command])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_empty_systole_flow_writes_empty_rows(self, tmp_path):
+        # no step, so no window is enumerated, not even one beyond the cap
+        config = dict(MINIMAL, window={"H": 50, "cap": 100},
+                      systole={"diagonal_flow": {"values": []}})
+        assert cli.run("systole", config, str(tmp_path)) == 0
+        assert (tmp_path / "systole.json").read_text() == '{"rows":[]}\n'
+        assert (tmp_path / "sweep.csv").read_text().splitlines() == \
+            ["param,min_content,min_supnorm,witness"]

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sadiclab import dynamics as dy
 from sadiclab import lattice as lt
@@ -365,3 +367,47 @@ class TestExpanding:
             dy.expanding_element([(1, 2), (2, 1)], 2, q_inf[0])
         with pytest.raises(CyclicPositions):
             dy.expanding_element([(1, 2), (2, 3), (3, 1)], 2, q_inf[0])
+
+    @pytest.mark.parametrize("positions, cycle", [
+        ([(1, 2), (2, 1)], "1 -> 2 -> 1"),
+        ([(1, 2), (2, 3), (3, 1)], "1 -> 2 -> 3 -> 1"),
+        ([(4, 1), (3, 4), (1, 2), (2, 3)], "1 -> 2 -> 3 -> 4 -> 1"),
+    ])
+    def test_cycle_message_names_the_cycle(self, q_inf, positions, cycle):
+        with pytest.raises(CyclicPositions) as info:
+            dy.expanding_element(positions, 2, q_inf[0])
+        assert str(info.value) == f"positions contain the cycle {cycle}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1]),
+        min_size=1, max_size=8, unique=True))))
+    def test_entries_match_brute_force_longest_paths(self, q_inf, case):
+        n, positions = case
+        levels = _longest_paths(n, positions)
+        if levels is None:
+            with pytest.raises(CyclicPositions):
+                dy.expanding_element(positions, 2, q_inf[0], n=n)
+            return
+        exps = [2 * v - max(levels) for v in levels]
+        if sum(exps):
+            base = [2 * n * v - 2 * sum(levels) for v in levels]
+            g = math.gcd(*base)
+            exps = [e // g for e in base]
+        t = dy.expanding_element(positions, 2, q_inf[0], n=n)
+        assert t.entries[0] == tuple(Fraction(2) ** e for e in exps)
+
+
+def _longest_paths(n, positions):
+    """Per node 1..n, the most positions in a chain starting there, found
+    by trying every sequence of distinct nodes; None if the positions
+    close a cycle."""
+    edges = set(positions)
+    levels = [0] * n
+    for k in range(2, n + 1):
+        for path in itertools.permutations(range(1, n + 1), k):
+            if all(e in edges for e in zip(path, path[1:])):
+                if (path[-1], path[0]) in edges:
+                    return None
+                levels[path[0] - 1] = max(levels[path[0] - 1], k - 1)
+    return levels
