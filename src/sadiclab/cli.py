@@ -12,6 +12,7 @@ surprise.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -33,18 +34,20 @@ DEFAULT_H = 50
 DEFAULT_E = 5
 DEFAULT_HENSEL = 30
 
+# lists of rows, and matrices given one per place; each command reads the entries
+_ROWS = {"type": "array", "items": {"type": "array"}}
+_MATRICES = {"type": "array", "items": _ROWS}
+_FLOW = {"type": "object", "additionalProperties": False,
+         "properties": {"values": {"type": "array", "items": {"type": "number"}}},
+         "required": ["values"]}
+
 _BLOCK_SCHEMAS = {
     "systole": {
         "type": "object", "additionalProperties": False,
         "properties": {
             "n": {"type": "integer", "minimum": 1},
-            "diagonal_flow": {
-                "type": "object", "additionalProperties": False,
-                "properties": {"values": {"type": "array",
-                                          "items": {"type": "number"}}},
-                "required": ["values"],
-            },
-            "matrices": {"type": "array"},
+            "diagonal_flow": _FLOW,
+            "matrices": _MATRICES,
         },
     },
     "mahler": {
@@ -52,13 +55,8 @@ _BLOCK_SCHEMAS = {
         "properties": {
             "n": {"type": "integer", "minimum": 1},
             "radius": {"type": "number", "exclusiveMinimum": 0},
-            "diagonal_flow": {
-                "type": "object", "additionalProperties": False,
-                "properties": {"values": {"type": "array",
-                                          "items": {"type": "number"}}},
-                "required": ["values"],
-            },
-            "matrices_list": {"type": "array"},
+            "diagonal_flow": _FLOW,
+            "matrices_list": {"type": "array", "items": _MATRICES},
         },
         "required": ["radius"],
     },
@@ -77,7 +75,7 @@ _BLOCK_SCHEMAS = {
         "properties": {
             "n": {"type": "integer", "minimum": 2, "maximum": 4},
             "radius": {"type": "number", "exclusiveMinimum": 0},
-            "matrices": {"type": "array"},
+            "matrices": _MATRICES,
         },
         "required": ["radius"],
     },
@@ -97,15 +95,15 @@ _BLOCK_SCHEMAS = {
         "type": "object", "additionalProperties": False,
         "properties": {
             "places": {"type": "array", "items": {"type": "string"}},
-            "factors": {"type": "array"},
-            "factors_per_place": {"type": "array"},
+            "factors": _ROWS,
+            "factors_per_place": _MATRICES,
             "builtin": {"type": "string"},
             "norm_field": {
                 "type": "object", "additionalProperties": False,
                 "properties": {
                     "min_poly": {"type": "array",
                                  "items": {"type": "integer"}},
-                    "basis": {"type": "array"},
+                    "basis": _ROWS,
                 },
                 "required": ["min_poly"],
             },
@@ -114,7 +112,7 @@ _BLOCK_SCHEMAS = {
     "spectrum": {
         "type": "object", "additionalProperties": False,
         "properties": {
-            "heights": {"type": "array", "items": {"type": "integer"},
+            "heights": {"type": "array", "items": {"type": "integer", "minimum": 1},
                         "minItems": 1},
             "cap": {"type": "number", "minimum": 0},
             "denominator_exponent": {"type": "integer", "minimum": 0},
@@ -147,7 +145,7 @@ CONFIG_SCHEMA = {
                                   "items": {"type": "integer", "minimum": 2}},
             },
         },
-        "s_units": {"type": "array"},
+        "s_units": _ROWS,
         "precision": {"type": "integer", "minimum": 15},
         "window": {
             "type": "object", "additionalProperties": False,
@@ -257,35 +255,46 @@ class RunConfig:
         return self.raw.get(name, {})
 
 
-def parse_config(source):
-    """Validate and build a RunConfig from a path or inline JSON string."""
+@contextlib.contextmanager
+def _pointing_at(pointer):
+    """Raise an error met reading one config value as a SchemaError there."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (SadicLabError, ArithmeticError, LookupError, OSError, TypeError,
+            ValueError) as e:
+        raise SchemaError(pointer, str(e)) from e
+
+
+def _read_config(source):
+    """The raw config of a dict, an inline JSON string or a file path."""
     if isinstance(source, dict):
-        raw = source
-    else:
-        text = source
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError("/", f"invalid JSON: {e}") from e
+        return source
+    if not source.lstrip().startswith("{"):
+        with _pointing_at("/"), open(source, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as e:
+        raise SchemaError("/", f"invalid JSON: {e}") from e
+
+
+def parse_config(source):
+    """Validate and build a RunConfig from a dict, a path or inline JSON."""
+    raw = _read_config(source)
     error = _best_violation(raw)
     if error is not None:
         path, message = error
         raise SchemaError("/" + "/".join(str(p) for p in path), message)
-    try:
+    with _pointing_at("/min_poly"):
         field = nf.create_field(raw["min_poly"], raw.get("integral_basis"))
-    except SadicLabError as e:
-        raise SchemaError("/min_poly", str(e)) from e
     precision = raw.get("precision", DEFAULT_PRECISION)
     hensel = raw.get("hensel_precision", DEFAULT_HENSEL)
     places = nf.archimedean_places(field)
     for i, p in enumerate(raw.get("places", {}).get("finite_primes", [])):
-        try:
+        with _pointing_at(f"/places/finite_primes/{i}"):
             places.extend(nf.finite_places(field, p, precision=hensel))
-        except SadicLabError as e:
-            raise SchemaError(f"/places/finite_primes/{i}", str(e)) from e
     wraw = raw.get("window", {})
     window = lt.HeightWindow(wraw.get("H", DEFAULT_H), wraw.get("E", DEFAULT_E),
                              wraw.get("cap", 10 ** 8))
@@ -360,26 +369,24 @@ def _write(outdir, name, data):
 # Shared builders
 
 
-def _parse_scalar(c):
-    if isinstance(c, bool):
-        raise SchemaError("/form", "boolean is not a coefficient")
+def _parse_scalar(c, pointer):
+    """A config entry: an int, the Fraction of a float or string, or the
+    surd of a real spec."""
+    if isinstance(c, bool) or not isinstance(c, (int, float, str, dict)):
+        raise SchemaError(pointer, f"cannot parse coefficient {c!r}")
     if isinstance(c, int):
         return c
-    if isinstance(c, float):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, dict):
-        return parse_real(c)
-    raise SchemaError("/form", f"cannot parse coefficient {c!r}")
+    with _pointing_at(pointer):
+        return parse_real(c) if isinstance(c, dict) else Fraction(c)
 
 
 def _norm_form(nfld):
     """The norm form of a config's `norm_field` block."""
-    target = nf.create_field(nfld["min_poly"])
     basis = nfld.get("basis")
-    elems = None if basis is None else [
-        target.element([Fraction(str(c)) for c in row]) for row in basis]
+    with _pointing_at("/form/norm_field"):
+        target = nf.create_field(nfld["min_poly"])
+        elems = None if basis is None else [
+            target.element([Fraction(str(c)) for c in row]) for row in basis]
     return fm.norm_form(target, elems)
 
 
@@ -399,10 +406,10 @@ def _build_form(cfg):
     names = block.get("places")
     places = [cfg.place_by_name(n) for n in names] if names else list(cfg.places)
     if "factors_per_place" in block:
-        per_place = [[[_parse_scalar(c) for c in row] for row in rows]
-                     for rows in block["factors_per_place"]]
+        per_place = _parse_matrices(block["factors_per_place"],
+                                    "/form/factors_per_place")
     elif "factors" in block:
-        rows = [[_parse_scalar(c) for c in row] for row in block["factors"]]
+        rows = _parse_matrix(block["factors"], "/form/factors")
         per_place = [rows for _ in places]
     else:
         raise SchemaError("/form", "need factors, builtin or norm_field")
@@ -427,8 +434,13 @@ def _diagonal_flow(cfg, block, n, values):
     return dy.trajectory(x, ray, cfg.window).rows
 
 
-def _parse_matrix(rows):
-    return [[_parse_scalar(c) for c in row] for row in rows]
+def _parse_matrix(rows, pointer):
+    return [[_parse_scalar(c, f"{pointer}/{i}/{j}") for j, c in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def _parse_matrices(mats, pointer):
+    return [_parse_matrix(m, f"{pointer}/{k}") for k, m in enumerate(mats)]
 
 
 def _point_from_spec(cfg, spec, n=2):
@@ -436,14 +448,16 @@ def _point_from_spec(cfg, spec, n=2):
         return dy.OrbitPoint.identity(cfg.field, cfg.places, n)
     if spec.startswith("rational:"):
         body = spec[len("rational:"):]
-        rows = [[Fraction(c) for c in row.split(",")]
-                for row in body.split(";")]
+        with _pointing_at("/orbit_survey/point"):
+            rows = [[Fraction(c) for c in row.split(",")]
+                    for row in body.split(";")]
         return dy.OrbitPoint.from_rational(cfg.field, cfg.places, len(rows), rows)
     if spec.startswith("file:"):
-        with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        mats = [[[Fraction(c) for c in row] for row in mat]
-                for mat in data["matrices"]]
+        with _pointing_at("/orbit_survey/point"):
+            with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            mats = [[[Fraction(c) for c in row] for row in mat]
+                    for mat in data["matrices"]]
         if len(mats) != len(cfg.places):
             raise SchemaError("/orbit_survey/point",
                               "matrix count does not match S")
@@ -453,27 +467,24 @@ def _point_from_spec(cfg, spec, n=2):
 
 
 def _parse_grid(text):
-    """'s_min:s_max:steps[,k_min:k_max]' -> (s values, k values)."""
-    svals = kvals = None
-    parts = text.split(",")
-    s = parts[0].split(":")
-    if len(s) != 3:
-        raise SchemaError("/orbit_survey/grid", "want s_min:s_max:steps")
-    lo, hi, steps = float(s[0]), float(s[1]), int(s[2])
-    svals = [lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)]
-    if len(parts) > 1:
-        k = parts[1].split(":")
-        if len(k) != 2:
-            raise SchemaError("/orbit_survey/grid", "want k_min:k_max")
-        kvals = list(range(int(k[0]), int(k[1]) + 1))
-    return svals, kvals
+    """'s_min:s_max:steps[,k_min:k_max]' -> (s values, k values or None)."""
+    parts = [part.split(":") for part in text.split(",")]
+    if len(parts[0]) != 3 or len(parts) > 1 and len(parts[1]) != 2:
+        raise SchemaError("/orbit_survey/grid", "want s_min:s_max:steps[,k_min:k_max]")
+    with _pointing_at("/orbit_survey/grid"):
+        lo, hi, steps = float(parts[0][0]), float(parts[0][1]), int(parts[0][2])
+        k = [int(v) for v in parts[1]] if len(parts) > 1 else None
+    if steps < 1 or not math.isfinite(lo + hi):
+        raise SchemaError("/orbit_survey/grid", "want finite s bounds and a step")
+    return ([lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)],
+            k and list(range(k[0], k[1] + 1)))
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_field_info(cfg, outdir, fmt, args):
+def _cmd_field_info(cfg, outdir, fmt):
     places = []
     for p in cfg.places:
         entry = {"name": p.name, "kind": p.kind}
@@ -483,7 +494,8 @@ def _cmd_field_info(cfg, outdir, fmt, args):
         else:
             entry["root"] = repr(p.root_float())
         places.append(entry)
-    units = nf.s_unit_group(cfg.field, cfg.places, cfg.s_units_supplied)
+    with _pointing_at("/s_units"):
+        units = nf.s_unit_group(cfg.field, cfg.places, cfg.s_units_supplied)
     report = {
         "min_poly": list(cfg.field.min_poly),
         "degree": cfg.field.degree,
@@ -498,7 +510,7 @@ def _cmd_field_info(cfg, outdir, fmt, args):
     return 0
 
 
-def _cmd_systole(cfg, outdir, fmt, args):
+def _cmd_systole(cfg, outdir, fmt):
     block = cfg.block("systole")
     n = block.get("n", 2)
     if "diagonal_flow" in block:
@@ -506,23 +518,22 @@ def _cmd_systole(cfg, outdir, fmt, args):
         rows = [(s, r.min_content, r.min_supnorm, r.content_witness)
                 for s, r in zip(values, _diagonal_flow(cfg, "systole", n, values))]
     elif "matrices" in block:
-        mats = [_parse_matrix(m) for m in block["matrices"]]
+        mats = _parse_matrices(block["matrices"], "/systole/matrices")
         lat = lt.SLattice(cfg.field, cfg.places, n, mats)
         rep = lt.systole(lat, cfg.window)
         rows = [(0.0, rep.min_content, rep.min_supnorm, rep.content_witness)]
     else:
         raise SchemaError("/systole", "need diagonal_flow or matrices")
+    header = ("param", "min_content", "min_supnorm", "witness")
     if fmt != "json":
-        _write(outdir, "sweep.csv", emit_report(
-            (("param", "min_content", "min_supnorm", "witness"), rows), "csv"))
+        _write(outdir, "sweep.csv", emit_report((header, rows), "csv"))
     if fmt != "csv":
         _write(outdir, "systole.json", emit_report(
-            {"rows": [{"param": r[0], "min_content": r[1],
-                       "min_supnorm": r[2], "witness": r[3]} for r in rows]}))
+            {"rows": [dict(zip(header, r)) for r in rows]}))
     return 0
 
 
-def _cmd_mahler(cfg, outdir, fmt, args):
+def _cmd_mahler(cfg, outdir, fmt):
     block = cfg.block("mahler")
     n = block.get("n", 2)
     if "diagonal_flow" in block:
@@ -535,55 +546,36 @@ def _cmd_mahler(cfg, outdir, fmt, args):
     elif "matrices_list" in block:
         if not block["matrices_list"]:
             raise SchemaError("/mahler/matrices_list", "need at least one lattice")
-        lats = [lt.SLattice(cfg.field, cfg.places, n, [_parse_matrix(m) for m in mats])
-                for mats in block["matrices_list"]]
+        lats = [lt.SLattice(cfg.field, cfg.places, n,
+                            _parse_matrices(mats, f"/mahler/matrices_list/{i}"))
+                for i, mats in enumerate(block["matrices_list"])]
         report = lt.mahler_test(lats, block["radius"], cfg.window)
     else:
         raise SchemaError("/mahler", "need diagonal_flow or matrices_list")
-    out = {
-        "radius": report.radius,
-        "family_precompact_at_scale": report.family_precompact_at_scale,
-        "first_failure": report.first_failure,
-        "verdicts": [{
-            "index": v.index, "passes": v.passes,
-            "content_systole": v.content_systole,
-            "supnorm_systole": v.supnorm_systole,
-            "content_witness": v.content_witness,
-            "supnorm_witness": v.supnorm_witness,
-        } for v in report.verdicts],
-    }
-    _write(outdir, "mahler.json", emit_report(out))
+    # the artifact holds every field of the report and of its verdicts
+    _write(outdir, "mahler.json", emit_report(dataclasses.asdict(report)))
     return 0
 
 
-def _cmd_orbit_survey(cfg, outdir, fmt, args):
-    block = dict(cfg.block("orbit_survey"))
-    point_spec = getattr(args, "point", None) or block.get("point", "identity")
+def _cmd_orbit_survey(cfg, outdir, fmt):
+    block = cfg.block("orbit_survey")
+    point_spec = block.get("point", "identity")
     point = _point_from_spec(cfg, point_spec)
-    active_names = getattr(args, "active_places", None) or \
-        block.get("active_places")
+    active_names = block.get("active_places")
     active = [cfg.place_by_name(n) for n in active_names] if active_names \
         else list(cfg.places)
     heat_s = heat_k = None
     s_max = 10.0
-    grid_text = getattr(args, "grid", None) or block.get("grid")
-    if grid_text:
-        heat_s, heat_k = _parse_grid(grid_text)
+    if block.get("grid"):
+        heat_s, heat_k = _parse_grid(block["grid"])
         s_max = max(abs(v) for v in heat_s) or 10.0
-    H = getattr(args, "height", None)
-    E = getattr(args, "denom", None)
-    window = lt.HeightWindow(H or cfg.window.H,
-                             cfg.window.E if E is None else E,
-                             cfg.window.cap)
     steps = block.get("steps", 20)
-    survey = dy.divergence_survey(point, active, window, steps=steps,
+    survey = dy.divergence_survey(point, active, cfg.window, steps=steps,
                                   s_max=s_max, heat_s=heat_s, heat_k=heat_k)
-    heat_rows = [(r["s"], r["k"], r["min_content"], r["min_supnorm"],
-                  r["witness"]) for r in survey.heat]
+    header = ("s", "k", "min_content", "min_supnorm", "witness")
     if fmt != "json":
         _write(outdir, "heatmap.csv", emit_report(
-            (("s", "k", "min_content", "min_supnorm", "witness"), heat_rows),
-            "csv"))
+            (header, [[r[h] for h in header] for r in survey.heat]), "csv"))
     anomalies = list(survey.anomalies)
     expected = block.get("expect", {})
     got = survey.classifications()
@@ -604,11 +596,11 @@ def _cmd_orbit_survey(cfg, outdir, fmt, args):
     return 2 if anomalies else 0
 
 
-def _cmd_nilpotent_check(cfg, outdir, fmt, args):
+def _cmd_nilpotent_check(cfg, outdir, fmt):
     block = cfg.block("nilpotent_check")
     n = block.get("n", 2)
     if "matrices" in block:
-        mats = [_parse_matrix(m) for m in block["matrices"]]
+        mats = _parse_matrices(block["matrices"], "/nilpotent_check/matrices")
     else:
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         mats = [eye for _ in cfg.places]
@@ -625,11 +617,12 @@ def _cmd_nilpotent_check(cfg, outdir, fmt, args):
     return 0
 
 
-def _cmd_expanding(cfg, outdir, fmt, args):
+def _cmd_expanding(cfg, outdir, fmt):
     block = cfg.block("expanding")
     place = cfg.place_by_name(block["place"])
-    t = dy.expanding_element(block["positions"], Fraction(str(block["tau"])),
-                             place)
+    with _pointing_at("/expanding/positions"):
+        t = dy.expanding_element(block["positions"], Fraction(str(block["tau"])),
+                                 place)
     out = {
         "place": place.name,
         "tau": float(block["tau"]),
@@ -639,7 +632,7 @@ def _cmd_expanding(cfg, outdir, fmt, args):
     return 0
 
 
-def _cmd_form_spectrum(cfg, outdir, fmt, args):
+def _cmd_form_spectrum(cfg, outdir, fmt):
     form = _build_form(cfg)
     block = cfg.block("spectrum")
     heights = sorted(block["heights"])
@@ -671,7 +664,7 @@ def _cmd_form_spectrum(cfg, outdir, fmt, args):
     return 0
 
 
-def _cmd_form_reconstruct(cfg, outdir, fmt, args):
+def _cmd_form_reconstruct(cfg, outdir, fmt):
     form = _build_form(cfg)
     rep = fm.rationality_reconstruct(form, precision=cfg.precision)
     out = {"status": rep.status, "evidence": rep.evidence}
@@ -687,7 +680,7 @@ def _cmd_form_reconstruct(cfg, outdir, fmt, args):
     return 0
 
 
-def _cmd_norm_form(cfg, outdir, fmt, args):
+def _cmd_norm_form(cfg, outdir, fmt):
     block = cfg.block("form")
     if "norm_field" not in block:
         block = {"norm_field": {"min_poly": list(cfg.field.min_poly)}}
@@ -704,9 +697,11 @@ def _cmd_norm_form(cfg, outdir, fmt, args):
     return 0
 
 
-def _cmd_littlewood(cfg, outdir, fmt, args):
+def _cmd_littlewood(cfg, outdir, fmt):
     block = cfg.block("littlewood")
-    res = fm.littlewood_scan(block["alpha"], block["beta"], block["N"])
+    res = fm.littlewood_scan(_parse_scalar(block["alpha"], "/littlewood/alpha"),
+                             _parse_scalar(block["beta"], "/littlewood/beta"),
+                             block["N"])
     if fmt != "json":
         _write(outdir, "records.csv", emit_report(
             (("n", "value"), [(n, v) for n, v in res.records]), "csv"))
@@ -731,12 +726,35 @@ _COMMANDS = {
 }
 
 
-def run(subcommand, config, outdir=".", fmt="both", args=None):
+def run(subcommand, config, outdir=".", fmt="both"):
     """Dispatch a validated config; returns the process exit code."""
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {subcommand}")
     cfg = config if isinstance(config, RunConfig) else parse_config(config)
-    return _COMMANDS[subcommand](cfg, outdir, fmt, args or argparse.Namespace())
+    return _COMMANDS[subcommand](cfg, outdir, fmt)
+
+
+def _with_survey_flags(raw, args):
+    """raw with each given `orbit-survey` flag written over the config key
+    it stands for, so that the config's checks cover the flags."""
+    def ints(text, pointer):
+        with _pointing_at(pointer):
+            return [int(c) for c in text.split(",")]
+
+    raw = dict(raw)
+    if args.field is not None:
+        raw["min_poly"] = ints(args.field, "/min_poly")
+    for name, key, value in (
+            ("places", "finite_primes",
+             args.places and ints(args.places, "/places/finite_primes")),
+            ("window", "H", args.height), ("window", "E", args.denom),
+            ("orbit_survey", "point", args.point),
+            ("orbit_survey", "active_places",
+             args.active_places and args.active_places.split(",")),
+            ("orbit_survey", "grid", args.grid)):
+        if value is not None and isinstance(raw.setdefault(name, {}), dict):
+            raw[name] = dict(raw[name], **{key: value})
+    return raw
 
 
 def main(argv=None):
@@ -772,23 +790,13 @@ def main(argv=None):
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
-        raw_source = args.config
-        if getattr(args, "field", None) or getattr(args, "places", None):
-            base = parse_config(raw_source).raw
-            override = dict(base)
-            if getattr(args, "field", None):
-                override["min_poly"] = [int(c) for c in args.field.split(",")]
-            if getattr(args, "places", None):
-                block = dict(override.get("places", {}))
-                block["finite_primes"] = [int(p) for p in args.places.split(",")]
-                override["places"] = block
-            raw_source = override
-        cfg = parse_config(raw_source)
+        raw = _read_config(args.config)
+        if args.subcommand == "orbit-survey" and isinstance(raw, dict):
+            raw = _with_survey_flags(raw, args)
+        cfg = parse_config(raw)
         if args.precision:
             cfg = dataclasses.replace(cfg, precision=args.precision)
-        if getattr(args, "active_places", None):
-            args.active_places = args.active_places.split(",")
-        return run(args.subcommand, cfg, args.out, args.format, args)
+        return run(args.subcommand, cfg, args.out, args.format)
     except SadicLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -20,20 +20,20 @@ decides its verdict by Engel's theorem, as one test that every product
 of n kept matrices is 0.
 `_window_rows` is the package's one enumeration of the window.
 
-Trajectories, surveys, heat maps and the CLI's diagonal flows (`systole`
-and `mahler`, one ray at one place) query one cloud under a whole schedule
-of diagonal steps through `PointCloud.systoles_under`, which takes one
-(steps, n) stack of multipliers or valuation shifts per place; a survey
-stacks every ray and its heat map into one such call.  `mahler_report`
-reads verdicts off any family's systoles.  The per-point
+Every window systole is read through `PointCloud.systoles_under`, which
+takes one (steps, n) stack of multipliers or valuation shifts per place:
+a single lattice (`systole`, and so `mahler_test`) is its identity step,
+and trajectories, heat maps, the CLI's diagonal flows and surveys (every
+ray and the heat map in one call) are schedules on one cloud.
+`mahler_report` reads verdicts off any family's systoles.  The per-point
 formula carries place norms, content and sup-norm as frexp pairs: float64
 with an unbounded exponent, rounded to a float only on return.  Where
 every term is a normal float its bits are those of the plain row formula,
 and everywhere it is monotone in each coordinate modulus (real and
 imaginary parts apart at a complex place) and valuation.  So a point that
 an earlier point matches or beats in all of them is never a first
-minimizer, and every step is evaluated on the cloud's skyline alone, with
-the values and first-index witnesses of a point-by-point evaluation.
+minimizer: a longer schedule runs on the cloud's skyline alone, with the
+values and witnesses that a single step reads off the whole cloud.
 """
 
 import functools
@@ -203,9 +203,9 @@ class PointCloud:
     coordinate multipliers / valuation shifts, so a whole trajectory
     reuses one enumeration.
 
-    Every minimum is read off one per-point formula (`norms_under`), over
-    the whole cloud for one step (`systole_under`) and over the `skyline`
-    for a schedule (`systoles_under`); witness strings are memoised.
+    Every minimum is read off one per-point formula (`norms_under`) by
+    `systoles_under`: over the whole cloud for a single step and over the
+    `skyline` for a longer schedule; witness strings are memoised.
     """
 
     def __init__(self, lat, window, maps=None):
@@ -397,34 +397,29 @@ class PointCloud:
         content, ce, supnorm, se = self._norms(arch_mults, fin_shifts)
         return _to_float(content, ce), _to_float(supnorm, se)
 
-    def systole_under(self, arch_mults=None, fin_shifts=None):
-        """(min_content, ic, min_supnorm, isup) under one diagonal step.
-
-        `norms_under` over the whole cloud, first index of each unrounded minimum.
-        """
-        pairs = self._norms(arch_mults, fin_shifts)
-        return next(_minima(np.arange(self.count), *(a[None] for a in pairs)))
-
     def systoles_under(self, arch, fin):
         """Window systoles under every step of a schedule.
 
         arch holds one (steps, n) float64 stack of coordinate multipliers
         per archimedean place, fin one (steps, n) int64 stack of valuation
         shifts per finite place, n the image coordinates.  Returns one
-        (min_content, ic, min_supnorm, isup) tuple per step, that of
-        `systole_under`.  Each operation of `_norms` is a monotone rounding
-        of a function nondecreasing in every feature of the `skyline`, so a
-        point that an earlier point matches or beats in all of them never
-        attains a minimum first: every step is evaluated on the skyline, in
-        blocks of about _BLOCK_ELEMENTS steps x points.
+        (min_content, ic, min_supnorm, isup) tuple per step: the minima of
+        `norms_under` and the first index of each unrounded minimum.  A
+        single step reads the whole cloud, cheaper than finding the
+        skyline; a longer schedule reads the `skyline` alone, in blocks of
+        about _BLOCK_ELEMENTS steps x points: each operation of `_norms` is
+        a monotone rounding of a function nondecreasing in every feature of
+        the skyline, so a point that an earlier point matches or beats in
+        all of them never attains a minimum first.
         """
         arch = [np.asarray(m, dtype=np.float64) for m in arch]
         fin = [np.asarray(s, dtype=np.int64) for s in fin]
-        rows = self.skyline
-        columns = self._split(rows)
+        steps = len((arch + fin)[0])
+        rows = self.skyline if steps > 1 else np.arange(self.count)
+        columns = self._split(rows) if steps > 1 else None
         block = max(1, _BLOCK_ELEMENTS // len(rows))
         out = []
-        for start in range(0, len((arch + fin)[0]), block):
+        for start in range(0, steps, block):
             part = slice(start, start + block)
             out += _minima(rows, *self._norms([m[part] for m in arch],
                                               [sh[part] for sh in fin], columns))
@@ -617,8 +612,6 @@ class SystoleReport:
     min_supnorm: float
     supnorm_witness: str
     window: HeightWindow
-    content_witness_point: tuple = None
-    supnorm_witness_point: tuple = None
 
 
 def systole(lat, window):
@@ -626,18 +619,18 @@ def systole(lat, window):
 
     Upper bounds of the true systoles, attained by the witnesses: a small
     one is conclusive, a large one only says the window holds no shorter
-    vector.
+    vector.  The lattice is the identity step of `PointCloud.systoles_under`.
     """
     cloud = PointCloud(lat, window)
-    mc, ic, ms, isup = cloud.systole_under()
+    [(mc, ic, ms, isup)] = cloud.systoles_under(
+        [np.ones((1, cloud.n))] * len(cloud.arch),
+        [np.zeros((1, cloud.n), dtype=np.int64)] * len(cloud.fin))
     return SystoleReport(
         min_content=mc,
         content_witness=cloud.format_point(ic),
         min_supnorm=ms,
         supnorm_witness=cloud.format_point(isup),
         window=window,
-        content_witness_point=cloud.point(ic),
-        supnorm_witness_point=cloud.point(isup),
     )
 
 

@@ -49,9 +49,6 @@ class SAdicVector:
         self.components = tuple(comps)
         self.n = n if n is not None else (lengths.pop() if lengths else 0)
 
-    def component(self, i):
-        return self.components[i]
-
     def scaled(self, xi):
         """The vector xi * x, scaling every local coordinate."""
         # a rational unit keeps rational coordinates Fractions

@@ -13,7 +13,7 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from sadiclab import cli
@@ -441,6 +441,70 @@ class TestRun:
             f"error: ray parameter {float(value)!r} at r0 overflows float64 "
             "in its diagonal entries\n")
 
+    @pytest.mark.parametrize("command, config, line", [
+        ("systole", {"systole": {"matrices": [[["x", 0], [0, 1]]]}},
+         "/systole/matrices/0/0/0: Invalid literal for Fraction: 'x'"),
+        ("systole", {"systole": {"matrices": [5]}},
+         "/systole/matrices/0: 5 is not of type 'array'"),
+        ("form-reconstruct",
+         {"form": {"factors": [[1, 0], [{"a": 1, "b": 1, "d": -3}, 1]]}},
+         "/form/factors/1/0: radicand must be positive"),
+        ("littlewood", {"littlewood": {"alpha": "x", "beta": 1, "N": 10}},
+         "/littlewood/alpha: Invalid literal for Fraction: 'x'"),
+        ("littlewood", {"littlewood": {"alpha": [1], "beta": 1, "N": 10}},
+         "/littlewood/alpha: cannot parse coefficient [1]"),
+        ("field-info", {"places": {"finite_primes": [4]}},
+         "/places/finite_primes/0: 4 is not prime"),
+        ("expanding", {"expanding": {"positions": [[1, 1]], "tau": 2, "place": "r0"}},
+         "/expanding/positions: bad position (1, 1)"),
+        ("expanding", {"expanding": {"positions": [], "tau": 2, "place": "r0"}},
+         "/expanding/positions: need at least one position"),
+        ("field-info", {"s_units": ["x"]}, "/s_units/0: 'x' is not of type 'array'"),
+        ("field-info", {"s_units": [[1, 2]]}, "/s_units: too many coordinates"),
+        ("norm-form", {"form": {"norm_field": {"min_poly": [-2, 0, 1],
+                                               "basis": [["x", 0], [0, 1]]}}},
+         "/form/norm_field: Invalid literal for Fraction: 'x'"),
+        ("form-spectrum", {"form": {"factors": [[1, 0], [0, 1]]},
+                           "spectrum": {"heights": [0]}},
+         "/spectrum/heights/0: 0 is less than the minimum of 1"),
+    ])
+    def test_malformed_config_value_is_an_error_line(self, tmp_path, capsys,
+                                                     command, config, line):
+        code = cli.main(["--config", json.dumps(dict(MINIMAL, **config)),
+                         "--out", str(tmp_path), command])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--grid", "0:1:0"], "/orbit_survey/grid: want finite s bounds and a step"),
+        (["--grid", "0:inf:3"], "/orbit_survey/grid: want finite s bounds and a step"),
+        (["--grid", "a:1:3"],
+         "/orbit_survey/grid: could not convert string to float: 'a'"),
+        (["--point", "rational:1,x;0,1"],
+         "/orbit_survey/point: Invalid literal for Fraction: 'x'"),
+        (["--point", "file:{missing}"],
+         "/orbit_survey/point: [Errno 2] No such file or directory: '{missing}'"),
+        (["--places", "x"],
+         "/places/finite_primes: invalid literal for int() with base 10: 'x'"),
+        (["--field", "x"], "/min_poly: invalid literal for int() with base 10: 'x'"),
+        (["--height", "0"], "/window/H: 0 is less than the minimum of 1"),
+    ])
+    def test_bad_survey_flag_is_an_error_line(self, tmp_path, capsys, flags, line):
+        missing = str(tmp_path / "missing.json")
+        code = cli.main(["--config", json.dumps(dict(MINIMAL, window={"H": 2, "E": 1})),
+                         "--out", str(tmp_path), "orbit-survey"]
+                        + [f.format(missing=missing) for f in flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line.format(missing=missing)}\n"
+        assert not (tmp_path / "orbit-survey.json").exists()
+
+    def test_missing_config_file_is_an_error_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code = cli.main(["--config", missing, "--out", str(tmp_path), "orbit-survey"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: /: [Errno 2] No such file or directory: '{missing}'\n"
+
     def test_largest_ray_parameter_in_range_runs(self, tmp_path):
         # 12 * 10 * ln 367 is about 708.6, below ln(max float64), about 709.8.
         # From step 11 on two stair rays' contents lie below the float64
@@ -505,7 +569,7 @@ class TestRun:
         parsed = cli.parse_config(dict(Q_WITH_2, precision=30))
         seen = []
         monkeypatch.setattr(cli, "parse_config", lambda raw: parsed)
-        monkeypatch.setattr(cli, "run", lambda sub, cfg, out, fmt, args:
+        monkeypatch.setattr(cli, "run", lambda sub, cfg, out, fmt:
                             seen.append(cfg) or 0)
         assert cli.main(["--config", json.dumps(Q_WITH_2), "--precision", "80",
                          "--out", str(tmp_path), "field-info"]) == 0
@@ -719,10 +783,17 @@ def _float_flow_lattices(cfg, values, n):
 
 
 def _normal_images(lat, window):
-    """Whether every nonzero archimedean image coordinate is a normal float."""
-    for _, W in lt.PointCloud(lat, window).arch:
+    """Whether every nonzero archimedean image coordinate is a normal float.
+
+    An image beyond float64, such as e^709 (1 + sqrt 2), is inf (or nan
+    where inf meets 0 in the matmul) and is not normal.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cloud = lt.PointCloud(lat, window)
+    for _, W in cloud.arch:
         parts = np.abs(np.concatenate([W.real, W.imag]))
-        if (parts[parts != 0] < np.finfo(np.float64).tiny).any():
+        if not np.isfinite(parts).all() or \
+                (parts[parts != 0] < np.finfo(np.float64).tiny).any():
             return False
     return True
 
@@ -744,6 +815,8 @@ class TestDiagonalFlow:
            values=st.lists(st.floats(-709, 709) | st.sampled_from(
                [0, 1, -1, 0.5, 300, -300, 700, -700, 708, -708]),
                min_size=1, max_size=4))
+    # over Q(sqrt2), the float lattice's image e^709 (1 + sqrt 2) overflows
+    @example(case=FLOWS[3], values=[709.0])
     def test_flow_matches_float_lattices(self, case, values):
         base, n = case[:2]
         cfg = cli.parse_config(dict(base, window={"H": 2, "E": 1}))
@@ -771,7 +844,7 @@ class TestDiagonalFlow:
                 return method(self, *args, **kwargs)
             monkeypatch.setattr(lt.PointCloud, name, wrapper)
 
-        for name in ("__init__", "systole_under", "systoles_under", "norms_under"):
+        for name in ("__init__", "systoles_under", "norms_under"):
             counted(name)
         init = lt.SLattice.__init__
 
@@ -788,6 +861,28 @@ class TestDiagonalFlow:
         # one lattice, the identity, and no float entries anywhere
         assert len(lattices) == 1
         assert all(type(c) is int for mat in lattices[0] for row in mat for c in row)
+
+    @pytest.mark.parametrize("command, block, lattices", [
+        ("systole", {"matrices": [[[2, 1], [1, 1]], [[1, 0], [0, 1]]]}, 1),
+        ("mahler", {"radius": 0.5, "matrices_list": [
+            [[[2, 1], [1, 1]], [[1, 0], [0, 1]]],
+            [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]]}, 2),
+    ])
+    def test_lattices_are_one_step_schedules(self, tmp_path, monkeypatch, command,
+                                             block, lattices):
+        calls = []
+        kernel, skyline = lt.PointCloud.systoles_under, lt._skyline
+
+        def counted(self, arch, fin):
+            calls.append(("systoles_under", [np.shape(a) for a in arch + fin]))
+            return kernel(self, arch, fin)
+        monkeypatch.setattr(lt.PointCloud, "systoles_under", counted)
+        monkeypatch.setattr(lt, "_skyline", lambda features:
+                            calls.append("_skyline") or skyline(features))
+        config = dict(Q_WITH_2, window={"H": 6, "E": 2}, **{command: block})
+        assert cli.run(command, config, str(tmp_path)) == 0
+        # one step of multipliers at r0 and shifts at p2_0 per lattice
+        assert calls == [("systoles_under", [(1, 2), (1, 2)])] * lattices
 
     def test_flow_content_at_the_float_edge(self, tmp_path):
         config = dict(FLOW_EDGE, systole={"diagonal_flow": {"values": [708]}})

@@ -393,29 +393,48 @@ def test_no_scalar_type_dispatch_outside_scalars():
     assert offences == []
 
 
-# Every module-level function and class of the package is named somewhere
-# outside its own definition: in the package, the tests, the demos or the
-# benchmark harness (whose tracer names its targets in strings).
+# Every module-level function and class of the package, and every method
+# of its classes but the dunder ones, is named somewhere outside its own
+# definition: in the package, the tests, the demos or the benchmark harness
+# (whose tracer names its targets in strings).
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree):
+    """(owner, node) of every module-level definition and of every method
+    of a module-level class; owner names the definitions the node is in."""
+    for top in tree.body:
+        if isinstance(top, _DEFINITIONS):
+            yield (), top
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, _DEFINITIONS[:2]):
+                    yield (top.name,), item
 
 
 def _mentions(tree):
-    """(top-level definition or None, name) for every name the tree uses."""
+    """(owner, name) for every name the tree uses, where owner names the
+    module-level definition and, in a class, the method around the use."""
     out = set()
-    for top in tree.body:
-        owner = top.name if isinstance(
-            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add((owner, node.id))
-            elif isinstance(node, ast.Attribute):
-                out.add((owner, node.attr))
-            elif isinstance(node, ast.alias):
-                out.add((owner, node.name))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and node.value.isidentifier():
-                out.add((owner, node.value))
+    inner = {id(node): owner + (node.name,) for owner, node in _definitions(tree)}
+
+    def visit(node, owner):
+        owner = inner.get(id(node), owner)
+        if isinstance(node, ast.Name):
+            out.add((owner, node.id))
+        elif isinstance(node, ast.Attribute):
+            out.add((owner, node.attr))
+        elif isinstance(node, ast.alias):
+            out.add((owner, node.name))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add((owner, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, ())
     return out
 
 
@@ -426,14 +445,14 @@ def test_every_package_definition_is_named_elsewhere():
     package = _ROOT / "src" / "sadiclab"
     unused = []
     for path in sorted(package.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef)):
+        for owner, node in _definitions(ast.parse(path.read_text())):
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if not any(name == top.name and (where != path or owner != top.name)
+            own = owner + (node.name,)
+            if not any(name == node.name and (where != path or used[:len(own)] != own)
                        for where, found in mentions.items()
-                       for owner, name in found):
-                unused.append(f"{path.stem}.{top.name}")
+                       for used, name in found):
+                unused.append(".".join((path.stem,) + own))
     assert unused == []
 
 

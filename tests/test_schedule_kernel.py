@@ -8,9 +8,9 @@ takes the first index of each minimum; float log2 estimates only preselect
 the points it evaluates.  The plain float row formula is a second oracle,
 asserted bit for bit at each step where it leaves no float64 range
 (`np.errstate(all="raise")` raises nothing).  Values and witness indices
-must agree exactly.  `_norms`, `norms_under` and `systole_under` are
-compared with both on maps with 1 to 16 image coordinates, and the skyline
-with its definition by brute force.
+must agree exactly.  `_norms`, `norms_under` and one-step `systoles_under`
+calls, which read the whole cloud, are compared with both on maps with 1 to
+16 image coordinates, and the skyline with its definition by brute force.
 """
 
 import functools
@@ -218,7 +218,7 @@ def stacks(cloud, schedule):
     """The kernel's per-place (steps, n) stacks of a list of steps.
 
     A step is (arch_mults, fin_shifts), one row or None (unscaled) per
-    place, as `systole_under` takes it.
+    place, as `norms_under` takes it.
     """
     n = len(cloud.maps[0])
     arch = [np.array([np.ones(n) if a[k] is None else a[k] for a, _ in schedule],
@@ -276,7 +276,7 @@ def test_blocks_cover_long_schedules():
                 for i in range(3 * block + 1)]
     got = cloud.systoles_under(*stacks(cloud, schedule))
     assert check_systoles(cloud, schedule, got) == len(schedule)
-    assert cloud.systole_under(*schedule[-1]) == got[-1]
+    assert cloud.systoles_under(*stacks(cloud, schedule[-1:])) == got[-1:]
 
 
 def test_one_step_reads_the_whole_cloud_without_a_skyline():
@@ -285,9 +285,10 @@ def test_one_step_reads_the_whole_cloud_without_a_skyline():
     cloud = lt.PointCloud(lt.SLattice(q, places, 2, [_eye(2)] * 2),
                           lt.HeightWindow(6, 2))
     step = ([np.array([2.0, 0.5])], [np.array([1, -1], dtype=np.int64)])
-    assert check_systoles(cloud, [step], [cloud.systole_under(*step)]) == 1
+    one = cloud.systoles_under(*stacks(cloud, [step]))
+    assert check_systoles(cloud, [step], one) == 1
     assert "skyline" not in vars(cloud)
-    assert cloud.systoles_under(*stacks(cloud, [step])) == [cloud.systole_under(*step)]
+    assert cloud.systoles_under(*stacks(cloud, [step, step])) == one * 2
     assert "skyline" in vars(cloud)
 
 
@@ -406,7 +407,8 @@ def test_column_norms_match_row_formula(data):
         plain = plain_norms(cloud, *step)
         if plain is not None:
             assert got == [repr(a.tolist()) for a in plain]
-        assert repr(cloud.systole_under(*step)) == repr(reference_systole(cloud, *step))
+        assert repr(cloud.systoles_under(*stacks(cloud, [step]))) == \
+            repr([reference_systole(cloud, *step)])
 
 
 def test_zero_contents_take_the_first_index():
@@ -420,7 +422,7 @@ def test_zero_contents_take_the_first_index():
                  [np.array([-2, 2]), np.array([1, -1])])]
     got = cloud.systoles_under(*stacks(cloud, schedule))
     check_systoles(cloud, schedule, got)
-    assert [cloud.systole_under(*step) for step in schedule] == got
+    assert [cloud.systoles_under(*stacks(cloud, [step]))[0] for step in schedule] == got
     assert [(c, cloud.format_point(i)) for c, i, _, _ in got] == [(0.0, "(1, 1)")] * 2
 
 
