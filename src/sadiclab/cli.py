@@ -791,12 +791,11 @@ def main(argv=None):
         parser.error("--threads must be at least 1")
     try:
         raw = _read_config(args.config)
+        if args.precision is not None and isinstance(raw, dict):
+            raw = dict(raw, precision=args.precision)
         if args.subcommand == "orbit-survey" and isinstance(raw, dict):
             raw = _with_survey_flags(raw, args)
-        cfg = parse_config(raw)
-        if args.precision:
-            cfg = dataclasses.replace(cfg, precision=args.precision)
-        return run(args.subcommand, cfg, args.out, args.format)
+        return run(args.subcommand, parse_config(raw), args.out, args.format)
     except SadicLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

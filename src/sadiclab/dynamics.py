@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSteps,
 )
-from .lattice import HeightWindow, PointCloud, SLattice
+from .lattice import SHIFT_BITS, HeightWindow, PointCloud, SLattice
 from .scalars import is_exact, lift_exact, mul, to_field, to_float
 from .surd import QuadraticSurd
 
@@ -142,51 +142,62 @@ class RaySchedule:
     direction[i] is the exponent vector for the diagonal entries at the
     i-th active place (sum zero, the determinant-one condition).  Each
     step is one parameter per active place: real at archimedean places,
-    integer at finite places (their value group is discrete).  An
-    archimedean parameter whose diagonal entries exp(par * c) overflow
-    float64 raises `RayOverflow`.  `scales` maps each active place's name
-    to its (steps, n) stack for the schedule kernel: the multipliers
-    exp(par * c) at an archimedean place, the valuation shifts f * par * c
-    at a finite one.
+    integer at finite places (their value group is discrete).  `scales`
+    maps each active place's name to its (steps, n) stack for the schedule
+    kernel: the multipliers exp(par * c) at an archimedean place, the
+    valuation shifts f * par * c at a finite one.  An archimedean
+    parameter whose multipliers overflow float64 raises `RayOverflow`, and
+    so does a finite one whose shifts move a norm by more than
+    `lattice.SHIFT_BITS` / #R = 2^22 / #R bits, #R the active places, that
+    is |f * par * c| * log2 p > 2^22 / #R for some c.  So no step moves a
+    content by more than 2^22 bits, and none comes near 2^(-2^23), at or
+    below which the kernel reads a content as 0 (`lattice._ZERO_EXP` / 2).
+    Each place's stack is built in one pass over its column of parameters;
+    of several errors, the first in step order is raised.
     """
 
     def __init__(self, places, direction, steps):
         self.places = list(places)
         self.direction = [tuple(c) for c in direction]
+        if not self.places:
+            raise ShapeMismatch("a ray needs an active place")
         if len(self.direction) != len(self.places):
             raise ShapeMismatch("one direction per active place")
         for c in self.direction:
             if abs(sum(c)) > 1e-12:
                 raise ValueError(f"exponent vector {c} does not sum to zero")
-        norm_steps = []
-        scales = [[] for _ in self.places]
-        for step in steps:
-            if not isinstance(step, (tuple, list)):
-                step = (step,) * len(self.places)
-            if len(step) != len(self.places):
-                raise ShapeMismatch("one parameter per active place in each step")
-            row = []
-            for place, direc, par, out in zip(self.places, self.direction, step, scales):
-                if place.kind == "finite":
-                    if int(par) != par:
+        width, bits = len(self.places), SHIFT_BITS // len(self.places)
+        rows = [s if isinstance(s, (tuple, list)) else (s,) * width for s in steps]
+        # each column stops at the first failure so far in step order
+        end = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        columns, self.scales, error = [], {}, None
+        for k, (place, direc) in enumerate(zip(self.places, self.direction)):
+            pars, out, finite = [], [], place.kind == "finite"
+            exps = [place.residue_degree * int(c) for c in direc] if finite else direc
+            if finite:
+                top, cap = max(map(abs, exps)), bits / math.log2(place.p)
+            try:
+                for row in rows[:end]:
+                    if not finite:
+                        par = float(row[k])
+                    elif (par := int(row[k])) != row[k]:
                         raise ValueError("finite-place ray parameters must be integers")
-                    par = int(par)
-                    for c in direc:
-                        out.append(place.residue_degree * par * int(c))
-                else:
-                    par = float(par)
+                    elif abs(par) * top > cap:
+                        raise RayOverflow(par, place.name, f"moves a norm over {bits} bits")
                     try:
-                        for c in direc:
-                            out.append(math.exp(par * c))
+                        for c in exps:
+                            out.append(par * c if finite else math.exp(par * c))
                     except OverflowError:
                         raise RayOverflow(par, place.name) from None
-                row.append(par)
-            norm_steps.append(tuple(row))
-        self.steps = norm_steps
-        self.scales = {
-            place.name: np.array(out, dtype=np.float64 if place.kind != "finite"
-                                 else np.int64).reshape(len(norm_steps), len(direc))
-            for place, direc, out in zip(self.places, self.direction, scales)}
+                    pars.append(par)
+                self.scales[place.name] = np.array(
+                    out, dtype=np.int64 if finite else np.float64).reshape(len(pars), len(direc))
+            except (ValueError, OverflowError) as e:
+                end, error = len(pars), e
+            columns.append(pars)
+        if end < len(rows):
+            raise error or ShapeMismatch("one parameter per active place in each step")
+        self.steps = list(zip(*columns))
 
     def torus_element(self, field, n, step):
         entries = []
@@ -216,12 +227,16 @@ class TrajectoryReport:
     rows: list
 
 
-def _ray_scales(ray, lat):
-    """Per-place multiplier and shift stacks of every step along a ray."""
-    shape = (len(ray.steps), lat.n)
-    return ([ray.scales.get(p.name, np.ones(shape)) for p in lat.arch_places],
-            [ray.scales.get(p.name, np.zeros(shape, dtype=np.int64))
-             for p in lat.finite_places])
+def _stacks(rays, lat):
+    """The schedule kernel's per-place stacks for the steps of rays in turn.
+
+    The rays share their active places: at each of them, the rays' stacks
+    concatenated; at every other place of S, which no step moves, None.
+    """
+    stacks = {name: np.concatenate([ray.scales[name] for ray in rays])
+              for name in rays[0].scales}
+    return ([stacks.get(p.name) for p in lat.arch_places],
+            [stacks.get(p.name) for p in lat.finite_places])
 
 
 def _step_records(cloud, ray, systoles):
@@ -241,7 +256,7 @@ def trajectory(x, ray, window, cloud=None):
     lat = x.lattice
     if cloud is None:
         cloud = PointCloud(lat, window)
-    systoles = cloud.systoles_under(*_ray_scales(ray, lat))
+    systoles = cloud.systoles_under(*_stacks([ray], lat))
     return TrajectoryReport(point=x, ray=ray, window=window,
                             rows=_step_records(cloud, ray, systoles))
 
@@ -391,10 +406,8 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     rays = default_ray_catalog(x, active, steps=steps, s_max=s_max)
     cells, heat_ray = _heat_schedule(x, active, heat_s, heat_k, s_max)
     # one kernel call for the steps of every ray and of the heat map
-    stacks = [_ray_scales(ray, lat) for _, _, ray in rays] + [_ray_scales(heat_ray, lat)]
     systoles = iter(cloud.systoles_under(
-        [np.concatenate(m) for m in zip(*(arch for arch, _ in stacks))],
-        [np.concatenate(s) for s in zip(*(fin for _, fin in stacks))]))
+        *_stacks([ray for _, _, ray in rays] + [heat_ray], lat)))
     results = []
     for name, signs, ray in rays:
         rep = TrajectoryReport(point=x, ray=ray, window=window,

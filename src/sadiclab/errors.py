@@ -60,11 +60,10 @@ class TooFewSteps(SadicLabError):
 
 
 class RayOverflow(SadicLabError, OverflowError):
-    """An archimedean ray parameter puts a diagonal entry beyond float64."""
+    """A ray parameter takes a step beyond the schedule kernel's range."""
 
-    def __init__(self, par, place):
-        super().__init__(f"ray parameter {par!r} at {place} overflows float64 "
-                         "in its diagonal entries")
+    def __init__(self, par, place, reach="overflows float64 in its diagonal entries"):
+        super().__init__(f"ray parameter {par!r} at {place} {reach}")
 
 
 class NeedTwoPlaces(SadicLabError):

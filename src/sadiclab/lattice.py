@@ -21,10 +21,11 @@ of n kept matrices is 0.
 `_window_rows` is the package's one enumeration of the window.
 
 Every window systole is read through `PointCloud.systoles_under`, which
-takes one (steps, n) stack of multipliers or valuation shifts per place:
-a single lattice (`systole`, and so `mahler_test`) is its identity step,
-and trajectories, heat maps, the CLI's diagonal flows and surveys (every
-ray and the heat map in one call) are schedules on one cloud.
+takes one (steps, n) stack of multipliers or valuation shifts per place,
+or None for a place that no step moves: a single lattice (`systole`, and
+so `mahler_test`) moves none, the identity step, and trajectories, heat
+maps, the CLI's diagonal flows and surveys (every ray and the heat map in
+one call) are schedules on one cloud.
 `mahler_report` reads verdicts off any family's systoles.  The per-point
 formula carries place norms, content and sup-norm as frexp pairs: float64
 with an unbounded exponent, rounded to a float only on return.  Where
@@ -56,6 +57,12 @@ _BLOCK_ELEMENTS = 1 << 13    # steps x points per block
 _SKYLINE_BLOCK = 64          # rows per block of the skyline's filter
 _UNIT_ROUNDOFF = 2.0 ** -53
 _ZERO_EXP = -(1 << 24)       # int32 frexp exponent of 0; any below _ZERO_EXP / 2 is 0
+# A place's zero norm has an exponent of at most _ZERO_EXP + 2^13, and an
+# unshifted nonzero one (float64 coordinates and multipliers) lies within
+# 2^13 of 0.  So with fewer than 2^9 places, shifts that move a step's
+# content by at most SHIFT_BITS bits keep every nonzero content above
+# _ZERO_EXP / 2 and every zero at or below it.
+SHIFT_BITS = -_ZERO_EXP // 4
 
 
 class HeightWindow:
@@ -205,7 +212,8 @@ class PointCloud:
 
     Every minimum is read off one per-point formula (`norms_under`) by
     `systoles_under`: over the whole cloud for a single step and over the
-    `skyline` for a longer schedule; witness strings are memoised.
+    `skyline` for a longer schedule, with no multiplier or shift at a
+    place that no step moves; witness strings are memoised.
     """
 
     def __init__(self, lat, window, maps=None):
@@ -402,7 +410,9 @@ class PointCloud:
 
         arch holds one (steps, n) float64 stack of coordinate multipliers
         per archimedean place, fin one (steps, n) int64 stack of valuation
-        shifts per finite place, n the image coordinates.  Returns one
+        shifts per finite place, n the image coordinates; None leaves a
+        place unmoved at every step.  The stacks give the step count, and a
+        schedule with no stack is one step, the identity.  Returns one
         (min_content, ic, min_supnorm, isup) tuple per step: the minima of
         `norms_under` and the first index of each unrounded minimum.  A
         single step reads the whole cloud, cheaper than finding the
@@ -410,19 +420,17 @@ class PointCloud:
         about _BLOCK_ELEMENTS steps x points: each operation of `_norms` is
         a monotone rounding of a function nondecreasing in every feature of
         the skyline, so a point that an earlier point matches or beats in
-        all of them never attains a minimum first.
+        all of them never attains a minimum first.  Finite-place shifts
+        must keep within SHIFT_BITS, or a content can read as 0.
         """
-        arch = [np.asarray(m, dtype=np.float64) for m in arch]
-        fin = [np.asarray(s, dtype=np.int64) for s in fin]
-        steps = len((arch + fin)[0])
+        steps = next((len(x) for x in arch + fin if x is not None), 1)
         rows = self.skyline if steps > 1 else np.arange(self.count)
         columns = self._split(rows) if steps > 1 else None
         block = max(1, _BLOCK_ELEMENTS // len(rows))
         out = []
         for start in range(0, steps, block):
-            part = slice(start, start + block)
-            out += _minima(rows, *self._norms([m[part] for m in arch],
-                                              [sh[part] for sh in fin], columns))
+            cut = [x if x is None else x[start:start + block] for x in arch + fin]
+            out += _minima(rows, *self._norms(cut[:len(arch)], cut[len(arch):], columns))
         return out
 
     @functools.cached_property
@@ -499,9 +507,11 @@ def _larger(a, b):
 
 def _minima(rows, *pairs):
     """(min_content, ic, min_supnorm, isup) of each row of `_norms`'s pairs,
-    the minima rounded to float64 and their first indices taken in rows."""
+    the minima rounded to float64 and their first indices taken in rows;
+    1-d pairs, where no place is moved, are one row."""
     out = []
     for m, e in zip(pairs[::2], pairs[1::2]):
+        m, e = np.atleast_2d(m, e)
         low = e.min(axis=1, keepdims=True)
         first = np.where(e <= np.maximum(low, _ZERO_EXP // 2), m, 1.0).argmin(axis=1)
         out += [_to_float(m[np.arange(len(m)), first], low[:, 0]).tolist(),
@@ -619,12 +629,12 @@ def systole(lat, window):
 
     Upper bounds of the true systoles, attained by the witnesses: a small
     one is conclusive, a large one only says the window holds no shorter
-    vector.  The lattice is the identity step of `PointCloud.systoles_under`.
+    vector.  The lattice is the identity step of `PointCloud.systoles_under`,
+    which moves no place.
     """
     cloud = PointCloud(lat, window)
-    [(mc, ic, ms, isup)] = cloud.systoles_under(
-        [np.ones((1, cloud.n))] * len(cloud.arch),
-        [np.zeros((1, cloud.n), dtype=np.int64)] * len(cloud.fin))
+    [(mc, ic, ms, isup)] = cloud.systoles_under([None] * len(cloud.arch),
+                                                [None] * len(cloud.fin))
     return SystoleReport(
         min_content=mc,
         content_witness=cloud.format_point(ic),

@@ -1,6 +1,5 @@
 import copy
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -426,6 +425,16 @@ class TestRun:
         assert err.startswith("error: ray parameter ") and " at r0 " in err
         assert err.count("\n") == 1
 
+    def test_finite_ray_parameter_beyond_int64_is_an_error_line(self, tmp_path,
+                                                                capsys):
+        big = 99999999999999999999
+        code = cli.main(["--config", json.dumps(dict(Q_WITH_2, window={"H": 2, "E": 1})),
+                         "--out", str(tmp_path), "orbit-survey",
+                         f"--grid=0:1:2,{big}:{big}"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: ray parameter {big} at p2_0 moves a norm over 2097152 bits\n"
+
     @pytest.mark.parametrize("command, block, value", [
         ("systole", "systole", 800), ("mahler", "mahler", -800)])
     def test_overflowing_diagonal_flow_is_an_error_line(self, tmp_path, capsys,
@@ -566,18 +575,27 @@ class TestRun:
 
     def test_precision_override_keeps_every_other_field(self, tmp_path,
                                                         monkeypatch):
+        # the flag is written over the config's precision before it is parsed
         parsed = cli.parse_config(dict(Q_WITH_2, precision=30))
-        seen = []
-        monkeypatch.setattr(cli, "parse_config", lambda raw: parsed)
+        raws, seen = [], []
+        monkeypatch.setattr(cli, "parse_config", lambda raw: raws.append(raw) or parsed)
         monkeypatch.setattr(cli, "run", lambda sub, cfg, out, fmt:
                             seen.append(cfg) or 0)
-        assert cli.main(["--config", json.dumps(Q_WITH_2), "--precision", "80",
+        config = dict(Q_WITH_2, precision=30)
+        assert cli.main(["--config", json.dumps(config), "--precision", "80",
                          "--out", str(tmp_path), "field-info"]) == 0
-        [cfg] = seen
-        assert cfg.precision == 80 and parsed.precision == 30
-        for field in dataclasses.fields(cli.RunConfig):
-            if field.name != "precision":
-                assert getattr(cfg, field.name) is getattr(parsed, field.name)
+        assert raws == [dict(Q_WITH_2, precision=80)]
+        assert seen == [parsed]
+
+    @pytest.mark.parametrize("precision", ["0", "5", "-3"])
+    def test_precision_below_the_minimum_is_an_error_line(self, tmp_path, capsys,
+                                                          precision):
+        code = cli.main(["--config", json.dumps(Q_WITH_2), f"--precision={precision}",
+                         "--out", str(tmp_path), "field-info"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: /precision: {precision} is less than the minimum of 15\n"
+        assert not (tmp_path / "field-info.json").exists()
 
     def test_form_spectrum_precision_reaches_every_window(self, tmp_path,
                                                            monkeypatch):
@@ -768,6 +786,22 @@ FLOWS = [
 FLOW_EDGE = dict(Q_WITH_2, window={"H": 1, "E": 60})
 
 
+def _spy_on_kernel(monkeypatch):
+    """The list that each `systoles_under` call, with the shape of each
+    stack or None, and each `_skyline` call are appended to."""
+    calls = []
+    kernel, skyline = lt.PointCloud.systoles_under, lt._skyline
+
+    def counted(self, arch, fin):
+        calls.append(("systoles_under",
+                      [None if a is None else np.shape(a) for a in arch + fin]))
+        return kernel(self, arch, fin)
+    monkeypatch.setattr(lt.PointCloud, "systoles_under", counted)
+    monkeypatch.setattr(lt, "_skyline", lambda features:
+                        calls.append("_skyline") or skyline(features))
+    return calls
+
+
 def _float_flow_lattices(cfg, values, n):
     """The flow as float lattices: diag(e^s, 1, ..., e^-s) at the first
     archimedean place and the identity elsewhere, one SLattice per s."""
@@ -870,19 +904,23 @@ class TestDiagonalFlow:
     ])
     def test_lattices_are_one_step_schedules(self, tmp_path, monkeypatch, command,
                                              block, lattices):
-        calls = []
-        kernel, skyline = lt.PointCloud.systoles_under, lt._skyline
-
-        def counted(self, arch, fin):
-            calls.append(("systoles_under", [np.shape(a) for a in arch + fin]))
-            return kernel(self, arch, fin)
-        monkeypatch.setattr(lt.PointCloud, "systoles_under", counted)
-        monkeypatch.setattr(lt, "_skyline", lambda features:
-                            calls.append("_skyline") or skyline(features))
+        calls = _spy_on_kernel(monkeypatch)
         config = dict(Q_WITH_2, window={"H": 6, "E": 2}, **{command: block})
         assert cli.run(command, config, str(tmp_path)) == 0
-        # one step of multipliers at r0 and shifts at p2_0 per lattice
-        assert calls == [("systoles_under", [(1, 2), (1, 2)])] * lattices
+        # one call per lattice, which moves neither r0 nor p2_0
+        assert calls == [("systoles_under", [None, None])] * lattices
+
+    @pytest.mark.parametrize("command", ["systole", "mahler"])
+    def test_flow_leaves_every_other_place_unmoved(self, tmp_path, monkeypatch,
+                                                   command):
+        calls = _spy_on_kernel(monkeypatch)
+        base, n, values = FLOWS[1][:3]
+        block = {"n": n, "diagonal_flow": {"values": values}}
+        if command == "mahler":
+            block["radius"] = 0.5
+        assert cli.run(command, dict(base, **{command: block}), str(tmp_path)) == 0
+        # multipliers at r0, the flow's place, and None at p2_0
+        assert calls == [("systoles_under", [(len(values), n), None]), "_skyline"]
 
     def test_flow_content_at_the_float_edge(self, tmp_path):
         config = dict(FLOW_EDGE, systole={"diagonal_flow": {"values": [708]}})

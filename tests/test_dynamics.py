@@ -1,8 +1,10 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +112,90 @@ class TestMixedScalars:
             dy.TorusElement(rationals, q_inf, 2, [[2.0, 1.0]])
 
 
+def reference_ray(places, direction, steps):
+    """RaySchedule's steps and scales, built one step and one place at a time.
+
+    The first failure in step order raises: a step of the wrong length, a
+    finite-place parameter that is not an integer or whose shifts move a
+    norm by more than SHIFT_BITS / #places bits, an archimedean one whose
+    multipliers overflow float64.
+    """
+    bits = lt.SHIFT_BITS // len(places)
+    norm_steps, scales = [], [[] for _ in places]
+    for step in steps:
+        if not isinstance(step, (tuple, list)):
+            step = (step,) * len(places)
+        if len(step) != len(places):
+            raise ShapeMismatch("one parameter per active place in each step")
+        row = []
+        for place, direc, par, out in zip(places, direction, step, scales):
+            if place.kind == "finite":
+                if int(par) != par:
+                    raise ValueError("finite-place ray parameters must be integers")
+                par = int(par)
+                shifts = [place.residue_degree * par * int(c) for c in direc]
+                if max(map(abs, shifts)) * math.log2(place.p) > bits:
+                    raise RayOverflow(par, place.name, f"moves a norm over {bits} bits")
+                out += shifts
+            else:
+                par = float(par)
+                try:
+                    out += [math.exp(par * c) for c in direc]
+                except OverflowError:
+                    raise RayOverflow(par, place.name) from None
+            row.append(par)
+        norm_steps.append(tuple(row))
+    return norm_steps, {
+        place.name: np.array(out, dtype=np.int64 if place.kind == "finite"
+                             else np.float64).reshape(len(norm_steps), len(direc))
+        for place, direc, out in zip(places, direction, scales)}
+
+
+def _ray_outcome(build, *args):
+    """repr of the steps and the bits of each stack, or the error's type and text."""
+    try:
+        steps, scales = build(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return repr(steps), {name: (a.dtype.str, a.shape, a.tobytes())
+                         for name, a in scales.items()}
+
+
+def _built(places, direction, steps):
+    ray = dy.RaySchedule(places, direction, steps)
+    return ray.steps, ray.scales
+
+
+@functools.lru_cache(maxsize=None)
+def _ray_places():
+    q = nf.create_field([0, 1])
+    gauss = nf.create_field([1, 0, 1])
+    # p3_0 over Q(i) has residue degree 2
+    return (nf.archimedean_places(q) + nf.finite_places(q, 2) + nf.finite_places(q, 3),
+            nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)
+            + nf.finite_places(gauss, 3))
+
+
+_RAY_PARAMS = st.one_of(
+    st.integers(-40, 40), st.floats(-40, 40), st.floats(-800, 800),
+    st.integers(-2 ** 22, 2 ** 22), st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([0.5, 3.0, -2.0 ** 21, 2 ** 63, 699050, 699051, 1048576, 1048577]))
+
+
+@st.composite
+def ray_inputs(draw):
+    pool = draw(st.sampled_from(_ray_places()))
+    ordered = draw(st.permutations(pool))
+    places = ordered[:draw(st.integers(1, len(ordered)))]
+    n = draw(st.sampled_from([2, 3]))
+    vectors = {2: [(1, -1), (-2, 2), (0, 0)], 3: [(1, 0, -1), (2, -1, -1), (0, 0, 0)]}[n]
+    direction = [draw(st.sampled_from(vectors)) for _ in places]
+    step = st.one_of(_RAY_PARAMS, st.lists(_RAY_PARAMS, min_size=len(places),
+                                           max_size=len(places)).map(tuple),
+                     st.lists(_RAY_PARAMS, min_size=0, max_size=len(places) + 1))
+    return places, direction, draw(st.lists(step, max_size=8))
+
+
 class TestRaySchedule:
     def test_overflowing_archimedean_parameter_rejected(self, q_inf2):
         # e^709 is a float64 and e^710 is not; finite-place parameters stay exact
@@ -118,6 +204,48 @@ class TestRaySchedule:
         for par in (710.0, -710.0):
             with pytest.raises(RayOverflow, match=rf"^ray parameter {par} at r0 "):
                 dy.RaySchedule(q_inf2, direction, [(par, 0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(ray_inputs())
+    def test_matches_the_step_by_step_build(self, inputs):
+        assert _ray_outcome(_built, *inputs) == _ray_outcome(reference_ray, *inputs)
+
+    @pytest.mark.parametrize("steps, line", [
+        ([(0.0, 0), (1.0, 3_000_000), (710.0, 0)],
+         "ray parameter 3000000 at p2_0 moves a norm over 2097152 bits"),
+        ([(0.0, 0), (710.0, 0), (1.0, 3_000_000)],
+         "ray parameter 710.0 at r0 overflows float64 in its diagonal entries"),
+        ([(0.0, 0), (-710.0, -3_000_000)],
+         "ray parameter -710.0 at r0 overflows float64 in its diagonal entries"),
+    ])
+    def test_overflow_names_the_first_step(self, q_inf2, steps, line):
+        direction = [(1, -1), (1, -1)]
+        with pytest.raises(RayOverflow) as raised:
+            dy.RaySchedule(q_inf2, direction, steps)
+        assert str(raised.value) == line
+        assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (RayOverflow, line)
+
+    def test_shift_beyond_int64_rejected(self, q_inf2):
+        with pytest.raises(RayOverflow, match=r"^ray parameter 9223372036854775808 at p2_0 "):
+            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [(0.0, 2 ** 63)])
+
+    def test_shift_beyond_the_kernel_range_rejected(self, rationals, q_inf2):
+        # 2^-k sqrt5 at (1, 0) is the least content of the window; at
+        # k = 9,000,000 it lies below 2^(_ZERO_EXP / 2), where the kernel
+        # reads every content as 0 and mantissas alone pick (15, 0)
+        x = dy.OrbitPoint(rationals, q_inf2, 2, [[[2, 1], [1, 1]], eye(2)],
+                          provenance="rational")
+        p2 = q_inf2[1:]
+        ray = dy.RaySchedule(p2, [(1, -1)], [4_000_000])
+        [row] = dy.trajectory(x, ray, lt.HeightWindow(16)).rows
+        assert row.content_witness == "(1, 0)"
+        with pytest.raises(RayOverflow, match=r"^ray parameter 9000000 at p2_0 moves "
+                                              r"a norm over 4194304 bits$"):
+            dy.RaySchedule(p2, [(1, -1)], [9_000_000])
+
+    def test_needs_an_active_place(self):
+        with pytest.raises(ShapeMismatch, match="a ray needs an active place"):
+            dy.RaySchedule([], [], [()])
 
 
 class TestTrajectory:

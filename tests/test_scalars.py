@@ -495,6 +495,19 @@ def test_window_enumerated_in_one_helper():
                      ("lattice", "_window_rows", "denominator sweep")}
 
 
+# Ray multipliers are math.exp's: numpy's exp on an array rounds some
+# arguments differently (16 of the 1,530 archimedean exponents of one
+# default survey), so it would change artifacts.
+
+
+def test_dynamics_takes_exp_from_math():
+    tree = ast.parse((pathlib.Path(sc.__file__).parent / "dynamics.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "exp"
+             and _names(node.value) != {"math"}]
+    assert calls == []
+
+
 def test_parse_real_defaults():
     assert sc.parse_real({"b": 1, "d": 5}) == QuadraticSurd.sqrt(5)
     assert sc.parse_real({"a": "1/2"}) == Fraction(1, 2)

@@ -1,7 +1,8 @@
 """Differential tests of the schedule kernel against point-by-point evaluation.
 
-`PointCloud.systoles_under` takes one (steps, n) stack per place and
-evaluates every step on the cloud's skyline only, in blocks.  The reference
+`PointCloud.systoles_under` takes one (steps, n) stack per place, or None
+for a place that no step moves, and evaluates every step on the cloud's
+skyline only, in blocks.  The reference
 evaluates every point with the row formula at mp.workprec(53), float64
 rounding with an unbounded exponent, its sums in `_column_sum` order, and
 takes the first index of each minimum; float log2 estimates only preselect
@@ -264,6 +265,31 @@ def test_schedule_kernel_matches_point_by_point(data):
     cloud = _cloud(data.draw(st.sampled_from(CLOUDS)))
     schedule = data.draw(st.lists(steps(cloud), min_size=1, max_size=80))
     check_systoles(cloud, schedule, cloud.systoles_under(*stacks(cloud, schedule)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_unmoved_places_as_none_match_identity_stacks(data):
+    # None at a place gives the bits of a stack of multipliers 1 or shifts 0:
+    # one step reads the whole cloud, a longer schedule the skyline, and
+    # the places left unmoved are drawn apart from those that are moved
+    cloud = _cloud(data.draw(st.sampled_from(CLOUDS)))
+    schedule = data.draw(st.lists(steps(cloud), min_size=1, max_size=40))
+    arch, fin = stacks(cloud, schedule)
+    unmoved = data.draw(st.lists(st.booleans(), min_size=len(arch) + len(fin),
+                                 max_size=len(arch) + len(fin)))
+    identity = [np.ones_like(a) for a in arch], [np.zeros_like(f) for f in fin]
+    want = cloud.systoles_under(
+        [i if u else a for a, i, u in zip(arch, identity[0], unmoved)],
+        [i if u else f for f, i, u in zip(fin, identity[1], unmoved[len(arch):])])
+    got = cloud.systoles_under(
+        [None if u else a for a, u in zip(arch, unmoved)],
+        [None if u else f for f, u in zip(fin, unmoved[len(arch):])])
+    # with no stack at all the schedule is one step, the identity
+    assert repr(got) == repr(want[:1] if all(unmoved) else want)
+    assert repr(cloud.systoles_under([None] * len(arch), [None] * len(fin))) == \
+        repr(cloud.systoles_under([a[:1] for a in identity[0]],
+                                  [f[:1] for f in identity[1]]))
 
 
 def test_blocks_cover_long_schedules():
