@@ -443,9 +443,9 @@ def _parse_matrices(mats, pointer):
     return [_parse_matrix(m, f"{pointer}/{k}") for k, m in enumerate(mats)]
 
 
-def _point_from_spec(cfg, spec, n=2):
+def _point_from_spec(cfg, spec):
     if spec == "identity":
-        return dy.OrbitPoint.identity(cfg.field, cfg.places, n)
+        return dy.OrbitPoint.identity(cfg.field, cfg.places, 2)
     if spec.startswith("rational:"):
         body = spec[len("rational:"):]
         with _pointing_at("/orbit_survey/point"):
@@ -467,7 +467,12 @@ def _point_from_spec(cfg, spec, n=2):
 
 
 def _parse_grid(text):
-    """'s_min:s_max:steps[,k_min:k_max]' -> (s values, k values or None)."""
+    """'s_min:s_max:steps[,k_min:k_max]' -> (s values, k values or None).
+
+    A k range holds at least one value and at most 2 SHIFT_BITS + 1: a
+    wider one holds a k with |k| > SHIFT_BITS, which `RaySchedule`
+    rejects at every finite place.
+    """
     parts = [part.split(":") for part in text.split(",")]
     if len(parts[0]) != 3 or len(parts) > 1 and len(parts[1]) != 2:
         raise SchemaError("/orbit_survey/grid", "want s_min:s_max:steps[,k_min:k_max]")
@@ -476,6 +481,9 @@ def _parse_grid(text):
         k = [int(v) for v in parts[1]] if len(parts) > 1 else None
     if steps < 1 or not math.isfinite(lo + hi):
         raise SchemaError("/orbit_survey/grid", "want finite s bounds and a step")
+    if k and not 0 <= k[1] - k[0] <= 2 * lt.SHIFT_BITS:
+        raise SchemaError("/orbit_survey/grid",
+                          f"want k_min <= k_max <= k_min + {2 * lt.SHIFT_BITS}")
     return ([lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)],
             k and list(range(k[0], k[1] + 1)))
 
@@ -484,7 +492,7 @@ def _parse_grid(text):
 # Subcommand implementations
 
 
-def _cmd_field_info(cfg, outdir, fmt):
+def _cmd_field_info(cfg, outdir):
     places = []
     for p in cfg.places:
         entry = {"name": p.name, "kind": p.kind}
@@ -510,7 +518,7 @@ def _cmd_field_info(cfg, outdir, fmt):
     return 0
 
 
-def _cmd_systole(cfg, outdir, fmt):
+def _cmd_systole(cfg, outdir):
     block = cfg.block("systole")
     n = block.get("n", 2)
     if "diagonal_flow" in block:
@@ -525,15 +533,13 @@ def _cmd_systole(cfg, outdir, fmt):
     else:
         raise SchemaError("/systole", "need diagonal_flow or matrices")
     header = ("param", "min_content", "min_supnorm", "witness")
-    if fmt != "json":
-        _write(outdir, "sweep.csv", emit_report((header, rows), "csv"))
-    if fmt != "csv":
-        _write(outdir, "systole.json", emit_report(
-            {"rows": [dict(zip(header, r)) for r in rows]}))
+    _write(outdir, "sweep.csv", emit_report((header, rows), "csv"))
+    _write(outdir, "systole.json", emit_report(
+        {"rows": [dict(zip(header, r)) for r in rows]}))
     return 0
 
 
-def _cmd_mahler(cfg, outdir, fmt):
+def _cmd_mahler(cfg, outdir):
     block = cfg.block("mahler")
     n = block.get("n", 2)
     if "diagonal_flow" in block:
@@ -557,7 +563,7 @@ def _cmd_mahler(cfg, outdir, fmt):
     return 0
 
 
-def _cmd_orbit_survey(cfg, outdir, fmt):
+def _cmd_orbit_survey(cfg, outdir):
     block = cfg.block("orbit_survey")
     point_spec = block.get("point", "identity")
     point = _point_from_spec(cfg, point_spec)
@@ -573,9 +579,8 @@ def _cmd_orbit_survey(cfg, outdir, fmt):
     survey = dy.divergence_survey(point, active, cfg.window, steps=steps,
                                   s_max=s_max, heat_s=heat_s, heat_k=heat_k)
     header = ("s", "k", "min_content", "min_supnorm", "witness")
-    if fmt != "json":
-        _write(outdir, "heatmap.csv", emit_report(
-            (header, [[r[h] for h in header] for r in survey.heat]), "csv"))
+    _write(outdir, "heatmap.csv", emit_report(
+        (header, [[r[h] for h in header] for r in survey.heat]), "csv"))
     anomalies = list(survey.anomalies)
     expected = block.get("expect", {})
     got = survey.classifications()
@@ -591,12 +596,11 @@ def _cmd_orbit_survey(cfg, outdir, fmt):
         "anomalies": anomalies,
         "consistent": not anomalies,
     }
-    if fmt != "csv":
-        _write(outdir, "orbit-survey.json", emit_report(verdict))
+    _write(outdir, "orbit-survey.json", emit_report(verdict))
     return 2 if anomalies else 0
 
 
-def _cmd_nilpotent_check(cfg, outdir, fmt):
+def _cmd_nilpotent_check(cfg, outdir):
     block = cfg.block("nilpotent_check")
     n = block.get("n", 2)
     if "matrices" in block:
@@ -617,7 +621,7 @@ def _cmd_nilpotent_check(cfg, outdir, fmt):
     return 0
 
 
-def _cmd_expanding(cfg, outdir, fmt):
+def _cmd_expanding(cfg, outdir):
     block = cfg.block("expanding")
     place = cfg.place_by_name(block["place"])
     with _pointing_at("/expanding/positions"):
@@ -632,7 +636,7 @@ def _cmd_expanding(cfg, outdir, fmt):
     return 0
 
 
-def _cmd_form_spectrum(cfg, outdir, fmt):
+def _cmd_form_spectrum(cfg, outdir):
     form = _build_form(cfg)
     block = cfg.block("spectrum")
     heights = sorted(block["heights"])
@@ -642,9 +646,8 @@ def _cmd_form_spectrum(cfg, outdir, fmt):
     spec = fm.value_spectrum(form, window, magnitude_cap=cap,
                              dps=cfg.precision)
     rows = [(e.magnitude, e.count, e.witness) for e in spec.entries]
-    if fmt != "json":
-        _write(outdir, "spectrum.csv", emit_report(
-            (("magnitude", "count", "witness"), rows), "csv"))
+    _write(outdir, "spectrum.csv", emit_report(
+        (("magnitude", "count", "witness"), rows), "csv"))
     out = {
         "heights": heights,
         "min_nonzero": spec.min_nonzero,
@@ -659,12 +662,11 @@ def _cmd_form_spectrum(cfg, outdir, fmt):
             out["cluster_center"] = rep.cluster.center
             out["cluster_members"] = len(rep.cluster.members)
             out["per_window_counts"] = rep.cluster.per_window_counts
-    if fmt != "csv":
-        _write(outdir, "form-spectrum.json", emit_report(out))
+    _write(outdir, "form-spectrum.json", emit_report(out))
     return 0
 
 
-def _cmd_form_reconstruct(cfg, outdir, fmt):
+def _cmd_form_reconstruct(cfg, outdir):
     form = _build_form(cfg)
     rep = fm.rationality_reconstruct(form, precision=cfg.precision)
     out = {"status": rep.status, "evidence": rep.evidence}
@@ -680,7 +682,7 @@ def _cmd_form_reconstruct(cfg, outdir, fmt):
     return 0
 
 
-def _cmd_norm_form(cfg, outdir, fmt):
+def _cmd_norm_form(cfg, outdir):
     block = cfg.block("form")
     if "norm_field" not in block:
         block = {"norm_field": {"min_poly": list(cfg.field.min_poly)}}
@@ -697,18 +699,16 @@ def _cmd_norm_form(cfg, outdir, fmt):
     return 0
 
 
-def _cmd_littlewood(cfg, outdir, fmt):
+def _cmd_littlewood(cfg, outdir):
     block = cfg.block("littlewood")
     res = fm.littlewood_scan(_parse_scalar(block["alpha"], "/littlewood/alpha"),
                              _parse_scalar(block["beta"], "/littlewood/beta"),
                              block["N"])
-    if fmt != "json":
-        _write(outdir, "records.csv", emit_report(
-            (("n", "value"), [(n, v) for n, v in res.records]), "csv"))
+    _write(outdir, "records.csv", emit_report(
+        (("n", "value"), [(n, v) for n, v in res.records]), "csv"))
     out = {"N": block["N"], "minimum": res.minimum, "argmin": res.argmin,
            "records": len(res.records)}
-    if fmt != "csv":
-        _write(outdir, "littlewood.json", emit_report(out))
+    _write(outdir, "littlewood.json", emit_report(out))
     return 0
 
 
@@ -726,12 +726,12 @@ _COMMANDS = {
 }
 
 
-def run(subcommand, config, outdir=".", fmt="both"):
+def run(subcommand, config, outdir="."):
     """Dispatch a validated config; returns the process exit code."""
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {subcommand}")
     cfg = config if isinstance(config, RunConfig) else parse_config(config)
-    return _COMMANDS[subcommand](cfg, outdir, fmt)
+    return _COMMANDS[subcommand](cfg, outdir)
 
 
 def _with_survey_flags(raw, args):
@@ -764,8 +764,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True,
                         help="path to a JSON config, or inline JSON")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default="both",
-                        choices=["json", "csv", "both"])
     parser.add_argument("--precision", type=int, default=None,
                         help="override the config precision")
     parser.add_argument("--threads", type=int, default=1,
@@ -795,7 +793,7 @@ def main(argv=None):
             raw = dict(raw, precision=args.precision)
         if args.subcommand == "orbit-survey" and isinstance(raw, dict):
             raw = _with_survey_flags(raw, args)
-        return run(args.subcommand, parse_config(raw), args.out, args.format)
+        return run(args.subcommand, parse_config(raw), args.out)
     except SadicLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

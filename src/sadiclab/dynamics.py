@@ -261,32 +261,29 @@ def trajectory(x, ray, window, cloud=None):
                             rows=_step_records(cloud, ray, systoles))
 
 
-@dataclass
-class Thresholds:
-    theta_low: float = 1e-3
-    theta_high_rel: float = 0.1
+THETA_LOW = 1e-3
+THETA_HIGH_REL = 0.1
 
 
-def classify_ray(report, thresholds=None):
+def classify_ray(report):
     """Empirical three-way verdict on a trajectory's content systole.
 
-    recurrent: dips below theta_low, later re-exceeds theta_high;
-    diverging-trend: ends below theta_low (decreasing trend);
-    bounded-below: never drops to theta_high = rel * initial systole.
-    Always a statement about the sampled window, never a proof.
+    recurrent: dips below THETA_LOW, later re-exceeds theta_high;
+    diverging-trend: ends below THETA_LOW (decreasing trend);
+    bounded-below: never drops to theta_high = THETA_HIGH_REL * initial
+    systole.  Always a statement about the sampled window, never a proof.
     """
-    th = thresholds or Thresholds()
     rows = report.rows
     if len(rows) < 10:
         raise TooFewSteps(f"{len(rows)} steps; need at least 10")
     sys = [r.min_content for r in rows]
     initial = sys[0]
-    theta_high = th.theta_high_rel * initial
-    dipped_at = next((i for i, v in enumerate(sys) if v < th.theta_low), None)
+    theta_high = THETA_HIGH_REL * initial
+    dipped_at = next((i for i, v in enumerate(sys) if v < THETA_LOW), None)
     if dipped_at is not None:
         if any(v > theta_high for v in sys[dipped_at + 1:]):
             return "recurrent"
-    if sys[-1] < th.theta_low:
+    if sys[-1] < THETA_LOW:
         return "diverging-trend"
     if min(sys) > theta_high:
         return "bounded-below"
@@ -342,10 +339,14 @@ def _ray_name(places, signs):
                     for p, s in zip(places, signs))
 
 
-def default_ray_catalog(x, active, steps=20, s_max=10.0, stair_jump=12):
+STAIR_JUMP = 12
+
+
+def default_ray_catalog(x, active, steps=20, s_max=10.0):
     """The canonical rays for a survey: per-place axes, matched diagonals
     for sign pairs, and alternating staircases that re-balance after each
-    archimedean push (staircases only when two places are active)."""
+    archimedean push by STAIR_JUMP (staircases only when two places are
+    active)."""
     direction = _n2_direction(x.n)
     rays = []
     for signs in _sign_patterns(len(active)):
@@ -378,8 +379,8 @@ def default_ray_catalog(x, active, steps=20, s_max=10.0, stair_jump=12):
             for sf in (1, -1):
                 params = []
                 for j in range(steps):
-                    hi = stair_jump * ((j + 1) // 2)
-                    lo = stair_jump * (j // 2)
+                    hi = STAIR_JUMP * ((j + 1) // 2)
+                    lo = STAIR_JUMP * (j // 2)
                     row = [None, None]
                     row[arch_i] = sa * math.log(p) * hi
                     row[fin_i] = sf * lo
@@ -393,7 +394,7 @@ def default_ray_catalog(x, active, steps=20, s_max=10.0, stair_jump=12):
 
 
 def divergence_survey(x, active, window, steps=20, s_max=10.0,
-                      thresholds=None, heat_s=None, heat_k=None):
+                      heat_s=None, heat_k=None):
     """Systole sweep over the canonical rays plus a heat-map grid.
 
     At points with exact rational provenance the classical dichotomy is
@@ -414,7 +415,7 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
                                rows=_step_records(cloud, ray, systoles))
         results.append(RayResult(
             name=name, signs=signs,
-            classification=classify_ray(rep, thresholds), report=rep))
+            classification=classify_ray(rep), report=rep))
     heat = [{"s": s, "k": k, "min_content": mc, "min_supnorm": ms,
              "witness": cloud.format_point(ic)}
             for (s, k), (mc, ic, ms, _) in zip(cells, systoles)]
@@ -457,17 +458,15 @@ def _heat_schedule(x, active, heat_s, heat_k, s_max):
 # Named constructions
 
 
-def locally_divergent_example(field, places, n=2):
-    """Unipotent at the first place, identity elsewhere: each single-place
-    orbit diverges, the full-S orbit does not close up."""
+def locally_divergent_example(field, places):
+    """Unipotent at the first place, identity elsewhere, n = 2: each
+    single-place orbit diverges, the full-S orbit does not close up."""
     if len(places) < 2:
         raise NeedTwoPlaces("need at least two places in S")
-    if n != 2:
-        raise ValueError("shipped construction is for n = 2")
     upper = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     g = [upper] + [eye] * (len(places) - 1)
-    return OrbitPoint(field, places, n, g, provenance="rational")
+    return OrbitPoint(field, places, 2, g, provenance="rational")
 
 
 def anisotropic_point(field, places):

@@ -231,17 +231,17 @@ def _sum_scalars(terms):
     return acc if acc is not None else Fraction(0)
 
 
-def _rank_at_place(rows, place, dps=DEFAULT_DPS):
+def _rank_at_place(rows, place):
     """Rank of the coefficient matrix, exact when possible."""
     if all(is_exact(c) for row in rows for c in row):
         return linalg.rank(rows)
-    with mp.workdps(dps + 10):
+    with mp.workdps(DEFAULT_DPS + 10):
         return linalg.float_rank(
-            [[to_mpf(c, place, dps) for c in row] for row in rows],
+            [[to_mpf(c, place, DEFAULT_DPS) for c in row] for row in rows],
             mpf(10) ** (-20))
 
 
-def make_form(field, places, factors_per_place, label=""):
+def make_form(field, places, factors_per_place):
     """Validated decomposable form; factors must be independent per place.
 
     Dependent factors are rejected: dropping that hypothesis breaks the
@@ -253,7 +253,7 @@ def make_form(field, places, factors_per_place, label=""):
     m = len(factors_per_place[0])
     if m > n:
         raise DependentFactors(f"m={m} factors in n={n} variables")
-    form = DecomposableForm(field, places, n, factors_per_place, label=label)
+    form = DecomposableForm(field, places, n, factors_per_place)
     for k, (place, rows) in enumerate(zip(form.places, form.factors)):
         if _rank_at_place(rows, place) < form.m:
             raise DependentFactors(
@@ -674,17 +674,19 @@ class DiscretenessReport:
     windows: list
     min_nonzero: float
     cluster: ClusterEvidence = None
-    new_values_required: int = 3
     anomaly: str = ""
 
 
-def discreteness_report(form, heights, E=0, nu=3, dps=None):
+NEW_VALUES_REQUIRED = 3
+
+
+def discreteness_report(form, heights, E=0, dps=None):
     """Growing-window accumulation probe.
 
     accumulation-detected requires a cluster that keeps gaining at least
-    `nu` distinct values whose distances to the cluster center shrink as
-    the window grows; anything else is discrete-trend, explicitly limited
-    to the tested windows.
+    NEW_VALUES_REQUIRED distinct values whose distances to the cluster
+    center shrink as the window grows; anything else is discrete-trend,
+    explicitly limited to the tested windows.
     """
     if len(heights) < 3:
         raise TooFewWindows("need at least three growing windows")
@@ -702,7 +704,7 @@ def discreteness_report(form, heights, E=0, nu=3, dps=None):
     clusters = _group_by_gap(final.entries, rho)
     best = None
     for group in clusters:
-        if len(group) < nu + 1:
+        if len(group) < NEW_VALUES_REQUIRED + 1:
             continue
         lo = group[0].magnitude
         hi = group[-1].magnitude
@@ -714,7 +716,7 @@ def discreteness_report(form, heights, E=0, nu=3, dps=None):
             counts.append(len(inside))
             new_d = [abs(e.magnitude - center) for e in inside]
             max_dists.append(max(new_d) if new_d else 0.0)
-        if counts[-1] - counts[0] < nu:
+        if counts[-1] - counts[0] < NEW_VALUES_REQUIRED:
             continue
         # distances of newly gained values must not spread out
         shrinking = all(
@@ -742,7 +744,6 @@ def discreteness_report(form, heights, E=0, nu=3, dps=None):
         windows=list(heights),
         min_nonzero=final.min_nonzero,
         cluster=best,
-        new_values_required=nu,
         anomaly=anomaly)
 
 
@@ -813,7 +814,6 @@ def norm_form(field, basis_elems=None):
         label=f"norm form of degree {n}")
     form.factors = [factor_rows] if factor_rows is not None else None
     form.norm_field = field
-    form.norm_basis = mus
     return form
 
 
@@ -855,20 +855,20 @@ class ReconstructionResult:
     evidence: str = ""
 
 
-def _cf_recognize(x, max_den=10 ** 6, err_bound=None):
-    """Nearest rational with bounded denominator, or None.
+def _cf_recognize(x):
+    """Nearest rational with denominator at most 10^6, or None.
 
-    Continued-fraction convergents of x; accepted only when the match is
-    far tighter than an irrational's q^-2 approximation could be.
+    Continued-fraction convergents of x; accepted only when the match,
+    within 10^-(dps - 10) at mpmath's working precision, is far tighter
+    than an irrational's q^-2 approximation could be.
     """
-    if err_bound is None:
-        err_bound = mpf(10) ** (-(mp.dps - 10))
+    err_bound = mpf(10) ** (-(mp.dps - 10))
     p0, q0, p1, q1 = 0, 1, 1, 0
     val = x
     for _ in range(64):
         a = int(mp.floor(val))
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_den:
+        if q1 > 10 ** 6:
             return None
         approx = Fraction(p1, q1)
         if abs(x - mpf(approx.numerator) / approx.denominator) < err_bound:
@@ -980,7 +980,7 @@ class LittlewoodResult:
     records: list                  # (n, value) strictly decreasing values
 
 
-def littlewood_scan(alpha, beta, N, dps=None, chunk=1 << 20):
+def littlewood_scan(alpha, beta, N, chunk=1 << 20):
     """min over 1 <= k <= N of k * <k a> * <k b> with a record trace.
 
     Fixed-point uint64 arithmetic prefilters the whole range in chunks:
@@ -996,8 +996,9 @@ def littlewood_scan(alpha, beta, N, dps=None, chunk=1 << 20):
     j < k (`np.minimum.accumulate`, carried across chunks); every such k
     is re-evaluated at high precision in order, so rational inputs reach
     an exact zero, after which the scan stops.  Ties go to the smallest k.
+    The scan works at dps = 50 + floor(log10 max(N, 10)) digits.
     """
-    dps = dps or (DEFAULT_DPS + max(0, int(math.log10(max(N, 10))) ))
+    dps = DEFAULT_DPS + max(0, int(math.log10(max(N, 10))))
     a = parse_real(alpha)
     b = parse_real(beta)
     if N < 1:
@@ -1056,7 +1057,7 @@ def _dist_frac(x, k, dps):
 # Built-in probes
 
 
-def builtin_probes(field=None):
+def builtin_probes():
     """Counterexample probes with a violated hypothesis, by name.
 
     'dependent-factors': x^2 (phi x - y); a product of *dependent* linear
@@ -1065,9 +1066,7 @@ def builtin_probes(field=None):
     'indecomposable': x^2 + sqrt(2) y^2; not a product of real linear
     forms at all, discrete for positivity reasons.
     """
-    from .numberfield import create_field
-
-    rational = field or create_field([0, 1])
+    rational = create_field([0, 1])
     real_place = archimedean_places(rational)[0]
     phi = QuadraticSurd(Fraction(1, 2), Fraction(1, 2), 5)
     dependent = DecomposableForm.from_expansion(

@@ -809,24 +809,6 @@ class NilpotentSpanReport:
     kept: int
 
 
-def calibrate_nilpotent_radius(lat, window, candidates=None):
-    """Largest tested radius at which the span check still passes.
-
-    The theory guarantees only that *some* positive radius works; this
-    reports a concrete one for the given lattice and window, or None when
-    even the smallest candidate already fails.
-    """
-    if candidates is None:
-        candidates = [2.0 ** -k for k in range(-2, 8)]
-    best = None
-    for t in sorted(candidates):
-        if nilpotent_span_check(lat, t, window).is_nilpotent_span:
-            best = t
-        else:
-            break
-    return best
-
-
 def nilpotent_span_check(lat, radius, window):
     """Test whether the small adjoint-lattice points span a nilpotent algebra.
 

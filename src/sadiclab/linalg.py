@@ -4,7 +4,7 @@ One Gauss-Jordan elimination serves every exact scalar of the package
 (int, Fraction, QuadraticSurd, FieldElement): it uses only + - * / and
 comparison with 0, and promotes ints to Fraction so that its quotients
 stay exact.  Its forward pass yields rank and determinant, its
-back-substitution kernel and inverse.  `insert` grows an echelon basis
+back-substitution the inverse.  `insert` grows an echelon basis
 of a span one vector at a time.  `float_rank` is the partial-pivot rank
 of float, complex or mpf rows under a tolerance.
 """
@@ -75,26 +75,6 @@ def det(mat):
     """Determinant of a square matrix; the int 0 when it is singular."""
     _, pivots, d = _echelon(mat, len(mat))
     return d if len(pivots) == len(mat) else 0
-
-
-def kernel(rows, ncols):
-    """Basis of {v : rows . v = 0}, one vector per non-pivot column.
-
-    The vector of a non-pivot column c has 1 at c and 0 at every other
-    non-pivot column; its entries have the type of the rows' entries.
-    """
-    m, pivots = _reduce(rows, ncols)
-    zero, one = _zero_one(m)
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [zero] * ncols
-        v[c] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][c]
-        basis.append(v)
-    return basis
 
 
 def inverse(mat):

@@ -98,12 +98,6 @@ class NumberField:
     def one(self):
         return self.element([1])
 
-    def gen(self):
-        if self.degree == 1:
-            # theta is the root of the linear polynomial.
-            return self.element([-self.min_poly[0]])
-        return self.element([0, 1])
-
     def sqrt_disc(self):
         """The element 2*theta + c1 whose square is the discriminant (d = 2)."""
         if self.degree != 2:
@@ -301,12 +295,6 @@ class RealPlace(Place):
         self.index = index
         self.name = f"r{index}"
         self._roots = {}
-
-    def refined(self, factor=2):
-        lo, hi = pa.refine_real_root(
-            list(map(Fraction, self.field.min_poly)), self.lo, self.hi,
-            (self.hi - self.lo) / factor)
-        return RealPlace(self.field, lo, hi, self.index)
 
     def root(self, dps=None):
         if self.field.degree == 1:
@@ -566,9 +554,9 @@ def finite_places(field, p, precision=HENSEL_DEFAULT_N):
     return places
 
 
-def local_abs(elem, place, dps=None):
+def local_abs(elem, place):
     """Normalized |elem|_v: mpf at archimedean places, exact Fraction at finite."""
-    return place.abs_value(elem, dps)
+    return place.abs_value(elem)
 
 
 def field_norm(elem):
@@ -607,7 +595,7 @@ class SUnitGroup:
         return f"SUnitGroup(rank={self.rank}, generators={len(self.generators)})"
 
 
-def _check_unit_invariant(u, places, tol=Fraction(1, 10 ** 12)):
+def _check_unit_invariant(u, places):
     fin = Fraction(1)
     arch = mpf(1)
     with mp.workdps(DEFAULT_DPS):
@@ -617,7 +605,7 @@ def _check_unit_invariant(u, places, tol=Fraction(1, 10 ** 12)):
             else:
                 arch *= v.abs_value(u)
         total = arch * mpf(fin.numerator) / fin.denominator
-        if abs(total - 1) > mpf(float(tol)):
+        if abs(total - 1) > mpf(1e-12):
             raise GeneratorInvariantViolated(
                 f"product of |u|_v over S is {total}, not 1, for {u!r}")
 

@@ -59,45 +59,6 @@ class SAdicVector:
                              mul(c, to_mpf(xi, place)) for c in comp))
         return SAdicVector(self.places, out, self.n)
 
-    def to_jsonable(self, digits=12):
-        """Per-place coordinate arrays; finite scalars as valuation + digits."""
-        out = []
-        for place, comp in zip(self.places, self.components):
-            if place.kind != "finite":
-                out.append([str(c) for c in comp])
-            else:
-                row = []
-                for c in comp:
-                    row.append(_finite_scalar_json(c, place, digits))
-                out.append(row)
-        return {"n": self.n, "places": [p.name for p in self.places],
-                "components": out}
-
-
-def _finite_scalar_json(c, place, digits):
-    elem = to_field(c, place.field, place.name)
-    if not elem.is_rational():
-        return {"coords": [str(x) for x in elem.coords],
-                "val": place.valuation(elem)}
-    frac = elem.coords[0]
-    if frac == 0:
-        return {"val": None, "unit_digits": []}
-    p = place.p
-    val = 0
-    num, den = frac.numerator, frac.denominator
-    while num % p == 0:
-        num //= p
-        val += 1
-    while den % p == 0:
-        den //= p
-        val -= 1
-    unit = num * pow(den, -1, p ** digits) % p ** digits
-    out_digits = []
-    for _ in range(digits):
-        out_digits.append(unit % p)
-        unit //= p
-    return {"val": val, "unit_digits": out_digits}
-
 
 def _local_norm(place, comp, dps):
     """Normalized norm of one local vector."""
@@ -153,11 +114,11 @@ def content(x, dps=None):
     return acc
 
 
-def pseudoball_contains(r, x, dps=None):
+def pseudoball_contains(r, x):
     """Membership in the content sublevel set: content(x) < r, strictly."""
     if r <= 0:
         raise ValueError("pseudoball radius must be positive")
-    return content(x, dps) < r
+    return content(x) < r
 
 
 class BalancingTarget:
@@ -178,10 +139,10 @@ class BalancingTarget:
         a = float(total_content) ** (1.0 / m)
         return cls(places, [a] * m)
 
-    def validate_against(self, x, rel_tol=1e-8):
+    def validate_against(self, x):
         c = float(content(x))
         prod = math.prod(self.targets)
-        if c == 0 or abs(prod - c) > rel_tol * c:
+        if c == 0 or abs(prod - c) > 1e-8 * c:
             raise ValueError(
                 f"product of targets {prod} does not match content {c}")
 
@@ -201,18 +162,16 @@ def _unit_log_vectors(units, places, dps):
     return vecs
 
 
-def balancing_constant(units, places=None, dps=None):
-    """Rigorous upper bound for the balancing constant kappa.
+def balancing_constant(units):
+    """Rigorous upper bound for the balancing constant kappa over units' S.
 
     kappa = exp(mu) where mu bounds the sup-norm covering radius of the
     log-embedding of the unit generators: rounding each basis coordinate
     to the nearest integer moves at most half the sum of the basis
     sup-norms.  Not minimal, but certified.
     """
-    dps = dps or DEFAULT_DPS
-    places = list(places) if places is not None else units.places
-    vecs = _unit_log_vectors(units, places, dps)
-    m = len(places)
+    vecs = _unit_log_vectors(units, units.places, DEFAULT_DPS)
+    m = len(units.places)
     rank_needed = m - 1
     if rank_needed == 0:
         return 1.0
@@ -222,14 +181,14 @@ def balancing_constant(units, places=None, dps=None):
     return math.exp(halfsum)
 
 
-def unit_balance(x, target, units, exponent_bound=20, dps=None):
+def unit_balance(x, target, units, exponent_bound=20):
     """S-unit xi minimizing the worst log-ratio of local norms to targets.
 
     Exhaustive search over generator exponents in [-B, B]; ties resolve to
     the lexicographically smallest exponent vector.  Returns (xi, ratio)
-    with ratio = exp(max_v |log(norm_v(xi x)/a_v)|).
+    with ratio = exp(max_v |log(norm_v(xi x)/a_v)|), at DEFAULT_DPS digits.
     """
-    dps = dps or DEFAULT_DPS
+    dps = DEFAULT_DPS
     norms = local_norms(x, dps)
     if any(v == 0 for v in norms):
         raise ZeroComponent("every local component must be nonzero")

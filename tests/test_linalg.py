@@ -90,15 +90,7 @@ def _matvec(mat, v):
 @given(data=st.data())
 def test_rank_and_kernel_match_sympy(kind, data):
     mat = data.draw(matrices(kind))
-    ncols = len(mat[0])
-    rank = _oracle(mat, kind).rank()
-    assert linalg.rank(mat) == rank
-    kernel = linalg.kernel(mat, ncols)
-    assert len(kernel) == ncols - rank
-    for v in kernel:
-        assert all(x == 0 for x in _matvec(mat, v))
-    if kernel:
-        assert linalg.rank(kernel) == len(kernel)
+    assert linalg.rank(mat) == _oracle(mat, kind).rank()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -150,10 +142,7 @@ def test_det_keeps_the_sign_of_a_row_swap():
 
 
 def test_kernel_and_inverse_keep_the_entry_type():
-    one, i = GAUSS.one(), GAUSS.gen()
+    one, i = GAUSS.one(), GAUSS.element([0, 1])
     inv = linalg.inverse([[one, i], [i * 0, one]])
     assert all(isinstance(c, nf.FieldElement) for row in inv for c in row)
     assert inv == [[one, -i], [GAUSS.zero(), one]]
-    kernel = linalg.kernel([[one, i]], 2)
-    assert kernel == [[-i, one]]
-    assert all(isinstance(c, nf.FieldElement) for c in kernel[0])

@@ -74,12 +74,6 @@ class TestArchimedeanPlaces:
         r2 = sum(1 for p in places if p.kind == "complex")
         assert r1 + 2 * r2 == field.degree
 
-    def test_refinement_returns_new_place(self, root2_field):
-        place = nf.archimedean_places(root2_field)[0]
-        finer = place.refined()
-        assert finer is not place
-        assert finer.hi - finer.lo < place.hi - place.lo
-
 
 class TestFinitePlaces:
     def test_gauss_split_at_five(self, gauss):

@@ -147,16 +147,3 @@ class TestUnitBalance:
         units = nf.s_unit_group(gauss, nf.archimedean_places(gauss))
         assert sd.balancing_constant(units) == 1.0
 
-
-class TestSerialization:
-    def test_finite_scalar_digits(self, rationals, q_inf2):
-        x = sd.SAdicVector(q_inf2, [(Fraction(3, 4),), (Fraction(3, 4),)], 1)
-        blob = x.to_jsonable(digits=6)
-        fin = blob["components"][1][0]
-        assert fin["val"] == -2
-        # unit part 3 in base 2: digits 1,1,0,...
-        assert fin["unit_digits"][:2] == [1, 1]
-
-    def test_roundtrip_is_pure(self, q_inf2):
-        x = sd.SAdicVector(q_inf2, [(1, 2), (1, 2)])
-        assert x.to_jsonable() == x.to_jsonable()

@@ -438,22 +438,116 @@ def _mentions(tree):
     return out
 
 
-def test_every_package_definition_is_named_elsewhere():
-    paths = [path for folder in ("src", "tests", "demos", "perfbench")
-             for path in sorted((_ROOT / folder).rglob("*.py"))]
-    mentions = {path: _mentions(ast.parse(path.read_text())) for path in paths}
-    package = _ROOT / "src" / "sadiclab"
-    unused = []
-    for path in sorted(package.glob("*.py")):
+def _source_trees():
+    return {path: ast.parse(path.read_text())
+            for folder in ("src", "tests", "demos", "perfbench")
+            for path in sorted((_ROOT / folder).rglob("*.py"))}
+
+
+def _package_definitions():
+    """(qualified name, path, owner, node) of every package definition."""
+    for path in sorted((_ROOT / "src" / "sadiclab").glob("*.py")):
         for owner, node in _definitions(ast.parse(path.read_text())):
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            own = owner + (node.name,)
-            if not any(name == node.name and (where != path or used[:len(own)] != own)
-                       for where, found in mentions.items()
-                       for used, name in found):
-                unused.append(".".join((path.stem,) + own))
-    assert unused == []
+            yield ".".join((path.stem,) + owner + (node.name,)), path, owner, node
+
+
+def _namers():
+    """The files that name each non-dunder package definition outside it,
+    by qualified name."""
+    mentions = {path: _mentions(tree) for path, tree in _source_trees().items()}
+    out = {}
+    for qualname, path, owner, node in _package_definitions():
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        own = owner + (node.name,)
+        out[qualname] = {where for where, found in mentions.items()
+                         for used, name in found
+                         if name == node.name and (where != path or used[:len(own)] != own)}
+    return out
+
+
+def test_every_package_definition_is_named_elsewhere():
+    assert [name for name, where in _namers().items() if not where] == []
+
+
+# The package definitions that only the tests name, each with the reason
+# it is kept; every other definition serves the package, the demos or the
+# benchmark harness.
+
+_TEST_ONLY = {
+    "dynamics.OrbitPoint.to_jsonable":
+        "acceptance writes the `--point file:` JSON with it",
+    "dynamics.RaySchedule.torus_element": "the exact oracle in test_crosschecks",
+    "forms.DecomposableForm.compose": "the GL-invariance test of value spectra",
+    "lattice.PointCloud.valuation_fallbacks":
+        "telemetry for observability (ROADMAP aim 4)",
+    "sadic.BalancingTarget.equal_split": "acceptance builds its targets with it",
+}
+
+
+def test_only_listed_definitions_serve_the_tests_alone():
+    tests = _ROOT / "tests"
+    only = [name for name, where in _namers().items()
+            if where and all(tests in path.parents for path in where)]
+    # a listed definition that the tests no longer name alone leaves the list
+    assert sorted(set(only) ^ set(_TEST_ONLY)) == []
+
+
+# Every defaulted parameter of a package function is set by some call in
+# the package, the tests, the demos or the benchmark harness.  Calls match
+# definitions by name: a keyword sets its parameter, a positional argument
+# the parameter in its place (after self or cls in a method), and *args or
+# **kwargs every parameter; `C(...)`, and `cls(...)` in a classmethod of
+# C, call C.__init__.
+
+
+def _decorated(node, name):
+    return any(_names(d) == {name} for d in node.decorator_list)
+
+
+def _calls(tree):
+    """(callee name, call) for every call in the tree."""
+    out = []
+
+    def visit(node, cls, maker):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, _DEFINITIONS[:2]):
+            maker = cls if _decorated(node, "classmethod") else None
+        elif isinstance(node, ast.Call):
+            for name in _names(node.func):
+                out.append((maker if name == "cls" and maker else name, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, maker)
+
+    visit(tree, None, None)
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    calls = {}
+    for tree in _source_trees().values():
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+    unset = []
+    for qualname, _, owner, node in _package_definitions():
+        if isinstance(node, ast.ClassDef):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = params[len(params) - len(args.defaults):] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if owner and not _decorated(node, "staticmethod"):
+            params = params[1:]
+        seen = set()
+        for call in calls.get(owner[0] if node.name == "__init__" else node.name, []):
+            if any(isinstance(a, ast.Starred) for a in call.args) or \
+                    any(k.arg is None for k in call.keywords):
+                seen.update(defaulted)
+            seen.update(params[:len(call.args)])
+            seen.update(k.arg for k in call.keywords)
+        unset += [f"{qualname}.{name}" for name in defaulted if name not in seen]
+    assert unset == []
 
 
 # The window of S-integer points is enumerated in one place:
