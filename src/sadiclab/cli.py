@@ -381,13 +381,13 @@ def _parse_scalar(c, pointer):
 
 
 def _norm_form(nfld):
-    """The norm form of a config's `norm_field` block."""
+    """(field, norm form) of a config's `norm_field` block."""
     basis = nfld.get("basis")
     with _pointing_at("/form/norm_field"):
         target = nf.create_field(nfld["min_poly"])
         elems = None if basis is None else [
             target.element([Fraction(str(c)) for c in row]) for row in basis]
-    return fm.norm_form(target, elems)
+    return target, fm.norm_form(target, elems)
 
 
 def _build_form(cfg):
@@ -402,7 +402,7 @@ def _build_form(cfg):
                               f"unknown probe {name!r}; have {sorted(probes)}")
         return probes[name]
     if "norm_field" in block:
-        return _norm_form(block["norm_field"])
+        return _norm_form(block["norm_field"])[1]
     names = block.get("places")
     places = [cfg.place_by_name(n) for n in names] if names else list(cfg.places)
     if "factors_per_place" in block:
@@ -466,12 +466,16 @@ def _point_from_spec(cfg, spec):
     raise SchemaError("/orbit_survey/point", f"cannot parse point {spec!r}")
 
 
-def _parse_grid(text):
-    """'s_min:s_max:steps[,k_min:k_max]' -> (s values, k values or None).
+def _parse_grid(text, active, cap):
+    """'s_min:s_max:steps[,k_min:k_max]' -> (s values, k values), each
+    None when no place of `active` moves by it.
 
     A k range holds at least one value and at most 2 SHIFT_BITS + 1: a
     wider one holds a k with |k| > SHIFT_BITS, which `RaySchedule`
-    rejects at every finite place.
+    rejects at every finite place.  The heat map's cells, counted as
+    `dy._heat_schedule` builds them (s at archimedean places, k at finite
+    ones, `dy.HEAT_K` without a k range), must not exceed the window's
+    size bound `cap`; that is checked before any list is built.
     """
     parts = [part.split(":") for part in text.split(",")]
     if len(parts[0]) != 3 or len(parts) > 1 and len(parts[1]) != 2:
@@ -484,8 +488,16 @@ def _parse_grid(text):
     if k and not 0 <= k[1] - k[0] <= 2 * lt.SHIFT_BITS:
         raise SchemaError("/orbit_survey/grid",
                           f"want k_min <= k_max <= k_min + {2 * lt.SHIFT_BITS}")
-    return ([lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)],
-            k and list(range(k[0], k[1] + 1)))
+    s_used = any(p.kind != "finite" for p in active)
+    k_used = any(p.kind == "finite" for p in active)
+    cells = (steps if s_used else 1) * (
+        (k[1] - k[0] + 1 if k else len(dy.HEAT_K)) if k_used else 1)
+    if cells > cap:
+        raise SchemaError("/orbit_survey/grid",
+                          f"grid of {cells} cells exceeds the window cap {cap}")
+    return ([lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)]
+            if s_used else None,
+            list(range(k[0], k[1] + 1)) if k and k_used else None)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +585,8 @@ def _cmd_orbit_survey(cfg, outdir):
     heat_s = heat_k = None
     s_max = 10.0
     if block.get("grid"):
-        heat_s, heat_k = _parse_grid(block["grid"])
-        s_max = max(abs(v) for v in heat_s) or 10.0
+        heat_s, heat_k = _parse_grid(block["grid"], active, cfg.window.cap)
+        s_max = max(abs(v) for v in heat_s or [0.0]) or 10.0
     steps = block.get("steps", 20)
     survey = dy.divergence_survey(point, active, cfg.window, steps=steps,
                                   s_max=s_max, heat_s=heat_s, heat_k=heat_k)
@@ -686,8 +698,7 @@ def _cmd_norm_form(cfg, outdir):
     block = cfg.block("form")
     if "norm_field" not in block:
         block = {"norm_field": {"min_poly": list(cfg.field.min_poly)}}
-    form = _norm_form(block["norm_field"])
-    target = form.norm_field
+    target, form = _norm_form(block["norm_field"])
     out = {
         "field_min_poly": list(target.min_poly),
         "degree": target.degree,

@@ -439,13 +439,16 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
                         prediction=prediction, anomalies=anomalies)
 
 
+HEAT_K = range(-12, 13)
+
+
 def _heat_schedule(x, active, heat_s, heat_k, s_max):
     """The heat map's (s, k) cells, as its CSV labels them, and their ray."""
     arch_active = any(p.kind != "finite" for p in active)
     fin_active = any(p.kind == "finite" for p in active)
     svals = list(heat_s) if heat_s is not None else \
         [round(-s_max + i * (2 * s_max) / 20, 10) for i in range(21)]
-    kvals = list(heat_k) if heat_k is not None else list(range(-12, 13))
+    kvals = list(heat_k) if heat_k is not None else list(HEAT_K)
     cells = [(s, k) for s in (svals if arch_active else [0.0])
              for k in (kvals if fin_active else [0])]
     ray = RaySchedule(active, [_n2_direction(x.n)] * len(active),

@@ -160,9 +160,6 @@ class DecomposableForm:
                         radicands[0] if radicands else 1))
         return out
 
-    def exact_at(self, k):
-        return all(map(is_exact, self.expansions[k]))
-
     def evaluate(self, z):
         """Per-place values at an exact point, via the cached expansion."""
         out = []
@@ -182,11 +179,7 @@ class DecomposableForm:
 
     def magnitudes(self, z, dps=None):
         """(per-place normalized magnitudes, their product)."""
-        return self._magnitudes_of(self.evaluate(z), dps or DEFAULT_DPS)
-
-    def _magnitudes_of(self, vals, dps):
-        """`magnitudes` of the per-place exact values `vals`."""
-        mags = []
+        dps, vals, mags = dps or DEFAULT_DPS, self.evaluate(z), []
         with mp.workdps(dps + 5):
             total = mpf(1)
             for place, v in zip(self.places, vals):
@@ -274,7 +267,6 @@ def evaluate_form(form, z):
 class SpectrumEntry:
     magnitude: float
     witness: str
-    exact: bool
     count: int = 1
 
 
@@ -285,25 +277,21 @@ class ValueSpectrum:
     min_nonzero: float
     min_gap: float
     zero_count: int
-    magnitude_cap: float = None
-    _candidates = 0                    # not a field: set by value_spectrum
+    candidates: int                    # points that reached the exact stage;
+                                       # telemetry, written to no artifact
 
     def magnitudes(self):
         return [e.magnitude for e in self.entries]
-
-    @property
-    def candidates(self):
-        """Points that reached the exact stage (the capped scan's prefilter
-        passed them); telemetry, written to no artifact."""
-        return self._candidates
 
 
 def _format_z(z):
     return "(" + ", ".join(str(c) for c in z) + ")"
 
 
-def _spectrum_from_pairs(pairs, window, cap):
-    """pairs: (magnitude mpf, witness str); dedup at 1e-30 resolution."""
+def _spectrum_from_pairs(pairs, window, zero_count, candidates):
+    """The spectrum of the exact stage's (magnitude mpf, witness str) pairs,
+    deduplicated at 1e-30 resolution; the first witness of a value in the
+    candidate order stays."""
     pairs.sort(key=lambda t: t[0])
     entries = []
     last = None
@@ -312,69 +300,71 @@ def _spectrum_from_pairs(pairs, window, cap):
         if last is not None and abs(mag - last) < tol:
             entries[-1].count += 1
             continue
-        entries.append(SpectrumEntry(float(mag), wit, True))
+        entries.append(SpectrumEntry(float(mag), wit))
         last = mag
-    min_nonzero = entries[0].magnitude if entries else math.inf
     gaps = [b.magnitude - a.magnitude for a, b in zip(entries, entries[1:])]
     return ValueSpectrum(
         window=window, entries=entries,
-        min_nonzero=min_nonzero,
+        min_nonzero=entries[0].magnitude if entries else math.inf,
         min_gap=min(gaps) if gaps else math.inf,
-        zero_count=0,
-        magnitude_cap=cap)
+        zero_count=zero_count, candidates=candidates)
 
 
 def value_spectrum(form, window, magnitude_cap=None, dps=None):
     """Distinct nonzero value magnitudes of f on the window of O^n.
 
-    A form with real places only, over a degree-1 field and with exact
-    expansions, has the value (A + B sqrt(d)) / D at an integer point, with
-    exact integers A and B: `_integer_refine` finds its zeros in integers
-    and evaluates only the other points, bit-identically to `magnitudes`.
-    With a magnitude cap a planar such form goes through
-    `_value_spectrum_fast`, whose float64 prefilter, with an error bound
-    derived from its own operations, scans only the strips where a value
-    below the cap can lie (or the box) before the refine.  Without a cap
-    the window is scanned in `_window_rows`' height-shell order, which
-    picks the witnesses, and every other form is evaluated point by point.
-    Either way the result is that of the exact scan; the window must stay
-    below the enumeration cap, and a cap must not be negative.
+    Two stages.  The candidate stage lists the points in the order that
+    picks the witnesses: with a magnitude cap, a planar `_integer_ok` form
+    takes `_planar_candidates`, a float64 prefilter with a derived error
+    bound over the box, or its strips, in the box's scan order (x, then
+    y); every other scan takes the whole window in `_window_rows`'
+    height-shell order.  The
+    exact stage evaluates the candidates: `_integer_refine` in exact
+    integers for an `_integer_ok` form, bit-identically to `magnitudes`,
+    and `_point_refine` point by point for any other.  Either way the
+    result is that of the exact scan in the candidate order; the window
+    must stay below the enumeration cap, and a cap must not be negative.
     """
     if magnitude_cap is not None and magnitude_cap < 0:
         raise ValueError(f"magnitude cap must be >= 0, got {magnitude_cap}")
     dps = dps or DEFAULT_DPS
-    if magnitude_cap is not None and form.n == 2 and _integer_ok(form):
-        return _value_spectrum_fast(form, window, magnitude_cap, dps)
-    d = form.field.degree
+    integer = _integer_ok(form)
     primes = sorted({p.p for p in form.places if p.kind == "finite"})
-    numerators, eexp = _window_rows(form.n * d, primes, window)
-    if _integer_ok(form):
-        pairs, zero_count = _integer_refine(form, numerators, dps,
-                                            magnitude_cap)
+    if integer and form.n == 2 and magnitude_cap is not None:
+        points = _planar_candidates(form, window.H, magnitude_cap)
     else:
-        pairs, zero_count = [], 0
-        with mp.workdps(dps + 5):
-            for row, exps in zip(numerators.tolist(), eexp.tolist()):
-                denom = math.prod(p ** e for p, e in zip(primes, exps))
-                z = _grid_point(form.field, row, denom, form.n, d)
-                mags, total = form.magnitudes(z, dps)
-                if total == 0:
-                    zero_count += 1
-                    continue
-                if magnitude_cap is not None and total > magnitude_cap:
-                    continue
+        points, eexp = _window_rows(form.n * form.field.degree, primes, window)
+    if integer:
+        pairs, zero_count = _integer_refine(form, points, dps, magnitude_cap)
+    else:
+        pairs, zero_count = _point_refine(form, points, eexp, primes, dps,
+                                          magnitude_cap)
+    return _spectrum_from_pairs(pairs, window, zero_count, len(points))
+
+
+def _point_refine(form, rows, eexp, primes, dps, cap):
+    """(pairs, zero_count) of any form over the window points, numerators
+    `rows` in integral-basis coordinates over prod p^e, `eexp` the
+    exponents e over `primes`: each point is evaluated exactly by
+    `magnitudes`, a zero only counts, and a magnitude above `cap` is
+    dropped."""
+    d = form.field.degree
+    pairs, zero_count = [], 0
+    with mp.workdps(dps + 5):
+        for row, exps in zip(rows.tolist(), eexp.tolist()):
+            denom = math.prod(p ** e for p, e in zip(primes, exps))
+            if d == 1:
+                z = [Fraction(c, denom) for c in row]
+            else:
+                z = [form.field.from_integral_coords(row[j * d:(j + 1) * d],
+                                                     denom)
+                     for j in range(form.n)]
+            total = form.magnitudes(z, dps)[1]
+            if total == 0:
+                zero_count += 1
+            elif cap is None or total <= cap:
                 pairs.append((total, _format_z(z)))
-    spec = _spectrum_from_pairs(pairs, window, magnitude_cap)
-    spec.zero_count = zero_count
-    spec._candidates = len(numerators)
-    return spec
-
-
-def _grid_point(field, row, denom, n, d):
-    if d == 1:
-        return [Fraction(c, denom) for c in row]
-    return [field.from_integral_coords(row[j * d:(j + 1) * d], denom)
-            for j in range(n)]
+    return pairs, zero_count
 
 
 def _integer_ok(form):
@@ -382,7 +372,7 @@ def _integer_ok(form):
     whose values `_integer_refine` computes in integers."""
     return (form.field.degree == 1
             and all(p.kind == "real" for p in form.places)
-            and all(form.exact_at(k) for k in range(len(form.places))))
+            and all(is_exact(c) for exp in form.expansions for c in exp))
 
 
 _BLOCK = 1 << 15                   # points per prefilter block / exact batch
@@ -410,11 +400,12 @@ def _integer_refine(form, points, dps, cap=None):
     The rows z of `points` are visited in order, in batches of at most
     2^15.  With (A, B) from `_integer_values`, f is 0 at a place exactly
     when A = B = 0, since d is 1 or not a square; such points only count
-    in `zero_count`.  Every other point is refined by `_refined_magnitude`
-    and dropped when its magnitude exceeds `cap`.  It takes the direct
-    formula (`roots` given) when no place has a field-element coefficient
+    in `zero_count`.  Every other point gets the mpf that `magnitudes`
+    returns, and is dropped when it exceeds `cap`.  The direct formula of
+    `_refined_magnitude` gives it when no place has a nonzero
+    field-element coefficient (which is embedded with its own rounding)
     and the a-priori bound (sum_k |P_k| + |Q_k|) max |z_i|^m on |A| and
-    |B| has at most prec bits.
+    |B| has at most prec bits; otherwise `magnitudes` itself gives it.
     """
     exps = form._integer_expansions
     top = int(np.abs(points).max(initial=0)) ** form.m
@@ -422,11 +413,10 @@ def _integer_refine(form, points, dps, cap=None):
                 default=0)
     pairs, zero_count = [], 0
     with mp.workdps(dps + 5):
-        roots = None
-        if bound.bit_length() <= mp.prec and not any(
-                isinstance(c, FieldElement) for c in map(_value_zero,
-                                                        form.expansions)):
-            roots = [mp.sqrt(d) for _, _, _, d in exps]
+        direct = bound.bit_length() <= mp.prec and not any(
+            isinstance(c, FieldElement) and c != 0
+            for exp in form.expansions for c in exp)
+        roots = [mp.sqrt(d) for _, _, _, d in exps]
         for s in range(0, len(points), _BLOCK):
             block = points[s:s + _BLOCK]
             values = _integer_values(form, block)
@@ -435,62 +425,52 @@ def _integer_refine(form, points, dps, cap=None):
                 zero |= (A == 0) & (B == 0)
             zero_count += int(zero.sum())
             for i in np.flatnonzero(~zero).tolist():
-                total = _refined_magnitude(
-                    form, [(A[i], B[i]) for A, B in values], dps, roots)
+                z = block[i].tolist()
+                if direct:
+                    total = _refined_magnitude(
+                        form, [(A[i], B[i]) for A, B in values], roots)
+                else:
+                    total = form.magnitudes([Fraction(c) for c in z], dps)[1]
                 if cap is not None and total > cap:
                     continue
-                pairs.append((total, _format_z(block[i].tolist())))
+                pairs.append((total, _format_z(z)))
     return pairs, zero_count
 
 
-def _value_zero(exp):
-    """0 as the scalar type `evaluate` returns at a place with expansion
-    `exp`: the largest type of its nonzero coefficients."""
-    return _sum_scalars([mul(c, 0) for c in exp if c != 0])
-
-
-def _refined_magnitude(form, parts, dps, roots):
+def _refined_magnitude(form, parts, roots):
     """The mpf `magnitudes` gives at a point where f = (A + B sqrt(d)) / D
-    at each place, (A, B) in `parts`; f is nonzero at every place.
+    at each place, (A, B) in `parts`; f is nonzero at every place, |A|
+    and |B| are below 2^prec and no coefficient is a field element.
 
     The value at a place is the reduced surd a + b sqrt(d), a = A / D and
     b = B / D, and `to_mpf` computes mpf(num(a)) / den(a) + mpf(num(b)) /
     den(b) * sqrt(d) at dps + 5 digits (a `Fraction` value, b = 0, gives
-    the same bits).  While |A| and |B| stay below 2^prec, mpf(A) / D and
+    the same bits).  As |A| and |B| stay below 2^prec, mpf(A) / D and
     mpf(num(a)) / den(a) are both the correctly rounded quotient of one
     rational, so the same formula on the unreduced A, B and D, with
     `roots` the places' sqrt(d) at dps + 5 digits, gives the same bits.
-    With `roots` None (past that bound, or beside a `FieldElement`
-    coefficient, which is embedded with its own rounding) the value is
-    rebuilt as the scalar `evaluate` returns, the surd lifted by
-    `_value_zero`, and goes through `_magnitudes_of`, the tail of
-    `magnitudes`.  Runs at dps + 5 digits.
+    Runs at dps + 5 digits.
     """
-    exps = form._integer_expansions
-    if roots is None:
-        return form._magnitudes_of(
-            [add(_value_zero(exp), QuadraticSurd(Fraction(A, D),
-                                                 Fraction(B, D), d))
-             for exp, (A, B), (_, _, D, d)
-             in zip(form.expansions, parts, exps)], dps)[1]
     total = mpf(1)
-    for (A, B), (_, _, D, _), root in zip(parts, exps, roots):
+    for (A, B), (_, _, D, _), root in zip(parts, form._integer_expansions,
+                                          roots):
         total *= abs(mpf(A) / D + mpf(B) / D * root)
     return +total
 
 
-def _value_spectrum_fast(form, window, cap, dps):
-    """Capped spectrum of a planar real form: float prefilter, exact refine.
+def _planar_candidates(form, H, cap):
+    """The capped scan's candidate points of a planar `_integer_ok` form.
 
     The scan visits the box x in [0, H], y in [-H, H] (x = 0 with y > 0:
     one point per sign class), or only the part of it that `_strips`
     returns, in blocks of about 2^15 points (`_scan_blocks`), and keeps
     every point whose float lower bound on |f| is <= cap; the kept points
-    are deduplicated and put in scan order (x, then y), which picks the
-    witnesses.  Per place f = sum_k c_k x^e1 y^e2, evaluated by
-    Horner's rule in y with the column coefficients c_k x^e1.  In the
-    standard model of float64 arithmetic (no overflow or underflow;
-    Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
+    are deduplicated and returned as an integer array in scan order (x,
+    then y), which picks the witnesses.  Per place f = sum_k c_k x^e1
+    y^e2, evaluated by Horner's rule in y with the column coefficients
+    c_k x^e1.  In the standard model of float64 arithmetic (no overflow or
+    underflow; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3):
 
     * float(c_k) rounds a and b of c_k = a + b sqrt(d), sqrt(d), one
       product and one sum: |fl(c_k) - c_k| <= gamma_4 w_k with
@@ -515,23 +495,15 @@ def _value_spectrum_fast(form, window, cap, dps):
     computing it.  Every point of the box that the exact scan keeps,
     zeros included, lies on a strip, so the strips change only
     `candidates`, the number of kept points.
-
-    The kept points go through `_integer_refine`: zeros are A = B = 0 in
-    exact integers, and each other magnitude is the mpf that `magnitudes`
-    returns, bit for bit, because mpf(A) / D and the surd's
-    mpf(num(A/D)) / den(A/D) are both the correctly rounded quotient of
-    one rational (`_refined_magnitude`).  So kept magnitudes, dedup and
-    witnesses are those of the exact evaluation.
     """
-    H, m = window.H, form.m
-    exps = form._integer_expansions
+    m = form.m
     # per place: (e1, e2, fl(c_k), w_k), c_k != 0
     columns = [[(e1, e2, *_float_weight(
         QuadraticSurd(Fraction(p, D), Fraction(q, D), d)))
         for p, q, (e1, e2) in zip(P, Q, form.basis) if p or q]
-        for P, Q, D, d in exps]
+        for P, Q, D, d in form._integer_expansions]
     grow = 2 * _gamma(2 * m + 4)
-    cap_hi = cap * (1 + 4 * len(exps) * _UNIT_ROUNDOFF)
+    cap_hi = cap * (1 + 4 * len(columns) * _UNIT_ROUNDOFF)
     hpow = [float(H) ** e for e in range(m + 1)]
     width = 2 * H + 1
     kept = set()
@@ -559,12 +531,7 @@ def _value_spectrum_fast(form, window, cap, dps):
             lo = lo * np.maximum(acc, 0.0, out=acc)
         kept.update(keys[~(lo > cap_hi)].tolist())
     keys = np.array(sorted(kept), dtype=np.int64)
-    points = np.stack([keys // width, keys % width - H], axis=1)
-    pairs, zero_count = _integer_refine(form, points, dps, cap)
-    spec = _spectrum_from_pairs(pairs, window, cap)
-    spec.zero_count = zero_count
-    spec._candidates = len(points)
-    return spec
+    return np.stack([keys // width, keys % width - H], axis=1)
 
 
 def _box(H):
@@ -665,13 +632,11 @@ class ClusterEvidence:
     center: float
     members: list                  # (magnitude, witness) pairs, final window
     per_window_counts: list
-    radii: list
 
 
 @dataclass
 class DiscretenessReport:
     verdict: str                   # 'discrete-trend' | 'accumulation-detected'
-    windows: list
     min_nonzero: float
     cluster: ClusterEvidence = None
     anomaly: str = ""
@@ -727,8 +692,7 @@ def discreteness_report(form, heights, E=0, dps=None):
         evidence = ClusterEvidence(
             center=center,
             members=[(e.magnitude, e.witness) for e in group],
-            per_window_counts=counts,
-            radii=max_dists)
+            per_window_counts=counts)
         if best is None or len(group) > len(best.members):
             best = evidence
     verdict = "accumulation-detected" if best else "discrete-trend"
@@ -741,7 +705,6 @@ def discreteness_report(form, heights, E=0, dps=None):
                    f"{recon.g} yet shows accumulation")
     return DiscretenessReport(
         verdict=verdict,
-        windows=list(heights),
         min_nonzero=final.min_nonzero,
         cluster=best,
         anomaly=anomaly)
@@ -772,10 +735,10 @@ def norm_form(field, basis_elems=None):
     with Mk the matrix of multiplication by muk (Cohen, GTM 138, ch. 4).
     Entry (i, j) is the linear form whose coefficient k is coordinate i of
     muk theta^j; the determinant is a Laplace expansion along the rows over
-    memoised column subsets, with no division.  The per-embedding linear
-    factors are attached for display and independence checking (surds at
-    real embeddings of quadratic fields, 50-digit complex numbers
-    otherwise).  Lives over the rationals at the single real place.
+    memoised column subsets, with no division.  A real quadratic field's
+    form carries its two exact embedding factors, which let a capped scan
+    visit only their strips (`_strips`); any other field's carries none.
+    Lives over the rationals at the single real place.
     """
     n = field.degree
     powers = [field.element([int(i == j) for j in range(n)]) for i in range(n)]
@@ -807,40 +770,23 @@ def norm_form(field, basis_elems=None):
     if any(c.denominator != 1 for c in coeffs):
         raise NormFormNotIntegral("norm form expansion is not integral")
     rational = create_field([0, 1])
-    real_place = archimedean_places(rational)[0]
-    factor_rows = _embedding_factors(field, mus)
-    form = DecomposableForm.from_expansion(
-        rational, [real_place], n, n, [tuple(coeffs)],
-        label=f"norm form of degree {n}")
-    form.factors = [factor_rows] if factor_rows is not None else None
-    form.norm_field = field
-    return form
+    return DecomposableForm(
+        rational, archimedean_places(rational), n,
+        _embedding_factors(field, mus), label=f"norm form of degree {n}",
+        _expansions=[tuple(coeffs)], m=n)
 
 
 def _embedding_factors(field, mus):
-    n = field.degree
-    if n == 2:
-        disc = field.discriminant
-        if disc > 0:
-            b = field.min_poly[1]
-            roots = [QuadraticSurd(Fraction(-b, 2), Fraction(1, 2), disc),
-                     QuadraticSurd(Fraction(-b, 2), Fraction(-1, 2), disc)]
-            rows = []
-            for r in roots:
-                rows.append(tuple(
-                    _sum_scalars([QuadraticSurd(mu.coords[0]),
-                                  r * mu.coords[1]])
-                    for mu in mus))
-            return rows
-    rows = []
-    for place in archimedean_places(field):
-        root = place.root(DEFAULT_DPS)
-        conj_roots = [root] if place.kind == "real" else [root, root.conjugate()]
-        for rt in conj_roots:
-            rows.append(tuple(
-                sum(mpf(c.numerator) / c.denominator * rt ** k
-                    for k, c in enumerate(mu.coords)) for mu in mus))
-    return rows
+    """A real quadratic field's norm form factors at its one place, a row
+    per embedding, exact; None for any other field."""
+    disc = field.discriminant
+    if field.degree != 2 or disc <= 0:
+        return None
+    b = field.min_poly[1]
+    return [[tuple(_sum_scalars([QuadraticSurd(mu.coords[0]),
+                                 r * mu.coords[1]]) for mu in mus)
+             for r in (QuadraticSurd(Fraction(-b, 2), Fraction(1, 2), disc),
+                       QuadraticSurd(Fraction(-b, 2), Fraction(-1, 2), disc))]]
 
 
 # ---------------------------------------------------------------------------

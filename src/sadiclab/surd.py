@@ -140,10 +140,6 @@ class QuadraticSurd:
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() < 0
-
     def __abs__(self):
         return self if self.sign() >= 0 else -self
 

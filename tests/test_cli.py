@@ -333,6 +333,57 @@ class TestRun:
         data = json.loads((tmp_path / "form-reconstruct.json").read_text())
         assert data["status"] == "no-rational-reconstruction"
 
+    def test_form_reconstruct_over_a_finite_place(self, tmp_path):
+        config = {"min_poly": [0, 1], "places": {"finite_primes": [2]},
+                  "form": {"places": ["r0", "p2_0"],
+                           "factors": [[2, 0], [3, -2]]}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-reconstruct"]) == 0
+        assert json.loads((tmp_path / "form-reconstruct.json").read_text()) == {
+            "alpha": [2, 2], "evidence": "", "g": [3, -2, 0],
+            "monomials": ["x1^2", "x1^1x2^1", "x2^2"], "status": "reconstructed"}
+
+    def test_form_spectrum_of_a_builtin_probe(self, tmp_path):
+        config = {"min_poly": [0, 1], "form": {"builtin": "dependent-factors"},
+                  "spectrum": {"heights": [5, 10, 30], "cap": 5.0}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 0
+        data = json.loads((tmp_path / "form-spectrum.json").read_text())
+        assert data["verdict"] == "discrete-trend"
+        assert data["min_nonzero"] == 0.38196601125010515      # 2 - phi
+        assert data["zero_count"] == 30
+
+    def test_unknown_builtin_probe_is_an_error_line(self, tmp_path, capsys):
+        config = {"min_poly": [0, 1], "form": {"builtin": "nope"},
+                  "spectrum": {"heights": [5]}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 1
+        assert capsys.readouterr().err == (
+            "error: /form/builtin: unknown probe 'nope'; "
+            "have ['dependent-factors', 'indecomposable']\n")
+
+    def test_form_spectrum_with_factors_per_place(self, tmp_path):
+        config = {"min_poly": [0, 1], "places": {"finite_primes": [3]},
+                  "form": {"factors_per_place": [[[1, 0], [1, -1]],
+                                                 [[1, 0], [1, -1]]]},
+                  "spectrum": {"heights": [4], "denominator_exponent": 1}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 0
+        data = json.loads((tmp_path / "form-spectrum.json").read_text())
+        assert (data["distinct"], data["zero_count"]) == (11, 14)
+
+    def test_survey_anomaly_exits_2(self, tmp_path, monkeypatch):
+        # plant a misclassification at the rational identity point
+        monkeypatch.setattr(dy, "classify_ray", lambda rep: "diverging-trend")
+        config = dict(Q_WITH_2, window={"H": 4, "E": 1},
+                      orbit_survey={"steps": 10})
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "orbit-survey"]) == 2
+        data = json.loads((tmp_path / "orbit-survey.json").read_text())
+        assert data["anomalies"] == [
+            "no bounded-below ray found; a full-S orbit is never divergent"]
+        assert data["consistent"] is False
+
     def test_norm_form(self, tmp_path):
         config = {"min_poly": [0, 1],
                   "form": {"norm_field": {"min_poly": [-2, 0, 1]}}}
@@ -510,6 +561,40 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == f"error: {line.format(missing=missing)}\n"
         assert not (tmp_path / "orbit-survey.json").exists()
+
+    @pytest.mark.parametrize("grid, cells", [("0:1:101,0:0", 101),
+                                             ("0:1:26,0:3", 104),
+                                             ("0:1:5", 125)])   # 25 k values
+    def test_grid_beyond_the_window_cap_is_an_error_line(self, tmp_path, capsys,
+                                                         grid, cells):
+        # the cap bounds the heat map's cells as it bounds the window
+        config = dict(Q_WITH_2, window={"H": 2, "E": 1, "cap": 100})
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "orbit-survey", f"--grid={grid}"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: /orbit_survey/grid: grid of {cells} cells exceeds the "
+            "window cap 100\n")
+        assert not (tmp_path / "orbit-survey.json").exists()
+        assert cli.main(["--config", json.dumps(config), "--out", str(tmp_path),
+                         "orbit-survey", "--grid=0:1:25,0:3"]) == 0
+
+    @pytest.mark.parametrize("active, grid", [("r0", "0:8:30,0:3"),
+                                              ("p2_0", "0:1:10000000000000,0:3")])
+    def test_grid_counts_the_cells_of_the_active_places(self, tmp_path,
+                                                        active, grid):
+        # s moves only r0 and k only p2_0: each survey has 30 or 4 cells
+        config = dict(Q_WITH_2, window={"H": 2, "E": 1, "cap": 100})
+        assert cli.main(["--config", json.dumps(config), "--out", str(tmp_path),
+                         "orbit-survey", f"--active-places={active}",
+                         f"--grid={grid}"]) == 0
+        with open(tmp_path / "heatmap.csv") as fh:
+            assert len(fh.read().splitlines()) == 1 + (30 if active == "r0" else 4)
+
+    def test_grid_is_checked_before_its_values_are_built(self):
+        places = cli.parse_config(Q_WITH_2).places
+        with pytest.raises(SchemaError, match="grid of 1000000000000 cells"):
+            cli._parse_grid("0:1:1000000000000", places[:1], 10 ** 8)
 
     def test_missing_config_file_is_an_error_line(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

@@ -450,6 +450,27 @@ class TestSurveys:
         for a, b in zip(r1.rows, r2.rows):
             assert abs(a.min_content - b.min_content) < 1e-9
 
+    def test_single_place_survey_flags_a_ray_bounded_below(self, rationals,
+                                                          q_inf2, monkeypatch):
+        # plant a misclassification: the theorem check must catch it
+        monkeypatch.setattr(dy, "classify_ray", lambda rep: "bounded-below")
+        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        sv = dy.divergence_survey(x, q_inf2[:1], lt.HeightWindow(4, 1), steps=10)
+        assert sv.prediction == "all-diverging" and sv.anomalies
+        assert all(a.endswith("classified bounded-below; a single-place orbit "
+                              "at a rational point must diverge")
+                   for a in sv.anomalies)
+        assert len(sv.anomalies) == len(sv.rays)
+
+    def test_full_survey_flags_no_ray_bounded_below(self, rationals, q_inf2,
+                                                    monkeypatch):
+        monkeypatch.setattr(dy, "classify_ray", lambda rep: "diverging-trend")
+        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        sv = dy.divergence_survey(x, q_inf2, lt.HeightWindow(4, 1), steps=10)
+        assert sv.prediction == "non-divergent"
+        assert sv.anomalies == [
+            "no bounded-below ray found; a full-S orbit is never divergent"]
+
 
 class TestExpanding:
     def test_sl2_fixture(self, rationals, q_inf):

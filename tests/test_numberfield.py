@@ -235,6 +235,16 @@ class TestSUnitGroup:
                                 nf.archimedean_places(golden_field))
         assert group.generators[0].coords == (Fraction(0), Fraction(1))
 
+    @pytest.mark.parametrize("d, unit", [
+        (31, (1520, 273)), (43, (3482, 531)), (46, (24335, 3588)),
+        (94, (2143295, 221064))])
+    def test_fundamental_unit_past_the_direct_sweep(self, d, unit):
+        # y of x^2 - 4d y^2 = +-4 is above the sweep's bound of 200, so
+        # the continued fraction of sqrt(4d) finds the unit
+        field = nf.create_field([-d, 0, 1])
+        assert nf._pell_fundamental_unit(field).coords == tuple(
+            Fraction(c) for c in unit)
+
     def test_gauss_torsion_only(self, gauss):
         group = nf.s_unit_group(gauss, nf.archimedean_places(gauss))
         assert group.rank == 0

@@ -453,8 +453,11 @@ def _package_definitions():
 
 def _namers():
     """The files that name each non-dunder package definition outside it,
-    by qualified name."""
-    mentions = {path: _mentions(tree) for path, tree in _source_trees().items()}
+    by qualified name.  The package's `__init__.py` names no definition:
+    a re-export is no use."""
+    init = _ROOT / "src" / "sadiclab" / "__init__.py"
+    mentions = {path: _mentions(tree) for path, tree in _source_trees().items()
+                if path != init}
     out = {}
     for qualname, path, owner, node in _package_definitions():
         if node.name.startswith("__") and node.name.endswith("__"):
@@ -478,10 +481,14 @@ _TEST_ONLY = {
     "dynamics.OrbitPoint.to_jsonable":
         "acceptance writes the `--point file:` JSON with it",
     "dynamics.RaySchedule.torus_element": "the exact oracle in test_crosschecks",
+    "dynamics.act": "the T_R action, the exact oracle in test_crosschecks",
     "forms.DecomposableForm.compose": "the GL-invariance test of value spectra",
     "lattice.PointCloud.valuation_fallbacks":
         "telemetry for observability (ROADMAP aim 4)",
+    "sadic.BalancingTarget": "acceptance c02 balances S-units to its targets",
     "sadic.BalancingTarget.equal_split": "acceptance builds its targets with it",
+    "sadic.pseudoball_contains": "the pseudoballs of the README",
+    "sadic.unit_balance": "acceptance c02 balances S-units with it",
 }
 
 

@@ -1,6 +1,6 @@
 """The value-spectrum kernels against exact evaluation.
 
-`forms._value_spectrum_fast` keeps the points of the strips (or the box)
+`forms._planar_candidates` keeps the points of the strips (or the box)
 that a float64 prefilter with a derived error bound cannot rule out, and
 `forms._integer_refine` counts the exact integer zeros among them and
 computes the other magnitudes from exact integers.  The references here
@@ -11,6 +11,7 @@ uncapped one in `lattice._window_rows`' height-shell order.  Patching
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -50,7 +51,7 @@ def exact_scan(form, H):
 
 
 def entries(spec):
-    return [(e.magnitude, e.witness, e.count, e.exact) for e in spec.entries]
+    return [(e.magnitude, e.witness, e.count) for e in spec.entries]
 
 
 @st.composite
@@ -102,7 +103,7 @@ def test_capped_scan_equals_exact_scan(form, H, data):
     window = lt.HeightWindow(H)
     capped = fm.value_spectrum(form, window, magnitude_cap=cap)
     want = fm._spectrum_from_pairs(
-        [(m, w) for m, w in pairs if m <= cap], window, cap)
+        [(m, w) for m, w in pairs if m <= cap], window, len(zeros), 0)
     assert entries(capped) == entries(want)
     assert (capped.min_nonzero, capped.min_gap) == (want.min_nonzero,
                                                     want.min_gap)
@@ -129,7 +130,7 @@ def test_dependent_factors_probe_matches_exact_scan():
     window = lt.HeightWindow(30)
     capped = fm.value_spectrum(form, window, magnitude_cap=5.0)
     want = fm._spectrum_from_pairs([(m, w) for m, w in pairs if m <= 5.0],
-                                   window, 5.0)
+                                   window, len(zeros), 0)
     assert entries(capped) == entries(want) and capped.entries
     assert capped.zero_count == len(zeros) == 30
 
@@ -171,8 +172,13 @@ def test_candidates_are_zeros_plus_refined_points(monkeypatch):
     ([(1, 0, 0), (0, 1, 1), (1, QuadraticSurd.sqrt(3), 0)], None),
 ])
 def test_integer_forms_make_no_magnitudes_call(monkeypatch, factors, cap):
+    # a field-element coefficient is embedded with its own rounding, so the
+    # points of such a form take `magnitudes` and never the direct formula
     form = fm.make_form(Q, REAL, [factors])
-    monkeypatch.setattr(fm.DecomposableForm, "magnitudes", None)
+    if any(isinstance(c, nf.FieldElement) for row in factors for c in row):
+        monkeypatch.setattr(fm, "_refined_magnitude", None)
+    else:
+        monkeypatch.setattr(fm.DecomposableForm, "magnitudes", None)
     spec = fm.value_spectrum(form, lt.HeightWindow(6), magnitude_cap=cap)
     assert spec.entries and spec.candidates > spec.zero_count
 
@@ -211,11 +217,11 @@ def test_strips_fall_back_to_the_box():
     assert fm._strips(form, 100, 0.9) is not None
     for cap in (1e9, -1.0, math.inf, math.nan):
         assert fm._strips(form, 100, cap) is None
-    # the factors' product is not the expansion: a probe, or a norm form
-    # whose factors are 50-digit floats
+    # no factors whose product is the expansion: a probe, or the norm form
+    # of a field that is not real quadratic
     assert fm._strips(fm.builtin_probes()["dependent-factors"], 30, 5.0) is None
     cubic = fm.norm_form(nf.create_field([-2, 0, 0, 1]))
-    assert cubic.factors is not None and fm._strips(cubic, 5, 2.0) is None
+    assert fm._strips(cubic, 5, 2.0) is None
 
 
 def test_strips_of_a_real_quadratic_norm_form_equal_box():
@@ -236,6 +242,27 @@ def test_two_copies_of_the_real_place_strips_equal_box():
     for cap in (0.0, 0.5, 3.0, 40.0):
         got = fm.value_spectrum(form, lt.HeightWindow(150), magnitude_cap=cap)
         assert_same_spectrum(got, box_scan(form, 150, cap))
+
+
+@pytest.mark.parametrize("min_poly, norm", [
+    ([-2, 0, 1], lambda a, b: abs(a * a - 2 * b * b)),   # two real places
+    ([1, 0, 1], lambda a, b: a * a + b * b),             # one complex place
+])
+def test_spectrum_over_a_quadratic_field_is_the_norm(min_poly, norm):
+    # f = x1 at every archimedean place of K: |f| over the places is
+    # |N(x1)|, and the window's points are the pairs (x1, x2) of elements
+    # a + b theta with a, b in [-H, H], one per sign class
+    K = nf.create_field(min_poly)
+    places = nf.archimedean_places(K)
+    form = fm.make_form(K, places, [[(1, 0)]] * len(places))
+    H, side = 2, 5
+    spec = fm.value_spectrum(form, lt.HeightWindow(H))
+    norms = Counter(norm(a, b) for a in range(-H, H + 1)
+                    for b in range(-H, H + 1))
+    assert [(e.magnitude, e.count) for e in spec.entries] == [
+        (float(v), norms[v] * side ** 2 // 2) for v in sorted(norms) if v]
+    assert spec.zero_count == (side ** 2 - 1) // 2
+    assert spec.candidates == (side ** 4 - 1) // 2
 
 
 def window_scan(form, H):
@@ -289,7 +316,7 @@ def test_uncapped_refine_equals_per_point_magnitudes(form, H):
     assert [w for _, w in got] == [w for _, w in pairs]
     assert all(a == b for (a, _), (b, _) in zip(got, pairs))   # mpf bits
     spec = fm.value_spectrum(form, lt.HeightWindow(H))
-    want = fm._spectrum_from_pairs(pairs, lt.HeightWindow(H), None)
+    want = fm._spectrum_from_pairs(pairs, lt.HeightWindow(H), zeros, 0)
     assert entries(spec) == entries(want) and spec.zero_count == zeros
 
 
@@ -303,8 +330,7 @@ def test_refine_past_the_direct_bound_equals_per_point_magnitudes():
     got, zeros = fm._integer_refine(form, rows, fm.DEFAULT_DPS)
     assert (got, zeros) == window_scan(form, 3)
     with mp.workdps(fm.DEFAULT_DPS + 5):
-        direct = fm._refined_magnitude(form, [(3 * K, 0)], fm.DEFAULT_DPS,
-                                       [mp.mpf(1)])
+        direct = fm._refined_magnitude(form, [(3 * K, 0)], [mp.mpf(1)])
     assert direct != dict((w, m) for m, w in got)["(1, 0)"]
 
 
