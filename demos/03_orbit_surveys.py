@@ -13,8 +13,8 @@ Three stories:
 
 from sadiclab import (
     HeightWindow,
-    OrbitPoint,
     RaySchedule,
+    SLattice,
     anisotropic_point,
     create_field,
     divergence_survey,
@@ -35,7 +35,7 @@ def show(survey, title):
     print("   consistent with theory:", survey.consistent, "\n")
 
 
-identity = OrbitPoint.identity(field, S, 2)
+identity = SLattice.identity(field, S, 2)
 show(divergence_survey(identity, [S[0]], window, steps=14,
                        heat_s=[0.0], heat_k=[0]),
      "identity, real place only")
@@ -55,11 +55,11 @@ show(survey, "unipotent pair, full S")
 
 stair = next(r for r in survey.rays if r.classification == "recurrent")
 print(f"systole along the recurrent ray {stair.name}:")
-print("  ", " ".join(f"{row.min_content:.2e}" for row in stair.report.rows[:8]))
+print("  ", " ".join(f"{row.min_content:.2e}" for row in stair.rows[:8]))
 
 aniso = anisotropic_point(field, archimedean_places(field))
 ray = RaySchedule(archimedean_places(field), [(1, -1)],
                   [(10 * i / 29,) for i in range(30)])
-rep = trajectory(aniso, ray, HeightWindow(40))
+rows = trajectory(aniso, ray, HeightWindow(40))
 print("\nanisotropic point: sup-norm systole along s in [0, 10]:",
-      f"min = {min(r.min_supnorm for r in rep.rows):.12f} (never below 1)")
+      f"min = {min(r.min_supnorm for r in rows):.12f} (never below 1)")

@@ -11,8 +11,7 @@ from .numberfield import (
     NumberField,
     FieldElement,
     Place,
-    RealPlace,
-    ComplexPlace,
+    ArchimedeanPlace,
     FinitePlace,
     SUnitGroup,
     create_field,
@@ -41,9 +40,7 @@ from .lattice import (
 )
 from .dynamics import (
     TorusElement,
-    OrbitPoint,
     RaySchedule,
-    TrajectoryReport,
     act,
     trajectory,
     classify_ray,

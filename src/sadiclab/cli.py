@@ -242,7 +242,6 @@ class RunConfig:
     places: list
     precision: int
     window: lt.HeightWindow
-    hensel_precision: int
     s_units_supplied: object
 
     def place_by_name(self, name):
@@ -299,8 +298,7 @@ def parse_config(source):
     window = lt.HeightWindow(wraw.get("H", DEFAULT_H), wraw.get("E", DEFAULT_E),
                              wraw.get("cap", 10 ** 8))
     return RunConfig(raw=raw, field=field, places=places, precision=precision,
-                     window=window, hensel_precision=hensel,
-                     s_units_supplied=raw.get("s_units"))
+                     window=window, s_units_supplied=raw.get("s_units"))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +428,8 @@ def _diagonal_flow(cfg, block, n, values):
     if not values:
         return []
     ray = dy.RaySchedule(arch[:1], [dy._n2_direction(n)], values)
-    x = dy.OrbitPoint.identity(cfg.field, cfg.places, n)
-    return dy.trajectory(x, ray, cfg.window).rows
+    x = lt.SLattice.identity(cfg.field, cfg.places, n)
+    return dy.trajectory(x, ray, cfg.window)
 
 
 def _parse_matrix(rows, pointer):
@@ -445,13 +443,13 @@ def _parse_matrices(mats, pointer):
 
 def _point_from_spec(cfg, spec):
     if spec == "identity":
-        return dy.OrbitPoint.identity(cfg.field, cfg.places, 2)
+        return lt.SLattice.identity(cfg.field, cfg.places, 2)
     if spec.startswith("rational:"):
         body = spec[len("rational:"):]
         with _pointing_at("/orbit_survey/point"):
             rows = [[Fraction(c) for c in row.split(",")]
                     for row in body.split(";")]
-        return dy.OrbitPoint.from_rational(cfg.field, cfg.places, len(rows), rows)
+        return lt.SLattice.from_rational(cfg.field, cfg.places, len(rows), rows)
     if spec.startswith("file:"):
         with _pointing_at("/orbit_survey/point"):
             with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
@@ -461,8 +459,8 @@ def _point_from_spec(cfg, spec):
         if len(mats) != len(cfg.places):
             raise SchemaError("/orbit_survey/point",
                               "matrix count does not match S")
-        return dy.OrbitPoint(cfg.field, cfg.places, len(mats[0]), mats,
-                             provenance=data.get("provenance", "rational"))
+        return lt.SLattice(cfg.field, cfg.places, len(mats[0]), mats,
+                           provenance=data.get("provenance", "rational"))
     raise SchemaError("/orbit_survey/point", f"cannot parse point {spec!r}")
 
 
@@ -617,10 +615,9 @@ def _cmd_nilpotent_check(cfg, outdir):
     n = block.get("n", 2)
     if "matrices" in block:
         mats = _parse_matrices(block["matrices"], "/nilpotent_check/matrices")
+        lat = lt.SLattice(cfg.field, cfg.places, n, mats)
     else:
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        mats = [eye for _ in cfg.places]
-    lat = lt.SLattice(cfg.field, cfg.places, n, mats)
+        lat = lt.SLattice.identity(cfg.field, cfg.places, n)
     rep = lt.nilpotent_span_check(lat, block["radius"], cfg.window)
     out = {
         "radius": block["radius"],
@@ -654,7 +651,7 @@ def _cmd_form_spectrum(cfg, outdir):
     heights = sorted(block["heights"])
     E = block.get("denominator_exponent", 0)
     cap = block.get("cap")
-    window = lt.HeightWindow(heights[-1], E)
+    window = lt.HeightWindow(heights[-1], E, cfg.window.cap)
     spec = fm.value_spectrum(form, window, magnitude_cap=cap,
                              dps=cfg.precision)
     rows = [(e.magnitude, e.count, e.witness) for e in spec.entries]
@@ -674,8 +671,10 @@ def _cmd_form_spectrum(cfg, outdir):
             out["cluster_center"] = rep.cluster.center
             out["cluster_members"] = len(rep.cluster.members)
             out["per_window_counts"] = rep.cluster.per_window_counts
+        if rep.anomaly:
+            out["anomalies"] = [rep.anomaly]
     _write(outdir, "form-spectrum.json", emit_report(out))
-    return 0
+    return 2 if "anomalies" in out else 0
 
 
 def _cmd_form_reconstruct(cfg, outdir):

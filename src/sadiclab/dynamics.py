@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSteps,
 )
-from .lattice import SHIFT_BITS, HeightWindow, PointCloud, SLattice
+from .lattice import SHIFT_BITS, PointCloud, SLattice
 from .scalars import is_exact, lift_exact, mul, to_field, to_float
 from .surd import QuadraticSurd
 
@@ -69,46 +69,9 @@ class TorusElement:
         return cls(field, places, n, [[1] * n for _ in places])
 
 
-class OrbitPoint:
-    """Representative g of a coset, with provenance for prediction gating.
-
-    provenance: 'identity', 'rational' (exact K-rational entries at every
-    place, possibly different per place), or 'explicit'.
-    """
-
-    def __init__(self, field, places, n, g, provenance="explicit", unimodular=True):
-        self.lattice = SLattice(field, places, n, g, unimodular=unimodular)
-        self.field = field
-        self.places = self.lattice.places
-        self.n = self.lattice.n
-        self.g = self.lattice.g
-        self.provenance = provenance
-        self.unimodular = unimodular
-        self.exact = all(is_exact(c) for mat in self.g
-                         for row in mat for c in row)
-
-    @classmethod
-    def identity(cls, field, places, n):
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        return cls(field, places, n, [eye for _ in places], provenance="identity")
-
-    @classmethod
-    def from_rational(cls, field, places, n, matrix):
-        """Diagonal embedding of a single K-rational matrix."""
-        mat = [[Fraction(c) for c in row] for row in matrix]
-        return cls(field, places, n, [mat for _ in places], provenance="rational")
-
-    def to_jsonable(self):
-        mats = []
-        for mat in self.g:
-            mats.append([[str(c) if isinstance(c, (int, Fraction)) else repr(c)
-                          for c in row] for row in mat])
-        return {"n": self.n, "provenance": self.provenance,
-                "places": [p.name for p in self.places], "matrices": mats}
-
-
 def act(t, x):
-    """Left translation t.x; inactive places keep their factors."""
+    """Left translation t.x of the lattice x; inactive places keep their
+    factors, and x keeps its provenance when t and x are exact."""
     if t.field != x.field or t.n != x.n:
         raise ShapeMismatch("torus element and point disagree on field or n")
     active = {p.name: diag for p, diag in zip(t.places, t.entries)}
@@ -127,9 +90,9 @@ def act(t, x):
                   mul(t_i, c) if is_exact(t_i) and is_exact(c) else
                   to_float(t_i, place) * to_float(c, place) for c in row)
             for t_i, row in zip(diag, mat)))
-    provenance = x.provenance if (t.exact and x.exact) else "explicit"
-    return OrbitPoint(x.field, x.places, x.n, new_g, provenance=provenance,
-                      unimodular=x.unimodular)
+    exact = t.exact and all(is_exact(c) for mat in x.g for row in mat for c in row)
+    return SLattice(x.field, x.places, x.n, new_g, unimodular=x.unimodular,
+                    provenance=x.provenance if exact else "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +172,7 @@ class RaySchedule:
         return TorusElement(field, self.places, n, entries)
 
 
-@dataclass
-class StepRecord:
-    index: int
-    params: tuple
-    min_content: float
-    min_supnorm: float
-    content_witness: str
-    supnorm_witness: str
-
-
-@dataclass
-class TrajectoryReport:
-    point: OrbitPoint
-    ray: RaySchedule
-    window: HeightWindow
-    rows: list
-
-
-def _stacks(rays, lat):
+def _stacks(rays, x):
     """The schedule kernel's per-place stacks for the steps of rays in turn.
 
     The rays share their active places: at each of them, the rays' stacks
@@ -235,37 +180,33 @@ def _stacks(rays, lat):
     """
     stacks = {name: np.concatenate([ray.scales[name] for ray in rays])
               for name in rays[0].scales}
-    return ([stacks.get(p.name) for p in lat.arch_places],
-            [stacks.get(p.name) for p in lat.finite_places])
+    return ([stacks.get(p.name) for p in x.arch_places],
+            [stacks.get(p.name) for p in x.finite_places])
 
 
-def _step_records(cloud, ray, systoles):
-    """One StepRecord per step of the ray from the kernel's tuples in systoles.
+def _reports(cloud, ray, systoles):
+    """One `SystoleReport` per step of the ray from the kernel's tuples in
+    systoles.
 
     zip stops at the end of ray.steps before it draws from systoles, so a
     survey passes one iterator over all its rays in turn.
     """
-    return [StepRecord(index=i, params=step, min_content=mc, min_supnorm=ms,
-                       content_witness=cloud.format_point(ic),
-                       supnorm_witness=cloud.format_point(isup))
-            for i, (step, (mc, ic, ms, isup)) in enumerate(zip(ray.steps, systoles))]
+    return [cloud.report(*step) for _, step in zip(ray.steps, systoles)]
 
 
 def trajectory(x, ray, window, cloud=None):
-    """Window systole of t.g.O^n at every step of the ray; no verdict."""
-    lat = x.lattice
+    """Window systoles of t.x, one `SystoleReport` per step t of the ray;
+    no verdict."""
     if cloud is None:
-        cloud = PointCloud(lat, window)
-    systoles = cloud.systoles_under(*_stacks([ray], lat))
-    return TrajectoryReport(point=x, ray=ray, window=window,
-                            rows=_step_records(cloud, ray, systoles))
+        cloud = PointCloud(x, window)
+    return _reports(cloud, ray, cloud.systoles_under(*_stacks([ray], x)))
 
 
 THETA_LOW = 1e-3
 THETA_HIGH_REL = 0.1
 
 
-def classify_ray(report):
+def classify_ray(rows):
     """Empirical three-way verdict on a trajectory's content systole.
 
     recurrent: dips below THETA_LOW, later re-exceeds theta_high;
@@ -273,7 +214,6 @@ def classify_ray(report):
     bounded-below: never drops to theta_high = THETA_HIGH_REL * initial
     systole.  Always a statement about the sampled window, never a proof.
     """
-    rows = report.rows
     if len(rows) < 10:
         raise TooFewSteps(f"{len(rows)} steps; need at least 10")
     sys = [r.min_content for r in rows]
@@ -298,15 +238,12 @@ def classify_ray(report):
 @dataclass
 class RayResult:
     name: str
-    signs: tuple
     classification: str
-    report: TrajectoryReport
+    rows: list                      # the trajectory's SystoleReports
 
 
 @dataclass
 class SurveyReport:
-    point: OrbitPoint
-    active: list
     rays: list
     heat: list                      # rows for the CSV heat map
     prediction: str                 # '', 'all-diverging', 'non-divergent'
@@ -343,10 +280,10 @@ STAIR_JUMP = 12
 
 
 def default_ray_catalog(x, active, steps=20, s_max=10.0):
-    """The canonical rays for a survey: per-place axes, matched diagonals
-    for sign pairs, and alternating staircases that re-balance after each
-    archimedean push by STAIR_JUMP (staircases only when two places are
-    active)."""
+    """The canonical (name, ray) pairs for a survey: per-place axes,
+    matched diagonals for sign pairs, and alternating staircases that
+    re-balance after each archimedean push by STAIR_JUMP (staircases only
+    when two places are active)."""
     direction = _n2_direction(x.n)
     rays = []
     for signs in _sign_patterns(len(active)):
@@ -368,7 +305,7 @@ def default_ray_catalog(x, active, steps=20, s_max=10.0):
                 else:
                     row.append(s * (s_max * j / (steps - 1)))
             params.append(tuple(row))
-        rays.append((_ray_name(active, signs), signs,
+        rays.append((_ray_name(active, signs),
                      RaySchedule(active, [direction] * len(active), params)))
     # alternating staircases for two-place sign pairs
     if len(active) == 2 and active[0].kind != active[1].kind:
@@ -388,8 +325,7 @@ def default_ray_catalog(x, active, steps=20, s_max=10.0):
                 signs = [None, None]
                 signs[arch_i], signs[fin_i] = sa, sf
                 name = "stair:" + _ray_name(active, signs)
-                rays.append((name, tuple(signs),
-                             RaySchedule(active, [direction] * 2, params)))
+                rays.append((name, RaySchedule(active, [direction] * 2, params)))
     return rays
 
 
@@ -402,20 +338,16 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     full place set (when S has at least two places) must keep at least one
     ray bounded below.  Mismatches land in `anomalies`.
     """
-    lat = x.lattice
-    cloud = PointCloud(lat, window)
+    cloud = PointCloud(x, window)
     rays = default_ray_catalog(x, active, steps=steps, s_max=s_max)
     cells, heat_ray = _heat_schedule(x, active, heat_s, heat_k, s_max)
     # one kernel call for the steps of every ray and of the heat map
     systoles = iter(cloud.systoles_under(
-        *_stacks([ray for _, _, ray in rays] + [heat_ray], lat)))
+        *_stacks([ray for _, ray in rays] + [heat_ray], x)))
     results = []
-    for name, signs, ray in rays:
-        rep = TrajectoryReport(point=x, ray=ray, window=window,
-                               rows=_step_records(cloud, ray, systoles))
-        results.append(RayResult(
-            name=name, signs=signs,
-            classification=classify_ray(rep), report=rep))
+    for name, ray in rays:
+        rows = _reports(cloud, ray, systoles)
+        results.append(RayResult(name, classify_ray(rows), rows))
     heat = [{"s": s, "k": k, "min_content": mc, "min_supnorm": ms,
              "witness": cloud.format_point(ic)}
             for (s, k), (mc, ic, ms, _) in zip(cells, systoles)]
@@ -435,8 +367,8 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
             if not any(r.classification == "bounded-below" for r in results):
                 anomalies.append(
                     "no bounded-below ray found; a full-S orbit is never divergent")
-    return SurveyReport(point=x, active=list(active), rays=results, heat=heat,
-                        prediction=prediction, anomalies=anomalies)
+    return SurveyReport(rays=results, heat=heat, prediction=prediction,
+                        anomalies=anomalies)
 
 
 HEAT_K = range(-12, 13)
@@ -469,7 +401,7 @@ def locally_divergent_example(field, places):
     upper = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     g = [upper] + [eye] * (len(places) - 1)
-    return OrbitPoint(field, places, 2, g, provenance="rational")
+    return SLattice(field, places, 2, g, provenance="rational")
 
 
 def anisotropic_point(field, places):
@@ -481,8 +413,7 @@ def anisotropic_point(field, places):
     """
     s2 = QuadraticSurd.sqrt(2)
     g = [[QuadraticSurd(1), s2], [QuadraticSurd(1), -s2]]
-    return OrbitPoint(field, places, 2, [g for _ in places],
-                      provenance="explicit", unimodular=False)
+    return SLattice(field, places, 2, [g for _ in places], unimodular=False)
 
 
 def expanding_element(root_positions, tau, place, n=None):

@@ -31,6 +31,7 @@ from .errors import (
     NotInField,
     PrecisionBudgetExceeded,
     TooFewWindows,
+    WindowTooLarge,
 )
 from .lattice import _UNIT_ROUNDOFF, HeightWindow, _gamma, _window_rows
 from .numberfield import (
@@ -322,8 +323,9 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
     exact stage evaluates the candidates: `_integer_refine` in exact
     integers for an `_integer_ok` form, bit-identically to `magnitudes`,
     and `_point_refine` point by point for any other.  Either way the
-    result is that of the exact scan in the candidate order; the window
-    must stay below the enumeration cap, and a cap must not be negative.
+    result is that of the exact scan in the candidate order.  Either
+    candidate stage checks the points it will visit against the window's
+    size bound before it visits any, and a cap must not be negative.
     """
     if magnitude_cap is not None and magnitude_cap < 0:
         raise ValueError(f"magnitude cap must be >= 0, got {magnitude_cap}")
@@ -331,7 +333,7 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
     integer = _integer_ok(form)
     primes = sorted({p.p for p in form.places if p.kind == "finite"})
     if integer and form.n == 2 and magnitude_cap is not None:
-        points = _planar_candidates(form, window.H, magnitude_cap)
+        points = _planar_candidates(form, window, magnitude_cap)
     else:
         points, eexp = _window_rows(form.n * form.field.degree, primes, window)
     if integer:
@@ -458,15 +460,16 @@ def _refined_magnitude(form, parts, roots):
     return +total
 
 
-def _planar_candidates(form, H, cap):
+def _planar_candidates(form, window, cap):
     """The capped scan's candidate points of a planar `_integer_ok` form.
 
     The scan visits the box x in [0, H], y in [-H, H] (x = 0 with y > 0:
     one point per sign class), or only the part of it that `_strips`
-    returns, in blocks of about 2^15 points (`_scan_blocks`), and keeps
-    every point whose float lower bound on |f| is <= cap; the kept points
-    are deduplicated and returned as an integer array in scan order (x,
-    then y), which picks the witnesses.  Per place f = sum_k c_k x^e1
+    returns, and raises `WindowTooLarge` first if that is more points
+    than the window's size bound.  It goes in blocks of about 2^15 points
+    (`_scan_blocks`) and keeps every point whose float lower bound on |f|
+    is <= cap; the kept points are deduplicated and returned as an
+    integer array in scan order (x, then y), which picks the witnesses.  Per place f = sum_k c_k x^e1
     y^e2, evaluated by Horner's rule in y with the column coefficients
     c_k x^e1.  In the standard model of float64 arithmetic (no overflow or
     underflow; Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -496,7 +499,11 @@ def _planar_candidates(form, H, cap):
     zeros included, lies on a strip, so the strips change only
     `candidates`, the number of kept points.
     """
-    m = form.m
+    m, H = form.m, window.H
+    intervals = _strips(form, H, cap) or [_box(H)]
+    visited = sum(int(np.maximum(hi - lo + 1, 0).sum()) for lo, hi in intervals)
+    if visited > window.cap:
+        raise WindowTooLarge(f"capped scan of {visited} points exceeds cap {window.cap}")
     # per place: (e1, e2, fl(c_k), w_k), c_k != 0
     columns = [[(e1, e2, *_float_weight(
         QuadraticSurd(Fraction(p, D), Fraction(q, D), d)))
@@ -507,7 +514,7 @@ def _planar_candidates(form, H, cap):
     hpow = [float(H) ** e for e in range(m + 1)]
     width = 2 * H + 1
     kept = set()
-    for keys in _scan_blocks(_strips(form, H, cap) or [_box(H)], H):
+    for keys in _scan_blocks(intervals, H):
         xf = (keys // width).astype(np.float64)
         yf = (keys % width - H).astype(np.float64)
         xpow = [np.ones_like(xf)]
@@ -661,8 +668,14 @@ def discreteness_report(form, heights, E=0, dps=None):
         cap = 2.5 * first.min_nonzero
     else:
         cap = 1.0
-    spectra = [value_spectrum(form, HeightWindow(h, E), magnitude_cap=cap,
-                              dps=dps) for h in heights]
+    # A capped planar scan streams its box of H (2H + 2) points in blocks,
+    # so each window may visit its whole box; a window that is enumerated
+    # holds more than its box, (2H + 1)^2 points or more, and still meets
+    # the default bound.
+    windows = [HeightWindow(h, E) for h in heights]
+    for w in windows:
+        w.cap = max(w.cap, w.H * (2 * w.H + 2))
+    spectra = [value_spectrum(form, w, magnitude_cap=cap, dps=dps) for w in windows]
     base_gap = spectra[0].min_gap
     rho = base_gap / 4 if math.isfinite(base_gap) else cap / 10
     final = spectra[-1]

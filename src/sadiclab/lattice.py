@@ -88,18 +88,23 @@ class HeightWindow:
 
 
 class SLattice:
-    """The orbit lattice g * O^n: one n x n matrix per place of S.
+    """The orbit lattice g * O^n, the point g Gamma of G/Gamma: one n x n
+    matrix per place of S.
 
     Finite-place entries must be exact.  `unimodular=False` admits a
     fixed nonzero determinant instead of det 1 (used by hand-built
     anisotropic fixtures); the content systole then carries that scale.
+    `provenance` gates a survey's predictions: 'identity', 'rational'
+    (exact K-rational entries at every place, possibly different per
+    place) or 'explicit'.
     """
 
-    def __init__(self, field, places, n, g, unimodular=True):
+    def __init__(self, field, places, n, g, unimodular=True, provenance="explicit"):
         self.field = field
         self.places = list(places)
         self.n = int(n)
         self.unimodular = unimodular
+        self.provenance = provenance
         if len(g) != len(self.places):
             raise ShapeMismatch("one matrix per place required")
         mats = []
@@ -114,6 +119,25 @@ class SLattice:
             mats.append(tuple(rows))
         self.g = tuple(mats)
         self._check_determinants()
+
+    @classmethod
+    def identity(cls, field, places, n):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        return cls(field, places, n, [eye for _ in places], provenance="identity")
+
+    @classmethod
+    def from_rational(cls, field, places, n, matrix):
+        """Diagonal embedding of a single K-rational matrix."""
+        mat = [[Fraction(c) for c in row] for row in matrix]
+        return cls(field, places, n, [mat for _ in places], provenance="rational")
+
+    def to_jsonable(self):
+        mats = []
+        for mat in self.g:
+            mats.append([[str(c) if isinstance(c, (int, Fraction)) else repr(c)
+                          for c in row] for row in mat])
+        return {"n": self.n, "provenance": self.provenance,
+                "places": [p.name for p in self.places], "matrices": mats}
 
     def _check_determinants(self):
         n = self.n
@@ -339,6 +363,11 @@ class PointCloud:
             text = self._formatted[idx] = \
                 "(" + ", ".join(str(e) for e in self.point(idx)) + ")"
         return text
+
+    def report(self, min_content, ic, min_supnorm, isup):
+        """The `SystoleReport` of one of `systoles_under`'s tuples."""
+        return SystoleReport(min_content, self.format_point(ic),
+                             min_supnorm, self.format_point(isup))
 
     # -- norms under diagonal scaling -------------------------------------------
 
@@ -621,7 +650,6 @@ class SystoleReport:
     content_witness: str
     min_supnorm: float
     supnorm_witness: str
-    window: HeightWindow
 
 
 def systole(lat, window):
@@ -633,15 +661,8 @@ def systole(lat, window):
     which moves no place.
     """
     cloud = PointCloud(lat, window)
-    [(mc, ic, ms, isup)] = cloud.systoles_under([None] * len(cloud.arch),
-                                                [None] * len(cloud.fin))
-    return SystoleReport(
-        min_content=mc,
-        content_witness=cloud.format_point(ic),
-        min_supnorm=ms,
-        supnorm_witness=cloud.format_point(isup),
-        window=window,
-    )
+    [step] = cloud.systoles_under([None] * len(cloud.arch), [None] * len(cloud.fin))
+    return cloud.report(*step)
 
 
 @dataclass
@@ -684,12 +705,12 @@ def mahler_test(lats, r, window):
 def mahler_report(r, systoles):
     """Mahler verdicts of a family from its window systoles.
 
-    systoles holds one record per lattice with min_content, min_supnorm
-    and their witnesses: a `SystoleReport`, or a trajectory's step, whose
-    lattices are the steps of a diagonal flow.  A lattice passes when both
-    its content systole (pseudoball form) and its sup-norm systole (ball
-    form) exceed r > 0.  Failing is conclusive: a vector inside the radius
-    exists.  Passing is one-sided: tied to the window.
+    systoles holds one `SystoleReport` per lattice: of `systole`, or of a
+    trajectory's step, whose lattices are the steps of a diagonal flow.  A
+    lattice passes when both its content systole (pseudoball form) and its
+    sup-norm systole (ball form) exceed r > 0.  Failing is conclusive: a
+    vector inside the radius exists.  Passing is one-sided: tied to the
+    window.
     """
     verdicts = [MahlerVerdict(
         index=i,

@@ -285,69 +285,46 @@ class Place:
         raise NotImplementedError
 
 
-class RealPlace(Place):
-    kind = "real"
+class ArchimedeanPlace(Place):
+    """A real place, or one complex place per conjugate pair.
 
-    def __init__(self, field, lo, hi, index):
-        self.field = field
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        self.index = index
-        self.name = f"r{index}"
-        self._roots = {}
-
-    def root(self, dps=None):
-        if self.field.degree == 1:
-            return mpf(-self.field.min_poly[0])
-
-        def start(m):
-            lo, hi = pa.refine_real_root(m, self.lo, self.hi, Fraction(1, 2 ** 30))
-            return (mpf(lo.numerator) / lo.denominator
-                    + mpf(hi.numerator) / hi.denominator) / 2
-        return _newton_root(self._roots, self.field.min_poly, dps, start)
-
-    def root_float(self):
-        return float(self.root(17))
-
-    def evaluate(self, elem, dps=None):
-        dps = dps or DEFAULT_DPS
-        with mp.workdps(dps + 10):
-            return +_horner_mp(list(elem.coords), self.root(dps))
-
-    def abs_value(self, elem, dps=None):
-        if elem.is_zero():
-            return mpf(0)
-        return abs(self.evaluate(elem, dps))
-
-    def __repr__(self):
-        return f"RealPlace({self.name}, ({self.lo}, {self.hi}])"
-
-
-class ComplexPlace(Place):
-    """One place per conjugate pair; the stored root has positive imaginary part.
-
-    The normalized absolute value is the square of the modulus, which makes
-    the product formula hold without counting the pair twice.  `center`,
-    the root that mpmath's polyroots found, is the root's Newton start.
+    `kind` is "real" or "complex", and the name r<index> or c<index>.
+    The root of the defining polynomial is found by Newton's iteration
+    from `start`: a rational for a real root, and a (real, imaginary) pair
+    of rationals for the complex root with positive imaginary part.  The normalized absolute value is the modulus
+    at a real place and its square at a complex one, which makes the
+    product formula hold without counting the pair twice.
     """
 
-    kind = "complex"
-
-    def __init__(self, field, center_re, center_im, index):
+    def __init__(self, field, kind, index, start):
         self.field = field
-        self.center = (Fraction(center_re), Fraction(center_im))
-        self.index = index
-        self.name = f"c{index}"
+        self.kind = kind
+        self.name = f"{kind[0]}{index}"
+        self.start = start
         self._roots = {}
 
     def root(self, dps=None):
-        re, im = self.center
-        return _newton_root(self._roots, self.field.min_poly, dps,
-                            lambda m: mpc(mpf(re.numerator) / re.denominator,
-                                          mpf(im.numerator) / im.denominator))
+        """The root at dps digits, memoised per dps: Newton's iteration
+        from `start`, at dps + 15 digits until a step is below
+        10^-(dps + 10)."""
+        dps = dps or DEFAULT_DPS
+        if dps not in self._roots:
+            m = list(map(Fraction, self.field.min_poly))
+            dm = pa.derivative(m)
+            with mp.workdps(dps + 15):
+                x = mpc(*map(_mpq, self.start)) if self.kind == "complex" \
+                    else _mpq(self.start)
+                for _ in range(dps + 20):
+                    step = _horner_mp(m, x) / _horner_mp(dm, x)
+                    x = x - step
+                    if abs(step) < mpf(10) ** (-(dps + 10)):
+                        break
+                self._roots[dps] = +x
+        return self._roots[dps]
 
     def root_float(self):
-        return complex(self.root(17))
+        root = self.root(17)
+        return complex(root) if self.kind == "complex" else float(root)
 
     def evaluate(self, elem, dps=None):
         dps = dps or DEFAULT_DPS
@@ -357,13 +334,14 @@ class ComplexPlace(Place):
     def abs_value(self, elem, dps=None):
         if elem.is_zero():
             return mpf(0)
-        dps = dps or DEFAULT_DPS
-        with mp.workdps(dps + 10):
-            v = self.evaluate(elem, dps)
+        v = self.evaluate(elem, dps)
+        if self.kind == "real":
+            return abs(v)
+        with mp.workdps((dps or DEFAULT_DPS) + 10):
             return +(v.real * v.real + v.imag * v.imag)
 
     def __repr__(self):
-        return f"ComplexPlace({self.name}, center={self.center})"
+        return f"ArchimedeanPlace({self.name}, start={self.start})"
 
 
 class FinitePlace(Place):
@@ -437,32 +415,16 @@ class FinitePlace(Place):
         return f"FinitePlace(p={self.p}, f={self.residue_degree}, N={self.precision})"
 
 
-def _newton_root(roots, min_poly, dps, start):
-    """Newton's iteration for min_poly from start(m), memoised per dps in roots.
-
-    m is min_poly over Fraction; the iteration runs at dps + 15 digits
-    until a step is below 10^-(dps + 10).
-    """
-    dps = dps or DEFAULT_DPS
-    if dps not in roots:
-        m = list(map(Fraction, min_poly))
-        dm = pa.derivative(m)
-        with mp.workdps(dps + 15):
-            x = start(m)
-            for _ in range(dps + 20):
-                step = _horner_mp(m, x) / _horner_mp(dm, x)
-                x = x - step
-                if abs(step) < mpf(10) ** (-(dps + 10)):
-                    break
-            roots[dps] = +x
-    return roots[dps]
+def _mpq(q):
+    """The Fraction q as an mpf at the working precision."""
+    return mpf(q.numerator) / q.denominator
 
 
 def _horner_mp(coeffs, x):
     acc = x * 0
     for c in reversed(coeffs):
         if isinstance(c, Fraction):
-            acc = acc * x + mpf(c.numerator) / c.denominator
+            acc = acc * x + _mpq(c)
         else:
             acc = acc * x + c
     return acc
@@ -502,20 +464,22 @@ def create_field(min_poly_coeffs, integral_basis=None):
 
 
 def archimedean_places(field):
-    """All real and complex places; complex conjugate pairs appear once."""
+    """All real and complex places; complex conjugate pairs appear once.
+
+    A real root's Newton start is the midpoint of its isolating interval
+    refined below width 2^-30, or the root itself over Q; a complex one's
+    is the root that mpmath's polyroots finds.
+    """
     m = list(map(Fraction, field.min_poly))
-    places = []
     if field.degree == 1:
-        places.append(RealPlace(field, Fraction(-field.min_poly[0]) - 1,
-                                Fraction(-field.min_poly[0]) + 1, 0))
-    else:
-        intervals = pa.isolate_real_roots(m)
-        for i, (lo, hi) in enumerate(intervals):
-            places.append(RealPlace(field, lo, hi, i))
-        r1 = len(intervals)
-        r2 = (field.degree - r1) // 2
-        if r2 > 0:
-            places.extend(_complex_places(field, r2))
+        return [ArchimedeanPlace(field, "real", 0, -m[0])]
+    places = []
+    for i, (lo, hi) in enumerate(pa.isolate_real_roots(m)):
+        lo, hi = pa.refine_real_root(m, lo, hi, Fraction(1, 2 ** 30))
+        places.append(ArchimedeanPlace(field, "real", i, (lo + hi) / 2))
+    r2 = (field.degree - len(places)) // 2
+    if r2 > 0:
+        places.extend(_complex_places(field, r2))
     return places
 
 
@@ -527,8 +491,9 @@ def _complex_places(field, r2):
         upper.sort(key=lambda r: (mp.re(r), mp.im(r)))
         if len(upper) != r2:
             raise ArithmeticError("complex root pairing failed")
-        return [ComplexPlace(field, Fraction(str(mp.re(r))),
-                             Fraction(str(mp.im(r))), i) for i, r in enumerate(upper)]
+        return [ArchimedeanPlace(field, "complex", i, (Fraction(str(mp.re(r))),
+                                                       Fraction(str(mp.im(r)))))
+                for i, r in enumerate(upper)]
 
 
 def finite_places(field, p, precision=HENSEL_DEFAULT_N):

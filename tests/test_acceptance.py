@@ -119,7 +119,7 @@ def test_c03_mahler_criterion(rationals, q_inf):
 
 
 def test_c04_divergence_dichotomy(rationals, q_inf2):
-    x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+    x = lt.SLattice.identity(rationals, q_inf2, 2)
     window = lt.HeightWindow(50, 10)
     for active in ([q_inf2[0]], [q_inf2[1]]):
         survey = dy.divergence_survey(x, active, window, steps=20,
@@ -133,8 +133,8 @@ def test_c04_divergence_dichotomy(rationals, q_inf2):
     assert survey.prediction == "non-divergent"
     matched = next(r for r in survey.rays if r.name == "r0+,p2_0+")
     assert matched.classification == "bounded-below"
-    assert len(matched.report.rows) == 20
-    for row in matched.report.rows:
+    assert len(matched.rows) == 20
+    for row in matched.rows:
         assert abs(row.min_content - 1) < 1e-6
     assert survey.consistent
     _ok(4, "single-place surveys all diverge; the s = k ln 2 ray stays "
@@ -174,9 +174,9 @@ def test_c06_compact_orbit_floor(rationals, q_inf):
     x = dy.anisotropic_point(rationals, q_inf)
     steps = [(10 * i / 49,) for i in range(50)]
     ray = dy.RaySchedule(q_inf, [(1, -1)], steps)
-    rep = dy.trajectory(x, ray, lt.HeightWindow(50))
-    violations = [r for r in rep.rows if r.min_supnorm < 1.0]
-    assert len(rep.rows) == 50
+    rows = dy.trajectory(x, ray, lt.HeightWindow(50))
+    violations = [r for r in rows if r.min_supnorm < 1.0]
+    assert len(rows) == 50
     assert not violations
     _ok(6, "anisotropic point keeps sup-norm systole >= 1 across "
            "s in [0, 10], 50 steps, H=50 (zero violations; floor sqrt(2))")

@@ -242,8 +242,8 @@ class TestParseConfig:
         cfg = cli.parse_config(json.dumps(MINIMAL))
         assert cfg.precision == 50
         assert cfg.window.H == 50 and cfg.window.E == 5
-        assert cfg.hensel_precision == 30
         assert [p.kind for p in cfg.places] == ["real"]
+        assert cli.parse_config(Q_WITH_2).places[1].precision == 30
 
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaError) as err:
@@ -383,6 +383,32 @@ class TestRun:
         assert data["anomalies"] == [
             "no bounded-below ray found; a full-S orbit is never divergent"]
         assert data["consistent"] is False
+
+    def test_form_spectrum_anomaly_exits_2(self, tmp_path, monkeypatch):
+        # plant a reconstruction of x(sqrt2 x - y), which accumulates
+        monkeypatch.setattr(fm, "rationality_reconstruct", lambda form, precision:
+                            fm.ReconstructionResult("reconstructed", g=(1, -1, 0)))
+        config = {"min_poly": [0, 1],
+                  "form": {"factors": [[1, 0], [{"a": 0, "b": 1, "d": 2}, -1]]},
+                  "spectrum": {"heights": [10, 100, 1000], "cap": 0.9}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 2
+        data = json.loads((tmp_path / "form-spectrum.json").read_text())
+        assert data["verdict"] == "accumulation-detected"
+        assert data["anomalies"] == [
+            "form reconstructs to a rational multiple of (1, -1, 0) yet shows accumulation"]
+
+    @pytest.mark.parametrize("spectrum, message", [
+        ({"heights": [10]}, "window size 441 exceeds cap 50"),
+        ({"heights": [10], "cap": 1e9}, "capped scan of 220 points exceeds cap 50")])
+    def test_form_spectrum_keeps_the_window_cap(self, tmp_path, capsys, spectrum,
+                                                message):
+        config = {"min_poly": [0, 1], "window": {"cap": 50},
+                  "form": {"factors": [[1, 0], [{"a": 0, "b": 1, "d": 2}, -1]]},
+                  "spectrum": spectrum}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_norm_form(self, tmp_path):
         config = {"min_poly": [0, 1],
@@ -614,9 +640,9 @@ class TestRun:
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.run("orbit-survey", config, str(tmp_path)) == 0
             cfg = cli.parse_config(config)
-            x = dy.OrbitPoint.identity(cfg.field, cfg.places, 2)
+            x = lt.SLattice.identity(cfg.field, cfg.places, 2)
             survey = dy.divergence_survey(x, cfg.places, cfg.window, steps=20)
-        cloud = lt.PointCloud(x.lattice, cfg.window)
+        cloud = lt.PointCloud(x, cfg.window)
         points = {cloud.format_point(i): cloud.point(i) for i in range(cloud.count)}
 
         def exact_content(z, params):
@@ -627,12 +653,13 @@ class TestRun:
             fin = [c * Fraction(367) ** (k * d) for c, d in zip(coords, (1, -1))]
             return sd.content(sd.SAdicVector(cfg.places, [arch, fin]), 50)
 
+        rays = dict(dy.default_ray_catalog(x, cfg.places, steps=20))
         stairs = [r for r in survey.rays if r.name.startswith("stair:")]
         assert len(stairs) == 4
         with mp.workdps(50):
             for ray in stairs:
-                for row in ray.report.rows[11:]:
-                    contents = {text: exact_content(z, row.params)
+                for step, row in list(zip(rays[ray.name].steps, ray.rows))[11:]:
+                    contents = {text: exact_content(z, step)
                                 for text, z in points.items()}
                     least = min(contents.values())
                     assert contents[row.content_witness] <= least * (1 + mpf("1e-12"))

@@ -179,10 +179,10 @@ def test_trajectory_matches_per_step_lattices(rationals, q_inf2):
     ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)],
                          [(s * 0.7, s % 3) for s in range(6)])
     window = lt.HeightWindow(8, 2)
-    rep = dy.trajectory(x, ray, window)
-    for step, row in zip(ray.steps, rep.rows):
+    rows = dy.trajectory(x, ray, window)
+    for step, row in zip(ray.steps, rows):
         t = ray.torus_element(rationals, 2, step)
         moved = dy.act(t, x)
-        direct = lt.systole(moved.lattice, window)
+        direct = lt.systole(moved, window)
         assert direct.min_content == pytest.approx(row.min_content, rel=1e-9)
         assert direct.min_supnorm == pytest.approx(row.min_supnorm, rel=1e-9)

@@ -27,14 +27,14 @@ def eye(n):
 
 class TestAct:
     def test_identity_action(self, rationals, q_inf2):
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         t = dy.TorusElement.identity(rationals, q_inf2, 2)
         y = dy.act(t, x)
         assert y.g == x.g
         assert y.provenance == "identity"
 
     def test_diagonal_representative(self, rationals, q_inf):
-        x = dy.OrbitPoint.identity(rationals, q_inf, 2)
+        x = lt.SLattice.identity(rationals, q_inf, 2)
         t = dy.TorusElement(rationals, q_inf, 2, [[math.e, 1 / math.e]])
         y = dy.act(t, x)
         assert y.g[0][0][0] == pytest.approx(math.e)
@@ -42,7 +42,7 @@ class TestAct:
 
     def test_action_axiom(self, rationals, q_inf2):
         random.seed(11)
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         for _ in range(10):
             s1, k1 = random.uniform(-2, 2), random.randint(-3, 3)
             s2, k2 = random.uniform(-2, 2), random.randint(-3, 3)
@@ -72,14 +72,14 @@ class TestAct:
             dy.TorusElement(rationals, q_inf, 2, [[2.0, 1.0]])
 
     def test_shape_mismatch(self, rationals, gauss, q_inf):
-        x = dy.OrbitPoint.identity(rationals, q_inf, 2)
+        x = lt.SLattice.identity(rationals, q_inf, 2)
         t = dy.TorusElement(gauss, nf.archimedean_places(gauss), 2,
                             [[gauss.one(), gauss.one()]])
         with pytest.raises(ShapeMismatch):
             dy.act(t, x)
 
     def test_exactness_downgrade(self, rationals, q_inf):
-        x = dy.OrbitPoint.identity(rationals, q_inf, 2)
+        x = lt.SLattice.identity(rationals, q_inf, 2)
         t_float = dy.TorusElement(rationals, q_inf, 2, [[math.e, 1 / math.e]])
         assert dy.act(t_float, x).provenance == "explicit"
         t_exact = dy.TorusElement(rationals, q_inf, 2,
@@ -233,11 +233,11 @@ class TestRaySchedule:
         # 2^-k sqrt5 at (1, 0) is the least content of the window; at
         # k = 9,000,000 it lies below 2^(_ZERO_EXP / 2), where the kernel
         # reads every content as 0 and mantissas alone pick (15, 0)
-        x = dy.OrbitPoint(rationals, q_inf2, 2, [[[2, 1], [1, 1]], eye(2)],
-                          provenance="rational")
+        x = lt.SLattice(rationals, q_inf2, 2, [[[2, 1], [1, 1]], eye(2)],
+                        provenance="rational")
         p2 = q_inf2[1:]
         ray = dy.RaySchedule(p2, [(1, -1)], [4_000_000])
-        [row] = dy.trajectory(x, ray, lt.HeightWindow(16)).rows
+        [row] = dy.trajectory(x, ray, lt.HeightWindow(16))
         assert row.content_witness == "(1, 0)"
         with pytest.raises(RayOverflow, match=r"^ray parameter 9000000 at p2_0 moves "
                                               r"a norm over 4194304 bits$"):
@@ -250,26 +250,26 @@ class TestRaySchedule:
 
 class TestTrajectory:
     def test_single_place_decay(self, rationals, q_inf):
-        x = dy.OrbitPoint.identity(rationals, q_inf, 2)
+        x = lt.SLattice.identity(rationals, q_inf, 2)
         ray = dy.RaySchedule(q_inf, [(1, -1)], [(s,) for s in range(10)])
-        rep = dy.trajectory(x, ray, lt.HeightWindow(20))
-        for s, row in enumerate(rep.rows):
+        rows = dy.trajectory(x, ray, lt.HeightWindow(20))
+        for s, row in enumerate(rows):
             assert row.min_content == pytest.approx(math.exp(-s), rel=1e-12)
 
     def test_matched_two_place_ray_stays_at_one(self, rationals, q_inf2):
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)],
                              [(k * math.log(2), k) for k in range(12)])
-        rep = dy.trajectory(x, ray, lt.HeightWindow(20, 6))
-        for row in rep.rows:
+        rows = dy.trajectory(x, ray, lt.HeightWindow(20, 6))
+        for row in rows:
             assert abs(row.min_content - 1) < 1e-9
 
     def test_anisotropic_floor(self, rationals, q_inf):
         x = dy.anisotropic_point(rationals, q_inf)
         ray = dy.RaySchedule(q_inf, [(1, -1)],
                              [(10 * i / 49,) for i in range(50)])
-        rep = dy.trajectory(x, ray, lt.HeightWindow(30))
-        assert all(r.min_supnorm >= 1.0 for r in rep.rows)
+        rows = dy.trajectory(x, ray, lt.HeightWindow(30))
+        assert all(r.min_supnorm >= 1.0 for r in rows)
 
     def test_finite_ray_parameters_must_be_integers(self, rationals, q_inf2):
         with pytest.raises(ValueError):
@@ -281,32 +281,30 @@ class TestTrajectory:
 
 
 class TestClassification:
-    def _report(self, values):
-        rows = [dy.StepRecord(i, (float(i),), v, v, "", "")
-                for i, v in enumerate(values)]
-        return dy.TrajectoryReport(None, None, None, rows)
+    def _rows(self, values):
+        return [lt.SystoleReport(v, "", v, "") for v in values]
 
     def test_diverging(self):
-        rep = self._report([math.exp(-s) for s in range(12)])
-        assert dy.classify_ray(rep) == "diverging-trend"
+        rows = self._rows([math.exp(-s) for s in range(12)])
+        assert dy.classify_ray(rows) == "diverging-trend"
 
     def test_bounded(self):
-        rep = self._report([1.0] * 12)
-        assert dy.classify_ray(rep) == "bounded-below"
+        rows = self._rows([1.0] * 12)
+        assert dy.classify_ray(rows) == "bounded-below"
 
     def test_recurrent(self):
-        rep = self._report([1.0, 1e-4, 0.9] + [1.0] * 9)
-        assert dy.classify_ray(rep) == "recurrent"
+        rows = self._rows([1.0, 1e-4, 0.9] + [1.0] * 9)
+        assert dy.classify_ray(rows) == "recurrent"
 
     def test_too_few_steps(self):
-        rep = self._report([1.0] * 5)
+        rows = self._rows([1.0] * 5)
         with pytest.raises(TooFewSteps):
-            dy.classify_ray(rep)
+            dy.classify_ray(rows)
 
 
 class TestSurveys:
     def test_identity_dichotomy(self, rationals, q_inf2):
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         w = lt.HeightWindow(25, 6)
         for active in ([q_inf2[0]], [q_inf2[1]]):
             sv = dy.divergence_survey(x, active, w, steps=14,
@@ -326,12 +324,12 @@ class TestSurveys:
                                                     gauss, monkeypatch):
         if case == "q":
             places, window = q_inf2, lt.HeightWindow(6, 2)
-            x = dy.OrbitPoint.from_rational(rationals, places, 2, [[2, 3], [1, 2]])
+            x = lt.SLattice.from_rational(rationals, places, 2, [[2, 3], [1, 2]])
             # s = +-700 takes some heat-map contents out of the float64 range
             heat_s, heat_k = [-700.0, -3.0, 0.0, 3.0, 700.0], range(-3, 4)
         else:
             places = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)
-            x, window = dy.OrbitPoint.identity(gauss, places, 2), lt.HeightWindow(1, 1)
+            x, window = lt.SLattice.identity(gauss, places, 2), lt.HeightWindow(1, 1)
             heat_s, heat_k = None, None
         calls = []
         kernel = lt.PointCloud.systoles_under
@@ -340,12 +338,14 @@ class TestSurveys:
         sv = dy.divergence_survey(x, places, window, steps=12,
                                   heat_s=heat_s, heat_k=heat_k)
         assert len(calls) == 1
-        cloud = lt.PointCloud(x.lattice, window)
-        for result in sv.rays:
-            want = dy.trajectory(x, result.report.ray, window, cloud=cloud)
-            assert repr(result.report.rows) == repr(want.rows)
+        cloud = lt.PointCloud(x, window)
+        rays = dy.default_ray_catalog(x, places, steps=12)
+        assert [name for name, _ in rays] == [result.name for result in sv.rays]
+        for result, (_, ray) in zip(sv.rays, rays):
+            want = dy.trajectory(x, ray, window, cloud=cloud)
+            assert repr(result.rows) == repr(want)
         cells, heat_ray = dy._heat_schedule(x, places, heat_s, heat_k, 10.0)
-        want = dy.trajectory(x, heat_ray, window, cloud=cloud).rows
+        want = dy.trajectory(x, heat_ray, window, cloud=cloud)
         assert len(sv.heat) == len(want) == len(cells)
         got = [(r["s"], r["k"], r["min_content"], r["min_supnorm"], r["witness"])
                for r in sv.heat]
@@ -395,7 +395,7 @@ class TestSurveys:
                    for row in q for c in row) > 8:
                 continue
             done += 1
-            x = dy.OrbitPoint.from_rational(rationals, q_inf2, 2, q)
+            x = lt.SLattice.from_rational(rationals, q_inf2, 2, q)
             for active in ([q_inf2[0]], [q_inf2[1]]):
                 sv = dy.divergence_survey(x, active, w, steps=14,
                                           heat_s=[0.0], heat_k=[0])
@@ -408,7 +408,7 @@ class TestSurveys:
         # two archimedean places: the bounded direction is the mixed-sign
         # (norm-one) diagonal, same-sign diagonals escape
         places = nf.archimedean_places(root2_field)
-        x = dy.OrbitPoint.identity(root2_field, places, 2)
+        x = lt.SLattice.identity(root2_field, places, 2)
         w = lt.HeightWindow(6)
         sv1 = dy.divergence_survey(x, [places[0]], w, steps=12,
                                    heat_s=[0.0], heat_k=[0])
@@ -424,37 +424,35 @@ class TestSurveys:
         assert svS.consistent
 
     def test_equivariance_of_systole(self, rationals, q_inf2):
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         t = dy.TorusElement(rationals, q_inf2, 2,
                             [[math.exp(1.0), math.exp(-1.0)],
                              [Fraction(2), Fraction(1, 2)]])
         y = dy.act(t, x)
         w = lt.HeightWindow(15, 4)
-        direct = lt.systole(y.lattice, w)
+        direct = lt.systole(y, w)
         ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [(1.0, 1)])
-        rep = dy.trajectory(x, ray, w)
-        assert direct.min_content == pytest.approx(rep.rows[0].min_content,
-                                                   rel=1e-12)
-        assert direct.min_supnorm == pytest.approx(rep.rows[0].min_supnorm,
-                                                   rel=1e-12)
+        [row] = dy.trajectory(x, ray, w)
+        assert direct.min_content == pytest.approx(row.min_content, rel=1e-12)
+        assert direct.min_supnorm == pytest.approx(row.min_supnorm, rel=1e-12)
 
     def test_gamma_invariance_of_trajectories(self, rationals, q_inf2):
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         gamma = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-        xg = dy.OrbitPoint.from_rational(rationals, q_inf2, 2, gamma)
+        xg = lt.SLattice.from_rational(rationals, q_inf2, 2, gamma)
         ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)],
                              [(k * math.log(2), k) for k in range(10)])
         w = lt.HeightWindow(25, 5)
         r1 = dy.trajectory(x, ray, w)
         r2 = dy.trajectory(xg, ray, w)
-        for a, b in zip(r1.rows, r2.rows):
+        for a, b in zip(r1, r2):
             assert abs(a.min_content - b.min_content) < 1e-9
 
     def test_single_place_survey_flags_a_ray_bounded_below(self, rationals,
                                                           q_inf2, monkeypatch):
         # plant a misclassification: the theorem check must catch it
         monkeypatch.setattr(dy, "classify_ray", lambda rep: "bounded-below")
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         sv = dy.divergence_survey(x, q_inf2[:1], lt.HeightWindow(4, 1), steps=10)
         assert sv.prediction == "all-diverging" and sv.anomalies
         assert all(a.endswith("classified bounded-below; a single-place orbit "
@@ -465,7 +463,7 @@ class TestSurveys:
     def test_full_survey_flags_no_ray_bounded_below(self, rationals, q_inf2,
                                                     monkeypatch):
         monkeypatch.setattr(dy, "classify_ray", lambda rep: "diverging-trend")
-        x = dy.OrbitPoint.identity(rationals, q_inf2, 2)
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         sv = dy.divergence_survey(x, q_inf2, lt.HeightWindow(4, 1), steps=10)
         assert sv.prediction == "non-divergent"
         assert sv.anomalies == [

@@ -17,6 +17,7 @@ from sadiclab.errors import (
     DependentFactors,
     PrecisionBudgetExceeded,
     TooFewWindows,
+    WindowTooLarge,
 )
 from sadiclab.surd import QuadraticSurd
 
@@ -144,6 +145,28 @@ class TestValueSpectrum:
                  for cap in (0, None)]
         assert zeros[0] == zeros[1] > 0
 
+    @pytest.mark.parametrize("cap, message", [
+        (None, "window size 441 exceeds cap 50"),
+        (1e9, "capped scan of 220 points exceeds cap 50")])
+    def test_window_bound_holds_on_every_path(self, sqrt2_form, cap, message):
+        # the capped planar scan visits the box x in [0, 10], y in [-10, 10]
+        # (220 sign classes), the uncapped one enumerates all 21^2 points
+        with pytest.raises(WindowTooLarge, match=f"^{message}$"):
+            fm.value_spectrum(sqrt2_form, lt.HeightWindow(10, 0, 50), magnitude_cap=cap)
+
+    @pytest.mark.parametrize("H, cap, visited", [(10, 1e9, 220), (1000, 0.9, 2341)])
+    def test_capped_scan_is_bounded_by_the_points_it_visits(self, sqrt2_form, H, cap,
+                                                            visited):
+        # under cap 1e9 the scan visits the whole box at H = 10; under cap
+        # 0.9 only the strips, 2,341 of the 4,004,001 points of the window
+        # at H = 1000
+        spec = fm.value_spectrum(sqrt2_form, lt.HeightWindow(H, 0, visited),
+                                 magnitude_cap=cap)
+        assert spec.entries
+        with pytest.raises(WindowTooLarge, match=f"^capped scan of {visited} points"):
+            fm.value_spectrum(sqrt2_form, lt.HeightWindow(H, 0, visited - 1),
+                              magnitude_cap=cap)
+
     def test_scaled_integers_min_gap(self, rationals, q_inf):
         form = fm.make_form(rationals, q_inf, [[(3, 0), (0, 1)]])
         spec = fm.value_spectrum(form, lt.HeightWindow(10))
@@ -175,6 +198,16 @@ class TestDiscreteness:
     def test_pell_is_discrete(self, pell_form):
         rep = fm.discreteness_report(pell_form, [10, 100, 1000])
         assert rep.verdict == "discrete-trend"
+
+    def test_reconstructing_form_that_accumulates_is_an_anomaly(self, sqrt2_form,
+                                                               monkeypatch):
+        # plant a reconstruction of x(sqrt2 x - y): the report must flag it
+        monkeypatch.setattr(fm, "rationality_reconstruct", lambda form, precision:
+                            fm.ReconstructionResult("reconstructed", g=(1, -1, 0)))
+        rep = fm.discreteness_report(sqrt2_form, [10, 100, 1000])
+        assert rep.verdict == "accumulation-detected"
+        assert rep.anomaly == ("form reconstructs to a rational multiple of "
+                               "(1, -1, 0) yet shows accumulation")
 
     def test_needs_three_windows(self, pell_form):
         with pytest.raises(TooFewWindows):
@@ -359,6 +392,16 @@ class TestReconstruction:
         rep = fm.rationality_reconstruct(form)
         assert rep.status == "no-rational-reconstruction"
         assert "disagrees" in rep.evidence
+
+    def test_complex_ratio_rejected(self, gauss):
+        # x (i x - y) at c0: the ratio -1 / i = i of coefficient 1 to the
+        # pivot i is not real
+        c0 = nf.archimedean_places(gauss)[0]
+        form = fm.make_form(gauss, [c0], [[(1, 0), (gauss.element([0, 1]), -1)]])
+        rep = fm.rationality_reconstruct(form)
+        assert (rep.status, rep.evidence) == (
+            "no-rational-reconstruction",
+            "coefficient 1 at c0 has no bounded-denominator ratio to the pivot")
 
     def test_precision_budget(self, pell_form):
         with pytest.raises(PrecisionBudgetExceeded):
