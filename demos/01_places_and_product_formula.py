@@ -14,7 +14,6 @@ from sadiclab import (
     create_field,
     field_norm,
     finite_places,
-    local_abs,
     s_unit_group,
 )
 
@@ -47,7 +46,7 @@ for name, (field, primes) in fields.items():
         fin = Fraction(1)
         arch = 1.0
         for v in places:
-            a = local_abs(u, v)
+            a = v.abs_value(u)
             if v.kind == "finite":
                 fin *= a
             else:
@@ -61,7 +60,7 @@ gauss = fields["Q(i)"][0]
 z = gauss.element([2, 1])                       # 2 + i
 v5a, v5b = finite_places(gauss, 5)
 c0 = archimedean_places(gauss)[0]
-print("2+i in Q(i):  |.|_complex =", float(local_abs(z, c0)),
+print("2+i in Q(i):  |.|_complex =", float(c0.abs_value(z)),
       " |.| at the two places over 5 =",
-      local_abs(z, v5a), local_abs(z, v5b),
+      v5a.abs_value(z), v5b.abs_value(z),
       " N =", field_norm(z))

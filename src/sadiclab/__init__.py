@@ -10,14 +10,12 @@ reconstruction for decomposable homogeneous forms.
 from .numberfield import (
     NumberField,
     FieldElement,
-    Place,
     ArchimedeanPlace,
     FinitePlace,
     SUnitGroup,
     create_field,
     archimedean_places,
     finite_places,
-    local_abs,
     field_norm,
     s_unit_group,
 )

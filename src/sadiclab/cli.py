@@ -29,10 +29,8 @@ from . import sadic as sd
 from .errors import SadicLabError, SchemaError
 from .scalars import parse_real, to_mpf
 
-DEFAULT_PRECISION = 50
 DEFAULT_H = 50
 DEFAULT_E = 5
-DEFAULT_HENSEL = 30
 
 # lists of rows, and matrices given one per place; each command reads the entries
 _ROWS = {"type": "array", "items": {"type": "array"}}
@@ -288,15 +286,15 @@ def parse_config(source):
         raise SchemaError("/" + "/".join(str(p) for p in path), message)
     with _pointing_at("/min_poly"):
         field = nf.create_field(raw["min_poly"], raw.get("integral_basis"))
-    precision = raw.get("precision", DEFAULT_PRECISION)
-    hensel = raw.get("hensel_precision", DEFAULT_HENSEL)
+    precision = raw.get("precision", nf.DEFAULT_DPS)
+    hensel = raw.get("hensel_precision", nf.HENSEL_DEFAULT_N)
     places = nf.archimedean_places(field)
     for i, p in enumerate(raw.get("places", {}).get("finite_primes", [])):
         with _pointing_at(f"/places/finite_primes/{i}"):
             places.extend(nf.finite_places(field, p, precision=hensel))
     wraw = raw.get("window", {})
     window = lt.HeightWindow(wraw.get("H", DEFAULT_H), wraw.get("E", DEFAULT_E),
-                             wraw.get("cap", 10 ** 8))
+                             wraw.get("cap", lt.WINDOW_CAP))
     return RunConfig(raw=raw, field=field, places=places, precision=precision,
                      window=window, s_units_supplied=raw.get("s_units"))
 
@@ -665,7 +663,8 @@ def _cmd_form_spectrum(cfg, outdir):
         "zero_count": spec.zero_count,
     }
     if len(heights) >= 3:
-        rep = fm.discreteness_report(form, heights, E=E, dps=cfg.precision)
+        rep = fm.discreteness_report(form, heights, E=E, dps=cfg.precision,
+                                     cap=cfg.window.cap)
         out["verdict"] = rep.verdict
         if rep.cluster:
             out["cluster_center"] = rep.cluster.center

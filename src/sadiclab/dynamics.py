@@ -25,7 +25,7 @@ from .errors import (
     TooFewSteps,
 )
 from .lattice import SHIFT_BITS, PointCloud, SLattice
-from .scalars import is_exact, lift_exact, mul, to_field, to_float
+from .scalars import check_det, check_entries, is_exact, mul, to_float
 from .surd import QuadraticSurd
 
 
@@ -43,23 +43,9 @@ class TorusElement:
             diag = tuple(diag)
             if len(diag) != self.n:
                 raise ShapeMismatch("diagonal length must equal n")
-            if place.kind == "finite":
-                for c in diag:
-                    to_field(c, field, place.name)
-            exact = lift_exact(diag)
-            if exact is not None:
-                det = math.prod(exact)
-                if det != 1:
-                    raise ValueError(f"det at {place.name} is {det}, not 1")
-            else:
-                # an all-exact diagonal lands here when an irrational surd
-                # meets a field element; it is embedded at the place
-                embed = all(map(is_exact, diag))
-                det = 1.0
-                for c in diag:
-                    det *= to_float(c, place) if embed else float(c)
-                if abs(det - 1) > 1e-10:
-                    raise ValueError(f"det at {place.name} is {det}, not 1")
+            check_entries([diag], place)
+            check_det([[c if i == j else 0 for j, c in enumerate(diag)]
+                       for i in range(self.n)], place, unimodular=True)
             rows.append(diag)
         self.entries = tuple(rows)
         self.exact = all(is_exact(c) for diag in rows for c in diag)

@@ -33,14 +33,16 @@ from .errors import (
     TooFewWindows,
     WindowTooLarge,
 )
-from .lattice import _UNIT_ROUNDOFF, HeightWindow, _gamma, _window_rows
+from .lattice import (_UNIT_ROUNDOFF, WINDOW_CAP, HeightWindow, _gamma,
+                      _window_rows, witness_text)
 from .numberfield import (
     DEFAULT_DPS,
     FieldElement,
     archimedean_places,
     create_field,
 )
-from .scalars import add, div, is_exact, mul, parse_real, to_field, to_mpf
+from .scalars import (abs_at, add, check_entries, div, is_exact, mul,
+                      parse_real, to_field, to_mpf)
 from .surd import QuadraticSurd
 
 
@@ -100,10 +102,7 @@ class DecomposableForm:
                 raise DependentFactors("per-place factor counts differ")
             self.m = counts.pop()
             for place, per_place in zip(self.places, self.factors):
-                if place.kind == "finite":
-                    for row in per_place:
-                        for c in row:
-                            to_field(c, field, place.name)
+                check_entries(per_place, place)
         else:
             self.m = int(m)
         if self.factors is not None:
@@ -118,9 +117,7 @@ class DecomposableForm:
             self.expansions = [self._expand(per_place)
                                for per_place in self.factors]
         for place, exp in zip(self.places, self.expansions):
-            if place.kind == "finite":
-                for c in exp:
-                    to_field(c, field, place.name)
+            check_entries([exp], place)
 
     @classmethod
     def from_expansion(cls, field, places, n, m, coeffs_per_place, label=""):
@@ -178,20 +175,13 @@ class DecomposableForm:
             out.append(acc if acc is not None else Fraction(0))
         return out
 
-    def magnitudes(self, z, dps=None):
+    def magnitudes(self, z, dps=DEFAULT_DPS):
         """(per-place normalized magnitudes, their product)."""
-        dps, vals, mags = dps or DEFAULT_DPS, self.evaluate(z), []
+        mags = []
         with mp.workdps(dps + 5):
             total = mpf(1)
-            for place, v in zip(self.places, vals):
-                if place.kind == "finite":
-                    m_v = to_mpf(place.abs_value(
-                        to_field(v, self.field, place.name)))
-                elif place.kind == "complex":
-                    num = to_mpf(v, place, dps)
-                    m_v = num.real ** 2 + num.imag ** 2
-                else:
-                    m_v = abs(to_mpf(v, place, dps))
+            for place, v in zip(self.places, self.evaluate(z)):
+                m_v = to_mpf(abs_at(v, place, dps))
                 mags.append(m_v)
                 total *= m_v
             return mags, +total
@@ -285,10 +275,6 @@ class ValueSpectrum:
         return [e.magnitude for e in self.entries]
 
 
-def _format_z(z):
-    return "(" + ", ".join(str(c) for c in z) + ")"
-
-
 def _spectrum_from_pairs(pairs, window, zero_count, candidates):
     """The spectrum of the exact stage's (magnitude mpf, witness str) pairs,
     deduplicated at 1e-30 resolution; the first witness of a value in the
@@ -311,7 +297,7 @@ def _spectrum_from_pairs(pairs, window, zero_count, candidates):
         zero_count=zero_count, candidates=candidates)
 
 
-def value_spectrum(form, window, magnitude_cap=None, dps=None):
+def value_spectrum(form, window, magnitude_cap=None, dps=DEFAULT_DPS):
     """Distinct nonzero value magnitudes of f on the window of O^n.
 
     Two stages.  The candidate stage lists the points in the order that
@@ -329,7 +315,6 @@ def value_spectrum(form, window, magnitude_cap=None, dps=None):
     """
     if magnitude_cap is not None and magnitude_cap < 0:
         raise ValueError(f"magnitude cap must be >= 0, got {magnitude_cap}")
-    dps = dps or DEFAULT_DPS
     integer = _integer_ok(form)
     primes = sorted({p.p for p in form.places if p.kind == "finite"})
     if integer and form.n == 2 and magnitude_cap is not None:
@@ -365,7 +350,7 @@ def _point_refine(form, rows, eexp, primes, dps, cap):
             if total == 0:
                 zero_count += 1
             elif cap is None or total <= cap:
-                pairs.append((total, _format_z(z)))
+                pairs.append((total, witness_text(z)))
     return pairs, zero_count
 
 
@@ -435,7 +420,7 @@ def _integer_refine(form, points, dps, cap=None):
                     total = form.magnitudes([Fraction(c) for c in z], dps)[1]
                 if cap is not None and total > cap:
                     continue
-                pairs.append((total, _format_z(z)))
+                pairs.append((total, witness_text(z)))
     return pairs, zero_count
 
 
@@ -652,32 +637,35 @@ class DiscretenessReport:
 NEW_VALUES_REQUIRED = 3
 
 
-def discreteness_report(form, heights, E=0, dps=None):
+def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP):
     """Growing-window accumulation probe.
 
     accumulation-detected requires a cluster that keeps gaining at least
     NEW_VALUES_REQUIRED distinct values whose distances to the cluster
-    center shrink as the window grows; anything else is discrete-trend,
-    explicitly limited to the tested windows.
+    center shrink as the window grows, that gains values in the last
+    window, and whose smallest internal gap at least halves in every
+    window where it gains: values on a fixed grid, as a rational form
+    takes, fill a range without crowding.  Anything else is
+    discrete-trend, explicitly limited to the tested windows.  `cap`
+    bounds each window's points (`HeightWindow`).
     """
     if len(heights) < 3:
         raise TooFewWindows("need at least three growing windows")
     heights = sorted(heights)
-    first = value_spectrum(form, HeightWindow(heights[0], E), dps=dps)
+    first = value_spectrum(form, HeightWindow(heights[0], E, cap), dps=dps)
     if first.entries:
-        cap = 2.5 * first.min_nonzero
+        mag_cap = 2.5 * first.min_nonzero
     else:
-        cap = 1.0
+        mag_cap = 1.0
     # A capped planar scan streams its box of H (2H + 2) points in blocks,
-    # so each window may visit its whole box; a window that is enumerated
-    # holds more than its box, (2H + 1)^2 points or more, and still meets
-    # the default bound.
-    windows = [HeightWindow(h, E) for h in heights]
-    for w in windows:
-        w.cap = max(w.cap, w.H * (2 * w.H + 2))
-    spectra = [value_spectrum(form, w, magnitude_cap=cap, dps=dps) for w in windows]
+    # so each capped window may visit its whole box; a window that is
+    # enumerated holds more than its box, (2H + 1)^2 points or more, and
+    # still meets `cap`.
+    windows = [HeightWindow(h, E, max(cap, h * (2 * h + 2))) for h in heights]
+    spectra = [value_spectrum(form, w, magnitude_cap=mag_cap, dps=dps)
+               for w in windows]
     base_gap = spectra[0].min_gap
-    rho = base_gap / 4 if math.isfinite(base_gap) else cap / 10
+    rho = base_gap / 4 if math.isfinite(base_gap) else mag_cap / 10
     final = spectra[-1]
     clusters = _group_by_gap(final.entries, rho)
     best = None
@@ -689,18 +677,21 @@ def discreteness_report(form, heights, E=0, dps=None):
         center = group[len(group) // 2].magnitude
         counts = []
         max_dists = []
+        min_gaps = []
         for spec in spectra:
-            inside = [e for e in spec.entries if lo - 1e-15 <= e.magnitude <= hi + 1e-15]
+            inside = [e.magnitude for e in spec.entries
+                      if lo - 1e-15 <= e.magnitude <= hi + 1e-15]
             counts.append(len(inside))
-            new_d = [abs(e.magnitude - center) for e in inside]
-            max_dists.append(max(new_d) if new_d else 0.0)
-        if counts[-1] - counts[0] < NEW_VALUES_REQUIRED:
+            max_dists.append(max((abs(m - center) for m in inside), default=0.0))
+            min_gaps.append(min((b - a for a, b in zip(inside, inside[1:])),
+                                default=math.inf))
+        if counts[-1] - counts[0] < NEW_VALUES_REQUIRED or counts[-1] == counts[-2]:
             continue
-        # distances of newly gained values must not spread out
-        shrinking = all(
-            counts[i + 1] == counts[i] or max_dists[i + 1] <= max_dists[i] + rho
-            for i in range(len(counts) - 1))
-        if not shrinking:
+        # distances of newly gained values must not spread out, and the
+        # values must crowd where they are gained
+        gains = [i for i in range(len(counts) - 1) if counts[i + 1] != counts[i]]
+        if not all(max_dists[i + 1] <= max_dists[i] + rho and
+                   min_gaps[i + 1] <= min_gaps[i] / 2 for i in gains):
             continue
         evidence = ClusterEvidence(
             center=center,
@@ -710,7 +701,7 @@ def discreteness_report(form, heights, E=0, dps=None):
             best = evidence
     verdict = "accumulation-detected" if best else "discrete-trend"
     anomaly = ""
-    recon = rationality_reconstruct(form, precision=max(dps or DEFAULT_DPS, 40))
+    recon = rationality_reconstruct(form, precision=max(dps, 40))
     if recon.status == "reconstructed" and verdict == "accumulation-detected":
         # a rational multiple of an integral form takes scaled-integer
         # values; accumulation here can only be an implementation bug

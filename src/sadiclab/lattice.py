@@ -47,8 +47,8 @@ import numpy as np
 
 from . import linalg
 from . import polyarith as pa
-from .errors import NotInField, NotUnimodular, ShapeMismatch, WindowTooLarge
-from .scalars import lift_exact, to_field, to_float
+from .errors import NotInField, ShapeMismatch, WindowTooLarge
+from .scalars import check_det, check_entries, to_field, to_float
 
 _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
 
@@ -64,11 +64,13 @@ _ZERO_EXP = -(1 << 24)       # int32 frexp exponent of 0; any below _ZERO_EXP / 
 # _ZERO_EXP / 2 and every zero at or below it.
 SHIFT_BITS = -_ZERO_EXP // 4
 
+WINDOW_CAP = 10 ** 8         # the default bound on a window's points
+
 
 class HeightWindow:
     """Numerator height H and denominator exponent E, with a size cap."""
 
-    def __init__(self, H, E=0, cap=10 ** 8):
+    def __init__(self, H, E=0, cap=WINDOW_CAP):
         if H < 1 or E < 0:
             raise ValueError("need H >= 1 and E >= 0")
         self.H = int(H)
@@ -109,16 +111,14 @@ class SLattice:
             raise ShapeMismatch("one matrix per place required")
         mats = []
         for place, mat in zip(self.places, g):
-            rows = [tuple(row) for row in mat]
+            rows = tuple(tuple(row) for row in mat)
             if len(rows) != self.n or any(len(r) != self.n for r in rows):
                 raise ShapeMismatch(f"matrix at {place.name} is not {n}x{n}")
-            if place.kind == "finite":
-                for row in rows:
-                    for c in row:
-                        to_field(c, field, place.name)
-            mats.append(tuple(rows))
+            check_entries(rows, place)
+            mats.append(rows)
         self.g = tuple(mats)
-        self._check_determinants()
+        for place, mat in zip(self.places, self.g):
+            check_det(mat, place, unimodular)
 
     @classmethod
     def identity(cls, field, places, n):
@@ -138,24 +138,6 @@ class SLattice:
                           for c in row] for row in mat])
         return {"n": self.n, "provenance": self.provenance,
                 "places": [p.name for p in self.places], "matrices": mats}
-
-    def _check_determinants(self):
-        n = self.n
-        for place, mat in zip(self.places, self.g):
-            exact = lift_exact([c for row in mat for c in row])
-            if exact is not None:
-                det = linalg.det([exact[i * n:(i + 1) * n] for i in range(n)])
-                if det == 0:
-                    raise NotUnimodular(f"singular matrix at {place.name}")
-                if self.unimodular and det != 1:
-                    raise NotUnimodular(f"det at {place.name} is {det}, not 1")
-            else:
-                gf = np.array([[to_float(c, place) for c in row] for row in mat])
-                det = np.linalg.det(gf)
-                if abs(det) < 1e-12:
-                    raise NotUnimodular(f"singular matrix at {place.name}")
-                if self.unimodular and abs(det - 1) > 1e-10:
-                    raise NotUnimodular(f"det at {place.name} is {det}, not 1")
 
     @property
     def finite_places(self):
@@ -194,6 +176,11 @@ def _window_rows(ncoords, primes, window):
             keep &= ~(np.repeat(all_div, reps) & (eexp[:, t] > 0))
         numerators, eexp = numerators[keep], eexp[keep]
     return numerators, eexp
+
+
+def witness_text(z):
+    """The witness string "(c1, ..., cn)" of an exact point."""
+    return "(" + ", ".join(str(c) for c in z) + ")"
 
 
 def _numerator_grid(ncoords, H):
@@ -360,8 +347,7 @@ class PointCloud:
         """Witness string of one point, built once per index."""
         text = self._formatted.get(idx)
         if text is None:
-            text = self._formatted[idx] = \
-                "(" + ", ".join(str(e) for e in self.point(idx)) + ")"
+            text = self._formatted[idx] = witness_text(self.point(idx))
         return text
 
     def report(self, min_content, ic, min_supnorm, isup):

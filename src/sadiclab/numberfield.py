@@ -98,12 +98,6 @@ class NumberField:
     def one(self):
         return self.element([1])
 
-    def sqrt_disc(self):
-        """The element 2*theta + c1 whose square is the discriminant (d = 2)."""
-        if self.degree != 2:
-            raise ValueError("sqrt_disc is only defined for quadratic fields")
-        return self.element([self.min_poly[1], 2])
-
     def from_integral_coords(self, coords, denominator=1):
         """sum_l c_l b_l / denominator for integers c_l over the integral basis.
 
@@ -276,16 +270,7 @@ class FieldElement:
 # Places
 
 
-class Place:
-    """Base class; concrete kinds are real, complex and finite."""
-
-    kind = None
-
-    def abs_value(self, elem, dps=None):
-        raise NotImplementedError
-
-
-class ArchimedeanPlace(Place):
+class ArchimedeanPlace:
     """A real place, or one complex place per conjugate pair.
 
     `kind` is "real" or "complex", and the name r<index> or c<index>.
@@ -303,11 +288,10 @@ class ArchimedeanPlace(Place):
         self.start = start
         self._roots = {}
 
-    def root(self, dps=None):
+    def root(self, dps=DEFAULT_DPS):
         """The root at dps digits, memoised per dps: Newton's iteration
         from `start`, at dps + 15 digits until a step is below
         10^-(dps + 10)."""
-        dps = dps or DEFAULT_DPS
         if dps not in self._roots:
             m = list(map(Fraction, self.field.min_poly))
             dm = pa.derivative(m)
@@ -326,25 +310,24 @@ class ArchimedeanPlace(Place):
         root = self.root(17)
         return complex(root) if self.kind == "complex" else float(root)
 
-    def evaluate(self, elem, dps=None):
-        dps = dps or DEFAULT_DPS
+    def evaluate(self, elem, dps=DEFAULT_DPS):
         with mp.workdps(dps + 10):
             return +_horner_mp(list(elem.coords), self.root(dps))
 
-    def abs_value(self, elem, dps=None):
+    def abs_value(self, elem, dps=DEFAULT_DPS):
         if elem.is_zero():
             return mpf(0)
         v = self.evaluate(elem, dps)
         if self.kind == "real":
             return abs(v)
-        with mp.workdps((dps or DEFAULT_DPS) + 10):
+        with mp.workdps(dps + 10):
             return +(v.real * v.real + v.imag * v.imag)
 
     def __repr__(self):
         return f"ArchimedeanPlace({self.name}, start={self.start})"
 
 
-class FinitePlace(Place):
+class FinitePlace:
     kind = "finite"
 
     def __init__(self, field, p, factor_mod_p, residue_degree, precision=HENSEL_DEFAULT_N,
@@ -403,7 +386,8 @@ class FinitePlace(Place):
                     f"resultant divisible by {place.p}^{place.precision} at the cap")
             place = place.refined()
 
-    def abs_value(self, elem, dps=None):
+    def abs_value(self, elem, dps=DEFAULT_DPS):
+        """p^(-f ord), exact at any dps."""
         if elem.is_zero():
             return Fraction(0)
         val = self.valuation(elem)
@@ -519,11 +503,6 @@ def finite_places(field, p, precision=HENSEL_DEFAULT_N):
     return places
 
 
-def local_abs(elem, place):
-    """Normalized |elem|_v: mpf at archimedean places, exact Fraction at finite."""
-    return place.abs_value(elem)
-
-
 def field_norm(elem):
     """The rational norm of an element, via an exact resultant."""
     field = elem.field
@@ -575,7 +554,7 @@ def _check_unit_invariant(u, places):
                 f"product of |u|_v over S is {total}, not 1, for {u!r}")
 
 
-def _torsion_generator(field, places):
+def _torsion_generator(field):
     """Maximal-order root of unity (search over small coordinates)."""
     if field.degree == 1:
         return field.element([-1])
@@ -613,10 +592,10 @@ def _pell_fundamental_unit(field):
     criterion is not conclusive).
     """
     D = field.discriminant
-    sqrt_disc = field.sqrt_disc()
+    root_d = field.element([field.min_poly[1], 2])      # its square is D
 
     def unit_from(x, y):
-        return field.element([Fraction(x, 2), 0]) + sqrt_disc * Fraction(y, 2)
+        return field.element([Fraction(x, 2), 0]) + root_d * Fraction(y, 2)
 
     for y in range(1, 200):
         for sign in (-4, 4):
@@ -703,23 +682,14 @@ def s_unit_group(field, places, supplied=None):
         raise ValueError("S must contain all archimedean places")
     if supplied is not None:
         gens = [field.element(c) for c in supplied]
-        group = SUnitGroup(field, places, gens, _torsion_generator(field, places),
-                           rank=len(gens))
-        return group
-    r1 = sum(1 for v in expected if v.kind == "real")
-    r2 = sum(1 for v in expected if v.kind == "complex")
-    dirichlet = r1 + r2 - 1
-    if field.degree == 1:
-        gens = [field.element([v.p]) for v in sorted(finite, key=lambda v: v.p)]
-        return SUnitGroup(field, places, gens, field.element([-1]),
+        return SUnitGroup(field, places, gens, _torsion_generator(field),
                           rank=len(gens))
-    if field.degree == 2:
+    if field.degree <= 2:
         gens = []
-        if field.discriminant > 0:
+        if field.degree == 2 and field.discriminant > 0:
             gens.append(_pell_fundamental_unit(field))
         gens.extend(_finite_generators(field, finite))
-        torsion = _torsion_generator(field, places)
-        return SUnitGroup(field, places, gens, torsion,
-                          rank=dirichlet + len(finite))
+        return SUnitGroup(field, places, gens, _torsion_generator(field),
+                          rank=len(arch) - 1 + len(finite))
     raise UnsupportedFieldWithoutConfig(
         f"degree-{field.degree} fields need s_units in the configuration")

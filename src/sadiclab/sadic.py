@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 from .errors import ZeroComponent
 from .linalg import float_rank
 from .numberfield import DEFAULT_DPS
-from .scalars import is_exact, mul, to_field, to_mpf
+from .scalars import abs_at, check_entries, is_exact, mul, to_mpf
 
 
 class SAdicVector:
@@ -37,9 +37,7 @@ class SAdicVector:
         comps = []
         for place, comp in zip(self.places, components):
             comp = tuple(comp)
-            if place.kind == "finite":
-                for c in comp:
-                    to_field(c, place.field, place.name)
+            check_entries([comp], place)
             comps.append(comp)
         if len(comps) != len(self.places):
             raise ValueError("one component per place required")
@@ -63,15 +61,7 @@ class SAdicVector:
 def _local_norm(place, comp, dps):
     """Normalized norm of one local vector."""
     if place.kind == "finite":
-        best = Fraction(0)
-        for c in comp:
-            elem = to_field(c, place.field, place.name)
-            if elem.is_zero():
-                continue
-            a = place.abs_value(elem)
-            if a > best:
-                best = a
-        return best
+        return max((abs_at(c, place, dps) for c in comp), default=Fraction(0))
     with mp.workdps(dps + 10):
         if place.kind == "real":
             acc = mpf(0)
@@ -86,9 +76,8 @@ def _local_norm(place, comp, dps):
         return +acc        # squared standard norm: the normalized complex convention
 
 
-def sup_norm(x, dps=None):
+def sup_norm(x, dps=DEFAULT_DPS):
     """max over places of the normalized local norm."""
-    dps = dps or DEFAULT_DPS
     best = mpf(0)
     for place, comp in zip(x.places, x.components):
         v = to_mpf(_local_norm(place, comp, dps))
@@ -97,14 +86,12 @@ def sup_norm(x, dps=None):
     return best
 
 
-def local_norms(x, dps=None):
-    dps = dps or DEFAULT_DPS
+def local_norms(x, dps=DEFAULT_DPS):
     return [_local_norm(p, c, dps) for p, c in zip(x.places, x.components)]
 
 
-def content(x, dps=None):
+def content(x, dps=DEFAULT_DPS):
     """Product over S of the local norms; zero if any component vanishes."""
-    dps = dps or DEFAULT_DPS
     acc = mpf(1)
     for place, comp in zip(x.places, x.components):
         v = _local_norm(place, comp, dps)
@@ -153,7 +140,7 @@ def _unit_log_vectors(units, places, dps):
         for u in units.generators:
             row = []
             for place in places:
-                a = place.abs_value(u, dps) if place.kind != "finite" else place.abs_value(u)
+                a = place.abs_value(u, dps)
                 if isinstance(a, Fraction):
                     row.append(math.log(a.numerator) - math.log(a.denominator))
                 else:

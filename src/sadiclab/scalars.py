@@ -1,4 +1,5 @@
-"""The package's scalar rules: combining, embedding and membership in K.
+"""The package's scalar rules: combining, embedding, membership in K, and
+the per-place checks built on them.
 
 Six kinds of scalar meet in the lab: exact elements of K (`FieldElement`),
 real quadratic irrationals (`QuadraticSurd`), int and `Fraction`, and
@@ -17,6 +18,10 @@ float, mpf and mpc for generic points of a completion K_v.
 * Membership.  `to_field` is the one test of what counts as an element of
   K, e.g. at a finite place; `lift_exact` lifts the surds of a matrix
   with field-element entries into K, for the raw operators of `linalg`.
+* Places.  An element of G is one matrix (or vector) per place, and three
+  rules apply place by place: `check_entries` (finite-place entries lie
+  in K, so valuations stay exact), `check_det` (a matrix has determinant
+  1, or at least a nonzero one) and `abs_at` (the normalized |c|_v).
 * Parsing.  `parse_real` reads an exact real, including the config's
   {"a", "b", "d"} spec of a + b sqrt(d).
 """
@@ -24,9 +29,11 @@ float, mpf and mpc for generic points of a completion K_v.
 import operator
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .errors import NotInField
+from . import linalg
+from .errors import NotInField, NotUnimodular
 from .numberfield import DEFAULT_DPS, FieldElement
 from .surd import QuadraticSurd
 
@@ -143,6 +150,50 @@ def to_field(c, field, where=None):
         raise NotInField(f"{c!r} is not an exact element of K")
     raise NotInField(
         f"finite-place entry {c!r} at {where} is not an exact element of K")
+
+
+def check_entries(rows, place):
+    """Raise `NotInField` unless every entry of rows at a finite place lies
+    in the place's field; an archimedean place takes any entry."""
+    if place.kind == "finite":
+        for row in rows:
+            for c in row:
+                to_field(c, place.field, place.name)
+
+
+def check_det(rows, place, unimodular):
+    """Raise `NotUnimodular` if the square matrix rows at `place` is
+    singular, or, when `unimodular`, has a determinant other than 1.
+
+    Entries that `lift_exact` lifts decide exactly; any others decide on
+    the float64 determinant of their `to_float` embedding, within 1e-12
+    of 0 and 1e-10 of 1.
+    """
+    n = len(rows)
+    exact = lift_exact([c for row in rows for c in row])
+    if exact is not None:
+        det = linalg.det([exact[i * n:(i + 1) * n] for i in range(n)])
+        singular, off = det == 0, det != 1
+    else:
+        det = np.linalg.det(np.array([[to_float(c, place) for c in row]
+                                      for row in rows]))
+        singular, off = abs(det) < 1e-12, abs(det - 1) > 1e-10
+    if singular:
+        raise NotUnimodular(f"singular matrix at {place.name}")
+    if unimodular and off:
+        raise NotUnimodular(f"det at {place.name} is {det}, not 1")
+
+
+def abs_at(c, place, dps):
+    """The normalized |c|_v: exact at a finite place, where c must lie in
+    K; at an archimedean place the modulus of c's value at dps digits,
+    squared at a complex place, in the caller's mpmath context."""
+    if place.kind == "finite":
+        return place.abs_value(to_field(c, place.field, place.name))
+    v = to_mpf(c, place, dps)
+    if place.kind == "complex":
+        return v.real ** 2 + v.imag ** 2
+    return abs(v)
 
 
 def parse_real(spec):

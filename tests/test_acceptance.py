@@ -56,7 +56,7 @@ def _assert_unit_product(u, places):
     arch = mpf(1)
     with mp.workdps(50):
         for v in places:
-            a = nf.local_abs(u, v)
+            a = v.abs_value(u)
             if v.kind == "finite":
                 fin *= a
             else:

@@ -400,7 +400,9 @@ class TestRun:
 
     @pytest.mark.parametrize("spectrum, message", [
         ({"heights": [10]}, "window size 441 exceeds cap 50"),
-        ({"heights": [10], "cap": 1e9}, "capped scan of 220 points exceeds cap 50")])
+        ({"heights": [10], "cap": 1e9}, "capped scan of 220 points exceeds cap 50"),
+        # the capped scan at H = 8 fits, the report's uncapped first window not
+        ({"heights": [6, 7, 8], "cap": 0.9}, "window size 169 exceeds cap 50")])
     def test_form_spectrum_keeps_the_window_cap(self, tmp_path, capsys, spectrum,
                                                 message):
         config = {"min_poly": [0, 1], "window": {"cap": 50},
@@ -409,6 +411,16 @@ class TestRun:
         assert cli.main(["--config", json.dumps(config),
                          "--out", str(tmp_path), "form-spectrum"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("second", [["9", "-7/9"], ["9/7", "-1/9"]])
+    def test_rational_controls_are_discrete(self, tmp_path, second):
+        config = {"min_poly": [0, 1], "form": {"factors": [[1, 0], second]},
+                  "spectrum": {"heights": [10, 100, 1000], "cap": 0.9}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 0
+        data = json.loads((tmp_path / "form-spectrum.json").read_text())
+        assert data["verdict"] == "discrete-trend"
+        assert "anomalies" not in data
 
     def test_norm_form(self, tmp_path):
         config = {"min_poly": [0, 1],

@@ -94,7 +94,7 @@ def test_cubic_norm_consistency_at_finite_places():
             n = nf.field_norm(a)
             prod = Fraction(1)
             for v in places:
-                prod *= nf.local_abs(a, v)
+                prod *= v.abs_value(a)
             vp = 0
             num, den = abs(n.numerator), n.denominator
             while num % p == 0:

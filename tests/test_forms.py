@@ -209,6 +209,11 @@ class TestDiscreteness:
         assert rep.anomaly == ("form reconstructs to a rational multiple of "
                                "(1, -1, 0) yet shows accumulation")
 
+    def test_capped_windows_may_visit_their_box(self, sqrt2_form):
+        # 441 points at H = 10; the boxes at H = 100 and 1000 are larger
+        rep = fm.discreteness_report(sqrt2_form, [10, 100, 1000], cap=441)
+        assert rep == fm.discreteness_report(sqrt2_form, [10, 100, 1000])
+
     def test_needs_three_windows(self, pell_form):
         with pytest.raises(TooFewWindows):
             fm.discreteness_report(pell_form, [10, 100])

@@ -36,7 +36,7 @@ from sadiclab import forms as fm
 from sadiclab import numberfield as nf
 from sadiclab import sadic as sd
 from sadiclab import scalars as sc
-from sadiclab.errors import NotInField
+from sadiclab.errors import NotInField, NotUnimodular
 from sadiclab.lattice import SLattice
 from sadiclab.numberfield import DEFAULT_DPS, FieldElement
 from sadiclab.surd import QuadraticSurd
@@ -362,6 +362,32 @@ class TestFiniteMembership:
             fm.DecomposableForm(Q, self.places, 2,
                                 [[(1, 0), (0, 1)], [(s2, 0), (0, 1)]])
 
+    def test_every_constructor_rejects_one_entry_alike(self):
+        s2 = QuadraticSurd.sqrt(2)
+        eye = [[1, 0], [0, 1]]
+        builds = [
+            lambda: dy.TorusElement(Q, self.places[1:], 2, [[s2, 1]]),
+            lambda: sd.SAdicVector(self.places, [(1, 0), (s2, 0)]),
+            lambda: SLattice(Q, self.places, 2, [eye, [[s2, 0], [0, 1]]]),
+            lambda: fm.make_form(Q, self.places, [eye, [(s2, 0), (0, 1)]]),
+        ]
+        texts = []
+        for build in builds:
+            with pytest.raises(NotInField) as err:
+                build()
+            texts.append(str(err.value))
+        assert texts == [f"finite-place entry {s2!r} at p2_0 is not an exact "
+                         "element of K"] * 4
+
+    def test_lattice_checks_entries_before_determinants(self):
+        s2 = QuadraticSurd.sqrt(2)
+        with pytest.raises(NotInField, match="at p2_0"):
+            SLattice(Q, self.places, 2, [[[0, 0], [0, 0]], [[s2, 0], [0, 1]]])
+
+    def test_zero_diagonal_entry_is_singular(self):
+        with pytest.raises(NotUnimodular, match=r"^singular matrix at r0$"):
+            dy.TorusElement(Q, self.places[:1], 2, [[0, 1]])
+
 
 # ---------------------------------------------------------------------------
 # The rules live in one module
@@ -392,6 +418,22 @@ def test_no_scalar_type_dispatch_outside_scalars():
                 if names & _SCALAR_TYPES or any("EXACT" in n for n in names):
                     offences.append(f"{mod}.py:{node.lineno}")
     assert offences == []
+
+
+# The determinant rule is `scalars.check_det`: no module but `scalars` and
+# `linalg` calls a `det` (`linalg.det` or `np.linalg.det`).
+
+
+def test_determinants_only_in_scalars():
+    src = pathlib.Path(sc.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("scalars", "linalg"):
+            continue
+        calls += [f"{path.stem}.py:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) and "det" in _names(node.func)]
+    assert calls == []
 
 
 # Every module-level function and class of the package, and every method

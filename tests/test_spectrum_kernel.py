@@ -46,7 +46,7 @@ def exact_scan(form, H):
             if total == 0:
                 zeros.append((x, y))
             else:
-                pairs.append((total, fm._format_z(z)))
+                pairs.append((total, lt.witness_text(z)))
     return pairs, zeros
 
 
@@ -274,7 +274,7 @@ def window_scan(form, H):
         if total == 0:
             zeros += 1
         else:
-            pairs.append((total, fm._format_z(row)))
+            pairs.append((total, lt.witness_text(row)))
     return pairs, zeros
 
 
