@@ -30,6 +30,7 @@ from .errors import (
     NormFormNotIntegral,
     NotInField,
     PrecisionBudgetExceeded,
+    ShapeMismatch,
     TooFewWindows,
     WindowTooLarge,
 )
@@ -93,6 +94,10 @@ class DecomposableForm:
         self.places = list(places)
         self.n = int(n)
         self.label = label
+        given = factors if factors is not None else _expansions
+        if len(given) != len(self.places):
+            raise ShapeMismatch(
+                f"{len(given)} per-place lists for {len(self.places)} places")
         self.factors = None
         if factors is not None:
             self.factors = [tuple(tuple(row) for row in per_place)

@@ -570,7 +570,7 @@ def _gamma(k):
 
 def _residue(u, h, f, modulus):
     """Coefficients of the integer polynomial u mod the monic h, mod modulus."""
-    r = [int(c) % modulus for c in pa.poly_mod(u, h)]
+    r = pa.rem_mod(u, h, modulus)
     return r + [0] * (f - len(r))
 
 

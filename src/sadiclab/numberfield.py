@@ -13,10 +13,12 @@ a Hensel-lifted local factor (or, equivalently, from the residue mod that
 factor, which is how `lattice.PointCloud` values whole clouds).
 """
 
+import cmath
 import functools
 import operator
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm, pi, prod
 
 from mpmath import mp, mpf, mpc
 
@@ -34,6 +36,7 @@ from .errors import (
 DEFAULT_DPS = 50
 HENSEL_DEFAULT_N = 30
 HENSEL_CAP_N = 480
+FLOAT_ROOT_SWEEPS = 100
 
 
 class NumberField:
@@ -452,7 +455,8 @@ def archimedean_places(field):
 
     A real root's Newton start is the midpoint of its isolating interval
     refined below width 2^-30, or the root itself over Q; a complex one's
-    is the root that mpmath's polyroots finds.
+    is its float64 value from `_float_roots`, read as a pair of Fractions,
+    with the real part exact on a line of symmetry (`_complex_places`).
     """
     m = list(map(Fraction, field.min_poly))
     if field.degree == 1:
@@ -468,16 +472,74 @@ def archimedean_places(field):
 
 
 def _complex_places(field, r2):
-    with mp.workdps(DEFAULT_DPS + 20):
-        roots = mp.polyroots([mpf(c) for c in reversed(field.min_poly)],
-                             maxsteps=200, extraprec=80)
-        upper = [r for r in roots if mp.im(r) > 0]
-        upper.sort(key=lambda r: (mp.re(r), mp.im(r)))
-        if len(upper) != r2:
-            raise ArithmeticError("complex root pairing failed")
-        return [ArchimedeanPlace(field, "complex", i, (Fraction(str(mp.re(r))),
-                                                       Fraction(str(mp.im(r)))))
-                for i, r in enumerate(upper)]
+    """One place per root in the upper half-plane, ordered by its start.
+
+    The float roots whose imaginary part is above a tolerance must be r2
+    roots, pairwise farther apart than it.  A root within the tolerance of
+    the line Re x = c of `_line_root_count` starts with real part exactly
+    c, and there must be as many of them as the exact count of roots on
+    the line: so a purely imaginary root starts at real part 0, which
+    Newton's iteration keeps, and the order of such roots does not rest
+    on float noise.
+    """
+    c, on_line = _line_root_count(field.min_poly)
+    tol = 1e-9 * (1 + max(map(abs, field.min_poly[:-1])))    # Cauchy's bound
+    starts, snapped = [], 0
+    for z in _float_roots(field.min_poly):
+        if z.imag > tol:
+            if on_line and abs(z.real - c) <= tol:
+                starts.append((c, Fraction(z.imag)))
+                snapped += 1
+            else:
+                starts.append((Fraction(z.real), Fraction(z.imag)))
+    near = any(abs(complex(*a) - complex(*b)) <= tol
+               for a, b in combinations(starts, 2))
+    if len(starts) != r2 or snapped != on_line or near:
+        raise ArithmeticError("complex root pairing failed")
+    return [ArchimedeanPlace(field, "complex", i, start)
+            for i, start in enumerate(sorted(starts))]
+
+
+def _line_root_count(m):
+    """(c, k): c = -a_(d-1)/d, and the number k of roots c + iy, y > 0.
+
+    If an irreducible m has a root c' + iy, y != 0, with c' rational, then
+    g = m(x + c') has the roots iy and -iy, so g(-x) = +-g(x), the minimal
+    polynomial of iy, and g is even (an odd g has the root 0).  The roots
+    of an even g sum to 0, so c' = c.  So k = 0 unless g = m(x + c) is
+    even, and then k is the number of positive real roots of h(y) = g(iy),
+    whose y^(2j) coefficient is that of g times (-1)^j, counted exactly by
+    a Sturm sequence.  With c = u / v, g is taken times v^d, which makes
+    its coefficients integers.
+    """
+    c = Fraction(-m[-2], len(m) - 1)
+    g = []
+    for k, a in enumerate(reversed(m)):
+        g = pa.add(pa.mul(g, [c.numerator, c.denominator]), [a * c.denominator ** k])
+    if any(g[1::2]):
+        return c, 0
+    h = [a if j % 4 == 0 else -a for j, a in enumerate(g)]
+    return c, pa.count_real_roots(h, 0, pa.cauchy_bound(h))
+
+
+def _float_roots(coeffs):
+    """All roots of a monic integer polynomial as complex floats, by the
+    Durand-Kerner iteration from points spread on a circle that holds
+    every root."""
+    d = len(coeffs) - 1
+    radius = 2 * max(abs(a) ** (1 / (d - k)) for k, a in enumerate(coeffs[:-1]))
+    # turned off the real axis: real or mirror-image starts would stay so
+    z = [radius * cmath.exp(1j * (2 * pi * k / d + 0.4)) for k in range(d)]
+    for _ in range(FLOAT_ROOT_SWEEPS):
+        moved = 0.0
+        for i in range(d):
+            step = pa.evaluate(coeffs, z[i]) / prod(z[i] - w for j, w in enumerate(z)
+                                                     if j != i)
+            z[i] -= step
+            moved = max(moved, abs(step))
+        if moved <= 1e-15 * radius:
+            break
+    return z
 
 
 def finite_places(field, p, precision=HENSEL_DEFAULT_N):

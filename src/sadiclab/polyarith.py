@@ -15,7 +15,7 @@ mod a good prime, Hensel-lift past the Mignotte bound, recombine).
 
 from fractions import Fraction
 from itertools import combinations, count, islice
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 
 
 def trim(p):
@@ -98,18 +98,50 @@ def derivative(p):
 
 
 def sturm_chain(p):
-    chain = [list(p), derivative(p)]
+    """The Sturm sequence of p, each member a positive rational multiple of
+    the textbook one, as a primitive integer polynomial: the signs, which
+    are all that a root count reads, are the same."""
+    chain = [_primitive(p), _primitive(derivative(p))]
     while chain[-1]:
-        r = poly_mod(chain[-2], chain[-1])
-        chain.append(neg(r))
+        chain.append(_primitive(neg(_positive_prem(chain[-2], chain[-1]))))
     chain.pop()
     return chain
 
 
+def _primitive(p):
+    """The primitive integer polynomial that is a positive multiple of p."""
+    den = lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g else []
+
+
+def _positive_prem(p, q):
+    """The remainder of |lc(q)|^k p by q in integers, k the number of
+    reduction steps: a positive multiple of the remainder of p by q."""
+    r, d = list(p), degree(q)
+    lead = abs(q[-1])
+    sign = 1 if q[-1] > 0 else -1
+    while len(r) - 1 >= d:
+        k, c = len(r) - 1 - d, sign * r[-1]
+        r = [lead * a for a in r]
+        for i in range(d + 1):
+            r[k + i] -= c * q[i]
+        trim(r)
+    return r
+
+
 def _sign_changes(chain, x):
+    """Sign changes of the chain at the rational x = n / m, each member
+    evaluated as m^deg q(n / m) in integers."""
+    x = Fraction(x)
+    n, m = x.numerator, x.denominator
     signs = []
     for q in chain:
-        v = evaluate(q, x)
+        v, w = 0, 1
+        for c in reversed(q):
+            v = v * n + c * w
+            w *= m
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -257,6 +289,11 @@ def _divmod_monic_mod(p, q, m):
     return trim(quot), r
 
 
+def rem_mod(p, q, m):
+    """The remainder of an integer p by a monic q, coefficients in [0, m)."""
+    return _divmod_monic_mod(p, q, m)[1]
+
+
 def gf_gcdex_poly(f, g, p):
     """Extended gcd over GF(p): returns (s, t, h) with s f + t g = h, h monic."""
     r0, r1 = _mod_poly(f, p), _mod_poly(g, p)
@@ -332,20 +369,16 @@ def hensel_lift_factors(f, factors, p, N):
 # ---------------------------------------------------------------------------
 # Factorization over F_p and irreducibility over Q (Cohen, GTM 138, 3.4-3.5)
 
-def _rem_mod(p, q, m):
-    return _divmod_monic_mod(p, q, m)[1]
-
-
 def _pow_mod(b, e, g, p):
     """b^e mod (g, p) by repeated squaring; g monic of degree >= 1."""
     out = [1]
-    b = _rem_mod(b, g, p)
+    b = rem_mod(b, g, p)
     while e:
         if e & 1:
-            out = _rem_mod(_mul_mod(out, b, p), g, p)
+            out = rem_mod(_mul_mod(out, b, p), g, p)
         e >>= 1
         if e:
-            b = _rem_mod(_mul_mod(b, b, p), g, p)
+            b = rem_mod(_mul_mod(b, b, p), g, p)
     return out
 
 
@@ -365,7 +398,7 @@ def _distinct_degree(f, p):
         if g != [1]:
             out.append((g, i))
             f = _divmod_monic_mod(f, g, p)[0]
-            h = _rem_mod(h, f, p)
+            h = rem_mod(h, f, p)
     if degree(f) > 0:
         out.append((f, degree(f)))
     return out
@@ -392,7 +425,7 @@ def _equal_degree(g, i, p):
         if p == 2:
             t = b = a
             for _ in range(i - 1):
-                b = _rem_mod(_mul_mod(b, b, p), g, p)
+                b = rem_mod(_mul_mod(b, b, p), g, p)
                 t = _mod_poly(add(t, b), p)
         else:
             t = _sub_mod(_pow_mod(a, (p ** i - 1) // 2, g, p), [1], p)

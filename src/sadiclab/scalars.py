@@ -26,6 +26,7 @@ float, mpf and mpc for generic points of a completion K_v.
   {"a", "b", "d"} spec of a + b sqrt(d).
 """
 
+import numbers
 import operator
 from fractions import Fraction
 
@@ -103,7 +104,8 @@ def to_mpf(c, place=None, dps=DEFAULT_DPS):
 
     A `FieldElement` is evaluated at the archimedean `place` with `dps`
     digits, a `QuadraticSurd` at `dps` digits; without a place a field
-    element raises TypeError.
+    element raises TypeError, and so does anything that is not a number
+    (mpmath would read a pair as a raw mantissa and exponent).
     """
     t = type(c)
     if t is mpf or t is mpc:
@@ -116,9 +118,14 @@ def to_mpf(c, place=None, dps=DEFAULT_DPS):
         if place is None:
             raise TypeError("cannot mix field elements with floats")
         return place.evaluate(c, dps)
-    if isinstance(c, complex):
+    if isinstance(c, numbers.Integral):
+        return mpf(int(c))
+    if isinstance(c, numbers.Real):
+        return mpf(float(c))
+    if isinstance(c, numbers.Complex):
+        c = complex(c)
         return mpc(c.real, c.imag)
-    return mpf(c)
+    raise TypeError(f"{c!r} is not a number")
 
 
 def to_float(c, place):

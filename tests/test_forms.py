@@ -16,6 +16,7 @@ from sadiclab.errors import (
     DegenerateBasis,
     DependentFactors,
     PrecisionBudgetExceeded,
+    ShapeMismatch,
     TooFewWindows,
     WindowTooLarge,
 )
@@ -51,6 +52,25 @@ class TestMakeForm:
                          [[(1, 0), (1, 0), (PHI, -1)]])
         with pytest.raises(DependentFactors):
             fm.make_form(rationals, q_inf, [[(1, 0), (2, 0)]])
+
+    def test_one_factor_list_per_place(self, root2_field):
+        # one list for the two real places of Q(sqrt2) used to be accepted,
+        # and `evaluate` then ended in IndexError
+        r0, r1 = nf.archimedean_places(root2_field)
+        rows = [(1, 0), (0, 1)]
+        with pytest.raises(ShapeMismatch, match="1 per-place lists for 2 places"):
+            fm.make_form(root2_field, [r0, r1], [rows])
+        with pytest.raises(ShapeMismatch):
+            fm.make_form(root2_field, [r0], [rows, rows])
+        with pytest.raises(ShapeMismatch):
+            fm.DecomposableForm.from_expansion(root2_field, [r0, r1], 2, 2,
+                                               [(0, 1, 0)])
+
+    def test_per_place_factor_counts_agree(self, root2_field):
+        places = nf.archimedean_places(root2_field)
+        with pytest.raises(DependentFactors, match="per-place factor counts differ"):
+            fm.DecomposableForm(root2_field, places, 2,
+                                [[(1, 0), (0, 1)], [(1, 0)]])
 
     def test_gauss_conjugate_pair(self, gauss):
         places = nf.archimedean_places(gauss)

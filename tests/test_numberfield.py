@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp, mpf
 from sympy import Poly, Symbol
 
 from sadiclab import numberfield as nf
+from sadiclab import polyarith as pa
 from sadiclab.errors import (
     NotMonic,
     RamifiedOrBadPrime,
@@ -73,6 +75,119 @@ class TestArchimedeanPlaces:
         r1 = sum(1 for p in places if p.kind == "real")
         r2 = sum(1 for p in places if p.kind == "complex")
         assert r1 + 2 * r2 == field.degree
+
+
+# ---------------------------------------------------------------------------
+# Complex places against a 70-digit polyroots reference.  The places once
+# took their Newton start from mpmath's polyroots at DEFAULT_DPS + 20
+# digits; `_polyroots_places` rebuilds those places, so `root_float` of the
+# float-seeded places can be compared with theirs bit for bit.
+
+SEEDED_FIELDS = [
+    [1, 0, 1],                      # Q(i)
+    [5, 0, 1],                      # Q(sqrt-5)
+    [1, 1, 1],                      # x^2 + x + 1
+    [-2, 0, 0, 1],                  # x^3 - 2
+    [1, 1, 0, 1],                   # x^3 + x + 1
+    [1, 0, 0, 0, 1],                # x^4 + 1
+    [1, 0, -1, 0, 1],               # x^4 - x^2 + 1
+    [1, 0, 3, 0, 1],                # x^4 + 3x^2 + 1: roots on the imaginary axis only
+    [2, 0, 0, 0, 0, 0, 1],          # x^6 + 2
+    [1, 1, 1, 1, 1, 1, 1],          # the 7th cyclotomic polynomial
+    [5, 10, 9, 4, 1],               # x^4 + 3x^2 + 1 at x + 1: roots on Re x = -1
+    [-1, -1, 0, 1],                 # x^3 - x - 1
+    [-3, 1, 0, 0, 0, 1],            # x^5 + x - 3
+    [-2, 0, 1], [-1, -1, 1], [-5, 0, 1], [0, 1],
+]
+
+
+def _reference_roots(coeffs):
+    """(real roots ascending, upper roots by (real, imaginary) part), by
+    polyroots at 70 digits.  Real parts are compared to 40 decimals, so a
+    tie that the rounding of the reference leaves is kept a tie."""
+    with mp.workdps(70):
+        roots = mp.polyroots([mpf(c) for c in reversed(coeffs)],
+                             maxsteps=200, extraprec=80)
+        real = sorted(mp.re(r) for r in roots if mp.im(r) == 0)
+        upper = sorted((r for r in roots if mp.im(r) > 0),
+                       key=lambda r: (mp.nint(mp.re(r) * 10 ** 40), mp.im(r)))
+    return real, upper
+
+
+def _polyroots_places(field, upper):
+    with mp.workdps(70):
+        return [nf.ArchimedeanPlace(field, "complex", i, (Fraction(str(mp.re(r))),
+                                                          Fraction(str(mp.im(r)))))
+                for i, r in enumerate(upper)]
+
+
+def _check_against_reference(coeffs):
+    field = nf.create_field(coeffs)
+    places = nf.archimedean_places(field)
+    real, upper = _reference_roots(coeffs)
+    assert [p.name for p in places] == \
+        [f"r{i}" for i in range(len(real))] + [f"c{i}" for i in range(len(upper))]
+    for place, ref in zip(places, real + upper):
+        for dps in (17, 50):
+            with mp.workdps(70):
+                assert abs(place.root(dps) - ref) <= \
+                    mpf(10) ** -(dps + 10) * max(1, abs(ref))
+        if place.kind == "complex" and mp.re(ref) == 0:
+            assert mp.re(place.root(17)) == 0 and mp.re(place.root(50)) == 0
+            assert place.root_float().real == 0.0
+    return field, places, upper
+
+
+@pytest.mark.parametrize("coeffs", SEEDED_FIELDS, ids=str)
+def test_complex_places_match_polyroots(coeffs):
+    field, places, upper = _check_against_reference(coeffs)
+    complex_places = [p for p in places if p.kind == "complex"]
+    assert [p.root_float() for p in complex_places] == \
+        [p.root_float() for p in _polyroots_places(field, upper)]
+
+
+@st.composite
+def _irreducible_monic(draw):
+    d = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)) + [1]
+    assume(pa.is_irreducible(coeffs))
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_irreducible_monic())
+def test_drawn_complex_places_match_polyroots(coeffs):
+    real, upper = _reference_roots(coeffs)
+    # two upper roots with one real part off a line of symmetry have no
+    # order that float noise does not decide, here or in the reference
+    keys = [mp.nint(mp.re(r) * 10 ** 40) for r in upper]
+    c = Fraction(-coeffs[-2], len(coeffs) - 1)
+    assume(all(keys.count(k) == 1 or abs(mp.re(r) - mpf(c.numerator) / c.denominator)
+               < mpf(10) ** -40 for k, r in zip(keys, upper)))
+    _check_against_reference(coeffs)
+
+
+def test_complex_pairing_checks_the_seeds(monkeypatch):
+    field = nf.create_field([1, 1, 1, 1, 1, 1, 1])
+    seeds = nf._float_roots(field.min_poly)
+    upper = max(seeds, key=lambda z: z.imag)
+    for bad in ([upper] * 6,                            # one root six times
+                [upper, upper + 1e-12] + seeds[2:],     # two seeds of one root
+                [complex(z.real) for z in seeds]):      # no upper root
+        monkeypatch.setattr(nf, "_float_roots", lambda coeffs, bad=bad: bad)
+        with pytest.raises(ArithmeticError, match="complex root pairing failed"):
+            nf.archimedean_places(field)
+
+
+def test_line_roots_must_be_counted_exactly(monkeypatch):
+    # x^4 + 3x^2 + 1 has both upper roots on the imaginary axis; a seed off
+    # the axis by more than the tolerance is not taken for one of them
+    field = nf.create_field([1, 0, 3, 0, 1])
+    seeds = [z + 1e-3 if z.imag > 0 and z.imag < 1 else z
+             for z in nf._float_roots(field.min_poly)]
+    monkeypatch.setattr(nf, "_float_roots", lambda coeffs: seeds)
+    with pytest.raises(ArithmeticError, match="complex root pairing failed"):
+        nf.archimedean_places(field)
 
 
 class TestFinitePlaces:

@@ -61,6 +61,33 @@ def test_real_root_isolation_no_real_roots():
     assert pa.isolate_real_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
 
 
+def _textbook_sturm_signs(p, x):
+    """Signs of the textbook Sturm sequence p, p', -rem(...), ... at x,
+    over Fractions."""
+    chain = [list(p), pa.derivative(p)]
+    while chain[-1]:
+        chain.append(pa.neg(pa.poly_mod(chain[-2], chain[-1])))
+    chain.pop()
+    return [(v > 0) - (v < 0) for v in (pa.evaluate(q, x) for q in chain)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=7),
+                min_size=2, max_size=8),
+       st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9),
+                min_size=1, max_size=4))
+def test_integer_sturm_chain_keeps_the_textbook_signs(p, points):
+    # the integer chain's members are positive multiples of the textbook's
+    pa.trim(p)
+    if pa.degree(p) < 1:
+        return
+    chain = pa.sturm_chain(p)
+    assert all(type(c) is int for q in chain for c in q)
+    for x in points:
+        signs = [(v > 0) - (v < 0) for v in (pa.evaluate(q, x) for q in chain)]
+        assert signs == _textbook_sturm_signs(p, x)
+
+
 def test_hensel_lift_gaussian_split():
     m = [1, 0, 1]                               # x^2 + 1
     lifted = pa.hensel_lift_factors(m, [[2, 1], [3, 1]], 5, 20)

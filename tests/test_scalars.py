@@ -28,6 +28,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -334,6 +335,22 @@ class TestScaleEntry:
         x = SLattice.identity(Q, [Q_REAL], 2)
         assert dy.act(t, x).g[0][0][1] == 0
         assert type(dy.act(t, x).g[0][0][1]) is int
+
+
+def test_to_mpf_takes_numbers_only():
+    # a tuple used to become an mpf with mantissa 1 and exponent 2
+    with pytest.raises(TypeError, match="is not a number"):
+        sc.to_mpf((1, 2))
+    with pytest.raises(TypeError):
+        sc.to_mpf("1.5")
+    # a factor row written as pairs reaches it through `_canonical_scalar`
+    with pytest.raises(TypeError, match="is not a number"):
+        fm.DecomposableForm(Q, [Q_REAL], 2, [[[(1, 0), (1, QuadraticSurd.sqrt(2))]]])
+    assert sc.to_mpf(np.float64(0.1)) == mpf(0.1)
+    assert sc.to_mpf(np.float32(0.5)) == mpf(0.5)
+    assert sc.to_mpf(np.int64(7)) == 7
+    assert sc.to_mpf(np.complex128(1 + 2j)) == mpc(1, 2)
+    assert sc.to_mpf(True) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
+from sadiclab import polyarith as pa
 from sadiclab.errors import NotUnimodular
 
 # (min_poly, integral basis or None, prime): split (f = 1) and inert (f = 2)
@@ -155,3 +156,22 @@ def test_sl2z_window_needs_no_fallback(matrix):
     cloud = _gauss_cloud(matrix, 1)
     assert cloud.valuation_fallbacks == 0
     assert_matches_reference(cloud)
+
+
+# `_residue` reduces mod the monic lifted factor with integer arithmetic mod
+# p^K; the reference divides over Q with `poly_mod`, then reduces.
+RESIDUE_FACTORS = [(place.p, place.residue_degree, list(place.lifted_factor))
+                   for coeffs, p in [([1, 0, 1], 5), ([-2, 0, 0, 1], 5),
+                                     ([-2, 0, 0, 1], 31)]
+                   for place in nf.finite_places(nf.create_field(coeffs), p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RESIDUE_FACTORS),
+       st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=8),
+       st.integers(1, nf.HENSEL_DEFAULT_N))
+def test_residue_matches_rational_division(factor, u, K):
+    p, f, h = factor
+    modulus = p ** K
+    r = [int(c) % modulus for c in pa.poly_mod(u, h)]
+    assert lt._residue(u, h, f, modulus) == r + [0] * (f - len(r))
