@@ -649,9 +649,19 @@ def _cmd_form_spectrum(cfg, outdir):
     heights = sorted(block["heights"])
     E = block.get("denominator_exponent", 0)
     cap = block.get("cap")
-    window = lt.HeightWindow(heights[-1], E, cfg.window.cap)
-    spec = fm.value_spectrum(form, window, magnitude_cap=cap,
-                             dps=cfg.precision)
+    rep = None
+    if len(heights) >= 3 and cap is not None:
+        # one scan of the largest height serves the spectrum and the report
+        rep = fm.discreteness_report(form, heights, E=E, dps=cfg.precision,
+                                     cap=cfg.window.cap, spectrum_cap=cap)
+        spec = rep.spectrum
+    else:
+        window = lt.HeightWindow(heights[-1], E, cfg.window.cap)
+        spec = fm.value_spectrum(form, window, magnitude_cap=cap,
+                                 dps=cfg.precision)
+        if len(heights) >= 3:
+            rep = fm.discreteness_report(form, heights, E=E,
+                                         dps=cfg.precision, cap=cfg.window.cap)
     rows = [(e.magnitude, e.count, e.witness) for e in spec.entries]
     _write(outdir, "spectrum.csv", emit_report(
         (("magnitude", "count", "witness"), rows), "csv"))
@@ -662,9 +672,7 @@ def _cmd_form_spectrum(cfg, outdir):
         "distinct": len(spec.entries),
         "zero_count": spec.zero_count,
     }
-    if len(heights) >= 3:
-        rep = fm.discreteness_report(form, heights, E=E, dps=cfg.precision,
-                                     cap=cfg.window.cap)
+    if rep is not None:
         out["verdict"] = rep.verdict
         if rep.cluster:
             out["cluster_center"] = rep.cluster.center

@@ -163,6 +163,16 @@ class DecomposableForm:
                         radicands[0] if radicands else 1))
         return out
 
+    @cached_property
+    def _float_columns(self):
+        """Per place (e1, e2, fl(c_k), w_k), one per nonzero coefficient c_k
+        of x^e1 y^e2 of a planar form: `_float_weight` of the exact
+        coefficient (P_k + Q_k sqrt(d)) / D of `_integer_expansions`."""
+        return [[(e1, e2, *_float_weight(
+            QuadraticSurd(Fraction(p, D), Fraction(q, D), d)))
+            for p, q, (e1, e2) in zip(P, Q, self.basis) if p or q]
+            for P, Q, D, d in self._integer_expansions]
+
     def evaluate(self, z):
         """Per-place values at an exact point, via the cached expansion."""
         out = []
@@ -280,15 +290,30 @@ class ValueSpectrum:
         return [e.magnitude for e in self.entries]
 
 
+def _order_keys(mags):
+    """Exact, order-preserving integer keys of positive finite mpfs.
+
+    A positive mpf is man 2^exp, man odd of bc bits (`_mpf_`), so it lies
+    in [2^(e - 1), 2^e) with e = exp + bc.  With B the largest bc,
+    man 2^(B - bc) lies in [2^(B - 1), 2^B), so e 2^B + man 2^(B - bc)
+    orders by e first and then by the aligned mantissa, as the values are
+    ordered; equal values have equal (man, exp) and so equal keys.
+    """
+    parts = [mag._mpf_ for mag in mags]
+    B = max((bc for _, _, _, bc in parts), default=0)
+    return [((exp + bc) << B) + (man << (B - bc)) for _, man, exp, bc in parts]
+
+
 def _spectrum_from_pairs(pairs, window, zero_count, candidates):
     """The spectrum of the exact stage's (magnitude mpf, witness str) pairs,
     deduplicated at 1e-30 resolution; the first witness of a value in the
-    candidate order stays."""
-    pairs.sort(key=lambda t: t[0])
+    candidate order stays, as the sort by `_order_keys` is stable."""
+    keys = _order_keys([mag for mag, _ in pairs])
     entries = []
     last = None
     tol = mpf(10) ** (-30)
-    for mag, wit in pairs:
+    for i in sorted(range(len(pairs)), key=keys.__getitem__):
+        mag, wit = pairs[i]
         if last is not None and abs(mag - last) < tol:
             entries[-1].count += 1
             continue
@@ -305,33 +330,75 @@ def _spectrum_from_pairs(pairs, window, zero_count, candidates):
 def value_spectrum(form, window, magnitude_cap=None, dps=DEFAULT_DPS):
     """Distinct nonzero value magnitudes of f on the window of O^n.
 
-    Two stages.  The candidate stage lists the points in the order that
-    picks the witnesses: with a magnitude cap, a planar `_integer_ok` form
-    takes `_planar_candidates`, a float64 prefilter with a derived error
-    bound over the box, or its strips, in the box's scan order (x, then
-    y); every other scan takes the whole window in `_window_rows`'
-    height-shell order.  The
-    exact stage evaluates the candidates: `_integer_refine` in exact
-    integers for an `_integer_ok` form, bit-identically to `magnitudes`,
-    and `_point_refine` point by point for any other.  Either way the
-    result is that of the exact scan in the candidate order.  Either
-    candidate stage checks the points it will visit against the window's
-    size bound before it visits any, and a cap must not be negative.
+    Two stages (`_scan`).  The candidate stage lists the points in the
+    order that picks the witnesses: with a magnitude cap, a planar
+    `_integer_ok` form takes `_planar_candidates`, a float64 prefilter
+    with a derived error bound over the box, or its strips, in the box's
+    scan order (x, then y); every other scan takes the whole window in
+    `_window_rows`' height-shell order.  The exact stage evaluates the
+    candidates: `_integer_refine` in exact integers for an `_integer_ok`
+    form, bit-identically to `magnitudes`, and `_point_refine` point by
+    point for any other.  Either way the result is that of the exact scan
+    in the candidate order.  Either candidate stage checks the points it
+    will visit against the window's size bound before it visits any
+    (`_scan_plan`), and a cap must not be negative.
+
+    The pairs a scan at a cap C keeps are those of the exact scan with a
+    magnitude <= C, in candidate order, so the pairs of a scan at C that
+    are <= c <= C are the pairs of the scan at c: `discreteness_report`
+    serves several caps at one height from one scan.
     """
-    if magnitude_cap is not None and magnitude_cap < 0:
-        raise ValueError(f"magnitude cap must be >= 0, got {magnitude_cap}")
-    integer = _integer_ok(form)
-    primes = sorted({p.p for p in form.places if p.kind == "finite"})
-    if integer and form.n == 2 and magnitude_cap is not None:
-        points = _planar_candidates(form, window, magnitude_cap)
+    pairs, zero_count, candidates = _scan(form, window, magnitude_cap, dps)
+    return _spectrum_from_pairs(pairs, window, zero_count, candidates)
+
+
+def _capped_spectrum(scan, window, cap):
+    """The spectrum of a `_scan` at a cap >= `cap`, under `cap`."""
+    pairs, zero_count, candidates = scan
+    return _spectrum_from_pairs([p for p in pairs if p[0] <= cap], window,
+                                zero_count, candidates)
+
+
+def _finite_primes(form):
+    return sorted({p.p for p in form.places if p.kind == "finite"})
+
+
+def _scan_plan(form, window, cap):
+    """What the candidate stage of a scan at `cap` visits, checked first.
+
+    A capped planar `_integer_ok` form visits the y-intervals per row of
+    `_strips`, or else of the box, which this returns; every other scan
+    visits the whole window (None).  Raises ValueError on a negative cap,
+    and WindowTooLarge when the plan holds more points than the window's
+    size bound.
+    """
+    if cap is not None and cap < 0:
+        raise ValueError(f"magnitude cap must be >= 0, got {cap}")
+    if cap is None or form.n != 2 or not _integer_ok(form):
+        window.check(form.n * form.field.degree, len(_finite_primes(form)))
+        return None
+    intervals = _strips(form, window.H, cap) or [_box(window.H)]
+    visited = sum(int(np.maximum(hi - lo + 1, 0).sum()) for lo, hi in intervals)
+    if visited > window.cap:
+        raise WindowTooLarge(f"capped scan of {visited} points exceeds cap {window.cap}")
+    return intervals
+
+
+def _scan(form, window, magnitude_cap, dps):
+    """(pairs, zero_count, candidates): `value_spectrum`'s two stages, the
+    exact stage's (magnitude mpf, witness) pairs in candidate order."""
+    intervals = _scan_plan(form, window, magnitude_cap)
+    primes = _finite_primes(form)
+    if intervals is not None:
+        points = _planar_candidates(form, intervals, window.H, magnitude_cap)
     else:
         points, eexp = _window_rows(form.n * form.field.degree, primes, window)
-    if integer:
+    if _integer_ok(form):
         pairs, zero_count = _integer_refine(form, points, dps, magnitude_cap)
     else:
         pairs, zero_count = _point_refine(form, points, eexp, primes, dps,
                                           magnitude_cap)
-    return _spectrum_from_pairs(pairs, window, zero_count, len(points))
+    return pairs, zero_count, len(points)
 
 
 def _point_refine(form, rows, eexp, primes, dps, cap):
@@ -450,20 +517,44 @@ def _refined_magnitude(form, parts, roots):
     return +total
 
 
-def _planar_candidates(form, window, cap):
+def _planar_candidates(form, intervals, H, cap):
     """The capped scan's candidate points of a planar `_integer_ok` form.
 
-    The scan visits the box x in [0, H], y in [-H, H] (x = 0 with y > 0:
-    one point per sign class), or only the part of it that `_strips`
-    returns, and raises `WindowTooLarge` first if that is more points
-    than the window's size bound.  It goes in blocks of about 2^15 points
-    (`_scan_blocks`) and keeps every point whose float lower bound on |f|
-    is <= cap; the kept points are deduplicated and returned as an
-    integer array in scan order (x, then y), which picks the witnesses.  Per place f = sum_k c_k x^e1
-    y^e2, evaluated by Horner's rule in y with the column coefficients
-    c_k x^e1.  In the standard model of float64 arithmetic (no overflow or
-    underflow; Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3):
+    The scan visits the y-intervals per row x = 0..H in `intervals`
+    (`_scan_plan`: the strips, or the box x in [0, H], y in [-H, H] with
+    x = 0 only for y > 0, one point per sign class).  It goes in blocks of
+    about 2^15 points (`_scan_blocks`) and keeps every point whose lower
+    bound from `_float_bounds` is <= cap (1 + 4Pu), P places, the margin
+    that covers the 2P - 1 roundings of that bound; a NaN from inf - inf
+    keeps its point.  The kept points are deduplicated and returned as an
+    integer array in scan order (x, then y), which picks the witnesses.
+
+    Strips (`_strips`): when f is exactly the product of its M = P m
+    factors L, |f| <= cap needs some |L| <= r with r^M >= cap (checked in
+    `Fraction`s), so only the strips |L| <= r are scanned, each endpoint
+    widened by 2 gamma_6 (W_t H + r W_inv), twice the float error of
+    computing it.  Every point of the box that the exact scan keeps,
+    zeros included, lies on a strip, so the strips change only
+    `candidates`, the number of kept points.
+    """
+    cap_hi = cap * (1 + 4 * len(form.places) * _UNIT_ROUNDOFF)
+    width = 2 * H + 1
+    kept = set()
+    for keys in _scan_blocks(intervals, H):
+        lo, _ = _float_bounds(form, keys, H)
+        kept.update(keys[~(lo > cap_hi)].tolist())
+    keys = np.array(sorted(kept), dtype=np.int64)
+    return np.stack([keys // width, keys % width - H], axis=1)
+
+
+def _float_bounds(form, keys, H):
+    """Float (lo, hi) at the box points of a planar `_integer_ok` form.
+
+    `keys` are scan indices x (2H + 1) + y + H with |x|, |y| <= H.  Per
+    place f = sum_k c_k x^e1 y^e2, evaluated by Horner's rule in y with
+    the column coefficients c_k x^e1 (`DecomposableForm._float_columns`).
+    In the standard model of float64 arithmetic (no overflow or underflow;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
 
     * float(c_k) rounds a and b of c_k = a + b sqrt(d), sqrt(d), one
       product and one sum: |fl(c_k) - c_k| <= gamma_4 w_k with
@@ -476,59 +567,63 @@ def _planar_candidates(form, window, cap):
       point.  S is itself computed in float with relative error far below
       1/2, so delta = 2 gamma_(2m+4) S(x) bounds |acc - f|.
 
-    Over the places the product of max(|acc| - delta, 0) is a lower bound
-    on |f| up to the subtraction and the product, 2P - 1 roundings for P
-    places, which the relative margin 4Pu on the cap covers.  A NaN from
-    inf - inf keeps its point.
-
-    Strips (`_strips`): when f is exactly the product of its M = P m
-    factors L, |f| <= cap needs some |L| <= r with r^M >= cap (checked in
-    `Fraction`s), so only the strips |L| <= r are scanned, each endpoint
-    widened by 2 gamma_6 (W_t H + r W_inv), twice the float error of
-    computing it.  Every point of the box that the exact scan keeps,
-    zeros included, lies on a strip, so the strips change only
-    `candidates`, the number of kept points.
+    So at each place max(|acc| - delta, 0) <= |f_v| <= |acc| + delta, and
+    lo and hi are the products of these over the places, each computed
+    with 2P - 1 roundings for P places (P subtractions or sums and P - 1
+    products, of nonnegative numbers): lo <= (1 + u)^(2P-1) |f| and
+    |f| <= hi / (1 - u)^(2P-1).  The relative margin 4Pu covers these and
+    the rounding of its own product, as (1 + u)^(2P-1) <= (1 + 4Pu)(1 - u)
+    and (1 + 4Pu)(1 - u)^(2P) >= 1 while 4Pu is far below 1: a point with
+    |f| <= cap has lo <= fl(cap (1 + 4Pu)), and |f| <= fl(hi (1 + 4Pu)).
+    A point with lo > 0 is proven nonzero.
     """
-    m, H = form.m, window.H
-    intervals = _strips(form, H, cap) or [_box(H)]
-    visited = sum(int(np.maximum(hi - lo + 1, 0).sum()) for lo, hi in intervals)
-    if visited > window.cap:
-        raise WindowTooLarge(f"capped scan of {visited} points exceeds cap {window.cap}")
-    # per place: (e1, e2, fl(c_k), w_k), c_k != 0
-    columns = [[(e1, e2, *_float_weight(
-        QuadraticSurd(Fraction(p, D), Fraction(q, D), d)))
-        for p, q, (e1, e2) in zip(P, Q, form.basis) if p or q]
-        for P, Q, D, d in form._integer_expansions]
-    grow = 2 * _gamma(2 * m + 4)
-    cap_hi = cap * (1 + 4 * len(columns) * _UNIT_ROUNDOFF)
-    hpow = [float(H) ** e for e in range(m + 1)]
+    m = form.m
     width = 2 * H + 1
-    kept = set()
-    for keys in _scan_blocks(intervals, H):
-        xf = (keys // width).astype(np.float64)
-        yf = (keys % width - H).astype(np.float64)
-        xpow = [np.ones_like(xf)]
-        for _ in range(m):
-            xpow.append(xpow[-1] * xf)
-        lo = 1.0
-        for terms in columns:
-            alpha = [None] * (m + 1)
-            size = np.zeros_like(xf)
-            for e1, e2, c, w in terms:
-                alpha[e2] = c * xpow[e1]
-                size += w * xpow[e1] * hpow[e2]
-            acc = np.zeros_like(xf)
-            for e2 in range(m, -1, -1):
-                if alpha[e2] is not None:
-                    acc += alpha[e2]
-                if e2:
-                    acc *= yf
-            np.abs(acc, out=acc)
-            acc -= grow * size
-            lo = lo * np.maximum(acc, 0.0, out=acc)
-        kept.update(keys[~(lo > cap_hi)].tolist())
-    keys = np.array(sorted(kept), dtype=np.int64)
-    return np.stack([keys // width, keys % width - H], axis=1)
+    xf = (keys // width).astype(np.float64)
+    yf = (keys % width - H).astype(np.float64)
+    xpow = [np.ones_like(xf)]
+    for _ in range(m):
+        xpow.append(xpow[-1] * xf)
+    hpow = [float(H) ** e for e in range(m + 1)]
+    grow = 2 * _gamma(2 * m + 4)
+    lo = hi = 1.0
+    for terms in form._float_columns:
+        alpha = [None] * (m + 1)
+        size = np.zeros_like(xf)
+        for e1, e2, c, w in terms:
+            alpha[e2] = c * xpow[e1]
+            size += w * xpow[e1] * hpow[e2]
+        acc = np.zeros_like(xf)
+        for e2 in range(m, -1, -1):
+            if alpha[e2] is not None:
+                acc += alpha[e2]
+            if e2:
+                acc *= yf
+        np.abs(acc, out=acc)
+        size *= grow
+        lo = lo * np.maximum(acc - size, 0.0)
+        hi = hi * (acc + size)
+    return lo, hi
+
+
+def _least_value_bound(form, H):
+    """A float U >= the least nonzero |f| over the box at height H, or None.
+
+    U is the least `_float_bounds` upper bound over the box points whose
+    lower bound is > 0, which are proven nonzero, times 1 + 4Pu; None
+    when no box point is proven nonzero.  The box holds one point of each
+    sign class {z, -z} of the window, and |f(-z)| = |f(z)|, so its least
+    nonzero |f| is the window's.
+    """
+    least = math.inf
+    for keys in _scan_blocks([_box(H)], H):
+        lo, hi = _float_bounds(form, keys, H)
+        proven = hi[lo > 0]
+        if len(proven):
+            least = min(least, float(proven.min()))
+    if least == math.inf:
+        return None
+    return least * (1 + 4 * len(form.places) * _UNIT_ROUNDOFF)
 
 
 def _box(H):
@@ -637,12 +732,15 @@ class DiscretenessReport:
     min_nonzero: float
     cluster: ClusterEvidence = None
     anomaly: str = ""
+    spectrum: ValueSpectrum = None  # the caller's spectrum at the largest
+                                    # height under `spectrum_cap`, if asked
 
 
 NEW_VALUES_REQUIRED = 3
 
 
-def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP):
+def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP,
+                        spectrum_cap=None):
     """Growing-window accumulation probe.
 
     accumulation-detected requires a cluster that keeps gaining at least
@@ -653,22 +751,73 @@ def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP):
     takes, fill a range without crowding.  Anything else is
     discrete-trend, explicitly limited to the tested windows.  `cap`
     bounds each window's points (`HeightWindow`).
+
+    Every window's spectrum is capped at 2.5 m, m the least nonzero
+    magnitude at the first height (`_least_magnitude`; 1 if there is
+    none).  Each height is scanned once (`_scan`), at the largest cap it
+    serves, and each spectrum takes the scan's pairs at or below its own
+    cap, which is the spectrum of a scan at that cap but for `candidates`
+    (`value_spectrum`).  The scan that found m, at 2.5 U, serves the
+    first height when its caps are at most 2.5 U, as U >= m makes 2.5 m;
+    otherwise that height is scanned again.  With `spectrum_cap`, the
+    largest height serves max(2.5 m, spectrum_cap), and `spectrum` is
+    value_spectrum(form, HeightWindow(heights[-1], E, cap), spectrum_cap)
+    read off its scan; the plan of that value_spectrum call is checked
+    against `cap` before any window is scanned.
     """
     if len(heights) < 3:
         raise TooFewWindows("need at least three growing windows")
     heights = sorted(heights)
-    first = value_spectrum(form, HeightWindow(heights[0], E, cap), dps=dps)
-    if first.entries:
-        mag_cap = 2.5 * first.min_nonzero
-    else:
-        mag_cap = 1.0
+    own = HeightWindow(heights[-1], E, cap)
+    if spectrum_cap is not None:
+        _scan_plan(form, own, spectrum_cap)
     # A capped planar scan streams its box of H (2H + 2) points in blocks,
     # so each capped window may visit its whole box; a window that is
     # enumerated holds more than its box, (2H + 1)^2 points or more, and
     # still meets `cap`.
-    windows = [HeightWindow(h, E, max(cap, h * (2 * h + 2))) for h in heights]
-    spectra = [value_spectrum(form, w, magnitude_cap=mag_cap, dps=dps)
-               for w in windows]
+    windows = {h: HeightWindow(h, E, max(cap, h * (2 * h + 2)))
+               for h in heights}
+    least, first, first_cap = _least_magnitude(
+        form, HeightWindow(heights[0], E, cap), windows[heights[0]], dps)
+    mag_cap = 1.0 if least is None else 2.5 * float(least)
+    scan_caps = dict.fromkeys(heights, mag_cap)
+    if spectrum_cap is not None:
+        scan_caps[heights[-1]] = max(mag_cap, spectrum_cap)
+    scans = {h: first if h == heights[0] and first and c <= first_cap
+             else _scan(form, windows[h], c, dps)
+             for h, c in scan_caps.items()}
+    spectra = [_capped_spectrum(scans[h], windows[h], mag_cap) for h in heights]
+    spectrum = (None if spectrum_cap is None else
+                _capped_spectrum(scans[heights[-1]], own, spectrum_cap))
+    return _report_from_spectra(form, spectra, mag_cap, dps, spectrum)
+
+
+def _least_magnitude(form, enumerated, window, dps):
+    """(least, scan, scan_cap) at the report's first height.
+
+    `least` is the least nonzero magnitude mpf over the window
+    `enumerated`, None if every value is 0.  A planar `_integer_ok` form
+    is scanned at scan_cap = 2.5 U on `window`, U from
+    `_least_value_bound`: every value <= scan_cap is kept, so once the
+    scan keeps one, its least is the window's, and U >= least makes
+    2.5 float(least) <= scan_cap.  Otherwise (any other form, no point
+    proven nonzero, or no value kept) the least comes from the uncapped
+    scan of `enumerated`, and scan and scan_cap are None.  Either way
+    `enumerated` is checked as the uncapped scan checks it, first.
+    """
+    _scan_plan(form, enumerated, None)
+    if form.n == 2 and _integer_ok(form):
+        bound = _least_value_bound(form, window.H)
+        if bound is not None:
+            scan = _scan(form, window, 2.5 * bound, dps)
+            if scan[0]:
+                return min(mag for mag, _ in scan[0]), scan, 2.5 * bound
+    pairs = _scan(form, enumerated, None, dps)[0]
+    return min((mag for mag, _ in pairs), default=None), None, None
+
+
+def _report_from_spectra(form, spectra, mag_cap, dps, spectrum):
+    """The report from the per-height spectra, each capped at `mag_cap`."""
     base_gap = spectra[0].min_gap
     rho = base_gap / 4 if math.isfinite(base_gap) else mag_cap / 10
     final = spectra[-1]
@@ -716,7 +865,8 @@ def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP):
         verdict=verdict,
         min_nonzero=final.min_nonzero,
         cluster=best,
-        anomaly=anomaly)
+        anomaly=anomaly,
+        spectrum=spectrum)
 
 
 def _group_by_gap(entries, rho):

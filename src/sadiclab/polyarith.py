@@ -161,8 +161,15 @@ def cauchy_bound(p):
 
 
 def isolate_real_roots(p):
-    """Disjoint rational intervals (lo, hi], one per distinct real root."""
+    """Disjoint rational intervals (lo, hi], one per distinct real root.
+
+    p must be squarefree: the last member of its Sturm chain is gcd(p, p'),
+    and a repeated root on a bisection point would split intervals forever,
+    so a chain that ends in degree > 0 raises ValueError.
+    """
     chain = sturm_chain(p)
+    if degree(chain[-1]) > 0:
+        raise ValueError("polynomial is not squarefree")
     bound = cauchy_bound(p)
     pending = [(-bound, bound)]
     done = []

@@ -412,6 +412,16 @@ class TestRun:
                          "--out", str(tmp_path), "form-spectrum"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_form_spectrum_writes_nothing_when_a_window_fails(self, tmp_path):
+        # the report's scan of H = 8 serves the spectrum, so the spectrum
+        # is not written when the report's first window (169 points) fails
+        config = {"min_poly": [0, 1], "window": {"cap": 50},
+                  "form": {"factors": [[1, 0], [{"a": 0, "b": 1, "d": 2}, -1]]},
+                  "spectrum": {"heights": [6, 7, 8], "cap": 0.9}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path / "out"), "form-spectrum"]) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("second", [["9", "-7/9"], ["9/7", "-1/9"]])
     def test_rational_controls_are_discrete(self, tmp_path, second):
         config = {"min_poly": [0, 1], "form": {"factors": [[1, 0], second]},
@@ -728,20 +738,21 @@ class TestRun:
     def test_form_spectrum_precision_reaches_every_window(self, tmp_path,
                                                            monkeypatch):
         seen = []
-        spectrum = fm.value_spectrum
+        scan = fm._scan
 
-        def recording(form, window, magnitude_cap=None, dps=None):
-            seen.append(dps)
-            return spectrum(form, window, magnitude_cap, dps)
+        def recording(form, window, magnitude_cap, dps):
+            seen.append((window.H, dps))
+            return scan(form, window, magnitude_cap, dps)
 
-        monkeypatch.setattr(fm, "value_spectrum", recording)
+        monkeypatch.setattr(fm, "_scan", recording)
         config = {"min_poly": [0, 1],
                   "form": {"factors": [[1, 0], [{"b": 1, "d": 2}, -1]]},
                   "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
         assert cli.main(["--config", json.dumps(config), "--precision", "80",
                          "--out", str(tmp_path), "form-spectrum"]) == 0
-        # the CLI's scan, the report's first window and its three windows
-        assert seen == [80] * 5
+        # one scan per height; the last serves the CLI's spectrum and the
+        # report's last window
+        assert seen == [(10, 80), (20, 80), (40, 80)]
 
     @pytest.mark.parametrize("config, csv_sha256, json_sha256", [
         # x (sqrt2 x - y) without a cap: the H = 30 scan, in height-shell

@@ -61,6 +61,15 @@ def test_real_root_isolation_no_real_roots():
     assert pa.isolate_real_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
 
 
+@pytest.mark.parametrize("p", [
+    [0, 0, Fraction(7, 3), 20, Fraction(17, 7), 1],   # x^2 times a cubic
+    [1, -2, 1],                                        # (x - 1)^2
+])
+def test_real_root_isolation_rejects_a_repeated_root(p):
+    with pytest.raises(ValueError, match="not squarefree"):
+        pa.isolate_real_roots([Fraction(c) for c in p])
+
+
 def _textbook_sturm_signs(p, x):
     """Signs of the textbook Sturm sequence p, p', -rem(...), ... at x,
     over Fractions."""
