@@ -457,8 +457,7 @@ def _point_from_spec(cfg, spec):
         if len(mats) != len(cfg.places):
             raise SchemaError("/orbit_survey/point",
                               "matrix count does not match S")
-        return lt.SLattice(cfg.field, cfg.places, len(mats[0]), mats,
-                           provenance=data.get("provenance", "rational"))
+        return lt.SLattice(cfg.field, cfg.places, len(mats[0]), mats)
     raise SchemaError("/orbit_survey/point", f"cannot parse point {spec!r}")
 
 
@@ -783,8 +782,6 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--precision", type=int, default=None,
                         help="override the config precision")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are identical for any value")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
@@ -802,8 +799,6 @@ def main(argv=None):
             sp.add_argument("--height", type=int, default=None)
             sp.add_argument("--denom", type=int, default=None)
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         raw = _read_config(args.config)
         if args.precision is not None and isinstance(raw, dict):

@@ -4,7 +4,7 @@ A trajectory samples the window systole of t.g.O^n along a ray schedule of
 diagonal torus elements; the three-way classification (diverging-trend,
 bounded-below, recurrent) is explicitly empirical -- finitely many steps
 never prove divergence.  Surveys sweep the canonical sign-pattern rays,
-compare against the theoretical dichotomy at exact rational points
+compare against the theoretical dichotomy at points whose entries lie in K
 (single-place orbits divergent, full-S orbits not), and flag any
 disagreement as an anomaly instead of accepting it.
 """
@@ -20,12 +20,13 @@ import numpy as np
 from .errors import (
     CyclicPositions,
     NeedTwoPlaces,
+    NotInField,
     RayOverflow,
     ShapeMismatch,
     TooFewSteps,
 )
 from .lattice import SHIFT_BITS, PointCloud, SLattice
-from .scalars import check_det, check_entries, is_exact, mul, to_float
+from .scalars import check_det, check_entries, is_exact, mul, to_field, to_float
 from .surd import QuadraticSurd
 
 
@@ -48,7 +49,6 @@ class TorusElement:
                        for i in range(self.n)], place, unimodular=True)
             rows.append(diag)
         self.entries = tuple(rows)
-        self.exact = all(is_exact(c) for diag in rows for c in diag)
 
     @classmethod
     def identity(cls, field, places, n):
@@ -57,7 +57,7 @@ class TorusElement:
 
 def act(t, x):
     """Left translation t.x of the lattice x; inactive places keep their
-    factors, and x keeps its provenance when t and x are exact."""
+    factors, and exact pairs of entries multiply exactly."""
     if t.field != x.field or t.n != x.n:
         raise ShapeMismatch("torus element and point disagree on field or n")
     active = {p.name: diag for p, diag in zip(t.places, t.entries)}
@@ -76,9 +76,7 @@ def act(t, x):
                   mul(t_i, c) if is_exact(t_i) and is_exact(c) else
                   to_float(t_i, place) * to_float(c, place) for c in row)
             for t_i, row in zip(diag, mat)))
-    exact = t.exact and all(is_exact(c) for mat in x.g for row in mat for c in row)
-    return SLattice(x.field, x.places, x.n, new_g, unimodular=x.unimodular,
-                    provenance=x.provenance if exact else "explicit")
+    return SLattice(x.field, x.places, x.n, new_g, unimodular=x.unimodular)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +317,11 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
                       heat_s=None, heat_k=None):
     """Systole sweep over the canonical rays plus a heat-map grid.
 
-    At points with exact rational provenance the classical dichotomy is
-    enforced: a single active place must show every ray diverging, and the
-    full place set (when S has at least two places) must keep at least one
-    ray bounded below.  Mismatches land in `anomalies`.
+    At points whose entries lie in K (`_is_rational`) the classical
+    dichotomy is enforced: a single active place must show every ray
+    diverging, and the full place set (when S has at least two places)
+    must keep at least one ray bounded below.  Mismatches land in
+    `anomalies`; elsewhere nothing is predicted or checked.
     """
     cloud = PointCloud(x, window)
     rays = default_ray_catalog(x, active, steps=steps, s_max=s_max)
@@ -339,8 +338,7 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
             for (s, k), (mc, ic, ms, _) in zip(cells, systoles)]
     prediction = ""
     anomalies = []
-    rational = x.provenance in ("identity", "rational")
-    if rational:
+    if _is_rational(x):
         if len(active) == 1:
             prediction = "all-diverging"
             for r in results:
@@ -355,6 +353,16 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
                     "no bounded-below ray found; a full-S orbit is never divergent")
     return SurveyReport(rays=results, heat=heat, prediction=prediction,
                         anomalies=anomalies)
+
+
+def _is_rational(x):
+    """Whether `to_field` takes every entry of x at every place into K."""
+    try:
+        for c in (c for mat in x.g for row in mat for c in row):
+            to_field(c, x.field)
+    except NotInField:
+        return False
+    return True
 
 
 HEAT_K = range(-12, 13)
@@ -387,7 +395,7 @@ def locally_divergent_example(field, places):
     upper = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     g = [upper] + [eye] * (len(places) - 1)
-    return SLattice(field, places, 2, g, provenance="rational")
+    return SLattice(field, places, 2, g)
 
 
 def anisotropic_point(field, places):

@@ -991,7 +991,8 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
     Per place: divide the expansion by its largest coefficient, recognize
     every ratio as a bounded-denominator rational; all places must agree
     on the same rational vector, which is then cleared to a primitive
-    integer form (sign fixed by the first nonzero coefficient).
+    integer form (sign fixed by the first nonzero coefficient).  A place
+    whose coefficients are all 0 gives the evidence "zero form".
     """
     if precision < 40:
         raise PrecisionBudgetExceeded(
@@ -1004,6 +1005,9 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
             coeffs = form.expansions[k]
             numeric = [abs(to_mpf(c, place, precision)) for c in coeffs]
             piv = max(range(len(coeffs)), key=lambda i: (numeric[i], -i))
+            if numeric[piv] == 0:
+                return ReconstructionResult(
+                    status="no-rational-reconstruction", evidence="zero form")
             pivots.append((piv, coeffs[piv]))
             ratios = []
             for i, c in enumerate(coeffs):
@@ -1025,10 +1029,6 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
                     evidence=f"coefficient {i} disagrees between "
                              f"{form.places[k].name} and {form.places[0].name}")
         ratios = ratio_vectors[0]
-        if all(r == 0 for r in ratios):
-            return ReconstructionResult(
-                status="no-rational-reconstruction",
-                evidence="zero form")
         den = 1
         for r in ratios:
             den = den * r.denominator // math.gcd(den, r.denominator)

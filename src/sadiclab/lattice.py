@@ -96,17 +96,14 @@ class SLattice:
     Finite-place entries must be exact.  `unimodular=False` admits a
     fixed nonzero determinant instead of det 1 (used by hand-built
     anisotropic fixtures); the content systole then carries that scale.
-    `provenance` gates a survey's predictions: 'identity', 'rational'
-    (exact K-rational entries at every place, possibly different per
-    place) or 'explicit'.
+    A survey reads whether the point is rational off its entries.
     """
 
-    def __init__(self, field, places, n, g, unimodular=True, provenance="explicit"):
+    def __init__(self, field, places, n, g, unimodular=True):
         self.field = field
         self.places = list(places)
         self.n = int(n)
         self.unimodular = unimodular
-        self.provenance = provenance
         if len(g) != len(self.places):
             raise ShapeMismatch("one matrix per place required")
         mats = []
@@ -123,21 +120,20 @@ class SLattice:
     @classmethod
     def identity(cls, field, places, n):
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        return cls(field, places, n, [eye for _ in places], provenance="identity")
+        return cls(field, places, n, [eye for _ in places])
 
     @classmethod
     def from_rational(cls, field, places, n, matrix):
         """Diagonal embedding of a single K-rational matrix."""
         mat = [[Fraction(c) for c in row] for row in matrix]
-        return cls(field, places, n, [mat for _ in places], provenance="rational")
+        return cls(field, places, n, [mat for _ in places])
 
     def to_jsonable(self):
         mats = []
         for mat in self.g:
             mats.append([[str(c) if isinstance(c, (int, Fraction)) else repr(c)
                           for c in row] for row in mat])
-        return {"n": self.n, "provenance": self.provenance,
-                "places": [p.name for p in self.places], "matrices": mats}
+        return {"n": self.n, "places": [p.name for p in self.places], "matrices": mats}
 
     @property
     def finite_places(self):

@@ -297,15 +297,29 @@ class TestRun:
         assert data["unit_generators"] == [["2"]]
 
     def test_orbit_survey_identity_exit_zero(self, tmp_path):
-        code = cli.main([
-            "--config", json.dumps(Q_WITH_2), "--out", str(tmp_path),
-            "orbit-survey", "--point", "identity",
-            "--grid", "0:6:7,-4:4", "--height", "15", "--denom", "4"])
-        assert code == 0
-        verdict = json.loads((tmp_path / "orbit-survey.json").read_text())
-        assert verdict["consistent"] is True
-        assert verdict["prediction"] == "non-divergent"
-        heat = (tmp_path / "heatmap.csv").read_text().splitlines()
+        # the identity however it is spelled; a file's former label key,
+        # like every key but "matrices", is ignored
+        eye = [["1", "0"], ["0", "1"]]
+        specs = ["identity", "rational:1,0;0,1"]
+        for k, extra in enumerate(({}, {"provenance": "explicit"})):
+            path = tmp_path / f"point{k}.json"
+            path.write_text(json.dumps(dict(extra, matrices=[eye, eye])))
+            specs.append(f"file:{path}")
+        outs = []
+        for k, spec in enumerate(specs):
+            out = tmp_path / str(k)
+            code = cli.main([
+                "--config", json.dumps(Q_WITH_2), "--out", str(out),
+                "orbit-survey", "--point", spec,
+                "--grid", "0:6:7,-4:4", "--height", "15", "--denom", "4"])
+            assert code == 0
+            verdict = json.loads((out / "orbit-survey.json").read_text())
+            assert verdict.pop("point") == spec
+            assert verdict["consistent"] is True
+            assert verdict["prediction"] == "non-divergent"
+            outs.append((verdict, (out / "heatmap.csv").read_bytes()))
+        assert all(o == outs[0] for o in outs)
+        heat = outs[0][1].decode().splitlines()
         assert heat[0] == "s,k,min_content,min_supnorm,witness"
         assert len(heat) == 1 + 7 * 9
 
@@ -600,12 +614,17 @@ class TestRun:
          "/orbit_survey/grid: want k_min <= k_max <= k_min + 8388608"),
         (["--grid=0:1:2,0:99999999999999999999"],
          "/orbit_survey/grid: want k_min <= k_max <= k_min + 8388608"),
+        (["--point", "file:{pair}"],
+         "/orbit_survey/point: matrix count does not match S"),
+        (["--point", "eye"], "/orbit_survey/point: cannot parse point 'eye'"),
     ])
     def test_bad_survey_flag_is_an_error_line(self, tmp_path, capsys, flags, line):
         missing = str(tmp_path / "missing.json")
+        pair = tmp_path / "pair.json"          # two matrices for S = {r0}
+        pair.write_text(json.dumps({"matrices": [[[1, 0], [0, 1]]] * 2}))
         code = cli.main(["--config", json.dumps(dict(MINIMAL, window={"H": 2, "E": 1})),
                          "--out", str(tmp_path), "orbit-survey"]
-                        + [f.format(missing=missing) for f in flags])
+                        + [f.format(missing=missing, pair=pair) for f in flags])
         assert code == 1
         assert capsys.readouterr().err == f"error: {line.format(missing=missing)}\n"
         assert not (tmp_path / "orbit-survey.json").exists()
@@ -866,27 +885,6 @@ class TestRun:
         assert code == 0
         verdict = json.loads((tmp_path / "orbit-survey.json").read_text())
         assert verdict["active_places"] == ["r0", "p2_0"]
-
-    def test_determinism_across_threads(self, tmp_path):
-        config = {"min_poly": [0, 1],
-                  "places": {"finite_primes": [2]},
-                  "window": {"H": 12, "E": 3},
-                  "littlewood": {"alpha": {"a": 0, "b": 1, "d": 2},
-                                 "beta": {"a": 0, "b": 1, "d": 3},
-                                 "N": 2000}}
-        outs = []
-        for threads, sub in ((1, "a"), (4, "b")):
-            out = tmp_path / sub
-            for command in ("orbit-survey", "littlewood"):
-                assert cli.main(["--config", json.dumps(config),
-                                 "--out", str(out),
-                                 "--threads", str(threads), command]) == 0
-            outs.append(out)
-        for name in ("orbit-survey.json", "heatmap.csv",
-                     "littlewood.json", "records.csv"):
-            a = (outs[0] / name).read_bytes()
-            b = (outs[1] / name).read_bytes()
-            assert a == b, name
 
 
 # Diagonal-flow configs: (config without a block, n, values), with the

@@ -31,7 +31,6 @@ class TestAct:
         t = dy.TorusElement.identity(rationals, q_inf2, 2)
         y = dy.act(t, x)
         assert y.g == x.g
-        assert y.provenance == "identity"
 
     def test_diagonal_representative(self, rationals, q_inf):
         x = lt.SLattice.identity(rationals, q_inf, 2)
@@ -71,20 +70,30 @@ class TestAct:
         with pytest.raises(ValueError):
             dy.TorusElement(rationals, q_inf, 2, [[2.0, 1.0]])
 
-    def test_shape_mismatch(self, rationals, gauss, q_inf):
+    def test_shape_mismatch(self, rationals, gauss, q_inf, q_inf2):
         x = lt.SLattice.identity(rationals, q_inf, 2)
         t = dy.TorusElement(gauss, nf.archimedean_places(gauss), 2,
                             [[gauss.one(), gauss.one()]])
         with pytest.raises(ShapeMismatch):
             dy.act(t, x)
+        # p2_0 is a place of Q, but not one of x's places
+        t = dy.TorusElement(rationals, q_inf2[1:], 2, [[2, Fraction(1, 2)]])
+        with pytest.raises(ShapeMismatch, match=r"^active places \{'p2_0'\} not in S$"):
+            dy.act(t, x)
 
-    def test_exactness_downgrade(self, rationals, q_inf):
-        x = lt.SLattice.identity(rationals, q_inf, 2)
+    def test_exactness_downgrade(self, rationals, q_inf, q_inf2):
+        # rationality is read off the entries: a float t leaves floats, an
+        # exact t exact entries, and t on a subset R of S moves only R
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
         t_float = dy.TorusElement(rationals, q_inf, 2, [[math.e, 1 / math.e]])
-        assert dy.act(t_float, x).provenance == "explicit"
+        y = dy.act(t_float, x)
+        assert y.g[1] == x.g[1] and type(y.g[0][0][0]) is float
+        assert not dy._is_rational(y)
         t_exact = dy.TorusElement(rationals, q_inf, 2,
                                   [[Fraction(2), Fraction(1, 2)]])
-        assert dy.act(t_exact, x).provenance == "identity"
+        y = dy.act(t_exact, x)
+        assert y.g == (((2, 0), (0, Fraction(1, 2))), x.g[1])
+        assert dy._is_rational(y)
 
 
 class TestMixedScalars:
@@ -233,8 +242,7 @@ class TestRaySchedule:
         # 2^-k sqrt5 at (1, 0) is the least content of the window; at
         # k = 9,000,000 it lies below 2^(_ZERO_EXP / 2), where the kernel
         # reads every content as 0 and mantissas alone pick (15, 0)
-        x = lt.SLattice(rationals, q_inf2, 2, [[[2, 1], [1, 1]], eye(2)],
-                        provenance="rational")
+        x = lt.SLattice(rationals, q_inf2, 2, [[[2, 1], [1, 1]], eye(2)])
         p2 = q_inf2[1:]
         ray = dy.RaySchedule(p2, [(1, -1)], [4_000_000])
         [row] = dy.trajectory(x, ray, lt.HeightWindow(16))
@@ -304,20 +312,46 @@ class TestClassification:
 
 class TestSurveys:
     def test_identity_dichotomy(self, rationals, q_inf2):
+        # one set of matrices gets one prediction however the point is built
         x = lt.SLattice.identity(rationals, q_inf2, 2)
+        t = dy.TorusElement(rationals, q_inf2, 2,
+                            [[2, Fraction(1, 2)], [Fraction(1, 4), 4]])
+        t_inv = dy.TorusElement(rationals, q_inf2, 2,
+                                [[Fraction(1, 2), 2], [4, Fraction(1, 4)]])
+        points = [x, lt.SLattice.from_rational(rationals, q_inf2, 2, eye(2)),
+                  lt.SLattice(rationals, q_inf2, 2, [eye(2), eye(2)]),
+                  dy.act(t_inv, dy.act(t, x))]
         w = lt.HeightWindow(25, 6)
-        for active in ([q_inf2[0]], [q_inf2[1]]):
-            sv = dy.divergence_survey(x, active, w, steps=14,
+        for y in points:
+            assert y.g == x.g
+            for active in ([q_inf2[0]], [q_inf2[1]]):
+                sv = dy.divergence_survey(y, active, w, steps=14,
+                                          heat_s=[0.0], heat_k=[0])
+                assert sv.prediction == "all-diverging"
+                assert all(c == "diverging-trend"
+                           for c in sv.classifications().values())
+                assert sv.consistent
+            sv = dy.divergence_survey(y, q_inf2, w, steps=14,
                                       heat_s=[0.0], heat_k=[0])
-            assert sv.prediction == "all-diverging"
-            assert all(c == "diverging-trend"
-                       for c in sv.classifications().values())
+            assert sv.prediction == "non-divergent"
+            assert "bounded-below" in sv.classifications().values()
             assert sv.consistent
-        sv = dy.divergence_survey(x, q_inf2, w, steps=14,
-                                  heat_s=[0.0], heat_k=[0])
-        assert sv.prediction == "non-divergent"
-        assert "bounded-below" in sv.classifications().values()
-        assert sv.consistent
+
+    def test_points_off_k_get_no_prediction(self, rationals, q_inf, q_inf2):
+        # only exact elements of K open the gate: sqrt2 entries, the floats
+        # of a float t, and a float 1.0 leave every survey unpredicted and
+        # unchecked, whatever its rays show
+        t = dy.TorusElement(rationals, q_inf, 2, [[math.e, 1 / math.e]])
+        cases = [(dy.anisotropic_point(rationals, q_inf), [q_inf]),
+                 (lt.SLattice(rationals, q_inf, 2, [[[1.0, 0], [0, 1]]]), [q_inf]),
+                 (dy.act(t, lt.SLattice.identity(rationals, q_inf2, 2)),
+                  [q_inf2[:1], q_inf2[1:], q_inf2])]
+        for x, actives in cases:
+            assert not dy._is_rational(x)
+            for active in actives:
+                sv = dy.divergence_survey(x, active, lt.HeightWindow(6, 2),
+                                          steps=12, heat_s=[0.0], heat_k=[0])
+                assert sv.prediction == "" and sv.anomalies == []
 
     @pytest.mark.parametrize("case", ["q", "gauss"])
     def test_one_kernel_call_gives_the_per_ray_rows(self, case, rationals, q_inf2,
@@ -355,7 +389,6 @@ class TestSurveys:
 
     def test_locally_divergent_pair(self, rationals, q_inf2):
         x = dy.locally_divergent_example(rationals, q_inf2)
-        assert x.provenance == "rational"
         # not the diagonal identity pair
         assert any(x.g[0][i][j] != x.g[1][i][j]
                    for i in range(2) for j in range(2))

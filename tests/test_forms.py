@@ -383,6 +383,23 @@ class TestReconstruction:
         assert rep.g == (1, 0, -1)
         assert rep.alpha[0] == Fraction(2)
 
+    @pytest.mark.parametrize("second", [(0, 0, 0), (1, 0, -1)])
+    def test_zero_form(self, rationals, q_inf2, monkeypatch, second):
+        # a place whose coefficients are all 0 has no pivot to divide by
+        form = fm.DecomposableForm.from_expansion(
+            rationals, q_inf2, 2, 2, [(0, 0, 0), second])
+        rep = fm.rationality_reconstruct(form)
+        assert (rep.status, rep.evidence) == ("no-rational-reconstruction",
+                                              "zero form")
+        seen = []
+        reconstruct = fm.rationality_reconstruct
+        monkeypatch.setattr(fm, "rationality_reconstruct",
+                            lambda *a, **k: seen.append(reconstruct(*a, **k))
+                            or seen[-1])
+        report = fm.discreteness_report(form, [4, 8, 16])
+        assert seen == [rep]
+        assert (report.verdict, report.anomaly) == ("discrete-trend", "")
+
     def test_sqrt2_ratio_rejected(self, sqrt2_form):
         rep = fm.rationality_reconstruct(sqrt2_form)
         assert rep.status == "no-rational-reconstruction"

@@ -12,7 +12,7 @@ from sadiclab import lattice as lt
 from sadiclab import linalg
 from sadiclab import numberfield as nf
 from sadiclab import sadic as sd
-from sadiclab.errors import NotUnimodular, WindowTooLarge
+from sadiclab.errors import NotUnimodular, ShapeMismatch, WindowTooLarge
 from sadiclab.scalars import to_field, to_float
 from sadiclab.surd import QuadraticSurd
 
@@ -146,6 +146,12 @@ class TestEnumeration:
 
 
 class TestSystole:
+    def test_one_square_matrix_per_place(self, rationals, q_inf2):
+        with pytest.raises(ShapeMismatch, match="^one matrix per place required$"):
+            lt.SLattice(rationals, q_inf2, 2, [eye(2)])
+        with pytest.raises(ShapeMismatch, match="^matrix at p2_0 is not 2x2$"):
+            lt.SLattice(rationals, q_inf2, 2, [eye(2), [[1, 0, 0], [0, 1, 0]]])
+
     def test_identity_witness(self, rationals, q_inf):
         lat = lt.SLattice(rationals, q_inf, 2, [eye(2)])
         rep = lt.systole(lat, lt.HeightWindow(5))
