@@ -31,10 +31,18 @@ from .scalars import parse_real, to_mpf
 
 DEFAULT_H = 50
 DEFAULT_E = 5
+# The most heat-map cells an `orbit-survey` grid may hold.  A survey's peak
+# RSS grew by 0.5 kB per cell (Q with S = {inf, 2}, H = 2, E = 1: 37 MB at
+# one cell, 88 MB at 10^5 cells, 138 MB at 2 * 10^5), so a grid at the
+# bound peaks near 37 MB + 10^6 * 0.5 kB, about 0.55 GB, under 1 GB.
+GRID_CELLS = 10 ** 6
 
 # lists of rows, and matrices given one per place; each command reads the entries
 _ROWS = {"type": "array", "items": {"type": "array"}}
 _MATRICES = {"type": "array", "items": _ROWS}
+# a `file:` point of `orbit-survey`; every key but "matrices" is ignored
+_POINT_FILE = {"type": "object", "properties": {"matrices": _MATRICES},
+               "required": ["matrices"]}
 _FLOW = {"type": "object", "additionalProperties": False,
          "properties": {"values": {"type": "array", "items": {"type": "number"}}},
          "required": ["values"]}
@@ -221,7 +229,7 @@ def _violations(value, schema, path=()):
             yield path, f"{value!r} is too long"
 
 
-def _best_violation(raw):
+def _best_violation(raw, schema):
     """The violation the reference validator's `best_match` reports, or None.
 
     Its relevance key ranks the shortest path first, then the
@@ -229,8 +237,16 @@ def _best_violation(raw):
     schema node, so the rest of the key ties and `max` keeps the first in
     schema order.
     """
-    return max(_violations(raw, CONFIG_SCHEMA),
+    return max(_violations(raw, schema),
                key=lambda v: (-len(v[0]), v[0]), default=None)
+
+
+def _check(raw, schema):
+    """Raise the SchemaError of raw's best violation of schema, if any."""
+    error = _best_violation(raw, schema)
+    if error is not None:
+        path, message = error
+        raise SchemaError("/" + "/".join(str(p) for p in path), message)
 
 
 @dataclasses.dataclass
@@ -280,10 +296,7 @@ def _read_config(source):
 def parse_config(source):
     """Validate and build a RunConfig from a dict, a path or inline JSON."""
     raw = _read_config(source)
-    error = _best_violation(raw)
-    if error is not None:
-        path, message = error
-        raise SchemaError("/" + "/".join(str(p) for p in path), message)
+    _check(raw, CONFIG_SCHEMA)
     with _pointing_at("/min_poly"):
         field = nf.create_field(raw["min_poly"], raw.get("integral_basis"))
     precision = raw.get("precision", nf.DEFAULT_DPS)
@@ -304,9 +317,10 @@ def parse_config(source):
 
 
 def _fmt_float(x):
-    if math.isnan(x) or math.isinf(x):
-        return json.dumps(str(x))
-    return f"{x:.17g}"
+    """x at 17 significant digits; nan and +-inf, which `%.17g` spells as
+    words, as JSON strings."""
+    text = f"{x:.17g}"
+    return text if text[-1].isdigit() else json.dumps(text)
 
 
 def _canon_json(obj):
@@ -325,30 +339,59 @@ def _canon_json(obj):
     return json.dumps(str(obj))
 
 
+def _csv_cell(cell):
+    """One CSV cell: a float at 17 significant digits, an int or a Fraction
+    as str, and any other value's text, quoted when it holds a comma or a
+    quote."""
+    if isinstance(cell, float):
+        return _fmt_float(cell)
+    if isinstance(cell, (int, Fraction)):
+        return str(cell)
+    text = str(cell)
+    if "," in text or '"' in text:
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_columns(columns):
+    """The texts of columns, a column at a time, `_csv_cell` taken once per
+    distinct cell of the table.
+
+    A text is kept under its cell's value, with the cell's type: cells of
+    one type that compare equal print alike, as they do for every type a
+    report holds (floats, ints, bools, Fractions, numpy scalars and text),
+    with one exception: 0.0 and -0.0 compare equal but print 0 and -0, so
+    no zero's text is kept.
+    """
+    texts, out = {}, []
+    for cells in columns:
+        column = []
+        for cell in cells:
+            kept = texts.get(cell)
+            if kept is not None and kept[0] is cell.__class__:
+                column.append(kept[1])
+                continue
+            text = _csv_cell(cell)
+            if cell != 0:
+                texts[cell] = (cell.__class__, text)
+            column.append(text)
+        out.append(column)
+    return out
+
+
 def emit_report(result, fmt="json"):
     """Byte-stable serialization of a report.
 
     JSON: sorted keys, floats at 17 significant digits.  CSV expects
-    (header, rows) with cells already scalar.
+    (header, columns): one column of scalar cells per header name, all of
+    one length, formatted a column at a time; no columns at all, as
+    `zip(*rows)` gives for no rows, is the header alone.
     """
     if fmt == "json":
         return (_canon_json(result) + "\n").encode("utf-8")
     if fmt == "csv":
-        header, rows = result
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, float):
-                    cells.append(_fmt_float(cell))
-                elif isinstance(cell, (int, Fraction)):
-                    cells.append(str(cell))
-                else:
-                    text = str(cell)
-                    if "," in text or '"' in text:
-                        text = '"' + text.replace('"', '""') + '"'
-                    cells.append(text)
-            lines.append(",".join(cells))
+        header, columns = result
+        lines = [",".join(header), *map(",".join, zip(*_csv_columns(columns)))]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -452,8 +495,12 @@ def _point_from_spec(cfg, spec):
         with _pointing_at("/orbit_survey/point"):
             with open(spec[len("file:"):], "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            mats = [[[Fraction(c) for c in row] for row in mat]
-                    for mat in data["matrices"]]
+        # the file is read as a config's matrices are, its pointers after the spec's
+        try:
+            _check(data, _POINT_FILE)
+            mats = _parse_matrices(data["matrices"], "/matrices")
+        except SchemaError as e:
+            raise SchemaError("/orbit_survey/point", str(e)) from e
         if len(mats) != len(cfg.places):
             raise SchemaError("/orbit_survey/point",
                               "matrix count does not match S")
@@ -468,9 +515,10 @@ def _parse_grid(text, active, cap):
     A k range holds at least one value and at most 2 SHIFT_BITS + 1: a
     wider one holds a k with |k| > SHIFT_BITS, which `RaySchedule`
     rejects at every finite place.  The heat map's cells, counted as
-    `dy._heat_schedule` builds them (s at archimedean places, k at finite
+    `dy._heat_cells` builds them (s at archimedean places, k at finite
     ones, `dy.HEAT_K` without a k range), must not exceed the window's
-    size bound `cap`; that is checked before any list is built.
+    size bound `cap`, nor the memory bound GRID_CELLS; both are checked
+    before any list is built.
     """
     parts = [part.split(":") for part in text.split(",")]
     if len(parts[0]) != 3 or len(parts) > 1 and len(parts[1]) != 2:
@@ -490,6 +538,9 @@ def _parse_grid(text, active, cap):
     if cells > cap:
         raise SchemaError("/orbit_survey/grid",
                           f"grid of {cells} cells exceeds the window cap {cap}")
+    if cells > GRID_CELLS:
+        raise SchemaError("/orbit_survey/grid",
+                          f"grid of {cells} cells exceeds the bound of {GRID_CELLS} cells")
     return ([lo + i * (hi - lo) / max(steps - 1, 1) for i in range(steps)]
             if s_used else None,
             list(range(k[0], k[1] + 1)) if k and k_used else None)
@@ -540,7 +591,7 @@ def _cmd_systole(cfg, outdir):
     else:
         raise SchemaError("/systole", "need diagonal_flow or matrices")
     header = ("param", "min_content", "min_supnorm", "witness")
-    _write(outdir, "sweep.csv", emit_report((header, rows), "csv"))
+    _write(outdir, "sweep.csv", emit_report((header, list(zip(*rows))), "csv"))
     _write(outdir, "systole.json", emit_report(
         {"rows": [dict(zip(header, r)) for r in rows]}))
     return 0
@@ -585,9 +636,8 @@ def _cmd_orbit_survey(cfg, outdir):
     steps = block.get("steps", 20)
     survey = dy.divergence_survey(point, active, cfg.window, steps=steps,
                                   s_max=s_max, heat_s=heat_s, heat_k=heat_k)
-    header = ("s", "k", "min_content", "min_supnorm", "witness")
     _write(outdir, "heatmap.csv", emit_report(
-        (header, [[r[h] for h in header] for r in survey.heat]), "csv"))
+        (list(survey.heat), list(survey.heat.values())), "csv"))
     anomalies = list(survey.anomalies)
     expected = block.get("expect", {})
     got = survey.classifications()
@@ -663,7 +713,7 @@ def _cmd_form_spectrum(cfg, outdir):
                                          dps=cfg.precision, cap=cfg.window.cap)
     rows = [(e.magnitude, e.count, e.witness) for e in spec.entries]
     _write(outdir, "spectrum.csv", emit_report(
-        (("magnitude", "count", "witness"), rows), "csv"))
+        (("magnitude", "count", "witness"), list(zip(*rows))), "csv"))
     out = {
         "heights": heights,
         "min_nonzero": spec.min_nonzero,
@@ -721,7 +771,7 @@ def _cmd_littlewood(cfg, outdir):
                              _parse_scalar(block["beta"], "/littlewood/beta"),
                              block["N"])
     _write(outdir, "records.csv", emit_report(
-        (("n", "value"), [(n, v) for n, v in res.records]), "csv"))
+        (("n", "value"), list(zip(*res.records))), "csv"))
     out = {"N": block["N"], "minimum": res.minimum, "argmin": res.argmin,
            "records": len(res.records)}
     _write(outdir, "littlewood.json", emit_report(out))

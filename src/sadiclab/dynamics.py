@@ -99,8 +99,9 @@ class RaySchedule:
     is |f * par * c| * log2 p > 2^22 / #R for some c.  So no step moves a
     content by more than 2^22 bits, and none comes near 2^(-2^23), at or
     below which the kernel reads a content as 0 (`lattice._ZERO_EXP` / 2).
-    Each place's stack is built in one pass over its column of parameters;
-    of several errors, the first in step order is raised.
+    Each place's stack is built a column of parameters at a time
+    (`_place_column`); of several errors, the first in step order is
+    raised, and of one step's, the first in place order.
     """
 
     def __init__(self, places, direction, steps):
@@ -116,32 +117,16 @@ class RaySchedule:
         width, bits = len(self.places), SHIFT_BITS // len(self.places)
         rows = [s if isinstance(s, (tuple, list)) else (s,) * width for s in steps]
         # each column stops at the first failure so far in step order
-        end = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        end = next(itertools.compress(itertools.count(), map(width.__ne__, map(len, rows))),
+                   len(rows))
         columns, self.scales, error = [], {}, None
-        for k, (place, direc) in enumerate(zip(self.places, self.direction)):
-            pars, out, finite = [], [], place.kind == "finite"
-            exps = [place.residue_degree * int(c) for c in direc] if finite else direc
-            if finite:
-                top, cap = max(map(abs, exps)), bits / math.log2(place.p)
-            try:
-                for row in rows[:end]:
-                    if not finite:
-                        par = float(row[k])
-                    elif (par := int(row[k])) != row[k]:
-                        raise ValueError("finite-place ray parameters must be integers")
-                    elif abs(par) * top > cap:
-                        raise RayOverflow(par, place.name, f"moves a norm over {bits} bits")
-                    try:
-                        for c in exps:
-                            out.append(par * c if finite else math.exp(par * c))
-                    except OverflowError:
-                        raise RayOverflow(par, place.name) from None
-                    pars.append(par)
-                self.scales[place.name] = np.array(
-                    out, dtype=np.int64 if finite else np.float64).reshape(len(pars), len(direc))
-            except (ValueError, OverflowError) as e:
-                end, error = len(pars), e
+        for place, direc, column in zip(self.places, self.direction,
+                                        list(zip(*rows[:end])) or [()] * width):
+            pars, stack, failure = _place_column(place, direc, column[:end], bits)
+            if failure is not None:
+                end, error = failure
             columns.append(pars)
+            self.scales[place.name] = stack
         if end < len(rows):
             raise error or ShapeMismatch("one parameter per active place in each step")
         self.steps = list(zip(*columns))
@@ -156,26 +141,67 @@ class RaySchedule:
         return TorusElement(field, self.places, n, entries)
 
 
-def _stacks(rays, x):
-    """The schedule kernel's per-place stacks for the steps of rays in turn.
+def _place_column(place, direc, column, bits):
+    """One active place's parameters of a column of steps, its stack and
+    the first failure: (pars, stack, None), or (pars, None, (i, error))
+    when step i is the first to fail.
 
-    The rays share their active places: at each of them, the rays' stacks
-    concatenated; at every other place of S, which no step moves, None.
+    The parameters convert a column at a time, numpy forms the products
+    with the direction, and `math.exp` takes each product in turn; only a
+    column that fails is read again a step at a time, to find the step.
     """
-    stacks = {name: np.concatenate([ray.scales[name] for ray in rays])
-              for name in rays[0].scales}
-    return ([stacks.get(p.name) for p in x.arch_places],
-            [stacks.get(p.name) for p in x.finite_places])
+    pars, error = _leading(float if place.kind != "finite" else int, column)
+    if place.kind != "finite":
+        # silent inf and nan products, as Python's float products are
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = np.multiply.outer(pars, direc).ravel().tolist()
+        try:
+            stack = np.fromiter(map(math.exp, flat), np.float64, len(flat))
+        except OverflowError:
+            step = len(_leading(math.exp, flat)[0]) // len(direc)
+            return pars, None, (step, RayOverflow(pars[step], place.name))
+        if error is not None:
+            return pars, None, (len(pars), error)
+        return pars, stack.reshape(len(pars), len(direc)), None
+    exps = [place.residue_degree * int(c) for c in direc]
+    top, cap = max(map(abs, exps)), bits / math.log2(place.p)
+    if pars != list(column[:len(pars)]) or max(map(abs, pars), default=0) * top > cap:
+        for i, (par, value) in enumerate(zip(pars, column)):
+            if par != value:
+                return pars, None, (i, ValueError("finite-place ray parameters must be integers"))
+            if abs(par) * top > cap:
+                return pars, None, (i, RayOverflow(par, place.name,
+                                                   f"moves a norm over {bits} bits"))
+    if error is not None:
+        return pars, None, (len(pars), error)
+    # |par| * top <= cap < 2^22, so every shift fits in int64; exponents all
+    # 0 shift nothing, whatever the parameters
+    return pars, np.multiply.outer(np.array(pars if top else [0] * len(pars), dtype=np.int64),
+                                   np.array(exps, dtype=np.int64)), None
 
 
-def _reports(cloud, ray, systoles):
-    """One `SystoleReport` per step of the ray from the kernel's tuples in
-    systoles.
+def _leading(fn, values):
+    """fn of values in turn, up to the first that raises ValueError or
+    OverflowError: (the results before it, its error), or (all the
+    results, None)."""
+    try:
+        return list(map(fn, values)), None
+    except (ValueError, OverflowError):
+        pass
+    out = []
+    for value in values:
+        try:
+            out.append(fn(value))
+        except (ValueError, OverflowError) as e:
+            return out, e
 
-    zip stops at the end of ray.steps before it draws from systoles, so a
-    survey passes one iterator over all its rays in turn.
-    """
-    return [cloud.report(*step) for _, step in zip(ray.steps, systoles)]
+
+def _stacks(ray, x):
+    """The schedule kernel's per-place stacks for the steps of ray: at each
+    of its active places, the place's scales; at every other place of S,
+    which no step moves, None."""
+    return ([ray.scales.get(p.name) for p in x.arch_places],
+            [ray.scales.get(p.name) for p in x.finite_places])
 
 
 def trajectory(x, ray, window, cloud=None):
@@ -183,7 +209,7 @@ def trajectory(x, ray, window, cloud=None):
     no verdict."""
     if cloud is None:
         cloud = PointCloud(x, window)
-    return _reports(cloud, ray, cloud.systoles_under(*_stacks([ray], x)))
+    return [cloud.report(*t) for t in cloud.systoles_under(*_stacks(ray, x))]
 
 
 THETA_LOW = 1e-3
@@ -229,7 +255,7 @@ class RayResult:
 @dataclass
 class SurveyReport:
     rays: list
-    heat: list                      # rows for the CSV heat map
+    heat: dict                      # the CSV heat map's columns by name
     prediction: str                 # '', 'all-diverging', 'non-divergent'
     anomalies: list = dc_field(default_factory=list)
 
@@ -263,53 +289,40 @@ def _ray_name(places, signs):
 STAIR_JUMP = 12
 
 
-def default_ray_catalog(x, active, steps=20, s_max=10.0):
-    """The canonical (name, ray) pairs for a survey: per-place axes,
-    matched diagonals for sign pairs, and alternating staircases that
+def default_ray_catalog(active, steps=20, s_max=10.0):
+    """The canonical (name, parameter rows) pairs for a survey: per-place
+    axes, matched diagonals for sign pairs, and alternating staircases that
     re-balance after each archimedean push by STAIR_JUMP (staircases only
-    when two places are active)."""
-    direction = _n2_direction(x.n)
+    when two places are active).  Each row holds one step's parameter per
+    active place, and every place moves along `_n2_direction`."""
+    js = range(steps)
     rays = []
     for signs in _sign_patterns(len(active)):
-        moving = [i for i, s in enumerate(signs) if s]
-        params = []
-        kvals = list(range(steps))
-        finite_moving = [i for i in moving if active[i].kind == "finite"]
-        for j in range(steps):
-            row = []
-            for i, (place, s) in enumerate(zip(active, signs)):
-                if s == 0:
-                    row.append(0 if place.kind == "finite" else 0.0)
-                elif place.kind == "finite":
-                    row.append(s * kvals[j])
-                elif finite_moving:
-                    # match the archimedean speed to the finite one
-                    p = active[finite_moving[0]].p
-                    row.append(s * kvals[j] * math.log(p))
-                else:
-                    row.append(s * (s_max * j / (steps - 1)))
-            params.append(tuple(row))
-        rays.append((_ray_name(active, signs),
-                     RaySchedule(active, [direction] * len(active), params)))
+        finite_moving = [p for p, s in zip(active, signs) if s and p.kind == "finite"]
+        columns = []
+        for place, s in zip(active, signs):
+            if s == 0:
+                columns.append([0 if place.kind == "finite" else 0.0] * steps)
+            elif place.kind == "finite":
+                columns.append([s * j for j in js])
+            elif finite_moving:
+                # match the archimedean speed to the finite one
+                log_p = math.log(finite_moving[0].p)
+                columns.append([s * j * log_p for j in js])
+            else:
+                columns.append([s * (s_max * j / (steps - 1)) for j in js])
+        rays.append((_ray_name(active, signs), list(zip(*columns))))
     # alternating staircases for two-place sign pairs
     if len(active) == 2 and active[0].kind != active[1].kind:
         arch_i = 0 if active[0].kind != "finite" else 1
-        fin_i = 1 - arch_i
-        p = active[fin_i].p
+        log_p = math.log(active[1 - arch_i].p)
         for sa in (1, -1):
             for sf in (1, -1):
-                params = []
-                for j in range(steps):
-                    hi = STAIR_JUMP * ((j + 1) // 2)
-                    lo = STAIR_JUMP * (j // 2)
-                    row = [None, None]
-                    row[arch_i] = sa * math.log(p) * hi
-                    row[fin_i] = sf * lo
-                    params.append(tuple(row))
-                signs = [None, None]
-                signs[arch_i], signs[fin_i] = sa, sf
-                name = "stair:" + _ray_name(active, signs)
-                rays.append((name, RaySchedule(active, [direction] * 2, params)))
+                columns, signs = [None, None], [None, None]
+                columns[arch_i] = [sa * log_p * (STAIR_JUMP * ((j + 1) // 2)) for j in js]
+                columns[1 - arch_i] = [sf * (STAIR_JUMP * (j // 2)) for j in js]
+                signs[arch_i], signs[1 - arch_i] = sa, sf
+                rays.append(("stair:" + _ray_name(active, signs), list(zip(*columns))))
     return rays
 
 
@@ -317,6 +330,8 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
                       heat_s=None, heat_k=None):
     """Systole sweep over the canonical rays plus a heat-map grid.
 
+    One `RaySchedule` holds the steps of every ray of the catalog and of
+    every heat-map cell, in turn, and one kernel call serves them all.
     At points whose entries lie in K (`_is_rational`) the classical
     dichotomy is enforced: a single active place must show every ray
     diverging, and the full place set (when S has at least two places)
@@ -324,18 +339,19 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     `anomalies`; elsewhere nothing is predicted or checked.
     """
     cloud = PointCloud(x, window)
-    rays = default_ray_catalog(x, active, steps=steps, s_max=s_max)
-    cells, heat_ray = _heat_schedule(x, active, heat_s, heat_k, s_max)
-    # one kernel call for the steps of every ray and of the heat map
-    systoles = iter(cloud.systoles_under(
-        *_stacks([ray for _, ray in rays] + [heat_ray], x)))
+    rays = default_ray_catalog(active, steps=steps, s_max=s_max)
+    (s_labels, k_labels), cells = _heat_cells(active, heat_s, heat_k, s_max)
+    schedule = RaySchedule(active, [_n2_direction(x.n)] * len(active),
+                           [row for _, rows in rays for row in rows] + cells)
+    systoles = iter(cloud.systoles_under(*_stacks(schedule, x)))
     results = []
-    for name, ray in rays:
-        rows = _reports(cloud, ray, systoles)
-        results.append(RayResult(name, classify_ray(rows), rows))
-    heat = [{"s": s, "k": k, "min_content": mc, "min_supnorm": ms,
-             "witness": cloud.format_point(ic)}
-            for (s, k), (mc, ic, ms, _) in zip(cells, systoles)]
+    for name, rows in rays:
+        reports = [cloud.report(*t) for t in itertools.islice(systoles, len(rows))]
+        results.append(RayResult(name, classify_ray(reports), reports))
+    # what is left are the heat map's steps, read as columns
+    mc, ic, ms, _ = tuple(zip(*systoles)) or ((),) * 4
+    heat = {"s": s_labels, "k": k_labels, "min_content": mc, "min_supnorm": ms,
+            "witness": list(map(cloud.format_point, ic))}
     prediction = ""
     anomalies = []
     if _is_rational(x):
@@ -368,19 +384,23 @@ def _is_rational(x):
 HEAT_K = range(-12, 13)
 
 
-def _heat_schedule(x, active, heat_s, heat_k, s_max):
-    """The heat map's (s, k) cells, as its CSV labels them, and their ray."""
+def _heat_cells(active, heat_s, heat_k, s_max):
+    """The heat map's cells: their s and k columns as its CSV labels them,
+    and their parameter rows, s at each archimedean place of active and k
+    at each finite one.  A label no active place reads is ""."""
     arch_active = any(p.kind != "finite" for p in active)
     fin_active = any(p.kind == "finite" for p in active)
-    svals = list(heat_s) if heat_s is not None else \
-        [round(-s_max + i * (2 * s_max) / 20, 10) for i in range(21)]
-    kvals = list(heat_k) if heat_k is not None else list(HEAT_K)
-    cells = [(s, k) for s in (svals if arch_active else [0.0])
-             for k in (kvals if fin_active else [0])]
-    ray = RaySchedule(active, [_n2_direction(x.n)] * len(active),
-                      [tuple(k if place.kind == "finite" else s for place in active)
-                       for s, k in cells])
-    return [(s if arch_active else "", k if fin_active else "") for s, k in cells], ray
+    svals, kvals = [0.0], [0]
+    if arch_active:
+        svals = list(heat_s) if heat_s is not None else \
+            [round(-s_max + i * (2 * s_max) / 20, 10) for i in range(21)]
+    if fin_active:
+        kvals = list(heat_k) if heat_k is not None else list(HEAT_K)
+    s_col = [s for s in svals for _ in kvals]
+    k_col = kvals * len(svals)
+    rows = list(zip(*[k_col if p.kind == "finite" else s_col for p in active]))
+    return ((s_col if arch_active else [""] * len(rows),
+             k_col if fin_active else [""] * len(rows)), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ import numpy as np
 from . import linalg
 from . import polyarith as pa
 from .errors import NotInField, ShapeMismatch, WindowTooLarge
-from .scalars import check_det, check_entries, to_field, to_float
+from .scalars import check_det, check_entries, real_spec, to_field, to_float
 
 _ZERO_VAL = 1 << 40          # sentinel valuation for a zero coordinate
 
@@ -129,10 +129,9 @@ class SLattice:
         return cls(field, places, n, [mat for _ in places])
 
     def to_jsonable(self):
-        mats = []
-        for mat in self.g:
-            mats.append([[str(c) if isinstance(c, (int, Fraction)) else repr(c)
-                          for c in row] for row in mat])
+        """The point as `orbit-survey` reads a `file:` point, each entry
+        as `scalars.real_spec` writes it."""
+        mats = [[[real_spec(c) for c in row] for row in mat] for mat in self.g]
         return {"n": self.n, "places": [p.name for p in self.places], "matrices": mats}
 
     @property

@@ -23,7 +23,7 @@ float, mpf and mpc for generic points of a completion K_v.
   in K, so valuations stay exact), `check_det` (a matrix has determinant
   1, or at least a nonzero one) and `abs_at` (the normalized |c|_v).
 * Parsing.  `parse_real` reads an exact real, including the config's
-  {"a", "b", "d"} spec of a + b sqrt(d).
+  {"a", "b", "d"} spec of a + b sqrt(d), and `real_spec` writes one.
 """
 
 import numbers
@@ -222,3 +222,13 @@ def parse_real(spec):
     if isinstance(spec, (int, Fraction, str, float)):
         return QuadraticSurd(spec)
     raise TypeError(f"cannot parse real spec {spec!r}")
+
+
+def real_spec(c):
+    """The JSON of an entry as a config spells it: an int or Fraction as
+    its fraction string, a surd a + b sqrt(d) as {"a", "b", "d"}, which
+    `parse_real` reads back, and any other entry as its repr, which
+    nothing reads back."""
+    if isinstance(c, QuadraticSurd):
+        return {"a": str(c.a), "b": str(c.b), "d": c.d}
+    return str(c) if isinstance(c, (int, Fraction)) else repr(c)

@@ -21,6 +21,7 @@ from sadiclab import forms as fm
 from sadiclab import lattice as lt
 from sadiclab import sadic as sd
 from sadiclab.errors import SchemaError
+from sadiclab.surd import QuadraticSurd
 
 
 MINIMAL = {"min_poly": [0, 1]}
@@ -89,7 +90,7 @@ def _reference_errors(config):
 
 
 def _walk_errors(config):
-    best = cli._best_violation(config)
+    best = cli._best_violation(config, cli.CONFIG_SCHEMA)
     return ([(_pointer(p), m) for p, m in cli._violations(config, cli.CONFIG_SCHEMA)],
             None if best is None else (_pointer(best[0]), best[1]))
 
@@ -268,6 +269,48 @@ class TestParseConfig:
         assert [p.name for p in cfg.places] == ["r0", "p2_0"]
 
 
+def reference_csv(header, rows):
+    """The CSV of rows, written a cell at a time by the per-cell rule."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, float):
+                cells.append(json.dumps(str(cell)) if math.isnan(cell) or math.isinf(cell)
+                             else f"{cell:.17g}")
+            elif isinstance(cell, (int, Fraction)):
+                cells.append(str(cell))
+            else:
+                text = str(cell)
+                if "," in text or '"' in text:
+                    text = '"' + text.replace('"', '""') + '"'
+                cells.append(text)
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_CSV_CELLS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                  -2.5e-310, 1e300, -1e300, 0.1]),
+    st.integers(), st.integers(-3, 3), st.booleans(), st.fractions(),
+    st.floats().map(np.float64), st.sampled_from([-0.0, 0.0, math.nan]).map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.text(alphabet='ab,"0 -.', max_size=5))
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and its columns, each drawn from a few distinct cells so
+    that cells repeat within a column, as in a heat map."""
+    width, count = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    columns = []
+    for _ in range(width):
+        pool = draw(st.lists(_CSV_CELLS, min_size=1, max_size=4))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=count,
+                                     max_size=count)))
+    return tuple(f"c{i}" for i in range(width)), columns
+
+
 class TestEmitReport:
     def test_json_is_byte_stable(self):
         data = {"b": 1.0 / 3.0, "a": [1, 2.5, "x"], "c": None}
@@ -285,6 +328,19 @@ class TestEmitReport:
     def test_csv_quoting(self):
         out = cli.emit_report((("a",), [("x,y",)]), "csv")
         assert out == b'a\n"x,y"\n'
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables())
+    @example((("a", "b"), [[], []]))
+    @example((("a", "b"), [[0.0, -0.0, 0.0, -0.0], [-0.0, 0, False, Fraction(0)]]))
+    def test_csv_matches_the_cell_by_cell_rule(self, table):
+        header, columns = table
+        rows = list(zip(*columns))
+        want = reference_csv(header, rows)
+        assert cli.emit_report((header, columns), "csv") == want
+        # no rows, given as zip(*rows) gives them, is the header alone
+        assert cli.emit_report((header, list(zip(*rows))), "csv") == want
+
 
 
 class TestRun:
@@ -629,6 +685,47 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {line.format(missing=missing)}\n"
         assert not (tmp_path / "orbit-survey.json").exists()
 
+    @pytest.mark.parametrize("blob, line", [
+        ({"point": [[[1, 0], [0, 1]]]}, "/: 'matrices' is a required property"),
+        ([[[[1, 0], [0, 1]]]], "/: [[[[1, 0], [0, 1]]]] is not of type 'object'"),
+        ({"matrices": [5]}, "/matrices/0: 5 is not of type 'array'"),
+        ({"matrices": [[["x", 0], [0, 1]]]},
+         "/matrices/0/0/0: Invalid literal for Fraction: 'x'"),
+        ({"matrices": [[[{"a": 1, "b": 1, "d": -3}, 0], [0, 1]]]},
+         "/matrices/0/0/0: radicand must be positive"),
+    ])
+    def test_file_point_is_read_as_config_matrices(self, tmp_path, capsys, blob, line):
+        # the file's own pointer follows the config key that names it
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(blob))
+        code = cli.main(["--config", json.dumps(dict(MINIMAL, window={"H": 2, "E": 1})),
+                         "--out", str(tmp_path), "orbit-survey", "--point", f"file:{path}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: /orbit_survey/point: {line}\n"
+        assert not (tmp_path / "orbit-survey.json").exists()
+
+    def test_file_point_round_trip_of_a_surd_entry(self, tmp_path):
+        # a point off K: to_jsonable writes sqrt2 as its {"a", "b", "d"}
+        # spec, and the CLI's survey of the file is the library's, with no
+        # prediction and no anomaly
+        cfg = cli.parse_config(dict(MINIMAL, window={"H": 6, "E": 0}))
+        s2 = QuadraticSurd.sqrt(2)
+        x = lt.SLattice(cfg.field, cfg.places, 2, [[[1, s2], [0, 1]]])
+        blob = x.to_jsonable()
+        assert blob["matrices"] == [[["1", {"a": "0", "b": "1", "d": 2}], ["0", "1"]]]
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(blob))
+        code = cli.main(["--config", json.dumps(cfg.raw), "--out", str(tmp_path),
+                         "orbit-survey", "--point", f"file:{path}", "--grid=0:4:5"])
+        assert code == 0
+        verdict = json.loads((tmp_path / "orbit-survey.json").read_text())
+        assert verdict["prediction"] == "" and verdict["anomalies"] == []
+        assert verdict["consistent"] is True
+        survey = dy.divergence_survey(x, cfg.places, cfg.window, heat_s=[0, 1, 2, 3, 4])
+        assert verdict["classifications"] == survey.classifications()
+        assert (tmp_path / "heatmap.csv").read_bytes() == cli.emit_report(
+            (list(survey.heat), list(survey.heat.values())), "csv")
+
     @pytest.mark.parametrize("grid, cells", [("0:1:101,0:0", 101),
                                              ("0:1:26,0:3", 104),
                                              ("0:1:5", 125)])   # 25 k values
@@ -663,6 +760,19 @@ class TestRun:
         with pytest.raises(SchemaError, match="grid of 1000000000000 cells"):
             cli._parse_grid("0:1:1000000000000", places[:1], 10 ** 8)
 
+    @pytest.mark.parametrize("grid, active, cells", [("0:1:1000001", slice(0, 1), 1000001),
+                                                     ("0:1:40001,0:24", slice(0, 2), 1000025)])
+    def test_grid_beyond_the_cell_bound_is_rejected(self, grid, active, cells):
+        # below the window cap, above the heat map's own bound: checked on
+        # the counts alone, before any list is built
+        places = cli.parse_config(Q_WITH_2).places[active]
+        with pytest.raises(SchemaError, match=f"^/orbit_survey/grid: grid of {cells} cells "
+                                              f"exceeds the bound of {cli.GRID_CELLS} cells$"):
+            cli._parse_grid(grid, places, 10 ** 8)
+        # a grid at the bound parses
+        s, k = cli._parse_grid("0:1:40000,0:24", cli.parse_config(Q_WITH_2).places, 10 ** 8)
+        assert len(s) * len(k) == cli.GRID_CELLS
+
     def test_missing_config_file_is_an_error_line(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         code = cli.main(["--config", missing, "--out", str(tmp_path), "orbit-survey"])
@@ -694,12 +804,12 @@ class TestRun:
             fin = [c * Fraction(367) ** (k * d) for c, d in zip(coords, (1, -1))]
             return sd.content(sd.SAdicVector(cfg.places, [arch, fin]), 50)
 
-        rays = dict(dy.default_ray_catalog(x, cfg.places, steps=20))
+        rays = dict(dy.default_ray_catalog(cfg.places, steps=20))
         stairs = [r for r in survey.rays if r.name.startswith("stair:")]
         assert len(stairs) == 4
         with mp.workdps(50):
             for ray in stairs:
-                for step, row in list(zip(rays[ray.name].steps, ray.rows))[11:]:
+                for step, row in list(zip(rays[ray.name], ray.rows))[11:]:
                     contents = {text: exact_content(z, step)
                                 for text, z in points.items()}
                     least = min(contents.values())

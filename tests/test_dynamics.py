@@ -185,10 +185,14 @@ def _ray_places():
             + nf.finite_places(gauss, 3))
 
 
+# columns mix ints, floats, Fractions and numpy scalars
 _RAY_PARAMS = st.one_of(
     st.integers(-40, 40), st.floats(-40, 40), st.floats(-800, 800),
     st.integers(-2 ** 22, 2 ** 22), st.integers(-2 ** 70, 2 ** 70),
-    st.sampled_from([0.5, 3.0, -2.0 ** 21, 2 ** 63, 699050, 699051, 1048576, 1048577]))
+    st.sampled_from([0.5, 3.0, -2.0 ** 21, 2 ** 63, 699050, 699051, 1048576, 1048577]),
+    st.fractions(max_denominator=3, min_value=-40, max_value=40),
+    st.floats(-800, 800).map(np.float64), st.integers(-2 ** 40, 2 ** 40).map(np.int64),
+    st.sampled_from([Fraction(-6), np.float64(-0.0), np.int64(-3), np.float64(2.0)]))
 
 
 @st.composite
@@ -205,6 +209,27 @@ def ray_inputs(draw):
     return places, direction, draw(st.lists(step, max_size=8))
 
 
+@st.composite
+def stacked_ray_inputs(draw):
+    """A survey's table: the steps of several rays in turn, in range but
+    for one parameter in a later ray that overflows, at an archimedean
+    place (e^710) or at a finite one (beyond 2^22 / #places bits)."""
+    pool = draw(st.sampled_from(_ray_places()))
+    places = draw(st.permutations(pool))[:draw(st.integers(1, 3))]
+    direction = [(1, -1)] * len(places)
+    small = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=1,
+                                                         min_value=-30, max_value=30),
+                      st.integers(-30, 30).map(np.int64))
+    rays = [draw(st.lists(st.tuples(*[small] * len(places)), min_size=1, max_size=6))
+            for _ in range(draw(st.integers(2, 4)))]
+    ray, k = draw(st.integers(1, len(rays) - 1)), draw(st.integers(0, len(places) - 1))
+    row = list(draw(st.sampled_from(rays[ray])))
+    row[k] = draw(st.sampled_from([2 ** 22 + 1, -(2 ** 40)] if places[k].kind == "finite"
+                                  else [710.0, -711, np.float64(800.0)]))
+    rays[ray].insert(draw(st.integers(0, len(rays[ray]))), tuple(row))
+    return places, direction, [step for steps in rays for step in steps]
+
+
 class TestRaySchedule:
     def test_overflowing_archimedean_parameter_rejected(self, q_inf2):
         # e^709 is a float64 and e^710 is not; finite-place parameters stay exact
@@ -215,9 +240,14 @@ class TestRaySchedule:
                 dy.RaySchedule(q_inf2, direction, [(par, 0)])
 
     @settings(max_examples=300, deadline=None)
-    @given(ray_inputs())
+    @given(st.one_of(ray_inputs(), stacked_ray_inputs()))
     def test_matches_the_step_by_step_build(self, inputs):
         assert _ray_outcome(_built, *inputs) == _ray_outcome(reference_ray, *inputs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(stacked_ray_inputs())
+    def test_overflow_in_a_later_ray_of_a_table(self, inputs):
+        assert _ray_outcome(_built, *inputs)[0] is RayOverflow
 
     @pytest.mark.parametrize("steps, line", [
         ([(0.0, 0), (1.0, 3_000_000), (710.0, 0)],
@@ -233,6 +263,20 @@ class TestRaySchedule:
             dy.RaySchedule(q_inf2, direction, steps)
         assert str(raised.value) == line
         assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (RayOverflow, line)
+
+    def test_checks_of_one_step_in_order(self, q_inf2):
+        # a finite parameter both fractional and too large fails as
+        # fractional; exponents all 0 shift nothing, however large the
+        # parameter
+        cases = [(q_inf2, [(1, -1)] * 2, [(0.0, 2.0 ** 23 + 0.5)]),
+                 (q_inf2[1:], [(0, 0)], [2 ** 70, -(2 ** 64)])]
+        for inputs in cases:
+            assert _ray_outcome(_built, *inputs) == _ray_outcome(reference_ray, *inputs)
+        with pytest.raises(ValueError, match="^finite-place ray parameters must be integers$"):
+            dy.RaySchedule(*cases[0])
+        ray = dy.RaySchedule(*cases[1])
+        assert ray.steps == [(2 ** 70,), (-(2 ** 64),)]
+        assert ray.scales["p2_0"].tolist() == [[0, 0], [0, 0]]
 
     def test_shift_beyond_int64_rejected(self, q_inf2):
         with pytest.raises(RayOverflow, match=r"^ray parameter 9223372036854775808 at p2_0 "):
@@ -372,20 +416,36 @@ class TestSurveys:
         sv = dy.divergence_survey(x, places, window, steps=12,
                                   heat_s=heat_s, heat_k=heat_k)
         assert len(calls) == 1
+        # each ray, and the heat map, as a schedule of its own
         cloud = lt.PointCloud(x, window)
-        rays = dy.default_ray_catalog(x, places, steps=12)
+        direction = [(1, -1)] * len(places)
+        rays = dy.default_ray_catalog(places, steps=12)
         assert [name for name, _ in rays] == [result.name for result in sv.rays]
-        for result, (_, ray) in zip(sv.rays, rays):
-            want = dy.trajectory(x, ray, window, cloud=cloud)
+        for result, (_, rows) in zip(sv.rays, rays):
+            want = dy.trajectory(x, dy.RaySchedule(places, direction, rows), window,
+                                 cloud=cloud)
             assert repr(result.rows) == repr(want)
-        cells, heat_ray = dy._heat_schedule(x, places, heat_s, heat_k, 10.0)
-        want = dy.trajectory(x, heat_ray, window, cloud=cloud)
-        assert len(sv.heat) == len(want) == len(cells)
-        got = [(r["s"], r["k"], r["min_content"], r["min_supnorm"], r["witness"])
-               for r in sv.heat]
+        (s_labels, k_labels), cells = dy._heat_cells(places, heat_s, heat_k, 10.0)
+        want = dy.trajectory(x, dy.RaySchedule(places, direction, cells), window,
+                             cloud=cloud)
+        assert list(sv.heat) == ["s", "k", "min_content", "min_supnorm", "witness"]
+        assert {len(column) for column in sv.heat.values()} == {len(want)}
+        got = list(zip(*sv.heat.values()))
         assert repr(got) == repr([(s, k, w.min_content, w.min_supnorm, w.content_witness)
-                                  for (s, k), w in zip(cells, want)])
+                                  for s, k, w in zip(s_labels, k_labels, want)])
         assert len(calls) == 1 + len(sv.rays) + 1
+
+    @pytest.mark.parametrize("active", [slice(0, 1), slice(1, 2), slice(0, 2)])
+    def test_a_survey_builds_one_schedule(self, rationals, q_inf2, monkeypatch, active):
+        # every ray and every heat-map cell are steps of one RaySchedule
+        built = []
+        init = dy.RaySchedule.__init__
+        monkeypatch.setattr(dy.RaySchedule, "__init__",
+                            lambda ray, *a: built.append(1) or init(ray, *a))
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
+        sv = dy.divergence_survey(x, q_inf2[active], lt.HeightWindow(4, 1), steps=10)
+        assert len(built) == 1
+        assert len(sv.rays) == {1: 2, 2: 12}[len(q_inf2[active])]
 
     def test_locally_divergent_pair(self, rationals, q_inf2):
         x = dy.locally_divergent_example(rationals, q_inf2)
