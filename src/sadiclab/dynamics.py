@@ -93,7 +93,8 @@ class RaySchedule:
     maps each active place's name to its (steps, n) stack for the schedule
     kernel: the multipliers exp(par * c) at an archimedean place, the
     valuation shifts f * par * c at a finite one.  An archimedean
-    parameter whose multipliers overflow float64 raises `RayOverflow`, and
+    parameter whose multipliers overflow float64, or whose products par * c
+    are infinite, raises `RayOverflow` (a nan one raises ValueError), and
     so does a finite one whose shifts move a norm by more than
     `lattice.SHIFT_BITS` / #R = 2^22 / #R bits, #R the active places, that
     is |f * par * c| * log2 p > 2^22 / #R for some c.  So no step moves a
@@ -147,14 +148,22 @@ def _place_column(place, direc, column, bits):
     when step i is the first to fail.
 
     The parameters convert a column at a time, numpy forms the products
-    with the direction, and `math.exp` takes each product in turn; only a
-    column that fails is read again a step at a time, to find the step.
+    with the direction and checks them finite, and `math.exp` takes each
+    product in turn; only a column that fails is read again a step at a
+    time, to find the step.
     """
     pars, error = _leading(float if place.kind != "finite" else int, column)
     if place.kind != "finite":
         # silent inf and nan products, as Python's float products are
         with np.errstate(over="ignore", invalid="ignore"):
-            flat = np.multiply.outer(pars, direc).ravel().tolist()
+            products = np.multiply.outer(pars, np.array(direc, dtype=np.float64))
+        finite = np.isfinite(products).all(axis=1)
+        if not finite.all():
+            step = int(finite.argmin())
+            par, pars, products = pars[step], pars[:step], products[:step]
+            error = (ValueError(f"ray parameter {par!r} at {place.name} is not a number")
+                     if math.isnan(par) else RayOverflow(par, place.name))
+        flat = products.ravel().tolist()
         try:
             stack = np.fromiter(map(math.exp, flat), np.float64, len(flat))
         except OverflowError:

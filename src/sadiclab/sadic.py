@@ -10,7 +10,10 @@ values at finite places), so the content -- the product of the local norms
 targets a_v whose product equals the content, it finds an S-unit xi making
 every local norm of xi*x agree with a_v up to a factor kappa, where kappa
 is computed here from the log-embedding of the unit lattice rather than
-assumed.
+assumed.  It rounds the target to the unit lattice (Babai's rounding),
+which lands within kappa for every x, then searches exactly the box of
+exponent vectors that the rounded point's own objective proves to hold
+every minimizer; there is no exponent bound to choose.
 """
 
 import itertools
@@ -19,8 +22,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import ZeroComponent
-from .linalg import float_rank
+from .errors import ShapeMismatch, ZeroComponent
+from .linalg import float_rank, inverse
 from .numberfield import DEFAULT_DPS
 from .scalars import abs_at, check_entries, is_exact, mul, to_mpf
 
@@ -34,13 +37,11 @@ class SAdicVector:
 
     def __init__(self, places, components, n=None):
         self.places = list(places)
-        comps = []
-        for place, comp in zip(self.places, components):
-            comp = tuple(comp)
-            check_entries([comp], place)
-            comps.append(comp)
+        comps = [tuple(comp) for comp in components]
         if len(comps) != len(self.places):
             raise ValueError("one component per place required")
+        for place, comp in zip(self.places, comps):
+            check_entries([comp], place)
         lengths = {len(c) for c in comps}
         if len(lengths) > 1:
             raise ValueError("components must share a common dimension")
@@ -109,15 +110,15 @@ def pseudoball_contains(r, x):
 
 
 class BalancingTarget:
-    """Per-place positive targets a_v with product equal to the content."""
+    """Per-place positive finite targets a_v with product equal to the content."""
 
     def __init__(self, places, targets):
         self.places = list(places)
         self.targets = [float(t) for t in targets]
         if len(self.targets) != len(self.places):
             raise ValueError("one target per place required")
-        if any(t <= 0 for t in self.targets):
-            raise ValueError("targets must be positive")
+        if not all(0 < t < math.inf for t in self.targets):
+            raise ValueError("targets must be positive and finite")
 
     @classmethod
     def equal_split(cls, places, total_content):
@@ -168,37 +169,75 @@ def balancing_constant(units):
     return math.exp(halfsum)
 
 
-def unit_balance(x, target, units, exponent_bound=20):
+def _left_inverse(vecs, m):
+    """Rows L_i of an exact left inverse of the log vectors, on k places.
+
+    Returns (places J, L) with sum_j L[i][j] * vecs[i'][J[j]] = [i == i']:
+    the inverse of the first k x k minor, over places J in order, that is
+    invertible in floats, taken over the Fractions of its entries.
+    """
+    k = len(vecs)
+    for cols in itertools.combinations(range(m), k):
+        minor = [[v[j] for v in vecs] for j in cols]
+        if float_rank(minor, 1e-9) == k:
+            return cols, inverse([[Fraction(c) for c in row] for row in minor])
+    raise ValueError("the unit generators' log vectors are dependent")
+
+
+def _objective(exps, vecs, y):
+    """max_v |sum_i exps_i log|u_i|_v - y_v|: the log of the worst ratio."""
+    obj = 0.0
+    for j in range(len(y)):
+        s = -y[j]
+        for i in range(len(exps)):
+            s += exps[i] * vecs[i][j]
+        a = abs(s)
+        if a > obj:
+            obj = a
+    return obj
+
+
+def unit_balance(x, target, units):
     """S-unit xi minimizing the worst log-ratio of local norms to targets.
 
-    Exhaustive search over generator exponents in [-B, B]; ties resolve to
-    the lexicographically smallest exponent vector.  Returns (xi, ratio)
-    with ratio = exp(max_v |log(norm_v(xi x)/a_v)|), at DEFAULT_DPS digits.
+    With V the generators' log vectors and y_v = log(a_v / norm_v(x)),
+    xi = prod u_i^e_i for the e in Z^k minimizing obj(e) = ||V e - y||_oo.
+    Rounding the coordinates of y in the basis V (through the exact left
+    inverse L of `_left_inverse`) gives e0 with obj(e0) <= log kappa, the
+    bound of `balancing_constant`.  Every minimizer e* has obj(e*) <=
+    obj(e0), so ||V(e* - e0)||_oo <= 2 obj(e0) and, as L V = I,
+    |e*_i - e0_i| <= 2 obj(e0) ||L_i||_1.  The search covers that box
+    about e0, one more step each way, which absorbs the float error of
+    obj and of the bound (far below one unit of the integer |e*_i - e0_i|).
+    Ties resolve to the lexicographically smallest exponent vector.
+    Returns (xi, ratio) with ratio = exp(max_v |log(norm_v(xi x)/a_v)|),
+    at DEFAULT_DPS digits: at most kappa for every x.
+
+    x and the targets must live on units.places (else ShapeMismatch), and
+    the generators' log vectors must be independent (else ValueError).
     """
+    if not x.places == target.places == units.places:
+        raise ShapeMismatch("x, the targets and the unit group have different places")
     dps = DEFAULT_DPS
     norms = local_norms(x, dps)
     if any(v == 0 for v in norms):
         raise ZeroComponent("every local component must be nonzero")
     target.validate_against(x)
-    lognorm = [math.log(float(v)) for v in norms]
+    with mp.workdps(dps):
+        lognorm = [float(mp.log(to_mpf(v))) for v in norms]
     y = [math.log(a) - b for a, b in zip(target.targets, lognorm)]
     vecs = _unit_log_vectors(units, x.places, dps)
-    k = len(vecs)
-    if k == 0:
-        ratio = max(abs(v) for v in y) if y else 0.0
-        return units.field.one(), math.exp(ratio)
+    cols, inv = _left_inverse(vecs, len(y))
+    e0 = [round(sum(c * Fraction(y[j]) for c, j in zip(row, cols))) for row in inv]
+    reach = 2 * _objective(e0, vecs, y)
+    box = []
+    for e, row in zip(e0, inv):
+        r = math.floor(reach * float(sum(map(abs, row)))) + 1
+        box.append(range(e - r, e + r + 1))
     best_exps = None
     best_obj = None
-    rng = range(-exponent_bound, exponent_bound + 1)
-    for exps in itertools.product(rng, repeat=k):
-        obj = 0.0
-        for j in range(len(y)):
-            s = -y[j]
-            for i in range(k):
-                s += exps[i] * vecs[i][j]
-            a = abs(s)
-            if a > obj:
-                obj = a
+    for exps in itertools.product(*box):
+        obj = _objective(exps, vecs, y)
         if best_obj is None or obj < best_obj - 1e-15:
             best_obj = obj
             best_exps = exps

@@ -72,7 +72,7 @@ def test_c02_unit_balancing(rationals, q_inf2):
     # pinned fixture: x = (8, 1) with equal targets
     x = sd.SAdicVector(q_inf2, [(8,), (1,)], 1)
     target = sd.BalancingTarget(q_inf2, [2 * math.sqrt(2)] * 2)
-    xi, ratio = sd.unit_balance(x, target, units, exponent_bound=10)
+    xi, ratio = sd.unit_balance(x, target, units)
     assert abs(xi.coords[0]) == Fraction(1, 4)
     assert abs(float(ratio) - math.sqrt(2)) < 1e-10
     done = 0
@@ -87,7 +87,7 @@ def test_c02_unit_balancing(rationals, q_inf2):
         if any(x == 0 for x in sd.local_norms(v)):
             continue
         t = sd.BalancingTarget.equal_split(q_inf2, sd.content(v))
-        _, r = sd.unit_balance(v, t, units, exponent_bound=20)
+        _, r = sd.unit_balance(v, t, units)
         assert float(r) <= kappa * (1 + 1e-9)
         done += 1
     _ok(2, f"100 random balances within kappa = {kappa:.12f}; "

@@ -604,8 +604,11 @@ class TestRun:
         assert capsys.readouterr().err == \
             f"error: ray parameter {big} at p2_0 moves a norm over 2097152 bits\n"
 
+    # json.dumps writes math.inf as Infinity, which json.loads and the
+    # schema's number accept
     @pytest.mark.parametrize("command, block, value", [
-        ("systole", "systole", 800), ("mahler", "mahler", -800)])
+        ("systole", "systole", 800), ("mahler", "mahler", -800),
+        ("systole", "systole", math.inf), ("mahler", "mahler", -math.inf)])
     def test_overflowing_diagonal_flow_is_an_error_line(self, tmp_path, capsys,
                                                         command, block, value):
         config = {"min_poly": [0, 1], "window": {"H": 2, "E": 0},

@@ -119,7 +119,7 @@ def test_rank_two_balancing(rationals):
         f3 = (Fraction(3) ** random.randint(-4, 4) * random.choice([1, 2, 5]),)
         x = sd.SAdicVector(places, [arch, f2, f3], 1)
         target = sd.BalancingTarget.equal_split(places, sd.content(x))
-        _, ratio = sd.unit_balance(x, target, units, exponent_bound=12)
+        _, ratio = sd.unit_balance(x, target, units)
         assert float(ratio) <= kappa * (1 + 1e-9)
 
 

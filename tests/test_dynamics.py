@@ -126,8 +126,9 @@ def reference_ray(places, direction, steps):
 
     The first failure in step order raises: a step of the wrong length, a
     finite-place parameter that is not an integer or whose shifts move a
-    norm by more than SHIFT_BITS / #places bits, an archimedean one whose
-    multipliers overflow float64.
+    norm by more than SHIFT_BITS / #places bits, an archimedean one that is
+    nan or whose products with the direction or multipliers overflow
+    float64.
     """
     bits = lt.SHIFT_BITS // len(places)
     norm_steps, scales = [], [[] for _ in places]
@@ -148,8 +149,13 @@ def reference_ray(places, direction, steps):
                 out += shifts
             else:
                 par = float(par)
+                if math.isnan(par):
+                    raise ValueError(f"ray parameter {par!r} at {place.name} is not a number")
+                products = [par * c for c in direc]
                 try:
-                    out += [math.exp(par * c) for c in direc]
+                    if not all(map(math.isfinite, products)):
+                        raise OverflowError
+                    out += [math.exp(v) for v in products]
                 except OverflowError:
                     raise RayOverflow(par, place.name) from None
             row.append(par)
@@ -192,7 +198,8 @@ _RAY_PARAMS = st.one_of(
     st.sampled_from([0.5, 3.0, -2.0 ** 21, 2 ** 63, 699050, 699051, 1048576, 1048577]),
     st.fractions(max_denominator=3, min_value=-40, max_value=40),
     st.floats(-800, 800).map(np.float64), st.integers(-2 ** 40, 2 ** 40).map(np.int64),
-    st.sampled_from([Fraction(-6), np.float64(-0.0), np.int64(-3), np.float64(2.0)]))
+    st.sampled_from([Fraction(-6), np.float64(-0.0), np.int64(-3), np.float64(2.0)]),
+    st.sampled_from([math.inf, -math.inf, math.nan, np.float64(math.inf), "abc"]))
 
 
 @st.composite
@@ -263,6 +270,41 @@ class TestRaySchedule:
             dy.RaySchedule(q_inf2, direction, steps)
         assert str(raised.value) == line
         assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (RayOverflow, line)
+
+    @pytest.mark.parametrize("par, error, line", [
+        (math.inf, RayOverflow, "ray parameter inf at r0 overflows float64 in its diagonal entries"),
+        (-math.inf, RayOverflow, "ray parameter -inf at r0 overflows float64 in its diagonal entries"),
+        (math.nan, ValueError, "ray parameter nan at r0 is not a number"),
+        (1e308, RayOverflow, "ray parameter 1e+308 at r0 overflows float64 in its diagonal entries"),
+        ("abc", ValueError, "could not convert string to float: 'abc'"),
+    ])
+    def test_archimedean_parameter_that_fails(self, q_inf2, par, error, line):
+        # its step fails before a later overflow at r0 and at p2_0, and
+        # after an earlier one at p2_0; 1e308 * 2 is an infinite product
+        direction = [(2, -1, -1), (1, 0, -1)]
+        cases = [([(0.5, 1), (par, 2), (800.0, 3_000_000)], error, line),
+                 ([(0.5, 3_000_000), (par, 2)], RayOverflow,
+                  "ray parameter 3000000 at p2_0 moves a norm over 2097152 bits")]
+        for steps, want, text in cases:
+            with pytest.raises(want) as raised:
+                dy.RaySchedule(q_inf2, direction, steps)
+            assert str(raised.value) == text
+            assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (want, text)
+
+    @pytest.mark.parametrize("par, error, line", [
+        ("abc", ValueError, "invalid literal for int() with base 10: 'abc'"),
+        (math.inf, OverflowError, "cannot convert float infinity to integer"),
+        (math.nan, ValueError, "cannot convert float NaN to integer"),
+    ])
+    def test_finite_parameter_that_fails_to_convert(self, q_inf2, par, error, line):
+        # the failing step comes after one that converts and before one
+        # that overflows at r0
+        direction = [(1, -1), (1, -1)]
+        steps = [(0.5, 1), (0.0, par), (710.0, 2)]
+        with pytest.raises(error) as raised:
+            dy.RaySchedule(q_inf2, direction, steps)
+        assert type(raised.value) is error and str(raised.value) == line
+        assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (error, line)
 
     def test_checks_of_one_step_in_order(self, q_inf2):
         # a finite parameter both fractional and too large fails as
