@@ -95,9 +95,10 @@ class RaySchedule:
     valuation shifts f * par * c at a finite one.  An archimedean
     parameter whose multipliers overflow float64, or whose products par * c
     are infinite, raises `RayOverflow` (a nan one raises ValueError), and
-    so does a finite one whose shifts move a norm by more than
-    `lattice.SHIFT_BITS` / #R = 2^22 / #R bits, #R the active places, that
-    is |f * par * c| * log2 p > 2^22 / #R for some c.  So no step moves a
+    so do a finite one of +-inf (nan again raises ValueError) and one whose
+    shifts move a norm by more than `lattice.SHIFT_BITS` / #R = 2^22 / #R
+    bits, #R the active places, that is |f * par * c| * log2 p > 2^22 / #R
+    for some c; a float parameter is named as given.  So no step moves a
     content by more than 2^22 bits, and none comes near 2^(-2^23), at or
     below which the kernel reads a content as 0 (`lattice._ZERO_EXP` / 2).
     Each place's stack is built a column of parameters at a time
@@ -179,9 +180,15 @@ def _place_column(place, direc, column, bits):
             if par != value:
                 return pars, None, (i, ValueError("finite-place ray parameters must be integers"))
             if abs(par) * top > cap:
-                return pars, None, (i, RayOverflow(par, place.name,
+                # a float parameter is named as given, not as its int's digits
+                shown = float(value) if isinstance(value, float) else par
+                return pars, None, (i, RayOverflow(shown, place.name,
                                                    f"moves a norm over {bits} bits"))
     if error is not None:
+        value = column[len(pars)]
+        if isinstance(value, float) and not math.isfinite(value):
+            error = (ValueError(f"ray parameter nan at {place.name} is not a number")
+                     if math.isnan(value) else RayOverflow(float(value), place.name))
         return pars, None, (len(pars), error)
     # |par| * top <= cap < 2^22, so every shift fits in int64; exponents all
     # 0 shift nothing, whatever the parameters

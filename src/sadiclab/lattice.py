@@ -46,7 +46,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from . import polyarith as pa
 from .errors import NotInField, ShapeMismatch, WindowTooLarge
 from .scalars import check_det, check_entries, real_spec, to_field, to_float
 
@@ -282,10 +281,15 @@ class PointCloud:
         it integral; the residues of D_j g_jk b_l mod (h, p^K) form the
         fixed matrix A_j, so the residues of a whole cloud are one int64
         matmul Y @ A_j, exact because n_in d H p^K fits in int64 and K is
-        at most the lift's precision.  The normalized valuation is then
-        f (min_k v_p(C_k) - v_p(D_j)) - f e.  A residue that vanishes mod p^K
-        is either a zero coordinate (found exactly over the flagged rows) or
-        has valuation >= K; only the latter take the exact
+        at most the lift's precision.  Each g_jk b_l is q P, a rational q
+        times an integer vector P whose coordinates have the denominators'
+        lcm den(q): for a rational g_jk it is (g_jk s_l) P_l of the place's
+        `basis_residues`, whose residues R_l are built once, so D_j g_jk b_l
+        has the residue (D_j g_jk s_l) R_l and no product in K is formed;
+        any other g_jk b_l is multiplied out and cleared.  The normalized
+        valuation is then f (min_k v_p(C_k) - v_p(D_j)) - f e.  A residue that
+        vanishes mod p^K is either a zero coordinate (found exactly over the
+        flagged rows) or has valuation >= K; only the latter take the exact
         `FinitePlace.valuation` path, and `valuation_fallbacks` counts them.
         """
         field, n, d = self.field, self.n, self.d
@@ -295,15 +299,24 @@ class PointCloud:
         while K < place.precision and bound * p ** (K + 1) < 2 ** 63:
             K += 1
         modulus = p ** K
-        lifted = list(place.lifted_factor)
+        basis = place.basis_residues(K)
         exact, resid, den_val = [], [], []
         for row in mat:
-            prods = [to_field(c, field, place.name) * b
-                     for c in row for b in field.integral_basis]
-            D = math.lcm(*(c.denominator for e in prods for c in e.coords))
-            ints = [[int(c * D) for c in e.coords] for e in prods]
-            exact.append(ints)
-            resid.append([_residue(u, lifted, f, modulus) for u in ints])
+            terms = []      # (q, P, residue of P) per entry and basis element
+            for c in row:
+                c = to_field(c, field, place.name)
+                if c.is_rational():
+                    terms += [(c.coords[0] * s, P, R) for s, P, R in basis]
+                else:
+                    for b in field.integral_basis:
+                        e = (c * b).coords
+                        den = math.lcm(*(x.denominator for x in e))
+                        P = [int(x * den) for x in e]
+                        terms.append((Fraction(1, den), P, place.residue(P, K)))
+            D = math.lcm(*(q.denominator for q, _, _ in terms))
+            mults = [int(q * D) for q, _, _ in terms]
+            exact.append([[m * x for x in P] for m, (_, P, _) in zip(mults, terms)])
+            resid.append([[m * r % modulus for r in R] for m, (_, _, R) in zip(mults, terms)])
             v = 0
             while D % p == 0:
                 D //= p
@@ -561,12 +574,6 @@ def _frexp_exact(p, v):
 def _gamma(k):
     """Higham's gamma_k: the relative error bound of k roundings."""
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
-
-
-def _residue(u, h, f, modulus):
-    """Coefficients of the integer polynomial u mod the monic h, mod modulus."""
-    r = pa.rem_mod(u, h, modulus)
-    return r + [0] * (f - len(r))
 
 
 def _vp_array(a, p):

@@ -37,6 +37,7 @@ DEFAULT_DPS = 50
 HENSEL_DEFAULT_N = 30
 HENSEL_CAP_N = 480
 FLOAT_ROOT_SWEEPS = 100
+FIELD_CACHE_SIZE = 32        # the fields `create_field` keeps, least recently used out
 
 
 class NumberField:
@@ -56,6 +57,7 @@ class NumberField:
         if not pa.is_irreducible(coeffs):
             raise Reducible(f"{_poly_text(coeffs)} factors over Q")
         self.discriminant = pa.discriminant(coeffs)
+        self._places = {}        # the place lists of `archimedean_places` and `finite_places`
         # theta^k for k = d .. 2d-2, reduced to degree < d.
         self._red = self._reduction_rows()
         if integral_basis is None:
@@ -119,6 +121,13 @@ class NumberField:
         coords = [b.coords for b in self.integral_basis]
         den = lcm(*(c.denominator for row in coords for c in row))
         return [[int(c * den) for c in row] for row in coords], den
+
+    @functools.cached_property
+    def _primitive_basis(self):
+        """(s_l, P_l) with b_l = s_l P_l for each integral-basis element:
+        P_l an integer vector of content 1, s_l a positive rational."""
+        rows, den = self._integral_rows
+        return [(Fraction(gcd(*row), den), [c // gcd(*row) for c in row]) for row in rows]
 
     def __repr__(self):
         return f"NumberField({list(self.min_poly)})"
@@ -345,6 +354,7 @@ class FinitePlace:
         self.name = f"p{p}_{index}"
         self._lifted = tuple(lifted) if lifted is not None else None
         self._refined = {}
+        self._basis_residues = {}
 
     @property
     def lifted_factor(self):
@@ -352,6 +362,23 @@ class FinitePlace:
             self._lifted = tuple(_lift_place_factor(self.field, self.p,
                                                     self.factor_mod_p, self.precision))
         return self._lifted
+
+    def residue(self, u, K):
+        """The f coefficients, in [0, p^K), of the integer polynomial u mod
+        the lifted factor h and p^K, for K at most the place's precision."""
+        r = pa.rem_mod(u, list(self.lifted_factor), self.p ** K)
+        return r + [0] * (self.residue_degree - len(r))
+
+    def basis_residues(self, K):
+        """(s_l, P_l, R_l) for each integral-basis element b_l = s_l P_l
+        (`NumberField._primitive_basis`), R_l the residue of P_l mod (h, p^K);
+        built once per K.  Reduction mod (h, p^K) is linear, so an integer
+        m times P_l has the residue m R_l mod p^K."""
+        out = self._basis_residues.get(K)
+        if out is None:
+            out = self._basis_residues[K] = [(s, P, self.residue(P, K))
+                                             for s, P in self.field._primitive_basis]
+        return out
 
     def refined(self, precision=None):
         """The same place at a higher Hensel precision, built once per precision."""
@@ -446,8 +473,40 @@ def _lift_place_factor(field, p, factor, precision):
 
 
 def create_field(min_poly_coeffs, integral_basis=None):
-    """Build the field, verifying monicity, integrality and irreducibility."""
-    return NumberField(min_poly_coeffs, integral_basis)
+    """The field, with its monicity, integrality and irreducibility verified.
+
+    A field is a shared value: one `NumberField` per polynomial and
+    integral basis is built per process (the last FIELD_CACHE_SIZE used
+    are kept), and so is each list of its places, so their memoised roots
+    and lifts carry over from one command to the next.  Callers must not
+    mutate a field or a place.  A build that fails is not kept, and
+    `NumberField(...)` itself builds a field of its own.
+    """
+    # the key: the coefficients without trailing zeros, and the basis rows;
+    # equal numbers of any type (1, 1.0, Fraction(1)) make equal keys
+    try:
+        coeffs = list(min_poly_coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        key = tuple(coeffs), None if integral_basis is None else \
+            tuple(map(tuple, integral_basis))
+        hash(key)
+    except (TypeError, ValueError):
+        return NumberField(min_poly_coeffs, integral_basis)   # raises as it reads them
+    return _shared_field(*key)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _shared_field(coeffs, basis):
+    return NumberField(coeffs, basis)
+
+
+def _shared_places(field, key, build):
+    """A fresh list of the field's places under key, built once by build()."""
+    places = field._places.get(key)
+    if places is None:
+        places = field._places[key] = tuple(build())
+    return list(places)
 
 
 def archimedean_places(field):
@@ -457,7 +516,12 @@ def archimedean_places(field):
     refined below width 2^-30, or the root itself over Q; a complex one's
     is its float64 value from `_float_roots`, read as a pair of Fractions,
     with the real part exact on a line of symmetry (`_complex_places`).
+    The places are built once per field.
     """
+    return _shared_places(field, "archimedean", lambda: _archimedean_places(field))
+
+
+def _archimedean_places(field):
     m = list(map(Fraction, field.min_poly))
     if field.degree == 1:
         return [ArchimedeanPlace(field, "real", 0, -m[0])]
@@ -547,9 +611,14 @@ def finite_places(field, p, precision=HENSEL_DEFAULT_N):
 
     Rejects primes where the reduction has a repeated factor: those are
     ramified or divide the index, and the resultant-based valuation would
-    not be exact there.
+    not be exact there.  The places are built once per field, prime and
+    precision.
     """
     p = int(p)
+    return _shared_places(field, (p, precision), lambda: _finite_places(field, p, precision))
+
+
+def _finite_places(field, p, precision):
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
     parts = pa.gf_factor(field.min_poly, p)

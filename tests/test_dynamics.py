@@ -125,10 +125,10 @@ def reference_ray(places, direction, steps):
     """RaySchedule's steps and scales, built one step and one place at a time.
 
     The first failure in step order raises: a step of the wrong length, a
-    finite-place parameter that is not an integer or whose shifts move a
-    norm by more than SHIFT_BITS / #places bits, an archimedean one that is
-    nan or whose products with the direction or multipliers overflow
-    float64.
+    finite-place parameter that is +-inf or nan, not an integer, or whose
+    shifts move a norm by more than SHIFT_BITS / #places bits (a float one
+    is named as given), an archimedean one that is nan or whose products
+    with the direction or multipliers overflow float64.
     """
     bits = lt.SHIFT_BITS // len(places)
     norm_steps, scales = [], [[] for _ in places]
@@ -140,12 +140,18 @@ def reference_ray(places, direction, steps):
         row = []
         for place, direc, par, out in zip(places, direction, step, scales):
             if place.kind == "finite":
+                given = par
+                if isinstance(par, float) and math.isnan(par):
+                    raise ValueError(f"ray parameter nan at {place.name} is not a number")
+                if isinstance(par, float) and math.isinf(par):
+                    raise RayOverflow(float(par), place.name)
                 if int(par) != par:
                     raise ValueError("finite-place ray parameters must be integers")
                 par = int(par)
                 shifts = [place.residue_degree * par * int(c) for c in direc]
                 if max(map(abs, shifts)) * math.log2(place.p) > bits:
-                    raise RayOverflow(par, place.name, f"moves a norm over {bits} bits")
+                    raise RayOverflow(float(given) if isinstance(given, float) else par,
+                                      place.name, f"moves a norm over {bits} bits")
                 out += shifts
             else:
                 par = float(par)
@@ -293,8 +299,17 @@ class TestRaySchedule:
 
     @pytest.mark.parametrize("par, error, line", [
         ("abc", ValueError, "invalid literal for int() with base 10: 'abc'"),
-        (math.inf, OverflowError, "cannot convert float infinity to integer"),
-        (math.nan, ValueError, "cannot convert float NaN to integer"),
+        pytest.param(math.inf, RayOverflow,
+                     "ray parameter inf at p2_0 overflows float64 in its diagonal entries",
+                     id="inf"),
+        pytest.param(-math.inf, RayOverflow,
+                     "ray parameter -inf at p2_0 overflows float64 in its diagonal entries",
+                     id="-inf"),
+        pytest.param(np.float64(-math.inf), RayOverflow,
+                     "ray parameter -inf at p2_0 overflows float64 in its diagonal entries",
+                     id="np.float64(-inf)"),
+        pytest.param(math.nan, ValueError, "ray parameter nan at p2_0 is not a number",
+                     id="nan"),
     ])
     def test_finite_parameter_that_fails_to_convert(self, q_inf2, par, error, line):
         # the failing step comes after one that converts and before one
@@ -323,6 +338,18 @@ class TestRaySchedule:
     def test_shift_beyond_int64_rejected(self, q_inf2):
         with pytest.raises(RayOverflow, match=r"^ray parameter 9223372036854775808 at p2_0 "):
             dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [(0.0, 2 ** 63)])
+
+    @pytest.mark.parametrize("par", [1e300, -1e300, 2.0 ** 22, pytest.param(
+        np.float64(1e300), id="np.float64(1e300)")])
+    def test_float_parameter_named_as_given(self, q_inf2, par):
+        # int(1e300) has 301 digits; the error names the float
+        steps = [(0.0, 1), (0.0, par)]
+        line = f"ray parameter {float(par)!r} at p2_0 moves a norm over 2097152 bits"
+        with pytest.raises(RayOverflow) as raised:
+            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], steps)
+        assert str(raised.value) == line
+        assert _ray_outcome(reference_ray, q_inf2, [(1, -1), (1, -1)], steps) == \
+            (RayOverflow, line)
 
     def test_shift_beyond_the_kernel_range_rejected(self, rationals, q_inf2):
         # 2^-k sqrt5 at (1, 0) is the least content of the window; at

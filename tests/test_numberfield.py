@@ -54,6 +54,74 @@ class TestCreateField:
             nf.create_field([1, 0, 2])
 
 
+class TestSharedFields:
+    """Fields and their places are values built once per process."""
+
+    def test_one_field_per_polynomial_and_basis(self, gauss):
+        assert nf.create_field([1, 0, 1]) is gauss
+        assert nf.create_field((1, 0, 1, 0)) is gauss
+        assert nf.create_field([Fraction(1), 0, 1]) is gauss
+        basis = [[1, 0], [Fraction(1, 2), Fraction(1, 2)]]
+        golden = nf.create_field([-5, 0, 1], basis)
+        assert nf.create_field([-5, 0, 1], basis) is golden
+        plain = nf.create_field([-5, 0, 1])
+        assert plain is not golden and plain == golden
+        assert plain.integral_basis != golden.integral_basis
+        assert nf.NumberField([1, 0, 1]) is not gauss
+
+    @pytest.mark.parametrize("coeffs, basis, error", [
+        ([-1, 0, 1], None, Reducible),
+        ([1, 0, 2], None, NotMonic),
+        (["1", 0, 1], None, NotMonic),
+        ([1, 0, 1], [[1, 2], [Fraction(1, 2), 1]], ValueError)])
+    def test_failed_builds_raise_on_every_call(self, coeffs, basis, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                nf.create_field(coeffs, basis)
+
+    def test_place_lists_are_fresh_lists_of_shared_places(self, gauss):
+        first = nf.archimedean_places(gauss)
+        first.extend(nf.finite_places(gauss, 5))
+        first.append("not a place")
+        again = nf.archimedean_places(gauss)
+        assert len(again) == 1 and again[0] is first[0]
+        fin = nf.finite_places(gauss, 5)
+        fin.pop()
+        assert nf.finite_places(gauss, 5) == first[1:3]
+        assert all(a is b for a, b in zip(nf.finite_places(gauss, 5), first[1:3]))
+
+    def test_precisions_give_distinct_places(self, gauss):
+        low, high = nf.finite_places(gauss, 5, 10), nf.finite_places(gauss, 5, 20)
+        assert [v.precision for v in low + high] == [10, 10, 20, 20]
+        assert not {id(v) for v in low} & {id(v) for v in high}
+        assert [v.lifted_factor for v in low] != [v.lifted_factor for v in high]
+        assert nf.finite_places(gauss, 5, 10)[0] is low[0]
+
+    def test_second_parse_config_builds_nothing(self, monkeypatch):
+        # the `cloud` benchmark's config: a complex place and both places
+        # over 5; the first parse (and the roots the cloud reads) may build,
+        # a second one finds every field and place built
+        from sadiclab import cli
+
+        calls = []
+        for module, name in [(pa, "gf_factor"), (pa, "hensel_lift_factors"),
+                             (nf, "_float_roots"), (nf, "_horner_mp")]:
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        config = {"min_poly": [1, 0, 1], "hensel_precision": 27,
+                  "places": {"archimedean": "all", "finite_primes": [5]}}
+        for round_ in range(2):
+            cfg = cli.parse_config(config)
+            assert [v.name for v in cfg.places] == ["c0", "p5_0", "p5_1"]
+            cfg.places[0].root_float()
+            if round_ == 0:
+                assert calls
+                calls.clear()
+        assert calls == []
+
+
 class TestArchimedeanPlaces:
     def test_gauss_single_complex(self, gauss):
         places = nf.archimedean_places(gauss)
@@ -168,7 +236,9 @@ def test_drawn_complex_places_match_polyroots(coeffs):
 
 
 def test_complex_pairing_checks_the_seeds(monkeypatch):
-    field = nf.create_field([1, 1, 1, 1, 1, 1, 1])
+    # a field of its own: the shared one may hold its places already, and
+    # the planted seeds must reach the pairing check
+    field = nf.NumberField([1, 1, 1, 1, 1, 1, 1])
     seeds = nf._float_roots(field.min_poly)
     upper = max(seeds, key=lambda z: z.imag)
     for bad in ([upper] * 6,                            # one root six times
@@ -182,7 +252,8 @@ def test_complex_pairing_checks_the_seeds(monkeypatch):
 def test_line_roots_must_be_counted_exactly(monkeypatch):
     # x^4 + 3x^2 + 1 has both upper roots on the imaginary axis; a seed off
     # the axis by more than the tolerance is not taken for one of them
-    field = nf.create_field([1, 0, 3, 0, 1])
+    # (a field of its own, as above)
+    field = nf.NumberField([1, 0, 3, 0, 1])
     seeds = [z + 1e-3 if z.imag > 0 and z.imag < 1 else z
              for z in nf._float_roots(field.min_poly)]
     monkeypatch.setattr(nf, "_float_roots", lambda coeffs: seeds)
@@ -256,7 +327,9 @@ class TestLocalAbs:
         vals = sorted(pl.valuation(e) for pl in place)
         assert vals == [15, 16]
 
-    def test_escalations_lift_once_per_precision(self, gauss, monkeypatch):
+    def test_escalations_lift_once_per_precision(self, monkeypatch):
+        # a field of its own, whose places no other test has refined
+        gauss = nf.NumberField([1, 0, 1])
         lifts = []
         lift = nf._lift_place_factor
 

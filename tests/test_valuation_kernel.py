@@ -4,10 +4,14 @@ The cloud values every image coordinate at a finite place from its residues
 mod the Hensel-lifted factor, one int64 matmul per place.  The reference
 below is the exact per-point formula that kernel replaced: the exact
 mat-vec of the enumerated point, then `FinitePlace.valuation` (a resultant)
-per nonzero coordinate.  Valuations must agree exactly.
+per nonzero coordinate.  Valuations must agree exactly.  A second reference
+is the kernel's own earlier set-up, which multiplied every entry by every
+basis element in K where the kernel now scales the place's basis residues
+for a rational entry: valuations and fallback counts must agree.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +22,7 @@ from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
 from sadiclab import polyarith as pa
 from sadiclab.errors import NotUnimodular
+from sadiclab.scalars import to_field
 
 # (min_poly, integral basis or None, prime): split (f = 1) and inert (f = 2)
 # places in quadratic and cubic fields, and Q.
@@ -158,20 +163,119 @@ def test_sl2z_window_needs_no_fallback(matrix):
     assert_matches_reference(cloud)
 
 
-# `_residue` reduces mod the monic lifted factor with integer arithmetic mod
-# p^K; the reference divides over Q with `poly_mod`, then reduces.
-RESIDUE_FACTORS = [(place.p, place.residue_degree, list(place.lifted_factor))
-                   for coeffs, p in [([1, 0, 1], 5), ([-2, 0, 0, 1], 5),
-                                     ([-2, 0, 0, 1], 31)]
-                   for place in nf.finite_places(nf.create_field(coeffs), p)]
+def product_path_valuations(cloud, place, mat):
+    """(vals, fallbacks) at one finite place as the kernel's earlier set-up
+    found them: every product g_jk b_l formed in K, the products of a row
+    cleared of their common denominator D_j, reduced mod (h, p^K) one by
+    one, and the exact valuation of each nonzero coordinate whose residues
+    all vanish."""
+    field, d = cloud.field, cloud.d
+    p, f = place.p, place.residue_degree
+    bound = cloud.n * d * int(np.abs(cloud.numerators).max())
+    K = 0
+    while K < place.precision and bound * p ** (K + 1) < 2 ** 63:
+        K += 1
+    exact, resid, den_val = [], [], []
+    for row in mat:
+        prods = [to_field(c, field) * b for c in row for b in field.integral_basis]
+        D = math.lcm(*(c.denominator for e in prods for c in e.coords))
+        ints = [[int(c * D) for c in e.coords] for e in prods]
+        exact.append(ints)
+        resid.append([place.residue(u, K) for u in ints])
+        v = 0
+        while D % p ** (v + 1) == 0:
+            v += 1
+        den_val.append(v)
+    A = np.concatenate([np.array(r, dtype=np.int64) for r in resid], axis=1)
+    C = (cloud.numerators @ A) % p ** K
+    G = np.gcd.reduce(C.reshape(cloud.count, len(mat), f), axis=2)
+    shift = np.array(den_val)[None, :] + cloud.eexp[:, cloud.primes.index(p)][:, None]
+    vals = np.full(G.shape, lt._ZERO_VAL, dtype=np.int64)
+    live = G != 0
+    vals[live] = f * (lt._vp_array(G[live], p) - shift[live])
+    M = np.concatenate([np.array(e, dtype=object) for e in exact], axis=1)
+    img = (cloud.numerators.astype(object) @ M).reshape(cloud.count, len(mat), d)
+    fallbacks = 0
+    for r, j in zip(*np.nonzero(~live & (img != 0).any(axis=2))):
+        vals[r, j] = place.valuation(field.element(list(img[r, j]))) - f * shift[r, j]
+        fallbacks += 1
+    return vals, fallbacks
+
+
+def assert_matches_product_path(cloud):
+    fallbacks = 0
+    for (place, vals, _, _), mat in zip(
+            cloud.fin, [m for pl, m in zip(cloud.lat.places, cloud.lat.g)
+                        if pl.kind == "finite"]):
+        want, count = product_path_valuations(cloud, place, mat)
+        np.testing.assert_array_equal(vals, want)
+        fallbacks += count
+    assert cloud.valuation_fallbacks == fallbacks
+
+
+@st.composite
+def rational_entries(draw, p):
+    """Rationals a/b p^k: p in denominators (k < 0), and high powers of p
+    in numerators (k >= 30), beyond every place's int64 residues."""
+    num = draw(st.integers(-6, 6))
+    den = draw(st.integers(1, 6))
+    k = draw(st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 30, 41]))
+    return Fraction(num, den) * Fraction(p) ** k
+
+
+PRODUCT_PATH_CASES = ["Q at 2", "Q at 3", "Q(i) at 5",
+                      "Q(sqrt5), basis (1, (1+sqrt5)/2), at 11"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_basis_residues_match_the_product_path(data):
+    name = data.draw(st.sampled_from(PRODUCT_PATH_CASES), label="case")
+    field, places = _field_and_places(name)
+    p = places[0].p
+    # an element of K that is not rational takes the product path in a
+    # row beside rational entries
+    entry = st.one_of(rational_entries(p), entries(field, p)) if field.degree > 1 \
+        else rational_entries(p)
+    E = data.draw(st.integers(0, 2), label="E")
+    mats = [data.draw(st.lists(st.lists(entry, min_size=2, max_size=2),
+                               min_size=2, max_size=2), label=place.name)
+            for place in places]
+    try:
+        lat = lt.SLattice(field, places, 2, mats, unimodular=False)
+    except NotUnimodular:
+        assume(False)
+    H = 2 if field.degree == 1 else 1
+    assert_matches_product_path(lt.PointCloud(lat, lt.HeightWindow(H, E)))
+
+
+@pytest.mark.parametrize("name", PRODUCT_PATH_CASES)
+def test_product_path_fallbacks_are_counted_alike(name):
+    # p^41 and p^-1 p^30 in one column value every nonzero first coordinate
+    # by the exact fallback; the second column is an ordinary rational one
+    field, places = _field_and_places(name)
+    p = places[0].p
+    mat = [[Fraction(p) ** 41, Fraction(3, p)], [Fraction(p) ** 29, Fraction(1, 2)]]
+    lat = lt.SLattice(field, places, 2, [mat] * len(places), unimodular=False)
+    cloud = lt.PointCloud(lat, lt.HeightWindow(1, 1))
+    assert cloud.valuation_fallbacks > 0
+    assert_matches_product_path(cloud)
+    assert_matches_reference(cloud)
+
+
+# `FinitePlace.residue` reduces mod the monic lifted factor with integer
+# arithmetic mod p^K; the reference divides over Q with `poly_mod`, then
+# reduces.
+RESIDUE_PLACES = [place for coeffs, p in [([1, 0, 1], 5), ([-2, 0, 0, 1], 5),
+                                          ([-2, 0, 0, 1], 31)]
+                  for place in nf.finite_places(nf.create_field(coeffs), p)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(RESIDUE_FACTORS),
+@given(st.sampled_from(RESIDUE_PLACES),
        st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=8),
        st.integers(1, nf.HENSEL_DEFAULT_N))
-def test_residue_matches_rational_division(factor, u, K):
-    p, f, h = factor
-    modulus = p ** K
-    r = [int(c) % modulus for c in pa.poly_mod(u, h)]
-    assert lt._residue(u, h, f, modulus) == r + [0] * (f - len(r))
+def test_residue_matches_rational_division(place, u, K):
+    modulus, f = place.p ** K, place.residue_degree
+    r = [int(c) % modulus for c in pa.poly_mod(u, list(place.lifted_factor))]
+    assert place.residue(u, K) == r + [0] * (f - len(r))
