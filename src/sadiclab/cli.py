@@ -161,7 +161,6 @@ CONFIG_SCHEMA = {
                 "cap": {"type": "integer", "minimum": 1},
             },
         },
-        "hensel_precision": {"type": "integer", "minimum": 2},
         **_BLOCK_SCHEMAS,
     },
 }
@@ -300,11 +299,10 @@ def parse_config(source):
     with _pointing_at("/min_poly"):
         field = nf.create_field(raw["min_poly"], raw.get("integral_basis"))
     precision = raw.get("precision", nf.DEFAULT_DPS)
-    hensel = raw.get("hensel_precision", nf.HENSEL_DEFAULT_N)
     places = nf.archimedean_places(field)
     for i, p in enumerate(raw.get("places", {}).get("finite_primes", [])):
         with _pointing_at(f"/places/finite_primes/{i}"):
-            places.extend(nf.finite_places(field, p, precision=hensel))
+            places.extend(nf.finite_places(field, p))
     wraw = raw.get("window", {})
     window = lt.HeightWindow(wraw.get("H", DEFAULT_H), wraw.get("E", DEFAULT_E),
                              wraw.get("cap", lt.WINDOW_CAP))

@@ -10,7 +10,10 @@ Finite places are only constructed over primes where the defining
 polynomial stays squarefree mod p; that restriction keeps every finite
 valuation computable as the exact p-adic valuation of a resultant against
 a Hensel-lifted local factor (or, equivalently, from the residue mod that
-factor, which is how `lattice.PointCloud` values whole clouds).
+factor, which is how `lattice.PointCloud` values whole clouds).  The places
+over p at one Hensel precision form one shared list (`finite_places`); a
+valuation that needs more digits reads the same place off the list at
+twice the precision, so a refined place is an entry of such a list too.
 """
 
 import cmath
@@ -45,13 +48,13 @@ class NumberField:
 
     def __init__(self, min_poly, integral_basis=None):
         coeffs = [int(c) for c in min_poly]
+        if coeffs != list(min_poly):
+            raise NotMonic("coefficients must be integers")
         pa.trim(coeffs)
         if len(coeffs) < 2:
             raise Reducible("constant polynomial does not define a field")
         if coeffs[-1] != 1:
             raise NotMonic(f"leading coefficient {coeffs[-1]} != 1")
-        if any(Fraction(c) != c for c in min_poly):
-            raise NotMonic("coefficients must be integers")
         self.min_poly = tuple(coeffs)
         self.degree = len(coeffs) - 1
         if not pa.is_irreducible(coeffs):
@@ -251,6 +254,9 @@ class FieldElement:
         return self.coords == other.coords
 
     def __hash__(self):
+        # a rational element equals, so hashes as, its Fraction
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.field.min_poly, self.coords))
 
     def is_zero(self):
@@ -340,28 +346,27 @@ class ArchimedeanPlace:
 
 
 class FinitePlace:
+    """The place over p of one irreducible factor of the defining polynomial
+    mod p, with that factor Hensel-lifted mod p^precision.
+
+    `_finite_places` alone builds places, one shared list per field, prime
+    and precision; `refined` reads the same place off the list at twice the
+    precision.
+    """
+
     kind = "finite"
 
-    def __init__(self, field, p, factor_mod_p, residue_degree, precision=HENSEL_DEFAULT_N,
-                 lifted=None, index=0):
+    def __init__(self, field, p, factor_mod_p, lifted_factor, precision, index):
         self.field = field
-        self.p = int(p)
-        self.factor_mod_p = tuple(int(c) % p for c in factor_mod_p)
-        self.residue_degree = residue_degree
+        self.p = p
+        self.factor_mod_p = tuple(factor_mod_p)
+        self.residue_degree = len(self.factor_mod_p) - 1
         self.ramification_index = 1
+        self.lifted_factor = tuple(lifted_factor)
         self.precision = precision
         self.index = index
         self.name = f"p{p}_{index}"
-        self._lifted = tuple(lifted) if lifted is not None else None
-        self._refined = {}
         self._basis_residues = {}
-
-    @property
-    def lifted_factor(self):
-        if self._lifted is None:
-            self._lifted = tuple(_lift_place_factor(self.field, self.p,
-                                                    self.factor_mod_p, self.precision))
-        return self._lifted
 
     def residue(self, u, K):
         """The f coefficients, in [0, p^K), of the integer polynomial u mod
@@ -380,18 +385,16 @@ class FinitePlace:
                                              for s, P in self.field._primitive_basis]
         return out
 
-    def refined(self, precision=None):
-        """The same place at a higher Hensel precision, built once per precision."""
-        n = precision or 2 * self.precision
-        place = self._refined.get(n)
-        if place is None:
-            place = self._refined[n] = FinitePlace(
-                self.field, self.p, self.factor_mod_p, self.residue_degree, n,
-                index=self.index)
-        return place
+    def refined(self):
+        """The same place at twice the Hensel precision."""
+        return finite_places(self.field, self.p, 2 * self.precision)[self.index]
 
     def valuation(self, elem):
-        """Exact valuation v_p(N_local(elem)); |elem|_v = p**(-valuation)."""
+        """Exact valuation v_p(N_local(elem)); |elem|_v = p**(-valuation).
+
+        The resultant against the lifted factor is read mod p^N; while it
+        is 0 there, N doubles, up to HENSEL_CAP_N.
+        """
         if elem.is_zero():
             raise ZeroDivisionError("valuation of zero is infinite")
         ints, den = elem.cleared()
@@ -401,29 +404,23 @@ class FinitePlace:
             den_val += 1
         place = self
         while True:
-            res = pa.int_resultant(list(place.lifted_factor), ints)
-            modulus = place.p ** place.precision
-            res %= modulus
-            if res != 0:
+            res = pa.int_resultant(list(place.lifted_factor), ints) % self.p ** place.precision
+            if res:
                 val = 0
-                while res % place.p == 0:
-                    res //= place.p
+                while res % self.p == 0:
+                    res //= self.p
                     val += 1
-                if val < place.precision:
-                    return val - self.residue_degree * den_val
+                return val - self.residue_degree * den_val
             if 2 * place.precision > HENSEL_CAP_N:
                 raise PrecisionExhausted(
-                    f"resultant divisible by {place.p}^{place.precision} at the cap")
+                    f"resultant divisible by {self.p}^{place.precision} at the cap")
             place = place.refined()
 
     def abs_value(self, elem, dps=DEFAULT_DPS):
         """p^(-f ord), exact at any dps."""
         if elem.is_zero():
             return Fraction(0)
-        val = self.valuation(elem)
-        if val >= 0:
-            return Fraction(1, self.p ** val)
-        return Fraction(self.p ** (-val))
+        return Fraction(self.p) ** -self.valuation(elem)
 
     def __repr__(self):
         return f"FinitePlace(p={self.p}, f={self.residue_degree}, N={self.precision})"
@@ -455,17 +452,6 @@ def _poly_text(coeffs):
             terms.append(("- " if c < 0 else "+ ") + body)
     text = " ".join(terms)
     return text[2:] if text.startswith("+") else "-" + text[2:]
-
-
-def _lift_place_factor(field, p, factor, precision):
-    m = list(field.min_poly)
-    parts = pa.gf_factor(m, p)
-    lifted = pa.hensel_lift_factors(m, parts, p, precision)
-    target = tuple(int(c) % p for c in factor)
-    for orig, lift in zip(parts, lifted):
-        if tuple(c % p for c in orig) == target:
-            return lift
-    raise ValueError("factor not found in the mod-p factorization")
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +612,8 @@ def _finite_places(field, p, precision):
         raise RamifiedOrBadPrime(
             f"x-minimal polynomial has a repeated factor mod {p}")
     lifted = pa.hensel_lift_factors(list(field.min_poly), parts, p, precision)
-    places = []
-    for i, (fac, lift) in enumerate(zip(parts, lifted)):
-        places.append(FinitePlace(field, p, fac, len(fac) - 1, precision,
-                                  lifted=lift, index=i))
+    places = [FinitePlace(field, p, fac, lift, precision, i)
+              for i, (fac, lift) in enumerate(zip(parts, lifted))]
     assert sum(pl.residue_degree for pl in places) == field.degree
     return places
 
@@ -649,14 +633,18 @@ def field_norm(elem):
 
 
 class SUnitGroup:
-    """Generators of the S-units for the supported field classes."""
+    """Generators of the S-units for the supported field classes.
 
-    def __init__(self, field, places, generators, torsion_generator, rank):
+    The rank is Dirichlet's: #archimedean places - 1 + #finite places of S,
+    whatever the generators span.
+    """
+
+    def __init__(self, field, places, generators, torsion_generator):
         self.field = field
         self.places = list(places)
         self.generators = list(generators)
         self.torsion_generator = torsion_generator
-        self.rank = rank
+        self.rank = len(self.places) - 1
         for u in self.generators:
             _check_unit_invariant(u, self.places)
 
@@ -804,7 +792,7 @@ def s_unit_group(field, places, supplied=None):
 
     `places` must contain all archimedean places of the field.  Supplied
     generators (coordinate vectors) are verified against the product
-    formula and trusted for the rank.
+    formula; the rank is Dirichlet's whichever generators S has.
     """
     arch = [v for v in places if v.kind != "finite"]
     finite = [v for v in places if v.kind == "finite"]
@@ -813,14 +801,12 @@ def s_unit_group(field, places, supplied=None):
         raise ValueError("S must contain all archimedean places")
     if supplied is not None:
         gens = [field.element(c) for c in supplied]
-        return SUnitGroup(field, places, gens, _torsion_generator(field),
-                          rank=len(gens))
+        return SUnitGroup(field, places, gens, _torsion_generator(field))
     if field.degree <= 2:
         gens = []
         if field.degree == 2 and field.discriminant > 0:
             gens.append(_pell_fundamental_unit(field))
         gens.extend(_finite_generators(field, finite))
-        return SUnitGroup(field, places, gens, _torsion_generator(field),
-                          rank=len(arch) - 1 + len(finite))
+        return SUnitGroup(field, places, gens, _torsion_generator(field))
     raise UnsupportedFieldWithoutConfig(
         f"degree-{field.degree} fields need s_units in the configuration")

@@ -225,10 +225,15 @@ def parse_real(spec):
 
 
 def real_spec(c):
-    """The JSON of an entry as a config spells it: an int or Fraction as
-    its fraction string, a surd a + b sqrt(d) as {"a", "b", "d"}, which
-    `parse_real` reads back, and any other entry as its repr, which
-    nothing reads back."""
+    """The JSON of an exact real entry as a config spells it, which the CLI
+    reads back as the same value: an int, a Fraction or a rational
+    `FieldElement` as its fraction string, and a surd a + b sqrt(d) as
+    {"a", "b", "d"}.  Any other entry (a float, an mpf, an irrational
+    element of K) has no such spelling and raises TypeError."""
     if isinstance(c, QuadraticSurd):
         return {"a": str(c.a), "b": str(c.b), "d": c.d}
-    return str(c) if isinstance(c, (int, Fraction)) else repr(c)
+    if isinstance(c, FieldElement) and c.is_rational():
+        c = c.coords[0]
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        return str(c)
+    raise TypeError(f"no exact real spec for {c!r}")

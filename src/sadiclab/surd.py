@@ -138,7 +138,8 @@ class QuadraticSurd:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational surd equals, so hashes as, its Fraction
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self

@@ -45,7 +45,7 @@ FULL = {
     "min_poly": [1, 0, 1], "integral_basis": [[1, 0], [0, 1]],
     "places": {"archimedean": "all", "finite_primes": [5]},
     "s_units": [], "precision": 30,
-    "window": {"H": 2, "E": 1, "cap": 1000}, "hensel_precision": 10,
+    "window": {"H": 2, "E": 1, "cap": 1000},
     "systole": {"n": 2, "diagonal_flow": {"values": [0.5, 1]},
                 "matrices": [[[1, 0], [0, 1]]]},
     "mahler": {"n": 2, "radius": 0.5, "diagonal_flow": {"values": [0.0]},
@@ -191,6 +191,9 @@ class TestSchemaWalk:
         ({"min_poly": [0, "a", "b"]}, "/min_poly/2: 'b' is not of type 'integer'"),
         ({"min_poly": [0, 1], "window": {"h": 1}},
          "/window: Additional properties are not allowed ('h' was unexpected)"),
+        # the Hensel precision is a constant, not a setting
+        ({"min_poly": [0, 1], "hensel_precision": 10},
+         "/: Additional properties are not allowed ('hensel_precision' was unexpected)"),
     ])
     def test_golden_error_lines(self, tmp_path, capsys, config, line):
         # pinned from the jsonschema-based validation the walk replaced
@@ -351,6 +354,17 @@ class TestRun:
         data = json.loads((tmp_path / "field-info.json").read_text())
         assert data["unit_rank"] == 1
         assert data["unit_generators"] == [["2"]]
+
+    def test_field_info_unit_rank_is_dirichlets(self, tmp_path):
+        # supplied generators 2 and 4 span rank 1 over S = {inf, 2}
+        config = dict(Q_WITH_2, s_units=[[2], [4]])
+        code = cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "field-info"])
+        assert code == 0
+        data = json.loads((tmp_path / "field-info.json").read_text())
+        assert data["unit_rank"] == 1
+        assert data["unit_generators"] == [["2"], ["4"]]
+        assert [v.get("precision") for v in data["places"]] == [None, 30]
 
     def test_orbit_survey_identity_exit_zero(self, tmp_path):
         # the identity however it is spelled; a file's former label key,

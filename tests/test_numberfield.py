@@ -73,7 +73,11 @@ class TestSharedFields:
         ([-1, 0, 1], None, Reducible),
         ([1, 0, 2], None, NotMonic),
         (["1", 0, 1], None, NotMonic),
-        ([1, 0, 1], [[1, 2], [Fraction(1, 2), 1]], ValueError)])
+        ([1, 0, 1], [[1, 2], [Fraction(1, 2), 1]], ValueError),
+        # a coefficient that is not an integer value, before int() truncates it
+        ([3, 1.5, 1], None, NotMonic),
+        ([0.5, 1], None, NotMonic),
+        ([Fraction(1, 2), 0, 1], None, NotMonic)])
     def test_failed_builds_raise_on_every_call(self, coeffs, basis, error):
         for _ in range(3):
             with pytest.raises(error):
@@ -100,9 +104,13 @@ class TestSharedFields:
     def test_second_parse_config_builds_nothing(self, monkeypatch):
         # the `cloud` benchmark's config: a complex place and both places
         # over 5; the first parse (and the roots the cloud reads) may build,
-        # a second one finds every field and place built
+        # a second one finds every field and place built.  A cache of its
+        # own makes the first parse build a field no other test has built.
+        import functools
         from sadiclab import cli
 
+        monkeypatch.setattr(nf, "_shared_field", functools.lru_cache(
+            maxsize=nf.FIELD_CACHE_SIZE)(nf.NumberField))
         calls = []
         for module, name in [(pa, "gf_factor"), (pa, "hensel_lift_factors"),
                              (nf, "_float_roots"), (nf, "_horner_mp")]:
@@ -110,7 +118,7 @@ class TestSharedFields:
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(module, name, counted)
-        config = {"min_poly": [1, 0, 1], "hensel_precision": 27,
+        config = {"min_poly": [1, 0, 1],
                   "places": {"archimedean": "all", "finite_primes": [5]}}
         for round_ in range(2):
             cfg = cli.parse_config(config)
@@ -289,9 +297,12 @@ class TestFinitePlaces:
 @pytest.mark.parametrize("coords", [[0, 0], [3, 0], [0, 1], [3, 1], ["1/2", 0]])
 @pytest.mark.parametrize("q", [0, 3, Fraction(1, 2), Fraction(3)])
 def test_equality_with_rationals(gauss, coords, q):
-    # the rational shortcut in FieldElement.__eq__ agrees with a zero difference
+    # the rational shortcut in FieldElement.__eq__ agrees with a zero
+    # difference, and hashing agrees with equality
     x = gauss.element(coords)
     assert (x == q) == (x - q).is_zero() == (q == x)
+    assert hash(x) == hash(gauss.element(coords))
+    assert len({x, q}) == 2 - (x == q)
 
 
 @pytest.mark.parametrize("coords, text", [
@@ -328,22 +339,42 @@ class TestLocalAbs:
         assert vals == [15, 16]
 
     def test_escalations_lift_once_per_precision(self, monkeypatch):
-        # a field of its own, whose places no other test has refined
+        # a field of its own, whose places no other test has refined; the
+        # lift recurses on halves of the factor list, so only the lifts of
+        # the whole minimal polynomial (all places over 5 together) count
         gauss = nf.NumberField([1, 0, 1])
         lifts = []
-        lift = nf._lift_place_factor
+        lift = pa.hensel_lift_factors
 
-        def counting_lift(field, p, factor, precision):
-            lifts.append(precision)
-            return lift(field, p, factor, precision)
+        def counting_lift(f, factors, p, N):
+            if tuple(f) == gauss.min_poly:
+                lifts.append(N)
+            return lift(f, factors, p, N)
 
-        monkeypatch.setattr(nf, "_lift_place_factor", counting_lift)
+        monkeypatch.setattr(pa, "hensel_lift_factors", counting_lift)
         place = nf.finite_places(gauss, 5)[0]
         deep, deeper = gauss.element([5 ** 40]), gauss.element([5 ** 100])
         for _ in range(2):
             assert place.valuation(deep) == 40
             assert place.valuation(deeper) == 100
-        assert lifts == [60, 120]
+        assert lifts == [30, 60, 120]
+
+    @pytest.mark.parametrize("coeffs, p", [([1, 0, 1], 5), ([-2, 0, 0, 1], 5),
+                                           ([-2, 0, 1], 7), ([1, 1, 1], 7)])
+    def test_refined_places_are_lifts_of_the_same_factors(self, coeffs, p):
+        field = nf.create_field(coeffs)
+        places = nf.finite_places(field, p)
+        for N in (60, 120, 240):
+            places = [v.refined() for v in places]
+            modulus = p ** N
+            assert [v.precision for v in places] == [N] * len(places)
+            assert places == nf.finite_places(field, p, N)
+            for v in places:
+                assert tuple(c % p for c in v.lifted_factor) == v.factor_mod_p
+            product = [1]
+            for v in places:
+                product = [c % modulus for c in pa.mul(product, list(v.lifted_factor))]
+            assert product == [c % modulus for c in field.min_poly]
 
     def test_multiplicativity_random(self, gauss):
         random.seed(3)
@@ -453,6 +484,9 @@ class TestSUnitGroup:
     def test_supplied_generators_are_verified(self, rationals, q_inf2):
         group = nf.s_unit_group(rationals, q_inf2, supplied=[[2]])
         assert group.rank == 1
+        # the rank is Dirichlet's, not the number of generators
+        assert nf.s_unit_group(rationals, q_inf2, supplied=[[2], [4]]).rank == 1
+        assert nf.s_unit_group(rationals, q_inf2, supplied=[]).rank == 1
         from sadiclab.errors import GeneratorInvariantViolated
         with pytest.raises(GeneratorInvariantViolated):
             nf.s_unit_group(rationals, q_inf2, supplied=[[3]])

@@ -23,6 +23,7 @@ which the references did not (see `test_inexact_ops_use_default_dps`).
 """
 
 import ast
+import json
 import math
 import pathlib
 from fractions import Fraction
@@ -692,6 +693,27 @@ def test_window_enumerated_in_one_helper():
                      ("lattice", "_window_rows", "denominator sweep")}
 
 
+# A finite place is built one way: `numberfield._finite_places` alone calls
+# `FinitePlace(...)`, so a refined place is an entry of a shared place list.
+
+
+class _PlaceBuilds(_WindowSweeps):
+    def visit_Call(self, node):
+        if "FinitePlace" in _names(node.func):
+            self.found.add((self.module, ".".join(self.functions), node.lineno))
+        self.generic_visit(node)
+
+
+def test_finite_place_built_in_one_helper():
+    src = pathlib.Path(sc.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        visitor = _PlaceBuilds(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found += [where[:2] for where in visitor.found]
+    assert found == [("numberfield", "_finite_places")]
+
+
 # Ray multipliers are math.exp's: numpy's exp on an array rounds some
 # arguments differently (16 of the 1,530 archimedean exponents of one
 # default survey), so it would change artifacts.
@@ -703,6 +725,31 @@ def test_dynamics_takes_exp_from_math():
              if isinstance(node, ast.Attribute) and node.attr == "exp"
              and _names(node.value) != {"math"}]
     assert calls == []
+
+
+@pytest.mark.parametrize("entry", [3, -1, Fraction(-1, 2), QuadraticSurd.sqrt(2),
+                                   QuadraticSurd(1, Fraction(2, 3), 3),
+                                   QuadraticSurd(4), Q.element([Fraction(5, 2)])])
+def test_real_spec_reads_back_as_the_same_value(entry):
+    from sadiclab import cli
+    spec = json.loads(json.dumps(sc.real_spec(entry)))
+    assert cli._parse_scalar(spec, "/m") == entry
+
+
+@pytest.mark.parametrize("entry", [1.0, 0.5, mpf(1), mpc(1, 1), True,
+                                   nf.create_field([1, 0, 1]).element([0, 1])])
+def test_real_spec_refuses_inexact_entries(entry):
+    # a float's repr "1.0" would read back as the exact 1
+    with pytest.raises(TypeError, match="^no exact real spec for "):
+        sc.real_spec(entry)
+
+
+def test_point_with_a_float_entry_has_no_file_spelling():
+    places = nf.archimedean_places(Q) + nf.finite_places(Q, 2)
+    eye = [[1, 0], [0, 1]]
+    x = SLattice(Q, places, 2, [[[1.0, 0], [0, 1]], eye])
+    with pytest.raises(TypeError):
+        x.to_jsonable()
 
 
 def test_parse_real_defaults():

@@ -83,7 +83,9 @@ def test_square_radicand_folds(a, b, d, want):
     assert (s.a, s.b, s.d) == (Fraction(want), 0, 1)
     assert s.is_rational()
     assert s.is_zero() == (want == 0)
-    assert hash(s) == hash(QuadraticSurd(want))
+    # a rational surd equals its Fraction, so hashes as it
+    assert hash(s) == hash(QuadraticSurd(want)) == hash(Fraction(want))
+    assert len({s, want}) == 1
 
 
 def test_folded_radicand_mixes_with_any_other():
