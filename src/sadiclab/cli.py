@@ -152,7 +152,6 @@ CONFIG_SCHEMA = {
             },
         },
         "s_units": _ROWS,
-        "precision": {"type": "integer", "minimum": 15},
         "window": {
             "type": "object", "additionalProperties": False,
             "properties": {
@@ -253,7 +252,6 @@ class RunConfig:
     raw: dict
     field: object
     places: list
-    precision: int
     window: lt.HeightWindow
     s_units_supplied: object
 
@@ -298,7 +296,6 @@ def parse_config(source):
     _check(raw, CONFIG_SCHEMA)
     with _pointing_at("/min_poly"):
         field = nf.create_field(raw["min_poly"], raw.get("integral_basis"))
-    precision = raw.get("precision", nf.DEFAULT_DPS)
     places = nf.archimedean_places(field)
     for i, p in enumerate(raw.get("places", {}).get("finite_primes", [])):
         with _pointing_at(f"/places/finite_primes/{i}"):
@@ -306,8 +303,8 @@ def parse_config(source):
     wraw = raw.get("window", {})
     window = lt.HeightWindow(wraw.get("H", DEFAULT_H), wraw.get("E", DEFAULT_E),
                              wraw.get("cap", lt.WINDOW_CAP))
-    return RunConfig(raw=raw, field=field, places=places, precision=precision,
-                     window=window, s_units_supplied=raw.get("s_units"))
+    return RunConfig(raw=raw, field=field, places=places, window=window,
+                     s_units_supplied=raw.get("s_units"))
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +696,14 @@ def _cmd_form_spectrum(cfg, outdir):
     rep = None
     if len(heights) >= 3 and cap is not None:
         # one scan of the largest height serves the spectrum and the report
-        rep = fm.discreteness_report(form, heights, E=E, dps=cfg.precision,
-                                     cap=cfg.window.cap, spectrum_cap=cap)
+        rep = fm.discreteness_report(form, heights, E=E, cap=cfg.window.cap,
+                                     spectrum_cap=cap)
         spec = rep.spectrum
     else:
         window = lt.HeightWindow(heights[-1], E, cfg.window.cap)
-        spec = fm.value_spectrum(form, window, magnitude_cap=cap,
-                                 dps=cfg.precision)
+        spec = fm.value_spectrum(form, window, magnitude_cap=cap)
         if len(heights) >= 3:
-            rep = fm.discreteness_report(form, heights, E=E,
-                                         dps=cfg.precision, cap=cfg.window.cap)
+            rep = fm.discreteness_report(form, heights, E=E, cap=cfg.window.cap)
     rows = [(e.magnitude, e.count, e.witness) for e in spec.entries]
     _write(outdir, "spectrum.csv", emit_report(
         (("magnitude", "count", "witness"), list(zip(*rows))), "csv"))
@@ -733,14 +728,13 @@ def _cmd_form_spectrum(cfg, outdir):
 
 def _cmd_form_reconstruct(cfg, outdir):
     form = _build_form(cfg)
-    rep = fm.rationality_reconstruct(form, precision=cfg.precision)
+    rep = fm.rationality_reconstruct(form)
     out = {"status": rep.status, "evidence": rep.evidence}
     if rep.status == "reconstructed":
         out["g"] = list(rep.g)
         out["monomials"] = ["".join(f"x{i+1}^{e}" for i, e in enumerate(mono) if e)
                             for mono in form.basis]
-        alpha = [to_mpf(a, p, cfg.precision)
-                 for a, p in zip(rep.alpha, form.places)]
+        alpha = [to_mpf(a, p) for a, p in zip(rep.alpha, form.places)]
         out["alpha"] = [float(abs(v)) * (-1 if v.real < 0 else 1)
                         for v in alpha]
     _write(outdir, "form-reconstruct.json", emit_report(out))
@@ -821,15 +815,22 @@ def _with_survey_flags(raw, args):
     return raw
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, as every other error:
+    exit code 2 is the anomaly's."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sadiclab",
         description="S-adic lattice geometry, orbit surveys and decomposable forms")
     parser.add_argument("--config", required=True,
                         help="path to a JSON config, or inline JSON")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--precision", type=int, default=None,
-                        help="override the config precision")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
@@ -849,8 +850,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         raw = _read_config(args.config)
-        if args.precision is not None and isinstance(raw, dict):
-            raw = dict(raw, precision=args.precision)
         if args.subcommand == "orbit-survey" and isinstance(raw, dict):
             raw = _with_survey_flags(raw, args)
         return run(args.subcommand, parse_config(raw), args.out)

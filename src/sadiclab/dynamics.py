@@ -220,11 +220,10 @@ def _stacks(ray, x):
             [ray.scales.get(p.name) for p in x.finite_places])
 
 
-def trajectory(x, ray, window, cloud=None):
+def trajectory(x, ray, window):
     """Window systoles of t.x, one `SystoleReport` per step t of the ray;
     no verdict."""
-    if cloud is None:
-        cloud = PointCloud(x, window)
+    cloud = PointCloud(x, window)
     return [cloud.report(*t) for t in cloud.systoles_under(*_stacks(ray, x))]
 
 
@@ -446,20 +445,20 @@ def anisotropic_point(field, places):
     return SLattice(field, places, 2, [g for _ in places], unimodular=False)
 
 
-def expanding_element(root_positions, tau, place, n=None):
+def expanding_element(root_positions, tau, place):
     """A diagonal element expanding every requested off-diagonal position.
 
     Positions (i, j), 1-based, must form an acyclic directed graph
     (opposite root spaces cannot be expanded by one element).  Entries are
     exact powers, so the guarantee |t_i/t_j|_v >= tau is checked exactly.
+    The element is n x n, n the largest index the positions name.
     """
     positions = [(int(i), int(j)) for i, j in root_positions]
     if not positions:
         raise ValueError("need at least one position")
-    if n is None:
-        n = max(max(i, j) for i, j in positions)
+    n = max(max(i, j) for i, j in positions)
     for i, j in positions:
-        if i == j or not (1 <= i <= n and 1 <= j <= n):
+        if i == j or min(i, j) < 1:
             raise ValueError(f"bad position {(i, j)}")
     adj = {i: set() for i in range(1, n + 1)}
     for i, j in positions:

@@ -86,12 +86,8 @@ class NormFormNotIntegral(SadicLabError, ArithmeticError):
     """A basis gives a norm form with a non-integral coefficient."""
 
 
-class PrecisionBudgetExceeded(SadicLabError):
-    """Reconstruction ran out of precision before reaching a verdict."""
-
-
 class TooFewWindows(SadicLabError):
-    """Discreteness report needs at least three growing windows."""
+    """Discreteness report needs at least three distinct heights."""
 
 
 class SchemaError(SadicLabError):

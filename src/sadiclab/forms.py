@@ -29,7 +29,6 @@ from .errors import (
     DependentFactors,
     NormFormNotIntegral,
     NotInField,
-    PrecisionBudgetExceeded,
     ShapeMismatch,
     TooFewWindows,
     WindowTooLarge,
@@ -190,13 +189,14 @@ class DecomposableForm:
             out.append(acc if acc is not None else Fraction(0))
         return out
 
-    def magnitudes(self, z, dps=DEFAULT_DPS):
-        """(per-place normalized magnitudes, their product)."""
+    def magnitudes(self, z):
+        """(per-place normalized magnitudes, their product), at
+        DEFAULT_DPS + 5 digits."""
         mags = []
-        with mp.workdps(dps + 5):
+        with mp.workdps(DEFAULT_DPS + 5):
             total = mpf(1)
             for place, v in zip(self.places, self.evaluate(z)):
-                m_v = to_mpf(abs_at(v, place, dps))
+                m_v = to_mpf(abs_at(v, place, DEFAULT_DPS))
                 mags.append(m_v)
                 total *= m_v
             return mags, +total
@@ -327,7 +327,7 @@ def _spectrum_from_pairs(pairs, window, zero_count, candidates):
         zero_count=zero_count, candidates=candidates)
 
 
-def value_spectrum(form, window, magnitude_cap=None, dps=DEFAULT_DPS):
+def value_spectrum(form, window, magnitude_cap=None):
     """Distinct nonzero value magnitudes of f on the window of O^n.
 
     Two stages (`_scan`).  The candidate stage lists the points in the
@@ -348,7 +348,7 @@ def value_spectrum(form, window, magnitude_cap=None, dps=DEFAULT_DPS):
     are <= c <= C are the pairs of the scan at c: `discreteness_report`
     serves several caps at one height from one scan.
     """
-    pairs, zero_count, candidates = _scan(form, window, magnitude_cap, dps)
+    pairs, zero_count, candidates = _scan(form, window, magnitude_cap)
     return _spectrum_from_pairs(pairs, window, zero_count, candidates)
 
 
@@ -384,7 +384,7 @@ def _scan_plan(form, window, cap):
     return intervals
 
 
-def _scan(form, window, magnitude_cap, dps):
+def _scan(form, window, magnitude_cap):
     """(pairs, zero_count, candidates): `value_spectrum`'s two stages, the
     exact stage's (magnitude mpf, witness) pairs in candidate order."""
     intervals = _scan_plan(form, window, magnitude_cap)
@@ -394,14 +394,14 @@ def _scan(form, window, magnitude_cap, dps):
     else:
         points, eexp = _window_rows(form.n * form.field.degree, primes, window)
     if _integer_ok(form):
-        pairs, zero_count = _integer_refine(form, points, dps, magnitude_cap)
+        pairs, zero_count = _integer_refine(form, points, magnitude_cap)
     else:
-        pairs, zero_count = _point_refine(form, points, eexp, primes, dps,
+        pairs, zero_count = _point_refine(form, points, eexp, primes,
                                           magnitude_cap)
     return pairs, zero_count, len(points)
 
 
-def _point_refine(form, rows, eexp, primes, dps, cap):
+def _point_refine(form, rows, eexp, primes, cap):
     """(pairs, zero_count) of any form over the window points, numerators
     `rows` in integral-basis coordinates over prod p^e, `eexp` the
     exponents e over `primes`: each point is evaluated exactly by
@@ -409,7 +409,7 @@ def _point_refine(form, rows, eexp, primes, dps, cap):
     dropped."""
     d = form.field.degree
     pairs, zero_count = [], 0
-    with mp.workdps(dps + 5):
+    with mp.workdps(DEFAULT_DPS + 5):
         for row, exps in zip(rows.tolist(), eexp.tolist()):
             denom = math.prod(p ** e for p, e in zip(primes, exps))
             if d == 1:
@@ -418,7 +418,7 @@ def _point_refine(form, rows, eexp, primes, dps, cap):
                 z = [form.field.from_integral_coords(row[j * d:(j + 1) * d],
                                                      denom)
                      for j in range(form.n)]
-            total = form.magnitudes(z, dps)[1]
+            total = form.magnitudes(z)[1]
             if total == 0:
                 zero_count += 1
             elif cap is None or total <= cap:
@@ -453,7 +453,7 @@ def _integer_values(form, points):
             for P, Q, _, _ in form._integer_expansions]
 
 
-def _integer_refine(form, points, dps, cap=None):
+def _integer_refine(form, points, cap=None):
     """(pairs, zero_count) of an `_integer_ok` form over integer `points`.
 
     The rows z of `points` are visited in order, in batches of at most
@@ -471,7 +471,7 @@ def _integer_refine(form, points, dps, cap=None):
     bound = max((sum(map(abs, P + Q)) * top for P, Q, _, _ in exps),
                 default=0)
     pairs, zero_count = [], 0
-    with mp.workdps(dps + 5):
+    with mp.workdps(DEFAULT_DPS + 5):
         direct = bound.bit_length() <= mp.prec and not any(
             isinstance(c, FieldElement) and c != 0
             for exp in form.expansions for c in exp)
@@ -489,7 +489,7 @@ def _integer_refine(form, points, dps, cap=None):
                     total = _refined_magnitude(
                         form, [(A[i], B[i]) for A, B in values], roots)
                 else:
-                    total = form.magnitudes([Fraction(c) for c in z], dps)[1]
+                    total = form.magnitudes([Fraction(c) for c in z])[1]
                 if cap is not None and total > cap:
                     continue
                 pairs.append((total, witness_text(z)))
@@ -503,12 +503,12 @@ def _refined_magnitude(form, parts, roots):
 
     The value at a place is the reduced surd a + b sqrt(d), a = A / D and
     b = B / D, and `to_mpf` computes mpf(num(a)) / den(a) + mpf(num(b)) /
-    den(b) * sqrt(d) at dps + 5 digits (a `Fraction` value, b = 0, gives
-    the same bits).  As |A| and |B| stay below 2^prec, mpf(A) / D and
-    mpf(num(a)) / den(a) are both the correctly rounded quotient of one
+    den(b) * sqrt(d) at DEFAULT_DPS + 5 digits (a `Fraction` value, b = 0,
+    gives the same bits).  As |A| and |B| stay below 2^prec, mpf(A) / D
+    and mpf(num(a)) / den(a) are both the correctly rounded quotient of one
     rational, so the same formula on the unreduced A, B and D, with
-    `roots` the places' sqrt(d) at dps + 5 digits, gives the same bits.
-    Runs at dps + 5 digits.
+    `roots` the places' sqrt(d) at DEFAULT_DPS + 5 digits, gives the same
+    bits.  Runs at DEFAULT_DPS + 5 digits.
     """
     total = mpf(1)
     for (A, B), (_, _, D, _), root in zip(parts, form._integer_expansions,
@@ -739,8 +739,7 @@ class DiscretenessReport:
 NEW_VALUES_REQUIRED = 3
 
 
-def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP,
-                        spectrum_cap=None):
+def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
     """Growing-window accumulation probe.
 
     accumulation-detected requires a cluster that keeps gaining at least
@@ -750,7 +749,9 @@ def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP,
     window where it gains: values on a fixed grid, as a rational form
     takes, fill a range without crowding.  Anything else is
     discrete-trend, explicitly limited to the tested windows.  `cap`
-    bounds each window's points (`HeightWindow`).
+    bounds each window's points (`HeightWindow`).  The heights must be
+    three or more and distinct, or TooFewWindows is raised: a repeated
+    top height can never gain values, so it would force discrete-trend.
 
     Every window's spectrum is capped at 2.5 m, m the least nonzero
     magnitude at the first height (`_least_magnitude`; 1 if there is
@@ -765,8 +766,9 @@ def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP,
     read off its scan; the plan of that value_spectrum call is checked
     against `cap` before any window is scanned.
     """
-    if len(heights) < 3:
-        raise TooFewWindows("need at least three growing windows")
+    if len(heights) < 3 or len(set(heights)) < len(heights):
+        raise TooFewWindows("need at least three distinct heights, got "
+                            f"{sorted(heights)}")
     heights = sorted(heights)
     own = HeightWindow(heights[-1], E, cap)
     if spectrum_cap is not None:
@@ -778,21 +780,21 @@ def discreteness_report(form, heights, E=0, dps=DEFAULT_DPS, cap=WINDOW_CAP,
     windows = {h: HeightWindow(h, E, max(cap, h * (2 * h + 2)))
                for h in heights}
     least, first, first_cap = _least_magnitude(
-        form, HeightWindow(heights[0], E, cap), windows[heights[0]], dps)
+        form, HeightWindow(heights[0], E, cap), windows[heights[0]])
     mag_cap = 1.0 if least is None else 2.5 * float(least)
     scan_caps = dict.fromkeys(heights, mag_cap)
     if spectrum_cap is not None:
         scan_caps[heights[-1]] = max(mag_cap, spectrum_cap)
     scans = {h: first if h == heights[0] and first and c <= first_cap
-             else _scan(form, windows[h], c, dps)
+             else _scan(form, windows[h], c)
              for h, c in scan_caps.items()}
     spectra = [_capped_spectrum(scans[h], windows[h], mag_cap) for h in heights]
     spectrum = (None if spectrum_cap is None else
                 _capped_spectrum(scans[heights[-1]], own, spectrum_cap))
-    return _report_from_spectra(form, spectra, mag_cap, dps, spectrum)
+    return _report_from_spectra(form, spectra, mag_cap, spectrum)
 
 
-def _least_magnitude(form, enumerated, window, dps):
+def _least_magnitude(form, enumerated, window):
     """(least, scan, scan_cap) at the report's first height.
 
     `least` is the least nonzero magnitude mpf over the window
@@ -809,14 +811,14 @@ def _least_magnitude(form, enumerated, window, dps):
     if form.n == 2 and _integer_ok(form):
         bound = _least_value_bound(form, window.H)
         if bound is not None:
-            scan = _scan(form, window, 2.5 * bound, dps)
+            scan = _scan(form, window, 2.5 * bound)
             if scan[0]:
                 return min(mag for mag, _ in scan[0]), scan, 2.5 * bound
-    pairs = _scan(form, enumerated, None, dps)[0]
+    pairs = _scan(form, enumerated, None)[0]
     return min((mag for mag, _ in pairs), default=None), None, None
 
 
-def _report_from_spectra(form, spectra, mag_cap, dps, spectrum):
+def _report_from_spectra(form, spectra, mag_cap, spectrum):
     """The report from the per-height spectra, each capped at `mag_cap`."""
     base_gap = spectra[0].min_gap
     rho = base_gap / 4 if math.isfinite(base_gap) else mag_cap / 10
@@ -855,7 +857,7 @@ def _report_from_spectra(form, spectra, mag_cap, dps, spectrum):
             best = evidence
     verdict = "accumulation-detected" if best else "discrete-trend"
     anomaly = ""
-    recon = rationality_reconstruct(form, precision=max(dps, 40))
+    recon = rationality_reconstruct(form)
     if recon.status == "reconstructed" and verdict == "accumulation-detected":
         # a rational multiple of an integral form takes scaled-integer
         # values; accumulation here can only be an implementation bug
@@ -985,7 +987,7 @@ def _cf_recognize(x):
     return None
 
 
-def rationality_reconstruct(form, precision=DEFAULT_DPS):
+def rationality_reconstruct(form):
     """Try to split f_v = alpha_v * g with one O-coefficient form g.
 
     Per place: divide the expansion by its largest coefficient, recognize
@@ -994,16 +996,13 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
     integer form (sign fixed by the first nonzero coefficient).  A place
     whose coefficients are all 0 gives the evidence "zero form".
     """
-    if precision < 40:
-        raise PrecisionBudgetExceeded(
-            f"{precision} digits leave no confirmation margin (need >= 40)")
     nplaces = len(form.places)
     ratio_vectors = []
     pivots = []
-    with mp.workdps(precision):
+    with mp.workdps(DEFAULT_DPS):
         for k, place in enumerate(form.places):
             coeffs = form.expansions[k]
-            numeric = [abs(to_mpf(c, place, precision)) for c in coeffs]
+            numeric = [abs(to_mpf(c, place)) for c in coeffs]
             piv = max(range(len(coeffs)), key=lambda i: (numeric[i], -i))
             if numeric[piv] == 0:
                 return ReconstructionResult(
@@ -1011,7 +1010,7 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
             pivots.append((piv, coeffs[piv]))
             ratios = []
             for i, c in enumerate(coeffs):
-                r = _ratio_rational(c, coeffs[piv], place, precision)
+                r = _ratio_rational(c, coeffs[piv], place)
                 if r is None:
                     return ReconstructionResult(
                         status="no-rational-reconstruction",
@@ -1046,7 +1045,7 @@ def rationality_reconstruct(form, precision=DEFAULT_DPS):
             status="reconstructed", g=tuple(ints), alpha=alphas)
 
 
-def _ratio_rational(c, pivot, place, dps):
+def _ratio_rational(c, pivot, place):
     if is_exact(c) and is_exact(pivot):
         try:
             r = to_field(div(c, pivot), place.field)
@@ -1055,17 +1054,13 @@ def _ratio_rational(c, pivot, place, dps):
         else:
             if r.is_rational():
                 return r.coords[0]
-    x = to_mpf(c, place, dps) / to_mpf(pivot, place, dps)
-    if abs(x.imag) > mpf(10) ** (-(dps - 10)):
+    x = to_mpf(c, place) / to_mpf(pivot, place)
+    if abs(x.imag) > mpf(10) ** (10 - DEFAULT_DPS):
         return None
     x = x.real
-    if _is_zero_numeric(x, dps):
+    if abs(x) < mpf(10) ** (5 - DEFAULT_DPS):
         return Fraction(0)
     return _cf_recognize(x)
-
-
-def _is_zero_numeric(x, dps):
-    return abs(x) < mpf(10) ** (-(dps - 5))
 
 
 # ---------------------------------------------------------------------------

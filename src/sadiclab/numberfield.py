@@ -47,7 +47,10 @@ class NumberField:
     """K = Q(theta) for a monic irreducible integer polynomial."""
 
     def __init__(self, min_poly, integral_basis=None):
-        coeffs = [int(c) for c in min_poly]
+        try:
+            coeffs = [int(c) for c in min_poly]
+        except (TypeError, ValueError, OverflowError):
+            coeffs = None           # a coefficient int() cannot read
         if coeffs != list(min_poly):
             raise NotMonic("coefficients must be integers")
         pa.trim(coeffs)

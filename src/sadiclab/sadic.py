@@ -77,11 +77,11 @@ def _local_norm(place, comp, dps):
         return +acc        # squared standard norm: the normalized complex convention
 
 
-def sup_norm(x, dps=DEFAULT_DPS):
+def sup_norm(x):
     """max over places of the normalized local norm."""
     best = mpf(0)
     for place, comp in zip(x.places, x.components):
-        v = to_mpf(_local_norm(place, comp, dps))
+        v = to_mpf(_local_norm(place, comp, DEFAULT_DPS))
         if v > best:
             best = v
     return best

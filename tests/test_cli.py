@@ -44,7 +44,7 @@ def _assert_not_imported(statement, modules=("jsonschema", "sympy")):
 FULL = {
     "min_poly": [1, 0, 1], "integral_basis": [[1, 0], [0, 1]],
     "places": {"archimedean": "all", "finite_primes": [5]},
-    "s_units": [], "precision": 30,
+    "s_units": [],
     "window": {"H": 2, "E": 1, "cap": 1000},
     "systole": {"n": 2, "diagonal_flow": {"values": [0.5, 1]},
                 "matrices": [[[1, 0], [0, 1]]]},
@@ -175,8 +175,8 @@ class TestSchemaWalk:
         ({"bogus": 1},
          "/: Additional properties are not allowed ('bogus' was unexpected)"),
         ({"min_poly": "x"}, "/min_poly: 'x' is not of type 'array'"),
-        ({"min_poly": [0, 1], "precision": True},
-         "/precision: True is not of type 'integer'"),
+        ({"min_poly": [0, 1], "window": {"H": True}},
+         "/window/H: True is not of type 'integer'"),
         ({"min_poly": [0, 1], "window": {"H": 0}},
          "/window/H: 0 is less than the minimum of 1"),
         ({"min_poly": [0, 1], "mahler": {"radius": 0}},
@@ -194,6 +194,9 @@ class TestSchemaWalk:
         # the Hensel precision is a constant, not a setting
         ({"min_poly": [0, 1], "hensel_precision": 10},
          "/: Additional properties are not allowed ('hensel_precision' was unexpected)"),
+        # nor is the working precision of forms
+        ({"min_poly": [0, 1], "precision": 50},
+         "/: Additional properties are not allowed ('precision' was unexpected)"),
     ])
     def test_golden_error_lines(self, tmp_path, capsys, config, line):
         # pinned from the jsonschema-based validation the walk replaced
@@ -244,7 +247,6 @@ class TestParseConfig:
 
     def test_minimal_defaults(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
-        assert cfg.precision == 50
         assert cfg.window.H == 50 and cfg.window.E == 5
         assert [p.kind for p in cfg.places] == ["real"]
         assert cli.parse_config(Q_WITH_2).places[1].precision == 30
@@ -470,7 +472,7 @@ class TestRun:
 
     def test_form_spectrum_anomaly_exits_2(self, tmp_path, monkeypatch):
         # plant a reconstruction of x(sqrt2 x - y), which accumulates
-        monkeypatch.setattr(fm, "rationality_reconstruct", lambda form, precision:
+        monkeypatch.setattr(fm, "rationality_reconstruct", lambda form:
                             fm.ReconstructionResult("reconstructed", g=(1, -1, 0)))
         config = {"min_poly": [0, 1],
                   "form": {"factors": [[1, 0], [{"a": 0, "b": 1, "d": 2}, -1]]},
@@ -857,48 +859,50 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0]["form-spectrum.json"])["distinct"] > 0
 
-    def test_precision_override_keeps_every_other_field(self, tmp_path,
-                                                        monkeypatch):
-        # the flag is written over the config's precision before it is parsed
-        parsed = cli.parse_config(dict(Q_WITH_2, precision=30))
-        raws, seen = [], []
-        monkeypatch.setattr(cli, "parse_config", lambda raw: raws.append(raw) or parsed)
-        monkeypatch.setattr(cli, "run", lambda sub, cfg, out:
-                            seen.append(cfg) or 0)
-        config = dict(Q_WITH_2, precision=30)
-        assert cli.main(["--config", json.dumps(config), "--precision", "80",
-                         "--out", str(tmp_path), "field-info"]) == 0
-        assert raws == [dict(Q_WITH_2, precision=80)]
-        assert seen == [parsed]
-
-    @pytest.mark.parametrize("precision", ["0", "5", "-3"])
-    def test_precision_below_the_minimum_is_an_error_line(self, tmp_path, capsys,
-                                                          precision):
-        code = cli.main(["--config", json.dumps(Q_WITH_2), f"--precision={precision}",
-                         "--out", str(tmp_path), "field-info"])
-        assert code == 1
-        assert capsys.readouterr().err == \
-            f"error: /precision: {precision} is less than the minimum of 15\n"
-        assert not (tmp_path / "field-info.json").exists()
-
-    def test_form_spectrum_precision_reaches_every_window(self, tmp_path,
-                                                           monkeypatch):
+    def test_form_spectrum_scans_each_height_once(self, tmp_path, monkeypatch):
         seen = []
         scan = fm._scan
 
-        def recording(form, window, magnitude_cap, dps):
-            seen.append((window.H, dps))
-            return scan(form, window, magnitude_cap, dps)
+        def recording(form, window, magnitude_cap):
+            seen.append(window.H)
+            return scan(form, window, magnitude_cap)
 
         monkeypatch.setattr(fm, "_scan", recording)
         config = {"min_poly": [0, 1],
                   "form": {"factors": [[1, 0], [{"b": 1, "d": 2}, -1]]},
                   "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
-        assert cli.main(["--config", json.dumps(config), "--precision", "80",
+        assert cli.main(["--config", json.dumps(config),
                          "--out", str(tmp_path), "form-spectrum"]) == 0
         # one scan per height; the last serves the CLI's spectrum and the
         # report's last window
-        assert seen == [(10, 80), (20, 80), (40, 80)]
+        assert seen == [10, 20, 40]
+
+    @pytest.mark.parametrize("heights", [[10, 1000, 1000], [1000, 1000, 1000]])
+    def test_form_spectrum_repeated_heights_are_an_error_line(self, tmp_path,
+                                                              capsys, heights):
+        config = {"min_poly": [0, 1],
+                  "form": {"factors": [[1, 0], [{"b": 1, "d": 2}, -1]]},
+                  "spectrum": {"heights": heights, "cap": 0.9}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: need at least three distinct heights, got {heights}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{}", "orbit-survey", "--height", "abc"],
+        ["--config", "{}", "no-such-command"],
+        ["field-info"],
+        ["--config", "{}", "--precision", "80", "field-info"],
+    ], ids=["bad-int", "unknown-subcommand", "no-config", "precision-flag"])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
+        # 2 is the anomaly's exit code, so a usage error must not take it
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--out", str(tmp_path)] + argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sadiclab") and ": error: " in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("config, csv_sha256, json_sha256", [
         # x (sqrt2 x - y) without a cap: the H = 30 scan, in height-shell

@@ -17,12 +17,12 @@ def eye(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def brute_systole(lat, window, dps=30):
+def brute_systole(lat, window):
     """Systole via the exact enumeration stream and the sadic norms."""
     best_c = best_s = None
     for _, image in lt.enumerate_points(lat, window):
-        c = float(sd.content(image, dps))
-        s = float(sd.sup_norm(image, dps))
+        c = float(sd.content(image))
+        s = float(sd.sup_norm(image))
         best_c = c if best_c is None else min(best_c, c)
         best_s = s if best_s is None else min(best_s, s)
     return best_c, best_s

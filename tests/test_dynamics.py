@@ -486,17 +486,14 @@ class TestSurveys:
                                   heat_s=heat_s, heat_k=heat_k)
         assert len(calls) == 1
         # each ray, and the heat map, as a schedule of its own
-        cloud = lt.PointCloud(x, window)
         direction = [(1, -1)] * len(places)
         rays = dy.default_ray_catalog(places, steps=12)
         assert [name for name, _ in rays] == [result.name for result in sv.rays]
         for result, (_, rows) in zip(sv.rays, rays):
-            want = dy.trajectory(x, dy.RaySchedule(places, direction, rows), window,
-                                 cloud=cloud)
+            want = dy.trajectory(x, dy.RaySchedule(places, direction, rows), window)
             assert repr(result.rows) == repr(want)
         (s_labels, k_labels), cells = dy._heat_cells(places, heat_s, heat_k, 10.0)
-        want = dy.trajectory(x, dy.RaySchedule(places, direction, cells), window,
-                             cloud=cloud)
+        want = dy.trajectory(x, dy.RaySchedule(places, direction, cells), window)
         assert list(sv.heat) == ["s", "k", "min_content", "min_supnorm", "witness"]
         assert {len(column) for column in sv.heat.values()} == {len(want)}
         got = list(zip(*sv.heat.values()))
@@ -692,18 +689,19 @@ class TestExpanding:
         st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1]),
         min_size=1, max_size=8, unique=True))))
     def test_entries_match_brute_force_longest_paths(self, q_inf, case):
-        n, positions = case
+        _, positions = case
+        n = max(map(max, positions))        # the element's size
         levels = _longest_paths(n, positions)
         if levels is None:
             with pytest.raises(CyclicPositions):
-                dy.expanding_element(positions, 2, q_inf[0], n=n)
+                dy.expanding_element(positions, 2, q_inf[0])
             return
         exps = [2 * v - max(levels) for v in levels]
         if sum(exps):
             base = [2 * n * v - 2 * sum(levels) for v in levels]
             g = math.gcd(*base)
             exps = [e // g for e in base]
-        t = dy.expanding_element(positions, 2, q_inf[0], n=n)
+        t = dy.expanding_element(positions, 2, q_inf[0])
         assert t.entries[0] == tuple(Fraction(2) ** e for e in exps)
 
 

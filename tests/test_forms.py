@@ -15,7 +15,6 @@ from sadiclab import polyarith as pa
 from sadiclab.errors import (
     DegenerateBasis,
     DependentFactors,
-    PrecisionBudgetExceeded,
     ShapeMismatch,
     TooFewWindows,
     WindowTooLarge,
@@ -222,7 +221,7 @@ class TestDiscreteness:
     def test_reconstructing_form_that_accumulates_is_an_anomaly(self, sqrt2_form,
                                                                monkeypatch):
         # plant a reconstruction of x(sqrt2 x - y): the report must flag it
-        monkeypatch.setattr(fm, "rationality_reconstruct", lambda form, precision:
+        monkeypatch.setattr(fm, "rationality_reconstruct", lambda form:
                             fm.ReconstructionResult("reconstructed", g=(1, -1, 0)))
         rep = fm.discreteness_report(sqrt2_form, [10, 100, 1000])
         assert rep.verdict == "accumulation-detected"
@@ -237,6 +236,15 @@ class TestDiscreteness:
     def test_needs_three_windows(self, pell_form):
         with pytest.raises(TooFewWindows):
             fm.discreteness_report(pell_form, [10, 100])
+
+    @pytest.mark.parametrize("heights", [[10, 1000, 1000], [1000, 1000, 1000],
+                                         [10, 10, 100, 1000]])
+    def test_repeated_heights_are_too_few_windows(self, sqrt2_form, heights):
+        # a repeated top height never gains values, which read as
+        # discrete-trend for a form that accumulates at [10, 100, 1000]
+        with pytest.raises(TooFewWindows) as info:
+            fm.discreteness_report(sqrt2_form, heights)
+        assert str(info.value) == f"need at least three distinct heights, got {heights}"
 
     def test_thm_consistency_pairing(self, sqrt2_form, pell_form):
         # reconstructed forms look discrete; irrational ones accumulate
@@ -444,10 +452,6 @@ class TestReconstruction:
         assert (rep.status, rep.evidence) == (
             "no-rational-reconstruction",
             "coefficient 1 at c0 has no bounded-denominator ratio to the pivot")
-
-    def test_precision_budget(self, pell_form):
-        with pytest.raises(PrecisionBudgetExceeded):
-            fm.rationality_reconstruct(pell_form, precision=20)
 
 
 class TestLittlewood:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -77,7 +78,11 @@ class TestSharedFields:
         # a coefficient that is not an integer value, before int() truncates it
         ([3, 1.5, 1], None, NotMonic),
         ([0.5, 1], None, NotMonic),
-        ([Fraction(1, 2), 0, 1], None, NotMonic)])
+        ([Fraction(1, 2), 0, 1], None, NotMonic),
+        # a coefficient int() cannot read, where int() raised its own error
+        (["1.5", 0, 1], None, NotMonic),
+        (["1/2", 0, 1], None, NotMonic),
+        ([math.inf, 0, 1], None, NotMonic)])
     def test_failed_builds_raise_on_every_call(self, coeffs, basis, error):
         for _ in range(3):
             with pytest.raises(error):

@@ -24,7 +24,7 @@ from mpmath import mp, mpf
 from sadiclab import forms as fm
 from sadiclab import lattice as lt
 from sadiclab import numberfield as nf
-from sadiclab.errors import DependentFactors, WindowTooLarge
+from sadiclab.errors import DependentFactors, TooFewWindows, WindowTooLarge
 from sadiclab.surd import QuadraticSurd
 
 Q = nf.create_field([0, 1])
@@ -40,8 +40,7 @@ def sqrt2_form():
     return fm.make_form(Q, REAL, [[(1, 0), (QuadraticSurd.sqrt(2), -1)]])
 
 
-def reference(form, heights, E=0, cap=lt.WINDOW_CAP, spectrum_cap=None,
-              dps=fm.DEFAULT_DPS):
+def reference(form, heights, E=0, cap=lt.WINDOW_CAP, spectrum_cap=None):
     """(report, spectra, spectrum) of the five-call pipeline, mpf-sorted."""
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(fm, "_order_keys", list)      # sort by the mpfs
@@ -50,14 +49,13 @@ def reference(form, heights, E=0, cap=lt.WINDOW_CAP, spectrum_cap=None,
         if spectrum_cap is not None:
             spectrum = fm.value_spectrum(
                 form, lt.HeightWindow(heights[-1], E, cap),
-                magnitude_cap=spectrum_cap, dps=dps)
-        first = fm.value_spectrum(form, lt.HeightWindow(heights[0], E, cap),
-                                  dps=dps)
+                magnitude_cap=spectrum_cap)
+        first = fm.value_spectrum(form, lt.HeightWindow(heights[0], E, cap))
         mag_cap = 2.5 * first.min_nonzero if first.entries else 1.0
         spectra = [fm.value_spectrum(
             form, lt.HeightWindow(h, E, max(cap, h * (2 * h + 2))),
-            magnitude_cap=mag_cap, dps=dps) for h in heights]
-        report = fm._report_from_spectra(form, spectra, mag_cap, dps, None)
+            magnitude_cap=mag_cap) for h in heights]
+        report = fm._report_from_spectra(form, spectra, mag_cap, None)
     return report, spectra, spectrum
 
 
@@ -66,9 +64,9 @@ def new(form, heights, **kwargs):
     seen = []
     build = fm._report_from_spectra
 
-    def recording(form, spectra, mag_cap, dps, spectrum):
+    def recording(form, spectra, mag_cap, spectrum):
         seen.append(spectra)
-        return build(form, spectra, mag_cap, dps, spectrum)
+        return build(form, spectra, mag_cap, spectrum)
 
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(fm, "_report_from_spectra", recording)
@@ -125,17 +123,24 @@ def forms(draw):
         return draw(st.nothing())
 
 
+# distinct heights half the time; else [h, h, h] or [a, a, b], which the
+# report rejects
 HEIGHTS = st.one_of(
-    st.lists(st.integers(1, 20), min_size=3, max_size=4),
-    st.integers(1, 20).map(lambda h: [h, h, h]),
-    st.tuples(st.integers(1, 12), st.integers(1, 20)).map(
-        lambda t: [t[0], t[0], t[1]]))
+    st.lists(st.integers(1, 20), min_size=3, max_size=4, unique=True),
+    st.one_of(st.integers(1, 20).map(lambda h: [h, h, h]),
+              st.tuples(st.integers(1, 12), st.integers(1, 20)).map(
+                  lambda t: [t[0], t[0], t[1]])))
 
 
 @SLOW
 @given(forms(), HEIGHTS, st.data())
 def test_report_and_spectrum_equal_the_five_call_pipeline(form, heights, data):
     heights = sorted(heights)
+    if len(set(heights)) < len(heights):
+        # a repeated height never gains values, so it gets no report
+        with pytest.raises(TooFewWindows):
+            fm.discreteness_report(form, heights, spectrum_cap=1.0)
+        return
     first = fm.value_spectrum(form, lt.HeightWindow(heights[0]))
     mag_cap = 2.5 * first.min_nonzero if first.entries else 1.0
     attained = fm.value_spectrum(form, lt.HeightWindow(heights[-1]),
@@ -161,7 +166,7 @@ def test_builtin_probes_equal_the_five_call_pipeline(name, heights,
 def test_workload_heights_equal_the_five_call_pipeline():
     # the first height's capped scan serves: U bounds the least value
     least, scan, scan_cap = fm._least_magnitude(
-        sqrt2_form(), lt.HeightWindow(10), lt.HeightWindow(10), fm.DEFAULT_DPS)
+        sqrt2_form(), lt.HeightWindow(10), lt.HeightWindow(10))
     assert scan is not None and least <= scan_cap / 2.5
     assert_same(sqrt2_form(), [10, 100, 1000], spectrum_cap=0.9)
     assert_same(fm.make_form(Q, REAL, [[(1, 0), (Fraction(9), Fraction(-7, 9))]]),
@@ -192,8 +197,8 @@ def test_zero_form_has_no_bound_and_no_least_value():
     # finds no value, and every window is capped at 1
     zero = fm.DecomposableForm.from_expansion(Q, REAL, 2, 2, [(0, 0, 0)])
     assert fm._least_value_bound(zero, 5) is None
-    assert fm._least_magnitude(zero, lt.HeightWindow(5), lt.HeightWindow(5),
-                               fm.DEFAULT_DPS) == (None, None, None)
+    assert fm._least_magnitude(zero, lt.HeightWindow(5),
+                               lt.HeightWindow(5)) == (None, None, None)
 
 
 @pytest.mark.parametrize("bound", [1e-300, 0.3])
@@ -241,7 +246,7 @@ def planar_forms(draw):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(planar_forms(), st.integers(1, 30))
 def test_bound_is_above_the_least_nonzero_magnitude(form, H):
-    pairs = fm._scan(form, lt.HeightWindow(H), None, fm.DEFAULT_DPS)[0]
+    pairs = fm._scan(form, lt.HeightWindow(H), None)[0]
     bound = fm._least_value_bound(form, H)
     if bound is None:
         return

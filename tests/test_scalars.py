@@ -598,11 +598,24 @@ def test_every_dataclass_field_is_read():
 
 
 # Every defaulted parameter of a package function is set by some call in
-# the package, the tests, the demos or the benchmark harness.  Calls match
-# definitions by name: a keyword sets its parameter, a positional argument
+# the package, the demos or the benchmark harness, or is listed below with
+# the reason the tests alone set it: a test must not keep a parameter
+# alive that nothing else sets.  Calls match definitions by name: a keyword sets its parameter, a positional argument
 # the parameter in its place (after self or cls in a method), and *args or
 # **kwargs every parameter; `C(...)`, and `cls(...)` in a classmethod of
 # C, call C.__init__.
+
+
+_TEST_SET = {
+    "cli.main.argv": "tests drive the CLI in-process; the console script "
+                     "reads sys.argv",
+    "forms.littlewood_scan.chunk":
+        "small chunks carry the prefix minimum across chunk ends at small N",
+    "lattice.PointCloud.norms_under.arch_mults":
+        "the per-step oracle that test_schedule_kernel checks the kernel against",
+    "lattice.PointCloud.norms_under.fin_shifts":
+        "the per-step oracle that test_schedule_kernel checks the kernel against",
+}
 
 
 def _decorated(node, name):
@@ -629,8 +642,11 @@ def _calls(tree):
 
 
 def test_every_defaulted_parameter_is_set_by_a_call():
+    tests = _ROOT / "tests"
     calls = {}
-    for tree in _source_trees().values():
+    for path, tree in _source_trees().items():
+        if tests in path.parents:
+            continue
         for name, call in _calls(tree):
             calls.setdefault(name, []).append(call)
     unset = []
@@ -651,7 +667,8 @@ def test_every_defaulted_parameter_is_set_by_a_call():
             seen.update(params[:len(call.args)])
             seen.update(k.arg for k in call.keywords)
         unset += [f"{qualname}.{name}" for name in defaulted if name not in seen]
-    assert unset == []
+    # a listed parameter that a call outside the tests now sets leaves the list
+    assert sorted(set(unset) ^ set(_TEST_SET)) == []
 
 
 # The window of S-integer points is enumerated in one place:

@@ -311,7 +311,7 @@ def integer_forms(draw):
 def test_uncapped_refine_equals_per_point_magnitudes(form, H):
     pairs, zeros = window_scan(form, H)
     rows, _ = lt._window_rows(form.n, [], lt.HeightWindow(H))
-    got, got_zeros = fm._integer_refine(form, rows, fm.DEFAULT_DPS)
+    got, got_zeros = fm._integer_refine(form, rows)
     assert got_zeros == zeros
     assert [w for _, w in got] == [w for _, w in pairs]
     assert all(a == b for (a, _), (b, _) in zip(got, pairs))   # mpf bits
@@ -327,7 +327,7 @@ def test_refine_past_the_direct_bound_equals_per_point_magnitudes():
     K = 1117337328787321713974493634819752073672934530097637441045133
     form = fm.make_form(Q, REAL, [[(K, Fraction(1, 3))]])
     rows, _ = lt._window_rows(2, [], lt.HeightWindow(3))
-    got, zeros = fm._integer_refine(form, rows, fm.DEFAULT_DPS)
+    got, zeros = fm._integer_refine(form, rows)
     assert (got, zeros) == window_scan(form, 3)
     with mp.workdps(fm.DEFAULT_DPS + 5):
         direct = fm._refined_magnitude(form, [(3 * K, 0)], [mp.mpf(1)])
@@ -343,7 +343,7 @@ def test_field_element_coefficients_keep_their_own_rounding():
     got = []
     for coeff in (Q.element([c]), c):
         form = fm.make_form(Q, REAL, [[(coeff, 1)]])
-        pairs = fm._integer_refine(form, rows, fm.DEFAULT_DPS)[0]
+        pairs = fm._integer_refine(form, rows)[0]
         assert pairs == window_scan(form, 1)[0]
         got.append(dict((w, m) for m, w in pairs)["(1, 0)"])
     assert got[0] != got[1]
