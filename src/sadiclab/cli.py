@@ -847,6 +847,15 @@ def main(argv=None):
                             help="s_min:s_max:steps[,k_min:k_max]")
             sp.add_argument("--height", type=int, default=None)
             sp.add_argument("--denom", type=int, default=None)
+    # argparse reads the value of an unknown option before the subcommand
+    # as the subcommand ("invalid choice: '80'"), so name the option itself
+    leading = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    leading.add_argument("--config")
+    leading.add_argument("--out")
+    with contextlib.suppress(argparse.ArgumentError):
+        rest = leading.parse_known_args(argv)[1]
+        if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):
+            parser.error(f"unrecognized arguments: {rest[0]}")
     args = parser.parse_args(argv)
     try:
         raw = _read_config(args.config)

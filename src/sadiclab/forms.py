@@ -172,6 +172,29 @@ class DecomposableForm:
             for p, q, (e1, e2) in zip(P, Q, self.basis) if p or q]
             for P, Q, D, d in self._integer_expansions]
 
+    @cached_property
+    def _strip_factors(self):
+        """Per factor a x + b y of a planar form, `_strips`' cap-independent
+        data (t, W_t, inv, W_inv, vertical): `_float_weight` of the slope
+        t = a / b (0 when b = 0) and of 1 / |b| (1 / |a| when b = 0), and
+        whether b = 0.  None unless every factor is exact, the factors'
+        expansion is the form's and no factor is identically 0."""
+        if self.factors is None:
+            return None
+        rows = [row for per_place in self.factors for row in per_place]
+        if not all(is_exact(c) for row in rows for c in row) or any(
+                self._expand(per_place) != exp
+                for per_place, exp in zip(self.factors, self.expansions)):
+            return None
+        out = []
+        for a, b in (map(parse_real, row) for row in rows):
+            if a == 0 and b == 0:
+                return None
+            out.append((*_float_weight(a / b if b != 0 else QuadraticSurd(0)),
+                        *_float_weight(abs(b if b != 0 else a).inverse()),
+                        b == 0))
+        return out
+
     def evaluate(self, z):
         """Per-place values at an exact point, via the cached expansion."""
         out = []
@@ -344,19 +367,30 @@ def value_spectrum(form, window, magnitude_cap=None):
     (`_scan_plan`), and a cap must not be negative.
 
     The pairs a scan at a cap C keeps are those of the exact scan with a
-    magnitude <= C, in candidate order, so the pairs of a scan at C that
-    are <= c <= C are the pairs of the scan at c: `discreteness_report`
-    serves several caps at one height from one scan.
+    magnitude <= C, in candidate order, and a smaller window's points come
+    in the same relative order in either candidate order: the box's (x,
+    then y) and the height shells, of which the smaller window's are a
+    prefix.  So the pairs of a scan at height H and cap C whose numerator
+    height is <= h and magnitude <= c <= C are the pairs of the scan at h
+    and c (`_read_spectrum`): `discreteness_report` reads every window off
+    one scan of its largest height.
     """
-    pairs, zero_count, candidates = _scan(form, window, magnitude_cap)
-    return _spectrum_from_pairs(pairs, window, zero_count, candidates)
+    return _read_spectrum(_scan(form, window, magnitude_cap), window,
+                          magnitude_cap)
 
 
-def _capped_spectrum(scan, window, cap):
-    """The spectrum of a `_scan` at a cap >= `cap`, under `cap`."""
-    pairs, zero_count, candidates = scan
-    return _spectrum_from_pairs([p for p in pairs if p[0] <= cap], window,
-                                zero_count, candidates)
+def _read_spectrum(scan, window, cap):
+    """The spectrum of `window` under `cap` (None: uncapped), read off a
+    `_scan` of a window as high or higher at a cap >= `cap`: the points of
+    numerator height max |z_i| <= window.H, their pairs at or below `cap`.
+    `candidates` counts the scan's candidates in the window."""
+    pairs, heights, outcome = scan
+    inside = heights <= window.H
+    kept = [pair for pair, ok in zip(pairs, inside[outcome == 1].tolist())
+            if ok and (cap is None or pair[0] <= cap)]
+    return _spectrum_from_pairs(kept, window,
+                                int(np.count_nonzero(inside & (outcome == 0))),
+                                int(np.count_nonzero(inside)))
 
 
 def _finite_primes(form):
@@ -385,8 +419,10 @@ def _scan_plan(form, window, cap):
 
 
 def _scan(form, window, magnitude_cap):
-    """(pairs, zero_count, candidates): `value_spectrum`'s two stages, the
-    exact stage's (magnitude mpf, witness) pairs in candidate order."""
+    """(pairs, heights, outcome): `value_spectrum`'s two stages.  `pairs`
+    are the exact stage's (magnitude mpf, witness) pairs in candidate
+    order; per candidate point, `heights` is its numerator height max
+    |z_i| and `outcome` that of the exact stage (`_integer_refine`)."""
     intervals = _scan_plan(form, window, magnitude_cap)
     primes = _finite_primes(form)
     if intervals is not None:
@@ -394,23 +430,24 @@ def _scan(form, window, magnitude_cap):
     else:
         points, eexp = _window_rows(form.n * form.field.degree, primes, window)
     if _integer_ok(form):
-        pairs, zero_count = _integer_refine(form, points, magnitude_cap)
+        pairs, _, outcome = _integer_refine(form, points, magnitude_cap)
     else:
-        pairs, zero_count = _point_refine(form, points, eexp, primes,
+        pairs, _, outcome = _point_refine(form, points, eexp, primes,
                                           magnitude_cap)
-    return pairs, zero_count, len(points)
+    return pairs, np.abs(points).max(axis=1, initial=0), outcome
 
 
 def _point_refine(form, rows, eexp, primes, cap):
-    """(pairs, zero_count) of any form over the window points, numerators
-    `rows` in integral-basis coordinates over prod p^e, `eexp` the
-    exponents e over `primes`: each point is evaluated exactly by
+    """(pairs, zero_count, outcome) of any form over the window points,
+    numerators `rows` in integral-basis coordinates over prod p^e, `eexp`
+    the exponents e over `primes`: each point is evaluated exactly by
     `magnitudes`, a zero only counts, and a magnitude above `cap` is
-    dropped."""
+    dropped; `outcome` as in `_integer_refine`."""
     d = form.field.degree
-    pairs, zero_count = [], 0
+    pairs = []
+    outcome = np.full(len(rows), -1, dtype=np.int8)
     with mp.workdps(DEFAULT_DPS + 5):
-        for row, exps in zip(rows.tolist(), eexp.tolist()):
+        for i, (row, exps) in enumerate(zip(rows.tolist(), eexp.tolist())):
             denom = math.prod(p ** e for p, e in zip(primes, exps))
             if d == 1:
                 z = [Fraction(c, denom) for c in row]
@@ -420,10 +457,11 @@ def _point_refine(form, rows, eexp, primes, cap):
                      for j in range(form.n)]
             total = form.magnitudes(z)[1]
             if total == 0:
-                zero_count += 1
+                outcome[i] = 0
             elif cap is None or total <= cap:
+                outcome[i] = 1
                 pairs.append((total, witness_text(z)))
-    return pairs, zero_count
+    return pairs, int(np.count_nonzero(outcome == 0)), outcome
 
 
 def _integer_ok(form):
@@ -437,24 +475,39 @@ def _integer_ok(form):
 _BLOCK = 1 << 15                   # points per prefilter block / exact batch
 
 
+def _value_bound(form, points):
+    """(W, T): W the largest sum_k |P_k| + |Q_k| over the places'
+    `_integer_expansions`, T = max |z_i|^m over the rows z of `points`.
+    Every monomial z^e_k is at most T, and |A|, |B| of `_integer_values`
+    and their partial sums are at most W T."""
+    top = int(np.abs(points).max(initial=0)) ** form.m
+    return max((sum(map(abs, P + Q)) for P, Q, _, _ in
+                form._integer_expansions), default=0), top
+
+
 def _integer_values(form, points):
-    """Per place (A, B), object arrays with f(z) = (A + B sqrt(d)) / D.
+    """Per place (A, B), integer arrays with f(z) = (A + B sqrt(d)) / D.
 
     (P, Q, D, d) are the place's `_integer_expansions`; z runs over the
     rows of the integer array `points`, A = sum_k P_k z^e_k and
-    B = sum_k Q_k z^e_k in exact (object-dtype) integers.
+    B = sum_k Q_k z^e_k in exact integers: int64 when W, T and W T of
+    `_value_bound` are below 2^63, so that no coefficient, monomial or
+    partial sum overflows, and object dtype otherwise.
     """
-    cols = points.astype(object).T
+    W, T = _value_bound(form, points)
+    cols = points.astype(np.int64 if max(W, T, W * T) < 2 ** 63
+                         else object).T
     monos = [math.prod(c ** e for c, e in zip(cols, expo) if e)
              for expo in form.basis]
-    zero = np.zeros(len(points), dtype=object)
+    zero = np.zeros(len(points), dtype=cols.dtype)
     return [(sum((p * mono for p, mono in zip(P, monos) if p), zero),
              sum((q * mono for q, mono in zip(Q, monos) if q), zero))
             for P, Q, _, _ in form._integer_expansions]
 
 
 def _integer_refine(form, points, cap=None):
-    """(pairs, zero_count) of an `_integer_ok` form over integer `points`.
+    """(pairs, zero_count, outcome) of an `_integer_ok` form over integer
+    `points`.
 
     The rows z of `points` are visited in order, in batches of at most
     2^15.  With (A, B) from `_integer_values`, f is 0 at a place exactly
@@ -463,26 +516,28 @@ def _integer_refine(form, points, cap=None):
     returns, and is dropped when it exceeds `cap`.  The direct formula of
     `_refined_magnitude` gives it when no place has a nonzero
     field-element coefficient (which is embedded with its own rounding)
-    and the a-priori bound (sum_k |P_k| + |Q_k|) max |z_i|^m on |A| and
-    |B| has at most prec bits; otherwise `magnitudes` itself gives it.
+    and the a-priori bound W T of `_value_bound` on |A| and |B| has at
+    most prec bits; otherwise `magnitudes` itself gives it.  `outcome`
+    holds per point 1 if it gave a pair, 0 if f is 0 there and -1 if it
+    was dropped.
     """
     exps = form._integer_expansions
-    top = int(np.abs(points).max(initial=0)) ** form.m
-    bound = max((sum(map(abs, P + Q)) * top for P, Q, _, _ in exps),
-                default=0)
-    pairs, zero_count = [], 0
+    W, T = _value_bound(form, points)
+    pairs = []
+    outcome = np.full(len(points), -1, dtype=np.int8)
     with mp.workdps(DEFAULT_DPS + 5):
-        direct = bound.bit_length() <= mp.prec and not any(
+        direct = (W * T).bit_length() <= mp.prec and not any(
             isinstance(c, FieldElement) and c != 0
             for exp in form.expansions for c in exp)
         roots = [mp.sqrt(d) for _, _, _, d in exps]
         for s in range(0, len(points), _BLOCK):
             block = points[s:s + _BLOCK]
-            values = _integer_values(form, block)
             zero = np.zeros(len(block), dtype=bool)
-            for A, B in values:
+            values = []
+            for A, B in _integer_values(form, block):
                 zero |= (A == 0) & (B == 0)
-            zero_count += int(zero.sum())
+                values.append((A.tolist(), B.tolist()))    # mpf reads int
+            outcome[s:s + len(block)][zero] = 0
             for i in np.flatnonzero(~zero).tolist():
                 z = block[i].tolist()
                 if direct:
@@ -492,8 +547,9 @@ def _integer_refine(form, points, cap=None):
                     total = form.magnitudes([Fraction(c) for c in z])[1]
                 if cap is not None and total > cap:
                     continue
+                outcome[s + i] = 1
                 pairs.append((total, witness_text(z)))
-    return pairs, zero_count
+    return pairs, int(np.count_nonzero(outcome == 0)), outcome
 
 
 def _refined_magnitude(form, parts, roots):
@@ -647,32 +703,23 @@ def _strips(form, H, cap):
     true one, W the |p| + |q| sqrt(d) weights; widening by 2E covers E,
     the rounding of the widened endpoint and of 2E itself.  A factor with
     b = 0 is a strip of whole rows, x <= r / |a| widened alike.  None
-    (scan the box) unless every factor is exact and the factors' expansion
-    is the form's, 0 <= cap < inf, no factor is identically 0, every
-    widening is below one row step, and the strips hold fewer points than
-    the box.
+    (scan the box) unless the form has `DecomposableForm._strip_factors`
+    (held once per form), 0 <= cap < inf, every widening is below one row
+    step, and the strips hold fewer points than the box.
     """
-    if form.factors is None or not 0 <= cap < math.inf:
+    factors = form._strip_factors
+    if factors is None or not 0 <= cap < math.inf:
         return None
-    rows = [row for per_place in form.factors for row in per_place]
-    if not all(is_exact(c) for row in rows for c in row) or any(
-            form._expand(per_place) != exp
-            for per_place, exp in zip(form.factors, form.expansions)):
-        return None
-    r = cap ** (1 / len(rows))
-    while Fraction(r) ** len(rows) < Fraction(cap):
+    r = cap ** (1 / len(factors))
+    while Fraction(r) ** len(factors) < Fraction(cap):
         r = math.nextafter(r, math.inf)
     x = np.arange(H + 1, dtype=np.float64)
     strips = []
-    for a, b in (map(parse_real, row) for row in rows):
-        if a == 0 and b == 0:
-            return None
-        t, w_t = _float_weight(a / b if b != 0 else QuadraticSurd(0))
-        inv, w_inv = _float_weight(abs(b if b != 0 else a).inverse())
+    for t, w_t, inv, w_inv, vertical in factors:
         slack = 2 * _gamma(6) * (w_t * H + r * w_inv)
         if not slack < 1:                 # also NaN and inf
             return None
-        if b == 0:
+        if vertical:
             lo = np.where(x <= r * inv + slack, -H, H + 1)
             hi = np.full(H + 1, H)
         else:
@@ -754,17 +801,20 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
     top height can never gain values, so it would force discrete-trend.
 
     Every window's spectrum is capped at 2.5 m, m the least nonzero
-    magnitude at the first height (`_least_magnitude`; 1 if there is
-    none).  Each height is scanned once (`_scan`), at the largest cap it
-    serves, and each spectrum takes the scan's pairs at or below its own
-    cap, which is the spectrum of a scan at that cap but for `candidates`
-    (`value_spectrum`).  The scan that found m, at 2.5 U, serves the
-    first height when its caps are at most 2.5 U, as U >= m makes 2.5 m;
-    otherwise that height is scanned again.  With `spectrum_cap`, the
-    largest height serves max(2.5 m, spectrum_cap), and `spectrum` is
-    value_spectrum(form, HeightWindow(heights[-1], E, cap), spectrum_cap)
-    read off its scan; the plan of that value_spectrum call is checked
-    against `cap` before any window is scanned.
+    magnitude at the first height (`_least_magnitude`, whose scans are the
+    first; 1 if there is none).  Then the largest height is scanned once
+    (`_scan`) at max(2.5 m, spectrum_cap), and every window's spectrum is
+    read off that scan (`_read_spectrum`), which is the spectrum of its
+    own scan at 2.5 m but for `candidates` (`value_spectrum`).  With
+    `spectrum_cap`, `spectrum` is value_spectrum(form,
+    HeightWindow(heights[-1], E, cap), spectrum_cap), read off it too.
+
+    The windows are checked in the order of the separate scans, each
+    before any larger one is scanned: that value_spectrum call's plan,
+    then the first height's window as enumerated, then every larger
+    window in ascending height, the largest by its scan.  A capped planar
+    scan visits at most its box of H (2H + 2) points, which its window's
+    cap admits, so the windows between are checked only when enumerated.
     """
     if len(heights) < 3 or len(set(heights)) < len(heights):
         raise TooFewWindows("need at least three distinct heights, got "
@@ -779,18 +829,17 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
     # still meets `cap`.
     windows = {h: HeightWindow(h, E, max(cap, h * (2 * h + 2)))
                for h in heights}
-    least, first, first_cap = _least_magnitude(
-        form, HeightWindow(heights[0], E, cap), windows[heights[0]])
+    least = _least_magnitude(form, HeightWindow(heights[0], E, cap),
+                             windows[heights[0]])[0]
     mag_cap = 1.0 if least is None else 2.5 * float(least)
-    scan_caps = dict.fromkeys(heights, mag_cap)
-    if spectrum_cap is not None:
-        scan_caps[heights[-1]] = max(mag_cap, spectrum_cap)
-    scans = {h: first if h == heights[0] and first and c <= first_cap
-             else _scan(form, windows[h], c)
-             for h, c in scan_caps.items()}
-    spectra = [_capped_spectrum(scans[h], windows[h], mag_cap) for h in heights]
+    if form.n != 2 or not _integer_ok(form):
+        for h in heights[1:-1]:
+            _scan_plan(form, windows[h], None)
+    scan = _scan(form, windows[heights[-1]],
+                 mag_cap if spectrum_cap is None else max(mag_cap, spectrum_cap))
+    spectra = [_read_spectrum(scan, windows[h], mag_cap) for h in heights]
     spectrum = (None if spectrum_cap is None else
-                _capped_spectrum(scans[heights[-1]], own, spectrum_cap))
+                _read_spectrum(scan, own, spectrum_cap))
     return _report_from_spectra(form, spectra, mag_cap, spectrum)
 
 

@@ -87,8 +87,9 @@ def sup_norm(x):
     return best
 
 
-def local_norms(x, dps=DEFAULT_DPS):
-    return [_local_norm(p, c, dps) for p, c in zip(x.places, x.components)]
+def local_norms(x):
+    return [_local_norm(p, c, DEFAULT_DPS)
+            for p, c in zip(x.places, x.components)]
 
 
 def content(x, dps=DEFAULT_DPS):
@@ -219,7 +220,7 @@ def unit_balance(x, target, units):
     if not x.places == target.places == units.places:
         raise ShapeMismatch("x, the targets and the unit group have different places")
     dps = DEFAULT_DPS
-    norms = local_norms(x, dps)
+    norms = local_norms(x)
     if any(v == 0 for v in norms):
         raise ZeroComponent("every local component must be nonzero")
     target.validate_against(x)
@@ -244,7 +245,7 @@ def unit_balance(x, target, units):
     xi = units.power_product(best_exps)
     # recompute the achieved ratio from the actual scaled vector
     scaled = x.scaled(xi)
-    snorms = local_norms(scaled, dps)
+    snorms = local_norms(scaled)
     with mp.workdps(dps):
         worst = mpf(0)
         for v, a in zip(snorms, target.targets):

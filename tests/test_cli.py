@@ -859,7 +859,8 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0]["form-spectrum.json"])["distinct"] > 0
 
-    def test_form_spectrum_scans_each_height_once(self, tmp_path, monkeypatch):
+    def test_form_spectrum_scans_the_first_and_largest_height(self, tmp_path,
+                                                              monkeypatch):
         seen = []
         scan = fm._scan
 
@@ -873,9 +874,28 @@ class TestRun:
                   "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
         assert cli.main(["--config", json.dumps(config),
                          "--out", str(tmp_path), "form-spectrum"]) == 0
-        # one scan per height; the last serves the CLI's spectrum and the
-        # report's last window
-        assert seen == [10, 20, 40]
+        # the first height's scan finds m; the largest height's serves the
+        # CLI's spectrum and every window of the report
+        assert seen == [10, 40]
+
+    def test_form_spectrum_expands_the_factors_for_the_strips_once(
+            self, tmp_path, monkeypatch):
+        calls = []
+        expand = fm.DecomposableForm._expand
+
+        def recording(form, factor_rows):
+            calls.append(factor_rows)
+            return expand(form, factor_rows)
+
+        monkeypatch.setattr(fm.DecomposableForm, "_expand", recording)
+        config = {"min_poly": [0, 1],
+                  "form": {"factors": [[1, 0], [{"b": 1, "d": 2}, -1]]},
+                  "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-spectrum"]) == 0
+        # at most once per place as the form is built and once for the
+        # strips, which each scan's plan reads
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("heights", [[10, 1000, 1000], [1000, 1000, 1000]])
     def test_form_spectrum_repeated_heights_are_an_error_line(self, tmp_path,
@@ -902,6 +922,18 @@ class TestRun:
         assert info.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: sadiclab") and ": error: " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", [["--precision", "80"], ["--precision=80"]])
+    def test_unknown_flag_before_the_subcommand_is_named(self, tmp_path, capsys,
+                                                         flag):
+        # argparse alone reads "80" as the subcommand: invalid choice: '80'
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--out", str(tmp_path), "--config", "{}", *flag,
+                      "form-spectrum"])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"sadiclab: error: unrecognized arguments: {flag[0]}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("config, csv_sha256, json_sha256", [

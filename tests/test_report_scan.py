@@ -5,12 +5,12 @@ magnitude at the first height.  The reference pipeline (`reference`)
 takes m from the uncapped scan of the first window and makes five
 separate `value_spectrum` calls: that window, one capped scan per height
 and the caller's own capped spectrum at the largest height.  With its
-mpf sort as the reference order, it is the pipeline that the report's one
-scan per height replaced; the report runs a capped scan at 2.5 U for the
-first height (U from `_least_value_bound`) and serves the caller's
-spectrum from its scan of the largest height.  Both feed
-`_report_from_spectra`, so the reports and every spectrum must agree in
-all but the `candidates` telemetry.
+mpf sort as the reference order, it is the pipeline that the report's
+scans replaced; the report runs a capped scan at 2.5 U for the first
+height (U from `_least_value_bound`) and then one scan of the largest
+height, off which it reads every window and the caller's spectrum.  Both
+feed `_report_from_spectra`, so the reports and every spectrum must agree
+in all but the `candidates` telemetry.
 """
 
 import dataclasses
@@ -29,6 +29,7 @@ from sadiclab.surd import QuadraticSurd
 
 Q = nf.create_field([0, 1])
 REAL = nf.archimedean_places(Q)
+REAL_2 = REAL + nf.finite_places(Q, 2)
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13]
 SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 SLOW = settings(max_examples=100, deadline=None,
@@ -164,7 +165,7 @@ def test_builtin_probes_equal_the_five_call_pipeline(name, heights,
 
 
 def test_workload_heights_equal_the_five_call_pipeline():
-    # the first height's capped scan serves: U bounds the least value
+    # the first height's capped scan finds m: U bounds the least value
     least, scan, scan_cap = fm._least_magnitude(
         sqrt2_form(), lt.HeightWindow(10), lt.HeightWindow(10))
     assert scan is not None and least <= scan_cap / 2.5
@@ -206,9 +207,18 @@ def test_a_bound_below_the_least_value_costs_a_scan_not_a_value(monkeypatch,
                                                                 bound):
     # x(sqrt2 x - y) has least value 0.343 at H = 10: at 2.5e-300 the
     # capped scan keeps no value, and the uncapped scan finds it; at 0.75
-    # it keeps it, but 2.5 m = 0.858 needs a second scan of the height
+    # it keeps it, though 2.5 m = 0.858 is above the scan's cap
     monkeypatch.setattr(fm, "_least_value_bound", lambda form, H: bound)
     assert_same(sqrt2_form(), [10, 20, 40], spectrum_cap=0.9)
+
+
+@pytest.mark.parametrize("E", [0, 1, 2])
+@pytest.mark.parametrize("spectrum_cap", [None, 0.5, 3.0])
+def test_finite_place_form_equals_the_five_call_pipeline(E, spectrum_cap):
+    # a finite place: every window is enumerated in height-shell order,
+    # with its denominator exponents, and refined point by point
+    form = fm.make_form(Q, REAL_2, [[(1, 0), (3, -1)]] * 2)
+    assert_same(form, [2, 4, 6], E=E, spectrum_cap=spectrum_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +309,16 @@ def test_callers_enumerated_window_is_checked_first(cap, message):
     form = fm.make_form(Q, REAL, [[(1, 0, 0), (0, 1, 0), (1, 1, -1)]])
     with pytest.raises(WindowTooLarge, match=f"^{message}$"):
         fm.discreteness_report(form, [1, 2, 3], cap=cap, spectrum_cap=1.0)
+
+
+def test_windows_are_checked_in_ascending_height():
+    # Q at S = {inf, 2}: H = 10 holds 441 points, H = 20 1,681 and H = 40
+    # 6,561, over the top window's own bound of 40 * 82 = 3,280; the
+    # middle window fails first, as its separate scan did
+    form = fm.make_form(Q, REAL_2, [[(1, 0), (3, -1)]] * 2)
+    with pytest.raises(WindowTooLarge,
+                       match="^window size 1681 exceeds cap 1000$"):
+        fm.discreteness_report(form, [10, 20, 40], cap=1000)
 
 
 def test_negative_spectrum_cap_is_rejected():

@@ -311,7 +311,7 @@ def integer_forms(draw):
 def test_uncapped_refine_equals_per_point_magnitudes(form, H):
     pairs, zeros = window_scan(form, H)
     rows, _ = lt._window_rows(form.n, [], lt.HeightWindow(H))
-    got, got_zeros = fm._integer_refine(form, rows)
+    got, got_zeros, _ = fm._integer_refine(form, rows)
     assert got_zeros == zeros
     assert [w for _, w in got] == [w for _, w in pairs]
     assert all(a == b for (a, _), (b, _) in zip(got, pairs))   # mpf bits
@@ -327,7 +327,7 @@ def test_refine_past_the_direct_bound_equals_per_point_magnitudes():
     K = 1117337328787321713974493634819752073672934530097637441045133
     form = fm.make_form(Q, REAL, [[(K, Fraction(1, 3))]])
     rows, _ = lt._window_rows(2, [], lt.HeightWindow(3))
-    got, zeros = fm._integer_refine(form, rows)
+    got, zeros, _ = fm._integer_refine(form, rows)
     assert (got, zeros) == window_scan(form, 3)
     with mp.workdps(fm.DEFAULT_DPS + 5):
         direct = fm._refined_magnitude(form, [(3 * K, 0)], [mp.mpf(1)])
@@ -363,3 +363,80 @@ def test_integer_expansion_of_mixed_scalar_types():
               Fraction(-2, 3))
     form = fm.DecomposableForm.from_expansion(Q, REAL, 2, 2, [coeffs])
     assert form._integer_expansions == [((1, 3, -4), (0, 18, 0), 6, 7)]
+
+
+# `_integer_values` works in int64 when the bound W T of `_value_bound`
+# is below 2^63, in object dtype otherwise; both against Python integers
+
+
+def python_values(form, points):
+    """Per place (A, B) as lists of Python ints, term by term."""
+    out = []
+    for P, Qs, _, _ in form._integer_expansions:
+        monos = [[math.prod(z ** e for z, e in zip(row, expo))
+                  for expo in form.basis] for row in points.tolist()]
+        out.append(tuple([sum(c * x for c, x in zip(C, row)) for row in monos]
+                         for C in (P, Qs)))
+    return out
+
+
+def assert_values(form, points):
+    W, T = fm._value_bound(form, points)
+    got = fm._integer_values(form, points)
+    assert [(A.tolist(), B.tolist()) for A, B in got] == \
+        python_values(form, points)
+    int64 = max(W, T, W * T) < 2 ** 63
+    assert all(A.dtype == B.dtype == (np.int64 if int64 else object)
+               for A, B in got)
+    return int64
+
+
+BIG = st.integers(0, 66).flatmap(lambda k: st.integers(-2 ** k, 2 ** k))
+
+
+@st.composite
+def wide_forms(draw):
+    """`_integer_ok` forms by expansion, n = 2 or 3, m = 1..3, with
+    rational or surd coefficients of up to 66 bits over small D."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    per_place = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.sampled_from([None, 2, 5]))
+
+        def coeff():
+            a = Fraction(draw(BIG), draw(st.integers(1, 6)))
+            if d is None:
+                return a
+            return QuadraticSurd(a, Fraction(draw(BIG), draw(st.integers(1, 6))),
+                                 d)
+
+        per_place.append(tuple(coeff()
+                               for _ in range(len(fm.monomial_basis(n, m)))))
+    return fm.DecomposableForm.from_expansion(Q, REAL * len(per_place), n, m,
+                                              per_place)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_forms(), st.data())
+def test_integer_values_equal_python_integers(form, data):
+    top = data.draw(st.integers(0, 2 ** data.draw(st.integers(0, 24))))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-top, top)] * form.n),
+                              min_size=1, max_size=8))
+    assert_values(form, np.array(rows, dtype=np.int64).reshape(-1, form.n))
+
+
+@pytest.mark.parametrize("c, x, int64", [
+    ((2 ** 63 - 1) // 49, 7, True),      # 2^63 - 1 = 7^2 73 127 337 92737 649657
+    (2 ** 57, 8, False),
+    (2 ** 63 - 1, 1, True),
+    (2 ** 63, 1, False)])
+def test_integer_values_at_the_int64_edge(c, x, int64):
+    # f = c x^m, m = 2 (m = 1 when x = 1), at rows with max |z| = x:
+    # W T = c x^m is 2^63 - 1 or 2^63, and f(x, 0) reaches it
+    m = 2 if x > 1 else 1
+    form = fm.DecomposableForm.from_expansion(Q, REAL, 2, m,
+                                              [(c,) + (0,) * m])
+    rows = np.array([(x, 0), (-x, 1), (x, -x), (1, x)], dtype=np.int64)
+    assert fm._value_bound(form, rows) == (c, x ** m)
+    assert assert_values(form, rows) is int64
+    assert fm._integer_values(form, rows)[0][0][0] == c * x ** m
