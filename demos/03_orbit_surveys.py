@@ -55,7 +55,7 @@ show(survey, "unipotent pair, full S")
 
 stair = next(r for r in survey.rays if r.classification == "recurrent")
 print(f"systole along the recurrent ray {stair.name}:")
-print("  ", " ".join(f"{row.min_content:.2e}" for row in stair.rows[:8]))
+print("  ", " ".join(f"{content:.2e}" for content in stair.contents[:8]))
 
 aniso = anisotropic_point(field, archimedean_places(field))
 ray = RaySchedule(archimedean_places(field), [(1, -1)],

@@ -90,20 +90,22 @@ class RaySchedule:
     i-th active place (sum zero, the determinant-one condition).  Each
     step is one parameter per active place: real at archimedean places,
     integer at finite places (their value group is discrete).  `scales`
-    maps each active place's name to its (steps, n) stack for the schedule
-    kernel: the multipliers exp(par * c) at an archimedean place, the
-    valuation shifts f * par * c at a finite one.  An archimedean
-    parameter whose multipliers overflow float64, or whose products par * c
-    are infinite, raises `RayOverflow` (a nan one raises ValueError), and
-    so do a finite one of +-inf (nan again raises ValueError) and one whose
-    shifts move a norm by more than `lattice.SHIFT_BITS` / #R = 2^22 / #R
-    bits, #R the active places, that is |f * par * c| * log2 p > 2^22 / #R
-    for some c; a float parameter is named as given.  So no step moves a
-    content by more than 2^22 bits, and none comes near 2^(-2^23), at or
-    below which the kernel reads a content as 0 (`lattice._ZERO_EXP` / 2).
-    Each place's stack is built a column of parameters at a time
-    (`_place_column`); of several errors, the first in step order is
-    raised, and of one step's, the first in place order.
+    maps each active place's name to its (table, index) pair for the
+    schedule kernel: the table holds one row per distinct parameter, the
+    multipliers exp(par * c) at an archimedean place or the valuation
+    shifts f * par * c at a finite one, and index[i] is step i's row.  An
+    archimedean parameter whose multipliers overflow float64, or whose
+    products par * c are infinite, raises `RayOverflow` (a nan one raises
+    ValueError), and so do a finite one of +-inf (nan again raises
+    ValueError) and one whose shifts move a norm by more than
+    `lattice.SHIFT_BITS` / #R = 2^22 / #R bits, #R the active places, that
+    is |f * par * c| * log2 p > 2^22 / #R for some c; a float parameter is
+    named as given.  So no step moves a content by more than 2^22 bits,
+    and none comes near 2^(-2^23), at or below which the kernel reads a
+    content as 0 (`lattice._ZERO_EXP` / 2).  Each place's table is built a
+    column of parameters at a time (`_place_column`); of several errors,
+    the first in step order is raised, and of one step's, the first in
+    place order.
     """
 
     def __init__(self, places, direction, steps):
@@ -124,11 +126,11 @@ class RaySchedule:
         columns, self.scales, error = [], {}, None
         for place, direc, column in zip(self.places, self.direction,
                                         list(zip(*rows[:end])) or [()] * width):
-            pars, stack, failure = _place_column(place, direc, column[:end], bits)
+            pars, scale, failure = _place_column(place, direc, column[:end], bits)
             if failure is not None:
                 end, error = failure
             columns.append(pars)
-            self.scales[place.name] = stack
+            self.scales[place.name] = scale
         if end < len(rows):
             raise error or ShapeMismatch("one parameter per active place in each step")
         self.steps = list(zip(*columns))
@@ -144,35 +146,38 @@ class RaySchedule:
 
 
 def _place_column(place, direc, column, bits):
-    """One active place's parameters of a column of steps, its stack and
-    the first failure: (pars, stack, None), or (pars, None, (i, error))
-    when step i is the first to fail.
+    """One active place's parameters of a column of steps, its (table,
+    index) pair and the first failure: (pars, (table, index), None), or
+    (pars, None, (i, error)) when step i is the first to fail.
 
-    The parameters convert a column at a time, numpy forms the products
-    with the direction and checks them finite, and `math.exp` takes each
-    product in turn; only a column that fails is read again a step at a
-    time, to find the step.
+    The parameters convert a column at a time and `np.unique` gives their
+    distinct values; numpy forms each one's products with the direction
+    and checks them finite, and `math.exp` takes each product in turn.  A
+    step fails when its distinct value does, so the first failing step is
+    that of the first failing value in index order.
     """
     pars, error = _leading(float if place.kind != "finite" else int, column)
     if place.kind != "finite":
+        values, index = np.unique(np.array(pars, dtype=np.float64), return_inverse=True)
         # silent inf and nan products, as Python's float products are
         with np.errstate(over="ignore", invalid="ignore"):
-            products = np.multiply.outer(pars, np.array(direc, dtype=np.float64))
-        finite = np.isfinite(products).all(axis=1)
-        if not finite.all():
-            step = int(finite.argmin())
-            par, pars, products = pars[step], pars[:step], products[:step]
+            products = np.multiply.outer(values, np.array(direc, dtype=np.float64))
+        bad = ~np.isfinite(products).all(axis=1)
+        try:
+            table = np.fromiter(map(math.exp, products.ravel().tolist()), np.float64,
+                                products.size).reshape(products.shape)
+        except OverflowError:
+            bad |= [_leading(math.exp, row)[1] is not None for row in products.tolist()]
+        failing = bad[index]
+        if failing.any():
+            step = int(failing.argmax())
+            par = pars[step]
             error = (ValueError(f"ray parameter {par!r} at {place.name} is not a number")
                      if math.isnan(par) else RayOverflow(par, place.name))
-        flat = products.ravel().tolist()
-        try:
-            stack = np.fromiter(map(math.exp, flat), np.float64, len(flat))
-        except OverflowError:
-            step = len(_leading(math.exp, flat)[0]) // len(direc)
-            return pars, None, (step, RayOverflow(pars[step], place.name))
+            return pars, None, (step, error)
         if error is not None:
             return pars, None, (len(pars), error)
-        return pars, stack.reshape(len(pars), len(direc)), None
+        return pars, (table, index), None
     exps = [place.residue_degree * int(c) for c in direc]
     top, cap = max(map(abs, exps)), bits / math.log2(place.p)
     if pars != list(column[:len(pars)]) or max(map(abs, pars), default=0) * top > cap:
@@ -192,8 +197,9 @@ def _place_column(place, direc, column, bits):
         return pars, None, (len(pars), error)
     # |par| * top <= cap < 2^22, so every shift fits in int64; exponents all
     # 0 shift nothing, whatever the parameters
-    return pars, np.multiply.outer(np.array(pars if top else [0] * len(pars), dtype=np.int64),
-                                   np.array(exps, dtype=np.int64)), None
+    values, index = np.unique(np.array(pars if top else [0] * len(pars), dtype=np.int64),
+                              return_inverse=True)
+    return pars, (np.multiply.outer(values, np.array(exps, dtype=np.int64)), index), None
 
 
 def _leading(fn, values):
@@ -212,10 +218,10 @@ def _leading(fn, values):
             return out, e
 
 
-def _stacks(ray, x):
-    """The schedule kernel's per-place stacks for the steps of ray: at each
-    of its active places, the place's scales; at every other place of S,
-    which no step moves, None."""
+def _scales(ray, x):
+    """The schedule kernel's per-place input for the steps of ray: at each
+    of its active places, the place's (table, index) pair; at every other
+    place of S, which no step moves, None."""
     return ([ray.scales.get(p.name) for p in x.arch_places],
             [ray.scales.get(p.name) for p in x.finite_places])
 
@@ -224,36 +230,36 @@ def trajectory(x, ray, window):
     """Window systoles of t.x, one `SystoleReport` per step t of the ray;
     no verdict."""
     cloud = PointCloud(x, window)
-    return [cloud.report(*t) for t in cloud.systoles_under(*_stacks(ray, x))]
+    return [cloud.report(*t) for t in cloud.systoles_under(*_scales(ray, x))]
 
 
 THETA_LOW = 1e-3
 THETA_HIGH_REL = 0.1
 
 
-def classify_ray(rows):
-    """Empirical three-way verdict on a trajectory's content systole.
+def classify_ray(contents):
+    """Empirical three-way verdict on a trajectory's content systoles, one
+    `min_content` per step.
 
     recurrent: dips below THETA_LOW, later re-exceeds theta_high;
     diverging-trend: ends below THETA_LOW (decreasing trend);
     bounded-below: never drops to theta_high = THETA_HIGH_REL * initial
     systole.  Always a statement about the sampled window, never a proof.
     """
-    if len(rows) < 10:
-        raise TooFewSteps(f"{len(rows)} steps; need at least 10")
-    sys = [r.min_content for r in rows]
-    initial = sys[0]
+    if len(contents) < 10:
+        raise TooFewSteps(f"{len(contents)} steps; need at least 10")
+    initial = contents[0]
     theta_high = THETA_HIGH_REL * initial
-    dipped_at = next((i for i, v in enumerate(sys) if v < THETA_LOW), None)
+    dipped_at = next((i for i, v in enumerate(contents) if v < THETA_LOW), None)
     if dipped_at is not None:
-        if any(v > theta_high for v in sys[dipped_at + 1:]):
+        if any(v > theta_high for v in contents[dipped_at + 1:]):
             return "recurrent"
-    if sys[-1] < THETA_LOW:
+    if contents[-1] < THETA_LOW:
         return "diverging-trend"
-    if min(sys) > theta_high:
+    if min(contents) > theta_high:
         return "bounded-below"
     # ambiguous middle zone: trend decides, still an empirical label
-    return "diverging-trend" if sys[-1] < 0.5 * initial else "bounded-below"
+    return "diverging-trend" if contents[-1] < 0.5 * initial else "bounded-below"
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +270,7 @@ def classify_ray(rows):
 class RayResult:
     name: str
     classification: str
-    rows: list                      # the trajectory's SystoleReports
+    contents: tuple                 # the trajectory's min_content, step by step
 
 
 @dataclass
@@ -346,7 +352,9 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     """Systole sweep over the canonical rays plus a heat-map grid.
 
     One `RaySchedule` holds the steps of every ray of the catalog and of
-    every heat-map cell, in turn, and one kernel call serves them all.
+    every heat-map cell, in turn, and one kernel call serves them all; its
+    minima are read as columns, each ray's contents a slice of one, and
+    each distinct heat-map witness is formatted once.
     At points whose entries lie in K (`_is_rational`) the classical
     dichotomy is enforced: a single active place must show every ray
     diverging, and the full place set (when S has at least two places)
@@ -358,15 +366,16 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     (s_labels, k_labels), cells = _heat_cells(active, heat_s, heat_k, s_max)
     schedule = RaySchedule(active, [_n2_direction(x.n)] * len(active),
                            [row for _, rows in rays for row in rows] + cells)
-    systoles = iter(cloud.systoles_under(*_stacks(schedule, x)))
-    results = []
+    mc, ic, ms, _ = tuple(zip(*cloud.systoles_under(*_scales(schedule, x)))) or ((),) * 4
+    results, start = [], 0
     for name, rows in rays:
-        reports = [cloud.report(*t) for t in itertools.islice(systoles, len(rows))]
-        results.append(RayResult(name, classify_ray(reports), reports))
-    # what is left are the heat map's steps, read as columns
-    mc, ic, ms, _ = tuple(zip(*systoles)) or ((),) * 4
-    heat = {"s": s_labels, "k": k_labels, "min_content": mc, "min_supnorm": ms,
-            "witness": list(map(cloud.format_point, ic))}
+        contents = mc[start:start + len(rows)]
+        results.append(RayResult(name, classify_ray(contents), contents))
+        start += len(rows)
+    # what is left are the heat map's steps
+    texts = {i: cloud.format_point(i) for i in dict.fromkeys(ic[start:])}
+    heat = {"s": s_labels, "k": k_labels, "min_content": mc[start:],
+            "min_supnorm": ms[start:], "witness": [texts[i] for i in ic[start:]]}
     prediction = ""
     anomalies = []
     if _is_rational(x):

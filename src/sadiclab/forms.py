@@ -418,12 +418,15 @@ def _scan_plan(form, window, cap):
     return intervals
 
 
-def _scan(form, window, magnitude_cap):
+def _scan(form, window, magnitude_cap, intervals=None):
     """(pairs, heights, outcome): `value_spectrum`'s two stages.  `pairs`
     are the exact stage's (magnitude mpf, witness) pairs in candidate
     order; per candidate point, `heights` is its numerator height max
-    |z_i| and `outcome` that of the exact stage (`_integer_refine`)."""
-    intervals = _scan_plan(form, window, magnitude_cap)
+    |z_i| and `outcome` that of the exact stage (`_integer_refine`).
+    `intervals` is a plan of `_scan_plan` at this cap and height that a
+    window of no larger cap passed; without one the scan plans itself."""
+    if intervals is None:
+        intervals = _scan_plan(form, window, magnitude_cap)
     primes = _finite_primes(form)
     if intervals is not None:
         points = _planar_candidates(form, intervals, window.H, magnitude_cap)
@@ -812,7 +815,8 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
     The windows are checked in the order of the separate scans, each
     before any larger one is scanned: that value_spectrum call's plan,
     then the first height's window as enumerated, then every larger
-    window in ascending height, the largest by its scan.  A capped planar
+    window in ascending height, the largest by its scan, which takes that
+    call's plan when it runs at `spectrum_cap`.  A capped planar
     scan visits at most its box of H (2H + 2) points, which its window's
     cap admits, so the windows between are checked only when enumerated.
     """
@@ -821,8 +825,7 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
                             f"{sorted(heights)}")
     heights = sorted(heights)
     own = HeightWindow(heights[-1], E, cap)
-    if spectrum_cap is not None:
-        _scan_plan(form, own, spectrum_cap)
+    plan = None if spectrum_cap is None else _scan_plan(form, own, spectrum_cap)
     # A capped planar scan streams its box of H (2H + 2) points in blocks,
     # so each capped window may visit its whole box; a window that is
     # enumerated holds more than its box, (2H + 1)^2 points or more, and
@@ -830,13 +833,16 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
     windows = {h: HeightWindow(h, E, max(cap, h * (2 * h + 2)))
                for h in heights}
     least = _least_magnitude(form, HeightWindow(heights[0], E, cap),
-                             windows[heights[0]])[0]
+                             windows[heights[0]])
     mag_cap = 1.0 if least is None else 2.5 * float(least)
     if form.n != 2 or not _integer_ok(form):
         for h in heights[1:-1]:
             _scan_plan(form, windows[h], None)
-    scan = _scan(form, windows[heights[-1]],
-                 mag_cap if spectrum_cap is None else max(mag_cap, spectrum_cap))
+    # a scan at spectrum_cap takes that call's plan: the largest window's
+    # cap is never below its own
+    top_cap = mag_cap if spectrum_cap is None else max(mag_cap, spectrum_cap)
+    scan = _scan(form, windows[heights[-1]], top_cap,
+                 plan if top_cap == spectrum_cap else None)
     spectra = [_read_spectrum(scan, windows[h], mag_cap) for h in heights]
     spectrum = (None if spectrum_cap is None else
                 _read_spectrum(scan, own, spectrum_cap))
@@ -844,27 +850,26 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
 
 
 def _least_magnitude(form, enumerated, window):
-    """(least, scan, scan_cap) at the report's first height.
+    """The least nonzero magnitude mpf over the window `enumerated` at
+    the report's first height, None if every value is 0.
 
-    `least` is the least nonzero magnitude mpf over the window
-    `enumerated`, None if every value is 0.  A planar `_integer_ok` form
-    is scanned at scan_cap = 2.5 U on `window`, U from
-    `_least_value_bound`: every value <= scan_cap is kept, so once the
-    scan keeps one, its least is the window's, and U >= least makes
-    2.5 float(least) <= scan_cap.  Otherwise (any other form, no point
+    A planar `_integer_ok` form is scanned at 2.5 U on `window`, U from
+    `_least_value_bound`: every value <= 2.5 U is kept, so once the scan
+    keeps one, its least is the window's, and U >= least makes
+    2.5 float(least) <= 2.5 U.  Otherwise (any other form, no point
     proven nonzero, or no value kept) the least comes from the uncapped
-    scan of `enumerated`, and scan and scan_cap are None.  Either way
-    `enumerated` is checked as the uncapped scan checks it, first.
+    scan of `enumerated`.  Either way `enumerated` is checked as the
+    uncapped scan checks it, first.
     """
     _scan_plan(form, enumerated, None)
     if form.n == 2 and _integer_ok(form):
         bound = _least_value_bound(form, window.H)
         if bound is not None:
-            scan = _scan(form, window, 2.5 * bound)
-            if scan[0]:
-                return min(mag for mag, _ in scan[0]), scan, 2.5 * bound
+            pairs = _scan(form, window, 2.5 * bound)[0]
+            if pairs:
+                return min(mag for mag, _ in pairs)
     pairs = _scan(form, enumerated, None)[0]
-    return min((mag for mag, _ in pairs), default=None), None, None
+    return min((mag for mag, _ in pairs), default=None)
 
 
 def _report_from_spectra(form, spectra, mag_cap, spectrum):

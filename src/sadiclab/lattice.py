@@ -21,11 +21,12 @@ of n kept matrices is 0.
 `_window_rows` is the package's one enumeration of the window.
 
 Every window systole is read through `PointCloud.systoles_under`, which
-takes one (steps, n) stack of multipliers or valuation shifts per place,
-or None for a place that no step moves: a single lattice (`systole`, and
-so `mahler_test`) moves none, the identity step, and trajectories, heat
-maps, the CLI's diagonal flows and surveys (every ray and the heat map in
-one call) are schedules on one cloud.
+takes per place a table of multipliers or valuation shifts, one row per
+distinct parameter, and each step's row in it, or None for a place that
+no step moves: a single lattice (`systole`, and so `mahler_test`) moves
+none, the identity step, and trajectories, heat maps, the CLI's diagonal
+flows and surveys (every ray and the heat map in one call) are schedules
+on one cloud, whose place norms are taken once per table row.
 `mahler_report` reads verdicts off any family's systoles.  The per-point
 formula carries place norms, content and sup-norm as frexp pairs: float64
 with an unbounded exponent, rounded to a float only on return.  Where
@@ -366,53 +367,59 @@ class PointCloud:
     # -- norms under diagonal scaling -------------------------------------------
 
     def _split(self, rows):
-        """The frexp pairs of the real and imaginary parts of the points rows'
-        archimedean coordinates, and their valuations, a column at a time."""
+        """Each place's columns for the points rows, archimedean places
+        first: the frexp pairs of the real and imaginary parts of the
+        archimedean coordinates, and the valuations, a column at a time."""
         arch = []
         for place, W in self.arch:
             W = W[rows]
             parts = [W.real, W.imag] if place.kind == "complex" else [W]
             arch.append([[_normalize(a[:, j], np.int32(_ZERO_EXP) * (a[:, j] == 0))
                           for a in parts] for j in range(W.shape[1])])
-        return arch, [[v[rows, j] for j in range(v.shape[1])] for _, v, _, _ in self.fin]
+        return arch + [[v[rows, j] for j in range(v.shape[1])] for _, v, _, _ in self.fin]
 
-    def _norms(self, arch_mults, fin_shifts, columns=None):
-        """The per-point formula for content and sup-norm, as frexp pairs.
+    def _place_norm(self, k, scale, coords):
+        """The frexp pair of the k-th place's norm (archimedean places
+        first) of the points whose `_split` columns are coords.
 
-        columns are `_split`'s, by default of the whole cloud.  A
-        multiplier or shift is None, one length-n row for all points or a
-        (steps, n) stack of rows, which gives (steps, points) arrays in the
-        pairs (content, ce, supnorm, se): float64 arithmetic with an
+        scale is None, one length-n row for all points or a (rows, n)
+        table of multipliers (archimedean) or valuation shifts (finite),
+        which gives (rows, points) arrays: float64 arithmetic with an
         unbounded exponent.  Multiplier exponents are folded in exactly,
         and each row is scaled by 2^-t, t its entries' largest exponent,
-        before squaring.  Where every term is a normal float each operation
-        rounds the same mantissa as the plain row formula, whose sums take
-        numpy's last-axis order (`_column_sum`).  A square that underflows
-        changes no sum of up to 64 columns: the largest is at least 1/16,
-        and a partial sum it reaches has its unbounded value or stays below
-        2^(55 h - 1022) at height h.
+        before squaring.  Where every term is a normal float each
+        operation rounds the same mantissa as the plain row formula, whose
+        sums take numpy's last-axis order (`_column_sum`).  A square that
+        underflows changes no sum of up to 64 columns: the largest is at
+        least 1/16, and a partial sum it reaches has its unbounded value
+        or stays below 2^(55 h - 1022) at height h.
         """
-        arch_cols, fin_cols = self._split(slice(None)) if columns is None else columns
-        norms = []
-        for k, ((place, _), coords) in enumerate(zip(self.arch, arch_cols)):
-            if arch_mults is not None and arch_mults[k] is not None:
-                mm, me = np.frexp(np.asarray(arch_mults[k]))
-                coords = [[(m * mm[..., j, None], e + me[..., j, None]) for m, e in parts]
-                          for j, parts in enumerate(coords)]
-            top = functools.reduce(np.maximum, [e for parts in coords for _, e in parts])
-            squares = [[np.ldexp(m, e - top) ** 2 for m, e in parts] for parts in coords]
-            total = _column_sum([functools.reduce(np.add, sq) for sq in squares])
-            # the norm is the sum of the squares at a complex place
-            norms.append(_normalize(total, 2 * top) if place.kind == "complex"
-                         else _normalize(np.sqrt(total), top))
-        for k, ((_, _, p, _), cols) in enumerate(zip(self.fin, fin_cols)):
-            if fin_shifts is not None and fin_shifts[k] is not None:
-                shift = np.asarray(fin_shifts[k], dtype=np.int64)
-                cols = [np.where(c >= _ZERO_VAL, c, c + shift[..., j, None])
-                        for j, c in enumerate(cols)]
-            norms.append(_inverse_power(p, functools.reduce(np.minimum, cols)))
-        ms, es = zip(*norms)
-        return _normalize(math.prod(ms), sum(es)) + functools.reduce(_larger, norms)
+        if k >= len(self.arch):
+            if scale is not None:
+                shift = np.asarray(scale, dtype=np.int64)
+                coords = [np.where(c >= _ZERO_VAL, c, c + shift[..., j, None])
+                          for j, c in enumerate(coords)]
+            return _inverse_power(self.fin[k - len(self.arch)][2],
+                                  functools.reduce(np.minimum, coords))
+        if scale is not None:
+            mm, me = np.frexp(np.asarray(scale))
+            coords = [[(m * mm[..., j, None], e + me[..., j, None]) for m, e in parts]
+                      for j, parts in enumerate(coords)]
+        top = functools.reduce(np.maximum, [e for parts in coords for _, e in parts])
+        squares = [[np.ldexp(m, e - top) ** 2 for m, e in parts] for parts in coords]
+        total = _column_sum([functools.reduce(np.add, sq) for sq in squares])
+        # the norm is the sum of the squares at a complex place
+        return (_normalize(total, 2 * top) if self.arch[k][0].kind == "complex"
+                else _normalize(np.sqrt(total), top))
+
+    def _norms(self, arch_mults, fin_shifts, columns):
+        """The per-point formula for content and sup-norm, as frexp pairs
+        (content, ce, supnorm, se): `_place_norm` at each place, under a
+        multiplier or shift that is None, one row or a (steps, n) stack of
+        rows, of the points whose `_split` columns are columns."""
+        scales = (arch_mults or [None] * len(self.arch)) + (fin_shifts or [None] * len(self.fin))
+        return _content_and_supnorm([self._place_norm(k, scale, coords) for k, (scale, coords)
+                                     in enumerate(zip(scales, columns))])
 
     @property
     def valuation_fallbacks(self):
@@ -425,35 +432,52 @@ class PointCloud:
         The point-by-point evaluation that `systoles_under` reproduces,
         rounded to float64: 0.0 or inf beyond its range.
         """
-        content, ce, supnorm, se = self._norms(arch_mults, fin_shifts)
+        content, ce, supnorm, se = self._norms(arch_mults, fin_shifts,
+                                               self._split(slice(None)))
         return _to_float(content, ce), _to_float(supnorm, se)
 
     def systoles_under(self, arch, fin):
         """Window systoles under every step of a schedule.
 
-        arch holds one (steps, n) float64 stack of coordinate multipliers
-        per archimedean place, fin one (steps, n) int64 stack of valuation
-        shifts per finite place, n the image coordinates; None leaves a
-        place unmoved at every step.  The stacks give the step count, and a
-        schedule with no stack is one step, the identity.  Returns one
-        (min_content, ic, min_supnorm, isup) tuple per step: the minima of
-        `norms_under` and the first index of each unrounded minimum.  A
-        single step reads the whole cloud, cheaper than finding the
-        skyline; a longer schedule reads the `skyline` alone, in blocks of
-        about _BLOCK_ELEMENTS steps x points: each operation of `_norms` is
-        a monotone rounding of a function nondecreasing in every feature of
-        the skyline, so a point that an earlier point matches or beats in
-        all of them never attains a minimum first.  Finite-place shifts
-        must keep within SHIFT_BITS, or a content can read as 0.
+        arch holds one (table, index) pair per archimedean place, its table
+        a (rows, n) float64 array of coordinate multipliers, fin one per
+        finite place, its table a (rows, n) int64 array of valuation
+        shifts, n the image coordinates; step i moves a place by its
+        table's row index[i], and None leaves a place unmoved at every
+        step.  The indices give the step count, and a schedule with no
+        table is one step, the identity.  Returns one (min_content, ic,
+        min_supnorm, isup) tuple per step: the minima of `norms_under` and
+        the first index of each unrounded minimum.  A single step reads
+        the whole cloud, cheaper than finding the skyline; a longer
+        schedule reads the `skyline` alone: each operation of `_norms` is
+        a monotone rounding of a function nondecreasing in every feature
+        of the skyline, so a point that an earlier point matches or beats
+        in all of them never attains a minimum first.  Each place's norms
+        are taken once per table row (`_place_norm`), then gathered by
+        index and combined step by step, both in blocks of about
+        _BLOCK_ELEMENTS rows or steps x points, with the bits of `_norms`
+        at every step.  Finite-place shifts must keep within SHIFT_BITS,
+        or a content can read as 0.
         """
-        steps = next((len(x) for x in arch + fin if x is not None), 1)
+        scales = arch + fin
+        steps = next((len(s[1]) for s in scales if s is not None), 1)
         rows = self.skyline if steps > 1 else np.arange(self.count)
-        columns = self._split(rows) if steps > 1 else None
         block = max(1, _BLOCK_ELEMENTS // len(rows))
+        norms = []
+        for k, (scale, coords) in enumerate(zip(scales, self._split(
+                rows if steps > 1 else slice(None)))):
+            if scale is None:
+                norms.append((self._place_norm(k, None, coords), None))
+                continue
+            table, index = scale
+            parts = [self._place_norm(k, table[i:i + block], coords)
+                     for i in range(0, len(table), block)]
+            norms.append((tuple(map(np.concatenate, zip(*parts))), index))
         out = []
         for start in range(0, steps, block):
-            cut = [x if x is None else x[start:start + block] for x in arch + fin]
-            out += _minima(rows, *self._norms(cut[:len(arch)], cut[len(arch):], columns))
+            at = [pair if index is None else
+                  tuple(a[index[start:start + block]] for a in pair) for pair, index in norms]
+            out += _minima(rows, *_content_and_supnorm(at))
         return out
 
     @functools.cached_property
@@ -520,6 +544,13 @@ def _normalize(x, e):
     """The frexp pair (m, e + d) of x * 2^e, m in [1/2, 1) or 0."""
     m, d = np.frexp(x)
     return m, e + d
+
+
+def _content_and_supnorm(norms):
+    """The frexp pairs (content, ce, supnorm, se) of the places' norms:
+    their product and their largest."""
+    ms, es = zip(*norms)
+    return _normalize(math.prod(ms), sum(es)) + functools.reduce(_larger, norms)
 
 
 def _larger(a, b):

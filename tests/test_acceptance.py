@@ -133,9 +133,9 @@ def test_c04_divergence_dichotomy(rationals, q_inf2):
     assert survey.prediction == "non-divergent"
     matched = next(r for r in survey.rays if r.name == "r0+,p2_0+")
     assert matched.classification == "bounded-below"
-    assert len(matched.rows) == 20
-    for row in matched.rows:
-        assert abs(row.min_content - 1) < 1e-6
+    assert len(matched.contents) == 20
+    for content in matched.contents:
+        assert abs(content - 1) < 1e-6
     assert survey.consistent
     _ok(4, "single-place surveys all diverge; the s = k ln 2 ray stays "
            "within 1e-6 of systole 1 at all 20 steps (H=50, E=10)")

@@ -828,7 +828,10 @@ class TestRun:
         assert len(stairs) == 4
         with mp.workdps(50):
             for ray in stairs:
-                for step, row in list(zip(rays[ray.name], ray.rows))[11:]:
+                schedule = dy.RaySchedule(cfg.places, [(1, -1)] * 2, rays[ray.name])
+                rows = dy.trajectory(x, schedule, cfg.window)
+                assert tuple(row.min_content for row in rows) == ray.contents
+                for step, row in list(zip(rays[ray.name], rows))[11:]:
                     contents = {text: exact_content(z, step)
                                 for text, z in points.items()}
                     least = min(contents.values())
@@ -864,9 +867,9 @@ class TestRun:
         seen = []
         scan = fm._scan
 
-        def recording(form, window, magnitude_cap):
+        def recording(form, window, magnitude_cap, *plan):
             seen.append(window.H)
-            return scan(form, window, magnitude_cap)
+            return scan(form, window, magnitude_cap, *plan)
 
         monkeypatch.setattr(fm, "_scan", recording)
         config = {"min_poly": [0, 1],
@@ -1087,14 +1090,14 @@ FLOW_EDGE = dict(Q_WITH_2, window={"H": 1, "E": 60})
 
 
 def _spy_on_kernel(monkeypatch):
-    """The list that each `systoles_under` call, with the shape of each
-    stack or None, and each `_skyline` call are appended to."""
+    """The list that each `systoles_under` call, with the (steps, n) of each
+    table and index or None, and each `_skyline` call are appended to."""
     calls = []
     kernel, skyline = lt.PointCloud.systoles_under, lt._skyline
 
     def counted(self, arch, fin):
-        calls.append(("systoles_under",
-                      [None if a is None else np.shape(a) for a in arch + fin]))
+        calls.append(("systoles_under", [None if a is None else (len(a[1]), a[0].shape[1])
+                                         for a in arch + fin]))
         return kernel(self, arch, fin)
     monkeypatch.setattr(lt.PointCloud, "systoles_under", counted)
     monkeypatch.setattr(lt, "_skyline", lambda features:

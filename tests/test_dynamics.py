@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -183,8 +184,9 @@ def _ray_outcome(build, *args):
 
 
 def _built(places, direction, steps):
+    """RaySchedule's steps and, per place, its table read at each step."""
     ray = dy.RaySchedule(places, direction, steps)
-    return ray.steps, ray.scales
+    return ray.steps, {name: table[index] for name, (table, index) in ray.scales.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,7 +245,74 @@ def stacked_ray_inputs(draw):
     return places, direction, [step for steps in rays for step in steps]
 
 
+@st.composite
+def repeated_ray_inputs(draw):
+    """Steps drawn with repeats from a few parameters per place: +-0.0,
+    parameters at and just past the float64 edge of e^(par c) and at and
+    just past a finite place's shift cap, and ordinary ones."""
+    pool = draw(st.sampled_from(_ray_places()))
+    places = draw(st.permutations(pool))[:draw(st.integers(1, 3))]
+    n = draw(st.sampled_from([2, 3]))
+    vectors = {2: [(1, -1), (-2, 2), (0, 0)], 3: [(1, 0, -1), (2, -1, -1), (0, 0, 0)]}[n]
+    direction = [draw(st.sampled_from(vectors)) for _ in places]
+    bits = lt.SHIFT_BITS // len(places)
+    columns = []
+    for place, direc in zip(places, direction):
+        top = max(map(abs, direc))
+        if place.kind == "finite":
+            edge = int(bits / (math.log2(place.p) * place.residue_degree * max(top, 1)))
+            values = st.sampled_from([0, -0.0, 0.0, edge, -edge, edge + 1]) | \
+                st.integers(-40, 40)
+        else:
+            edge = math.log(sys.float_info.max) / max(top, 1)
+            values = st.sampled_from([0.0, -0.0, edge, -edge, math.nextafter(edge, 0),
+                                      math.nextafter(edge, math.inf)]) | \
+                st.floats(-40, 40)
+        distinct = draw(st.lists(values, min_size=1, max_size=4))
+        columns.append(draw(st.lists(st.sampled_from(distinct), min_size=12, max_size=12)))
+    steps = list(zip(*columns))[:draw(st.integers(0, 12))]
+    return places, direction, steps
+
+
 class TestRaySchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_ray_inputs())
+    def test_table_rows_are_the_distinct_parameters(self, inputs):
+        # table[index] has the bits of the step-by-step stacks, or the
+        # same error is raised; a table holds one row per distinct
+        # parameter (one in all at a finite place whose exponents are 0)
+        outcome = _ray_outcome(_built, *inputs)
+        assert outcome == _ray_outcome(reference_ray, *inputs)
+        if type(outcome[1]) is not dict:
+            return
+        places, direction, steps = inputs
+        ray = dy.RaySchedule(*inputs)
+        for k, (place, direc) in enumerate(zip(places, direction)):
+            table, index = ray.scales[place.name]
+            distinct = {step[k] for step in steps} \
+                if any(direc) or place.kind != "finite" else {0}
+            assert len(table) == len(distinct if steps else ())
+            assert sorted(set(index.tolist())) == list(range(len(table)))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_first_failure_in_step_order(self, q_inf2, order):
+        # a nan and an overflow at r0 and a shift past the cap at p2_0, at
+        # three different steps between repeated good ones, and again after
+        # them: the first in step order is raised
+        failures = [((math.nan, 1), ValueError, "ray parameter nan at r0 is not a number"),
+                    ((710.0, 1), RayOverflow,
+                     "ray parameter 710.0 at r0 overflows float64 in its diagonal entries"),
+                    ((0.5, 3_000_000), RayOverflow,
+                     "ray parameter 3000000 at p2_0 moves a norm over 2097152 bits")]
+        steps = [(0.5, 1)] * 8
+        for position, which in zip((1, 3, 4), order):
+            steps[position] = failures[which][0]
+        steps += [failure for failure, _, _ in failures]
+        _, error, line = failures[order[0]]
+        with pytest.raises(error) as raised:
+            dy.RaySchedule(q_inf2, [(1, -1)] * 2, steps)
+        assert type(raised.value) is error and str(raised.value) == line
+
     def test_overflowing_archimedean_parameter_rejected(self, q_inf2):
         # e^709 is a float64 and e^710 is not; finite-place parameters stay exact
         direction = [(1, -1), (1, -1)]
@@ -333,7 +402,17 @@ class TestRaySchedule:
             dy.RaySchedule(*cases[0])
         ray = dy.RaySchedule(*cases[1])
         assert ray.steps == [(2 ** 70,), (-(2 ** 64),)]
-        assert ray.scales["p2_0"].tolist() == [[0, 0], [0, 0]]
+        table, index = ray.scales["p2_0"]
+        assert table[index].tolist() == [[0, 0], [0, 0]]
+
+    def test_one_direction_per_place_and_no_steps(self, rationals, q_inf2):
+        with pytest.raises(ShapeMismatch, match="^one direction per active place$"):
+            dy.RaySchedule(q_inf2, [(1, -1)], [(0.0, 0)])
+        # a schedule of no steps has empty tables and no systoles
+        ray = dy.RaySchedule(q_inf2, [(1, -1)] * 2, [])
+        assert [table.shape for table, _ in ray.scales.values()] == [(0, 2), (0, 2)]
+        x = lt.SLattice.identity(rationals, q_inf2, 2)
+        assert dy.trajectory(x, ray, lt.HeightWindow(3, 1)) == []
 
     def test_shift_beyond_int64_rejected(self, q_inf2):
         with pytest.raises(RayOverflow, match=r"^ray parameter 9223372036854775808 at p2_0 "):
@@ -402,25 +481,22 @@ class TestTrajectory:
 
 
 class TestClassification:
-    def _rows(self, values):
-        return [lt.SystoleReport(v, "", v, "") for v in values]
-
     def test_diverging(self):
-        rows = self._rows([math.exp(-s) for s in range(12)])
-        assert dy.classify_ray(rows) == "diverging-trend"
+        contents = [math.exp(-s) for s in range(12)]
+        assert dy.classify_ray(contents) == "diverging-trend"
 
     def test_bounded(self):
-        rows = self._rows([1.0] * 12)
-        assert dy.classify_ray(rows) == "bounded-below"
+        contents = [1.0] * 12
+        assert dy.classify_ray(contents) == "bounded-below"
 
     def test_recurrent(self):
-        rows = self._rows([1.0, 1e-4, 0.9] + [1.0] * 9)
-        assert dy.classify_ray(rows) == "recurrent"
+        contents = [1.0, 1e-4, 0.9] + [1.0] * 9
+        assert dy.classify_ray(contents) == "recurrent"
 
     def test_too_few_steps(self):
-        rows = self._rows([1.0] * 5)
+        contents = [1.0] * 5
         with pytest.raises(TooFewSteps):
-            dy.classify_ray(rows)
+            dy.classify_ray(contents)
 
 
 class TestSurveys:
@@ -491,7 +567,7 @@ class TestSurveys:
         assert [name for name, _ in rays] == [result.name for result in sv.rays]
         for result, (_, rows) in zip(sv.rays, rays):
             want = dy.trajectory(x, dy.RaySchedule(places, direction, rows), window)
-            assert repr(result.rows) == repr(want)
+            assert repr(result.contents) == repr(tuple(w.min_content for w in want))
         (s_labels, k_labels), cells = dy._heat_cells(places, heat_s, heat_k, 10.0)
         want = dy.trajectory(x, dy.RaySchedule(places, direction, cells), window)
         assert list(sv.heat) == ["s", "k", "min_content", "min_supnorm", "witness"]

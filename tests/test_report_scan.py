@@ -164,11 +164,14 @@ def test_builtin_probes_equal_the_five_call_pipeline(name, heights,
     assert_same(fm.builtin_probes()[name], heights, spectrum_cap=spectrum_cap)
 
 
-def test_workload_heights_equal_the_five_call_pipeline():
+def test_workload_heights_equal_the_five_call_pipeline(monkeypatch):
     # the first height's capped scan finds m: U bounds the least value
-    least, scan, scan_cap = fm._least_magnitude(
-        sqrt2_form(), lt.HeightWindow(10), lt.HeightWindow(10))
-    assert scan is not None and least <= scan_cap / 2.5
+    caps, scan = [], fm._scan
+    monkeypatch.setattr(fm, "_scan", lambda form, window, cap, *plan:
+                        caps.append(cap) or scan(form, window, cap, *plan))
+    least = fm._least_magnitude(sqrt2_form(), lt.HeightWindow(10), lt.HeightWindow(10))
+    bound = fm._least_value_bound(sqrt2_form(), 10)
+    assert caps == [2.5 * bound] and least <= bound
     assert_same(sqrt2_form(), [10, 100, 1000], spectrum_cap=0.9)
     assert_same(fm.make_form(Q, REAL, [[(1, 0), (Fraction(9), Fraction(-7, 9))]]),
                 [10, 100, 1000], spectrum_cap=0.9)
@@ -198,8 +201,7 @@ def test_zero_form_has_no_bound_and_no_least_value():
     # finds no value, and every window is capped at 1
     zero = fm.DecomposableForm.from_expansion(Q, REAL, 2, 2, [(0, 0, 0)])
     assert fm._least_value_bound(zero, 5) is None
-    assert fm._least_magnitude(zero, lt.HeightWindow(5),
-                               lt.HeightWindow(5)) == (None, None, None)
+    assert fm._least_magnitude(zero, lt.HeightWindow(5), lt.HeightWindow(5)) is None
 
 
 @pytest.mark.parametrize("bound", [1e-300, 0.3])
@@ -309,6 +311,16 @@ def test_callers_enumerated_window_is_checked_first(cap, message):
     form = fm.make_form(Q, REAL, [[(1, 0, 0), (0, 1, 0), (1, 1, -1)]])
     with pytest.raises(WindowTooLarge, match=f"^{message}$"):
         fm.discreteness_report(form, [1, 2, 3], cap=cap, spectrum_cap=1.0)
+
+
+def test_strips_are_planned_once_per_height_and_cap(monkeypatch):
+    # 2.5 m = 0.858 at H = 10 is below the spectrum cap 0.9, so the top scan
+    # runs at 0.9 and takes the plan that checked the caller's window
+    plans, strips = [], fm._strips
+    monkeypatch.setattr(fm, "_strips", lambda form, H, cap:
+                        plans.append((H, cap)) or strips(form, H, cap))
+    fm.discreteness_report(sqrt2_form(), [10, 100, 1000], spectrum_cap=0.9)
+    assert plans == [(1000, 0.9), (10, 2.5 * fm._least_value_bound(sqrt2_form(), 10))]
 
 
 def test_windows_are_checked_in_ascending_height():

@@ -1,8 +1,9 @@
 """Differential tests of the schedule kernel against point-by-point evaluation.
 
-`PointCloud.systoles_under` takes one (steps, n) stack per place, or None
-for a place that no step moves, and evaluates every step on the cloud's
-skyline only, in blocks.  The reference
+`PointCloud.systoles_under` takes one (table, index) pair per place, the
+distinct rows of its (steps, n) stack and each step's row, or None for a
+place that no step moves, and evaluates every step on the cloud's skyline
+only, in blocks.  The reference
 evaluates every point with the row formula at mp.workprec(53), float64
 rounding with an unbounded exponent, its sums in `_column_sum` order, and
 takes the first index of each minimum; float log2 estimates only preselect
@@ -216,7 +217,7 @@ def check_systoles(cloud, schedule, got):
 
 
 def stacks(cloud, schedule):
-    """The kernel's per-place (steps, n) stacks of a list of steps.
+    """The per-place (steps, n) stacks of a list of steps.
 
     A step is (arch_mults, fin_shifts), one row or None (unscaled) per
     place, as `norms_under` takes it.
@@ -227,6 +228,22 @@ def stacks(cloud, schedule):
     fin = [np.array([np.zeros(n) if f[k] is None else f[k] for _, f in schedule],
                     dtype=np.int64).reshape(-1, n) for k in range(len(cloud.fin))]
     return arch, fin
+
+
+def as_tables(arch, fin):
+    """The kernel's (table, index) pair of each stack, or None: its
+    distinct rows, and each step's row among them."""
+    def pair(stack):
+        if stack is None:
+            return None
+        table, index = np.unique(stack, axis=0, return_inverse=True)
+        return table, index.reshape(-1)
+    return [pair(a) for a in arch], [pair(f) for f in fin]
+
+
+def tables(cloud, schedule):
+    """The kernel's input for a list of steps: `as_tables` of its `stacks`."""
+    return as_tables(*stacks(cloud, schedule))
 
 
 # Archimedean ray parameters: moderate, long (content under- and overflow),
@@ -264,7 +281,7 @@ def steps(draw, cloud):
 def test_schedule_kernel_matches_point_by_point(data):
     cloud = _cloud(data.draw(st.sampled_from(CLOUDS)))
     schedule = data.draw(st.lists(steps(cloud), min_size=1, max_size=80))
-    check_systoles(cloud, schedule, cloud.systoles_under(*stacks(cloud, schedule)))
+    check_systoles(cloud, schedule, cloud.systoles_under(*tables(cloud, schedule)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -279,17 +296,32 @@ def test_unmoved_places_as_none_match_identity_stacks(data):
     unmoved = data.draw(st.lists(st.booleans(), min_size=len(arch) + len(fin),
                                  max_size=len(arch) + len(fin)))
     identity = [np.ones_like(a) for a in arch], [np.zeros_like(f) for f in fin]
-    want = cloud.systoles_under(
+    want = cloud.systoles_under(*as_tables(
         [i if u else a for a, i, u in zip(arch, identity[0], unmoved)],
-        [i if u else f for f, i, u in zip(fin, identity[1], unmoved[len(arch):])])
-    got = cloud.systoles_under(
+        [i if u else f for f, i, u in zip(fin, identity[1], unmoved[len(arch):])]))
+    got = cloud.systoles_under(*as_tables(
         [None if u else a for a, u in zip(arch, unmoved)],
-        [None if u else f for f, u in zip(fin, unmoved[len(arch):])])
-    # with no stack at all the schedule is one step, the identity
+        [None if u else f for f, u in zip(fin, unmoved[len(arch):])]))
+    # with no table at all the schedule is one step, the identity
     assert repr(got) == repr(want[:1] if all(unmoved) else want)
     assert repr(cloud.systoles_under([None] * len(arch), [None] * len(fin))) == \
-        repr(cloud.systoles_under([a[:1] for a in identity[0]],
-                                  [f[:1] for f in identity[1]]))
+        repr(cloud.systoles_under(*as_tables([a[:1] for a in identity[0]],
+                                             [f[:1] for f in identity[1]])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_distinct_rows_match_an_identity_index(data):
+    # a schedule of repeated steps, read off its distinct rows, has the
+    # bits of the same schedule with every step its own table row
+    cloud = _cloud(data.draw(st.sampled_from(CLOUDS)))
+    pool = data.draw(st.lists(steps(cloud), min_size=1, max_size=6))
+    schedule = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    arch, fin = stacks(cloud, schedule)
+    every = ([(a, np.arange(len(a))) for a in arch], [(f, np.arange(len(f))) for f in fin])
+    got = cloud.systoles_under(*tables(cloud, schedule))
+    assert repr(got) == repr(cloud.systoles_under(*every))
+    assert all(len(table) <= len(pool) for table, _ in sum(tables(cloud, schedule), []))
 
 
 def test_blocks_cover_long_schedules():
@@ -300,9 +332,17 @@ def test_blocks_cover_long_schedules():
     schedule = [([np.array([math.exp(0.1 * (i % 100)), math.exp(-0.1 * (i % 100))])],
                  [np.array([i % 7, -(i % 7)], dtype=np.int64)])
                 for i in range(3 * block + 1)]
-    got = cloud.systoles_under(*stacks(cloud, schedule))
+    got = cloud.systoles_under(*tables(cloud, schedule))
     assert check_systoles(cloud, schedule, got) == len(schedule)
-    assert cloud.systoles_under(*stacks(cloud, schedule[-1:])) == got[-1:]
+    assert cloud.systoles_under(*tables(cloud, schedule[-1:])) == got[-1:]
+    # every step its own archimedean row: that table runs more rows than a
+    # block of the per-row stage
+    distinct = [([np.array([math.exp(0.1 * (i % 100) + 1e-9 * i), math.exp(-0.1 * (i % 100))])],
+                 fin) for i, (_, fin) in enumerate(schedule)]
+    arch, _ = tables(cloud, distinct)
+    assert len(arch[0][0]) == len(distinct) > block
+    assert check_systoles(cloud, distinct, cloud.systoles_under(*tables(cloud, distinct))) == \
+        len(distinct)
 
 
 def test_one_step_reads_the_whole_cloud_without_a_skyline():
@@ -311,10 +351,10 @@ def test_one_step_reads_the_whole_cloud_without_a_skyline():
     cloud = lt.PointCloud(lt.SLattice(q, places, 2, [_eye(2)] * 2),
                           lt.HeightWindow(6, 2))
     step = ([np.array([2.0, 0.5])], [np.array([1, -1], dtype=np.int64)])
-    one = cloud.systoles_under(*stacks(cloud, [step]))
+    one = cloud.systoles_under(*tables(cloud, [step]))
     assert check_systoles(cloud, [step], one) == 1
     assert "skyline" not in vars(cloud)
-    assert cloud.systoles_under(*stacks(cloud, [step, step])) == one * 2
+    assert cloud.systoles_under(*tables(cloud, [step, step])) == one * 2
     assert "skyline" in vars(cloud)
 
 
@@ -324,7 +364,7 @@ def test_out_of_range_steps_alone_and_mixed():
     beyond = ([None], [None, np.array([500, -500], dtype=np.int64)])
     plain = ([None], [None, None])
     for schedule, in_range in (([beyond], 0), ([beyond, plain, beyond], 1)):
-        got = cloud.systoles_under(*stacks(cloud, schedule))
+        got = cloud.systoles_under(*tables(cloud, schedule))
         assert check_systoles(cloud, schedule, got) == in_range
 
 
@@ -334,7 +374,7 @@ def test_long_ray_step_keeps_underflowing_squares():
     cloud = _cloud("q-identity-n3")
     step = ([np.array([math.exp(-400.0), math.exp(200.0), math.exp(200.0)])],
             [None])
-    got = cloud.systoles_under(*stacks(cloud, [step]))
+    got = cloud.systoles_under(*tables(cloud, [step]))
     check_systoles(cloud, [step], got)
     content, idx = got[0][:2]
     assert math.isclose(content, math.exp(-400.0), rel_tol=1e-12)
@@ -349,7 +389,7 @@ def test_out_of_range_blocks_cover_long_schedules():
     schedule = [([np.array([math.exp(0.5 * (i % 9)), math.exp(-0.5 * (i % 9))])],
                  [np.array([1100 + i, -1100 - i], dtype=np.int64)])
                 for i in range(3 * block + 1)]
-    got = cloud.systoles_under(*stacks(cloud, schedule))
+    got = cloud.systoles_under(*tables(cloud, schedule))
     assert check_systoles(cloud, schedule, got) == 0
 
 
@@ -433,7 +473,7 @@ def test_column_norms_match_row_formula(data):
         plain = plain_norms(cloud, *step)
         if plain is not None:
             assert got == [repr(a.tolist()) for a in plain]
-        assert repr(cloud.systoles_under(*stacks(cloud, [step]))) == \
+        assert repr(cloud.systoles_under(*tables(cloud, [step]))) == \
             repr([reference_systole(cloud, *step)])
 
 
@@ -446,9 +486,9 @@ def test_zero_contents_take_the_first_index():
     schedule = [([None], [None, None]),
                 ([np.array([math.exp(3.0), math.exp(-3.0)])],
                  [np.array([-2, 2]), np.array([1, -1])])]
-    got = cloud.systoles_under(*stacks(cloud, schedule))
+    got = cloud.systoles_under(*tables(cloud, schedule))
     check_systoles(cloud, schedule, got)
-    assert [cloud.systoles_under(*stacks(cloud, [step]))[0] for step in schedule] == got
+    assert [cloud.systoles_under(*tables(cloud, [step]))[0] for step in schedule] == got
     assert [(c, cloud.format_point(i)) for c, i, _, _ in got] == [(0.0, "(1, 1)")] * 2
 
 
