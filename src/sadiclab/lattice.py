@@ -18,7 +18,12 @@ A cloud takes one n_out x n_in map per place, by default g itself;
 `nilpotent_span_check` makes the adjoint lattice one cloud of Ad(g) and
 decides its verdict by Engel's theorem, as one test that every product
 of n kept matrices is 0.
-`_window_rows` is the package's one enumeration of the window.
+`_window_rows` is the package's one enumeration of the window, and a
+window is a shared value of the process: the last one enumerated is kept
+(`WINDOW_CACHE_SIZE`), with its points embedded at each archimedean place
+that read it, so back-to-back clouds over one window (a `mahler` family,
+repeated `systole` calls) build only what depends on their maps.  Its
+arrays are read-only, and callers must not write to them.
 
 Every window systole is read through `PointCloud.systoles_under`, which
 takes per place a table of multipliers or valuation shifts, one row per
@@ -65,6 +70,11 @@ _ZERO_EXP = -(1 << 24)       # int32 frexp exponent of 0; any below _ZERO_EXP / 
 SHIFT_BITS = -_ZERO_EXP // 4
 
 WINDOW_CAP = 10 ** 8         # the default bound on a window's points
+WINDOW_CACHE_SIZE = 1        # the windows `_window_rows` keeps, oldest out
+
+# (ncoords, primes, H, E) -> (numerators, eexp, {archimedean place: the
+# points embedded there}), the last WINDOW_CACHE_SIZE windows built.
+_WINDOWS = {}
 
 
 class HeightWindow:
@@ -154,23 +164,37 @@ def _window_rows(ncoords, primes, window):
     e in [0, E]^len(primes), in `itertools.product` order, for the point
     y / prod p^e; (y, e) is skipped when some e_t > 0 while p_t divides
     every y_k, as that point comes with a smaller exponent.  Without
-    primes E is 0.  The window's size cap is checked first.
+    primes E is 0.  The window's size cap is checked on every call; the
+    arrays are then those of `_WINDOWS`, built once per (ncoords, primes,
+    H, E) while the window is kept, and read-only.
     """
-    E = window.E if primes else 0
+    ncoords, primes, H, E = key = _window_key(ncoords, primes, window)
     window.check(ncoords, len(primes) if E else 0)
-    Y = _numerator_grid(ncoords, window.H)
-    ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
-    reps = len(ecombos)
-    numerators = np.repeat(Y, reps, axis=0)
-    etab = np.array(ecombos, dtype=np.int64).reshape(reps, len(primes))
-    eexp = np.tile(etab, (len(Y), 1))
-    if E:
-        keep = np.ones(len(numerators), dtype=bool)
-        for t, p in enumerate(primes):
-            all_div = (Y % p == 0).all(axis=1)
-            keep &= ~(np.repeat(all_div, reps) & (eexp[:, t] > 0))
-        numerators, eexp = numerators[keep], eexp[keep]
-    return numerators, eexp
+    entry = _WINDOWS.get(key)
+    if entry is None:
+        # the oldest window goes first, so that its arrays can be freed
+        while len(_WINDOWS) >= WINDOW_CACHE_SIZE:
+            del _WINDOWS[next(iter(_WINDOWS))]
+        Y = _numerator_grid(ncoords, H)
+        ecombos = list(itertools.product(range(E + 1), repeat=len(primes))) or [()]
+        reps = len(ecombos)
+        numerators = np.repeat(Y, reps, axis=0)
+        etab = np.array(ecombos, dtype=np.int64).reshape(reps, len(primes))
+        eexp = np.tile(etab, (len(Y), 1))
+        if E:
+            keep = np.ones(len(numerators), dtype=bool)
+            for t, p in enumerate(primes):
+                all_div = (Y % p == 0).all(axis=1)
+                keep &= ~(np.repeat(all_div, reps) & (eexp[:, t] > 0))
+            numerators, eexp = numerators[keep], eexp[keep]
+        numerators.flags.writeable = eexp.flags.writeable = False
+        entry = _WINDOWS[key] = numerators, eexp, {}
+    return entry[:2]
+
+
+def _window_key(ncoords, primes, window):
+    """The key of a window in `_WINDOWS`: without primes E is 0."""
+    return ncoords, tuple(primes), window.H, window.E if primes else 0
 
 
 def witness_text(z):
@@ -229,11 +253,11 @@ class PointCloud:
         self.n = len(self.maps[0][0])
         self.d = lat.field.degree
         self.primes = sorted({p.p for p in lat.finite_places})
-        self.numerators, self.eexp = _window_rows(self.n * self.d, self.primes,
-                                                  window)
+        ncoords = self.n * self.d
+        self.numerators, self.eexp = _window_rows(ncoords, self.primes, window)
         self.count = len(self.numerators)
         self._formatted = {}
-        self._build_arch()
+        self._build_arch(_WINDOWS[_window_key(ncoords, self.primes, window)][2])
         self._build_finite()
 
     # -- construction helpers ------------------------------------------------
@@ -251,14 +275,21 @@ class PointCloud:
         denom = np.ones(self.count, dtype=np.float64)
         for t, p in enumerate(self.primes):
             denom *= np.power(float(p), self.eexp[:, t].astype(np.float64))
-        return Z / denom[:, None]
+        Z = Z / denom[:, None]
+        Z.flags.writeable = False
+        return Z
 
-    def _build_arch(self):
+    def _build_arch(self, embedded):
+        """The image of the window at each archimedean place: its embedded
+        points, kept with the window in `embedded` per place, under the
+        place's map."""
         self.arch = []
         for place, mat in zip(self.lat.places, self.maps):
             if place.kind == "finite":
                 continue
-            Z = self._z_float(place)
+            Z = embedded.get(place)
+            if Z is None:
+                Z = embedded[place] = self._z_float(place)
             G = np.array([[to_float(c, place) for c in row] for row in mat],
                          dtype=Z.dtype)
             self.arch.append((place, Z @ G.T))

@@ -682,3 +682,162 @@ def test_nilpotent_span_matches_bracket_closure(case):
     assert verdict is reference_verdict(mats, field, n)
     if expected is not None:
         assert verdict is expected
+
+
+# The window memo: `_window_rows` keeps the last window it enumerated, with
+# its points embedded at each archimedean place that read it, and a cloud
+# over that window reuses both.  A cloud must read as one built anew.
+
+
+@st.composite
+def memo_case(draw):
+    """(two lattices over one field and S, window): ncoords <= 4, primes
+    a subset of {2, 3, 5} (2 is ramified in Q(i)), H <= 6, E <= 3."""
+    gauss = draw(st.booleans())
+    field = nf.create_field([1, 0, 1] if gauss else [0, 1])
+    n = 2 if gauss else draw(st.integers(2, 4))
+    ncoords = n * field.degree
+    primes = draw(st.lists(st.sampled_from([3, 5] if gauss else [2, 3, 5]),
+                           unique=True).map(sorted))
+    E = draw(st.integers(0, 3))
+    counted = len(primes) if E and primes else 0
+    top = max(h for h in range(1, 7)
+              if lt.HeightWindow(h, E).size(ncoords, counted) <= 6000 or h == 1)
+    window = lt.HeightWindow(draw(st.integers(1, top)), E)
+    places = nf.archimedean_places(field) + [
+        place for p in primes for place in nf.finite_places(field, p)]
+    lats = [lt.SLattice.from_rational(field, places, n,
+                                      draw(rational_matrix(n, [1, 2, 3])))
+            for _ in range(2)]
+    # the primes of a window of the same size enumerated just before
+    before = draw(st.lists(st.sampled_from([3, 5] if gauss else [2, 3, 5]),
+                           unique=True).map(sorted))
+    return lats, window, before
+
+
+def _cloud_bits(cloud):
+    """Everything a cloud computes, as bytes and values: its window, the
+    images at each place, and its systoles under the identity step and
+    under a three-step schedule (which reads the skyline)."""
+    n_out = len(cloud.maps[0])
+    arch = [(np.array([[1.0] * n_out, [2.0] + [0.5] * (n_out - 1)]),
+             np.array([0, 1, 1])) for _ in cloud.arch]
+    return ([cloud.numerators.tobytes(), cloud.eexp.tobytes()]
+            + [W.tobytes() for _, W in cloud.arch]
+            + [vals.tobytes() for _, vals, _, _ in cloud.fin]
+            + list(cloud.systoles_under([None] * len(cloud.arch),
+                                        [None] * len(cloud.fin)))
+            + list(cloud.systoles_under(arch, [None] * len(cloud.fin))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(memo_case())
+def test_memoised_window_equals_a_fresh_build(case):
+    lats, window, before = case
+    lt._WINDOWS.clear()
+    lt._window_rows(lats[0].n * lats[0].field.degree, before, window)
+    clouds = [lt.PointCloud(lat, window) for lat in lats]
+    assert clouds[0].numerators is clouds[1].numerators
+    shared = [_cloud_bits(cloud) for cloud in clouds]
+    ncoords, primes = clouds[0].n * clouds[0].d, clouds[0].primes
+    rows = [a.tobytes() for a in lt._window_rows(ncoords, primes, window)]
+    fresh = []
+    for lat in lats:
+        lt._WINDOWS.clear()
+        fresh.append(_cloud_bits(lt.PointCloud(lat, window)))
+    lt._WINDOWS.clear()
+    assert rows == [a.tobytes() for a in lt._window_rows(ncoords, primes, window)]
+    assert shared == fresh
+
+
+def test_window_arrays_are_read_only(monkeypatch, gauss):
+    monkeypatch.setattr(lt, "_WINDOWS", {})
+    places = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)
+    window = lt.HeightWindow(2, 1)
+    cloud = lt.PointCloud(lt.SLattice.identity(gauss, places, 2), window)
+    numerators, eexp = lt._window_rows(4, [5], window)
+    assert numerators is cloud.numerators and eexp is cloud.eexp
+    [(_, _, embedded)] = lt._WINDOWS.values()
+    assert list(embedded) == [places[0]]
+    for array in (numerators, eexp, embedded[places[0]]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_window_cap_checked_on_every_call(monkeypatch, rationals, q_inf2):
+    monkeypatch.setattr(lt, "_WINDOWS", {})
+    lat = lt.SLattice.identity(rationals, q_inf2, 2)
+    size = lt.HeightWindow(3, 2).size(2, 1)
+    lt.systole(lat, lt.HeightWindow(3, 2))
+    small = lt.HeightWindow(3, 2, cap=size - 1)
+    with pytest.raises(WindowTooLarge):
+        lt._window_rows(2, [2], small)
+    with pytest.raises(WindowTooLarge):
+        lt.systole(lat, small)
+    with pytest.raises(WindowTooLarge):
+        lt.mahler_test([lat], 0.1, small)
+    rows, _ = lt._window_rows(2, [2], lt.HeightWindow(3, 2, cap=size))
+    assert len(rows) < size
+
+
+def test_fields_from_one_polynomial_never_share_an_embedding(monkeypatch):
+    monkeypatch.setattr(lt, "_WINDOWS", {})
+    # equal fields (one polynomial), the last with the basis {1, 1 + i}
+    fields = [nf.NumberField([1, 0, 1]), nf.NumberField([1, 0, 1]),
+              nf.NumberField([1, 0, 1], [[1, 0], [1, 1]])]
+    assert fields[0] == fields[1] == fields[2]
+    window = lt.HeightWindow(2)
+    clouds = [lt.PointCloud(lt.SLattice.identity(field, nf.archimedean_places(field), 2),
+                            window) for field in fields]
+    places = [cloud.arch[0][0] for cloud in clouds]
+    [(_, _, embedded)] = lt._WINDOWS.values()
+    assert list(embedded) == places and len(set(map(id, places))) == 3
+    assert not np.array_equal(embedded[places[0]], embedded[places[2]])
+    for cloud in clouds:
+        lt._WINDOWS.clear()
+        fresh = lt.PointCloud(cloud.lat, window)
+        assert fresh.arch[0][1].tobytes() == cloud.arch[0][1].tobytes()
+
+
+def test_one_enumeration_per_window(monkeypatch, gauss):
+    monkeypatch.setattr(lt, "_WINDOWS", {})
+    calls = []
+    grid = lt._numerator_grid
+    monkeypatch.setattr(lt, "_numerator_grid",
+                        lambda *args: calls.append(args) or grid(*args))
+    places = nf.archimedean_places(gauss) + nf.finite_places(gauss, 5)
+    family = [lt.SLattice(gauss, places, 2, [[[1, k], [0, 1]]] * len(places))
+              for k in range(3)]
+    lt.mahler_test(family, 0.1, lt.HeightWindow(3, 1))
+    assert calls == [(4, 3)]
+    calls.clear()
+    # the `cloud` workload's window: H = 2, E = 1 over Q(i), S = {c0, both places over 5}
+    for lat in family + family[:2]:
+        lt.systole(lat, lt.HeightWindow(2, 1))
+    assert calls == [(4, 2)]
+
+
+def test_window_rejects_a_height_below_one_or_a_negative_exponent():
+    with pytest.raises(ValueError, match="H >= 1 and E >= 0"):
+        lt.HeightWindow(0)
+    with pytest.raises(ValueError, match="H >= 1 and E >= 0"):
+        lt.HeightWindow(1, -1)
+
+
+def test_mahler_test_rejections(rationals, q_inf, q_inf2):
+    lat = lt.SLattice.identity(rationals, q_inf, 2)
+    window = lt.HeightWindow(2)
+    for r in (0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            lt.mahler_test([lat], r, window)
+    with pytest.raises(ValueError, match="at least one lattice"):
+        lt.mahler_test([], 0.1, window)
+    root2, root3 = nf.create_field([-2, 0, 1]), nf.create_field([-3, 0, 1])
+    mixed = [
+        [lt.SLattice.identity(f, nf.archimedean_places(f), 2) for f in (root2, root3)],
+        [lat, lt.SLattice.identity(rationals, q_inf2, 2)],
+        [lat, lt.SLattice.identity(rationals, q_inf, 3)],
+    ]
+    for family in mixed:
+        with pytest.raises(ShapeMismatch, match="share field, S and dimension"):
+            lt.mahler_test(family, 0.1, window)

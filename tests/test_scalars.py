@@ -731,6 +731,37 @@ def test_finite_place_built_in_one_helper():
     assert found == [("numberfield", "_finite_places")]
 
 
+# No shared value grows without bound: no module-level function or method
+# of the package is memoised by `functools.cache` or by an `lru_cache` whose
+# maxsize is None, so a long session keeps a fixed number of fields
+# (`numberfield.FIELD_CACHE_SIZE`) and windows (`lattice.WINDOW_CACHE_SIZE`).
+# A memo made inside a call, such as `forms.norm_form`'s `minor`, goes
+# with the call.
+
+
+def _unbounded_memo(decorator):
+    if isinstance(decorator, ast.Call):
+        size = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+        return _names(decorator.func) == {"lru_cache"} and any(
+            isinstance(s, ast.Constant) and s.value is None for s in size)
+    return _names(decorator) == {"cache"}
+
+
+def test_no_unbounded_memo_at_module_level():
+    assert [qualname for qualname, _, _, node in _package_definitions()
+            if any(map(_unbounded_memo, node.decorator_list))] == []
+
+
+@pytest.mark.parametrize("decorator, unbounded", [
+    ("functools.cache", True), ("cache", True),
+    ("functools.lru_cache(maxsize=None)", True), ("lru_cache(None)", True),
+    ("functools.lru_cache(maxsize=32)", False), ("functools.lru_cache", False),
+    ("functools.cached_property", False),
+])
+def test_unbounded_memo_decorators(decorator, unbounded):
+    assert _unbounded_memo(ast.parse(decorator, mode="eval").body) is unbounded
+
+
 # Ray multipliers are math.exp's: numpy's exp on an array rounds some
 # arguments differently (16 of the 1,530 archimedean exponents of one
 # default survey), so it would change artifacts.
