@@ -41,8 +41,8 @@ from .numberfield import (
     archimedean_places,
     create_field,
 )
-from .scalars import (abs_at, add, check_entries, div, is_exact, mul,
-                      parse_real, to_field, to_mpf)
+from .scalars import (abs_at, add, check_entries, div, is_exact, lift_exact,
+                      mul, parse_real, to_field, to_mpf)
 from .surd import QuadraticSurd
 
 
@@ -804,21 +804,25 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
     top height can never gain values, so it would force discrete-trend.
 
     Every window's spectrum is capped at 2.5 m, m the least nonzero
-    magnitude at the first height (`_least_magnitude`, whose scans are the
-    first; 1 if there is none).  Then the largest height is scanned once
-    (`_scan`) at max(2.5 m, spectrum_cap), and every window's spectrum is
-    read off that scan (`_read_spectrum`), which is the spectrum of its
-    own scan at 2.5 m but for `candidates` (`value_spectrum`).  With
-    `spectrum_cap`, `spectrum` is value_spectrum(form,
-    HeightWindow(heights[-1], E, cap), spectrum_cap), read off it too.
+    magnitude at the first height (1 if there is none), and read off one
+    `_scan` of the largest height at a cap C >= 2.5 m (`_read_spectrum`):
+    the spectrum of its own scan at 2.5 m but for `candidates`.  With
+    `spectrum_cap`, C >= spectrum_cap, and `spectrum` is value_spectrum(
+    form, HeightWindow(heights[-1], E, cap), spectrum_cap) read off it.
+    For a planar `_integer_ok` form with a point proven nonzero at the
+    first height, that scan is the only one: C = max(2.5 U, spectrum_cap)
+    with U = `_least_value_bound` >= m, so it keeps m, the least value of
+    the first window that it keeps.  Any other form takes m from the
+    uncapped scan of the first window, and C = max(2.5 m, spectrum_cap);
+    so does a scan that keeps no value there, or whose C is below 2.5 m.
 
     The windows are checked in the order of the separate scans, each
     before any larger one is scanned: that value_spectrum call's plan,
-    then the first height's window as enumerated, then every larger
-    window in ascending height, the largest by its scan, which takes that
-    call's plan when it runs at `spectrum_cap`.  A capped planar
-    scan visits at most its box of H (2H + 2) points, which its window's
-    cap admits, so the windows between are checked only when enumerated.
+    the first window as enumerated, then each larger one in ascending
+    height, the largest by its scan (with that call's plan at
+    `spectrum_cap`).  A capped planar scan visits at most its box of
+    H (2H + 2) points, which its window's cap admits, so the windows
+    between are checked only when enumerated.
     """
     if len(heights) < 3 or len(set(heights)) < len(heights):
         raise TooFewWindows("need at least three distinct heights, got "
@@ -832,44 +836,35 @@ def discreteness_report(form, heights, E=0, cap=WINDOW_CAP, spectrum_cap=None):
     # still meets `cap`.
     windows = {h: HeightWindow(h, E, max(cap, h * (2 * h + 2)))
                for h in heights}
-    least = _least_magnitude(form, HeightWindow(heights[0], E, cap),
-                             windows[heights[0]])
+
+    def top_scan(at):       # at spectrum_cap, with that call's plan
+        at = at if spectrum_cap is None else max(at, spectrum_cap)
+        return at, _scan(form, windows[heights[-1]], at,
+                         plan if at == spectrum_cap else None)
+
+    first = HeightWindow(heights[0], E, cap)
+    _scan_plan(form, first, None)
+    planar = form.n == 2 and _integer_ok(form)
+    bound = _least_value_bound(form, heights[0]) if planar else None
+    scan = least = None
+    if bound is not None:
+        top_cap, scan = top_scan(2.5 * bound)
+        inside = (scan[1][scan[2] == 1] <= heights[0]).tolist()
+        least = min((mag for (mag, _), ok in zip(scan[0], inside) if ok),
+                    default=None)
+    if least is None:
+        least = min((mag for mag, _ in _scan(form, first, None)[0]),
+                    default=None)
     mag_cap = 1.0 if least is None else 2.5 * float(least)
-    if form.n != 2 or not _integer_ok(form):
+    if not planar:
         for h in heights[1:-1]:
             _scan_plan(form, windows[h], None)
-    # a scan at spectrum_cap takes that call's plan: the largest window's
-    # cap is never below its own
-    top_cap = mag_cap if spectrum_cap is None else max(mag_cap, spectrum_cap)
-    scan = _scan(form, windows[heights[-1]], top_cap,
-                 plan if top_cap == spectrum_cap else None)
+    if scan is None or top_cap < mag_cap:
+        top_cap, scan = top_scan(mag_cap)
     spectra = [_read_spectrum(scan, windows[h], mag_cap) for h in heights]
     spectrum = (None if spectrum_cap is None else
                 _read_spectrum(scan, own, spectrum_cap))
     return _report_from_spectra(form, spectra, mag_cap, spectrum)
-
-
-def _least_magnitude(form, enumerated, window):
-    """The least nonzero magnitude mpf over the window `enumerated` at
-    the report's first height, None if every value is 0.
-
-    A planar `_integer_ok` form is scanned at 2.5 U on `window`, U from
-    `_least_value_bound`: every value <= 2.5 U is kept, so once the scan
-    keeps one, its least is the window's, and U >= least makes
-    2.5 float(least) <= 2.5 U.  Otherwise (any other form, no point
-    proven nonzero, or no value kept) the least comes from the uncapped
-    scan of `enumerated`.  Either way `enumerated` is checked as the
-    uncapped scan checks it, first.
-    """
-    _scan_plan(form, enumerated, None)
-    if form.n == 2 and _integer_ok(form):
-        bound = _least_value_bound(form, window.H)
-        if bound is not None:
-            pairs = _scan(form, window, 2.5 * bound)[0]
-            if pairs:
-                return min(mag for mag, _ in pairs)
-    pairs = _scan(form, enumerated, None)[0]
-    return min((mag for mag, _ in pairs), default=None)
 
 
 def _report_from_spectra(form, spectra, mag_cap, spectrum):
@@ -1021,31 +1016,30 @@ def _cf_recognize(x):
 
     Continued-fraction convergents of x; accepted only when the match,
     within 10^-(dps - 10) at mpmath's working precision, is far tighter
-    than an irrational's q^-2 approximation could be.
+    than an irrational's q^-2 approximation could be.  The k-th
+    denominator is >= the Fibonacci F_k, so q > 10^6 ends it by k = 31.
     """
     err_bound = mpf(10) ** (-(mp.dps - 10))
     p0, q0, p1, q1 = 0, 1, 1, 0
     val = x
-    for _ in range(64):
+    while True:
         a = int(mp.floor(val))
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         if q1 > 10 ** 6:
             return None
-        approx = Fraction(p1, q1)
-        if abs(x - mpf(approx.numerator) / approx.denominator) < err_bound:
-            return approx
+        if abs(x - mpf(p1) / q1) < err_bound:      # p1 / q1 in lowest terms
+            return Fraction(p1, q1)
         frac = val - a
         if frac == 0:
             return None
         val = 1 / frac
-    return None
 
 
 def rationality_reconstruct(form):
     """Try to split f_v = alpha_v * g with one O-coefficient form g.
 
     Per place: divide the expansion by its largest coefficient, recognize
-    every ratio as a bounded-denominator rational; all places must agree
+    every ratio as a rational (`_ratio_rational`); all places must agree
     on the same rational vector, which is then cleared to a primitive
     integer form (sign fixed by the first nonzero coefficient).  A place
     whose coefficients are all 0 gives the evidence "zero form".
@@ -1056,9 +1050,12 @@ def rationality_reconstruct(form):
     with mp.workdps(DEFAULT_DPS):
         for k, place in enumerate(form.places):
             coeffs = form.expansions[k]
-            numeric = [abs(to_mpf(c, place)) for c in coeffs]
-            piv = max(range(len(coeffs)), key=lambda i: (numeric[i], -i))
-            if numeric[piv] == 0:
+            try:        # real quadratic scalars compare exactly
+                mags = [abs(parse_real(c)) for c in coeffs]
+            except TypeError:   # an inexact one, or an irrational one of K
+                mags = [abs(to_mpf(c, place)) for c in coeffs]
+            piv = max(range(len(coeffs)), key=lambda i: (mags[i], -i))
+            if mags[piv] == 0:
                 return ReconstructionResult(
                     status="no-rational-reconstruction", evidence="zero form")
             pivots.append((piv, coeffs[piv]))
@@ -1100,14 +1097,16 @@ def rationality_reconstruct(form):
 
 
 def _ratio_rational(c, pivot, place):
-    if is_exact(c) and is_exact(pivot):
+    """c / pivot as a Fraction, or None.  Exact c and pivot that
+    `lift_exact` combines decide exactly, through `to_field`; any others
+    on the ratio's value at DEFAULT_DPS digits (`_cf_recognize`)."""
+    pair = lift_exact([c, pivot])
+    if pair is not None:
         try:
-            r = to_field(div(c, pivot), place.field)
+            r = to_field(div(*pair), place.field)
         except NotInField:
-            pass        # an irrational surd: the numeric path rejects it
-        else:
-            if r.is_rational():
-                return r.coords[0]
+            return None         # an irrational surd
+        return r.coords[0] if r.is_rational() else None
     x = to_mpf(c, place) / to_mpf(pivot, place)
     if abs(x.imag) > mpf(10) ** (10 - DEFAULT_DPS):
         return None

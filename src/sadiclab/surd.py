@@ -141,6 +141,9 @@ class QuadraticSurd:
         # a rational surd equals, so hashes as, its Fraction
         return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
 
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
     def __abs__(self):
         return self if self.sign() >= 0 else -self
 

@@ -419,6 +419,20 @@ class TestRun:
         data = json.loads((tmp_path / "form-reconstruct.json").read_text())
         assert data["status"] == "no-rational-reconstruction"
 
+    def test_form_reconstruct_rejects_a_near_rational_surd(self, tmp_path):
+        # x((1 + 10^-45 sqrt2) x - y): -1 / (1 + 10^-45 sqrt2) is an
+        # irrational surd within 10^-44 of -1, which a 50-digit continued
+        # fraction took for -1
+        config = {"min_poly": [0, 1],
+                  "form": {"factors": [[1, 0],
+                                       [{"a": 1, "b": "1e-45", "d": 2}, -1]]}}
+        assert cli.main(["--config", json.dumps(config),
+                         "--out", str(tmp_path), "form-reconstruct"]) == 0
+        assert json.loads((tmp_path / "form-reconstruct.json").read_text()) == {
+            "evidence": "coefficient 1 at r0 has no bounded-denominator ratio "
+                        "to the pivot",
+            "status": "no-rational-reconstruction"}
+
     def test_form_reconstruct_over_a_finite_place(self, tmp_path):
         config = {"min_poly": [0, 1], "places": {"finite_primes": [2]},
                   "form": {"places": ["r0", "p2_0"],
@@ -877,9 +891,9 @@ class TestRun:
                   "spectrum": {"heights": [10, 20, 40], "cap": 0.9}}
         assert cli.main(["--config", json.dumps(config),
                          "--out", str(tmp_path), "form-spectrum"]) == 0
-        # the first height's scan finds m; the largest height's serves the
-        # CLI's spectrum and every window of the report
-        assert seen == [10, 40]
+        # one scan of the largest height finds m and serves the CLI's
+        # spectrum and every window of the report
+        assert seen == [40]
 
     def test_form_spectrum_expands_the_factors_for_the_strips_once(
             self, tmp_path, monkeypatch):

@@ -443,15 +443,65 @@ class TestReconstruction:
         assert rep.status == "no-rational-reconstruction"
         assert "disagrees" in rep.evidence
 
+    def test_float_coefficients_go_through_the_continued_fraction(
+            self, rationals, q_inf, monkeypatch):
+        # floats become 50-digit mpfs, so only the numeric path recognizes
+        # the ratios 1 and -0.25 / 0.75 to the pivot; 0 is below 10^-45
+        seen = []
+        recognize = fm._cf_recognize
+        monkeypatch.setattr(fm, "_cf_recognize",
+                            lambda x: seen.append(x) or recognize(x))
+        form = fm.DecomposableForm.from_expansion(rationals, q_inf, 2, 2,
+                                                  [(0.75, 0.0, -0.25)])
+        rep = fm.rationality_reconstruct(form)
+        assert (rep.status, rep.g) == ("reconstructed", (3, 0, -1))
+        assert rep.alpha[0] == 0.25
+        with mp.workdps(50):
+            assert seen == [1, mpf(-1) / 3]
+
+    def test_exact_coefficients_decide_without_the_continued_fraction(
+            self, rationals, q_inf, monkeypatch):
+        monkeypatch.setattr(fm, "_cf_recognize", None)
+        for coeffs, evidence in [
+                # (1 + 10^-45 sqrt2) / 1 is irrational, though within 10^-44
+                # of 1
+                ((1, 1 + S2 / 10 ** 45, 0), "coefficient 0"),
+                # |1 + 10^-60 sqrt2| > 1 decides the pivot, which 50 digits
+                # cannot tell from 1
+                ((1 + S2 / 10 ** 60, -1, 0), "coefficient 1"),
+                ((-1, 1 + S2 / 10 ** 60, 0), "coefficient 0"),
+                ((S2, -S2, 0), None)]:
+            form = fm.DecomposableForm.from_expansion(rationals, q_inf, 2, 2,
+                                                      [coeffs])
+            rep = fm.rationality_reconstruct(form)
+            if evidence is None:
+                assert (rep.status, rep.g, rep.alpha) == (
+                    "reconstructed", (1, -1, 0), [S2])
+            else:
+                assert rep.evidence == (f"{evidence} at r0 has no bounded-"
+                                        "denominator ratio to the pivot")
+
+    @pytest.mark.parametrize("x, want", [
+        # 0.1 in float arithmetic: 1 / 0.1 is exactly 10.0, so the fraction
+        # ends at [0; 10], whose 1/10 is 5.6e-18 from x's binary value
+        (lambda: 0.1, None),
+        (lambda: mpf(0.1), None),     # its denominators pass 10^6
+        (lambda: mpf(-3) / 7, Fraction(-3, 7))])
+    def test_continued_fraction_returns(self, x, want):
+        with mp.workdps(50):
+            assert fm._cf_recognize(x()) == want
+
     def test_complex_ratio_rejected(self, gauss):
         # x (i x - y) at c0: the ratio -1 / i = i of coefficient 1 to the
-        # pivot i is not real
+        # pivot i is not real, whether i is exact or an mpc
         c0 = nf.archimedean_places(gauss)[0]
-        form = fm.make_form(gauss, [c0], [[(1, 0), (gauss.element([0, 1]), -1)]])
-        rep = fm.rationality_reconstruct(form)
-        assert (rep.status, rep.evidence) == (
-            "no-rational-reconstruction",
-            "coefficient 1 at c0 has no bounded-denominator ratio to the pivot")
+        for i in (gauss.element([0, 1]), mp.mpc(0, 1)):
+            form = fm.make_form(gauss, [c0], [[(1, 0), (i, -1)]])
+            rep = fm.rationality_reconstruct(form)
+            assert (rep.status, rep.evidence) == (
+                "no-rational-reconstruction",
+                "coefficient 1 at c0 has no bounded-denominator ratio to the "
+                "pivot")
 
 
 class TestLittlewood:

@@ -6,11 +6,13 @@ takes m from the uncapped scan of the first window and makes five
 separate `value_spectrum` calls: that window, one capped scan per height
 and the caller's own capped spectrum at the largest height.  With its
 mpf sort as the reference order, it is the pipeline that the report's
-scans replaced; the report runs a capped scan at 2.5 U for the first
-height (U from `_least_value_bound`) and then one scan of the largest
-height, off which it reads every window and the caller's spectrum.  Both
-feed `_report_from_spectra`, so the reports and every spectrum must agree
-in all but the `candidates` telemetry.
+scans replaced.  For a planar form with exact coefficients the report
+makes one scan of the largest height, at 2.5 U (U from
+`_least_value_bound`) or the caller's cap, and reads m, every window and
+the caller's spectrum off it; `two_scan_reference` first scans the
+first height for m instead.  All feed `_report_from_spectra`, so the
+reports and every spectrum must agree in all but the `candidates`
+telemetry.
 """
 
 import dataclasses
@@ -164,17 +166,98 @@ def test_builtin_probes_equal_the_five_call_pipeline(name, heights,
     assert_same(fm.builtin_probes()[name], heights, spectrum_cap=spectrum_cap)
 
 
-def test_workload_heights_equal_the_five_call_pipeline(monkeypatch):
-    # the first height's capped scan finds m: U bounds the least value
+def recorded_caps(monkeypatch):
+    """The caps of the `_scan` calls made from here on, in order."""
     caps, scan = [], fm._scan
     monkeypatch.setattr(fm, "_scan", lambda form, window, cap, *plan:
                         caps.append(cap) or scan(form, window, cap, *plan))
-    least = fm._least_magnitude(sqrt2_form(), lt.HeightWindow(10), lt.HeightWindow(10))
+    return caps
+
+
+def test_workload_heights_equal_the_five_call_pipeline(monkeypatch):
+    # one scan of the largest height at 2.5 U finds m: U bounds the least
+    # value, which that scan keeps
+    caps = recorded_caps(monkeypatch)
+    fm.discreteness_report(sqrt2_form(), [10, 100, 1000])
     bound = fm._least_value_bound(sqrt2_form(), 10)
-    assert caps == [2.5 * bound] and least <= bound
+    assert caps == [2.5 * bound]
+    assert fm.value_spectrum(sqrt2_form(), lt.HeightWindow(10)).min_nonzero \
+        <= bound
     assert_same(sqrt2_form(), [10, 100, 1000], spectrum_cap=0.9)
     assert_same(fm.make_form(Q, REAL, [[(1, 0), (Fraction(9), Fraction(-7, 9))]]),
                 [10, 100, 1000], spectrum_cap=0.9)
+
+
+def two_scan_reference(form, heights, spectrum_cap):
+    """The report of a planar `_integer_ok` form from two scans: the first
+    height's at 2.5 U for m (the uncapped scan of the first window when no
+    point is proven nonzero or that scan keeps no value), then the largest
+    height's at max(2.5 m, spectrum_cap), off which every window is read."""
+    heights = sorted(heights)
+    windows = {h: lt.HeightWindow(h, 0, max(lt.WINDOW_CAP, h * (2 * h + 2)))
+               for h in heights}
+    least = None
+    bound = fm._least_value_bound(form, heights[0])
+    if bound is not None:
+        pairs = fm._scan(form, windows[heights[0]], 2.5 * bound)[0]
+        least = min((mag for mag, _ in pairs), default=None)
+    if least is None:
+        pairs = fm._scan(form, lt.HeightWindow(heights[0]), None)[0]
+        least = min((mag for mag, _ in pairs), default=None)
+    mag_cap = 1.0 if least is None else 2.5 * float(least)
+    top_cap = mag_cap if spectrum_cap is None else max(mag_cap, spectrum_cap)
+    scan = fm._scan(form, windows[heights[-1]], top_cap)
+    spectra = [fm._read_spectrum(scan, windows[h], mag_cap) for h in heights]
+    spectrum = None if spectrum_cap is None else fm._read_spectrum(
+        scan, lt.HeightWindow(heights[-1]), spectrum_cap)
+    return fm._report_from_spectra(form, spectra, mag_cap, spectrum), spectra
+
+
+@st.composite
+def one_scan_forms(draw):
+    """A rational control x(a x - b y), x(sqrt(d) x - y), x(x - sqrt(d) y),
+    or a random pair of factors with rational or surd coefficients."""
+    kind = draw(st.sampled_from(["rational", "sqrt-x", "sqrt-y", "pair"]))
+    root = QuadraticSurd.sqrt(draw(st.sampled_from(SQUAREFREE)))
+    if kind == "rational":
+        a, b = (draw(st.fractions(min_value=1, max_value=9, max_denominator=9))
+                for _ in range(2))
+        rows = [(1, 0), (a, -b)]
+    elif kind == "sqrt-x":
+        rows = [(1, 0), (root, -1)]
+    elif kind == "sqrt-y":
+        rows = [(1, 0), (1, -root)]
+    else:
+        def coeff():
+            if draw(st.booleans()):
+                return QuadraticSurd(draw(SMALL))
+            return draw(SMALL.filter(bool)) * root + draw(SMALL)
+
+        rows = [(coeff(), coeff()) for _ in range(2)]
+    try:
+        return fm.make_form(Q, REAL, [rows])
+    except DependentFactors:
+        return draw(st.nothing())
+
+
+@SLOW
+@given(one_scan_forms(), st.lists(st.integers(1, 40), min_size=3, max_size=3,
+                                  unique=True), st.data())
+def test_one_scan_report_equals_the_two_scan_reference(form, heights, data):
+    first = fm.value_spectrum(form, lt.HeightWindow(min(heights)))
+    spectrum_cap = data.draw(st.one_of(
+        st.sampled_from([None, 0.9]),
+        st.floats(0.99, 1.01).map(lambda t: t * 2.5 * first.min_nonzero)))
+    want, want_spectra = two_scan_reference(form, heights, spectrum_cap)
+    got, got_spectra = new(form, heights, spectrum_cap=spectrum_cap)
+    assert (got.verdict, got.min_nonzero, got.cluster, got.anomaly) == \
+        (want.verdict, want.min_nonzero, want.cluster, want.anomaly)
+    for a, b in zip(got_spectra, want_spectra):
+        same_spectrum(a, b)
+    if spectrum_cap is None:
+        assert got.spectrum is want.spectrum is None
+    else:
+        same_spectrum(got.spectrum, want.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +265,15 @@ def test_workload_heights_equal_the_five_call_pipeline(monkeypatch):
 
 
 @pytest.mark.parametrize("spectrum_cap", [None, 2.0])
-def test_three_variable_form_keeps_the_uncapped_first_window(spectrum_cap):
+def test_three_variable_form_keeps_the_uncapped_first_window(spectrum_cap,
+                                                             monkeypatch):
     form = fm.make_form(Q, REAL, [[(1, 0, 0), (0, 1, 0),
                                    (1, QuadraticSurd.sqrt(2), -1)]])
     assert_same(form, [1, 2, 3], spectrum_cap=spectrum_cap)
+    least = fm.value_spectrum(form, lt.HeightWindow(1)).min_nonzero
+    caps = recorded_caps(monkeypatch)
+    fm.discreteness_report(form, [1, 2, 3], spectrum_cap=spectrum_cap)
+    assert caps == [None, max(2.5 * least, spectrum_cap or 0)]
 
 
 def test_inexact_form_keeps_the_uncapped_first_window():
@@ -196,22 +284,35 @@ def test_inexact_form_keeps_the_uncapped_first_window():
     assert_same(form, [2, 3, 4], spectrum_cap=0.5)
 
 
-def test_zero_form_has_no_bound_and_no_least_value():
+def test_zero_form_has_no_bound_and_no_least_value(monkeypatch):
     # every box point is 0, so none is proven nonzero: the uncapped scan
     # finds no value, and every window is capped at 1
     zero = fm.DecomposableForm.from_expansion(Q, REAL, 2, 2, [(0, 0, 0)])
     assert fm._least_value_bound(zero, 5) is None
-    assert fm._least_magnitude(zero, lt.HeightWindow(5), lt.HeightWindow(5)) is None
+    caps = recorded_caps(monkeypatch)
+    report = fm.discreteness_report(zero, [5, 6, 7])
+    assert caps == [None, 1.0] and report.min_nonzero == math.inf
 
 
 @pytest.mark.parametrize("bound", [1e-300, 0.3])
 def test_a_bound_below_the_least_value_costs_a_scan_not_a_value(monkeypatch,
                                                                 bound):
-    # x(sqrt2 x - y) has least value 0.343 at H = 10: at 2.5e-300 the
-    # capped scan keeps no value, and the uncapped scan finds it; at 0.75
-    # it keeps it, though 2.5 m = 0.858 is above the scan's cap
+    # x(sqrt2 x - y) has least value m = 0.343 at H = 10.  Under the cap 0.9
+    # the one scan keeps m and 2.5 m = 0.858.  Without it, the scan at
+    # 2.5e-300 keeps no value, so the uncapped scan of the first window
+    # finds m; the scan at 0.75 keeps m but is below 2.5 m: either way the
+    # largest height is scanned again at 2.5 m
+    least = fm.value_spectrum(sqrt2_form(), lt.HeightWindow(10)).min_nonzero
     monkeypatch.setattr(fm, "_least_value_bound", lambda form, H: bound)
-    assert_same(sqrt2_form(), [10, 20, 40], spectrum_cap=0.9)
+    uncapped = [None] if bound < least / 2.5 else []
+    for spectrum_cap, scans in [(0.9, [0.9]),
+                                (None, [2.5 * bound, *uncapped, 2.5 * least])]:
+        assert_same(sqrt2_form(), [10, 20, 40], spectrum_cap=spectrum_cap)
+        with monkeypatch.context() as patch:
+            caps = recorded_caps(patch)
+            fm.discreteness_report(sqrt2_form(), [10, 20, 40],
+                                   spectrum_cap=spectrum_cap)
+        assert caps == scans
 
 
 @pytest.mark.parametrize("E", [0, 1, 2])
@@ -287,7 +388,7 @@ def test_first_window_is_checked_as_an_enumerated_window():
 
 def test_callers_scan_is_checked_against_its_own_strips():
     # at H = 1000 the strips of cap 0.1 hold 1,447 points; the merged scan
-    # runs at 2.5 m = 0.858 and visits 2,310, under the larger bound of the
+    # runs at 2.5 U = 0.858 and visits 2,310, under the larger bound of the
     # report's window
     form = sqrt2_form()
     rep = fm.discreteness_report(form, [10, 100, 1000], cap=1447,
@@ -314,13 +415,13 @@ def test_callers_enumerated_window_is_checked_first(cap, message):
 
 
 def test_strips_are_planned_once_per_height_and_cap(monkeypatch):
-    # 2.5 m = 0.858 at H = 10 is below the spectrum cap 0.9, so the top scan
-    # runs at 0.9 and takes the plan that checked the caller's window
+    # 2.5 U = 0.858 at H = 10 is below the spectrum cap 0.9, so the one
+    # scan runs at 0.9 and takes the plan that checked the caller's window
     plans, strips = [], fm._strips
     monkeypatch.setattr(fm, "_strips", lambda form, H, cap:
                         plans.append((H, cap)) or strips(form, H, cap))
     fm.discreteness_report(sqrt2_form(), [10, 100, 1000], spectrum_cap=0.9)
-    assert plans == [(1000, 0.9), (10, 2.5 * fm._least_value_bound(sqrt2_form(), 10))]
+    assert plans == [(1000, 0.9)]
 
 
 def test_windows_are_checked_in_ascending_height():
