@@ -59,7 +59,7 @@ print("  ", " ".join(f"{content:.2e}" for content in stair.contents[:8]))
 
 aniso = anisotropic_point(field, archimedean_places(field))
 ray = RaySchedule(archimedean_places(field), [(1, -1)],
-                  [(10 * i / 29,) for i in range(30)])
+                  [[10 * i / 29 for i in range(30)]])
 rows = trajectory(aniso, ray, HeightWindow(40))
 print("\nanisotropic point: sup-norm systole along s in [0, 10]:",
       f"min = {min(r.min_supnorm for r in rows):.12f} (never below 1)")

@@ -454,7 +454,8 @@ def _diagonal_flow(cfg, block, n, values):
     """Window systoles of diag(e^s, 1, ..., 1, e^-s) O^n, one step per s.
 
     The flow acts at the first archimedean place of S: one ray of the
-    schedule kernel on the identity point, so one cloud serves every value.
+    schedule kernel, whose one column is `values`, on the identity point,
+    so one cloud serves every value.
     """
     arch = [p for p in cfg.places if p.kind != "finite"]
     if not arch:
@@ -463,7 +464,7 @@ def _diagonal_flow(cfg, block, n, values):
         raise SchemaError(f"/{block}/n", "a diagonal flow needs n >= 2")
     if not values:
         return []
-    ray = dy.RaySchedule(arch[:1], [dy._n2_direction(n)], values)
+    ray = dy.RaySchedule(arch[:1], [dy._n2_direction(n)], [values])
     x = lt.SLattice.identity(cfg.field, cfg.places, n)
     return dy.trajectory(x, ray, cfg.window)
 

@@ -1,9 +1,9 @@
 """Diagonal torus actions on SL_n(K_S)/SL_n(O): trajectories and surveys.
 
-A trajectory samples the window systole of t.g.O^n along a ray schedule of
-diagonal torus elements; the three-way classification (diverging-trend,
-bounded-below, recurrent) is explicitly empirical -- finitely many steps
-never prove divergence.  Surveys sweep the canonical sign-pattern rays,
+A trajectory samples the window systole of t.g.O^n along a ray schedule,
+a column of parameters per active place; the three-way classification
+(diverging-trend, bounded-below, recurrent) is explicitly empirical --
+finitely many steps never prove divergence.  Surveys sweep the canonical sign-pattern rays,
 compare against the theoretical dichotomy at points whose entries lie in K
 (single-place orbits divergent, full-S orbits not), and flag any
 disagreement as an anomaly instead of accepting it.
@@ -84,16 +84,18 @@ def act(t, x):
 
 
 class RaySchedule:
-    """Exponent directions per active place plus a list of parameter steps.
+    """An exponent direction and a column of parameters per active place.
 
-    direction[i] is the exponent vector for the diagonal entries at the
-    i-th active place (sum zero, the determinant-one condition).  Each
-    step is one parameter per active place: real at archimedean places,
-    integer at finite places (their value group is discrete).  `scales`
-    maps each active place's name to its (table, index) pair for the
-    schedule kernel: the table holds one row per distinct parameter, the
-    multipliers exp(par * c) at an archimedean place or the valuation
-    shifts f * par * c at a finite one, and index[i] is step i's row.  An
+    direction[k] is the exponent vector for the diagonal entries at the
+    k-th active place (exponents summing to exactly 0, a float read as its
+    binary value: the determinant-one condition); columns[k] holds that
+    place's parameter at each step, all columns of one length: real at
+    archimedean places, integer at finite places (their value group is
+    discrete).  `columns` keeps them converted.  `scales` maps each active
+    place's name to its (table, index) pair for the schedule kernel: the
+    table holds one row per distinct parameter, the multipliers
+    exp(par * c) at an archimedean place or the valuation shifts
+    f * par * c at a finite one, and index[i] is step i's row.  An
     archimedean parameter whose multipliers overflow float64, or whose
     products par * c are infinite, raises `RayOverflow` (a nan one raises
     ValueError), and so do a finite one of +-inf (nan again raises
@@ -102,13 +104,12 @@ class RaySchedule:
     is |f * par * c| * log2 p > 2^22 / #R for some c; a float parameter is
     named as given.  So no step moves a content by more than 2^22 bits,
     and none comes near 2^(-2^23), at or below which the kernel reads a
-    content as 0 (`lattice._ZERO_EXP` / 2).  Each place's table is built a
-    column of parameters at a time (`_place_column`); of several errors,
-    the first in step order is raised, and of one step's, the first in
-    place order.
+    content as 0 (`lattice._ZERO_EXP` / 2).  Each column is read on its
+    own (`_place_column`); of several errors, the first in step order is
+    raised, and of one step's, the first in place order.
     """
 
-    def __init__(self, places, direction, steps):
+    def __init__(self, places, direction, columns):
         self.places = list(places)
         self.direction = [tuple(c) for c in direction]
         if not self.places:
@@ -116,39 +117,37 @@ class RaySchedule:
         if len(self.direction) != len(self.places):
             raise ShapeMismatch("one direction per active place")
         for c in self.direction:
-            if abs(sum(c)) > 1e-12:
+            if sum(map(Fraction, c)) != 0:
                 raise ValueError(f"exponent vector {c} does not sum to zero")
-        width, bits = len(self.places), SHIFT_BITS // len(self.places)
-        rows = [s if isinstance(s, (tuple, list)) else (s,) * width for s in steps]
-        # each column stops at the first failure so far in step order
-        end = next(itertools.compress(itertools.count(), map(width.__ne__, map(len, rows))),
-                   len(rows))
-        columns, self.scales, error = [], {}, None
-        for place, direc, column in zip(self.places, self.direction,
-                                        list(zip(*rows[:end])) or [()] * width):
-            pars, scale, failure = _place_column(place, direc, column[:end], bits)
-            if failure is not None:
-                end, error = failure
-            columns.append(pars)
-            self.scales[place.name] = scale
-        if end < len(rows):
-            raise error or ShapeMismatch("one parameter per active place in each step")
-        self.steps = list(zip(*columns))
+        if len(columns) != len(self.places):
+            raise ShapeMismatch("one parameter column per active place")
+        if len(set(map(len, columns))) > 1:
+            raise ShapeMismatch("parameter columns of unequal length")
+        bits = SHIFT_BITS // len(self.places)
+        built = [_place_column(place, direc, column, bits)
+                 for place, direc, column in zip(self.places, self.direction, columns)]
+        # each column's first failure (step, error); the least (step, place) raises
+        failures = [(f[0], k, f[1]) for k, (_, _, f) in enumerate(built) if f]
+        if failures:
+            raise min(failures, key=lambda f: f[:2])[2]
+        self.columns = [pars for pars, _, _ in built]
+        self.scales = {place.name: scale for place, (_, scale, _) in zip(self.places, built)}
 
-    def torus_element(self, field, n, step):
+    def torus_element(self, field, n, i):
+        """The torus element of step i."""
         entries = []
-        for place, direc, par in zip(self.places, self.direction, step):
+        for place, direc, pars in zip(self.places, self.direction, self.columns):
             if place.kind == "finite":
-                entries.append([Fraction(place.p) ** (par * int(c)) for c in direc])
+                entries.append([Fraction(place.p) ** (pars[i] * int(c)) for c in direc])
             else:
-                entries.append([math.exp(par * c) for c in direc])
+                entries.append([math.exp(pars[i] * c) for c in direc])
         return TorusElement(field, self.places, n, entries)
 
 
 def _place_column(place, direc, column, bits):
-    """One active place's parameters of a column of steps, its (table,
-    index) pair and the first failure: (pars, (table, index), None), or
-    (pars, None, (i, error)) when step i is the first to fail.
+    """One active place's column of parameters, converted, with its
+    (table, index) pair and its first failure: (pars, (table, index),
+    None), or (pars, None, (i, error)) when step i is the first to fail.
 
     The parameters convert a column at a time and `np.unique` gives their
     distinct values; numpy forms each one's products with the direction
@@ -311,11 +310,11 @@ STAIR_JUMP = 12
 
 
 def default_ray_catalog(active, steps=20, s_max=10.0):
-    """The canonical (name, parameter rows) pairs for a survey: per-place
+    """The canonical (name, parameter columns) pairs for a survey: per-place
     axes, matched diagonals for sign pairs, and alternating staircases that
     re-balance after each archimedean push by STAIR_JUMP (staircases only
-    when two places are active).  Each row holds one step's parameter per
-    active place, and every place moves along `_n2_direction`."""
+    when two places are active).  A ray holds a parameter column per active
+    place, and every place moves along `_n2_direction`."""
     js = range(steps)
     rays = []
     for signs in _sign_patterns(len(active)):
@@ -332,7 +331,7 @@ def default_ray_catalog(active, steps=20, s_max=10.0):
                 columns.append([s * j * log_p for j in js])
             else:
                 columns.append([s * (s_max * j / (steps - 1)) for j in js])
-        rays.append((_ray_name(active, signs), list(zip(*columns))))
+        rays.append((_ray_name(active, signs), columns))
     # alternating staircases for two-place sign pairs
     if len(active) == 2 and active[0].kind != active[1].kind:
         arch_i = 0 if active[0].kind != "finite" else 1
@@ -343,7 +342,7 @@ def default_ray_catalog(active, steps=20, s_max=10.0):
                 columns[arch_i] = [sa * log_p * (STAIR_JUMP * ((j + 1) // 2)) for j in js]
                 columns[1 - arch_i] = [sf * (STAIR_JUMP * (j // 2)) for j in js]
                 signs[arch_i], signs[1 - arch_i] = sa, sf
-                rays.append(("stair:" + _ray_name(active, signs), list(zip(*columns))))
+                rays.append(("stair:" + _ray_name(active, signs), columns))
     return rays
 
 
@@ -352,9 +351,10 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     """Systole sweep over the canonical rays plus a heat-map grid.
 
     One `RaySchedule` holds the steps of every ray of the catalog and of
-    every heat-map cell, in turn, and one kernel call serves them all; its
-    minima are read as columns, each ray's contents a slice of one, and
-    each distinct heat-map witness is formatted once.
+    every heat-map cell, in turn, each place's columns joined, and one
+    kernel call serves them all; its minima are read as columns, each
+    ray's contents a slice of one, and each distinct heat-map witness is
+    formatted once.
     At points whose entries lie in K (`_is_rational`) the classical
     dichotomy is enforced: a single active place must show every ray
     diverging, and the full place set (when S has at least two places)
@@ -365,13 +365,14 @@ def divergence_survey(x, active, window, steps=20, s_max=10.0,
     rays = default_ray_catalog(active, steps=steps, s_max=s_max)
     (s_labels, k_labels), cells = _heat_cells(active, heat_s, heat_k, s_max)
     schedule = RaySchedule(active, [_n2_direction(x.n)] * len(active),
-                           [row for _, rows in rays for row in rows] + cells)
+                           [[par for _, columns in rays for par in columns[k]] + cell
+                            for k, cell in enumerate(cells)])
     mc, ic, ms, _ = tuple(zip(*cloud.systoles_under(*_scales(schedule, x)))) or ((),) * 4
     results, start = [], 0
-    for name, rows in rays:
-        contents = mc[start:start + len(rows)]
+    for name, columns in rays:
+        contents = mc[start:start + len(columns[0])]
         results.append(RayResult(name, classify_ray(contents), contents))
-        start += len(rows)
+        start += len(columns[0])
     # what is left are the heat map's steps
     texts = {i: cloud.format_point(i) for i in dict.fromkeys(ic[start:])}
     heat = {"s": s_labels, "k": k_labels, "min_content": mc[start:],
@@ -410,8 +411,8 @@ HEAT_K = range(-12, 13)
 
 def _heat_cells(active, heat_s, heat_k, s_max):
     """The heat map's cells: their s and k columns as its CSV labels them,
-    and their parameter rows, s at each archimedean place of active and k
-    at each finite one.  A label no active place reads is ""."""
+    and their parameter columns, s at each archimedean place of active
+    and k at each finite one.  A label no active place reads is ""."""
     arch_active = any(p.kind != "finite" for p in active)
     fin_active = any(p.kind == "finite" for p in active)
     svals, kvals = [0.0], [0]
@@ -422,9 +423,9 @@ def _heat_cells(active, heat_s, heat_k, s_max):
         kvals = list(heat_k) if heat_k is not None else list(HEAT_K)
     s_col = [s for s in svals for _ in kvals]
     k_col = kvals * len(svals)
-    rows = list(zip(*[k_col if p.kind == "finite" else s_col for p in active]))
-    return ((s_col if arch_active else [""] * len(rows),
-             k_col if fin_active else [""] * len(rows)), rows)
+    blank = [""] * len(s_col)
+    return ((s_col if arch_active else blank, k_col if fin_active else blank),
+            [k_col if p.kind == "finite" else s_col for p in active])
 
 
 # ---------------------------------------------------------------------------

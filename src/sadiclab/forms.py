@@ -177,14 +177,13 @@ class DecomposableForm:
         """Per factor a x + b y of a planar form, `_strips`' cap-independent
         data (t, W_t, inv, W_inv, vertical): `_float_weight` of the slope
         t = a / b (0 when b = 0) and of 1 / |b| (1 / |a| when b = 0), and
-        whether b = 0.  None unless every factor is exact, the factors'
-        expansion is the form's and no factor is identically 0."""
+        whether b = 0.  None unless every factor is exact and none is
+        identically 0; factors expand to the form's expansion (`norm_form`,
+        which alone passes both, gives its norm form's embedding factors)."""
         if self.factors is None:
             return None
         rows = [row for per_place in self.factors for row in per_place]
-        if not all(is_exact(c) for row in rows for c in row) or any(
-                self._expand(per_place) != exp
-                for per_place, exp in zip(self.factors, self.expansions)):
+        if not all(is_exact(c) for row in rows for c in row):
             return None
         out = []
         for a, b in (map(parse_real, row) for row in rows):

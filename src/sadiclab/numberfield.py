@@ -662,18 +662,15 @@ class SUnitGroup:
 
 
 def _check_unit_invariant(u, places):
-    fin = Fraction(1)
-    arch = mpf(1)
-    with mp.workdps(DEFAULT_DPS):
-        for v in places:
-            if v.kind == "finite":
-                fin *= v.abs_value(u)
-            else:
-                arch *= v.abs_value(u)
-        total = arch * mpf(fin.numerator) / fin.denominator
-        if abs(total - 1) > mpf(1e-12):
-            raise GeneratorInvariantViolated(
-                f"product of |u|_v over S is {total}, not 1, for {u!r}")
+    """The product of |u|_v over S is 1, exactly: S holds every archimedean
+    place (`s_unit_group` requires it), whose |u|_v multiply to |N(u)|."""
+    total = abs(field_norm(u))
+    for v in places:
+        if v.kind == "finite":
+            total *= v.abs_value(u)
+    if total != 1:
+        raise GeneratorInvariantViolated(
+            f"product of |u|_v over S is {total}, not 1, for {u!r}")
 
 
 def _torsion_generator(field):

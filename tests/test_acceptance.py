@@ -172,8 +172,7 @@ def test_c05_locally_divergent_not_closed(rationals, q_inf2, tmp_path):
 
 def test_c06_compact_orbit_floor(rationals, q_inf):
     x = dy.anisotropic_point(rationals, q_inf)
-    steps = [(10 * i / 49,) for i in range(50)]
-    ray = dy.RaySchedule(q_inf, [(1, -1)], steps)
+    ray = dy.RaySchedule(q_inf, [(1, -1)], [[10 * i / 49 for i in range(50)]])
     rows = dy.trajectory(x, ray, lt.HeightWindow(50))
     violations = [r for r in rows if r.min_supnorm < 1.0]
     assert len(rows) == 50

@@ -845,7 +845,7 @@ class TestRun:
                 schedule = dy.RaySchedule(cfg.places, [(1, -1)] * 2, rays[ray.name])
                 rows = dy.trajectory(x, schedule, cfg.window)
                 assert tuple(row.min_content for row in rows) == ray.contents
-                for step, row in list(zip(rays[ray.name], rows))[11:]:
+                for step, row in list(zip(zip(*rays[ray.name]), rows))[11:]:
                     contents = {text: exact_content(z, step)
                                 for text, z in points.items()}
                     least = min(contents.values())

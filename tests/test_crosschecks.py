@@ -177,11 +177,11 @@ def test_value_spectrum_matches_direct_product_of_places(rationals, q_inf2):
 def test_trajectory_matches_per_step_lattices(rationals, q_inf2):
     x = dy.locally_divergent_example(rationals, q_inf2)
     ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)],
-                         [(s * 0.7, s % 3) for s in range(6)])
+                         [[s * 0.7 for s in range(6)], [s % 3 for s in range(6)]])
     window = lt.HeightWindow(8, 2)
     rows = dy.trajectory(x, ray, window)
-    for step, row in zip(ray.steps, rows):
-        t = ray.torus_element(rationals, 2, step)
+    for i, row in enumerate(rows):
+        t = ray.torus_element(rationals, 2, i)
         moved = dy.act(t, x)
         direct = lt.systole(moved, window)
         assert direct.min_content == pytest.approx(row.min_content, rel=1e-9)

@@ -123,23 +123,18 @@ class TestMixedScalars:
 
 
 def reference_ray(places, direction, steps):
-    """RaySchedule's steps and scales, built one step and one place at a time.
+    """RaySchedule's columns and scales, built one step and one place at a time.
 
-    The first failure in step order raises: a step of the wrong length, a
-    finite-place parameter that is +-inf or nan, not an integer, or whose
-    shifts move a norm by more than SHIFT_BITS / #places bits (a float one
-    is named as given), an archimedean one that is nan or whose products
-    with the direction or multipliers overflow float64.
+    The first failure in step order raises: a finite-place parameter that
+    is +-inf or nan, not an integer, or whose shifts move a norm by more
+    than SHIFT_BITS / #places bits (a float one is named as given), an
+    archimedean one that is nan or whose products with the direction or
+    multipliers overflow float64.
     """
     bits = lt.SHIFT_BITS // len(places)
-    norm_steps, scales = [], [[] for _ in places]
+    columns, scales = [[] for _ in places], [[] for _ in places]
     for step in steps:
-        if not isinstance(step, (tuple, list)):
-            step = (step,) * len(places)
-        if len(step) != len(places):
-            raise ShapeMismatch("one parameter per active place in each step")
-        row = []
-        for place, direc, par, out in zip(places, direction, step, scales):
+        for place, direc, par, column, out in zip(places, direction, step, columns, scales):
             if place.kind == "finite":
                 given = par
                 if isinstance(par, float) and math.isnan(par):
@@ -165,28 +160,42 @@ def reference_ray(places, direction, steps):
                     out += [math.exp(v) for v in products]
                 except OverflowError:
                     raise RayOverflow(par, place.name) from None
-            row.append(par)
-        norm_steps.append(tuple(row))
-    return norm_steps, {
+            column.append(par)
+    return columns, {
         place.name: np.array(out, dtype=np.int64 if place.kind == "finite"
-                             else np.float64).reshape(len(norm_steps), len(direc))
+                             else np.float64).reshape(len(steps), len(direc))
         for place, direc, out in zip(places, direction, scales)}
 
 
+def _reference(places, direction, columns):
+    """reference_ray on the columns zipped into steps, after the shape
+    checks that come before any parameter is read."""
+    if len(columns) != len(places):
+        raise ShapeMismatch("one parameter column per active place")
+    if len({len(column) for column in columns}) > 1:
+        raise ShapeMismatch("parameter columns of unequal length")
+    return reference_ray(places, direction, list(zip(*columns)))
+
+
+def _columns(steps, width):
+    """The parameter columns of a list of steps."""
+    return [[step[k] for step in steps] for k in range(width)]
+
+
 def _ray_outcome(build, *args):
-    """repr of the steps and the bits of each stack, or the error's type and text."""
+    """repr of the columns and the bits of each stack, or the error's type and text."""
     try:
-        steps, scales = build(*args)
+        columns, scales = build(*args)
     except Exception as e:
         return type(e), str(e)
-    return repr(steps), {name: (a.dtype.str, a.shape, a.tobytes())
-                         for name, a in scales.items()}
+    return repr(columns), {name: (a.dtype.str, a.shape, a.tobytes())
+                           for name, a in scales.items()}
 
 
-def _built(places, direction, steps):
-    """RaySchedule's steps and, per place, its table read at each step."""
-    ray = dy.RaySchedule(places, direction, steps)
-    return ray.steps, {name: table[index] for name, (table, index) in ray.scales.items()}
+def _built(places, direction, columns):
+    """RaySchedule's columns and, per place, its table read at each step."""
+    ray = dy.RaySchedule(places, direction, columns)
+    return ray.columns, {name: table[index] for name, (table, index) in ray.scales.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,10 +227,18 @@ def ray_inputs(draw):
     n = draw(st.sampled_from([2, 3]))
     vectors = {2: [(1, -1), (-2, 2), (0, 0)], 3: [(1, 0, -1), (2, -1, -1), (0, 0, 0)]}[n]
     direction = [draw(st.sampled_from(vectors)) for _ in places]
-    step = st.one_of(_RAY_PARAMS, st.lists(_RAY_PARAMS, min_size=len(places),
-                                           max_size=len(places)).map(tuple),
-                     st.lists(_RAY_PARAMS, min_size=0, max_size=len(places) + 1))
-    return places, direction, draw(st.lists(step, max_size=8))
+    # a step of one parameter at every place, or of one per place
+    step = st.one_of(_RAY_PARAMS.map(lambda par: (par,) * len(places)),
+                     st.lists(_RAY_PARAMS, min_size=len(places), max_size=len(places)))
+    steps = draw(st.lists(step, max_size=8))
+    columns = _columns(steps, len(places))
+    if draw(st.integers(0, 3)) == 0:
+        # a column cut short or run on, or one column too few or too many
+        k = draw(st.integers(0, len(places) - 1))
+        columns[k] = columns[k][:draw(st.integers(0, len(steps)))] + draw(
+            st.lists(_RAY_PARAMS, max_size=2))
+        columns = draw(st.sampled_from([columns, columns[1:], columns + columns[:1]]))
+    return places, direction, columns
 
 
 @st.composite
@@ -242,7 +259,8 @@ def stacked_ray_inputs(draw):
     row[k] = draw(st.sampled_from([2 ** 22 + 1, -(2 ** 40)] if places[k].kind == "finite"
                                   else [710.0, -711, np.float64(800.0)]))
     rays[ray].insert(draw(st.integers(0, len(rays[ray]))), tuple(row))
-    return places, direction, [step for steps in rays for step in steps]
+    return places, direction, _columns([step for steps in rays for step in steps],
+                                       len(places))
 
 
 @st.composite
@@ -270,8 +288,8 @@ def repeated_ray_inputs(draw):
                 st.floats(-40, 40)
         distinct = draw(st.lists(values, min_size=1, max_size=4))
         columns.append(draw(st.lists(st.sampled_from(distinct), min_size=12, max_size=12)))
-    steps = list(zip(*columns))[:draw(st.integers(0, 12))]
-    return places, direction, steps
+    length = draw(st.integers(0, 12))
+    return places, direction, [column[:length] for column in columns]
 
 
 class TestRaySchedule:
@@ -282,16 +300,15 @@ class TestRaySchedule:
         # same error is raised; a table holds one row per distinct
         # parameter (one in all at a finite place whose exponents are 0)
         outcome = _ray_outcome(_built, *inputs)
-        assert outcome == _ray_outcome(reference_ray, *inputs)
+        assert outcome == _ray_outcome(_reference, *inputs)
         if type(outcome[1]) is not dict:
             return
-        places, direction, steps = inputs
+        places, direction, columns = inputs
         ray = dy.RaySchedule(*inputs)
-        for k, (place, direc) in enumerate(zip(places, direction)):
+        for place, direc, column in zip(places, direction, columns):
             table, index = ray.scales[place.name]
-            distinct = {step[k] for step in steps} \
-                if any(direc) or place.kind != "finite" else {0}
-            assert len(table) == len(distinct if steps else ())
+            distinct = set(column) if any(direc) or place.kind != "finite" else {0}
+            assert len(table) == len(distinct if column else ())
             assert sorted(set(index.tolist())) == list(range(len(table)))
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -310,21 +327,21 @@ class TestRaySchedule:
         steps += [failure for failure, _, _ in failures]
         _, error, line = failures[order[0]]
         with pytest.raises(error) as raised:
-            dy.RaySchedule(q_inf2, [(1, -1)] * 2, steps)
+            dy.RaySchedule(q_inf2, [(1, -1)] * 2, _columns(steps, 2))
         assert type(raised.value) is error and str(raised.value) == line
 
     def test_overflowing_archimedean_parameter_rejected(self, q_inf2):
         # e^709 is a float64 and e^710 is not; finite-place parameters stay exact
         direction = [(1, -1), (1, -1)]
-        dy.RaySchedule(q_inf2, direction, [(709.0, 5000), (-709.0, -5000)])
+        dy.RaySchedule(q_inf2, direction, [[709.0, -709.0], [5000, -5000]])
         for par in (710.0, -710.0):
             with pytest.raises(RayOverflow, match=rf"^ray parameter {par} at r0 "):
-                dy.RaySchedule(q_inf2, direction, [(par, 0)])
+                dy.RaySchedule(q_inf2, direction, [[par], [0]])
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(ray_inputs(), stacked_ray_inputs()))
     def test_matches_the_step_by_step_build(self, inputs):
-        assert _ray_outcome(_built, *inputs) == _ray_outcome(reference_ray, *inputs)
+        assert _ray_outcome(_built, *inputs) == _ray_outcome(_reference, *inputs)
 
     @settings(max_examples=50, deadline=None)
     @given(stacked_ray_inputs())
@@ -342,7 +359,7 @@ class TestRaySchedule:
     def test_overflow_names_the_first_step(self, q_inf2, steps, line):
         direction = [(1, -1), (1, -1)]
         with pytest.raises(RayOverflow) as raised:
-            dy.RaySchedule(q_inf2, direction, steps)
+            dy.RaySchedule(q_inf2, direction, _columns(steps, 2))
         assert str(raised.value) == line
         assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (RayOverflow, line)
 
@@ -362,7 +379,7 @@ class TestRaySchedule:
                   "ray parameter 3000000 at p2_0 moves a norm over 2097152 bits")]
         for steps, want, text in cases:
             with pytest.raises(want) as raised:
-                dy.RaySchedule(q_inf2, direction, steps)
+                dy.RaySchedule(q_inf2, direction, _columns(steps, 2))
             assert str(raised.value) == text
             assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (want, text)
 
@@ -386,7 +403,7 @@ class TestRaySchedule:
         direction = [(1, -1), (1, -1)]
         steps = [(0.5, 1), (0.0, par), (710.0, 2)]
         with pytest.raises(error) as raised:
-            dy.RaySchedule(q_inf2, direction, steps)
+            dy.RaySchedule(q_inf2, direction, _columns(steps, 2))
         assert type(raised.value) is error and str(raised.value) == line
         assert _ray_outcome(reference_ray, q_inf2, direction, steps) == (error, line)
 
@@ -394,29 +411,32 @@ class TestRaySchedule:
         # a finite parameter both fractional and too large fails as
         # fractional; exponents all 0 shift nothing, however large the
         # parameter
-        cases = [(q_inf2, [(1, -1)] * 2, [(0.0, 2.0 ** 23 + 0.5)]),
-                 (q_inf2[1:], [(0, 0)], [2 ** 70, -(2 ** 64)])]
+        cases = [(q_inf2, [(1, -1)] * 2, [[0.0], [2.0 ** 23 + 0.5]]),
+                 (q_inf2[1:], [(0, 0)], [[2 ** 70, -(2 ** 64)]])]
         for inputs in cases:
-            assert _ray_outcome(_built, *inputs) == _ray_outcome(reference_ray, *inputs)
+            assert _ray_outcome(_built, *inputs) == _ray_outcome(_reference, *inputs)
         with pytest.raises(ValueError, match="^finite-place ray parameters must be integers$"):
             dy.RaySchedule(*cases[0])
         ray = dy.RaySchedule(*cases[1])
-        assert ray.steps == [(2 ** 70,), (-(2 ** 64),)]
+        assert ray.columns == [[2 ** 70, -(2 ** 64)]]
         table, index = ray.scales["p2_0"]
         assert table[index].tolist() == [[0, 0], [0, 0]]
 
     def test_one_direction_per_place_and_no_steps(self, rationals, q_inf2):
         with pytest.raises(ShapeMismatch, match="^one direction per active place$"):
-            dy.RaySchedule(q_inf2, [(1, -1)], [(0.0, 0)])
-        # a schedule of no steps has empty tables and no systoles
-        ray = dy.RaySchedule(q_inf2, [(1, -1)] * 2, [])
+            dy.RaySchedule(q_inf2, [(1, -1)], [[0.0], [0]])
+        # a schedule of no steps has empty columns and tables, and no systoles
+        inputs = (q_inf2, [(1, -1)] * 2, [[], []])
+        assert _ray_outcome(_built, *inputs) == _ray_outcome(_reference, *inputs)
+        ray = dy.RaySchedule(*inputs)
+        assert ray.columns == [[], []]
         assert [table.shape for table, _ in ray.scales.values()] == [(0, 2), (0, 2)]
         x = lt.SLattice.identity(rationals, q_inf2, 2)
         assert dy.trajectory(x, ray, lt.HeightWindow(3, 1)) == []
 
     def test_shift_beyond_int64_rejected(self, q_inf2):
         with pytest.raises(RayOverflow, match=r"^ray parameter 9223372036854775808 at p2_0 "):
-            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [(0.0, 2 ** 63)])
+            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [[0.0], [2 ** 63]])
 
     @pytest.mark.parametrize("par", [1e300, -1e300, 2.0 ** 22, pytest.param(
         np.float64(1e300), id="np.float64(1e300)")])
@@ -425,7 +445,7 @@ class TestRaySchedule:
         steps = [(0.0, 1), (0.0, par)]
         line = f"ray parameter {float(par)!r} at p2_0 moves a norm over 2097152 bits"
         with pytest.raises(RayOverflow) as raised:
-            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], steps)
+            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], _columns(steps, 2))
         assert str(raised.value) == line
         assert _ray_outcome(reference_ray, q_inf2, [(1, -1), (1, -1)], steps) == \
             (RayOverflow, line)
@@ -436,22 +456,37 @@ class TestRaySchedule:
         # reads every content as 0 and mantissas alone pick (15, 0)
         x = lt.SLattice(rationals, q_inf2, 2, [[[2, 1], [1, 1]], eye(2)])
         p2 = q_inf2[1:]
-        ray = dy.RaySchedule(p2, [(1, -1)], [4_000_000])
+        ray = dy.RaySchedule(p2, [(1, -1)], [[4_000_000]])
         [row] = dy.trajectory(x, ray, lt.HeightWindow(16))
         assert row.content_witness == "(1, 0)"
         with pytest.raises(RayOverflow, match=r"^ray parameter 9000000 at p2_0 moves "
                                               r"a norm over 4194304 bits$"):
-            dy.RaySchedule(p2, [(1, -1)], [9_000_000])
+            dy.RaySchedule(p2, [(1, -1)], [[9_000_000]])
 
     def test_needs_an_active_place(self):
         with pytest.raises(ShapeMismatch, match="a ray needs an active place"):
-            dy.RaySchedule([], [], [()])
+            dy.RaySchedule([], [], [])
+
+    @pytest.mark.parametrize("columns, line", [
+        ([[0.0, 1.0], [0]], "parameter columns of unequal length"),
+        # before any parameter is read, even one that fails at the first step
+        ([[math.nan], [0, 1]], "parameter columns of unequal length"),
+        ([[], [0]], "parameter columns of unequal length"),
+        ([[0.0]], "one parameter column per active place"),
+        ([[0.0], [0], [0]], "one parameter column per active place"),
+    ])
+    def test_columns_of_another_shape_rejected_up_front(self, q_inf2, columns, line):
+        with pytest.raises(ShapeMismatch) as raised:
+            dy.RaySchedule(q_inf2, [(1, -1)] * 2, columns)
+        assert str(raised.value) == line
+        assert _ray_outcome(_reference, q_inf2, [(1, -1)] * 2, columns) == \
+            (ShapeMismatch, line)
 
 
 class TestTrajectory:
     def test_single_place_decay(self, rationals, q_inf):
         x = lt.SLattice.identity(rationals, q_inf, 2)
-        ray = dy.RaySchedule(q_inf, [(1, -1)], [(s,) for s in range(10)])
+        ray = dy.RaySchedule(q_inf, [(1, -1)], [list(range(10))])
         rows = dy.trajectory(x, ray, lt.HeightWindow(20))
         for s, row in enumerate(rows):
             assert row.min_content == pytest.approx(math.exp(-s), rel=1e-12)
@@ -459,25 +494,32 @@ class TestTrajectory:
     def test_matched_two_place_ray_stays_at_one(self, rationals, q_inf2):
         x = lt.SLattice.identity(rationals, q_inf2, 2)
         ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)],
-                             [(k * math.log(2), k) for k in range(12)])
+                             [[k * math.log(2) for k in range(12)], list(range(12))])
         rows = dy.trajectory(x, ray, lt.HeightWindow(20, 6))
         for row in rows:
             assert abs(row.min_content - 1) < 1e-9
 
     def test_anisotropic_floor(self, rationals, q_inf):
         x = dy.anisotropic_point(rationals, q_inf)
-        ray = dy.RaySchedule(q_inf, [(1, -1)],
-                             [(10 * i / 49,) for i in range(50)])
+        ray = dy.RaySchedule(q_inf, [(1, -1)], [[10 * i / 49 for i in range(50)]])
         rows = dy.trajectory(x, ray, lt.HeightWindow(30))
         assert all(r.min_supnorm >= 1.0 for r in rows)
 
     def test_finite_ray_parameters_must_be_integers(self, rationals, q_inf2):
         with pytest.raises(ValueError):
-            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [(0.5, 0.5)])
+            dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [[0.5], [0.5]])
 
     def test_direction_must_sum_to_zero(self, rationals, q_inf):
         with pytest.raises(ValueError):
-            dy.RaySchedule(q_inf, [(1, 1)], [(1.0,)])
+            dy.RaySchedule(q_inf, [(1, 1)], [[1.0]])
+
+    def test_direction_sums_to_zero_exactly(self, q_inf):
+        # the exponents' binary values sum to 2^-45, not 0
+        with pytest.raises(ValueError, match="does not sum to zero$"):
+            dy.RaySchedule(q_inf, [(1.0, -1.0 + 2 ** -45)], [[1.0]])
+        for direction in [(0.5, 0.25, -0.75), (Fraction(1, 3), Fraction(-1, 3)),
+                          (np.int64(2), np.int64(-2))]:
+            dy.RaySchedule(q_inf, [direction], [[1.0]])
 
 
 class TestClassification:
@@ -565,8 +607,8 @@ class TestSurveys:
         direction = [(1, -1)] * len(places)
         rays = dy.default_ray_catalog(places, steps=12)
         assert [name for name, _ in rays] == [result.name for result in sv.rays]
-        for result, (_, rows) in zip(sv.rays, rays):
-            want = dy.trajectory(x, dy.RaySchedule(places, direction, rows), window)
+        for result, (_, columns) in zip(sv.rays, rays):
+            want = dy.trajectory(x, dy.RaySchedule(places, direction, columns), window)
             assert repr(result.contents) == repr(tuple(w.min_content for w in want))
         (s_labels, k_labels), cells = dy._heat_cells(places, heat_s, heat_k, 10.0)
         want = dy.trajectory(x, dy.RaySchedule(places, direction, cells), window)
@@ -666,7 +708,7 @@ class TestSurveys:
         y = dy.act(t, x)
         w = lt.HeightWindow(15, 4)
         direct = lt.systole(y, w)
-        ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [(1.0, 1)])
+        ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)], [[1.0], [1]])
         [row] = dy.trajectory(x, ray, w)
         assert direct.min_content == pytest.approx(row.min_content, rel=1e-12)
         assert direct.min_supnorm == pytest.approx(row.min_supnorm, rel=1e-12)
@@ -676,7 +718,7 @@ class TestSurveys:
         gamma = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
         xg = lt.SLattice.from_rational(rationals, q_inf2, 2, gamma)
         ray = dy.RaySchedule(q_inf2, [(1, -1), (1, -1)],
-                             [(k * math.log(2), k) for k in range(10)])
+                             [[k * math.log(2) for k in range(10)], list(range(10))])
         w = lt.HeightWindow(25, 5)
         r1 = dy.trajectory(x, ray, w)
         r2 = dy.trajectory(xg, ray, w)

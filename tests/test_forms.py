@@ -357,6 +357,23 @@ def test_non_integral_norm_form_rejected(root2_field):
         fm.norm_form(root2_field, basis)
 
 
+_SQUAREFREE = [d for d in range(2, 31) if all(d % (q * q) for q in range(2, 6))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from(_SQUAREFREE), half=st.booleans(),
+       basis=st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+                      min_size=2, max_size=2))
+def test_embedding_factors_expand_to_the_norm_form(d, half, basis):
+    # `_strip_factors` rests on it: a real quadratic norm form's factors
+    # multiply out to its expansion, over Z[sqrt d] or Z[(1 + sqrt d) / 2]
+    assume(linalg.rank(basis) == 2)
+    field = nf.create_field([-(d - 1) // 4, -1, 1] if half and d % 4 == 1 else [-d, 0, 1])
+    form = fm.norm_form(field, [field.element(row) for row in basis])
+    assert form._expand(form.factors[0]) == form.expansions[0]
+    assert form._strip_factors is not None
+
+
 class TestGLInvariance:
     def test_capped_value_sets_match(self, rationals, q_inf, pell_form):
         gamma = [[1, 1], [0, 1]]

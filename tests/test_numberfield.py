@@ -499,6 +499,24 @@ class TestSUnitGroup:
         with pytest.raises(GeneratorInvariantViolated):
             nf.s_unit_group(rationals, q_inf2, supplied=[[3]])
 
+    def test_supplied_generators_are_verified_exactly(self, rationals, q_inf, q_inf2,
+                                                       root2_field, gauss):
+        from sadiclab.errors import GeneratorInvariantViolated
+        # |1 - 10^-14| lies within 1e-12 of 1 but is not 1
+        with pytest.raises(GeneratorInvariantViolated, match=r"^product of \|u\|_v over S is "
+                                                             r"99999999999999/10{14}, not 1"):
+            nf.s_unit_group(rationals, q_inf, supplied=[[1 - Fraction(1, 10 ** 14)]])
+        # 6 / 2^k is off by the factor 3 of a prime outside S = {inf, 2}
+        nf.s_unit_group(rationals, q_inf2, supplied=[[Fraction(1, 4)], [-8]])
+        with pytest.raises(GeneratorInvariantViolated, match="^product of .* is 3, not 1"):
+            nf.s_unit_group(rationals, q_inf2, supplied=[[Fraction(6, 8)]])
+        # 1 + sqrt2 has norm -1; 2 + i has norm 5, and each place over 5 takes 1/5 of it
+        nf.s_unit_group(root2_field, nf.archimedean_places(root2_field), supplied=[[1, 1]])
+        nf.s_unit_group(gauss, nf.archimedean_places(gauss) + nf.finite_places(gauss, 5),
+                        supplied=[[2, 1], [2, -1]])
+        with pytest.raises(GeneratorInvariantViolated, match="^product of .* is 5, not 1"):
+            nf.s_unit_group(gauss, nf.archimedean_places(gauss), supplied=[[2, 1]])
+
     def test_product_formula_on_power_products(self, rationals, root2_field,
                                                gauss, q_inf2):
         random.seed(6)

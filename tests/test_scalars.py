@@ -762,6 +762,79 @@ def test_unbounded_memo_decorators(decorator, unbounded):
     assert _unbounded_memo(ast.parse(decorator, mode="eval").body) is unbounded
 
 
+# Float decisions derive their tolerances (ROADMAP item 23): no float
+# literal below 1e-6 in absolute value and no power of 10 with a negative
+# exponent, written negated or as a difference (`10 ** (5 - dps)`), stands
+# anywhere in `src/` but in the definitions listed below, each with its
+# item 23 row or the reason it stays.
+
+_SMALL_CONSTANTS = {
+    "forms._cf_recognize": "item 23: a ratio is rational, 10^-(dps-10)",
+    "forms._rank_at_place": "item 23: factor independence of inexact entries",
+    "forms._ratio_rational": "item 23: a ratio is real; a ratio is 0",
+    "forms._report_from_spectra": "item 23: a value lies in a cluster's window",
+    "forms._spectrum_from_pairs": "item 23: two values are one",
+    "forms.littlewood_scan": "a derived bound: the rounding of alpha and beta at dps digits",
+    "numberfield.ArchimedeanPlace.root": "Newton's stopping step, no decision",
+    "numberfield._complex_places": "pairs float roots; the exact root counts re-check "
+                                   "the pairing, and a mismatch raises",
+    "numberfield._float_roots": "Durand-Kerner's stopping step; `root` refines each root",
+    "sadic.BalancingTarget.validate_against": "item 23: targets multiply to the content",
+    "sadic._left_inverse": "item 23: rank of the log vectors",
+    "sadic.balancing_constant": "item 23: rank of the log vectors",
+    "sadic.unit_balance": "item 23: tie between objectives",
+    "scalars.check_det": "item 23: singular, det != 1 (entries that do not lift)",
+}
+
+
+def _negative_power_of_ten(node):
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+        return False
+    base, exponent = node.left, node.right
+    if isinstance(base, ast.Call) and len(base.args) == 1:
+        base = base.args[0]                 # mpf(10)
+    return isinstance(base, ast.Constant) and base.value == 10 and (
+        isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, ast.USub)
+        or isinstance(exponent, ast.BinOp) and isinstance(exponent.op, ast.Sub)
+        or isinstance(exponent, ast.Constant) and exponent.value < 0)
+
+
+def _small_constants(module, tree):
+    """The definitions of a module that hold a float literal below 1e-6 or
+    a power of 10 with a negative exponent, by qualified name."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, _DEFINITIONS):
+            owner += (node.name,)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and \
+                0 < abs(node.value) < 1e-6 or _negative_power_of_ten(node):
+            found.add(".".join((module,) + owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, ())
+    return found
+
+
+def test_small_constants_only_where_listed():
+    found = set()
+    for path in sorted((_ROOT / "src" / "sadiclab").glob("*.py")):
+        found |= _small_constants(path.stem, ast.parse(path.read_text()))
+    # a listed definition that holds no such constant any more leaves the list
+    assert sorted(found ^ set(_SMALL_CONSTANTS)) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("x = 1e-7", True), ("x = -1e-7", True), ("x = 1e-6", False), ("x = 0.0", False),
+    ("x = 10 ** -3", True), ("x = mpf(10) ** (-(dps + 10))", True),
+    ("x = 10.0 ** (1 - dps)", True), ("x = 10 ** 6", False), ("x = 2.0 ** -53", False),
+    ("x = '1e-15'", False),
+])
+def test_small_constants_found(source, found):
+    assert bool(_small_constants("m", ast.parse(source))) is found
+
+
 # Ray multipliers are math.exp's: numpy's exp on an array rounds some
 # arguments differently (16 of the 1,530 archimedean exponents of one
 # default survey), so it would change artifacts.
